@@ -459,7 +459,6 @@ func BenchmarkFrameworkStepSkip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess.SetRecording(false)
 	// w = x − A·x − c at x = (150, 40): exactly cancels the drag decay, so
 	// the skipped (u = 0) dynamics have a fixed point at the setpoint.
 	w := mat.Vec{0, acc.Drag * acc.Delta * 40}

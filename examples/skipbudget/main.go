@@ -71,7 +71,7 @@ func main() {
 			a.fuel += ep.Fuel
 			a.energy += ep.Energy
 			a.forced += ep.Result.Forced
-			if mw := core.WindowMisses(ep.Result.Records, 3); mw > a.misses3 {
+			if mw := core.WindowMisses(ep.Trace.Steps, 3); mw > a.misses3 {
 				a.misses3 = mw
 			}
 		}

@@ -110,21 +110,21 @@ func (e *DRLEnv) Step(action int) (mat.Vec, float64, bool, error) {
 	if e.t >= e.steps {
 		return nil, 0, true, errors.New("acc: DRLEnv.Step: episode exhausted")
 	}
-	rec, err := e.sess.StepWithChoice(e.m.Disturbance(e.vf[e.t]), action == 1)
+	st, err := e.sess.StepWithChoice(e.m.Disturbance(e.vf[e.t]), action == 1)
 	if err != nil {
 		return nil, 0, true, err
 	}
 	e.t++
 
 	r1 := 0.0
-	if !e.m.Sets.XPrime.Contains(rec.Next, 1e-9) {
+	if !e.m.Sets.XPrime.Contains(st.X, 1e-9) {
 		r1 = 1
 	}
-	r2 := rec.U.Norm1()
+	r2 := st.U.Norm1()
 	reward := -e.w1*r1 - e.w2*r2
 
 	done := e.t >= e.steps
-	return e.m.Encode(rec.Next, e.sess.RecentWView()), reward, done, nil
+	return e.m.Encode(st.X, e.sess.RecentWView()), reward, done, nil
 }
 
 // TrainConfig tunes DRL training for a scenario.

@@ -28,6 +28,7 @@ import (
 	"oic/internal/lti"
 	"oic/internal/mat"
 	"oic/internal/poly"
+	"oic/internal/trace"
 	"oic/internal/traffic"
 )
 
@@ -247,9 +248,10 @@ func (m *Model) SampleInitialStates(n int, rng *rand.Rand) ([]mat.Vec, error) {
 // Episode is the outcome of one simulated 10-second run.
 type Episode struct {
 	Result *core.Result
-	Fuel   float64   // metered by the traffic fuel model
-	Energy float64   // Σ‖u‖₁ (Problem 1's objective)
-	VF     []float64 // the front-vehicle speed sequence driven against
+	Trace  *trace.Trace // the recorded run: x0 and every executed step
+	Fuel   float64      // metered by the traffic fuel model
+	Energy float64      // Σ‖u‖₁ (Problem 1's objective)
+	VF     []float64    // the front-vehicle speed sequence driven against
 }
 
 // RunEpisode executes Algorithm 1 for len(vf) steps from x0 under the given
@@ -273,8 +275,8 @@ func (m *Model) RunEpisodeWithMemory(policy core.SkipPolicy, x0 mat.Vec, vf []fl
 
 // RunEpisodeW is the disturbance-vector core of RunEpisodeWithMemory: it
 // drives Algorithm 1 with an explicit w trace (as the plant-agnostic
-// harness does) and meters fuel over the resulting trajectory. vf may be
-// nil; it is only recorded on the episode for reference.
+// harness does), records the run, and meters fuel over the recorded
+// steps. vf may be nil; it is only kept on the episode for reference.
 func (m *Model) RunEpisodeW(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec, vf []float64, fm *traffic.FuelModel, memory int) (*Episode, error) {
 	fw, err := m.Framework(policy, memory)
 	if err != nil {
@@ -284,24 +286,24 @@ func (m *Model) RunEpisodeW(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec, vf 
 	if err != nil {
 		return nil, err
 	}
+	rec := trace.NewRecorder(trace.Meta{Plant: "acc", Policy: policy.Name(), Memory: memory}, x0, m.Sys.NU(), 0)
 	for _, wt := range w {
-		if _, err := sess.Step(wt); err != nil {
+		st, err := sess.Step(wt)
+		if err != nil {
 			return nil, fmt.Errorf("acc: RunEpisode (%s): %w", policy.Name(), err)
 		}
+		_ = rec.Append(st) // unlimited, and the model fixes the dimensions
 	}
-	res := sess.Result
-	tr := res.Trajectory()
-	speeds := make([]float64, len(tr.States))
-	for i, x := range tr.States {
-		speeds[i] = x[1]
-	}
-	cmds := make([]float64, len(tr.Inputs))
-	for i, u := range tr.Inputs {
-		cmds[i] = u[0]
+	tr := rec.Trace()
+	speeds := append(make([]float64, 0, len(tr.Steps)+1), x0[1])
+	cmds := make([]float64, len(tr.Steps))
+	for i, st := range tr.Steps {
+		speeds = append(speeds, st.X[1])
+		cmds[i] = st.U[0]
 	}
 	if fm == nil {
 		fm = traffic.DefaultFuelModel()
 	}
 	fuel, energy := fm.Episode(speeds, cmds, Delta)
-	return &Episode{Result: res, Fuel: fuel, Energy: energy, VF: vf}, nil
+	return &Episode{Result: sess.Result, Trace: tr, Fuel: fuel, Energy: energy, VF: vf}, nil
 }

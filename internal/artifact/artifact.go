@@ -7,16 +7,16 @@
 // loading one skips set synthesis and DRL training entirely while
 // reproducing the built engine's behavior bit-for-bit.
 //
-// The binary codec follows the internal/trace idiom exactly: "OICA"
-// magic, fixed little-endian layout, no optional fields or padding (so
-// every valid artifact has exactly one encoding and Encode∘Decode is the
-// identity, fuzz-pinned), a CRC-32 (IEEE) trailer, and a strict decoder
-// that checks every length against the remaining input before
-// allocating.
+// The binary codec is built on the shared internal/frame framing: "OICA"
+// magic and version, the fingerprint block, fixed little-endian layout,
+// no optional fields or padding (so every valid artifact has exactly one
+// encoding and Encode∘Decode is the identity, fuzz-pinned), a CRC-32
+// (IEEE) trailer, and a strict decoder that checks every length against
+// the remaining input before allocating.
 //
-// The package deliberately depends only on internal/poly and the
-// standard library: the network is stored as flat layer sizes, weights,
-// and biases, and pkg/oic maps those to live nn/plant types.
+// The package deliberately depends only on internal/poly, internal/frame
+// and the standard library: the network is stored as flat layer sizes,
+// weights, and biases, and pkg/oic maps those to live nn/plant types.
 package artifact
 
 import (
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"oic/internal/frame"
 	"oic/internal/poly"
 )
 
@@ -31,41 +32,25 @@ import (
 // allocating, so a hostile header cannot demand unbounded memory.
 const (
 	Version    = 1
-	MaxDim     = 64      // state/input dimension bound (shared with trace)
-	MaxRows    = 4096    // halfspace rows per polytope
-	MaxChain   = 64      // consecutive-skip chain length
-	MaxString  = 1024    // identifier strings
-	MaxLayers  = 16      // network layers (size entries − 1)
-	MaxUnits   = 4096    // units per network layer
-	MaxMemory  = 64      // disturbance-memory window
-	MaxHistory = 1 << 20 // reward-history entries
+	MaxDim     = 64              // state/input dimension bound (shared with trace)
+	MaxRows    = 4096            // halfspace rows per polytope
+	MaxChain   = 64              // consecutive-skip chain length
+	MaxString  = frame.MaxString // identifier strings
+	MaxLayers  = 16              // network layers (size entries − 1)
+	MaxUnits   = 4096            // units per network layer
+	MaxMemory  = 64              // disturbance-memory window
+	MaxHistory = 1 << 20         // reward-history entries
 )
 
-// Typed decode failures, wrapped with context by the codec. Callers
-// distinguish a corrupt entry (checksum, truncation) from a foreign file
-// (magic, version) without string matching.
+// Typed decode failures — the shared framing's, wrapped with context by
+// the codec. Callers distinguish a corrupt entry (checksum, truncation)
+// from a foreign file (magic, version) without string matching.
 var (
-	ErrBadMagic   = errors.New("artifact: bad magic")
-	ErrBadVersion = errors.New("artifact: unsupported version")
-	ErrTruncated  = errors.New("artifact: truncated input")
-	ErrChecksum   = errors.New("artifact: checksum mismatch")
+	ErrBadMagic   = frame.ErrBadMagic
+	ErrBadVersion = frame.ErrBadVersion
+	ErrTruncated  = frame.ErrTruncated
+	ErrChecksum   = frame.ErrChecksum
 )
-
-// Meta is the engine-configuration fingerprint the artifact was compiled
-// from, in canonical form (policy name defaulted, training budget cleared
-// for non-learned policies, memory folded to 0 when it equals the
-// default, scenario resolved to a concrete ID) — the same canonical form
-// oic.Config.Fingerprint and the oicd engine cache key use, so library,
-// server, and store agree on identity.
-type Meta struct {
-	Plant         string
-	Scenario      string
-	Policy        string
-	Memory        int
-	TrainEpisodes int
-	TrainSteps    int
-	TrainSeed     int64
-}
 
 // Sets are the compiled safety-set polytopes of DESIGN.md §2: the safe
 // set X, the robust control invariant XI (Proposition 1), and the
@@ -100,11 +85,17 @@ type TrainStats struct {
 	FinalLossEMA  float64
 }
 
-// Artifact is one compiled engine, ready to persist or load.
+// Artifact is one compiled engine, ready to persist or load. Meta is the
+// engine-configuration fingerprint it was compiled from, in canonical
+// form (policy name defaulted, training budget cleared for non-learned
+// policies, memory folded to 0 when it equals the default, scenario
+// resolved to a concrete ID) — the same canonical form
+// oic.Config.Fingerprint and the oicd engine cache key use, so library,
+// server, and store agree on identity.
 type Artifact struct {
 	Version int
 	NX, NU  int
-	Meta    Meta
+	Meta    frame.Meta
 	Sets    Sets
 	Chain   []*poly.Polytope // S₁ ⊇ … ⊇ S_m (may be shorter than the max budget)
 	Policy  *Policy          // nil for policies with no learned state
@@ -142,7 +133,7 @@ func (a *Artifact) Validate() error {
 		return errors.New("artifact: nil artifact")
 	}
 	if a.Version != Version {
-		return fmt.Errorf("%w %d (want %d)", ErrBadVersion, a.Version, Version)
+		return fmt.Errorf("artifact: %w %d (want %d)", ErrBadVersion, a.Version, Version)
 	}
 	if a.NX < 1 || a.NX > MaxDim || a.NU < 1 || a.NU > MaxDim {
 		return fmt.Errorf("artifact: dimensions %d×%d outside [1, %d]", a.NX, a.NU, MaxDim)

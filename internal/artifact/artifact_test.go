@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"oic/internal/frame"
 	"oic/internal/poly"
 )
 
@@ -18,7 +19,7 @@ func sample(withPolicy bool) *Artifact {
 	a := &Artifact{
 		Version: Version,
 		NX:      2, NU: 1,
-		Meta: Meta{
+		Meta: frame.Meta{
 			Plant: "acc", Scenario: "vf-30", Policy: "drl",
 			Memory: 0, TrainEpisodes: 24, TrainSteps: 40, TrainSeed: -5,
 		},

@@ -3,25 +3,20 @@ package artifact
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 
+	"oic/internal/frame"
 	"oic/internal/poly"
 )
 
-// Binary wire layout (all integers little-endian, floats IEEE-754 bits):
+// Binary wire layout (internal/frame conventions: all integers
+// little-endian, floats IEEE-754 bits, str = u16 length + bytes):
 //
 //	magic   [4]byte  "OICA"
 //	u16     version
-//	u16     nx
-//	u16     nu
-//	u16     memory (canonical config value; 0 = default)
-//	u32     train episodes
-//	u32     train steps
-//	u64     train seed (two's complement)
-//	str     plant     (u16 length + bytes)
-//	str     scenario  (u16 length + bytes)
-//	str     policy    (u16 length + bytes)
+//	        fingerprint block: u16 nx, u16 nu, u16 memory (canonical
+//	        config value; 0 = default), u32 train episodes,
+//	        u32 train steps, u64 train seed, str plant, str scenario,
+//	        str policy
 //	poly    X, XI, X′ (each: u16 rows, u16 cols, f64×R×C A row-major, f64×R B)
 //	u16     skip-chain length m, then m polytopes S₁…S_m
 //	u8      policy kind (0 = none, 1 = snapshot); kind 1 adds:
@@ -48,8 +43,7 @@ const (
 
 // EncodedSize returns the exact byte length Encode will produce.
 func (a *Artifact) EncodedSize() int {
-	n := 4 + 2 + 2 + 2 + 2 + 4 + 4 + 8 +
-		2 + len(a.Meta.Plant) + 2 + len(a.Meta.Scenario) + 2 + len(a.Meta.Policy) +
+	n := 4 + 2 + frame.MetaSize(&a.Meta) +
 		poly.EncodedBinarySize(a.Sets.X) + poly.EncodedBinarySize(a.Sets.XI) + poly.EncodedBinarySize(a.Sets.XPrime) +
 		2
 	for _, s := range a.Chain {
@@ -67,13 +61,6 @@ func (a *Artifact) EncodedSize() int {
 	return n
 }
 
-func appendF64s(buf []byte, vs []float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
 // Encode serializes the artifact into the canonical binary form. The
 // artifact must be valid (Validate), or an error is returned.
 func Encode(a *Artifact) ([]byte, error) {
@@ -81,18 +68,8 @@ func Encode(a *Artifact) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, 0, a.EncodedSize())
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.Version))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.NX))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.NU))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.Meta.Memory))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Meta.TrainEpisodes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Meta.TrainSteps))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.Meta.TrainSeed))
-	for _, s := range []string{a.Meta.Plant, a.Meta.Scenario, a.Meta.Policy} {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-		buf = append(buf, s...)
-	}
+	buf = frame.AppendHeader(buf, magic, a.Version)
+	buf = frame.AppendMeta(buf, a.NX, a.NU, &a.Meta)
 	for _, p := range []*poly.Polytope{a.Sets.X, a.Sets.XI, a.Sets.XPrime} {
 		buf = poly.AppendBinary(buf, p)
 	}
@@ -105,87 +82,28 @@ func Encode(a *Artifact) ([]byte, error) {
 	} else {
 		p := a.Policy
 		buf = append(buf, policyKindSnapshot)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Label)))
-		buf = append(buf, p.Label...)
+		buf = frame.AppendStr(buf, p.Label)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Memory))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Sizes)))
 		for _, sz := range p.Sizes {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(sz))
 		}
 		for l := range p.Weights {
-			buf = appendF64s(buf, p.Weights[l])
-			buf = appendF64s(buf, p.Biases[l])
+			buf = frame.AppendF64s(buf, p.Weights[l])
+			buf = frame.AppendF64s(buf, p.Biases[l])
 		}
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.XCenter)))
-		buf = appendF64s(buf, p.XCenter)
-		buf = appendF64s(buf, p.XScale)
+		buf = frame.AppendF64s(buf, p.XCenter)
+		buf = frame.AppendF64s(buf, p.XScale)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.WScale)))
-		buf = appendF64s(buf, p.WScale)
+		buf = frame.AppendF64s(buf, p.WScale)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Train.Episodes))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Train.TotalSteps))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Train.MeanReward))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Train.FinalEpsilon))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Train.FinalLossEMA))
+	buf = frame.AppendF64s(buf, []float64{a.Train.MeanReward, a.Train.FinalEpsilon, a.Train.FinalLossEMA})
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Train.RewardHistory)))
-	buf = appendF64s(buf, a.Train.RewardHistory)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
-}
-
-// decoder is a bounds-checked cursor over an encoded artifact.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) need(n int) error {
-	if len(d.b)-d.off < n {
-		return fmt.Errorf("%w at offset %d (need %d bytes)", ErrTruncated, d.off, n)
-	}
-	return nil
-}
-
-func (d *decoder) u8() byte    { v := d.b[d.off]; d.off++; return v }
-func (d *decoder) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.off:]); d.off += 2; return v }
-func (d *decoder) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.off:]); d.off += 4; return v }
-func (d *decoder) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.off:]); d.off += 8; return v }
-
-// f64s reads n floats, checking the byte count before allocating.
-func (d *decoder) f64s(n int) ([]float64, error) {
-	if err := d.need(8 * n); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(d.u64())
-	}
-	return out, nil
-}
-
-func (d *decoder) str() (string, error) {
-	if err := d.need(2); err != nil {
-		return "", err
-	}
-	n := int(d.u16())
-	if n > MaxString {
-		return "", fmt.Errorf("artifact: string length %d exceeds %d", n, MaxString)
-	}
-	if err := d.need(n); err != nil {
-		return "", err
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s, nil
-}
-
-func (d *decoder) polytope() (*poly.Polytope, error) {
-	p, n, err := poly.DecodeBinary(d.b[d.off:], MaxRows, MaxDim)
-	if err != nil {
-		return nil, err
-	}
-	d.off += n
-	return p, nil
+	buf = frame.AppendF64s(buf, a.Train.RewardHistory)
+	return frame.Seal(buf, 0), nil
 }
 
 // Decode parses a canonical binary artifact. It is strict: unknown
@@ -195,154 +113,86 @@ func (d *decoder) polytope() (*poly.Polytope, error) {
 // corresponding allocation — a hostile input cannot make Decode allocate
 // more than the input's own size justifies.
 func Decode(b []byte) (*Artifact, error) {
-	d := &decoder{b: b}
-	if err := d.need(4 + 2); err != nil {
+	r := frame.NewReader("artifact", b)
+	if err := r.Header(magic, Version); err != nil {
 		return nil, err
 	}
-	if string(d.b[:4]) != magic {
-		return nil, fmt.Errorf("%w %q", ErrBadMagic, d.b[:4])
-	}
-	d.off = 4
-	a := &Artifact{Version: int(d.u16())}
-	if a.Version != Version {
-		return nil, fmt.Errorf("%w %d (want %d)", ErrBadVersion, a.Version, Version)
-	}
-	if err := d.need(2 + 2 + 2 + 4 + 4 + 8); err != nil {
-		return nil, err
-	}
-	a.NX = int(d.u16())
-	a.NU = int(d.u16())
-	a.Meta.Memory = int(d.u16())
-	a.Meta.TrainEpisodes = int(d.u32())
-	a.Meta.TrainSteps = int(d.u32())
-	a.Meta.TrainSeed = int64(d.u64())
-	var err error
-	if a.Meta.Plant, err = d.str(); err != nil {
-		return nil, err
-	}
-	if a.Meta.Scenario, err = d.str(); err != nil {
-		return nil, err
-	}
-	if a.Meta.Policy, err = d.str(); err != nil {
-		return nil, err
-	}
-	if a.Sets.X, err = d.polytope(); err != nil {
-		return nil, err
-	}
-	if a.Sets.XI, err = d.polytope(); err != nil {
-		return nil, err
-	}
-	if a.Sets.XPrime, err = d.polytope(); err != nil {
-		return nil, err
-	}
-	if err := d.need(2); err != nil {
-		return nil, err
-	}
-	chainLen := int(d.u16())
+	a := &Artifact{Version: Version}
+	a.NX, a.NU, a.Meta = r.Meta()
+	a.Sets.X = poly.ReadBinary(r, MaxRows, MaxDim)
+	a.Sets.XI = poly.ReadBinary(r, MaxRows, MaxDim)
+	a.Sets.XPrime = poly.ReadBinary(r, MaxRows, MaxDim)
+	chainLen := int(r.U16())
 	if chainLen > MaxChain {
-		return nil, fmt.Errorf("artifact: skip chain length %d exceeds %d", chainLen, MaxChain)
+		r.Fail("skip chain length %d exceeds %d", chainLen, MaxChain)
 	}
-	for i := 0; i < chainLen; i++ {
-		s, err := d.polytope()
-		if err != nil {
-			return nil, err
-		}
-		a.Chain = append(a.Chain, s)
+	for i := 0; i < chainLen && r.Err() == nil; i++ {
+		a.Chain = append(a.Chain, poly.ReadBinary(r, MaxRows, MaxDim))
 	}
-	if err := d.need(1); err != nil {
-		return nil, err
-	}
-	switch kind := d.u8(); kind {
+	switch kind := r.U8(); kind {
 	case policyKindNone:
 	case policyKindSnapshot:
-		p := &Policy{}
-		if p.Label, err = d.str(); err != nil {
-			return nil, err
-		}
-		if err := d.need(2 + 2); err != nil {
-			return nil, err
-		}
-		p.Memory = int(d.u16())
-		nsizes := int(d.u16())
-		if nsizes < 2 || nsizes > MaxLayers+1 {
-			return nil, fmt.Errorf("artifact: policy has %d layer sizes outside [2, %d]", nsizes, MaxLayers+1)
-		}
-		if err := d.need(2 * nsizes); err != nil {
-			return nil, err
-		}
-		p.Sizes = make([]int, nsizes)
-		for i := range p.Sizes {
-			p.Sizes[i] = int(d.u16())
-			if p.Sizes[i] < 1 || p.Sizes[i] > MaxUnits {
-				return nil, fmt.Errorf("artifact: policy layer %d size %d outside [1, %d]", i, p.Sizes[i], MaxUnits)
-			}
-		}
-		for l := 0; l < nsizes-1; l++ {
-			r, c := p.Sizes[l+1], p.Sizes[l]
-			w, err := d.f64s(r * c)
-			if err != nil {
-				return nil, err
-			}
-			bs, err := d.f64s(r)
-			if err != nil {
-				return nil, err
-			}
-			p.Weights = append(p.Weights, w)
-			p.Biases = append(p.Biases, bs)
-		}
-		if err := d.need(2); err != nil {
-			return nil, err
-		}
-		nx := int(d.u16())
-		if nx < 1 || nx > MaxDim {
-			return nil, fmt.Errorf("artifact: policy state bounds length %d outside [1, %d]", nx, MaxDim)
-		}
-		if p.XCenter, err = d.f64s(nx); err != nil {
-			return nil, err
-		}
-		if p.XScale, err = d.f64s(nx); err != nil {
-			return nil, err
-		}
-		if err := d.need(2); err != nil {
-			return nil, err
-		}
-		nw := int(d.u16())
-		if nw < 1 || nw > MaxDim {
-			return nil, fmt.Errorf("artifact: policy disturbance bounds length %d outside [1, %d]", nw, MaxDim)
-		}
-		if p.WScale, err = d.f64s(nw); err != nil {
-			return nil, err
-		}
-		a.Policy = p
+		a.Policy = readPolicy(r)
 	default:
-		return nil, fmt.Errorf("artifact: unknown policy kind %d", kind)
+		r.Fail("unknown policy kind %d", kind)
 	}
-	if err := d.need(4 + 4 + 8 + 8 + 8 + 4); err != nil {
+	a.Train.Episodes = int(r.U32())
+	a.Train.TotalSteps = int(r.U32())
+	a.Train.MeanReward = r.F64()
+	a.Train.FinalEpsilon = r.F64()
+	a.Train.FinalLossEMA = r.F64()
+	nhist := int(r.U32())
+	if nhist > MaxHistory {
+		r.Fail("reward history length %d exceeds %d", nhist, MaxHistory)
+	}
+	a.Train.RewardHistory = r.F64s(nhist)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	a.Train.Episodes = int(d.u32())
-	a.Train.TotalSteps = int(d.u32())
-	a.Train.MeanReward = math.Float64frombits(d.u64())
-	a.Train.FinalEpsilon = math.Float64frombits(d.u64())
-	a.Train.FinalLossEMA = math.Float64frombits(d.u64())
-	nhist := int(d.u32())
-	if nhist > MaxHistory {
-		return nil, fmt.Errorf("artifact: reward history length %d exceeds %d", nhist, MaxHistory)
+	if r.Len() != 4 {
+		return nil, fmt.Errorf("artifact: %d trailing bytes after body", r.Len()-4)
 	}
-	if nhist > 0 {
-		if a.Train.RewardHistory, err = d.f64s(nhist); err != nil {
-			return nil, err
-		}
-	}
-	if len(d.b)-d.off != 4 {
-		return nil, fmt.Errorf("artifact: %d trailing bytes after body", len(d.b)-d.off-4)
-	}
-	sum := d.u32()
-	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != sum {
-		return nil, fmt.Errorf("%w (stored %08x, computed %08x)", ErrChecksum, sum, got)
+	if err := frame.Verify("artifact", b); err != nil {
+		return nil, err
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// readPolicy reads a snapshot policy's body; failures stick on r.
+func readPolicy(r *frame.Reader) *Policy {
+	p := &Policy{Label: r.Str(), Memory: int(r.U16())}
+	nsizes := int(r.U16())
+	if nsizes < 2 || nsizes > MaxLayers+1 {
+		r.Fail("policy has %d layer sizes outside [2, %d]", nsizes, MaxLayers+1)
+	}
+	if !r.Need(2 * nsizes) {
+		return nil
+	}
+	p.Sizes = make([]int, nsizes)
+	for i := range p.Sizes {
+		p.Sizes[i] = int(r.U16())
+		if p.Sizes[i] < 1 || p.Sizes[i] > MaxUnits {
+			r.Fail("policy layer %d size %d outside [1, %d]", i, p.Sizes[i], MaxUnits)
+			return nil
+		}
+	}
+	for l := 0; l < nsizes-1; l++ {
+		p.Weights = append(p.Weights, r.F64s(p.Sizes[l+1]*p.Sizes[l]))
+		p.Biases = append(p.Biases, r.F64s(p.Sizes[l+1]))
+	}
+	nx := int(r.U16())
+	if nx < 1 || nx > MaxDim {
+		r.Fail("policy state bounds length %d outside [1, %d]", nx, MaxDim)
+	}
+	p.XCenter = r.F64s(nx)
+	p.XScale = r.F64s(nx)
+	nw := int(r.U16())
+	if nw < 1 || nw > MaxDim {
+		r.Fail("policy disturbance bounds length %d outside [1, %d]", nw, MaxDim)
+	}
+	p.WScale = r.F64s(nw)
+	return p
 }

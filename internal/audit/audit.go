@@ -1,5 +1,5 @@
-// Package audit re-verifies recorded framework runs offline. It treats the
-// execution as untrusted and checks, step by step, that
+// Package audit re-verifies recorded framework runs (traces) offline. It
+// treats the execution as untrusted and checks, step by step, that
 //
 //   - the realized disturbances were inside the declared set W (an
 //     out-of-model environment voids every guarantee — the most common
@@ -22,6 +22,7 @@ import (
 	"oic/internal/core"
 	"oic/internal/lti"
 	"oic/internal/mat"
+	"oic/internal/trace"
 )
 
 // Finding is one audit violation.
@@ -114,91 +115,63 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Run audits a framework result against the declared system and safety
-// sets.
-func Run(sys *lti.System, sets core.SafetySets, res *core.Result, opt Options) *Report {
+// Run audits a recorded episode against the declared system and safety
+// sets. Each step's pre-state is the previous step's successor (the
+// trace's x0 for step 0); the recorded energy is checked against the
+// recorded inputs.
+func Run(sys *lti.System, sets core.SafetySets, t *trace.Trace, opt Options) *Report {
 	opt = opt.withDefaults()
-	rep := &Report{Steps: len(res.Records)}
+	rep := &Report{Steps: len(t.Steps)}
 	add := func(step int, kind Kind, format string, args ...interface{}) {
 		rep.Findings = append(rep.Findings, Finding{Step: step, Kind: kind, Msg: fmt.Sprintf(format, args...)})
 	}
 
 	energy := 0.0
-	for _, rec := range res.Records {
-		energy += rec.U.Norm1()
+	x := mat.Vec(t.X0)
+	for i := range t.Steps {
+		st := &t.Steps[i]
+		energy += st.U.Norm1()
 
 		// Disturbance inside W.
 		if sys.W != nil {
-			if v := sys.W.Violation(rec.W); v > opt.SetTol {
-				add(rec.T, OutOfModelDisturbance, "w=%v violates W by %.3g", rec.W, v)
+			if v := sys.W.Violation(st.W); v > opt.SetTol {
+				add(i, OutOfModelDisturbance, "w=%v violates W by %.3g", st.W, v)
 			}
 		}
 		// Transition consistency.
-		pred := sys.Step(rec.X, rec.U, rec.W)
-		if !pred.Equal(rec.Next, opt.DynTol) {
-			add(rec.T, DynamicsMismatch, "recorded %v vs predicted %v", rec.Next, pred)
+		pred := sys.Step(x, st.U, st.W)
+		if !pred.Equal(st.X, opt.DynTol) {
+			add(i, DynamicsMismatch, "recorded %v vs predicted %v", st.X, pred)
 		}
 		// Safety and invariance of the successor.
-		if v := sets.X.Violation(rec.Next); v > opt.SetTol {
-			add(rec.T, SafetyViolation, "x⁺=%v outside X by %.3g", rec.Next, v)
+		if v := sets.X.Violation(st.X); v > opt.SetTol {
+			add(i, SafetyViolation, "x⁺=%v outside X by %.3g", st.X, v)
 		}
-		if v := sets.XI.Violation(rec.Next); v > opt.SetTol {
-			add(rec.T, InvariantViolation, "x⁺=%v outside XI by %.3g", rec.Next, v)
+		if v := sets.XI.Violation(st.X); v > opt.SetTol {
+			add(i, InvariantViolation, "x⁺=%v outside XI by %.3g", st.X, v)
 		}
 		// Monitor semantics (Algorithm 1): outside X′ ⇒ ran and forced;
 		// a recorded skip must be inside X′ and must not actuate.
-		inXPrime := sets.XPrime.Contains(rec.X, opt.SetTol)
-		if !inXPrime && !rec.Ran {
-			add(rec.T, MonitorInconsistency, "skipped outside X' at %v", rec.X)
+		inXPrime := sets.XPrime.Contains(x, opt.SetTol)
+		if !inXPrime && !st.Ran {
+			add(i, MonitorInconsistency, "skipped outside X' at %v", x)
 		}
-		if rec.Forced && inXPrime {
+		if st.Forced && inXPrime {
 			// Tolerance asymmetry can misclassify states on the boundary;
 			// flag only clear interior points.
-			if sets.XPrime.Violation(rec.X) < -opt.SetTol {
-				add(rec.T, MonitorInconsistency, "forced inside X' at %v", rec.X)
+			if sets.XPrime.Violation(x) < -opt.SetTol {
+				add(i, MonitorInconsistency, "forced inside X' at %v", x)
 			}
 		}
-		if !rec.Ran {
-			if rec.U.Norm1() > 0 {
-				add(rec.T, SkipActuated, "skip applied u=%v", rec.U)
+		if !st.Ran {
+			if st.U.Norm1() > 0 {
+				add(i, SkipActuated, "skip applied u=%v", st.U)
 			}
 		}
+		x = st.X
 	}
-	if diff := energy - res.Energy; diff > opt.EnergyTol || diff < -opt.EnergyTol {
-		add(len(res.Records), EnergyMismatch, "records sum %.9g, reported %.9g", energy, res.Energy)
-	}
-	return rep
-}
-
-// RunSequence audits a raw trajectory (states, inputs, disturbances)
-// against the system and the original safe set only — useful for
-// third-party logs that lack framework records.
-func RunSequence(sys *lti.System, states, inputs, dists []mat.Vec, opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := &Report{Steps: len(inputs)}
-	add := func(step int, kind Kind, format string, args ...interface{}) {
-		rep.Findings = append(rep.Findings, Finding{Step: step, Kind: kind, Msg: fmt.Sprintf(format, args...)})
-	}
-	if len(states) != len(inputs)+1 || len(dists) != len(inputs) {
-		add(0, DynamicsMismatch, "inconsistent lengths: %d states, %d inputs, %d dists",
-			len(states), len(inputs), len(dists))
-		return rep
-	}
-	for t := range inputs {
-		if sys.W != nil {
-			if v := sys.W.Violation(dists[t]); v > opt.SetTol {
-				add(t, OutOfModelDisturbance, "w=%v violates W by %.3g", dists[t], v)
-			}
-		}
-		pred := sys.Step(states[t], inputs[t], dists[t])
-		if !pred.Equal(states[t+1], opt.DynTol) {
-			add(t, DynamicsMismatch, "recorded %v vs predicted %v", states[t+1], pred)
-		}
-		if sys.X != nil {
-			if v := sys.X.Violation(states[t+1]); v > opt.SetTol {
-				add(t, SafetyViolation, "x⁺=%v outside X by %.3g", states[t+1], v)
-			}
-		}
+	if diff := energy - t.Energy; diff > opt.EnergyTol || diff < -opt.EnergyTol {
+		add(len(t.Steps), EnergyMismatch, "steps sum %.9g, recorded %.9g", energy, t.Energy)
 	}
 	return rep
 }

@@ -10,6 +10,7 @@ import (
 	"oic/internal/mat"
 	"oic/internal/poly"
 	"oic/internal/reach"
+	"oic/internal/trace"
 )
 
 func rig(t *testing.T) (*lti.System, *core.Framework, core.SafetySets) {
@@ -43,20 +44,31 @@ func rig(t *testing.T) (*lti.System, *core.Framework, core.SafetySets) {
 	return sys, fw, sets
 }
 
-func cleanRun(t *testing.T, sys *lti.System, fw *core.Framework) *core.Result {
+// cleanRun records an 80-step bang-bang episode under vertex
+// disturbances.
+func cleanRun(t *testing.T, sys *lti.System, fw *core.Framework) *trace.Trace {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	wVerts, err := sys.W.Vertices()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fw.Run(mat.Vec{0.5, 0.2}, 80, func(int) mat.Vec {
-		return wVerts[rng.Intn(len(wVerts))].Clone()
-	})
+	x0 := mat.Vec{0.5, 0.2}
+	sess, err := fw.NewSession(x0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	rec := trace.NewRecorder(trace.Meta{Plant: "audit-rig"}, x0, sys.NU(), 0)
+	for i := 0; i < 80; i++ {
+		st, err := sess.Step(wVerts[rng.Intn(len(wVerts))].Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Append(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec.Trace()
 }
 
 func TestCleanRunAuditsClean(t *testing.T) {
@@ -74,7 +86,7 @@ func TestCleanRunAuditsClean(t *testing.T) {
 func TestDetectsOutOfModelDisturbance(t *testing.T) {
 	sys, fw, sets := rig(t)
 	res := cleanRun(t, sys, fw)
-	res.Records[10].W = mat.Vec{0.5, 0} // way outside W
+	res.Steps[10].W = mat.Vec{0.5, 0} // way outside W
 	rep := Run(sys, sets, res, Options{})
 	if rep.Count(OutOfModelDisturbance) == 0 {
 		t.Error("tampered disturbance not flagged")
@@ -84,7 +96,7 @@ func TestDetectsOutOfModelDisturbance(t *testing.T) {
 func TestDetectsDynamicsMismatch(t *testing.T) {
 	sys, fw, sets := rig(t)
 	res := cleanRun(t, sys, fw)
-	res.Records[5].Next = res.Records[5].Next.Add(mat.Vec{0.1, 0})
+	res.Steps[5].X = res.Steps[5].X.Add(mat.Vec{0.1, 0})
 	rep := Run(sys, sets, res, Options{})
 	if rep.Count(DynamicsMismatch) == 0 {
 		t.Error("tampered transition not flagged")
@@ -96,9 +108,9 @@ func TestDetectsSkipActuated(t *testing.T) {
 	res := cleanRun(t, sys, fw)
 	// Find a skipped step and forge an actuation on it (also breaking
 	// dynamics, but the SkipActuated finding must fire regardless).
-	for i := range res.Records {
-		if !res.Records[i].Ran {
-			res.Records[i].U = mat.Vec{1}
+	for i := range res.Steps {
+		if !res.Steps[i].Ran {
+			res.Steps[i].U = mat.Vec{1}
 			break
 		}
 	}
@@ -121,37 +133,13 @@ func TestDetectsEnergyMismatch(t *testing.T) {
 func TestDetectsMonitorInconsistency(t *testing.T) {
 	sys, fw, sets := rig(t)
 	res := cleanRun(t, sys, fw)
-	// Forge a record claiming a skip at a state far outside X′.
-	res.Records[3].X = mat.Vec{4.9, 2.9}
-	res.Records[3].Ran = false
+	// Forge step 3 as a skip from a state far outside X′ (its pre-state
+	// is step 2's successor).
+	res.Steps[2].X = mat.Vec{4.9, 2.9}
+	res.Steps[3].Ran = false
 	rep := Run(sys, sets, res, Options{})
 	if rep.Count(MonitorInconsistency) == 0 && rep.Count(DynamicsMismatch) == 0 {
 		t.Error("forged monitor state not flagged at all")
-	}
-}
-
-func TestRunSequence(t *testing.T) {
-	sys, fw, _ := rig(t)
-	res := cleanRun(t, sys, fw)
-	tr := res.Trajectory()
-	rep := RunSequence(sys, tr.States, tr.Inputs, tr.Dists, Options{})
-	if !rep.OK() {
-		t.Fatalf("clean trajectory flagged: %v", rep)
-	}
-	// Out-of-model disturbance must be caught here too (the thermostat
-	// example's historical bug class).
-	tr.Dists[2] = mat.Vec{1, 0}
-	rep = RunSequence(sys, tr.States, tr.Inputs, tr.Dists, Options{})
-	if rep.Count(OutOfModelDisturbance) == 0 {
-		t.Error("sequence audit missed bad disturbance")
-	}
-}
-
-func TestRunSequenceLengthMismatch(t *testing.T) {
-	sys, _, _ := rig(t)
-	rep := RunSequence(sys, []mat.Vec{{0, 0}}, []mat.Vec{{0}}, nil, Options{})
-	if rep.OK() {
-		t.Error("length mismatch not flagged")
 	}
 }
 

@@ -16,17 +16,12 @@ import (
 // failover lands exactly once.
 
 // levelCode inverts core.Level.String() — wire responses carry the level
-// as its display string, the trace format as its code.
-func levelCode(s string) (uint8, bool) {
-	switch s {
-	case core.InXPrime.String():
-		return uint8(core.InXPrime), true
-	case core.InXI.String():
-		return uint8(core.InXI), true
-	case core.InX.String():
-		return uint8(core.InX), true
-	case core.Unsafe.String():
-		return uint8(core.Unsafe), true
+// as its display string, the step value as its code.
+func levelCode(s string) (core.Level, bool) {
+	for l := core.InXPrime; l <= core.Unsafe; l++ {
+		if s == l.String() {
+			return l, true
+		}
 	}
 	return 0, false
 }
@@ -71,9 +66,8 @@ func shadowFromTrace(t *oic.Trace, limit int) *shadow {
 		nx:    t.NX,
 		zeros: make([]float64, t.NX),
 	}
-	for i := range t.Steps {
-		st := &t.Steps[i]
-		if err := sh.rec.Append(st.Ran, st.Forced, st.Level, st.W, st.U, st.X); err != nil {
+	for _, st := range t.Steps {
+		if err := sh.rec.Append(st); err != nil {
 			sh.dropped = true
 			break
 		}
@@ -98,7 +92,8 @@ func (sh *shadow) append(w []float64, res *oic.StepResult) bool {
 		sh.dropped = true
 		return false
 	}
-	if err := sh.rec.Append(res.Ran, res.Forced, lv, w, res.U, res.X); err != nil {
+	st := trace.Step{Ran: res.Ran, Forced: res.Forced, Level: lv, W: w, U: res.U, X: res.X}
+	if err := sh.rec.Append(st); err != nil {
 		sh.dropped = true
 		return false
 	}

@@ -7,9 +7,8 @@ import (
 )
 
 // TestSkipPathZeroAllocs pins the Algorithm-1 skip path (monitor + policy
-// + zero input + plant update + counters) at zero allocations per step
-// once per-step recording is off — the regression guard behind
-// BenchmarkFrameworkStepSkip's 0 allocs/op.
+// + zero input + plant update + counters) at zero allocations per step —
+// the regression guard behind BenchmarkFrameworkStepSkip's 0 allocs/op.
 func TestSkipPathZeroAllocs(t *testing.T) {
 	sys, fb, sets := testRig(t)
 	f, err := NewFramework(sys, fb, sets, BangBang{}, 1)
@@ -22,7 +21,6 @@ func TestSkipPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.SetRecording(false)
 	w := make(mat.Vec, sys.NX())
 	if _, err := sess.Step(w); err != nil {
 		t.Fatal(err)
@@ -89,9 +87,11 @@ func TestSessionViewReadsZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRecordingToggle documents the SetRecording contract: scalar history
-// is kept either way, per-step records only while recording.
-func TestRecordingToggle(t *testing.T) {
+// TestStepReturnsViews documents the Step contract: the session keeps
+// only scalar counters, and the returned step carries views of the
+// session's buffers (the successor aliasing the live state, w the
+// caller's slice) rather than owned clones.
+func TestStepReturnsViews(t *testing.T) {
 	sys, fb, sets := testRig(t)
 	f, err := NewFramework(sys, fb, sets, BangBang{}, 1)
 	if err != nil {
@@ -105,21 +105,18 @@ func TestRecordingToggle(t *testing.T) {
 	if _, err := sess.Step(w); err != nil {
 		t.Fatal(err)
 	}
-	sess.SetRecording(false)
-	rec, err := sess.Step(w)
+	st, err := sess.Step(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Non-recording records carry views of the session buffers, not owned
-	// clones: the successor view must alias the live state.
-	if &rec.Next[0] != &sess.StateView()[0] {
-		t.Error("non-recording step should carry buffer views (Next aliasing the live state)")
+	if &st.X[0] != &sess.StateView()[0] {
+		t.Error("step should carry buffer views (X aliasing the live state)")
 	}
-	if rec.T != 1 {
-		t.Errorf("rec.T = %d, want 1", rec.T)
+	if &st.W[0] != &w[0] {
+		t.Error("step should carry the caller's disturbance, not a copy")
 	}
-	if got := len(sess.Result.Records); got != 1 {
-		t.Errorf("records = %d, want only the recorded step", got)
+	if st.Ran || st.Level != InXPrime || sess.Time() != 2 {
+		t.Errorf("step %+v at t=%d, want a skip inside X' at t=2", st, sess.Time())
 	}
 	if got := sess.Result.Skips; got != 2 {
 		t.Errorf("skips = %d, want 2 (counters track every step)", got)

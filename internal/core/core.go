@@ -72,8 +72,9 @@ func ComputeSafetySets(sys *lti.System, xi *poly.Polytope) (SafetySets, error) {
 	return SafetySets{X: sys.X, XI: xi, XPrime: xprime}, nil
 }
 
-// Level classifies a state against the nested safety sets.
-type Level int
+// Level classifies a state against the nested safety sets. A byte wide,
+// it is also the level code traces, journals and wire JSON carry.
+type Level uint8
 
 // Membership levels, from most to least permissive.
 const (
@@ -163,22 +164,26 @@ func (p PolicyFunc) Decide(t int, x mat.Vec, w []mat.Vec) bool { return p.Fn(t, 
 // Name implements SkipPolicy.
 func (p PolicyFunc) Name() string { return p.Label }
 
-// StepRecord documents one executed control step.
-type StepRecord struct {
-	T      int
-	X      mat.Vec // state at decision time
-	Level  Level   // monitor classification of X
-	Ran    bool    // effective z(t): true means κ was computed and applied
-	Forced bool    // true when the monitor overrode the policy (x ∉ X′)
-	U      mat.Vec // applied input (zero vector when skipped)
-	W      mat.Vec // disturbance realized during the step
-	Next   mat.Vec // successor state
+// Step is one executed iteration of Algorithm 1 — the runtime's one step
+// value. The trace recorder, the step hooks, the write-ahead journal, the
+// router shadow, the auditor and replay-to-head recovery all take it as
+// is. X is the successor state: the pre-step state is the previous step's
+// X (or the initial state), so states are carried once. A Step returned
+// by Session.Step holds views — W is the caller's disturbance, U the
+// applied input, X the session's state buffer — valid until the next step
+// and never to be mutated; callers that keep a run record it
+// (trace.Recorder copies).
+type Step struct {
+	Ran    bool    `json:"ran"`              // effective z(t): κ computed and applied
+	Forced bool    `json:"forced,omitempty"` // monitor overrode the policy (x ∉ X′)
+	Level  Level   `json:"level"`            // monitor classification of the pre-step state
+	W      mat.Vec `json:"w"`                // realized disturbance
+	U      mat.Vec `json:"u"`                // applied input (zeros when skipped)
+	X      mat.Vec `json:"x"`                // successor state
 }
 
 // Result aggregates a framework run.
 type Result struct {
-	Records []StepRecord
-
 	Energy          float64 // Σ‖u(t)‖₁ (Problem 1's objective)
 	Skips           int     // steps with z = 0
 	Runs            int     // steps with z = 1
@@ -199,20 +204,6 @@ func (r *Result) SkipRate() float64 {
 		return 0
 	}
 	return float64(r.Skips) / float64(n)
-}
-
-// Trajectory reassembles the state/input/disturbance sequences.
-func (r *Result) Trajectory() *lti.Trajectory {
-	tr := &lti.Trajectory{}
-	for i, rec := range r.Records {
-		if i == 0 {
-			tr.States = append(tr.States, rec.X)
-		}
-		tr.Inputs = append(tr.Inputs, rec.U)
-		tr.Dists = append(tr.Dists, rec.W)
-		tr.States = append(tr.States, rec.Next)
-	}
-	return tr
 }
 
 // Framework is the online opportunistic intermittent-control loop.
@@ -259,14 +250,13 @@ func (f *Framework) Monitor() *Monitor { return f.monitor }
 // sessions over one shared framework never race and every session's solve
 // chain (cold first run, warm afterwards) depends only on its own steps.
 type Session struct {
-	f      *Framework
-	kappa  controller.Controller
-	x      mat.Vec // current state (owned buffer)
-	xNext  mat.Vec // successor scratch, swapped with x each step
-	zeroU  mat.Vec // the skip input; never written
-	t      int
+	f       *Framework
+	kappa   controller.Controller
+	x       mat.Vec // current state (owned buffer)
+	xNext   mat.Vec // successor scratch, swapped with x each step
+	zeroU   mat.Vec // the skip input; never written
+	t       int
 	wHist   []mat.Vec // ring of owned buffers, most recent last
-	record  bool
 	degrade bool
 	closed  bool
 	Result  *Result
@@ -296,19 +286,9 @@ func (f *Framework) NewSession(x0 mat.Vec) (*Session, error) {
 		xNext:  make(mat.Vec, f.Sys.NX()),
 		zeroU:  make(mat.Vec, f.Sys.NU()),
 		wHist:  wh,
-		record: true,
 		Result: &Result{},
 	}, nil
 }
-
-// SetRecording toggles per-step record retention (on by default). With
-// recording off the session keeps only the aggregate Result counters, the
-// returned StepRecords carry *views* of the session buffers (valid until
-// the next Step) instead of owned clones, and the skip path allocates
-// nothing — the mode the embedded-runtime benchmarks, the alloc regression
-// tests, and long-running serving sessions use (records would otherwise
-// grow without bound).
-func (s *Session) SetRecording(on bool) { s.record = on }
 
 // SetDegrade toggles degraded mode (off by default). With it on, a κ
 // failure on an *optional* compute — the policy wanted κ but the monitor
@@ -336,7 +316,7 @@ func (s *Session) Time() int { return s.t }
 // terminal κ failure); further Steps return ErrSessionClosed.
 func (s *Session) Closed() bool { return s.closed }
 
-// Close marks the session terminated. State, counters, and records remain
+// Close marks the session terminated. State and counters remain
 // readable; stepping afterwards returns ErrSessionClosed. Close is
 // idempotent.
 func (s *Session) Close() { s.closed = true }
@@ -361,9 +341,8 @@ func (s *Session) RecentWView() []mat.Vec { return s.wHist }
 // and the per-session controller workspace. A workspace that supports it
 // (controller.SessionResetter — the RMPC does) is returned to its cold
 // state, so a pooled session's solve chain is byte-identical to a newly
-// created session's; otherwise a fresh workspace is forked. Recording is
-// restored to its default (on) and the previous Result is abandoned to its
-// holders.
+// created session's; otherwise a fresh workspace is forked. The previous
+// Result is abandoned to its holders.
 func (s *Session) Reset(x0 mat.Vec) error {
 	f := s.f
 	if len(x0) != f.Sys.NX() {
@@ -384,7 +363,6 @@ func (s *Session) Reset(x0 mat.Vec) error {
 		}
 	}
 	s.t = 0
-	s.record = true
 	s.degrade = false
 	s.closed = false
 	s.Result = &Result{}
@@ -392,17 +370,18 @@ func (s *Session) Reset(x0 mat.Vec) error {
 }
 
 // Step executes one iteration of Algorithm 1 under the session policy,
-// realizing the disturbance w, and returns the step record.
-func (s *Session) Step(w mat.Vec) (StepRecord, error) {
+// realizing the disturbance w, and returns the executed step. Only the
+// aggregate Result counters are kept; the skip path allocates nothing.
+func (s *Session) Step(w mat.Vec) (Step, error) {
 	return s.step(w, nil)
 }
 
 // StepContext is Step with cooperative cancellation: a canceled context is
 // checked before any work and its error returned verbatim, so servers can
 // thread request contexts through long stepping loops.
-func (s *Session) StepContext(ctx context.Context, w mat.Vec) (StepRecord, error) {
+func (s *Session) StepContext(ctx context.Context, w mat.Vec) (Step, error) {
 	if err := ctx.Err(); err != nil {
-		return StepRecord{}, err
+		return Step{}, err
 	}
 	return s.step(w, nil)
 }
@@ -411,13 +390,13 @@ func (s *Session) StepContext(ctx context.Context, w mat.Vec) (StepRecord, error
 // skipping choice (used by the DRL trainer during exploration). The monitor
 // still overrides the choice whenever x ∉ X′, so training can never break
 // safety.
-func (s *Session) StepWithChoice(w mat.Vec, run bool) (StepRecord, error) {
+func (s *Session) StepWithChoice(w mat.Vec, run bool) (Step, error) {
 	return s.step(w, &run)
 }
 
-func (s *Session) step(w mat.Vec, choice *bool) (StepRecord, error) {
+func (s *Session) step(w mat.Vec, choice *bool) (Step, error) {
 	if s.closed {
-		return StepRecord{}, ErrSessionClosed
+		return Step{}, ErrSessionClosed
 	}
 	f := s.f
 	res := s.Result
@@ -457,28 +436,11 @@ func (s *Session) step(w mat.Vec, choice *bool) (StepRecord, error) {
 			// further Step reports ErrSessionClosed instead of undefined
 			// behavior on reuse.
 			s.closed = true
-			return StepRecord{}, fmt.Errorf("core: Session.Step: κ failed at %v (level %v): %w", s.x, level, err)
+			return Step{}, fmt.Errorf("core: Session.Step: κ failed at %v (level %v): %w", s.x, level, err)
 		}
 	}
 
 	f.Sys.StepInto(s.xNext, s.x, u, w)
-
-	rec := StepRecord{T: s.t, Level: level, Ran: run, Forced: forced}
-	if s.record {
-		rec.X = s.x.Clone()
-		rec.U = u.Clone()
-		rec.W = w.Clone()
-		rec.Next = s.xNext.Clone()
-		res.Records = append(res.Records, rec)
-	} else {
-		// Allocation-free views, valid only until the next Step: the state
-		// buffers are recycled, u is either the shared zero input or the
-		// controller's per-call output, and w is the caller's own slice.
-		rec.X = s.x
-		rec.U = u
-		rec.W = w
-		rec.Next = s.xNext
-	}
 	res.Energy += u.Norm1()
 	if run {
 		res.Runs++
@@ -504,7 +466,10 @@ func (s *Session) step(w mat.Vec, choice *bool) (StepRecord, error) {
 
 	s.x, s.xNext = s.xNext, s.x
 	s.t++
-	return rec, nil
+	// Views, valid until the next Step: the state buffers are recycled, u
+	// is either the shared zero input or the controller's per-call output,
+	// and w is the caller's own slice.
+	return Step{Ran: run, Forced: forced, Level: level, W: w, U: u, X: s.x}, nil
 }
 
 // Run executes steps iterations of Algorithm 1 from x0 with disturbances

@@ -212,16 +212,31 @@ func TestResultTrajectoryAndEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Run(mat.Vec{1, 0}, 20, nil)
+	sess, err := f.NewSession(mat.Vec{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Trajectory()
-	if tr.Steps() != 20 || len(tr.States) != 21 {
-		t.Fatalf("trajectory sizes wrong: %d steps", tr.Steps())
+	// Re-derive the trajectory from the returned steps: each successor
+	// must be the model's step from the previous one, and the inputs must
+	// account for the session's energy counter.
+	x, energy := mat.Vec{1, 0}, 0.0
+	for i := 0; i < 20; i++ {
+		w := mat.Vec{0, 0}
+		st, err := sess.Step(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Ran || !sys.Step(x, st.U, w).Equal(st.X, 1e-12) {
+			t.Fatalf("step %d: %+v does not follow from %v", i, st, x)
+		}
+		x = st.X.Clone()
+		energy += st.U.Norm1()
 	}
-	if math.Abs(tr.Energy()-res.Energy) > 1e-9 {
-		t.Errorf("energy mismatch: %v vs %v", tr.Energy(), res.Energy)
+	if sess.Time() != 20 || sess.Result.Runs != 20 {
+		t.Fatalf("trajectory sizes wrong: t=%d runs=%d", sess.Time(), sess.Result.Runs)
+	}
+	if math.Abs(energy-sess.Result.Energy) > 1e-9 {
+		t.Errorf("energy mismatch: %v vs %v", energy, sess.Result.Energy)
 	}
 }
 

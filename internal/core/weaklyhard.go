@@ -49,26 +49,26 @@ func (p *BudgetPolicy) Decide(_ int, x mat.Vec, _ []mat.Vec) bool {
 // Name implements SkipPolicy.
 func (p *BudgetPolicy) Name() string { return fmt.Sprintf("budget(>=%d)", p.MinBudget) }
 
-// WindowMisses returns, over the executed step records, the maximum number
-// of skipped controls (z = 0) in any window of k consecutive steps — the
+// WindowMisses returns, over recorded steps, the maximum number of
+// skipped controls (z = 0) in any window of k consecutive steps — the
 // quantity bounded by an (m, k) weakly-hard constraint. It returns 0 for
-// windows longer than the record.
-func WindowMisses(records []StepRecord, k int) int {
-	if k <= 0 || len(records) < k {
+// windows longer than the recording.
+func WindowMisses(steps []Step, k int) int {
+	if k <= 0 || len(steps) < k {
 		return 0
 	}
 	misses := 0
 	for i := 0; i < k; i++ {
-		if !records[i].Ran {
+		if !steps[i].Ran {
 			misses++
 		}
 	}
 	max := misses
-	for i := k; i < len(records); i++ {
-		if !records[i].Ran {
+	for i := k; i < len(steps); i++ {
+		if !steps[i].Ran {
 			misses++
 		}
-		if !records[i-k].Ran {
+		if !steps[i-k].Ran {
 			misses--
 		}
 		if misses > max {
@@ -81,6 +81,6 @@ func WindowMisses(records []StepRecord, k int) int {
 // SatisfiesMK reports whether the executed skip pattern satisfies the
 // (m, k) weakly-hard constraint "at most m misses in any k consecutive
 // instances" (Hamdaoui & Ramanathan's notation, the paper's reference [4]).
-func SatisfiesMK(records []StepRecord, m, k int) bool {
-	return WindowMisses(records, k) <= m
+func SatisfiesMK(steps []Step, m, k int) bool {
+	return WindowMisses(steps, k) <= m
 }

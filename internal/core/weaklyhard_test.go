@@ -9,8 +9,8 @@ import (
 )
 
 func TestWindowMisses(t *testing.T) {
-	mk := func(pattern string) []StepRecord {
-		recs := make([]StepRecord, len(pattern))
+	mk := func(pattern string) []Step {
+		recs := make([]Step, len(pattern))
 		for i, c := range pattern {
 			recs[i].Ran = c == '1'
 		}

@@ -8,8 +8,8 @@ import (
 
 func benchStep() *Record {
 	return &Record{
-		Type: TypeStep, ID: "s-1", NX: 2, NU: 1, Ran: true, Level: 1,
-		W: []float64{0.1, -0.2}, U: []float64{0.75}, X: []float64{9.8, -0.4},
+		Type: TypeStep, ID: "s-1", NX: 2, NU: 1, Step: trace.Step{Ran: true, Level: 1,
+			W: []float64{0.1, -0.2}, U: []float64{0.75}, X: []float64{9.8, -0.4}},
 	}
 }
 
@@ -37,7 +37,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 	r := benchStep()
 	open := &Record{Type: TypeOpen, ID: "s-1",
 		Meta: trace.Meta{Plant: "acc", Scenario: "acc-default", Policy: "always-run"},
-		NX: 2, NU: 1, X0: []float64{10, -0.5}}
+		NX:   2, NU: 1, X0: []float64{10, -0.5}}
 	run := func(b *testing.B, policy SyncPolicy, tickEvery int) {
 		w, err := OpenWriter(Options{Dir: b.TempDir(), Policy: policy})
 		if err != nil {
@@ -75,7 +75,7 @@ func BenchmarkJournalRecover(b *testing.B) {
 	}
 	open := &Record{Type: TypeOpen, ID: "s-1",
 		Meta: trace.Meta{Plant: "acc", Scenario: "acc-default", Policy: "always-run"},
-		NX: 2, NU: 1, X0: []float64{10, -0.5}}
+		NX:   2, NU: 1, X0: []float64{10, -0.5}}
 	if err := w.Append(open); err != nil {
 		b.Fatal(err)
 	}

@@ -3,11 +3,13 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
+
+	"oic/internal/frame"
+	"oic/internal/trace"
 )
 
-// Segment layout (all integers little-endian, floats IEEE-754 bits):
+// Segment layout (internal/frame conventions: all integers
+// little-endian, floats IEEE-754 bits, str = u16 length + bytes):
 //
 //	magic   [4]byte  "OICJ"
 //	u16     version
@@ -21,21 +23,18 @@ import (
 //	payload (per-type layout below)
 //	u32     CRC-32 (IEEE) of the preceding 5+length bytes
 //
-// Per-type payloads (str = u16 length + bytes, mirroring the trace
-// codec; step flags reuse the trace step flag byte):
+// Per-type payloads. The fingerprint block (u16 nx, u16 nu, u16 memory,
+// u32 episodes, u32 steps, u64 seed, str plant, str scenario, str policy)
+// is the one OICT and OICA headers carry, and a step is the trace step
+// encoding (u8 flags, f64×nx w, f64×nu u, f64×nx x):
 //
-//	open:        str id, u16 nx, u16 nu, u16 memory, u32 episodes,
-//	             u32 steps, u64 seed, str plant, str scenario,
-//	             str policy, f64×nx x0
-//	step:        str id, u16 nx, u16 nu, u8 flags, f64×nx w,
-//	             f64×nu u, f64×nx x
+//	open:        str id, fingerprint, f64×nx x0
+//	step:        str id, u16 nx, u16 nu, step
 //	close:       str id
-//	fleet-open:  str id, u16 nx, u16 nu, u16 memory, u32 episodes,
-//	             u32 steps, u64 seed, str plant, str scenario,
-//	             str policy, u32 budget, u32 workers, u32 max sessions
+//	fleet-open:  str id, fingerprint, u32 budget, u32 workers,
+//	             u32 max sessions
 //	fleet-admit: str id, u32 member, u16 nx, f64×nx x0
-//	fleet-step:  str id, u32 member, u16 nx, u16 nu, u8 flags,
-//	             f64×nx w, f64×nu u, f64×nx x
+//	fleet-step:  str id, u32 member, u16 nx, u16 nu, step
 //	fleet-evict: str id, u32 member
 //	fleet-close: str id
 //
@@ -50,20 +49,11 @@ const (
 	HeaderSize = 8
 	// frameOverhead is a record's framing cost: length, type, CRC.
 	frameOverhead = 4 + 1 + 4
-
-	flagRan    = 1 << 0
-	flagForced = 1 << 1
-	levelShift = 2
-	levelMask  = 0b11
-	flagKnown  = flagRan | flagForced | levelMask<<levelShift
 )
 
 // AppendHeader appends a segment header to dst.
 func AppendHeader(dst []byte) []byte {
-	dst = append(dst, magic...)
-	dst = binary.LittleEndian.AppendUint16(dst, Version)
-	dst = binary.LittleEndian.AppendUint16(dst, 0)
-	return dst
+	return binary.LittleEndian.AppendUint16(frame.AppendHeader(dst, magic, Version), 0)
 }
 
 // CheckHeader validates a segment header prefix.
@@ -71,39 +61,14 @@ func CheckHeader(b []byte) error {
 	if len(b) < HeaderSize {
 		return fmt.Errorf("journal: segment shorter than header (%d bytes)", len(b))
 	}
-	if string(b[:4]) != magic {
-		return fmt.Errorf("journal: bad magic %q", b[:4])
+	r := frame.NewReader("journal", b[:HeaderSize])
+	if err := r.Header(magic, Version); err != nil {
+		return err
 	}
-	if v := binary.LittleEndian.Uint16(b[4:]); v != Version {
-		return fmt.Errorf("journal: unsupported version %d (want %d)", v, Version)
-	}
-	if r := binary.LittleEndian.Uint16(b[6:]); r != 0 {
-		return fmt.Errorf("journal: nonzero reserved field %d", r)
+	if v := r.U16(); v != 0 {
+		return fmt.Errorf("journal: nonzero reserved field %d", v)
 	}
 	return nil
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func appendF64s(dst []byte, vs []float64) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
-func stepFlags(ran, forced bool, level uint8) byte {
-	var f byte
-	if ran {
-		f |= flagRan
-	}
-	if forced {
-		f |= flagForced
-	}
-	return f | (level&levelMask)<<levelShift
 }
 
 // AppendRecord validates r and appends its framed encoding to dst.
@@ -117,46 +82,30 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 	// Reserve the length prefix; backfill once the payload is known.
 	dst = append(dst, 0, 0, 0, 0, byte(r.Type))
 	body := len(dst)
-	dst = appendStr(dst, r.ID)
+	dst = frame.AppendStr(dst, r.ID)
 	switch r.Type {
 	case TypeOpen, TypeFleetOpen:
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NU))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Meta.Memory))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Meta.TrainEpisodes))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Meta.TrainSteps))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Meta.TrainSeed))
-		dst = appendStr(dst, r.Meta.Plant)
-		dst = appendStr(dst, r.Meta.Scenario)
-		dst = appendStr(dst, r.Meta.Policy)
+		dst = frame.AppendMeta(dst, r.NX, r.NU, &r.Meta)
 		if r.Type == TypeOpen {
-			dst = appendF64s(dst, r.X0)
+			dst = frame.AppendF64s(dst, r.X0)
 		} else {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Budget))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Workers))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.MaxSessions))
 		}
-	case TypeStep:
+	case TypeStep, TypeFleetStep:
+		if r.Type == TypeFleetStep {
+			dst = binary.LittleEndian.AppendUint32(dst, r.Member)
+		}
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NU))
-		dst = append(dst, stepFlags(r.Ran, r.Forced, r.Level))
-		dst = appendF64s(dst, r.W)
-		dst = appendF64s(dst, r.U)
-		dst = appendF64s(dst, r.X)
+		dst = trace.AppendStep(dst, &r.Step)
 	case TypeClose, TypeFleetClose:
 		// id only
 	case TypeFleetAdmit:
 		dst = binary.LittleEndian.AppendUint32(dst, r.Member)
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
-		dst = appendF64s(dst, r.X0)
-	case TypeFleetStep:
-		dst = binary.LittleEndian.AppendUint32(dst, r.Member)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NU))
-		dst = append(dst, stepFlags(r.Ran, r.Forced, r.Level))
-		dst = appendF64s(dst, r.W)
-		dst = appendF64s(dst, r.U)
-		dst = appendF64s(dst, r.X)
+		dst = frame.AppendF64s(dst, r.X0)
 	case TypeFleetEvict:
 		dst = binary.LittleEndian.AppendUint32(dst, r.Member)
 	}
@@ -165,117 +114,15 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 		return nil, fmt.Errorf("journal: record payload %d exceeds %d", payload, MaxPayload)
 	}
 	binary.LittleEndian.PutUint32(dst[start:], uint32(payload))
-	sum := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, sum), nil
-}
-
-// rdecoder is a bounds-checked cursor over one record payload.
-type rdecoder struct {
-	b   []byte
-	off int
-}
-
-func (d *rdecoder) need(n int) error {
-	if len(d.b)-d.off < n {
-		return fmt.Errorf("journal: truncated payload at offset %d (need %d bytes)", d.off, n)
-	}
-	return nil
-}
-
-func (d *rdecoder) u8() byte    { v := d.b[d.off]; d.off++; return v }
-func (d *rdecoder) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.off:]); d.off += 2; return v }
-func (d *rdecoder) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.off:]); d.off += 4; return v }
-func (d *rdecoder) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.off:]); d.off += 8; return v }
-
-func (d *rdecoder) f64s(n int) ([]float64, error) {
-	if err := d.need(8 * n); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(d.u64())
-	}
-	return out, nil
-}
-
-func (d *rdecoder) str() (string, error) {
-	if err := d.need(2); err != nil {
-		return "", err
-	}
-	n := int(d.u16())
-	if n > MaxString {
-		return "", fmt.Errorf("journal: string length %d exceeds %d", n, MaxString)
-	}
-	if err := d.need(n); err != nil {
-		return "", err
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s, nil
-}
-
-func (d *rdecoder) dims(r *Record) error {
-	if err := d.need(4); err != nil {
-		return err
-	}
-	r.NX, r.NU = int(d.u16()), int(d.u16())
-	if r.NX < 1 || r.NX > MaxDim || r.NU < 1 || r.NU > MaxDim {
-		return fmt.Errorf("journal: dimensions %d×%d outside [1, %d]", r.NX, r.NU, MaxDim)
-	}
-	return nil
-}
-
-func (d *rdecoder) meta(r *Record) error {
-	if err := d.need(2 + 4 + 4 + 8); err != nil {
-		return err
-	}
-	r.Meta.Memory = int(d.u16())
-	r.Meta.TrainEpisodes = int(d.u32())
-	r.Meta.TrainSteps = int(d.u32())
-	r.Meta.TrainSeed = int64(d.u64())
-	if r.Meta.Memory > MaxDim {
-		return fmt.Errorf("journal: memory %d exceeds %d", r.Meta.Memory, MaxDim)
-	}
-	var err error
-	if r.Meta.Plant, err = d.str(); err != nil {
-		return err
-	}
-	if r.Meta.Scenario, err = d.str(); err != nil {
-		return err
-	}
-	if r.Meta.Policy, err = d.str(); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (d *rdecoder) step(r *Record) error {
-	if err := d.need(1); err != nil {
-		return err
-	}
-	flags := d.u8()
-	if flags&^byte(flagKnown) != 0 {
-		return fmt.Errorf("journal: unknown flag bits 0x%02x", flags)
-	}
-	r.Ran = flags&flagRan != 0
-	r.Forced = flags&flagForced != 0
-	r.Level = (flags >> levelShift) & levelMask
-	var err error
-	if r.W, err = d.f64s(r.NX); err != nil {
-		return err
-	}
-	if r.U, err = d.f64s(r.NU); err != nil {
-		return err
-	}
-	r.X, err = d.f64s(r.NX)
-	return err
+	return frame.Seal(dst, start), nil
 }
 
 // DecodeRecord parses one framed record from the front of b, returning
 // the record and the number of bytes consumed. It is strict: the CRC
 // must match, the payload must decode exactly (no trailing bytes), and
-// every field must be in range. A short or corrupt b returns an error
-// and consumes nothing — the caller treats that as the torn tail.
+// every field must be in range (Validate). A short or corrupt b returns
+// an error and consumes nothing — the caller treats that as the torn
+// tail.
 func DecodeRecord(b []byte) (*Record, int, error) {
 	if len(b) < frameOverhead {
 		return nil, 0, fmt.Errorf("journal: truncated frame (%d bytes)", len(b))
@@ -288,83 +135,49 @@ func DecodeRecord(b []byte) (*Record, int, error) {
 	if len(b) < total {
 		return nil, 0, fmt.Errorf("journal: truncated record (have %d of %d bytes)", len(b), total)
 	}
-	stored := binary.LittleEndian.Uint32(b[total-4:])
-	if got := crc32.ChecksumIEEE(b[:total-4]); got != stored {
-		return nil, 0, fmt.Errorf("journal: checksum mismatch (stored %08x, computed %08x)", stored, got)
-	}
-	r := &Record{Type: Type(b[4])}
-	d := &rdecoder{b: b[5 : total-4]}
-	var err error
-	if r.ID, err = d.str(); err != nil {
+	if err := frame.Verify("journal", b[:total]); err != nil {
 		return nil, 0, err
 	}
-	switch r.Type {
+	rec := &Record{Type: Type(b[4])}
+	r := frame.NewReader("journal", b[5:total-4])
+	rec.ID = r.Str()
+	switch rec.Type {
 	case TypeOpen, TypeFleetOpen:
-		if err := d.dims(r); err != nil {
-			return nil, 0, err
-		}
-		if err := d.meta(r); err != nil {
-			return nil, 0, err
-		}
-		if r.Type == TypeOpen {
-			if r.X0, err = d.f64s(r.NX); err != nil {
-				return nil, 0, err
-			}
+		rec.NX, rec.NU, rec.Meta = r.Meta()
+		if rec.Type == TypeOpen {
+			rec.X0 = r.F64s(rec.NX)
 		} else {
-			if err := d.need(12); err != nil {
-				return nil, 0, err
-			}
-			r.Budget = int(d.u32())
-			r.Workers = int(d.u32())
-			r.MaxSessions = int(d.u32())
+			rec.Budget = int(r.U32())
+			rec.Workers = int(r.U32())
+			rec.MaxSessions = int(r.U32())
 		}
-	case TypeStep:
-		if err := d.dims(r); err != nil {
-			return nil, 0, err
+	case TypeStep, TypeFleetStep:
+		if rec.Type == TypeFleetStep {
+			rec.Member = r.U32()
 		}
-		if err := d.step(r); err != nil {
-			return nil, 0, err
-		}
+		rec.NX, rec.NU = int(r.U16()), int(r.U16())
+		rec.Step = trace.ReadStep(r, rec.NX, rec.NU)
 	case TypeClose, TypeFleetClose:
 		// id only
 	case TypeFleetAdmit:
-		if err := d.need(4 + 2); err != nil {
-			return nil, 0, err
-		}
-		r.Member = d.u32()
-		r.NX = int(d.u16())
-		if r.NX < 1 || r.NX > MaxDim {
-			return nil, 0, fmt.Errorf("journal: nx %d outside [1, %d]", r.NX, MaxDim)
-		}
-		if r.X0, err = d.f64s(r.NX); err != nil {
-			return nil, 0, err
-		}
-	case TypeFleetStep:
-		if err := d.need(4); err != nil {
-			return nil, 0, err
-		}
-		r.Member = d.u32()
-		if err := d.dims(r); err != nil {
-			return nil, 0, err
-		}
-		if err := d.step(r); err != nil {
-			return nil, 0, err
-		}
+		rec.Member = r.U32()
+		rec.NX = int(r.U16())
+		rec.X0 = r.F64s(rec.NX)
 	case TypeFleetEvict:
-		if err := d.need(4); err != nil {
-			return nil, 0, err
-		}
-		r.Member = d.u32()
+		rec.Member = r.U32()
 	default:
-		return nil, 0, fmt.Errorf("journal: unknown record type %d", r.Type)
+		return nil, 0, fmt.Errorf("journal: unknown record type %d", rec.Type)
 	}
-	if d.off != len(d.b) {
-		return nil, 0, fmt.Errorf("journal: %d trailing payload bytes", len(d.b)-d.off)
-	}
-	if err := r.Validate(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, 0, err
 	}
-	return r, total, nil
+	if r.Len() != 0 {
+		return nil, 0, fmt.Errorf("journal: %d trailing payload bytes", r.Len())
+	}
+	if err := rec.Validate(); err != nil {
+		return nil, 0, err
+	}
+	return rec, total, nil
 }
 
 // ReadSegment parses a whole segment. The header must be valid (a file

@@ -34,18 +34,18 @@ func goldenCases() map[string][]*Record {
 		// One session's full lifecycle.
 		"session": {
 			{Type: TypeOpen, ID: "s-7", Meta: meta, NX: 2, NU: 1, X0: []float64{25, -1.25}},
-			{Type: TypeStep, ID: "s-7", NX: 2, NU: 1, Ran: true, Level: 1,
-				W: []float64{0.01, -0.02}, U: []float64{1.5}, X: []float64{24.9, -1.2}},
-			{Type: TypeStep, ID: "s-7", NX: 2, NU: 1, Ran: false, Level: 0,
-				W: []float64{0, 0}, U: []float64{0}, X: []float64{24.8, -1.15}},
+			{Type: TypeStep, ID: "s-7", NX: 2, NU: 1, Step: trace.Step{Ran: true, Level: 1,
+				W: []float64{0.01, -0.02}, U: []float64{1.5}, X: []float64{24.9, -1.2}}},
+			{Type: TypeStep, ID: "s-7", NX: 2, NU: 1, Step: trace.Step{Ran: false, Level: 0,
+				W: []float64{0, 0}, U: []float64{0}, X: []float64{24.8, -1.15}}},
 			{Type: TypeClose, ID: "s-7"},
 		},
 		// One fleet's lifecycle, DRL fingerprint.
 		"fleet": {
 			{Type: TypeFleetOpen, ID: "f-3", Meta: drl, NX: 1, NU: 1, Budget: 50, Workers: 2, MaxSessions: 100},
 			{Type: TypeFleetAdmit, ID: "f-3", Member: 0, NX: 1, X0: []float64{21.5}},
-			{Type: TypeFleetStep, ID: "f-3", Member: 0, NX: 1, NU: 1, Ran: true, Forced: true, Level: 2,
-				W: []float64{0.1}, U: []float64{-0.8}, X: []float64{21.3}},
+			{Type: TypeFleetStep, ID: "f-3", Member: 0, NX: 1, NU: 1, Step: trace.Step{Ran: true, Forced: true, Level: 2,
+				W: []float64{0.1}, U: []float64{-0.8}, X: []float64{21.3}}},
 			{Type: TypeFleetEvict, ID: "f-3", Member: 0},
 			{Type: TypeFleetClose, ID: "f-3"},
 		},

@@ -93,8 +93,8 @@ func (t Type) String() string {
 
 // Record is one journal entry. It is a tagged union: Type selects which
 // fields are meaningful (and encoded) — see the codec for the per-type
-// wire layouts. Step flags reuse the trace step encoding (bit0 ran,
-// bit1 forced, bits 2–3 level).
+// wire layouts. Step records carry the runtime's step value itself, in
+// the trace step encoding.
 type Record struct {
 	Type Type
 
@@ -118,16 +118,13 @@ type Record struct {
 	// Budget, Workers, MaxSessions are the scheduler shape (fleet-open).
 	Budget, Workers, MaxSessions int
 
-	// Step payload (step, fleet-step) — mirrors trace.Step.
-	Ran    bool
-	Forced bool
-	Level  uint8
-	W, U, X []float64
+	// Step is the executed step (step, fleet-step).
+	trace.Step
 }
 
 // Validate checks the structural invariants of a record for its type:
 // id present and bounded, dimensions in range, slice lengths consistent.
-// Encode runs it; Decode enforces the same bounds field by field.
+// AppendRecord runs it before encoding and DecodeRecord after decoding.
 func (r *Record) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("journal: %s record with empty id", r.Type)
@@ -161,18 +158,6 @@ func (r *Record) Validate() error {
 		}
 		return nil
 	}
-	checkStep := func() error {
-		if r.Level > 3 {
-			return fmt.Errorf("journal: level %d out of range", r.Level)
-		}
-		if len(r.W) != r.NX || len(r.X) != r.NX {
-			return fmt.Errorf("journal: w/x dims %d/%d, want %d", len(r.W), len(r.X), r.NX)
-		}
-		if len(r.U) != r.NU {
-			return fmt.Errorf("journal: u dim %d, want %d", len(r.U), r.NU)
-		}
-		return nil
-	}
 	switch r.Type {
 	case TypeOpen:
 		if err := checkDims(); err != nil {
@@ -184,12 +169,12 @@ func (r *Record) Validate() error {
 		if len(r.X0) != r.NX {
 			return fmt.Errorf("journal: x0 dim %d, want %d", len(r.X0), r.NX)
 		}
-	case TypeStep:
+	case TypeStep, TypeFleetStep:
 		if err := checkDims(); err != nil {
 			return err
 		}
-		if err := checkStep(); err != nil {
-			return err
+		if err := trace.CheckStep(&r.Step, r.NX, r.NU); err != nil {
+			return fmt.Errorf("journal: %s record: %w", r.Type, err)
 		}
 	case TypeClose, TypeFleetClose:
 		// id only
@@ -209,13 +194,6 @@ func (r *Record) Validate() error {
 		}
 		if len(r.X0) != r.NX {
 			return fmt.Errorf("journal: x0 dim %d, want %d", len(r.X0), r.NX)
-		}
-	case TypeFleetStep:
-		if err := checkDims(); err != nil {
-			return err
-		}
-		if err := checkStep(); err != nil {
-			return err
 		}
 	case TypeFleetEvict:
 		// id + member

@@ -20,16 +20,16 @@ func sampleRecords() []*Record {
 	}
 	return []*Record{
 		{Type: TypeOpen, ID: "s-1", Meta: meta, NX: 2, NU: 1, X0: []float64{10, -0.5}},
-		{Type: TypeStep, ID: "s-1", NX: 2, NU: 1, Ran: true, Forced: false, Level: 1,
-			W: []float64{0.1, -0.2}, U: []float64{0.75}, X: []float64{9.8, -0.4}},
-		{Type: TypeStep, ID: "s-1", NX: 2, NU: 1, Ran: false, Level: 0,
-			W: []float64{0, 0.05}, U: []float64{0}, X: []float64{9.7, -0.35}},
+		{Type: TypeStep, ID: "s-1", NX: 2, NU: 1, Step: trace.Step{Ran: true, Forced: false, Level: 1,
+			W: []float64{0.1, -0.2}, U: []float64{0.75}, X: []float64{9.8, -0.4}}},
+		{Type: TypeStep, ID: "s-1", NX: 2, NU: 1, Step: trace.Step{Ran: false, Level: 0,
+			W: []float64{0, 0.05}, U: []float64{0}, X: []float64{9.7, -0.35}}},
 		{Type: TypeFleetOpen, ID: "f-1", Meta: meta, NX: 2, NU: 1,
 			Budget: 100, Workers: 4, MaxSessions: 1000},
 		{Type: TypeFleetAdmit, ID: "f-1", Member: 0, NX: 2, X0: []float64{12, 0}},
 		{Type: TypeFleetAdmit, ID: "f-1", Member: 1, NX: 2, X0: []float64{11, 0.25}},
-		{Type: TypeFleetStep, ID: "f-1", Member: 0, NX: 2, NU: 1, Ran: true, Forced: true, Level: 2,
-			W: []float64{-0.1, 0}, U: []float64{-1.5}, X: []float64{11.9, 0.1}},
+		{Type: TypeFleetStep, ID: "f-1", Member: 0, NX: 2, NU: 1, Step: trace.Step{Ran: true, Forced: true, Level: 2,
+			W: []float64{-0.1, 0}, U: []float64{-1.5}, X: []float64{11.9, 0.1}}},
 		{Type: TypeFleetEvict, ID: "f-1", Member: 1},
 		{Type: TypeClose, ID: "s-1"},
 		{Type: TypeFleetClose, ID: "f-1"},
@@ -511,8 +511,8 @@ func TestValidateRejects(t *testing.T) {
 		{Type: TypeOpen, ID: "s", Meta: trace.Meta{Plant: "acc"}, NX: 0, NU: 1},
 		{Type: TypeOpen, ID: "s", Meta: trace.Meta{Plant: "acc"}, NX: MaxDim + 1, NU: 1, X0: make([]float64, MaxDim+1)},
 		{Type: TypeOpen, ID: "s", Meta: trace.Meta{}, NX: 2, NU: 1, X0: []float64{1, 2}},
-		{Type: TypeStep, ID: "s", NX: 2, NU: 1, Level: 4, W: []float64{1, 2}, U: []float64{1}, X: []float64{1, 2}},
-		{Type: TypeStep, ID: "s", NX: 2, NU: 1, W: []float64{1}, U: []float64{1}, X: []float64{1, 2}},
+		{Type: TypeStep, ID: "s", NX: 2, NU: 1, Step: trace.Step{Level: 4, W: []float64{1, 2}, U: []float64{1}, X: []float64{1, 2}}},
+		{Type: TypeStep, ID: "s", NX: 2, NU: 1, Step: trace.Step{W: []float64{1}, U: []float64{1}, X: []float64{1, 2}}},
 		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, Budget: -1},
 		{Type: TypeFleetAdmit, ID: "f", NX: 2, X0: []float64{1}},
 		{Type: Type(99), ID: "x"},
@@ -523,6 +523,28 @@ func TestValidateRejects(t *testing.T) {
 		}
 		if _, err := AppendRecord(nil, r); err == nil {
 			t.Errorf("case %d (%s): invalid record encoded", i, r.Type)
+		}
+	}
+}
+
+// TestAppendRecordZeroAllocs pins the per-step write-ahead encode at zero
+// allocations into a warmed buffer — the path every session and fleet
+// member step takes on its way to the journal.
+func TestAppendRecordZeroAllocs(t *testing.T) {
+	fleetStep := *benchStep()
+	fleetStep.Type, fleetStep.ID, fleetStep.Member = TypeFleetStep, "f-1", 7
+	for _, r := range []*Record{benchStep(), &fleetStep} {
+		buf, err := AppendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if buf, err = AppendRecord(buf[:0], r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("AppendRecord(%s) allocates %v times per record, want 0", r.Type, allocs)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 
@@ -75,8 +74,8 @@ func (rv *Recovery) Live() (sessions, fleets int) {
 }
 
 // Trace assembles the session's history as a replayable trace. Energy
-// is accumulated per step as ‖u‖₁ in the same float order the runtime
-// uses, so the assembled trace passes the engine's conformance checks.
+// is accumulated per step with the runtime's own Norm1, in its float
+// order, so the assembled trace passes the engine's conformance checks.
 func (s *SessionState) Trace() *trace.Trace {
 	return assembleTrace(s.Meta, s.NX, s.NU, s.X0, s.Steps)
 }
@@ -96,11 +95,7 @@ func assembleTrace(meta trace.Meta, nx, nu int, x0 []float64, steps []trace.Step
 		Steps:   steps,
 	}
 	for i := range steps {
-		n1 := 0.0
-		for _, v := range steps[i].U {
-			n1 += math.Abs(v)
-		}
-		t.Energy += n1
+		t.Energy += steps[i].U.Norm1()
 	}
 	return t
 }
@@ -162,9 +157,7 @@ func (rv *Recovery) apply(r *Record, sessions map[string]*SessionState, fleets m
 			rv.Orphans++
 			return
 		}
-		s.Steps = append(s.Steps, trace.Step{
-			Ran: r.Ran, Forced: r.Forced, Level: r.Level, W: r.W, U: r.U, X: r.X,
-		})
+		s.Steps = append(s.Steps, r.Step)
 	case TypeClose:
 		s := sessions[r.ID]
 		if s == nil {
@@ -200,9 +193,7 @@ func (rv *Recovery) apply(r *Record, sessions map[string]*SessionState, fleets m
 			rv.Orphans++
 			return
 		}
-		m.Steps = append(m.Steps, trace.Step{
-			Ran: r.Ran, Forced: r.Forced, Level: r.Level, W: r.W, U: r.U, X: r.X,
-		})
+		m.Steps = append(m.Steps, r.Step)
 	case TypeFleetEvict:
 		f := fleets[r.ID]
 		if f == nil {

@@ -156,6 +156,7 @@ func (m *Mat) MulVec(v Vec) Vec {
 	for i := 0; i < m.R; i++ {
 		s := 0.0
 		row := m.Data[i*m.C : (i+1)*m.C]
+		v := v[:len(row)] // same length as row: no bounds check in the loop
 		for j, a := range row {
 			s += a * v[j]
 		}
@@ -176,6 +177,7 @@ func (m *Mat) MulVecInto(dst, v Vec) {
 	for i := 0; i < m.R; i++ {
 		s := 0.0
 		row := m.Data[i*m.C : (i+1)*m.C]
+		v := v[:len(row)] // same length as row: no bounds check in the loop
 		for j, a := range row {
 			s += a * v[j]
 		}

@@ -170,20 +170,20 @@ func (e *Env) Step(action int) (mat.Vec, float64, bool, error) {
 	if e.t >= e.steps {
 		return nil, 0, true, errors.New("plant: Env.Step: episode exhausted")
 	}
-	rec, err := e.sess.StepWithChoice(e.w[e.t], action == 1)
+	st, err := e.sess.StepWithChoice(e.w[e.t], action == 1)
 	if err != nil {
 		return nil, 0, true, err
 	}
 	e.t++
 
 	r1 := 0.0
-	if !e.fw.Sets.XPrime.Contains(rec.Next, 1e-9) {
+	if !e.fw.Sets.XPrime.Contains(st.X, 1e-9) {
 		r1 = 1
 	}
-	reward := -e.w1*r1 - e.w2*rec.U.Norm1()
+	reward := -e.w1*r1 - e.w2*st.U.Norm1()
 
 	done := e.t >= e.steps
-	return e.enc.Encode(rec.Next, e.sess.RecentWView()), reward, done, nil
+	return e.enc.Encode(st.X, e.sess.RecentWView()), reward, done, nil
 }
 
 // TrainDRL trains a double-DQN skipping agent for inst with the paper's

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 
+	"oic/internal/frame"
 	"oic/internal/mat"
 )
 
 // Binary codec helpers for persisting polytopes inside larger wire
-// formats (internal/artifact). The layout is fixed little-endian:
+// formats (internal/artifact), on the internal/frame conventions. The
+// layout is fixed little-endian:
 //
 //	u16 rows · u16 cols · f64×rows×cols A (row-major) · f64×rows B
 //
@@ -31,46 +33,23 @@ func AppendBinary(buf []byte, p *Polytope) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.A.R))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.A.C))
-	for _, v := range p.A.Data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, v := range p.B {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
+	buf = frame.AppendF64s(buf, p.A.Data)
+	return frame.AppendF64s(buf, p.B)
 }
 
-// DecodeBinary parses one polytope from the front of b and returns it
-// together with the number of bytes consumed. Rows and columns must lie
-// in [1, maxRows] and [1, maxCols]; every length is checked against the
-// remaining input before any allocation, so a hostile prefix cannot make
-// the decoder allocate more than the input could justify.
-func DecodeBinary(b []byte, maxRows, maxCols int) (*Polytope, int, error) {
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("poly: decode: truncated header (%d bytes)", len(b))
+// ReadBinary reads one polytope written by AppendBinary. Rows and
+// columns must lie in [1, maxRows] and [1, maxCols], and the whole
+// polytope's length is checked against the remaining input before any
+// allocation, so a hostile prefix cannot make the decoder allocate more
+// than the input could justify. Failures stick on r and return nil.
+func ReadBinary(r *frame.Reader, maxRows, maxCols int) *Polytope {
+	rows, cols := int(r.U16()), int(r.U16())
+	if rows < 1 || rows > maxRows || cols < 1 || cols > maxCols {
+		r.Fail("polytope %d×%d outside [1, %d]×[1, %d]", rows, cols, maxRows, maxCols)
 	}
-	rows := int(binary.LittleEndian.Uint16(b[0:2]))
-	cols := int(binary.LittleEndian.Uint16(b[2:4]))
-	if rows < 1 || rows > maxRows {
-		return nil, 0, fmt.Errorf("poly: decode: %d rows outside [1,%d]", rows, maxRows)
+	if !r.Need(8 * rows * (cols + 1)) {
+		return nil
 	}
-	if cols < 1 || cols > maxCols {
-		return nil, 0, fmt.Errorf("poly: decode: %d cols outside [1,%d]", cols, maxCols)
-	}
-	need := 4 + 8*rows*cols + 8*rows
-	if len(b) < need {
-		return nil, 0, fmt.Errorf("poly: decode: %d×%d polytope needs %d bytes, have %d", rows, cols, need, len(b))
-	}
-	a := mat.New(rows, cols)
-	off := 4
-	for i := range a.Data {
-		a.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
-		off += 8
-	}
-	bv := make(mat.Vec, rows)
-	for i := range bv {
-		bv[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
-		off += 8
-	}
-	return New(a, bv), off, nil
+	a := &mat.Mat{R: rows, C: cols, Data: r.F64s(rows * cols)}
+	return New(a, r.F64s(rows))
 }

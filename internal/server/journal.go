@@ -111,11 +111,7 @@ func (s *Server) hookSession(id string, eng *oic.Engine, sess *oic.Session) {
 	}
 	nx, nu := eng.NX(), eng.NU()
 	sess.SetStepHook(func(ev oic.StepEvent) {
-		s.journalAppend(&journal.Record{
-			Type: journal.TypeStep, ID: id, NX: nx, NU: nu,
-			Ran: ev.Ran, Forced: ev.Forced, Level: ev.Level,
-			W: ev.W, U: ev.U, X: ev.X,
-		})
+		s.journalAppend(&journal.Record{Type: journal.TypeStep, ID: id, NX: nx, NU: nu, Step: ev})
 	})
 }
 
@@ -133,13 +129,8 @@ func (s *Server) journalImportSession(id string, eng *oic.Engine, sess *oic.Sess
 		Type: journal.TypeOpen, ID: id, Meta: eng.TraceMeta(),
 		NX: nx, NU: nu, X0: t.X0,
 	})
-	for i := range t.Steps {
-		st := &t.Steps[i]
-		s.journalAppend(&journal.Record{
-			Type: journal.TypeStep, ID: id, NX: nx, NU: nu,
-			Ran: st.Ran, Forced: st.Forced, Level: st.Level,
-			W: st.W, U: st.U, X: st.X,
-		})
+	for _, st := range t.Steps {
+		s.journalAppend(&journal.Record{Type: journal.TypeStep, ID: id, NX: nx, NU: nu, Step: st})
 	}
 	s.hookSession(id, eng, sess)
 }
@@ -155,12 +146,9 @@ func (s *Server) journalImportMember(fleetID string, member int, eng *oic.Engine
 	s.journalAppend(&journal.Record{
 		Type: journal.TypeFleetAdmit, ID: fleetID, Member: uint32(member), NX: nx, X0: t.X0,
 	})
-	for i := range t.Steps {
-		st := &t.Steps[i]
+	for _, st := range t.Steps {
 		s.journalAppend(&journal.Record{
-			Type: journal.TypeFleetStep, ID: fleetID, Member: uint32(member), NX: nx, NU: nu,
-			Ran: st.Ran, Forced: st.Forced, Level: st.Level,
-			W: st.W, U: st.U, X: st.X,
+			Type: journal.TypeFleetStep, ID: fleetID, Member: uint32(member), NX: nx, NU: nu, Step: st,
 		})
 	}
 }
@@ -202,9 +190,7 @@ func (s *Server) hookFleet(id string, eng *oic.Engine, f *oic.Fleet) {
 	nx, nu := eng.NX(), eng.NU()
 	f.SetStepHook(func(member int, ev oic.StepEvent) {
 		s.journalAppend(&journal.Record{
-			Type: journal.TypeFleetStep, ID: id, Member: uint32(member), NX: nx, NU: nu,
-			Ran: ev.Ran, Forced: ev.Forced, Level: ev.Level,
-			W: ev.W, U: ev.U, X: ev.X,
+			Type: journal.TypeFleetStep, ID: id, Member: uint32(member), NX: nx, NU: nu, Step: ev,
 		})
 	})
 }

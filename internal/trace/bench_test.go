@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"testing"
+
+	"oic/internal/core"
 )
 
 // benchTrace builds a synthetic 128-step, 2×1-dimensional episode — the
@@ -14,8 +16,8 @@ func benchTrace(b *testing.B) *Trace {
 		[]float64{130, 45}, 1, 0)
 	for i := 0; i < steps; i++ {
 		f := float64(i)
-		if err := rec.Append(i%3 == 0, i%7 == 0, uint8(i%2),
-			[]float64{0.5 - f/steps, 0.1}, []float64{f / 17}, []float64{130 - f/3, 45 - f/9}); err != nil {
+		if err := rec.Append(Step{Ran: i%3 == 0, Forced: i%7 == 0, Level: core.Level(i % 2),
+			W: []float64{0.5 - f/steps, 0.1}, U: []float64{f / 17}, X: []float64{130 - f/3, 45 - f/9}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,9 +59,8 @@ func BenchmarkTraceDecode(b *testing.B) {
 // the flat arenas (the cost a traced session adds per step, minus the
 // facade plumbing).
 func BenchmarkRecorderAppend(b *testing.B) {
-	w := []float64{0.5, 0.1}
-	u := []float64{1.25}
 	x := []float64{130, 45}
+	st := Step{Ran: true, W: []float64{0.5, 0.1}, U: []float64{1.25}, X: x}
 	rec := NewRecorder(Meta{Plant: "acc"}, x, 1, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,7 +72,7 @@ func BenchmarkRecorderAppend(b *testing.B) {
 			rec = NewRecorder(Meta{Plant: "acc"}, x, 1, 0)
 			b.StartTimer()
 		}
-		if err := rec.Append(true, false, 0, w, u, x); err != nil {
+		if err := rec.Append(st); err != nil {
 			b.Fatal(err)
 		}
 	}

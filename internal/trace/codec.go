@@ -3,23 +3,20 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"oic/internal/core"
+	"oic/internal/frame"
 )
 
-// Binary wire layout (all integers little-endian, floats IEEE-754 bits):
+// Binary wire layout (internal/frame conventions: all integers
+// little-endian, floats IEEE-754 bits, str = u16 length + bytes):
 //
 //	magic   [4]byte  "OICT"
 //	u16     version
-//	u16     nx
-//	u16     nu
-//	u16     memory
-//	u32     train episodes
-//	u32     train steps
-//	u64     train seed (two's complement)
-//	str     plant     (u16 length + bytes)
-//	str     scenario  (u16 length + bytes)
-//	str     policy    (u16 length + bytes)
+//	        fingerprint block: u16 nx, u16 nu, u16 memory,
+//	        u32 train episodes, u32 train steps, u64 train seed,
+//	        str plant, str scenario, str policy
 //	u32     step count
 //	f64     energy
 //	f64×nx  x0
@@ -43,11 +40,55 @@ const (
 // stepSize returns the encoded size of one step for the given dimensions.
 func stepSize(nx, nu int) int { return 1 + 8*(2*nx+nu) }
 
+// stepFlags packs a step's decision and level into its flag byte.
+func stepFlags(st *Step) byte {
+	f := (byte(st.Level) & levelMask) << levelShift
+	if st.Ran {
+		f |= flagRan
+	}
+	if st.Forced {
+		f |= flagForced
+	}
+	return f
+}
+
+// stepFromFlags unpacks a flag byte into a step without vectors.
+func stepFromFlags(f byte) Step {
+	return Step{
+		Ran:    f&flagRan != 0,
+		Forced: f&flagForced != 0,
+		Level:  core.Level(f>>levelShift) & levelMask,
+	}
+}
+
+// AppendStep appends a step's wire form — the flag byte, then w, u and
+// x. OICT steps and OICJ step records share this encoding, so journal
+// recovery and trace export read one format.
+func AppendStep(dst []byte, st *Step) []byte {
+	dst = append(dst, stepFlags(st))
+	dst = frame.AppendF64s(dst, st.W)
+	dst = frame.AppendF64s(dst, st.U)
+	return frame.AppendF64s(dst, st.X)
+}
+
+// ReadStep reads one nx×nu step written by AppendStep, rejecting unknown
+// flag bits; failures stick on r. The step's w, u and x are capped views
+// of one allocation.
+func ReadStep(r *frame.Reader, nx, nu int) Step {
+	f := r.U8()
+	if f&^byte(flagKnown) != 0 {
+		r.Fail("unknown step flag bits 0x%02x", f)
+	}
+	st := stepFromFlags(f)
+	if v := r.F64s(2*nx + nu); v != nil {
+		st.W, st.U, st.X = v[:nx:nx], v[nx:nx+nu:nx+nu], v[nx+nu:]
+	}
+	return st
+}
+
 // EncodedSize returns the exact byte length Encode will produce.
 func (t *Trace) EncodedSize() int {
-	return 4 + 2 + 2 + 2 + 2 + 4 + 4 + 8 +
-		2 + len(t.Meta.Plant) + 2 + len(t.Meta.Scenario) + 2 + len(t.Meta.Policy) +
-		4 + 8 + 8*t.NX + len(t.Steps)*stepSize(t.NX, t.NU) + 4
+	return 4 + 2 + frame.MetaSize(&t.Meta) + 4 + 8 + 8*t.NX + len(t.Steps)*stepSize(t.NX, t.NU) + 4
 }
 
 // Encode serializes the trace into the canonical binary form. The trace
@@ -57,87 +98,15 @@ func Encode(t *Trace) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, 0, t.EncodedSize())
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.Version))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.NX))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.NU))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.Meta.Memory))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Meta.TrainEpisodes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Meta.TrainSteps))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Meta.TrainSeed))
-	for _, s := range []string{t.Meta.Plant, t.Meta.Scenario, t.Meta.Policy} {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-		buf = append(buf, s...)
-	}
+	buf = frame.AppendHeader(buf, magic, t.Version)
+	buf = frame.AppendMeta(buf, t.NX, t.NU, &t.Meta)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Steps)))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Energy))
-	for _, v := range t.X0 {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
+	buf = frame.AppendF64s(buf, t.X0)
 	for i := range t.Steps {
-		st := &t.Steps[i]
-		var flags byte
-		if st.Ran {
-			flags |= flagRan
-		}
-		if st.Forced {
-			flags |= flagForced
-		}
-		flags |= (st.Level & levelMask) << levelShift
-		buf = append(buf, flags)
-		for _, v := range st.W {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		for _, v := range st.U {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		for _, v := range st.X {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+		buf = AppendStep(buf, &t.Steps[i])
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
-}
-
-// decoder is a bounds-checked cursor over an encoded trace.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) need(n int) error {
-	if len(d.b)-d.off < n {
-		return fmt.Errorf("trace: truncated at offset %d (need %d bytes)", d.off, n)
-	}
-	return nil
-}
-
-func (d *decoder) u8() byte    { v := d.b[d.off]; d.off++; return v }
-func (d *decoder) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.off:]); d.off += 2; return v }
-func (d *decoder) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.off:]); d.off += 4; return v }
-func (d *decoder) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.off:]); d.off += 8; return v }
-func (d *decoder) f64s(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(d.u64())
-	}
-	return out
-}
-
-func (d *decoder) str() (string, error) {
-	if err := d.need(2); err != nil {
-		return "", err
-	}
-	n := int(d.u16())
-	if n > MaxString {
-		return "", fmt.Errorf("trace: string length %d exceeds %d", n, MaxString)
-	}
-	if err := d.need(n); err != nil {
-		return "", err
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s, nil
+	return frame.Seal(buf, 0), nil
 }
 
 // Decode parses a canonical binary trace. It is strict: unknown versions,
@@ -147,41 +116,16 @@ func (d *decoder) str() (string, error) {
 // length — a hostile header cannot make Decode allocate more than the
 // input's own size.
 func Decode(b []byte) (*Trace, error) {
-	d := &decoder{b: b}
-	if err := d.need(4 + 2); err != nil {
+	r := frame.NewReader("trace", b)
+	if err := r.Header(magic, Version); err != nil {
 		return nil, err
 	}
-	if string(d.b[:4]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", d.b[:4])
-	}
-	d.off = 4
-	t := &Trace{Version: int(d.u16())}
-	if t.Version != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", t.Version, Version)
-	}
-	if err := d.need(2 + 2 + 2 + 4 + 4 + 8); err != nil {
+	t := &Trace{Version: Version}
+	t.NX, t.NU, t.Meta = r.Meta()
+	nsteps := int(r.U32())
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	t.NX = int(d.u16())
-	t.NU = int(d.u16())
-	t.Meta.Memory = int(d.u16())
-	t.Meta.TrainEpisodes = int(d.u32())
-	t.Meta.TrainSteps = int(d.u32())
-	t.Meta.TrainSeed = int64(d.u64())
-	var err error
-	if t.Meta.Plant, err = d.str(); err != nil {
-		return nil, err
-	}
-	if t.Meta.Scenario, err = d.str(); err != nil {
-		return nil, err
-	}
-	if t.Meta.Policy, err = d.str(); err != nil {
-		return nil, err
-	}
-	if err := d.need(4 + 8); err != nil {
-		return nil, err
-	}
-	nsteps := int(d.u32())
 	if nsteps > MaxSteps {
 		return nil, fmt.Errorf("trace: %d steps exceeds %d", nsteps, MaxSteps)
 	}
@@ -190,30 +134,20 @@ func Decode(b []byte) (*Trace, error) {
 	}
 	// The header fixes the remaining length exactly; reject before
 	// allocating step storage.
-	rest := 8*t.NX + nsteps*stepSize(t.NX, t.NU) + 4
-	if len(d.b)-d.off-8 != rest {
-		return nil, fmt.Errorf("trace: body length %d does not match header (want %d)", len(d.b)-d.off-8, rest)
+	if want := 8 + 8*t.NX + nsteps*stepSize(t.NX, t.NU) + 4; r.Len() != want {
+		return nil, fmt.Errorf("trace: body length %d does not match header (want %d)", r.Len(), want)
 	}
-	t.Energy = math.Float64frombits(d.u64())
-	t.X0 = d.f64s(t.NX)
+	t.Energy = r.F64()
+	t.X0 = r.F64s(t.NX)
 	t.Steps = make([]Step, nsteps)
 	for i := range t.Steps {
-		flags := d.u8()
-		if flags&^byte(flagKnown) != 0 {
-			return nil, fmt.Errorf("trace: step %d: unknown flag bits 0x%02x", i, flags)
-		}
-		t.Steps[i] = Step{
-			Ran:    flags&flagRan != 0,
-			Forced: flags&flagForced != 0,
-			Level:  (flags >> levelShift) & levelMask,
-			W:      d.f64s(t.NX),
-			U:      d.f64s(t.NU),
-			X:      d.f64s(t.NX),
-		}
+		t.Steps[i] = ReadStep(r, t.NX, t.NU)
 	}
-	sum := d.u32()
-	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != sum {
-		return nil, fmt.Errorf("trace: checksum mismatch (stored %08x, computed %08x)", sum, got)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if err := frame.Verify("trace", b); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

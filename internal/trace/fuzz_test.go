@@ -67,6 +67,6 @@ func FuzzDecodeTrace(f *testing.F) {
 		if !d.Identical {
 			t.Fatalf("self-compare of accepted trace not identical: %+v", d)
 		}
-		_ = tr.ToResult()
+		_ = tr.States()
 	})
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Recorder accumulates one episode's steps into flat per-field arenas
 // (one slice per field family, not three slices per step), so the
@@ -43,37 +40,24 @@ func (r *Recorder) Len() int { return len(r.flags) }
 // Full reports whether the recorder reached its step limit.
 func (r *Recorder) Full() bool { return r.limit > 0 && len(r.flags) >= r.limit }
 
-// Append records one executed step (the slices are copied, so buffer
-// views from a recording-off core session are fine). It returns an error
-// when the recorder is full or a slice has the wrong length; the episode
+// Append records one executed step (the slices are copied, so the views
+// a core session returns are fine). It returns an error when the recorder
+// is full or the step does not fit the episode (CheckStep); the episode
 // recorded so far stays intact either way.
-func (r *Recorder) Append(ran, forced bool, level uint8, w, u, x []float64) error {
+func (r *Recorder) Append(st Step) error {
 	if r.Full() {
 		return fmt.Errorf("trace: recording full at %d steps", r.limit)
 	}
-	if len(w) != r.nx || len(x) != r.nx || len(u) != r.nu {
-		return fmt.Errorf("trace: Append dims w=%d u=%d x=%d, want %d/%d/%d",
-			len(w), len(u), len(x), r.nx, r.nu, r.nx)
+	if err := CheckStep(&st, r.nx, r.nu); err != nil {
+		return fmt.Errorf("trace: Append: %w", err)
 	}
-	var flags byte
-	if ran {
-		flags |= flagRan
-	}
-	if forced {
-		flags |= flagForced
-	}
-	flags |= (level & levelMask) << levelShift
-	r.flags = append(r.flags, flags)
-	r.w = append(r.w, w...)
-	r.u = append(r.u, u...)
-	r.x = append(r.x, x...)
-	// Accumulate Σ‖u‖₁ in the exact float order core.Result does, so the
+	r.flags = append(r.flags, stepFlags(&st))
+	r.w = append(r.w, st.W...)
+	r.u = append(r.u, st.U...)
+	r.x = append(r.x, st.X...)
+	// Σ‖u‖₁ through the same Norm1 core.Result accumulates with, so the
 	// recorded energy is bit-identical to the runtime's own counter.
-	s := 0.0
-	for _, v := range u {
-		s += math.Abs(v)
-	}
-	r.energy += s
+	r.energy += st.U.Norm1()
 	return nil
 }
 
@@ -98,15 +82,11 @@ func (r *Recorder) Trace() *Trace {
 	x := append([]float64(nil), r.x...)
 	t.Steps = make([]Step, n)
 	for i := 0; i < n; i++ {
-		flags := r.flags[i]
-		t.Steps[i] = Step{
-			Ran:    flags&flagRan != 0,
-			Forced: flags&flagForced != 0,
-			Level:  (flags >> levelShift) & levelMask,
-			W:      w[i*r.nx : (i+1)*r.nx : (i+1)*r.nx],
-			U:      u[i*r.nu : (i+1)*r.nu : (i+1)*r.nu],
-			X:      x[i*r.nx : (i+1)*r.nx : (i+1)*r.nx],
-		}
+		st := stepFromFlags(r.flags[i])
+		st.W = w[i*r.nx : (i+1)*r.nx : (i+1)*r.nx]
+		st.U = u[i*r.nu : (i+1)*r.nu : (i+1)*r.nu]
+		st.X = x[i*r.nx : (i+1)*r.nx : (i+1)*r.nx]
+		t.Steps[i] = st
 	}
 	return t
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"oic/internal/core"
+	"oic/internal/frame"
 	"oic/internal/mat"
 )
 
@@ -34,35 +35,21 @@ const (
 	// MaxSteps caps the episode length.
 	MaxSteps = 1 << 20
 	// MaxString caps the fingerprint string lengths.
-	MaxString = 1024
+	MaxString = frame.MaxString
 )
 
 // Meta is the engine-configuration fingerprint a trace was recorded
 // under: the exact pkg/oic.Config needed to rebuild the engine (compiled
 // sets, controller program, trained policy) that produced the episode.
-// Scenario is always the resolved ID, never the empty headline shorthand,
-// so a fingerprint is stable across default changes.
-type Meta struct {
-	Plant         string `json:"plant"`
-	Scenario      string `json:"scenario"`
-	Policy        string `json:"policy"`
-	Memory        int    `json:"memory,omitempty"`
-	TrainEpisodes int    `json:"train_episodes,omitempty"`
-	TrainSteps    int    `json:"train_steps,omitempty"`
-	TrainSeed     int64  `json:"train_seed,omitempty"`
-}
+// Scenario is always the resolved ID and Memory the resolved window,
+// never the defaulting shorthands, so a fingerprint is stable across
+// default changes.
+type Meta = frame.Meta
 
-// Step is one recorded control step. X is the successor state; the
-// pre-step state is the previous step's X (or the trace's X0), so states
-// are stored once.
-type Step struct {
-	Ran    bool      `json:"ran"`              // effective z(t): κ computed and applied
-	Forced bool      `json:"forced,omitempty"` // monitor overrode the policy (x ∉ X′)
-	Level  uint8     `json:"level"`            // core.Level code of the pre-step state
-	W      []float64 `json:"w"`                // realized disturbance
-	U      []float64 `json:"u"`                // applied input (zeros when skipped)
-	X      []float64 `json:"x"`                // successor state
-}
+// Step is one recorded control step: the runtime's step value itself, so
+// a step goes from the core session into a recording without a copy of
+// its shape.
+type Step = core.Step
 
 // Trace is one recorded episode.
 type Trace struct {
@@ -117,15 +104,8 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace: x0 has dim %d, want %d", len(t.X0), t.NX)
 	}
 	for i := range t.Steps {
-		st := &t.Steps[i]
-		if st.Level > uint8(core.Unsafe) {
-			return fmt.Errorf("trace: step %d: level code %d out of range", i, st.Level)
-		}
-		if len(st.W) != t.NX || len(st.X) != t.NX {
-			return fmt.Errorf("trace: step %d: w/x dims %d/%d, want %d", i, len(st.W), len(st.X), t.NX)
-		}
-		if len(st.U) != t.NU {
-			return fmt.Errorf("trace: step %d: u has dim %d, want %d", i, len(st.U), t.NU)
+		if err := CheckStep(&t.Steps[i], t.NX, t.NU); err != nil {
+			return fmt.Errorf("trace: step %d: %w", i, err)
 		}
 	}
 	if math.IsNaN(t.Energy) || math.IsInf(t.Energy, 0) {
@@ -134,42 +114,20 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// ToResult reassembles the trace into a core.Result whose Records chain
-// X0 → Steps[0].X → … — the shape internal/audit re-verifies. Counters
-// (runs, skips, forced, energy) are recomputed from the records except
-// Energy, which carries the recorded total so audit checks the recorded
-// accounting, not a recomputation of it. Slices are shared with the
-// trace; do not mutate.
-func (t *Trace) ToResult() *core.Result {
-	res := &core.Result{Energy: t.Energy}
-	if len(t.Steps) > 0 {
-		res.Records = make([]core.StepRecord, len(t.Steps))
+// CheckStep checks one step against the nx×nu dimensions of its episode:
+// level code in range and w, u, x of the right lengths. Traces, the
+// recorder and journal step records share it.
+func CheckStep(st *Step, nx, nu int) error {
+	if st.Level > core.Unsafe {
+		return fmt.Errorf("level code %d out of range", st.Level)
 	}
-	prev := mat.Vec(t.X0)
-	for i := range t.Steps {
-		st := &t.Steps[i]
-		res.Records[i] = core.StepRecord{
-			T:      i,
-			X:      prev,
-			Level:  core.Level(st.Level),
-			Ran:    st.Ran,
-			Forced: st.Forced,
-			U:      mat.Vec(st.U),
-			W:      mat.Vec(st.W),
-			Next:   mat.Vec(st.X),
-		}
-		if st.Ran {
-			res.Runs++
-			res.ControllerCalls++
-			if st.Forced {
-				res.Forced++
-			}
-		} else {
-			res.Skips++
-		}
-		prev = mat.Vec(st.X)
+	if len(st.W) != nx || len(st.X) != nx {
+		return fmt.Errorf("w/x dims %d/%d, want %d", len(st.W), len(st.X), nx)
 	}
-	return res
+	if len(st.U) != nu {
+		return fmt.Errorf("u has dim %d, want %d", len(st.U), nu)
+	}
+	return nil
 }
 
 // States returns the state sequence X0, Steps[0].X, …, Steps[n-1].X as
@@ -178,7 +136,7 @@ func (t *Trace) States() []mat.Vec {
 	out := make([]mat.Vec, 0, len(t.Steps)+1)
 	out = append(out, mat.Vec(t.X0))
 	for i := range t.Steps {
-		out = append(out, mat.Vec(t.Steps[i].X))
+		out = append(out, t.Steps[i].X)
 	}
 	return out
 }

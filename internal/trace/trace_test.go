@@ -5,8 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"oic/internal/core"
 )
 
 // sample builds a small hand-rolled valid trace.
@@ -125,7 +123,7 @@ func TestRecorder(t *testing.T) {
 	tr := sample()
 	rec := NewRecorder(tr.Meta, tr.X0, tr.NU, 0)
 	for _, st := range tr.Steps {
-		if err := rec.Append(st.Ran, st.Forced, st.Level, st.W, st.U, st.X); err != nil {
+		if err := rec.Append(st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +133,7 @@ func TestRecorder(t *testing.T) {
 	}
 	// The recorder stays usable after materializing, and earlier
 	// materializations are unaffected by later appends.
-	if err := rec.Append(true, false, 0, []float64{1, 1}, []float64{2}, []float64{3, 3}); err != nil {
+	if err := rec.Append(Step{Ran: true, W: []float64{1, 1}, U: []float64{2}, X: []float64{3, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 3 || rec.Len() != 4 {
@@ -146,21 +144,21 @@ func TestRecorder(t *testing.T) {
 	}
 
 	// Dimension guard.
-	if err := rec.Append(true, false, 0, []float64{1}, []float64{2}, []float64{3, 3}); err == nil {
+	if err := rec.Append(Step{Ran: true, W: []float64{1}, U: []float64{2}, X: []float64{3, 3}}); err == nil {
 		t.Error("Append accepted wrong-length w")
 	}
 
 	// Limit.
 	lim := NewRecorder(tr.Meta, tr.X0, tr.NU, 2)
 	for i := 0; i < 2; i++ {
-		if err := lim.Append(false, false, 0, []float64{0, 0}, []float64{0}, []float64{0, 0}); err != nil {
+		if err := lim.Append(Step{W: []float64{0, 0}, U: []float64{0}, X: []float64{0, 0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !lim.Full() {
 		t.Error("recorder not full at limit")
 	}
-	if err := lim.Append(false, false, 0, []float64{0, 0}, []float64{0}, []float64{0, 0}); err == nil {
+	if err := lim.Append(Step{W: []float64{0, 0}, U: []float64{0}, X: []float64{0, 0}}); err == nil {
 		t.Error("Append accepted step beyond limit")
 	}
 	if lim.Len() != 2 {
@@ -202,26 +200,24 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestToResult(t *testing.T) {
-	tr := sample()
-	res := tr.ToResult()
-	if len(res.Records) != 3 {
-		t.Fatalf("records %d", len(res.Records))
+// TestRecorderAppendZeroAllocs pins the recording hook at zero
+// allocations per step after warm-up: the arenas grow geometrically, so
+// no step pays an allocation of its own.
+func TestRecorderAppendZeroAllocs(t *testing.T) {
+	x := []float64{130, 45}
+	st := Step{Ran: true, Level: 1, W: []float64{0.5, 0.1}, U: []float64{1.25}, X: x}
+	rec := NewRecorder(Meta{Plant: "acc"}, x, 1, 0)
+	for i := 0; i < 1024; i++ {
+		if err := rec.Append(st); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if res.Runs != 2 || res.Skips != 1 || res.Forced != 1 || res.ControllerCalls != 2 {
-		t.Errorf("counters %+v", res)
-	}
-	if res.Energy != tr.Energy {
-		t.Errorf("energy %v", res.Energy)
-	}
-	// Records chain: X of step i is X0 / previous successor.
-	if &res.Records[0].X[0] != &tr.X0[0] {
-		t.Error("record 0 pre-state is not x0")
-	}
-	if res.Records[1].X[0] != tr.Steps[0].X[0] || res.Records[1].T != 1 {
-		t.Error("record 1 pre-state is not step 0 successor")
-	}
-	if res.Records[2].Level != core.InXPrime || res.Records[1].Level != core.InXI {
-		t.Error("levels not preserved")
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := rec.Append(st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Recorder.Append allocates %v times per step, want 0", allocs)
 	}
 }

@@ -124,7 +124,7 @@ func (e *Engine) Artifact() (*Artifact, error) {
 		Version: artifact.Version,
 		NX:      e.NX(),
 		NU:      e.NU(),
-		Meta: artifact.Meta{
+		Meta: TraceMeta{
 			Plant:         cfg.Plant,
 			Scenario:      cfg.Scenario,
 			Policy:        cfg.Policy,

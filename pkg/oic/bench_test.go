@@ -250,9 +250,7 @@ func BenchmarkFleetTickJournaled(b *testing.B) {
 	nx, nu := e.NX(), e.NU()
 	f.SetStepHook(func(member int, ev StepEvent) {
 		rec := journal.Record{
-			Type: journal.TypeFleetStep, ID: "f-bench", Member: uint32(member), NX: nx, NU: nu,
-			Ran: ev.Ran, Forced: ev.Forced, Level: ev.Level,
-			W: ev.W, U: ev.U, X: ev.X,
+			Type: journal.TypeFleetStep, ID: "f-bench", Member: uint32(member), NX: nx, NU: nu, Step: ev,
 		}
 		if err := jw.Append(&rec); err != nil {
 			b.Error(err)

@@ -136,21 +136,18 @@ func (m *fleetMember) Decide() sched.Decision {
 // overrides a skip whenever x ∉ X′, so even a (never planned) mis-shed
 // could not break Theorem 1.
 func (m *fleetMember) Step(compute bool) error {
-	rec, err := m.cs.StepWithChoice(m.w, compute)
+	st, err := m.cs.StepWithChoice(m.w, compute)
 	if err != nil {
 		return err
 	}
 	if m.rec != nil && !m.rec.Full() {
-		_ = m.rec.Append(rec.Ran, rec.Forced, uint8(rec.Level), rec.W, rec.U, rec.Next)
+		_ = m.rec.Append(st)
 	}
 	if h := m.f.hook; h != nil {
 		// Safe to read without the fleet lock: SetStepHook takes f.mu and
 		// Step only runs inside Tick, which holds it. The hook itself must
 		// be safe for concurrent calls — the step lane is parallel.
-		h(m.id, StepEvent{
-			T: rec.T, Ran: rec.Ran, Forced: rec.Forced, Level: uint8(rec.Level),
-			W: rec.W, U: rec.U, X: rec.Next,
-		})
+		h(m.id, st)
 	}
 	return nil
 }
@@ -358,11 +355,11 @@ type TickReport struct {
 	Sessions int `json:"sessions"` // members scheduled this tick
 	Budget   int `json:"compute_budget,omitempty"`
 
-	Skips    int `json:"skips"`    // policy-chosen zero-input steps
-	Computes int `json:"computes"` // full κ computations run (incl. any that failed, see Errors)
-	Forced   int `json:"forced"`   // monitor-mandated computes (⊆ computes)
-	Shed     int `json:"shed"`     // would-be computes converted to safe skips
-	Overrun  int `json:"overrun"`  // forced computes beyond the budget
+	Skips    int `json:"skips"`              // policy-chosen zero-input steps
+	Computes int `json:"computes"`           // full κ computations run (incl. any that failed, see Errors)
+	Forced   int `json:"forced"`             // monitor-mandated computes (⊆ computes)
+	Shed     int `json:"shed"`               // would-be computes converted to safe skips
+	Overrun  int `json:"overrun"`            // forced computes beyond the budget
 	Degraded int `json:"degraded,omitempty"` // computes shed by fault or deadline degradation (⊆ shed)
 
 	// Utilization is computes / budget (0 when the budget is unlimited);

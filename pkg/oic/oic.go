@@ -351,9 +351,9 @@ func (e *Engine) MaxSkipBudget() (int, error) {
 	return sb.Max(), nil
 }
 
-// acquireCore hands out a recording-off core session at x0: a pooled
-// workspace reset to cold when one is available, a fresh one otherwise.
-// Shared by NewSession and Fleet.Admit.
+// acquireCore hands out a core session at x0: a pooled workspace reset
+// to cold when one is available, a fresh one otherwise. Shared by
+// NewSession and Fleet.Admit.
 func (e *Engine) acquireCore(x0 []float64) (*core.Session, error) {
 	if len(x0) != e.NX() {
 		return nil, fmt.Errorf("%w: x0 has dim %d, want %d", ErrBadDimension, len(x0), e.NX())
@@ -372,9 +372,6 @@ func (e *Engine) acquireCore(x0 []float64) (*core.Session, error) {
 			return nil, err
 		}
 	}
-	// Serving sessions are long-lived: keep aggregate counters only, not
-	// an unbounded per-step record trail.
-	cs.SetRecording(false)
 	return cs, nil
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"oic/internal/audit"
 	"oic/internal/core"
-	"oic/internal/mat"
 	"oic/internal/trace"
 )
 
@@ -98,7 +97,7 @@ func (e *Engine) AuditTrace(t *Trace) (*AuditReport, error) {
 	if err := e.checkTrace(t); err != nil {
 		return nil, err
 	}
-	rep := audit.Run(e.System(), e.SafetySets(), t.ToResult(), audit.Options{})
+	rep := audit.Run(e.System(), e.SafetySets(), t, audit.Options{})
 	out := &AuditReport{Steps: rep.Steps, Clean: rep.OK()}
 	for _, f := range rep.Findings {
 		out.Findings = append(out.Findings, AuditFinding{Step: f.Step, Kind: f.Kind.String(), Msg: f.Msg})
@@ -150,14 +149,14 @@ func (e *Engine) Replay(t *Trace, opts ReplayOptions) (*ReplayReport, error) {
 				run, shed = false, shed+1
 			}
 		}
-		r, err := cs.StepWithChoice(mat.Vec(t.Steps[i].W), run)
+		st, err := cs.StepWithChoice(t.Steps[i].W, run)
 		if err != nil {
 			return nil, fmt.Errorf("oic: replay step %d: %w", i, err)
 		}
-		if r.Ran {
+		if st.Ran {
 			computes++
 		}
-		_ = rec.Append(r.Ran, r.Forced, uint8(r.Level), r.W, r.U, r.Next)
+		_ = rec.Append(st)
 	}
 
 	replayed := rec.Trace()

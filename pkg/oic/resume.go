@@ -19,20 +19,14 @@ import (
 	"oic/internal/trace"
 )
 
-// StepEvent is the journaling-facing view of one executed step — exactly
-// the payload a write-ahead journal must persist to replay it. The slices
-// are views into runtime buffers, valid only for the duration of the hook
-// call: a hook that retains them must copy (journal writers encode into
-// their own buffer, so the hot path stays allocation-free).
-type StepEvent struct {
-	T      int       // step index (0-based)
-	Ran    bool      // effective z(t): κ computed and applied
-	Forced bool      // monitor overrode the policy (x ∉ X′)
-	Level  uint8     // core.Level code of the pre-step state
-	W      []float64 // realized disturbance
-	U      []float64 // applied input (zeros when skipped)
-	X      []float64 // successor state
-}
+// StepEvent is what the step hooks receive: the executed step itself —
+// exactly the payload a write-ahead journal persists to replay it, and
+// the same value a trace records. Its step index is its position in the
+// session's or member's stream. The slices are views into runtime
+// buffers, valid only for the duration of the hook call: a hook that
+// retains them must copy (journal writers encode into their own buffer,
+// so the hot path stays allocation-free).
+type StepEvent = TraceStep
 
 // SetStepHook installs fn (nil clears) to be called synchronously after
 // every successful step, before the step's result is returned — the
@@ -162,12 +156,12 @@ func (e *Engine) resumeCore(t *Trace) (*core.Session, error) {
 	}
 	for i := range t.Steps {
 		st := &t.Steps[i]
-		r, err := cs.StepWithChoice(mat.Vec(st.W), st.Ran)
+		r, err := cs.StepWithChoice(st.W, st.Ran)
 		if err != nil {
 			e.releaseCore(cs)
 			return nil, fmt.Errorf("oic: resume step %d: %w", i, err)
 		}
-		if r.Ran != st.Ran || !bitsEqual(r.U, st.U) || !bitsEqual(r.Next, st.X) {
+		if r.Ran != st.Ran || !bitsEqual(r.U, st.U) || !bitsEqual(r.X, st.X) {
 			e.releaseCore(cs)
 			return nil, fmt.Errorf("%w: step %d", ErrResumeMismatch, i)
 		}
@@ -182,8 +176,7 @@ func (e *Engine) resumeCore(t *Trace) (*core.Session, error) {
 func (e *Engine) resumeRecorder(t *Trace, limit int) *trace.Recorder {
 	rec := trace.NewRecorder(e.traceMeta(), t.X0, e.NU(), limit)
 	for i := range t.Steps {
-		st := &t.Steps[i]
-		_ = rec.Append(st.Ran, st.Forced, st.Level, st.W, st.U, st.X)
+		_ = rec.Append(t.Steps[i])
 	}
 	return rec
 }

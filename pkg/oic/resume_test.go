@@ -38,8 +38,9 @@ func TestSessionStepHookWriteAhead(t *testing.T) {
 	}
 	var got []owned
 	s.SetStepHook(func(ev StepEvent) {
-		// The event's slices are views; copy what we keep.
-		got = append(got, owned{t: ev.T, ran: ev.Ran,
+		// The event's slices are views; copy what we keep. Its step index
+		// is its position in the stream.
+		got = append(got, owned{t: len(got), ran: ev.Ran,
 			u: append([]float64(nil), ev.U...),
 			x: append([]float64(nil), ev.X...)})
 	})

@@ -68,29 +68,26 @@ func (s *Session) stepLocked(ctx context.Context, w []float64) (StepResult, erro
 		// trace either covers its whole episode or the episode stops.
 		return StepResult{}, fmt.Errorf("%w: %d steps", ErrTraceLimit, s.rec.Len())
 	}
-	rec, err := s.cs.StepContext(ctx, mat.Vec(w))
+	st, err := s.cs.StepContext(ctx, mat.Vec(w))
 	if err != nil {
 		return StepResult{}, err
 	}
 	if s.rec != nil {
-		// rec carries views; the recorder copies into its arenas.
-		_ = s.rec.Append(rec.Ran, rec.Forced, uint8(rec.Level), rec.W, rec.U, rec.Next)
+		// st carries views; the recorder copies into its arenas.
+		_ = s.rec.Append(st)
 	}
 	if s.hook != nil {
-		s.hook(StepEvent{
-			T: rec.T, Ran: rec.Ran, Forced: rec.Forced, Level: uint8(rec.Level),
-			W: rec.W, U: rec.U, X: rec.Next,
-		})
+		s.hook(st)
 	}
-	// rec carries buffer views (recording is off); clone at the facade
-	// boundary so the wire result is owned by the caller.
+	// st carries buffer views; clone at the facade boundary so the wire
+	// result is owned by the caller.
 	return StepResult{
-		T:      rec.T,
-		Level:  rec.Level.String(),
-		Ran:    rec.Ran,
-		Forced: rec.Forced,
-		U:      append([]float64(nil), rec.U...),
-		X:      append([]float64(nil), rec.Next...),
+		T:      s.cs.Time() - 1,
+		Level:  st.Level.String(),
+		Ran:    st.Ran,
+		Forced: st.Forced,
+		U:      append([]float64(nil), st.U...),
+		X:      append([]float64(nil), st.X...),
 	}, nil
 }
 
