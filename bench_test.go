@@ -20,6 +20,7 @@ import (
 	"oic/internal/core"
 	"oic/internal/exp"
 	"oic/internal/mat"
+	"oic/internal/nn"
 	"oic/internal/plant"
 	"oic/internal/reach"
 
@@ -193,6 +194,21 @@ func sharedACCModel(b *testing.B) *acc.Model {
 	return benchModel
 }
 
+// trainACCPolicy trains the Fig. 4 DRL skipping policy through the
+// generic trainer.
+func trainACCPolicy(b *testing.B, cfg plant.TrainConfig) core.SkipPolicy {
+	b.Helper()
+	inst, err := acc.Plant{}.Instantiate(acc.Fig4Scenario().Generic())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol, _, err := plant.TrainDRL(inst, cfg, acc.EpisodeSteps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pol
+}
+
 // BenchmarkRMPCStep measures one κR computation (a warm-started LP
 // resolve over varying states): the paper's 0.12 s/step quantity on our
 // solver and hardware.
@@ -217,11 +233,7 @@ func BenchmarkRMPCStep(b *testing.B) {
 // quantity.
 func BenchmarkMonitorAndPolicy(b *testing.B) {
 	m := sharedACCModel(b)
-	agent, _, err := m.TrainDRL(acc.Fig4Scenario().Profile, acc.TrainConfig{Episodes: 2, Steps: 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	policy := m.DRLPolicy(agent)
+	policy := trainACCPolicy(b, plant.TrainConfig{Episodes: 2, Steps: 20})
 	monitor := core.NewMonitor(m.Sets)
 	rng := rand.New(rand.NewSource(4))
 	pts, err := m.Sets.XPrime.Sample(64, rng.Float64)
@@ -240,15 +252,19 @@ func BenchmarkMonitorAndPolicy(b *testing.B) {
 
 // BenchmarkDQNInference isolates the neural-network forward pass.
 func BenchmarkDQNInference(b *testing.B) {
-	m := sharedACCModel(b)
-	agent, _, err := m.TrainDRL(acc.Fig4Scenario().Profile, acc.TrainConfig{Episodes: 2, Steps: 20})
+	pol := trainACCPolicy(b, plant.TrainConfig{Episodes: 2, Steps: 20})
+	snap, err := pol.(plant.SnapshottablePolicy).PolicySnapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := m.Encode(mat.Vec{150, 40}, []mat.Vec{{0.5, 0}})
+	net, err := nn.FromSnapshot(snap.Net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := plant.FixedEncoder(snap.XCenter, snap.XScale, snap.WScale).Encode(mat.Vec{150, 40}, []mat.Vec{{0.5, 0}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.Greedy(s)
+		net.Forward(s)
 	}
 }
 
@@ -350,19 +366,15 @@ func BenchmarkDQNMemoryAblation(b *testing.B) {
 	sc := acc.Fig4Scenario()
 	for i := 0; i < b.N; i++ {
 		for _, r := range []int{1, 4} {
-			agent, _, err := m.TrainDRL(sc.Profile, acc.TrainConfig{
+			pol := trainACCPolicy(b, plant.TrainConfig{
 				Episodes: 120, Memory: r, Seed: 1, // 120 episodes: enough for a representative comparison
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			rng := rand.New(rand.NewSource(5))
 			x0s, err := m.SampleInitialStates(10, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var fuelRM, fuelDRL float64
-			pol := m.DRLPolicy(agent)
 			for _, x0 := range x0s {
 				vf := sc.Profile.Generate(rng, 100)
 				epRM, err := m.RunEpisode(core.AlwaysRun{}, x0, vf, nil)

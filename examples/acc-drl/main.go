@@ -17,6 +17,7 @@ import (
 
 	"oic/internal/acc"
 	"oic/internal/core"
+	"oic/internal/plant"
 )
 
 func main() {
@@ -25,22 +26,22 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("building ACC case study (RMPC, XI = feasible set, X')...")
-	m, err := acc.NewModel(acc.Config{})
+	sc := acc.Fig4Scenario()
+	inst, err := acc.Plant{}.Instantiate(sc.Generic())
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := acc.Fig4Scenario()
+	m := inst.(*acc.Instance).Model()
 
 	fmt.Printf("training double DQN on %s for %d episodes...\n", sc.Profile.Name(), *train)
 	t0 := time.Now()
-	agent, stats, err := m.TrainDRL(sc.Profile, acc.TrainConfig{Episodes: *train, Seed: 1})
+	drl, stats, err := plant.TrainDRL(inst, plant.TrainConfig{Episodes: *train, Seed: 1}, acc.EpisodeSteps)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained in %v (mean episode reward %.4f, final TD-loss EMA %.5f)\n\n",
 		time.Since(t0).Round(time.Millisecond), stats.MeanReward, stats.FinalLossEMA)
 
-	drl := m.DRLPolicy(agent)
 	rng := rand.New(rand.NewSource(7))
 	x0s, err := m.SampleInitialStates(*cases, rng)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"oic/internal/core"
 	"oic/internal/mat"
+	"oic/internal/plant"
 	"oic/internal/traffic"
 )
 
@@ -24,6 +25,15 @@ func model(t *testing.T) *Model {
 		sharedModel = m
 	}
 	return sharedModel
+}
+
+// instance binds the shared model to the Fig. 4 design range driven by
+// the front-vehicle profile p.
+func instance(t *testing.T, p traffic.Profile) *Instance {
+	t.Helper()
+	sc := Fig4Scenario()
+	sc.Profile = p
+	return &Instance{m: model(t), sc: sc}
 }
 
 func TestModelSetNesting(t *testing.T) {
@@ -228,8 +238,8 @@ func TestModelForNarrowRange(t *testing.T) {
 }
 
 func TestEncodeFeatures(t *testing.T) {
-	m := model(t)
-	s := m.Encode(mat.Vec{150, 40}, []mat.Vec{{1, 0}})
+	enc := instance(t, Fig4Scenario().Profile).DRLEncoder()
+	s := enc.Encode(mat.Vec{150, 40}, []mat.Vec{{1, 0}})
 	if len(s) != 3 {
 		t.Fatalf("feature dim = %d", len(s))
 	}
@@ -242,8 +252,7 @@ func TestEncodeFeatures(t *testing.T) {
 }
 
 func TestDRLEnvEpisode(t *testing.T) {
-	m := model(t)
-	env, err := NewDRLEnv(m, Fig4Scenario().Profile, 10, 0, 0, 0)
+	env, err := plant.NewEnv(instance(t, Fig4Scenario().Profile), 10, plant.DefaultW1, plant.DefaultW2, plant.DefaultMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +294,7 @@ func TestDRLEnvEpisode(t *testing.T) {
 }
 
 func TestDRLEnvRewardSemantics(t *testing.T) {
-	m := model(t)
-	env, err := NewDRLEnv(m, traffic.Constant{V: 40}, 5, 0, 0, 0)
+	env, err := plant.NewEnv(instance(t, traffic.Constant{V: 40}), 5, plant.DefaultW1, plant.DefaultW2, plant.DefaultMemory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +308,7 @@ func TestDRLEnvRewardSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r < -DefaultW1-1e-9 {
+	if r < -plant.DefaultW1-1e-9 {
 		t.Errorf("skip reward %v below -w1; energy penalty charged on a skip", r)
 	}
 }
@@ -310,7 +318,8 @@ func TestTrainDRLSmoke(t *testing.T) {
 		t.Skip("DRL training is slow")
 	}
 	m := model(t)
-	agent, stats, err := m.TrainDRL(Fig4Scenario().Profile, TrainConfig{Episodes: 6, Steps: 40, Seed: 3})
+	pol, stats, err := plant.TrainDRL(instance(t, Fig4Scenario().Profile),
+		plant.TrainConfig{Episodes: 6, Steps: 40, Seed: 3}, EpisodeSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +330,7 @@ func TestTrainDRLSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x0s, _ := m.SampleInitialStates(1, rng)
 	vf := Fig4Scenario().Profile.Generate(rng, 40)
-	ep, err := m.RunEpisode(m.DRLPolicy(agent), x0s[0], vf, nil)
+	ep, err := m.RunEpisode(pol, x0s[0], vf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

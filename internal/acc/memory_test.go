@@ -6,6 +6,7 @@ import (
 
 	"oic/internal/core"
 	"oic/internal/mat"
+	"oic/internal/plant"
 	"oic/internal/traffic"
 )
 
@@ -41,22 +42,21 @@ func TestRunEpisodeWithMemoryWindowSize(t *testing.T) {
 }
 
 func TestEncodeWindowMatchesMemory(t *testing.T) {
-	m := model(t)
+	enc := instance(t, traffic.Constant{V: 40}).DRLEncoder()
 	// Encode must accept any window length; dimension = 2 + len(window).
 	for _, r := range []int{1, 2, 4, 8} {
 		w := make([]mat.Vec, r)
 		for i := range w {
 			w[i] = mat.Vec{0, 0}
 		}
-		if got := len(m.Encode(mat.Vec{150, 40}, w)); got != 2+r {
+		if got := len(enc.Encode(mat.Vec{150, 40}, w)); got != 2+r {
 			t.Errorf("r=%d: feature dim %d", r, got)
 		}
 	}
 }
 
 func TestDRLEnvMemoryGreaterThanOne(t *testing.T) {
-	m := model(t)
-	env, err := NewDRLEnv(m, traffic.Constant{V: 40}, 6, 0, 0, 3)
+	env, err := plant.NewEnv(instance(t, traffic.Constant{V: 40}), 6, plant.DefaultW1, plant.DefaultW2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"oic/internal/core"
 	"oic/internal/lti"
 	"oic/internal/mat"
+	"oic/internal/plant"
 	"oic/internal/poly"
 	"oic/internal/trace"
 	"oic/internal/traffic"
@@ -91,50 +92,20 @@ type Model struct {
 // NewModel constructs the case study: dynamics, constraint polytopes, the
 // RMPC, its feasible region XI (Proposition 1), and X′.
 func NewModel(cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
-	if cfg.VfMin >= cfg.VfMax {
-		return nil, fmt.Errorf("acc: NewModel: bad v_f range [%g, %g]", cfg.VfMin, cfg.VfMax)
-	}
-
-	a := mat.FromRows([][]float64{{1, -Delta}, {0, 1 - Drag*Delta}})
-	b := mat.FromRows([][]float64{{0}, {Delta}})
-	sys := lti.NewSystem(a, b).
-		WithDrift(mat.Vec{Delta * VE, 0}).
-		WithConstraints(
-			poly.Box([]float64{SMin, VMin}, []float64{SMax, VMax}),
-			poly.Box([]float64{UMin}, []float64{UMax}),
-			poly.Box([]float64{Delta * (cfg.VfMin - VE), 0}, []float64{Delta * (cfg.VfMax - VE), 0}),
-		)
-
-	xref := mat.Vec{SRef, VE}
-	uref, err := controller.EquilibriumInput(sys, xref, 0)
+	m, err := newModel(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("acc: NewModel: %w", err)
 	}
-
-	rmpc, err := controller.NewRMPC(sys, controller.RMPCConfig{
-		Horizon:     cfg.Horizon,
-		StateWeight: cfg.StateWeight,
-		InputWeight: cfg.InputWeight,
-		XRef:        xref,
-		URef:        uref,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("acc: NewModel: %w", err)
-	}
-
 	// Proposition 1: the RMPC's feasible region is its robust control
 	// invariant set.
-	xi, err := rmpc.FeasibleSet()
+	xi, err := m.RMPC.FeasibleSet()
 	if err != nil {
 		return nil, fmt.Errorf("acc: NewModel: feasible set: %w", err)
 	}
-	sets, err := core.ComputeSafetySets(sys, xi)
-	if err != nil {
+	if m.Sets, err = core.ComputeSafetySets(m.Sys, xi); err != nil {
 		return nil, fmt.Errorf("acc: NewModel: %w", err)
 	}
-
-	return &Model{Cfg: cfg, Sys: sys, RMPC: rmpc, Sets: sets, URef: uref, XRef: xref}, nil
+	return m, nil
 }
 
 // NewModelWithSets constructs the model around precompiled safety sets:
@@ -144,15 +115,27 @@ func NewModel(cfg Config) (*Model, error) {
 // This is the artifact-load path; the sets must come from a model built
 // with the same Config or behavior will diverge.
 func NewModelWithSets(cfg Config, sets core.SafetySets) (*Model, error) {
-	cfg = cfg.withDefaults()
-	if cfg.VfMin >= cfg.VfMax {
-		return nil, fmt.Errorf("acc: NewModelWithSets: bad v_f range [%g, %g]", cfg.VfMin, cfg.VfMax)
-	}
 	if sets.X == nil || sets.XI == nil || sets.XPrime == nil {
 		return nil, fmt.Errorf("acc: NewModelWithSets: incomplete safety sets")
 	}
 	if sets.XI.Dim() != 2 || sets.XPrime.Dim() != 2 {
 		return nil, fmt.Errorf("acc: NewModelWithSets: sets have dimension %d, want 2", sets.XI.Dim())
+	}
+	m, err := newModel(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("acc: NewModelWithSets: %w", err)
+	}
+	m.Sets = sets
+	return m, nil
+}
+
+// newModel builds what NewModel and NewModelWithSets share — the
+// defaulted config, the dynamics with their constraint polytopes, the
+// equilibrium input, and the compiled RMPC — leaving Sets to the caller.
+func newModel(cfg Config) (*Model, error) {
+	cfg = cfg.withDefaults()
+	if cfg.VfMin >= cfg.VfMax {
+		return nil, fmt.Errorf("bad v_f range [%g, %g]", cfg.VfMin, cfg.VfMax)
 	}
 
 	a := mat.FromRows([][]float64{{1, -Delta}, {0, 1 - Drag*Delta}})
@@ -168,7 +151,7 @@ func NewModelWithSets(cfg Config, sets core.SafetySets) (*Model, error) {
 	xref := mat.Vec{SRef, VE}
 	uref, err := controller.EquilibriumInput(sys, xref, 0)
 	if err != nil {
-		return nil, fmt.Errorf("acc: NewModelWithSets: %w", err)
+		return nil, err
 	}
 	rmpc, err := controller.NewRMPC(sys, controller.RMPCConfig{
 		Horizon:     cfg.Horizon,
@@ -178,9 +161,9 @@ func NewModelWithSets(cfg Config, sets core.SafetySets) (*Model, error) {
 		URef:        uref,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("acc: NewModelWithSets: %w", err)
+		return nil, err
 	}
-	return &Model{Cfg: cfg, Sys: sys, RMPC: rmpc, Sets: sets, URef: uref, XRef: xref}, nil
+	return &Model{Cfg: cfg, Sys: sys, RMPC: rmpc, URef: uref, XRef: xref}, nil
 }
 
 // modelCache memoizes model construction per configuration, mirroring the
@@ -259,7 +242,7 @@ type Episode struct {
 // vf can be replayed against different policies for paired comparisons.
 // The policy sees the paper's default disturbance memory r = 1.
 func (m *Model) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, vf []float64, fm *traffic.FuelModel) (*Episode, error) {
-	return m.RunEpisodeWithMemory(policy, x0, vf, fm, DefaultMemory)
+	return m.RunEpisodeWithMemory(policy, x0, vf, fm, plant.DefaultMemory)
 }
 
 // RunEpisodeWithMemory is RunEpisode with an explicit disturbance-memory

@@ -7,9 +7,7 @@ import (
 	"oic/internal/core"
 	"oic/internal/lti"
 	"oic/internal/mat"
-	"oic/internal/nn"
 	"oic/internal/plant"
-	"oic/internal/rl"
 	"oic/internal/traffic"
 )
 
@@ -99,6 +97,21 @@ func (Plant) Instantiate(gsc plant.Scenario) (plant.Instance, error) {
 	return &Instance{m: m, sc: sc}, nil
 }
 
+// InstantiateWithSets implements plant.Plant: it binds the scenario to a
+// model rebuilt around precompiled safety sets, skipping the feasible-set
+// projection and safe-set synthesis entirely.
+func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
+	sc, err := scenarioByID(gsc.ID)
+	if err != nil {
+		return nil, err
+	}
+	m, err := NewModelWithSets(Config{VfMin: sc.VfMin, VfMax: sc.VfMax}, sets)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{m: m, sc: sc}, nil
+}
+
 // Instance is an ACC model bound to one scenario's front-vehicle profile.
 type Instance struct {
 	m  *Model
@@ -147,104 +160,15 @@ func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) 
 	return &plant.Episode{Result: ep.Result, Cost: ep.Fuel, Energy: ep.Energy}, nil
 }
 
-// TrainSkipPolicy implements plant.Instance using the paper's bespoke
-// encoding (Section IV hyper-parameters).
-func (in *Instance) TrainSkipPolicy(cfg plant.TrainConfig) (core.SkipPolicy, rl.TrainStats, error) {
-	agent, stats, err := in.m.TrainDRL(in.sc.Profile, TrainConfig{
-		Episodes: cfg.Episodes, Steps: cfg.Steps, Seed: cfg.Seed,
-		W1: cfg.W1, W2: cfg.W2, Memory: cfg.Memory,
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	memory := cfg.Memory
-	if memory <= 0 {
-		memory = DefaultMemory
-	}
-	return accPolicy{m: in.m, net: agent.Policy(), memory: memory}, stats, nil
-}
-
-// accPolicy is the trained ACC skipping policy: the greedy argmax over
-// the Q-network on the paper's bespoke agent state m.Encode(x, w). It
-// holds the network directly so the policy snapshots into an artifact and
-// restores bit-identically, and carries its disturbance-memory length
-// (plant.MemoryPolicy).
-type accPolicy struct {
-	m      *Model
-	net    *nn.MLP
-	memory int
-}
-
-// Decide implements core.SkipPolicy: action 1 ("run κ") iff
-// Q(s, run) > Q(s, skip), matching rl.DDQN.Greedy's strict argmax.
-func (p accPolicy) Decide(_ int, x mat.Vec, wRecent []mat.Vec) bool {
-	q := p.net.Forward(p.m.Encode(x, wRecent))
-	return q[1] > q[0]
-}
-
-// Name implements core.SkipPolicy.
-func (p accPolicy) Name() string { return plant.DRLPolicyLabel }
-
-// PolicyMemory implements plant.MemoryPolicy.
-func (p accPolicy) PolicyMemory() int { return p.memory }
-
-// PolicySnapshot implements plant.SnapshottablePolicy. The ACC's encoder
-// is bespoke — it uses only the disturbance's first component against the
-// scalar WScale — so the snapshot stores a scalar wScale and the paper's
-// fixed state bounds.
-func (p accPolicy) PolicySnapshot() (*plant.PolicySnapshot, error) {
-	return &plant.PolicySnapshot{
-		Label:   plant.DRLPolicyLabel,
-		Memory:  p.memory,
-		Net:     p.net.Snapshot(),
-		XCenter: []float64{SRef, VE},
-		XScale:  []float64{(SMax - SMin) / 2, (VMax - VMin) / 2},
-		WScale:  []float64{p.m.WScale()},
-	}, nil
-}
-
-// InstantiateWithSets implements plant.SetsLoader: it binds the scenario
-// to a model rebuilt around precompiled safety sets, skipping the
-// feasible-set projection and safe-set synthesis entirely.
-func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
-	sc, err := scenarioByID(gsc.ID)
-	if err != nil {
-		return nil, err
-	}
-	m, err := NewModelWithSets(Config{VfMin: sc.VfMin, VfMax: sc.VfMax}, sets)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{m: m, sc: sc}, nil
-}
-
-// RestoreSkipPolicy implements plant.PolicyRestorer: it rebuilds the
-// trained ACC policy from its snapshot without retraining. The stored
-// wScale must match this model's — a mismatch means the snapshot was
-// taken on a different v_f design range and would silently misnormalize.
-func (in *Instance) RestoreSkipPolicy(snap *plant.PolicySnapshot) (core.SkipPolicy, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: nil snapshot")
-	}
-	if snap.Label != plant.DRLPolicyLabel {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: unknown policy label %q", snap.Label)
-	}
-	if snap.Memory < 1 {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: memory %d < 1", snap.Memory)
-	}
-	if len(snap.WScale) != 1 || snap.WScale[0] != in.m.WScale() {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: snapshot wScale %v, model expects [%g]",
-			snap.WScale, in.m.WScale())
-	}
-	net, err := nn.FromSnapshot(snap.Net)
-	if err != nil {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: %w", err)
-	}
-	if want := 2 + snap.Memory; net.Sizes[0] != want {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: network input %d, encoder expects %d", net.Sizes[0], want)
-	}
-	if net.Sizes[len(net.Sizes)-1] != 2 {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: network has %d outputs, want 2", net.Sizes[len(net.Sizes)-1])
-	}
-	return accPolicy{m: in.m, net: net, memory: snap.Memory}, nil
+// DRLEncoder implements plant.DeclaredEncoder with the paper's Section IV
+// normalization: distance and speed about the setpoint (SRef, VE) over
+// the half-widths of the safe box, and the front-speed disturbance over
+// its design half-range. The second disturbance channel is identically
+// zero and is not encoded.
+func (in *Instance) DRLEncoder() *plant.Encoder {
+	return plant.FixedEncoder(
+		mat.Vec{SRef, VE},
+		mat.Vec{(SMax - SMin) / 2, (VMax - VMin) / 2},
+		mat.Vec{in.m.WScale()},
+	)
 }

@@ -19,8 +19,10 @@ import (
 // encoded engine per (plant, policy) under testdata/golden (shared with
 // FuzzDecodeArtifact's seed corpus). The conformance test decodes each,
 // requires the canonical re-encoding to reproduce the committed bytes
-// exactly, and requires oic.LoadEngine to accept it — any codec change,
-// set-synthesis change, or training change trips it.
+// exactly, and requires oic.LoadEngine to accept it — any codec change
+// trips it. pkg/oic's TestLoadEngineConformance rebuilds the six engines
+// and requires their artifacts to encode to these bytes, so a
+// set-synthesis or training change trips that.
 //
 // Regenerate after an *intentional* format or numerical change with:
 //

@@ -29,7 +29,6 @@ import (
 	"oic/internal/mat"
 	"oic/internal/plant"
 	"oic/internal/poly"
-	"oic/internal/rl"
 )
 
 // Plant constants (normalized units).
@@ -91,31 +90,18 @@ type Model struct {
 
 // NewModel constructs the station-keeping plant.
 func NewModel() (*Model, error) {
-	a := mat.FromRows([][]float64{{1, Delta}, {0, 1}})
-	b := mat.FromRows([][]float64{{Delta * Delta / 2}, {Delta}})
-	sys := lti.NewSystem(a, b).WithConstraints(
-		poly.Box([]float64{-PosMax, -VelMax}, []float64{PosMax, VelMax}),
-		poly.Box([]float64{-UMax}, []float64{UMax}),
-		poly.Box([]float64{-WPosMax, -WVelMax}, []float64{WPosMax, WVelMax}),
-	)
-
-	rmpc, err := controller.NewRMPC(sys, controller.RMPCConfig{
-		Horizon:     DefaultHorizon,
-		StateWeight: 1,
-		InputWeight: 0.1,
-	})
+	m, err := newModel()
 	if err != nil {
 		return nil, fmt.Errorf("orbit: NewModel: %w", err)
 	}
-	xi, err := rmpc.FeasibleSet()
+	xi, err := m.RMPC.FeasibleSet()
 	if err != nil {
 		return nil, fmt.Errorf("orbit: NewModel: feasible set: %w", err)
 	}
-	sets, err := core.ComputeSafetySets(sys, xi)
-	if err != nil {
+	if m.Sets, err = core.ComputeSafetySets(m.Sys, xi); err != nil {
 		return nil, fmt.Errorf("orbit: NewModel: %w", err)
 	}
-	return &Model{Sys: sys, RMPC: rmpc, Sets: sets}, nil
+	return m, nil
 }
 
 // NewModelWithSets rebuilds the model around precompiled safety sets: the
@@ -129,6 +115,18 @@ func NewModelWithSets(sets core.SafetySets) (*Model, error) {
 	if sets.XI.Dim() != 2 || sets.XPrime.Dim() != 2 {
 		return nil, fmt.Errorf("orbit: NewModelWithSets: sets have dimension %d, want 2", sets.XI.Dim())
 	}
+	m, err := newModel()
+	if err != nil {
+		return nil, fmt.Errorf("orbit: NewModelWithSets: %w", err)
+	}
+	m.Sets = sets
+	return m, nil
+}
+
+// newModel builds what NewModel and NewModelWithSets share — the
+// dynamics with their constraint polytopes and the compiled RMPC —
+// leaving Sets to the caller.
+func newModel() (*Model, error) {
 	a := mat.FromRows([][]float64{{1, Delta}, {0, 1}})
 	b := mat.FromRows([][]float64{{Delta * Delta / 2}, {Delta}})
 	sys := lti.NewSystem(a, b).WithConstraints(
@@ -142,9 +140,9 @@ func NewModelWithSets(sets core.SafetySets) (*Model, error) {
 		InputWeight: 0.1,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("orbit: NewModelWithSets: %w", err)
+		return nil, err
 	}
-	return &Model{Sys: sys, RMPC: rmpc, Sets: sets}, nil
+	return &Model{Sys: sys, RMPC: rmpc}, nil
 }
 
 // Plant implements plant.Plant; it is registered under "orbit".
@@ -237,18 +235,41 @@ func (Plant) Ladders() []plant.Ladder {
 // NewModel) and safe to share.
 var sharedModel = sync.OnceValues(NewModel)
 
-// Instantiate implements plant.Plant.
-func (Plant) Instantiate(gsc plant.Scenario) (plant.Instance, error) {
+// lookup resolves a generic scenario to its space-weather scenario.
+func lookup(gsc plant.Scenario) (scenario, error) {
 	for _, sc := range scenarios() {
 		if sc.ID == gsc.ID {
-			m, err := sharedModel()
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{m: m, sc: sc}, nil
+			return sc, nil
 		}
 	}
-	return nil, fmt.Errorf("orbit: %w %q", plant.ErrUnknownScenario, gsc.ID)
+	return scenario{}, fmt.Errorf("orbit: %w %q", plant.ErrUnknownScenario, gsc.ID)
+}
+
+// Instantiate implements plant.Plant.
+func (Plant) Instantiate(gsc plant.Scenario) (plant.Instance, error) {
+	sc, err := lookup(gsc)
+	if err != nil {
+		return nil, err
+	}
+	m, err := sharedModel()
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{m: m, sc: sc}, nil
+}
+
+// InstantiateWithSets implements plant.Plant: the artifact-load path
+// that skips the feasible-set projection.
+func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
+	sc, err := lookup(gsc)
+	if err != nil {
+		return nil, err
+	}
+	m, err := NewModelWithSets(sets)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{m: m, sc: sc}, nil
 }
 
 // Instance is the station-keeping model bound to one space-weather
@@ -289,30 +310,4 @@ func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) 
 		return nil, fmt.Errorf("orbit: RunEpisode: %w", err)
 	}
 	return &plant.Episode{Result: res, Cost: res.Energy * Delta, Energy: res.Energy}, nil
-}
-
-// TrainSkipPolicy implements plant.Instance via the generic DRL trainer.
-func (in *Instance) TrainSkipPolicy(cfg plant.TrainConfig) (core.SkipPolicy, rl.TrainStats, error) {
-	return plant.TrainDRL(in, cfg, EpisodeSteps)
-}
-
-// InstantiateWithSets implements plant.SetsLoader: the artifact-load path
-// that skips the feasible-set projection.
-func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
-	for _, sc := range scenarios() {
-		if sc.ID == gsc.ID {
-			m, err := NewModelWithSets(sets)
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{m: m, sc: sc}, nil
-		}
-	}
-	return nil, fmt.Errorf("orbit: %w %q", plant.ErrUnknownScenario, gsc.ID)
-}
-
-// RestoreSkipPolicy implements plant.PolicyRestorer via the generic DRL
-// restore (the plant trains through plant.TrainDRL).
-func (in *Instance) RestoreSkipPolicy(snap *plant.PolicySnapshot) (core.SkipPolicy, error) {
-	return plant.RestoreDRLPolicy(snap)
 }

@@ -2,6 +2,7 @@ package plant
 
 import (
 	"fmt"
+	"math"
 
 	"oic/internal/core"
 	"oic/internal/mat"
@@ -9,8 +10,8 @@ import (
 )
 
 // DRLPolicyLabel is the canonical name of a trained DRL skipping policy
-// — shared by the generic trainer, the plants' bespoke trainers, and the
-// artifact restore paths so snapshots round-trip under one label.
+// — shared by the trainer and the restorer so snapshots round-trip under
+// one label.
 const DRLPolicyLabel = "drl-ddqn"
 
 // PolicySnapshot is the persistable form of a trained skipping policy:
@@ -35,30 +36,15 @@ type SnapshottablePolicy interface {
 	PolicySnapshot() (*PolicySnapshot, error)
 }
 
-// SetsLoader is implemented by plants that can instantiate from
-// precompiled safety sets, skipping the expensive offline synthesis
-// (invariant-set computation, MPC feasible-set projection) entirely —
-// the load half of the artifact pipeline.
-type SetsLoader interface {
-	Plant
-	InstantiateWithSets(sc Scenario, sets core.SafetySets) (Instance, error)
-}
-
-// PolicyRestorer is implemented by instances that can rebuild a trained
-// skipping policy from its snapshot without retraining.
-type PolicyRestorer interface {
-	Instance
-	RestoreSkipPolicy(snap *PolicySnapshot) (core.SkipPolicy, error)
-}
-
-// RestoreDRLPolicy rebuilds the generic trained policy from a snapshot:
+// RestoreDRLPolicy rebuilds inst's trained DRL policy from a snapshot:
 // the restored encoder uses the stored bounds verbatim and the restored
 // network the stored parameters verbatim, so Decide computes the same
-// float64s as the policy the snapshot was taken from. Plants whose
-// TrainSkipPolicy delegates to TrainDRL implement RestoreSkipPolicy by
-// delegating here; plants with a bespoke encoder (the ACC) restore their
-// own policy type instead.
-func RestoreDRLPolicy(snap *PolicySnapshot) (core.SkipPolicy, error) {
+// float64s as the policy the snapshot was taken from. The bounds must fit
+// the plant — one center and scale per state, between one and NX
+// disturbance scales — and, when inst declares its encoder
+// (DeclaredEncoder), equal the declared bounds bit for bit: a snapshot
+// taken on another design range would silently misnormalize.
+func RestoreDRLPolicy(inst Instance, snap *PolicySnapshot) (core.SkipPolicy, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: nil snapshot")
 	}
@@ -68,18 +54,26 @@ func RestoreDRLPolicy(snap *PolicySnapshot) (core.SkipPolicy, error) {
 	if snap.Memory < 1 {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: memory %d < 1", snap.Memory)
 	}
-	if len(snap.XCenter) == 0 || len(snap.XScale) != len(snap.XCenter) || len(snap.WScale) == 0 {
-		return nil, fmt.Errorf("plant: RestoreDRLPolicy: bad normalization bounds (%d/%d/%d)",
-			len(snap.XCenter), len(snap.XScale), len(snap.WScale))
+	nx := inst.System().NX()
+	if len(snap.XCenter) != nx || len(snap.XScale) != nx || len(snap.WScale) < 1 || len(snap.WScale) > nx {
+		return nil, fmt.Errorf("plant: RestoreDRLPolicy: normalization bounds (%d/%d/%d) do not fit a plant with %d states",
+			len(snap.XCenter), len(snap.XScale), len(snap.WScale), nx)
+	}
+	enc := FixedEncoder(
+		append(mat.Vec(nil), snap.XCenter...),
+		append(mat.Vec(nil), snap.XScale...),
+		append(mat.Vec(nil), snap.WScale...),
+	)
+	if d, ok := inst.(DeclaredEncoder); ok {
+		if want := d.DRLEncoder(); !sameBits(enc.xCenter, want.xCenter) ||
+			!sameBits(enc.xScale, want.xScale) || !sameBits(enc.wScale, want.wScale) {
+			return nil, fmt.Errorf("plant: RestoreDRLPolicy: snapshot bounds %v/%v/%v, plant declares %v/%v/%v",
+				enc.xCenter, enc.xScale, enc.wScale, want.xCenter, want.xScale, want.wScale)
+		}
 	}
 	net, err := nn.FromSnapshot(snap.Net)
 	if err != nil {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: %w", err)
-	}
-	enc := &Encoder{
-		xCenter: append(mat.Vec(nil), snap.XCenter...),
-		xScale:  append(mat.Vec(nil), snap.XScale...),
-		wScale:  append(mat.Vec(nil), snap.WScale...),
 	}
 	if want := enc.StateDim(snap.Memory); net.Sizes[0] != want {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: network input %d, encoder expects %d", net.Sizes[0], want)
@@ -88,4 +82,17 @@ func RestoreDRLPolicy(snap *PolicySnapshot) (core.SkipPolicy, error) {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: network has %d outputs, want 2", net.Sizes[len(net.Sizes)-1])
 	}
 	return trainedPolicy{net: net, enc: enc, memory: snap.Memory}, nil
+}
+
+// sameBits reports whether a and b hold the same float64s, bit for bit.
+func sameBits(a, b mat.Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

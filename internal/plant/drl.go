@@ -43,15 +43,32 @@ func (c TrainConfig) withDefaults(defaultSteps int) TrainConfig {
 }
 
 // Encoder normalizes (state, recent disturbances) into the paper's agent
-// state s(t) = {x(t), w(t−r+1), …, w(t)} with O(1) feature ranges. Center
-// and scale come from the bounding boxes of the safe set X and the
-// disturbance set W, so it applies to any plant.
+// state s(t) = {x(t), w(t−r+1), …, w(t)} with O(1) feature ranges: state
+// coordinate i maps to (x_i − xCenter_i)/xScale_i, and the first
+// len(wScale) channels of each window entry to w_i/wScale_i.
 type Encoder struct {
 	xCenter, xScale mat.Vec
 	wScale          mat.Vec
 }
 
-// NewEncoder derives normalization from the instance's constraint sets.
+// DeclaredEncoder is an optional Instance extension for plants that fix
+// their DRL normalization bounds instead of deriving them from the
+// bounding boxes of X and W (the ACC declares the paper's Section IV
+// constants). The trainer encodes with the declared bounds, and
+// RestoreDRLPolicy requires a snapshot to carry exactly them.
+type DeclaredEncoder interface {
+	DRLEncoder() *Encoder
+}
+
+// FixedEncoder returns an encoder over the given bounds: one center and
+// one scale per state coordinate, and one scale per encoded disturbance
+// channel.
+func FixedEncoder(xCenter, xScale, wScale mat.Vec) *Encoder {
+	return &Encoder{xCenter: xCenter, xScale: xScale, wScale: wScale}
+}
+
+// NewEncoder derives normalization from the bounding boxes of the
+// instance's safe set X and disturbance set W.
 func NewEncoder(inst Instance) (*Encoder, error) {
 	sys := inst.System()
 	if sys.X == nil || sys.W == nil {
@@ -83,11 +100,20 @@ func NewEncoder(inst Instance) (*Encoder, error) {
 			s = d
 		}
 		if s <= 0 {
-			s = 1 // flat disturbance direction (e.g. the ACC's second channel)
+			s = 1 // W pins this channel to zero: any unit keeps the feature at 0
 		}
 		e.wScale[i] = s
 	}
 	return e, nil
+}
+
+// encoderFor returns inst's declared encoder (DeclaredEncoder), or one
+// derived from its X and W sets.
+func encoderFor(inst Instance) (*Encoder, error) {
+	if d, ok := inst.(DeclaredEncoder); ok {
+		return d.DRLEncoder(), nil
+	}
+	return NewEncoder(inst)
 }
 
 // StateDim returns the encoded feature count for memory recent disturbances.
@@ -100,8 +126,8 @@ func (e *Encoder) Encode(x mat.Vec, wRecent []mat.Vec) mat.Vec {
 		out = append(out, (xi-e.xCenter[i])/e.xScale[i])
 	}
 	for _, w := range wRecent {
-		for i, wi := range w {
-			out = append(out, wi/e.wScale[i])
+		for i, ws := range e.wScale {
+			out = append(out, w[i]/ws)
 		}
 	}
 	return out
@@ -125,9 +151,11 @@ type Env struct {
 	t    int
 }
 
-// NewEnv builds a training environment over inst with episode length steps.
+// NewEnv builds a training environment over inst with episode length
+// steps. Features use the instance's declared encoder when it has one
+// (DeclaredEncoder), bounds derived from X and W otherwise.
 func NewEnv(inst Instance, steps int, w1, w2 float64, memory int) (*Env, error) {
-	enc, err := NewEncoder(inst)
+	enc, err := encoderFor(inst)
 	if err != nil {
 		return nil, err
 	}
@@ -186,9 +214,9 @@ func (e *Env) Step(action int) (mat.Vec, float64, bool, error) {
 	return e.enc.Encode(st.X, e.sess.RecentWView()), reward, done, nil
 }
 
-// TrainDRL trains a double-DQN skipping agent for inst with the paper's
-// setup, generically over any plant: plants without a bespoke trainer
-// implement TrainSkipPolicy by delegating here.
+// TrainDRL trains the paper's double-DQN skipping agent for inst, with
+// the Section IV hyper-parameters, for any plant. defaultSteps is the
+// episode length used when cfg.Steps is 0 (the plant's EpisodeSteps).
 func TrainDRL(inst Instance, cfg TrainConfig, defaultSteps int) (core.SkipPolicy, rl.TrainStats, error) {
 	cfg = cfg.withDefaults(defaultSteps)
 	env, err := NewEnv(inst, cfg.Steps, cfg.W1, cfg.W2, cfg.Memory)

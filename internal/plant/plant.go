@@ -18,7 +18,6 @@ import (
 	"oic/internal/core"
 	"oic/internal/lti"
 	"oic/internal/mat"
-	"oic/internal/rl"
 )
 
 // Scenario identifies one experimental setting of a plant: an exogenous
@@ -56,9 +55,9 @@ type Episode struct {
 }
 
 // Instance is a plant configured for one scenario: concrete dynamics,
-// safety sets, an episode runner, and a policy trainer. Instances must be
-// safe for concurrent RunEpisode calls (the harness evaluates cases in
-// parallel).
+// safety sets, and an episode runner. TrainDRL learns its skipping
+// policy. Instances must be safe for concurrent RunEpisode calls (the
+// harness evaluates cases in parallel).
 type Instance interface {
 	// System returns the affine LTI plant with its X/U/W constraint sets.
 	System() *lti.System
@@ -81,10 +80,6 @@ type Instance interface {
 	// RunEpisode executes Algorithm 1 for len(w) steps from x0 under the
 	// policy and meters the plant cost over the resulting trajectory.
 	RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) (*Episode, error)
-
-	// TrainSkipPolicy trains the learned skipping policy (the paper's DRL
-	// agent) for this scenario and returns it alongside training stats.
-	TrainSkipPolicy(cfg TrainConfig) (core.SkipPolicy, rl.TrainStats, error)
 }
 
 // Plant is a registered case study: a scenario catalogue plus a factory
@@ -105,6 +100,12 @@ type Plant interface {
 	// Instantiate builds the model and safety sets for a scenario. The
 	// scenario must be one returned by Headline or Ladders.
 	Instantiate(sc Scenario) (Instance, error)
+	// InstantiateWithSets is Instantiate around precompiled safety sets:
+	// the dynamics and κ are rebuilt, while the expensive offline
+	// synthesis (invariant-set computation, MPC feasible-set projection)
+	// is skipped — the load half of the artifact pipeline. The sets must
+	// come from an Instantiate of the same scenario.
+	InstantiateWithSets(sc Scenario, sets core.SafetySets) (Instance, error)
 }
 
 // MemoryPolicy is an optional extension for skip policies that were

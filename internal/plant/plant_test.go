@@ -113,8 +113,10 @@ func TestEveryPlantContract(t *testing.T) {
 }
 
 // TestGenericDRLTrainsSafely checks the plant-agnostic trainer end to end
-// on the plants that use it: training must stay violation-free (the
-// monitor guards exploration) and the trained policy must run.
+// on the plants that derive their encoder from X and W (the ACC's
+// declared encoder is covered by its TestTrainDRLSmoke): training must
+// stay violation-free (the monitor guards exploration) and the trained
+// policy must run.
 func TestGenericDRLTrainsSafely(t *testing.T) {
 	for _, name := range []string{"thermo", "orbit"} {
 		t.Run(name, func(t *testing.T) {
@@ -126,7 +128,7 @@ func TestGenericDRLTrainsSafely(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pol, st, err := inst.TrainSkipPolicy(plant.TrainConfig{Episodes: 3, Steps: 25, Seed: 5})
+			pol, st, err := plant.TrainDRL(inst, plant.TrainConfig{Episodes: 3, Steps: 25, Seed: 5}, p.EpisodeSteps())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +197,7 @@ func TestMemoryPolicyEvaluates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pol, _, err := inst.TrainSkipPolicy(plant.TrainConfig{Episodes: 2, Steps: 20, Memory: 3})
+			pol, _, err := plant.TrainDRL(inst, plant.TrainConfig{Episodes: 2, Steps: 20, Memory: 3}, p.EpisodeSteps())
 			if err != nil {
 				t.Fatal(err)
 			}

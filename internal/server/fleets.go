@@ -139,11 +139,11 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("missing plant"))
 		return
 	}
-	sessReq := oic.CreateSessionRequest{
+	cfg := oic.Config{
 		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
 		Memory: req.Memory, Train: req.Train,
 	}
-	if err := validateCreate(&sessReq); err != nil {
+	if err := validateCreate(cfg); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -161,10 +161,7 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, errFleetCapacity)
 		return
 	}
-	eng, err := s.engine(oic.Config{
-		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
-		Memory: req.Memory, Train: req.Train,
-	})
+	eng, err := s.engine(cfg)
 	if err != nil {
 		s.fail(w, err)
 		return

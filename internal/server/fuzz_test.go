@@ -66,7 +66,11 @@ func FuzzWireRequests(f *testing.F) {
 
 		var cs oic.CreateSessionRequest
 		if err := decode(&cs); err == nil {
-			if verr := validateCreate(&cs); verr == nil {
+			cfg := oic.Config{
+				Plant: cs.Plant, Scenario: cs.Scenario, Policy: cs.Policy,
+				Memory: cs.Memory, Train: cs.Train,
+			}
+			if verr := validateCreate(cfg); verr == nil {
 				// Accepted configurations stay within the cost caps.
 				if cs.Memory < 0 || cs.Memory > maxMemory ||
 					cs.Train.Episodes*cs.Train.Steps > maxTrainTotal {

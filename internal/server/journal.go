@@ -289,7 +289,7 @@ func (s *Server) BeginJournalRecovery(dir string) (run func() (RecoveryReport, e
 		}
 		for _, fs := range rv.Fleets {
 			if !fs.Closed {
-				prefetch(fleetRecoveryConfig(fs))
+				prefetch(oic.ConfigFromMeta(fs.Meta))
 			}
 		}
 
@@ -343,18 +343,6 @@ func (s *Server) BeginJournalRecovery(dir string) (run func() (RecoveryReport, e
 	}, nil
 }
 
-// fleetRecoveryConfig is the engine configuration a journaled fleet
-// resumes under (shared with resumeFleet).
-func fleetRecoveryConfig(fs *journal.FleetState) oic.Config {
-	return oic.Config{
-		Plant: fs.Meta.Plant, Scenario: fs.Meta.Scenario, Policy: fs.Meta.Policy,
-		Memory: fs.Meta.Memory,
-		Train: oic.TrainConfig{
-			Episodes: fs.Meta.TrainEpisodes, Steps: fs.Meta.TrainSteps, Seed: fs.Meta.TrainSeed,
-		},
-	}
-}
-
 // resumeSession rebuilds one journaled session at its head. Recovered
 // sessions always record their episode (the journal held the complete
 // history anyway), capped like any traced session.
@@ -393,7 +381,7 @@ func (s *Server) resumeSession(st *journal.SessionState) bool {
 // resumeFleet rebuilds one journaled fleet: same scheduler shape, every
 // live member replayed to head under its old ID, evicted IDs reserved.
 func (s *Server) resumeFleet(fs *journal.FleetState, rep *RecoveryReport) {
-	eng, err := s.engine(fleetRecoveryConfig(fs))
+	eng, err := s.engine(oic.ConfigFromMeta(fs.Meta))
 	if err != nil {
 		rep.Failed++
 		return

@@ -79,12 +79,7 @@ func (s *Server) resolveResumeTrace(tr *oic.Trace, bin []byte) (*oic.Trace, erro
 	if tr.Len() > s.cfg.TraceLimit {
 		return nil, badRequest(fmt.Sprintf("trace has %d steps, limit %d", tr.Len(), s.cfg.TraceLimit))
 	}
-	cfg := oic.ConfigFromTrace(tr)
-	sessReq := oic.CreateSessionRequest{
-		Plant: cfg.Plant, Scenario: cfg.Scenario, Policy: cfg.Policy,
-		Memory: cfg.Memory, Train: cfg.Train,
-	}
-	if err := validateCreate(&sessReq); err != nil {
+	if err := validateCreate(oic.ConfigFromTrace(tr)); err != nil {
 		return nil, err
 	}
 	return tr, nil

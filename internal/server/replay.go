@@ -57,12 +57,7 @@ func resolveReplayTrace(req *oic.ReplayRequest) (*oic.Trace, error) {
 	}
 	// The replay may build the trace's engine; its fingerprint obeys the
 	// same cost caps as a session-creation request.
-	cfg := oic.ConfigFromTrace(tr)
-	sessReq := oic.CreateSessionRequest{
-		Plant: cfg.Plant, Scenario: cfg.Scenario, Policy: cfg.Policy,
-		Memory: cfg.Memory, Train: cfg.Train,
-	}
-	if err := validateCreate(&sessReq); err != nil {
+	if err := validateCreate(oic.ConfigFromTrace(tr)); err != nil {
 		return nil, err
 	}
 	return tr, nil

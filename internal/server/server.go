@@ -384,18 +384,19 @@ const (
 	maxTrainTotal = 1_000_000
 )
 
-// validateCreate rejects requests whose per-object cost is unbounded.
-func validateCreate(req *oic.CreateSessionRequest) error {
-	if req.Memory < 0 || req.Memory > maxMemory {
-		return badRequest(fmt.Sprintf("memory %d outside [0, %d]", req.Memory, maxMemory))
+// validateCreate rejects engine configurations whose per-object cost is
+// unbounded.
+func validateCreate(cfg oic.Config) error {
+	if cfg.Memory < 0 || cfg.Memory > maxMemory {
+		return badRequest(fmt.Sprintf("memory %d outside [0, %d]", cfg.Memory, maxMemory))
 	}
-	if req.Train.Episodes < 0 || req.Train.Episodes > maxTrainEpisodes {
-		return badRequest(fmt.Sprintf("train.episodes %d outside [0, %d]", req.Train.Episodes, maxTrainEpisodes))
+	if cfg.Train.Episodes < 0 || cfg.Train.Episodes > maxTrainEpisodes {
+		return badRequest(fmt.Sprintf("train.episodes %d outside [0, %d]", cfg.Train.Episodes, maxTrainEpisodes))
 	}
-	if req.Train.Steps < 0 || req.Train.Steps > maxTrainSteps {
-		return badRequest(fmt.Sprintf("train.steps %d outside [0, %d]", req.Train.Steps, maxTrainSteps))
+	if cfg.Train.Steps < 0 || cfg.Train.Steps > maxTrainSteps {
+		return badRequest(fmt.Sprintf("train.steps %d outside [0, %d]", cfg.Train.Steps, maxTrainSteps))
 	}
-	if total := req.Train.Episodes * req.Train.Steps; total > maxTrainTotal {
+	if total := cfg.Train.Episodes * cfg.Train.Steps; total > maxTrainTotal {
 		return badRequest(fmt.Sprintf("train.episodes × train.steps = %d exceeds %d total training steps", total, maxTrainTotal))
 	}
 	return nil
@@ -550,14 +551,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequest("missing plant"))
 		return
 	}
-	if err := validateCreate(&req); err != nil {
+	cfg := oic.Config{
+		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
+		Memory: req.Memory, Train: req.Train,
+	}
+	if err := validateCreate(cfg); err != nil {
 		s.fail(w, err)
 		return
 	}
-	eng, err := s.engine(oic.Config{
-		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
-		Memory: req.Memory, Train: req.Train,
-	})
+	eng, err := s.engine(cfg)
 	if err != nil {
 		s.fail(w, err)
 		return

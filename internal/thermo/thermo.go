@@ -28,7 +28,6 @@ import (
 	"oic/internal/plant"
 	"oic/internal/poly"
 	"oic/internal/reach"
-	"oic/internal/rl"
 )
 
 // Plant constants.
@@ -84,36 +83,21 @@ type Model struct {
 // NewModel constructs the thermostat plant: dynamics, LQR feedback, the
 // maximal robust invariant set XI of the closed loop, and X′.
 func NewModel() (*Model, error) {
-	a := mat.FromRows([][]float64{
-		{0.96, 0.05},
-		{0.00, 0.90},
-	})
-	b := mat.FromRows([][]float64{{0}, {0.12}})
-	sys := lti.NewSystem(a, b).WithConstraints(
-		poly.Box([]float64{-ComfortBand, -CoreBand}, []float64{ComfortBand, CoreBand}),
-		poly.Box([]float64{-PowerMax}, []float64{PowerMax}),
-		poly.Box([]float64{-WTempMax, -WCoreMax}, []float64{WTempMax, WCoreMax}),
-	)
-
-	k, err := controller.LQR(sys.A, sys.B,
-		mat.Diag([]float64{4, 0.2}), mat.Identity(1), 0, 0)
-	if err != nil {
-		return nil, fmt.Errorf("thermo: NewModel: LQR: %w", err)
-	}
-	kappa := controller.NewAffineFeedback(k, nil, nil)
-
-	acl, ccl := sys.ClosedLoop(k, mat.Vec{0, 0}, mat.Vec{0})
-	admissible := poly.New(sys.U.A.Mul(k), sys.U.B.Clone())
-	xi, err := reach.MaximalInvariantSet(
-		poly.Intersect(sys.X, admissible).ReduceRedundancy(), acl, ccl, sys.W, reach.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("thermo: NewModel: invariant set: %w", err)
-	}
-	sets, err := core.ComputeSafetySets(sys, xi)
+	m, err := newModel()
 	if err != nil {
 		return nil, fmt.Errorf("thermo: NewModel: %w", err)
 	}
-	return &Model{Sys: sys, Gain: k, Kappa: kappa, Sets: sets}, nil
+	acl, ccl := m.Sys.ClosedLoop(m.Gain, mat.Vec{0, 0}, mat.Vec{0})
+	admissible := poly.New(m.Sys.U.A.Mul(m.Gain), m.Sys.U.B.Clone())
+	xi, err := reach.MaximalInvariantSet(
+		poly.Intersect(m.Sys.X, admissible).ReduceRedundancy(), acl, ccl, m.Sys.W, reach.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("thermo: NewModel: invariant set: %w", err)
+	}
+	if m.Sets, err = core.ComputeSafetySets(m.Sys, xi); err != nil {
+		return nil, fmt.Errorf("thermo: NewModel: %w", err)
+	}
+	return m, nil
 }
 
 // NewModelWithSets rebuilds the model around precompiled safety sets:
@@ -127,6 +111,18 @@ func NewModelWithSets(sets core.SafetySets) (*Model, error) {
 	if sets.XI.Dim() != 2 || sets.XPrime.Dim() != 2 {
 		return nil, fmt.Errorf("thermo: NewModelWithSets: sets have dimension %d, want 2", sets.XI.Dim())
 	}
+	m, err := newModel()
+	if err != nil {
+		return nil, fmt.Errorf("thermo: NewModelWithSets: %w", err)
+	}
+	m.Sets = sets
+	return m, nil
+}
+
+// newModel builds what NewModel and NewModelWithSets share — the
+// dynamics with their constraint polytopes and the LQR feedback κ —
+// leaving Sets to the caller.
+func newModel() (*Model, error) {
 	a := mat.FromRows([][]float64{
 		{0.96, 0.05},
 		{0.00, 0.90},
@@ -140,9 +136,9 @@ func NewModelWithSets(sets core.SafetySets) (*Model, error) {
 	k, err := controller.LQR(sys.A, sys.B,
 		mat.Diag([]float64{4, 0.2}), mat.Identity(1), 0, 0)
 	if err != nil {
-		return nil, fmt.Errorf("thermo: NewModelWithSets: LQR: %w", err)
+		return nil, fmt.Errorf("LQR: %w", err)
 	}
-	return &Model{Sys: sys, Gain: k, Kappa: controller.NewAffineFeedback(k, nil, nil), Sets: sets}, nil
+	return &Model{Sys: sys, Gain: k, Kappa: controller.NewAffineFeedback(k, nil, nil)}, nil
 }
 
 // Plant implements plant.Plant; it is registered under "thermo".
@@ -233,18 +229,41 @@ func (Plant) Ladders() []plant.Ladder {
 // rung. The model is immutable after construction and safe to share.
 var sharedModel = sync.OnceValues(NewModel)
 
-// Instantiate implements plant.Plant.
-func (Plant) Instantiate(gsc plant.Scenario) (plant.Instance, error) {
+// lookup resolves a generic scenario to its weather scenario.
+func lookup(gsc plant.Scenario) (scenario, error) {
 	for _, sc := range scenarios() {
 		if sc.ID == gsc.ID {
-			m, err := sharedModel()
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{m: m, sc: sc}, nil
+			return sc, nil
 		}
 	}
-	return nil, fmt.Errorf("thermo: %w %q", plant.ErrUnknownScenario, gsc.ID)
+	return scenario{}, fmt.Errorf("thermo: %w %q", plant.ErrUnknownScenario, gsc.ID)
+}
+
+// Instantiate implements plant.Plant.
+func (Plant) Instantiate(gsc plant.Scenario) (plant.Instance, error) {
+	sc, err := lookup(gsc)
+	if err != nil {
+		return nil, err
+	}
+	m, err := sharedModel()
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{m: m, sc: sc}, nil
+}
+
+// InstantiateWithSets implements plant.Plant: the artifact-load path
+// that skips the invariant-set fixpoint.
+func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
+	sc, err := lookup(gsc)
+	if err != nil {
+		return nil, err
+	}
+	m, err := NewModelWithSets(sets)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{m: m, sc: sc}, nil
 }
 
 // Instance is the thermostat model bound to one weather scenario.
@@ -286,30 +305,4 @@ func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) 
 	}
 	cost := res.Energy * PowerPerUnit * Delta / 3600
 	return &plant.Episode{Result: res, Cost: cost, Energy: res.Energy}, nil
-}
-
-// TrainSkipPolicy implements plant.Instance via the generic DRL trainer.
-func (in *Instance) TrainSkipPolicy(cfg plant.TrainConfig) (core.SkipPolicy, rl.TrainStats, error) {
-	return plant.TrainDRL(in, cfg, EpisodeSteps)
-}
-
-// InstantiateWithSets implements plant.SetsLoader: the artifact-load path
-// that skips the invariant-set fixpoint.
-func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
-	for _, sc := range scenarios() {
-		if sc.ID == gsc.ID {
-			m, err := NewModelWithSets(sets)
-			if err != nil {
-				return nil, err
-			}
-			return &Instance{m: m, sc: sc}, nil
-		}
-	}
-	return nil, fmt.Errorf("thermo: %w %q", plant.ErrUnknownScenario, gsc.ID)
-}
-
-// RestoreSkipPolicy implements plant.PolicyRestorer via the generic DRL
-// restore (the thermostat trains through plant.TrainDRL).
-func (in *Instance) RestoreSkipPolicy(snap *plant.PolicySnapshot) (core.SkipPolicy, error) {
-	return plant.RestoreDRLPolicy(snap)
 }

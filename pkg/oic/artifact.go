@@ -30,13 +30,9 @@ type ArtifactStoreStats = artifact.StoreStats
 
 // ErrArtifactMismatch reports an artifact whose contents are internally
 // inconsistent with the engine it claims to reconstruct (wrong
-// dimensions, missing policy for a DRL config, fingerprint mismatch).
+// dimensions, missing policy for a DRL config, policy bounds that do not
+// fit the plant, fingerprint mismatch).
 var ErrArtifactMismatch = errors.New("oic: artifact does not match its configuration")
-
-// ErrArtifactUnsupported reports a plant that cannot participate in the
-// artifact pipeline (it does not implement set loading or policy
-// restore).
-var ErrArtifactUnsupported = errors.New("oic: plant does not support artifact loading")
 
 // OpenArtifactStore opens (creating if needed) the artifact store rooted
 // at dir.
@@ -93,19 +89,7 @@ func (c Config) Fingerprint() string {
 // engine configuration it was compiled from — LoadEngine(a) and
 // NewEngine(ConfigFromArtifact(a)) produce behaviorally identical
 // engines.
-func ConfigFromArtifact(a *Artifact) Config {
-	return Config{
-		Plant:    a.Meta.Plant,
-		Scenario: a.Meta.Scenario,
-		Policy:   a.Meta.Policy,
-		Memory:   a.Meta.Memory,
-		Train: TrainConfig{
-			Episodes: a.Meta.TrainEpisodes,
-			Steps:    a.Meta.TrainSteps,
-			Seed:     a.Meta.TrainSeed,
-		},
-	}
-}
+func ConfigFromArtifact(a *Artifact) Config { return ConfigFromMeta(a.Meta) }
 
 // Artifact serializes the engine's compiled state: the safety sets, the
 // S_k chain (compiled on demand if the lazy oracle has not run yet), the
@@ -124,17 +108,9 @@ func (e *Engine) Artifact() (*Artifact, error) {
 		Version: artifact.Version,
 		NX:      e.NX(),
 		NU:      e.NU(),
-		Meta: TraceMeta{
-			Plant:         cfg.Plant,
-			Scenario:      cfg.Scenario,
-			Policy:        cfg.Policy,
-			Memory:        cfg.Memory,
-			TrainEpisodes: cfg.Train.Episodes,
-			TrainSteps:    cfg.Train.Steps,
-			TrainSeed:     cfg.Train.Seed,
-		},
-		Sets:  artifact.Sets{X: sets.X, XI: sets.XI, XPrime: sets.XPrime},
-		Chain: sb.Sets(),
+		Meta:    cfg.meta(),
+		Sets:    artifact.Sets{X: sets.X, XI: sets.XI, XPrime: sets.XPrime},
+		Chain:   sb.Sets(),
 		Train: artifact.TrainStats{
 			Episodes:      e.train.Episodes,
 			TotalSteps:    e.train.TotalSteps,
@@ -145,11 +121,9 @@ func (e *Engine) Artifact() (*Artifact, error) {
 		},
 	}
 	if cfg.Policy == PolicyDRL {
-		sp, ok := e.policy.(plant.SnapshottablePolicy)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s's trained policy is not snapshottable", ErrArtifactUnsupported, cfg.Plant)
-		}
-		snap, err := sp.PolicySnapshot()
+		// A PolicyDRL engine's policy comes from plant.TrainDRL or
+		// plant.RestoreDRLPolicy, both snapshottable.
+		snap, err := e.policy.(plant.SnapshottablePolicy).PolicySnapshot()
 		if err != nil {
 			return nil, fmt.Errorf("oic: snapshotting %s policy: %w", cfg.Plant, err)
 		}
@@ -184,19 +158,11 @@ func LoadEngine(a *Artifact) (*Engine, error) {
 		return nil, err
 	}
 	cfg := ConfigFromArtifact(a)
-	p, err := plant.Get(cfg.Plant)
+	p, sc, err := lookupScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := plant.FindScenario(p, cfg.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	sl, ok := p.(plant.SetsLoader)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s cannot instantiate from precompiled sets", ErrArtifactUnsupported, cfg.Plant)
-	}
-	inst, err := sl.InstantiateWithSets(sc, core.SafetySets{X: a.Sets.X, XI: a.Sets.XI, XPrime: a.Sets.XPrime})
+	inst, err := p.InstantiateWithSets(sc, core.SafetySets{X: a.Sets.X, XI: a.Sets.XI, XPrime: a.Sets.XPrime})
 	if err != nil {
 		return nil, err
 	}
@@ -209,22 +175,11 @@ func LoadEngine(a *Artifact) (*Engine, error) {
 			return nil, fmt.Errorf("%w: %v", ErrArtifactMismatch, err)
 		}
 	}
-	e := &Engine{cfg: cfg, plant: p, scenario: sc, inst: inst}
-
-	switch cfg.Policy {
-	case PolicyAlwaysRun:
-		e.policy = core.AlwaysRun{}
-	case PolicyBangBang:
-		e.policy = core.BangBang{}
-	case PolicyDRL:
+	e, err := assemble(cfg, p, sc, inst, func() (core.SkipPolicy, rl.TrainStats, error) {
 		if a.Policy == nil {
-			return nil, fmt.Errorf("%w: DRL config but no policy snapshot", ErrArtifactMismatch)
+			return nil, rl.TrainStats{}, fmt.Errorf("%w: DRL config but no policy snapshot", ErrArtifactMismatch)
 		}
-		pr, ok := inst.(plant.PolicyRestorer)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s cannot restore a trained policy", ErrArtifactUnsupported, cfg.Plant)
-		}
-		pol, err := pr.RestoreSkipPolicy(&plant.PolicySnapshot{
+		pol, err := plant.RestoreDRLPolicy(inst, &plant.PolicySnapshot{
 			Label:  a.Policy.Label,
 			Memory: a.Policy.Memory,
 			Net: &nn.Snapshot{
@@ -237,34 +192,20 @@ func LoadEngine(a *Artifact) (*Engine, error) {
 			WScale:  a.Policy.WScale,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrArtifactMismatch, err)
+			return nil, rl.TrainStats{}, fmt.Errorf("%w: %v", ErrArtifactMismatch, err)
 		}
-		e.policy = pol
-		e.train = rl.TrainStats{
+		return pol, rl.TrainStats{
 			Episodes:      a.Train.Episodes,
 			TotalSteps:    a.Train.TotalSteps,
 			MeanReward:    a.Train.MeanReward,
 			RewardHistory: a.Train.RewardHistory,
 			FinalEpsilon:  a.Train.FinalEpsilon,
 			FinalLossEMA:  a.Train.FinalLossEMA,
-		}
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPolicy, cfg.Policy)
-	}
-
-	e.memory = cfg.Memory
-	if e.memory <= 0 {
-		e.memory = plant.PolicyMemory(e.policy)
-	} else if mp, ok := e.policy.(plant.MemoryPolicy); ok && mp.PolicyMemory() > 0 && mp.PolicyMemory() != e.memory {
-		return nil, fmt.Errorf("%w: config memory %d conflicts with the policy's trained window %d",
-			ErrBadDimension, e.memory, mp.PolicyMemory())
-	}
-	fw, err := inst.Framework(e.policy, e.memory)
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.fw = fw
-	e.zeroW = make([]float64, inst.System().NX())
 
 	// Prefill the lazy skip-budget oracle from the persisted chain so
 	// SkipBudget and fleets never recompute it either.

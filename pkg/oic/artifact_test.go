@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
+	"oic/internal/artifact"
 	"oic/internal/trace"
 )
 
@@ -59,6 +61,27 @@ func loadedEngine(t testing.TB, eng *Engine) *Engine {
 	return le
 }
 
+// goldenArtifactBytes reads the committed golden artifact of a golden
+// case (internal/artifact's corpus, which pins the same six engines).
+func goldenArtifactBytes(t testing.TB, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "internal", "artifact", "testdata", "golden", name+artifact.Ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// goldenArtifact decodes the committed golden artifact of a golden case.
+func goldenArtifact(t testing.TB, name string) *Artifact {
+	t.Helper()
+	a, err := DecodeArtifact(goldenArtifactBytes(t, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // TestLoadEngineConformance is the tentpole acceptance gate: an engine
 // loaded from its own encoded artifact replays every committed golden
 // trace byte-identically and re-records the identical episode bytes —
@@ -90,6 +113,21 @@ func TestLoadEngineConformance(t *testing.T) {
 			if !rep.Diff.Identical {
 				t.Errorf("loaded engine diverges from golden trace: flips=%d first=%d divergeStep=%d maxDiv=%g",
 					rep.Diff.DecisionFlips, rep.Diff.FirstFlip, rep.Diff.DivergeStep, rep.Diff.MaxStateDivergence)
+			}
+
+			// A freshly built engine's artifact is the committed artifact
+			// corpus entry: set synthesis, training and the codec all
+			// reproduce it byte for byte.
+			a, err := built.Artifact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ab, err := EncodeArtifact(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(ab) != string(goldenArtifactBytes(t, gc.name)) {
+				t.Errorf("built engine's artifact differs from the committed golden artifact")
 			}
 
 			// Re-record the episode on the loaded engine: byte-identical to
@@ -200,5 +238,25 @@ func TestLoadEngineRejectsMismatch(t *testing.T) {
 	a.Policy.WScale = []float64{12345} // wrong normalization for this scenario
 	if _, err := LoadEngine(a); !errors.Is(err, ErrArtifactMismatch) {
 		t.Errorf("wrong policy bounds: got %v, want ErrArtifactMismatch", err)
+	}
+
+	// State bounds for a third state the 2-state thermostat does not have,
+	// with the first layer widened to match: internally consistent, but
+	// the first decide would feed a 5-wide layer a 4-long feature vector.
+	a = goldenArtifact(t, "thermo-drl")
+	p := a.Policy
+	p.XCenter = append(p.XCenter, 0)
+	p.XScale = append(p.XScale, 1)
+	rows, cols := p.Sizes[1], p.Sizes[0]
+	wide := make([]float64, 0, rows*(cols+1))
+	for r := 0; r < rows; r++ {
+		wide = append(append(wide, p.Weights[0][r*cols:(r+1)*cols]...), 0)
+	}
+	p.Weights[0], p.Sizes[0] = wide, cols+1
+	if err := a.Validate(); err != nil {
+		t.Fatalf("widened artifact should pass the codec's own checks: %v", err)
+	}
+	if _, err := LoadEngine(a); !errors.Is(err, ErrArtifactMismatch) {
+		t.Errorf("policy bounds wider than the plant: got %v, want ErrArtifactMismatch", err)
 	}
 }

@@ -296,3 +296,61 @@ func TestFleetResumeAfterBudgetChanges(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetResumeMemberElasticCapacity pins ResumeMember to the capacity
+// in force, as Admit is: an elastic fleet whose effective capacity grew
+// past MaxSessions resumes members up to it, and one whose capacity
+// shrank refuses members beyond it.
+func TestFleetResumeMemberElasticCapacity(t *testing.T) {
+	e, err := NewEngine(Config{Plant: "acc", Policy: PolicyBangBang})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := e.NewFleet(FleetConfig{
+		MaxSessions: 4, ComputeBudget: 8, TickDeadline: time.Second, Trace: true,
+		Elastic: &ElasticConfig{MaxBudget: 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ws := map[int][]float64{}
+	for i := 0; i < 4; i++ {
+		x0, w := fleetCase(t, e, int64(i+1), 1)
+		id, err := f.Admit(x0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[id] = w[0]
+	}
+	rep, err := f.Tick(context.Background(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.EffectiveMaxSessions != 6 {
+		t.Fatalf("effective capacity %d after one tick, want 6", rep.EffectiveMaxSessions)
+	}
+	x0, _ := fleetCase(t, e, 5, 1)
+	if _, err := f.Admit(x0); err != nil {
+		t.Fatalf("Admit at size 4 under capacity 6: %v", err)
+	}
+	tr, err := f.MemberTrace(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ResumeMember(5, tr); err != nil {
+		t.Fatalf("ResumeMember at size 5 under capacity 6: %v", err)
+	}
+
+	for id := 0; id < 4; id++ {
+		if err := f.Evict(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.mu.Lock()
+	f.effMax = 2 // simulate a capacity that shrank below MaxSessions
+	f.mu.Unlock()
+	if err := f.ResumeMember(6, tr); !errors.Is(err, ErrFleetFull) {
+		t.Fatalf("ResumeMember at size 2 under capacity 2: %v, want ErrFleetFull", err)
+	}
+}

@@ -109,43 +109,59 @@ const maxSkipChain = 8
 // reusing the engine across sessions, as oicd's per-plant engine cache
 // does.
 func NewEngine(cfg Config) (*Engine, error) {
-	p, err := plant.Get(cfg.Plant)
+	if cfg.Policy == "" {
+		cfg.Policy = PolicyBangBang
+	}
+	p, sc, err := lookupScenario(cfg)
 	if err != nil {
 		return nil, err
-	}
-	sc := p.Headline()
-	if cfg.Scenario != "" {
-		if sc, err = plant.FindScenario(p, cfg.Scenario); err != nil {
-			return nil, err
-		}
 	}
 	inst, err := p.Instantiate(sc)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, plant: p, scenario: sc, inst: inst}
-
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyBangBang
-		e.cfg.Policy = PolicyBangBang
-	}
-	switch cfg.Policy {
-	case PolicyAlwaysRun:
-		e.policy = core.AlwaysRun{}
-	case PolicyBangBang:
-		e.policy = core.BangBang{}
-	case PolicyDRL:
-		pol, stats, err := inst.TrainSkipPolicy(plant.TrainConfig{
+	return assemble(cfg, p, sc, inst, func() (core.SkipPolicy, rl.TrainStats, error) {
+		pol, stats, err := plant.TrainDRL(inst, plant.TrainConfig{
 			Episodes: cfg.Train.Episodes, Steps: cfg.Train.Steps, Seed: cfg.Train.Seed,
 			Memory: cfg.Memory, // train with the window the sessions will use
-		})
+		}, p.EpisodeSteps())
 		if err != nil {
-			return nil, fmt.Errorf("oic: training %s policy: %w", cfg.Plant, err)
+			return nil, stats, fmt.Errorf("oic: training %s policy: %w", cfg.Plant, err)
 		}
-		e.policy, e.train = pol, stats
-	default:
-		return nil, fmt.Errorf("%w: %q (built in: %s, %s, %s)",
-			ErrUnknownPolicy, cfg.Policy, PolicyAlwaysRun, PolicyBangBang, PolicyDRL)
+		return pol, stats, nil
+	})
+}
+
+// lookupScenario resolves cfg's plant and scenario from the registry; an
+// empty scenario means the plant's headline.
+func lookupScenario(cfg Config) (plant.Plant, plant.Scenario, error) {
+	p, err := plant.Get(cfg.Plant)
+	if err != nil {
+		return nil, plant.Scenario{}, err
+	}
+	if cfg.Scenario == "" {
+		return p, p.Headline(), nil
+	}
+	sc, err := plant.FindScenario(p, cfg.Scenario)
+	return p, sc, err
+}
+
+// assemble is the engine construction NewEngine and LoadEngine share once
+// the scenario is instantiated: it binds cfg.Policy — a built-in, or for
+// PolicyDRL the policy drl trains or restores — resolves the disturbance
+// window, and compiles the framework the sessions run.
+func assemble(cfg Config, p plant.Plant, sc plant.Scenario, inst plant.Instance,
+	drl func() (core.SkipPolicy, rl.TrainStats, error)) (*Engine, error) {
+	e := &Engine{cfg: cfg, plant: p, scenario: sc, inst: inst}
+	if e.policy = builtinPolicy(cfg.Policy); e.policy == nil {
+		if cfg.Policy != PolicyDRL {
+			return nil, fmt.Errorf("%w: %q (built in: %s, %s, %s)",
+				ErrUnknownPolicy, cfg.Policy, PolicyAlwaysRun, PolicyBangBang, PolicyDRL)
+		}
+		var err error
+		if e.policy, e.train, err = drl(); err != nil {
+			return nil, err
+		}
 	}
 
 	e.memory = cfg.Memory
@@ -165,6 +181,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.fw = fw
 	e.zeroW = make([]float64, inst.System().NX())
 	return e, nil
+}
+
+// builtinPolicy returns the untrained policy named name, or nil when name
+// is not PolicyAlwaysRun or PolicyBangBang.
+func builtinPolicy(name string) core.SkipPolicy {
+	switch name {
+	case PolicyAlwaysRun:
+		return core.AlwaysRun{}
+	case PolicyBangBang:
+		return core.BangBang{}
+	}
+	return nil
 }
 
 // Config returns the configuration the engine was built with (policy
@@ -298,16 +326,15 @@ func (e *Engine) resolvePolicy(name string) (core.SkipPolicy, error) {
 	switch name {
 	case "":
 		return e.policy, nil
-	case PolicyAlwaysRun:
-		return core.AlwaysRun{}, nil
-	case PolicyBangBang:
-		return core.BangBang{}, nil
 	case PolicyDRL:
 		if e.cfg.Policy != PolicyDRL {
 			return nil, fmt.Errorf("%w: engine was built with policy %q, not %q",
 				ErrUnknownPolicy, e.cfg.Policy, PolicyDRL)
 		}
 		return e.policy, nil
+	}
+	if pol := builtinPolicy(name); pol != nil {
+		return pol, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownPolicy, name)
 }

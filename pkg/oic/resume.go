@@ -97,8 +97,9 @@ func (e *Engine) ResumeSession(t *Trace, opts ResumeOptions) (*Session, error) {
 // ResumeSession. IDs must arrive in ascending order and above any ID the
 // fleet has already issued — recovery admits members sorted by ID, and
 // the fleet's ID counter advances past each so post-recovery admissions
-// never collide. Admission control (capacity, not backpressure — the
-// members existed before the crash) still applies.
+// never collide. Admission control still applies at the capacity in
+// force, elastic as for Admit — but not backpressure: the members existed
+// before the crash.
 func (f *Fleet) ResumeMember(id int, t *Trace) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -108,7 +109,7 @@ func (f *Fleet) ResumeMember(id int, t *Trace) error {
 	if id < f.nextID {
 		return fmt.Errorf("%w: member ID %d already issued (next is %d)", ErrResumeMismatch, id, f.nextID)
 	}
-	if len(f.members) >= f.cfg.MaxSessions {
+	if len(f.members) >= f.capLocked() {
 		f.stats.Rejected++
 		return ErrFleetFull
 	}

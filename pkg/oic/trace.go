@@ -39,15 +39,9 @@ func DecodeTrace(b []byte) (*Trace, error) { return trace.Decode(b) }
 // ID and window, never the "default" shorthands — so the fingerprint
 // survives default changes and equivalent engines fingerprint equally.
 func (e *Engine) traceMeta() trace.Meta {
-	return trace.Meta{
-		Plant:         e.cfg.Plant,
-		Scenario:      e.ScenarioID(),
-		Policy:        e.cfg.Policy,
-		Memory:        e.memory,
-		TrainEpisodes: e.cfg.Train.Episodes,
-		TrainSteps:    e.cfg.Train.Steps,
-		TrainSeed:     e.cfg.Train.Seed,
-	}
+	cfg := e.cfg
+	cfg.Scenario, cfg.Memory = e.ScenarioID(), e.memory
+	return cfg.meta()
 }
 
 // TraceMeta returns the engine's configuration fingerprint as trace
@@ -56,23 +50,40 @@ func (e *Engine) traceMeta() trace.Meta {
 // (NewEngine(ConfigFromTrace) or an artifact-store hit).
 func (e *Engine) TraceMeta() TraceMeta { return e.traceMeta() }
 
+// meta is c's engine fingerprint, the inverse of ConfigFromMeta.
+func (c Config) meta() trace.Meta {
+	return trace.Meta{
+		Plant:         c.Plant,
+		Scenario:      c.Scenario,
+		Policy:        c.Policy,
+		Memory:        c.Memory,
+		TrainEpisodes: c.Train.Episodes,
+		TrainSteps:    c.Train.Steps,
+		TrainSeed:     c.Train.Seed,
+	}
+}
+
+// ConfigFromMeta inverts an engine fingerprint — as stored by a trace, an
+// artifact or a journaled fleet — into the engine configuration it names.
+func ConfigFromMeta(m TraceMeta) Config {
+	return Config{
+		Plant:    m.Plant,
+		Scenario: m.Scenario,
+		Policy:   m.Policy,
+		Memory:   m.Memory,
+		Train: TrainConfig{
+			Episodes: m.TrainEpisodes,
+			Steps:    m.TrainSteps,
+			Seed:     m.TrainSeed,
+		},
+	}
+}
+
 // ConfigFromTrace inverts a trace's fingerprint into the engine
 // configuration that recorded it — NewEngine(ConfigFromTrace(t)) rebuilds
 // the same compiled artifacts (including retraining an identical DRL
 // policy, since the training budget and seed are part of the fingerprint).
-func ConfigFromTrace(t *Trace) Config {
-	return Config{
-		Plant:    t.Meta.Plant,
-		Scenario: t.Meta.Scenario,
-		Policy:   t.Meta.Policy,
-		Memory:   t.Meta.Memory,
-		Train: TrainConfig{
-			Episodes: t.Meta.TrainEpisodes,
-			Steps:    t.Meta.TrainSteps,
-			Seed:     t.Meta.TrainSeed,
-		},
-	}
-}
+func ConfigFromTrace(t *Trace) Config { return ConfigFromMeta(t.Meta) }
 
 // checkTrace validates a trace and verifies it fingerprints this engine's
 // plant, scenario, dimensions, and disturbance-memory — the preconditions
