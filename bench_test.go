@@ -131,7 +131,7 @@ func BenchmarkPlantConstruction(b *testing.B) {
 		p := mustPlant(b, name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Instantiate(p.Headline()); err != nil {
+				if _, err := p.Instantiate(p.Headline(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +146,7 @@ func BenchmarkPlantEpisode(b *testing.B) {
 	for _, name := range plant.Names() {
 		p := mustPlant(b, name)
 		b.Run(name, func(b *testing.B) {
-			inst, err := p.Instantiate(p.Headline())
+			inst, err := p.Instantiate(p.Headline(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func sharedACCModel(b *testing.B) *acc.Model {
 // generic trainer.
 func trainACCPolicy(b *testing.B, cfg plant.TrainConfig) core.SkipPolicy {
 	b.Helper()
-	inst, err := acc.Plant{}.Instantiate(acc.Fig4Scenario().Generic())
+	inst, err := acc.Plant{}.Instantiate(acc.Fig4Scenario().Generic(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func BenchmarkMonitorAblation(b *testing.B) {
 	// Unsound variant: pretend X' = XI, i.e. skip anywhere inside XI.
 	unsound := core.SafetySets{X: m.Sets.X, XI: m.Sets.XI, XPrime: m.Sets.XI}
 	rng := rand.New(rand.NewSource(9))
-	x0s, err := m.SampleInitialStates(8, rng)
+	x0s, err := m.Sets.XPrime.Sample(8, rng.Float64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,31 +362,35 @@ func BenchmarkMonitorAblation(b *testing.B) {
 // (the paper's default) and r = 4 on the Fig. 4 scenario: reported metrics
 // are the evaluated fuel savings of each trained agent.
 func BenchmarkDQNMemoryAblation(b *testing.B) {
-	m := sharedACCModel(b)
-	sc := acc.Fig4Scenario()
+	inst, err := acc.Plant{}.Instantiate(acc.Fig4Scenario().Generic(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		for _, r := range []int{1, 4} {
 			pol := trainACCPolicy(b, plant.TrainConfig{
 				Episodes: 120, Memory: r, Seed: 1, // 120 episodes: enough for a representative comparison
 			})
 			rng := rand.New(rand.NewSource(5))
-			x0s, err := m.SampleInitialStates(10, rng)
+			x0s, err := inst.SampleInitialStates(10, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var fuelRM, fuelDRL float64
 			for _, x0 := range x0s {
-				vf := sc.Profile.Generate(rng, 100)
-				epRM, err := m.RunEpisode(core.AlwaysRun{}, x0, vf, nil)
+				w := inst.Disturbances(rng, 100)
+				epRM, err := inst.RunEpisode(core.AlwaysRun{}, x0, w)
 				if err != nil {
 					b.Fatal(err)
 				}
-				epDR, err := m.RunEpisodeWithMemory(pol, x0, vf, nil, r)
+				// The trained policy declares its window r (PolicyMemory),
+				// so RunEpisode sizes the session for it.
+				epDR, err := inst.RunEpisode(pol, x0, w)
 				if err != nil {
 					b.Fatal(err)
 				}
-				fuelRM += epRM.Fuel
-				fuelDRL += epDR.Fuel
+				fuelRM += epRM.Cost
+				fuelDRL += epDR.Cost
 			}
 			saving := 100 * (fuelRM - fuelDRL) / fuelRM
 			if r == 1 {
@@ -463,7 +467,7 @@ func BenchmarkStrengthenedSafeSet(b *testing.B) {
 // must not allocate at all.
 func BenchmarkFrameworkStepSkip(b *testing.B) {
 	m := sharedACCModel(b)
-	fw, err := m.Framework(core.BangBang{}, 1)
+	fw, err := core.NewFramework(m.Sys, m.RMPC, m.Sets, core.BangBang{}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

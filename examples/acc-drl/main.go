@@ -27,11 +27,10 @@ func main() {
 
 	fmt.Println("building ACC case study (RMPC, XI = feasible set, X')...")
 	sc := acc.Fig4Scenario()
-	inst, err := acc.Plant{}.Instantiate(sc.Generic())
+	inst, err := acc.Plant{}.Instantiate(sc.Generic(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := inst.(*acc.Instance).Model()
 
 	fmt.Printf("training double DQN on %s for %d episodes...\n", sc.Profile.Name(), *train)
 	t0 := time.Now()
@@ -43,7 +42,7 @@ func main() {
 		time.Since(t0).Round(time.Millisecond), stats.MeanReward, stats.FinalLossEMA)
 
 	rng := rand.New(rand.NewSource(7))
-	x0s, err := m.SampleInitialStates(*cases, rng)
+	x0s, err := inst.SampleInitialStates(*cases, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,22 +50,22 @@ func main() {
 	var fuelRM, fuelBB, fuelDRL float64
 	var skips, violations int
 	for _, x0 := range x0s {
-		vf := sc.Profile.Generate(rng, acc.EpisodeSteps)
-		epRM, err := m.RunEpisode(core.AlwaysRun{}, x0, vf, nil)
+		w := inst.Disturbances(rng, acc.EpisodeSteps)
+		epRM, err := inst.RunEpisode(core.AlwaysRun{}, x0, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		epBB, err := m.RunEpisode(core.BangBang{}, x0, vf, nil)
+		epBB, err := inst.RunEpisode(core.BangBang{}, x0, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		epDR, err := m.RunEpisode(drl, x0, vf, nil)
+		epDR, err := inst.RunEpisode(drl, x0, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fuelRM += epRM.Fuel
-		fuelBB += epBB.Fuel
-		fuelDRL += epDR.Fuel
+		fuelRM += epRM.Cost
+		fuelBB += epBB.Cost
+		fuelDRL += epDR.Cost
 		skips += epDR.Result.Skips
 		violations += epRM.Result.ViolationsX + epBB.Result.ViolationsX + epDR.Result.ViolationsX
 	}

@@ -18,17 +18,18 @@ import (
 
 	"oic/internal/acc"
 	"oic/internal/core"
+	"oic/internal/plant"
 	"oic/internal/reach"
 )
 
 func main() {
-	m, err := acc.NewModel(acc.Config{})
+	inst, err := acc.Plant{}.Instantiate(acc.Fig4Scenario().Generic(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const maxBudget = 8
-	chain, err := reach.ConsecutiveSkipSets(m.Sets.XI, m.Sys, maxBudget)
+	chain, err := reach.ConsecutiveSkipSets(inst.Sets.XI, inst.Sys, maxBudget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,9 +44,8 @@ func main() {
 	}
 
 	// Compare bang-bang with the budget policy that keeps a 2-step margin.
-	sc := acc.Fig4Scenario()
 	rng := rand.New(rand.NewSource(3))
-	x0s, err := m.SampleInitialStates(10, rng)
+	x0s, err := inst.SampleInitialStates(10, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,18 +60,35 @@ func main() {
 		var a agg
 		rr := rand.New(rand.NewSource(17))
 		for _, x0 := range x0s {
-			vf := sc.Profile.Generate(rr, acc.EpisodeSteps)
-			ep, err := m.RunEpisode(p, x0, vf, nil)
+			// Drive the session directly: WindowMisses needs the executed
+			// skip pattern, and fuel is metered with the instance's own
+			// per-step meter from each step's pre-step state.
+			fw, err := inst.Framework(p, plant.DefaultMemory)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if ep.Result.ViolationsX != 0 {
+			sess, err := fw.NewSession(x0)
+			if err != nil {
+				log.Fatal(err)
+			}
+			x, fuel := x0.Clone(), 0.0
+			var pattern []core.Step
+			for _, w := range inst.Disturbances(rr, acc.EpisodeSteps) {
+				st, err := sess.Step(w)
+				if err != nil {
+					log.Fatal(err)
+				}
+				fuel += inst.StepCost(x, st.U)
+				copy(x, st.X)
+				pattern = append(pattern, core.Step{Ran: st.Ran})
+			}
+			if sess.Result.ViolationsX != 0 {
 				log.Fatalf("%s violated X", p.Name())
 			}
-			a.fuel += ep.Fuel
-			a.energy += ep.Energy
-			a.forced += ep.Result.Forced
-			if mw := core.WindowMisses(ep.Trace.Steps, 3); mw > a.misses3 {
+			a.fuel += inst.Cost(fuel)
+			a.energy += sess.Result.Energy
+			a.forced += sess.Result.Forced
+			if mw := core.WindowMisses(pattern, 3); mw > a.misses3 {
 				a.misses3 = mw
 			}
 		}

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var p thermo.Plant
-	inst, err := p.Instantiate(p.Headline())
+	inst, err := p.Instantiate(p.Headline(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,11 +29,11 @@ func model(t *testing.T) *Model {
 
 // instance binds the shared model to the Fig. 4 design range driven by
 // the front-vehicle profile p.
-func instance(t *testing.T, p traffic.Profile) *Instance {
+func instance(t *testing.T, p traffic.Profile) *plant.Instance {
 	t.Helper()
 	sc := Fig4Scenario()
 	sc.Profile = p
-	return &Instance{m: model(t), sc: sc}
+	return newInstance(model(t), sc)
 }
 
 func TestModelSetNesting(t *testing.T) {
@@ -82,7 +82,7 @@ func TestDisturbanceMapping(t *testing.T) {
 func TestSampleInitialStatesInsideXPrime(t *testing.T) {
 	m := model(t)
 	rng := rand.New(rand.NewSource(1))
-	xs, err := m.SampleInitialStates(20, rng)
+	xs, err := instance(t, Fig4Scenario().Profile).SampleInitialStates(20, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,9 @@ func TestSampleInitialStatesInsideXPrime(t *testing.T) {
 }
 
 func TestRunEpisodeSafetyAllPolicies(t *testing.T) {
-	m := model(t)
+	inst := instance(t, Fig4Scenario().Profile)
 	rng := rand.New(rand.NewSource(2))
-	sc := Fig4Scenario()
-	x0s, err := m.SampleInitialStates(3, rng)
+	x0s, err := inst.SampleInitialStates(3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,53 +109,94 @@ func TestRunEpisodeSafetyAllPolicies(t *testing.T) {
 		core.PolicyFunc{Fn: func(int, mat.Vec, []mat.Vec) bool { return rng.Float64() < 0.5 }, Label: "random"},
 	}
 	for _, x0 := range x0s {
-		vf := sc.Profile.Generate(rng, EpisodeSteps)
+		w := inst.Disturbances(rng, EpisodeSteps)
 		for _, pol := range policies {
-			ep, err := m.RunEpisode(pol, x0, vf, nil)
+			ep, err := inst.RunEpisode(pol, x0, w)
 			if err != nil {
 				t.Fatalf("%s from %v: %v", pol.Name(), x0, err)
 			}
 			if ep.Result.ViolationsX != 0 || ep.Result.ViolationsXI != 0 {
 				t.Errorf("%s: violations X=%d XI=%d", pol.Name(), ep.Result.ViolationsX, ep.Result.ViolationsXI)
 			}
-			if ep.Fuel <= 0 || ep.Energy < 0 {
-				t.Errorf("%s: fuel=%v energy=%v", pol.Name(), ep.Fuel, ep.Energy)
+			if ep.Cost <= 0 || ep.Energy < 0 {
+				t.Errorf("%s: fuel=%v energy=%v", pol.Name(), ep.Cost, ep.Energy)
 			}
 		}
 	}
 }
 
 func TestRunEpisodePairedComparability(t *testing.T) {
-	m := model(t)
+	inst := instance(t, Fig4Scenario().Profile)
 	rng := rand.New(rand.NewSource(3))
-	sc := Fig4Scenario()
-	x0s, _ := m.SampleInitialStates(1, rng)
-	vf := sc.Profile.Generate(rng, EpisodeSteps)
+	x0s, _ := inst.SampleInitialStates(1, rng)
+	w := inst.Disturbances(rng, EpisodeSteps)
 	// Replaying the same episode must be deterministic.
-	a, err := m.RunEpisode(core.BangBang{}, x0s[0], vf, nil)
+	a, err := inst.RunEpisode(core.BangBang{}, x0s[0], w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.RunEpisode(core.BangBang{}, x0s[0], vf, nil)
+	b, err := inst.RunEpisode(core.BangBang{}, x0s[0], w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Fuel-b.Fuel) > 1e-12 || a.Result.Skips != b.Result.Skips {
+	if math.Abs(a.Cost-b.Cost) > 1e-12 || a.Result.Skips != b.Result.Skips {
 		t.Error("episode replay not deterministic")
+	}
+}
+
+// TestRunEpisodeFuelMatchesFuelModel pins the per-step fuel meter to the
+// whole-trajectory formula it replaces: over a recorded run's speeds and
+// commands, FuelModel.Episode's fuel and energy equal RunEpisode's Cost
+// and Energy bit for bit.
+func TestRunEpisodeFuelMatchesFuelModel(t *testing.T) {
+	inst := instance(t, Fig4Scenario().Profile)
+	rng := rand.New(rand.NewSource(8))
+	x0s, err := inst.SampleInitialStates(2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x0 := range x0s {
+		w := inst.Disturbances(rng, EpisodeSteps)
+		for _, pol := range []core.SkipPolicy{core.AlwaysRun{}, core.BangBang{}} {
+			fw, err := inst.Framework(pol, plant.DefaultMemory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := fw.NewSession(x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			speeds, cmds := []float64{x0[1]}, []float64{}
+			for _, wt := range w {
+				st, err := sess.Step(wt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				speeds, cmds = append(speeds, st.X[1]), append(cmds, st.U[0])
+			}
+			fuel, energy := traffic.DefaultFuelModel().Episode(speeds, cmds, Delta)
+
+			ep, err := inst.RunEpisode(pol, x0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(ep.Cost) != math.Float64bits(fuel) || math.Float64bits(ep.Energy) != math.Float64bits(energy) {
+				t.Errorf("%s: RunEpisode cost %v energy %v, FuelModel.Episode %v / %v",
+					pol.Name(), ep.Cost, ep.Energy, fuel, energy)
+			}
+		}
 	}
 }
 
 func TestBangBangSkipsRoughlyPaperRate(t *testing.T) {
 	// The paper reports 79.4/100 skipped steps on the Fig. 4 scenario; our
 	// reproduction should be in the same regime (loose band).
-	m := model(t)
+	inst := instance(t, Fig4Scenario().Profile)
 	rng := rand.New(rand.NewSource(4))
-	sc := Fig4Scenario()
-	x0s, _ := m.SampleInitialStates(5, rng)
+	x0s, _ := inst.SampleInitialStates(5, rng)
 	total := 0
 	for _, x0 := range x0s {
-		vf := sc.Profile.Generate(rng, EpisodeSteps)
-		ep, err := m.RunEpisode(core.BangBang{}, x0, vf, nil)
+		ep, err := inst.RunEpisode(core.BangBang{}, x0, inst.Disturbances(rng, EpisodeSteps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,18 +235,19 @@ func TestScenarioDefinitions(t *testing.T) {
 }
 
 func TestStopAndGoScenarioSafe(t *testing.T) {
-	m := model(t)
-	sc := StopAndGoScenario()
+	inst := instance(t, StopAndGoScenario().Profile)
 	rng := rand.New(rand.NewSource(91))
-	vf := sc.Profile.Generate(rng, EpisodeSteps)
-	for _, v := range vf {
-		if v < VfMin-1e-9 || v > VfMax+1e-9 {
-			t.Fatalf("stop-and-go speed %v outside design range", v)
+	w := inst.Disturbances(rng, EpisodeSteps)
+	for _, wt := range w {
+		// w = δ·(v_f − VE), so a speed 1e-9 outside the design range is
+		// 1e-10 outside W.
+		if !inst.Sys.W.Contains(wt, 1e-10) {
+			t.Fatalf("stop-and-go speed %v outside design range", VE+wt[0]/Delta)
 		}
 	}
-	x0s, _ := m.SampleInitialStates(2, rng)
+	x0s, _ := inst.SampleInitialStates(2, rng)
 	for _, x0 := range x0s {
-		ep, err := m.RunEpisode(core.BangBang{}, x0, vf, nil)
+		ep, err := inst.RunEpisode(core.BangBang{}, x0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +279,7 @@ func TestModelForNarrowRange(t *testing.T) {
 }
 
 func TestEncodeFeatures(t *testing.T) {
-	enc := instance(t, Fig4Scenario().Profile).DRLEncoder()
+	enc := instance(t, Fig4Scenario().Profile).Encoder
 	s := enc.Encode(mat.Vec{150, 40}, []mat.Vec{{1, 0}})
 	if len(s) != 3 {
 		t.Fatalf("feature dim = %d", len(s))
@@ -317,9 +358,8 @@ func TestTrainDRLSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DRL training is slow")
 	}
-	m := model(t)
-	pol, stats, err := plant.TrainDRL(instance(t, Fig4Scenario().Profile),
-		plant.TrainConfig{Episodes: 6, Steps: 40, Seed: 3}, EpisodeSteps)
+	inst := instance(t, Fig4Scenario().Profile)
+	pol, stats, err := plant.TrainDRL(inst, plant.TrainConfig{Episodes: 6, Steps: 40, Seed: 3}, EpisodeSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,9 +368,8 @@ func TestTrainDRLSmoke(t *testing.T) {
 	}
 	// The policy must be usable by the framework without violations.
 	rng := rand.New(rand.NewSource(7))
-	x0s, _ := m.SampleInitialStates(1, rng)
-	vf := Fig4Scenario().Profile.Generate(rng, 40)
-	ep, err := m.RunEpisode(pol, x0s[0], vf, nil)
+	x0s, _ := inst.SampleInitialStates(1, rng)
+	ep, err := inst.RunEpisode(pol, x0s[0], inst.Disturbances(rng, 40))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,25 +10,34 @@ import (
 	"oic/internal/traffic"
 )
 
+// memoryProbe is a policy that declares the disturbance-memory length it
+// needs (plant.MemoryPolicy), as a DRL agent trained with r > 1 does.
+type memoryProbe struct {
+	core.PolicyFunc
+	r int
+}
+
+func (p memoryProbe) PolicyMemory() int { return p.r }
+
 func TestRunEpisodeWithMemoryWindowSize(t *testing.T) {
-	m := model(t)
+	inst := instance(t, traffic.Constant{V: 40})
 	rng := rand.New(rand.NewSource(71))
-	x0s, err := m.SampleInitialStates(1, rng)
+	x0s, err := inst.SampleInitialStates(1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vf := traffic.Constant{V: 40}.Generate(nil, 10)
+	w := inst.Disturbances(rng, 10)
 
 	for _, r := range []int{1, 4} {
 		seen := -1
-		probe := core.PolicyFunc{
+		probe := memoryProbe{PolicyFunc: core.PolicyFunc{
 			Fn: func(_ int, _ mat.Vec, wRecent []mat.Vec) bool {
 				seen = len(wRecent)
 				return false
 			},
 			Label: "probe",
-		}
-		ep, err := m.RunEpisodeWithMemory(probe, x0s[0], vf, nil, r)
+		}, r: r}
+		ep, err := inst.RunEpisode(probe, x0s[0], w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +51,7 @@ func TestRunEpisodeWithMemoryWindowSize(t *testing.T) {
 }
 
 func TestEncodeWindowMatchesMemory(t *testing.T) {
-	enc := instance(t, traffic.Constant{V: 40}).DRLEncoder()
+	enc := instance(t, traffic.Constant{V: 40}).Encoder
 	// Encode must accept any window length; dimension = 2 + len(window).
 	for _, r := range []int{1, 2, 4, 8} {
 		w := make([]mat.Vec, r)

@@ -20,17 +20,13 @@ package acc
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"oic/internal/controller"
 	"oic/internal/core"
 	"oic/internal/lti"
 	"oic/internal/mat"
-	"oic/internal/plant"
 	"oic/internal/poly"
-	"oic/internal/trace"
-	"oic/internal/traffic"
 )
 
 // Paper constants (Section IV).
@@ -108,30 +104,10 @@ func NewModel(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// NewModelWithSets constructs the model around precompiled safety sets:
-// dynamics, equilibrium, and the RMPC program are rebuilt (cheap, exact),
-// but the expensive offline synthesis — feasible-set projection and
-// ComputeSafetySets — is skipped and the supplied sets are used verbatim.
-// This is the artifact-load path; the sets must come from a model built
-// with the same Config or behavior will diverge.
-func NewModelWithSets(cfg Config, sets core.SafetySets) (*Model, error) {
-	if sets.X == nil || sets.XI == nil || sets.XPrime == nil {
-		return nil, fmt.Errorf("acc: NewModelWithSets: incomplete safety sets")
-	}
-	if sets.XI.Dim() != 2 || sets.XPrime.Dim() != 2 {
-		return nil, fmt.Errorf("acc: NewModelWithSets: sets have dimension %d, want 2", sets.XI.Dim())
-	}
-	m, err := newModel(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("acc: NewModelWithSets: %w", err)
-	}
-	m.Sets = sets
-	return m, nil
-}
-
-// newModel builds what NewModel and NewModelWithSets share — the
-// defaulted config, the dynamics with their constraint polytopes, the
-// equilibrium input, and the compiled RMPC — leaving Sets to the caller.
+// newModel builds what NewModel and a load with given sets (Plant's
+// Instantiate) share — the defaulted config, the dynamics with their
+// constraint polytopes, the equilibrium input, and the compiled RMPC —
+// leaving Sets to the caller.
 func newModel(cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if cfg.VfMin >= cfg.VfMax {
@@ -214,79 +190,4 @@ func (m *Model) WScale() float64 {
 		s = 1
 	}
 	return s
-}
-
-// Framework assembles an Algorithm 1 loop over this model with the given
-// skipping policy and disturbance memory r.
-func (m *Model) Framework(policy core.SkipPolicy, memory int) (*core.Framework, error) {
-	return core.NewFramework(m.Sys, m.RMPC, m.Sets, policy, memory)
-}
-
-// SampleInitialStates draws n random states from the strengthened safe set
-// X′ (the paper picks "feasible initial states within X′").
-func (m *Model) SampleInitialStates(n int, rng *rand.Rand) ([]mat.Vec, error) {
-	return m.Sets.XPrime.Sample(n, rng.Float64)
-}
-
-// Episode is the outcome of one simulated 10-second run.
-type Episode struct {
-	Result *core.Result
-	Trace  *trace.Trace // the recorded run: x0 and every executed step
-	Fuel   float64      // metered by the traffic fuel model
-	Energy float64      // Σ‖u‖₁ (Problem 1's objective)
-	VF     []float64    // the front-vehicle speed sequence driven against
-}
-
-// RunEpisode executes Algorithm 1 for len(vf) steps from x0 under the given
-// policy, then meters fuel over the resulting trajectory. The same x0 and
-// vf can be replayed against different policies for paired comparisons.
-// The policy sees the paper's default disturbance memory r = 1.
-func (m *Model) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, vf []float64, fm *traffic.FuelModel) (*Episode, error) {
-	return m.RunEpisodeWithMemory(policy, x0, vf, fm, plant.DefaultMemory)
-}
-
-// RunEpisodeWithMemory is RunEpisode with an explicit disturbance-memory
-// length r for the policy (needed when evaluating DRL agents trained with
-// r > 1).
-func (m *Model) RunEpisodeWithMemory(policy core.SkipPolicy, x0 mat.Vec, vf []float64, fm *traffic.FuelModel, memory int) (*Episode, error) {
-	w := make([]mat.Vec, len(vf))
-	for i, v := range vf {
-		w[i] = m.Disturbance(v)
-	}
-	return m.RunEpisodeW(policy, x0, w, vf, fm, memory)
-}
-
-// RunEpisodeW is the disturbance-vector core of RunEpisodeWithMemory: it
-// drives Algorithm 1 with an explicit w trace (as the plant-agnostic
-// harness does), records the run, and meters fuel over the recorded
-// steps. vf may be nil; it is only kept on the episode for reference.
-func (m *Model) RunEpisodeW(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec, vf []float64, fm *traffic.FuelModel, memory int) (*Episode, error) {
-	fw, err := m.Framework(policy, memory)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := fw.NewSession(x0)
-	if err != nil {
-		return nil, err
-	}
-	rec := trace.NewRecorder(trace.Meta{Plant: "acc", Policy: policy.Name(), Memory: memory}, x0, m.Sys.NU(), 0)
-	for _, wt := range w {
-		st, err := sess.Step(wt)
-		if err != nil {
-			return nil, fmt.Errorf("acc: RunEpisode (%s): %w", policy.Name(), err)
-		}
-		_ = rec.Append(st) // unlimited, and the model fixes the dimensions
-	}
-	tr := rec.Trace()
-	speeds := append(make([]float64, 0, len(tr.Steps)+1), x0[1])
-	cmds := make([]float64, len(tr.Steps))
-	for i, st := range tr.Steps {
-		speeds = append(speeds, st.X[1])
-		cmds[i] = st.U[0]
-	}
-	if fm == nil {
-		fm = traffic.DefaultFuelModel()
-	}
-	fuel, energy := fm.Episode(speeds, cmds, Delta)
-	return &Episode{Result: sess.Result, Trace: tr, Fuel: fuel, Energy: energy, VF: vf}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"oic/internal/core"
-	"oic/internal/lti"
 	"oic/internal/mat"
 	"oic/internal/plant"
 	"oic/internal/traffic"
@@ -84,91 +83,57 @@ func scenarioByID(id string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("acc: %w %q", plant.ErrUnknownScenario, id)
 }
 
-// Instantiate implements plant.Plant.
-func (Plant) Instantiate(gsc plant.Scenario) (plant.Instance, error) {
-	sc, err := scenarioByID(gsc.ID)
-	if err != nil {
-		return nil, err
-	}
-	m, err := ModelFor(sc)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{m: m, sc: sc}, nil
-}
-
-// InstantiateWithSets implements plant.Plant: it binds the scenario to a
-// model rebuilt around precompiled safety sets, skipping the feasible-set
+// Instantiate implements plant.Plant. Without sets the model is the
+// memoized one for the scenario's v_f design range (ModelFor); with sets
+// a fresh model is built around them, skipping the feasible-set
 // projection and safe-set synthesis entirely.
-func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
+func (Plant) Instantiate(gsc plant.Scenario, sets *core.SafetySets) (*plant.Instance, error) {
 	sc, err := scenarioByID(gsc.ID)
 	if err != nil {
 		return nil, err
 	}
-	m, err := NewModelWithSets(Config{VfMin: sc.VfMin, VfMax: sc.VfMax}, sets)
+	var m *Model
+	if sets == nil {
+		m, err = ModelFor(sc)
+	} else if m, err = newModel(Config{VfMin: sc.VfMin, VfMax: sc.VfMax}); err == nil {
+		m.Sets = *sets
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("acc: Instantiate: %w", err)
 	}
-	return &Instance{m: m, sc: sc}, nil
+	return newInstance(m, sc), nil
 }
 
-// Instance is an ACC model bound to one scenario's front-vehicle profile.
-type Instance struct {
-	m  *Model
-	sc Scenario
-}
-
-// Model exposes the underlying case-study model.
-func (in *Instance) Model() *Model { return in.m }
-
-// System implements plant.Instance.
-func (in *Instance) System() *lti.System { return in.m.Sys }
-
-// Sets implements plant.Instance.
-func (in *Instance) Sets() core.SafetySets { return in.m.Sets }
-
-// Framework implements plant.Instance.
-func (in *Instance) Framework(policy core.SkipPolicy, memory int) (*core.Framework, error) {
-	return in.m.Framework(policy, memory)
-}
-
-// SampleInitialStates implements plant.Instance.
-func (in *Instance) SampleInitialStates(n int, rng *rand.Rand) ([]mat.Vec, error) {
-	return in.m.SampleInitialStates(n, rng)
-}
-
-// Disturbances implements plant.Instance: it draws a front-vehicle speed
-// trace from the scenario profile and maps it through the disturbance model
-// w = (δ·(v_f − VE), 0).
-func (in *Instance) Disturbances(rng *rand.Rand, steps int) []mat.Vec {
-	vf := in.sc.Profile.Generate(rng, steps)
-	out := make([]mat.Vec, len(vf))
-	for i, v := range vf {
-		out[i] = in.m.Disturbance(v)
+// newInstance binds m to the scenario's front-vehicle profile. A step
+// burns Rate(v, u)·δ on the traffic fuel model, v the pre-step speed, so
+// an episode's cost is FuelModel.Episode's fuel, summed in the same
+// order. The DRL encoder is the paper's Section IV normalization:
+// distance and speed about the setpoint (SRef, VE) over the half-widths
+// of the safe box, and the front-speed disturbance over its design
+// half-range. The second disturbance channel is identically zero and is
+// not encoded.
+func newInstance(m *Model, sc Scenario) *plant.Instance {
+	fm := traffic.DefaultFuelModel()
+	return &plant.Instance{
+		Sys:   m.Sys,
+		Kappa: m.RMPC,
+		Sets:  m.Sets,
+		// w = (δ·(v_f − VE), 0) over a front-vehicle speed trace drawn
+		// from the scenario profile.
+		Disturbances: func(rng *rand.Rand, steps int) []mat.Vec {
+			vf := sc.Profile.Generate(rng, steps)
+			out := make([]mat.Vec, len(vf))
+			for i, v := range vf {
+				out[i] = m.Disturbance(v)
+			}
+			return out
+		},
+		StepCost: func(x, u mat.Vec) float64 { return fm.Rate(x[1], u[0]) * Delta },
+		Cost:     func(sum float64) float64 { return sum },
+		Encoder: plant.FixedEncoder(
+			mat.Vec{SRef, VE},
+			mat.Vec{(SMax - SMin) / 2, (VMax - VMin) / 2},
+			mat.Vec{m.WScale()},
+		),
 	}
-	return out
-}
-
-// RunEpisode implements plant.Instance; Cost is metered fuel. The session
-// disturbance window is sized for the policy (plant.PolicyMemory), so
-// agents trained with r > 1 evaluate correctly.
-func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) (*plant.Episode, error) {
-	ep, err := in.m.RunEpisodeW(policy, x0, w, nil, traffic.DefaultFuelModel(), plant.PolicyMemory(policy))
-	if err != nil {
-		return nil, err
-	}
-	return &plant.Episode{Result: ep.Result, Cost: ep.Fuel, Energy: ep.Energy}, nil
-}
-
-// DRLEncoder implements plant.DeclaredEncoder with the paper's Section IV
-// normalization: distance and speed about the setpoint (SRef, VE) over
-// the half-widths of the safe box, and the front-speed disturbance over
-// its design half-range. The second disturbance channel is identically
-// zero and is not encoded.
-func (in *Instance) DRLEncoder() *plant.Encoder {
-	return plant.FixedEncoder(
-		mat.Vec{SRef, VE},
-		mat.Vec{(SMax - SMin) / 2, (VMax - VMin) / 2},
-		mat.Vec{in.m.WScale()},
-	)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"oic/internal/mat"
 	"oic/internal/obs"
 	"oic/pkg/oic"
 )
@@ -34,20 +35,6 @@ import (
 // for the source export, which is what makes node death survivable
 // without shared storage.
 
-// bitsEqual compares float vectors bit-for-bit — migration verification
-// tolerates no rounding, an exact-replay guarantee, not an approximation.
-func bitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // verifyHandoff checks that the migration landing reproduced the frozen
 // source state exactly.
 func verifyHandoff(src, dst *oic.SessionInfo) error {
@@ -72,7 +59,7 @@ func verifyHandoff(src, dst *oic.SessionInfo) error {
 	if dst.Level != src.Level {
 		return mismatch("level", src.Level, dst.Level)
 	}
-	if !bitsEqual(dst.X, src.X) {
+	if !mat.BitsEqual(dst.X, src.X) {
 		return mismatch("x", src.X, dst.X)
 	}
 	if math.Float64bits(dst.Energy) != math.Float64bits(src.Energy) {
@@ -287,7 +274,7 @@ func (rt *Router) failoverEntry(ctx context.Context, e *sessEntry, dst *nodeStat
 	if n := tr.Len(); n > 0 {
 		wantX = tr.Steps[n-1].X
 	}
-	if info.T != tr.Len() || !bitsEqual(info.X, wantX) ||
+	if info.T != tr.Len() || !mat.BitsEqual(info.X, wantX) ||
 		math.Float64bits(info.Energy) != math.Float64bits(tr.Energy) {
 		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+info.ID, nil)
 		return fail(fmt.Errorf("%w: failover landing diverged at t=%d", ErrMigrateMismatch, info.T))

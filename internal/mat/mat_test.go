@@ -45,6 +45,26 @@ func TestVecCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestBitsEqual pins exact IEEE-754 equality: it tells the zeros apart,
+// holds a NaN equal to itself, and admits no rounding.
+func TestBitsEqual(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		a, b []float64
+		want bool
+	}{
+		{nil, []float64{}, true},
+		{[]float64{1, nan}, []float64{1, nan}, true},
+		{[]float64{0}, []float64{math.Copysign(0, -1)}, false},
+		{[]float64{0.3}, []float64{math.Nextafter(0.3, 1)}, false},
+		{[]float64{1}, []float64{1, 2}, false},
+	} {
+		if got := BitsEqual(c.a, c.b); got != c.want {
+			t.Errorf("BitsEqual(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestVecDimensionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -118,6 +118,22 @@ func (v Vec) Equal(u Vec, tol float64) bool {
 	return true
 }
 
+// BitsEqual reports whether a and b hold the same float64s, bit for bit
+// (IEEE-754 patterns): the exact-replay check of recovery, migration and
+// artifact restore, which admits no tolerance because the stack is
+// deterministic.
+func BitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the vector as "[x0 x1 ...]" with short float formatting.
 func (v Vec) String() string {
 	var b strings.Builder

@@ -2,7 +2,6 @@ package plant
 
 import (
 	"fmt"
-	"math"
 
 	"oic/internal/core"
 	"oic/internal/mat"
@@ -41,10 +40,10 @@ type SnapshottablePolicy interface {
 // network the stored parameters verbatim, so Decide computes the same
 // float64s as the policy the snapshot was taken from. The bounds must fit
 // the plant — one center and scale per state, between one and NX
-// disturbance scales — and, when inst declares its encoder
-// (DeclaredEncoder), equal the declared bounds bit for bit: a snapshot
-// taken on another design range would silently misnormalize.
-func RestoreDRLPolicy(inst Instance, snap *PolicySnapshot) (core.SkipPolicy, error) {
+// disturbance scales — and, when inst fixes its encoder, equal the fixed
+// bounds bit for bit: a snapshot taken on another design range would
+// silently misnormalize.
+func RestoreDRLPolicy(inst *Instance, snap *PolicySnapshot) (core.SkipPolicy, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: nil snapshot")
 	}
@@ -54,7 +53,7 @@ func RestoreDRLPolicy(inst Instance, snap *PolicySnapshot) (core.SkipPolicy, err
 	if snap.Memory < 1 {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: memory %d < 1", snap.Memory)
 	}
-	nx := inst.System().NX()
+	nx := inst.Sys.NX()
 	if len(snap.XCenter) != nx || len(snap.XScale) != nx || len(snap.WScale) < 1 || len(snap.WScale) > nx {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: normalization bounds (%d/%d/%d) do not fit a plant with %d states",
 			len(snap.XCenter), len(snap.XScale), len(snap.WScale), nx)
@@ -64,12 +63,10 @@ func RestoreDRLPolicy(inst Instance, snap *PolicySnapshot) (core.SkipPolicy, err
 		append(mat.Vec(nil), snap.XScale...),
 		append(mat.Vec(nil), snap.WScale...),
 	)
-	if d, ok := inst.(DeclaredEncoder); ok {
-		if want := d.DRLEncoder(); !sameBits(enc.xCenter, want.xCenter) ||
-			!sameBits(enc.xScale, want.xScale) || !sameBits(enc.wScale, want.wScale) {
-			return nil, fmt.Errorf("plant: RestoreDRLPolicy: snapshot bounds %v/%v/%v, plant declares %v/%v/%v",
-				enc.xCenter, enc.xScale, enc.wScale, want.xCenter, want.xScale, want.wScale)
-		}
+	if want := inst.Encoder; want != nil && (!mat.BitsEqual(enc.xCenter, want.xCenter) ||
+		!mat.BitsEqual(enc.xScale, want.xScale) || !mat.BitsEqual(enc.wScale, want.wScale)) {
+		return nil, fmt.Errorf("plant: RestoreDRLPolicy: snapshot bounds %v/%v/%v, plant fixes %v/%v/%v",
+			enc.xCenter, enc.xScale, enc.wScale, want.xCenter, want.xScale, want.wScale)
 	}
 	net, err := nn.FromSnapshot(snap.Net)
 	if err != nil {
@@ -82,17 +79,4 @@ func RestoreDRLPolicy(inst Instance, snap *PolicySnapshot) (core.SkipPolicy, err
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: network has %d outputs, want 2", net.Sizes[len(net.Sizes)-1])
 	}
 	return trainedPolicy{net: net, enc: enc, memory: snap.Memory}, nil
-}
-
-// sameBits reports whether a and b hold the same float64s, bit for bit.
-func sameBits(a, b mat.Vec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -51,15 +51,6 @@ type Encoder struct {
 	wScale          mat.Vec
 }
 
-// DeclaredEncoder is an optional Instance extension for plants that fix
-// their DRL normalization bounds instead of deriving them from the
-// bounding boxes of X and W (the ACC declares the paper's Section IV
-// constants). The trainer encodes with the declared bounds, and
-// RestoreDRLPolicy requires a snapshot to carry exactly them.
-type DeclaredEncoder interface {
-	DRLEncoder() *Encoder
-}
-
 // FixedEncoder returns an encoder over the given bounds: one center and
 // one scale per state coordinate, and one scale per encoded disturbance
 // channel.
@@ -69,8 +60,8 @@ func FixedEncoder(xCenter, xScale, wScale mat.Vec) *Encoder {
 
 // NewEncoder derives normalization from the bounding boxes of the
 // instance's safe set X and disturbance set W.
-func NewEncoder(inst Instance) (*Encoder, error) {
-	sys := inst.System()
+func NewEncoder(inst *Instance) (*Encoder, error) {
+	sys := inst.Sys
 	if sys.X == nil || sys.W == nil {
 		return nil, errors.New("plant: NewEncoder: system lacks X or W set")
 	}
@@ -107,11 +98,11 @@ func NewEncoder(inst Instance) (*Encoder, error) {
 	return e, nil
 }
 
-// encoderFor returns inst's declared encoder (DeclaredEncoder), or one
-// derived from its X and W sets.
-func encoderFor(inst Instance) (*Encoder, error) {
-	if d, ok := inst.(DeclaredEncoder); ok {
-		return d.DRLEncoder(), nil
+// encoderFor returns inst's fixed encoder, or one derived from its X and
+// W sets.
+func encoderFor(inst *Instance) (*Encoder, error) {
+	if inst.Encoder != nil {
+		return inst.Encoder, nil
 	}
 	return NewEncoder(inst)
 }
@@ -140,7 +131,7 @@ func (e *Encoder) Encode(x mat.Vec, wRecent []mat.Vec) mat.Vec {
 // where u is the actually applied input (zero on a skip). The monitor
 // enforces safety during training, so exploration can never leave XI.
 type Env struct {
-	inst   Instance
+	inst   *Instance
 	enc    *Encoder
 	steps  int
 	w1, w2 float64
@@ -152,9 +143,9 @@ type Env struct {
 }
 
 // NewEnv builds a training environment over inst with episode length
-// steps. Features use the instance's declared encoder when it has one
-// (DeclaredEncoder), bounds derived from X and W otherwise.
-func NewEnv(inst Instance, steps int, w1, w2 float64, memory int) (*Env, error) {
+// steps. Features use the instance's fixed encoder when it has one,
+// bounds derived from X and W otherwise.
+func NewEnv(inst *Instance, steps int, w1, w2 float64, memory int) (*Env, error) {
 	enc, err := encoderFor(inst)
 	if err != nil {
 		return nil, err
@@ -217,7 +208,7 @@ func (e *Env) Step(action int) (mat.Vec, float64, bool, error) {
 // TrainDRL trains the paper's double-DQN skipping agent for inst, with
 // the Section IV hyper-parameters, for any plant. defaultSteps is the
 // episode length used when cfg.Steps is 0 (the plant's EpisodeSteps).
-func TrainDRL(inst Instance, cfg TrainConfig, defaultSteps int) (core.SkipPolicy, rl.TrainStats, error) {
+func TrainDRL(inst *Instance, cfg TrainConfig, defaultSteps int) (core.SkipPolicy, rl.TrainStats, error) {
 	cfg = cfg.withDefaults(defaultSteps)
 	env, err := NewEnv(inst, cfg.Steps, cfg.W1, cfg.W2, cfg.Memory)
 	if err != nil {

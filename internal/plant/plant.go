@@ -2,9 +2,10 @@
 // is generic over. The paper's framework (Algorithm 1 + Theorem 1) is
 // plant-agnostic: it needs only an affine LTI model, the nested safety sets
 // X′ ⊆ XI ⊆ X, a safe controller κ, and a cost to minimize by skipping.
-// A Plant packages exactly that, plus the experimental surface the paper's
-// evaluation exercises — a headline scenario (Fig. 4), Table-I-style
-// scenario ladders (Fig. 5 / Fig. 6), and a trainable skipping policy.
+// An Instance holds exactly that, and a Plant adds the experimental surface
+// the paper's evaluation exercises — a headline scenario (Fig. 4),
+// Table-I-style scenario ladders (Fig. 5 / Fig. 6), and a trainable
+// skipping policy.
 //
 // New case studies register themselves (see Register) and immediately gain
 // the whole evaluation pipeline: paired-case experiments, scenario sweeps,
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"oic/internal/controller"
 	"oic/internal/core"
 	"oic/internal/lti"
 	"oic/internal/mat"
@@ -54,32 +56,73 @@ type Episode struct {
 	Energy float64 // Σ‖u‖₁ — Problem 1's objective, common to all plants
 }
 
-// Instance is a plant configured for one scenario: concrete dynamics,
-// safety sets, and an episode runner. TrainDRL learns its skipping
-// policy. Instances must be safe for concurrent RunEpisode calls (the
-// harness evaluates cases in parallel).
-type Instance interface {
-	// System returns the affine LTI plant with its X/U/W constraint sets.
-	System() *lti.System
-
-	// Sets returns the nested safety sets X′ ⊆ XI ⊆ X of the scenario.
-	Sets() core.SafetySets
-
-	// Framework assembles an Algorithm 1 loop with the given skipping
-	// policy and disturbance-memory length r.
-	Framework(policy core.SkipPolicy, memory int) (*core.Framework, error)
-
-	// SampleInitialStates draws n states from the strengthened safe set X′.
-	SampleInitialStates(n int, rng *rand.Rand) ([]mat.Vec, error)
+// Instance is a plant configured for one scenario. Plants build their
+// model and fill it; framework assembly, initial-state sampling and the
+// episode runner are written once, here. An Instance is immutable once
+// built and safe for concurrent RunEpisode calls (the harness evaluates
+// cases in parallel), so its function fields must be too.
+type Instance struct {
+	Sys   *lti.System           // the affine LTI plant with its X, U and W sets
+	Kappa controller.Controller // the safe controller κ
+	Sets  core.SafetySets       // the nested safety sets X′ ⊆ XI ⊆ X
 
 	// Disturbances draws an episode-long disturbance trace from the
-	// scenario's exogenous process. Every element must lie in System().W,
-	// or the framework's guarantees are void (the audit package checks).
-	Disturbances(rng *rand.Rand, steps int) []mat.Vec
+	// scenario's exogenous process. Every element must lie in Sys.W, or
+	// the framework's guarantees are void (the audit package checks).
+	Disturbances func(rng *rand.Rand, steps int) []mat.Vec
 
-	// RunEpisode executes Algorithm 1 for len(w) steps from x0 under the
-	// policy and meters the plant cost over the resulting trajectory.
-	RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) (*Episode, error)
+	// StepCost meters one executed step from its pre-step state x and
+	// applied input u; Cost maps the sum of StepCost over an episode, in
+	// step order, to the plant's resource metric (Episode.Cost).
+	StepCost func(x, u mat.Vec) float64
+	Cost     func(sum float64) float64
+
+	// Encoder, when set, fixes the DRL normalization bounds instead of
+	// deriving them from the bounding boxes of X and W (the ACC fixes the
+	// paper's Section IV constants). The trainer encodes with it, and
+	// RestoreDRLPolicy requires a snapshot to carry exactly its bounds.
+	Encoder *Encoder
+}
+
+// Framework assembles an Algorithm 1 loop over the instance with the
+// given skipping policy and disturbance-memory length r.
+func (in *Instance) Framework(policy core.SkipPolicy, memory int) (*core.Framework, error) {
+	return core.NewFramework(in.Sys, in.Kappa, in.Sets, policy, memory)
+}
+
+// SampleInitialStates draws n states from the strengthened safe set X′
+// (the paper picks "feasible initial states within X′").
+func (in *Instance) SampleInitialStates(n int, rng *rand.Rand) ([]mat.Vec, error) {
+	return in.Sets.XPrime.Sample(n, rng.Float64)
+}
+
+// RunEpisode executes Algorithm 1 for len(w) steps from x0 under the
+// policy and meters the plant cost as it goes: StepCost of every executed
+// step, summed in step order and mapped through Cost. Nothing is
+// recorded. The session's disturbance window is sized for the policy
+// (PolicyMemory), so agents trained with r > 1 evaluate correctly.
+func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) (*Episode, error) {
+	fw, err := in.Framework(policy, PolicyMemory(policy))
+	if err != nil {
+		return nil, err
+	}
+	sess, err := fw.NewSession(x0)
+	if err != nil {
+		return nil, err
+	}
+	// The pre-step state is copied: a step's views are overwritten by the
+	// next step.
+	x := x0.Clone()
+	sum := 0.0
+	for _, wt := range w {
+		st, err := sess.Step(wt)
+		if err != nil {
+			return nil, fmt.Errorf("plant: RunEpisode (%s): %w", policy.Name(), err)
+		}
+		sum += in.StepCost(x, st.U)
+		copy(x, st.X)
+	}
+	return &Episode{Result: sess.Result, Cost: in.Cost(sum), Energy: sess.Result.Energy}, nil
 }
 
 // Plant is a registered case study: a scenario catalogue plus a factory
@@ -97,15 +140,13 @@ type Plant interface {
 	Headline() Scenario
 	// Ladders returns the plant's scenario sweeps, most important first.
 	Ladders() []Ladder
-	// Instantiate builds the model and safety sets for a scenario. The
-	// scenario must be one returned by Headline or Ladders.
-	Instantiate(sc Scenario) (Instance, error)
-	// InstantiateWithSets is Instantiate around precompiled safety sets:
-	// the dynamics and κ are rebuilt, while the expensive offline
-	// synthesis (invariant-set computation, MPC feasible-set projection)
-	// is skipped — the load half of the artifact pipeline. The sets must
+	// Instantiate builds the model and safety sets for a scenario, which
+	// must be one returned by Headline or Ladders. Nil sets are
+	// synthesized (invariant-set computation, MPC feasible-set
+	// projection). Given sets are used verbatim and only the dynamics and
+	// κ are rebuilt — the load half of the artifact pipeline; they must
 	// come from an Instantiate of the same scenario.
-	InstantiateWithSets(sc Scenario, sets core.SafetySets) (Instance, error)
+	Instantiate(sc Scenario, sets *core.SafetySets) (*Instance, error)
 }
 
 // MemoryPolicy is an optional extension for skip policies that were
@@ -128,25 +169,4 @@ func PolicyMemory(p core.SkipPolicy) int {
 		}
 	}
 	return DefaultMemory
-}
-
-// RunFramework executes Algorithm 1 over inst from x0 for the disturbance
-// trace w and returns the raw result — the common core of every plant's
-// RunEpisode implementation. The session's disturbance window is sized
-// for the policy via PolicyMemory.
-func RunFramework(inst Instance, policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) (*core.Result, error) {
-	fw, err := inst.Framework(policy, PolicyMemory(policy))
-	if err != nil {
-		return nil, err
-	}
-	sess, err := fw.NewSession(x0)
-	if err != nil {
-		return nil, err
-	}
-	for _, wt := range w {
-		if _, err := sess.Step(wt); err != nil {
-			return nil, fmt.Errorf("plant: RunFramework (%s): %w", policy.Name(), err)
-		}
-	}
-	return sess.Result, nil
 }

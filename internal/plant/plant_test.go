@@ -69,11 +69,11 @@ func TestEveryPlantContract(t *testing.T) {
 			if p.EpisodeSteps() <= 0 {
 				t.Error("non-positive default episode length")
 			}
-			inst, err := p.Instantiate(p.Headline())
+			inst, err := p.Instantiate(p.Headline(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sets := inst.Sets()
+			sets := inst.Sets
 			if ok, err := sets.XI.Covers(sets.XPrime, 1e-6); err != nil || !ok {
 				t.Errorf("X' ⊄ XI (ok=%v err=%v)", ok, err)
 			}
@@ -92,7 +92,7 @@ func TestEveryPlantContract(t *testing.T) {
 				t.Fatalf("trace length %d, want %d", len(w), steps)
 			}
 			for ti, wt := range w {
-				if !inst.System().W.Contains(wt, 1e-9) {
+				if !inst.Sys.W.Contains(wt, 1e-9) {
 					t.Fatalf("disturbance %v at step %d outside W", wt, ti)
 				}
 			}
@@ -124,7 +124,7 @@ func TestGenericDRLTrainsSafely(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := p.Instantiate(p.Headline())
+			inst, err := p.Instantiate(p.Headline(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestEncoderNormalizesRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := p.Instantiate(p.Headline())
+	inst, err := p.Instantiate(p.Headline(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMemoryPolicyEvaluates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := p.Instantiate(p.Headline())
+			inst, err := p.Instantiate(p.Headline(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

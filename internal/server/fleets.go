@@ -202,24 +202,33 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Write-ahead: the fleet-open record, the create-time admits and the
+	// member step hook land before the fleet is published, so no tick can
+	// step a member the journal does not know. A create that loses the
+	// capacity race at the insert journals a close record, so recovery
+	// skips it.
 	fe := &fleetEntry{f: fleet, eng: eng}
 	s.touch(fe)
 	s.mu.Lock()
-	if len(s.fleets) >= s.cfg.MaxFleets {
-		s.mu.Unlock()
+	s.nextFleetID++
+	fe.id = fmt.Sprintf("f-%d", s.nextFleetID)
+	s.mu.Unlock()
+	s.journalOpenFleet(fe.id, eng, fleet, x0s)
+	s.mu.Lock()
+	full = len(s.fleets) >= s.cfg.MaxFleets
+	if !full {
+		s.fleets[fe.id] = fe
+	}
+	s.mu.Unlock()
+	if full {
 		fleet.Close()
+		s.journalCloseFleet(fe.id)
+		s.journalSyncRequest()
 		s.fail(w, errFleetCapacity)
 		return
 	}
-	s.nextFleetID++
-	fe.id = fmt.Sprintf("f-%d", s.nextFleetID)
-	s.fleets[fe.id] = fe
-	s.mu.Unlock()
-	s.m.fleetsCreated.Add(1)
-	// Write-ahead: the fleet-open record, the create-time admits, and the
-	// member step hook land before the create is acknowledged.
-	s.journalOpenFleet(fe.id, eng, fleet, x0s)
 	s.journalSyncRequest()
+	s.m.fleetsCreated.Add(1)
 
 	writeJSON(w, http.StatusCreated, s.fleetInfo(fe))
 }

@@ -96,16 +96,16 @@ func FuzzWireRequests(f *testing.F) {
 
 		var rr oic.ReplayRequest
 		if err := decode(&rr); err == nil {
-			tr, verr := resolveReplayTrace(&rr)
+			tr, verr := resolveTrace(rr.Trace, rr.TraceBin, maxReplaySteps)
 			if verr == nil {
 				if tr == nil {
-					t.Fatal("resolveReplayTrace accepted a request but returned no trace")
+					t.Fatal("resolveTrace accepted a request but returned no trace")
 				}
 				if err := tr.Validate(); err != nil {
-					t.Fatalf("resolveReplayTrace accepted an invalid trace: %v", err)
+					t.Fatalf("resolveTrace accepted an invalid trace: %v", err)
 				}
 				if tr.Len() > maxReplaySteps {
-					t.Fatalf("resolveReplayTrace accepted %d steps", tr.Len())
+					t.Fatalf("resolveTrace accepted %d steps", tr.Len())
 				}
 			}
 		}

@@ -89,17 +89,24 @@ func (s *Server) journalSyncRequest() {
 	}
 }
 
-// journalOpenSession writes the session-open record and installs the
-// write-ahead step hook. Called with the ID reserved but before the first
-// step can execute.
-func (s *Server) journalOpenSession(id string, eng *oic.Engine, sess *oic.Session, x0 []float64) {
+// journalOpenSession writes the session-open record, then one step record
+// per step of an imported prefix (none on a fresh create), and installs
+// the write-ahead step hook. Called with the ID reserved but before the
+// session is published, so no step can execute first. An import lands
+// its whole episode in this node's journal: the source node's journal is
+// unreachable from here (and may be destroyed).
+func (s *Server) journalOpenSession(id string, eng *oic.Engine, sess *oic.Session, x0 []float64, prefix []oic.StepEvent) {
 	if s.jw == nil {
 		return
 	}
+	nx, nu := eng.NX(), eng.NU()
 	s.journalAppend(&journal.Record{
 		Type: journal.TypeOpen, ID: id, Meta: eng.TraceMeta(),
-		NX: eng.NX(), NU: eng.NU(), X0: x0,
+		NX: nx, NU: nu, X0: x0,
 	})
+	for _, st := range prefix {
+		s.journalAppend(&journal.Record{Type: journal.TypeStep, ID: id, NX: nx, NU: nu, Step: st})
+	}
 	s.hookSession(id, eng, sess)
 }
 
@@ -115,29 +122,11 @@ func (s *Server) hookSession(id string, eng *oic.Engine, sess *oic.Session) {
 	})
 }
 
-// journalImportSession journals a migrated-in session: the open record
-// plus one step record per replayed prefix step, then the live hook. The
-// source node's journal holds this history too, but it is unreachable
-// from here (and may be destroyed) — an import is durable only if the
-// whole episode lands in *this* node's journal before acknowledgment.
-func (s *Server) journalImportSession(id string, eng *oic.Engine, sess *oic.Session, t *oic.Trace) {
-	if s.jw == nil {
-		return
-	}
-	nx, nu := eng.NX(), eng.NU()
-	s.journalAppend(&journal.Record{
-		Type: journal.TypeOpen, ID: id, Meta: eng.TraceMeta(),
-		NX: nx, NU: nu, X0: t.X0,
-	})
-	for _, st := range t.Steps {
-		s.journalAppend(&journal.Record{Type: journal.TypeStep, ID: id, NX: nx, NU: nu, Step: st})
-	}
-	s.hookSession(id, eng, sess)
-}
-
 // journalImportMember journals a migrated-in fleet member: the admit
-// record under its preserved ID plus its replayed prefix. The member
-// step hook is already installed fleet-wide.
+// record under its preserved ID plus its replayed prefix. It runs under
+// the fleet lock before the member joins the roster (Fleet.ResumeMember's
+// write-ahead callback), so no tick can step the member first; the
+// member step hook is already installed fleet-wide.
 func (s *Server) journalImportMember(fleetID string, member int, eng *oic.Engine, t *oic.Trace) {
 	if s.jw == nil {
 		return
@@ -403,7 +392,7 @@ func (s *Server) resumeFleet(fs *journal.FleetState, rep *RecoveryReport) {
 			rep.Skipped++
 			continue
 		}
-		if err := f.ResumeMember(int(m.Member), fs.Trace(m)); err != nil {
+		if err := f.ResumeMember(int(m.Member), fs.Trace(m), nil); err != nil {
 			rep.Failed++
 			continue
 		}
@@ -414,6 +403,9 @@ func (s *Server) resumeFleet(fs *journal.FleetState, rep *RecoveryReport) {
 
 	fe := &fleetEntry{id: fs.ID, f: f, eng: eng}
 	s.touch(fe)
+	// Hook before publishing, as resumeSession does: a tick landing before
+	// the hook would be acknowledged without being journaled.
+	s.hookFleet(fs.ID, eng, f)
 	s.mu.Lock()
 	_, exists := s.fleets[fs.ID]
 	full := len(s.fleets) >= s.cfg.MaxFleets
@@ -426,7 +418,6 @@ func (s *Server) resumeFleet(fs *journal.FleetState, rep *RecoveryReport) {
 		rep.Failed++
 		return
 	}
-	s.hookFleet(fs.ID, eng, f)
 	rep.Fleets++
 }
 

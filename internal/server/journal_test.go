@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"oic/internal/journal"
+	"oic/internal/mat"
 	"oic/pkg/oic"
 )
 
@@ -203,7 +206,7 @@ func TestJournalRecoveryByteIdentical(t *testing.T) {
 	if st := cB.do("GET", "/v1/sessions/"+info.ID, nil, &postInfo); st != http.StatusOK {
 		t.Fatalf("recovered session GET: status %d", st)
 	}
-	if postInfo.T != preInfo.T || !bitsEq(postInfo.X, preInfo.X) ||
+	if postInfo.T != preInfo.T || !mat.BitsEqual(postInfo.X, preInfo.X) ||
 		postInfo.Skips != preInfo.Skips || postInfo.Forced != preInfo.Forced ||
 		postInfo.Violations != preInfo.Violations {
 		t.Fatalf("recovered info %+v != pre-crash %+v", postInfo, preInfo)
@@ -231,7 +234,7 @@ func TestJournalRecoveryByteIdentical(t *testing.T) {
 			t.Fatalf("recovered step %d: status %d", i, st)
 		}
 		want := refResults[i]
-		if got.T != want.T || got.Ran != want.Ran || !bitsEq(got.U, want.U) || !bitsEq(got.X, want.X) {
+		if got.T != want.T || got.Ran != want.Ran || !mat.BitsEqual(got.U, want.U) || !mat.BitsEqual(got.X, want.X) {
 			t.Fatalf("recovered step %d = %+v, want %+v", i, got, want)
 		}
 	}
@@ -295,7 +298,7 @@ func TestJournalRecoveryFleet(t *testing.T) {
 			t.Fatalf("recovered member %d: status %d", id, st)
 		}
 		want := pre[id]
-		if mi.T != want.T || !bitsEq(mi.X, want.X) || mi.Skips != want.Skips ||
+		if mi.T != want.T || !mat.BitsEqual(mi.X, want.X) || mi.Skips != want.Skips ||
 			mi.Forced != want.Forced || mi.SkipBudget != want.SkipBudget {
 			t.Fatalf("recovered member %d = %+v, want %+v", id, mi, want)
 		}
@@ -365,15 +368,159 @@ func TestShutdownFlushesJournal(t *testing.T) {
 
 func itoa(n int) string { return fmt.Sprintf("%d", n) }
 
-// bitsEq is the test-side exact float comparison.
-func bitsEq(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// TestJournalPrecedesPublication races clients against object creation
+// under per-step syncing: a goroutine steps the next session ID and another
+// ticks the next fleet ID until each answers, and ticks run while member
+// episodes are imported into a fleet. Whatever a client saw acknowledged
+// must be in the journal, so recovery on a fresh server resumes every
+// object, with no orphan records, at the step count it had live.
+func TestJournalPrecedesPublication(t *testing.T) {
+	dir := t.TempDir()
+	srvA, cA := journalServer(t, dir, Config{MaxFleets: 32}, journal.SyncEveryStep)
+
+	// post sends a JSON request from a helper goroutine, where c.do's
+	// t.Fatal must not run; -1 reports a transport error.
+	post := func(path string, body any) int {
+		buf, _ := json.Marshal(body)
+		resp, err := cA.hc.Post(cA.base+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			return -1
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
+	// race creates an object while a goroutine posts to path until the
+	// object it names is published, and returns that goroutine's final
+	// status.
+	race := func(path string, body any, create func()) int {
+		done := make(chan int, 1)
+		go func() {
+			st := post(path, body)
+			for st == http.StatusNotFound {
+				st = post(path, body)
+			}
+			done <- st
+		}()
+		create()
+		return <-done
+	}
+
+	var sessions []string
+	for i := 1; i <= 40; i++ {
+		id := fmt.Sprintf("s-%d", i)
+		st := race("/v1/sessions/"+id+"/step", oic.StepRequest{W: stepW(i)}, func() {
+			var info oic.SessionInfo
+			if st := cA.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Seed: int64(i)}, &info); st != http.StatusCreated || info.ID != id {
+				t.Fatalf("create %d: status %d, id %q", i, st, info.ID)
+			}
+		})
+		if st != http.StatusOK {
+			t.Fatalf("step on %s: status %d", id, st)
+		}
+		sessions = append(sessions, id)
+	}
+
+	members := map[string][]int{} // fleet ID → member IDs
+	for i := 1; i <= 20; i++ {
+		id := fmt.Sprintf("f-%d", i)
+		st := race("/v1/fleets/"+id+"/tick", oic.FleetTickRequest{}, func() {
+			var fl oic.FleetInfo
+			if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 1, Size: 2, Seed: int64(i)}, &fl); st != http.StatusCreated || fl.ID != id {
+				t.Fatalf("fleet create %d: status %d, id %q", i, st, fl.ID)
+			}
+		})
+		if st != http.StatusOK {
+			t.Fatalf("tick on %s: status %d", id, st)
+		}
+		members[id] = []int{0, 1}
+	}
+
+	// Import ten member episodes, exported from a traced source fleet,
+	// into an empty fleet that ticks throughout.
+	const imports = 10
+	var src, dst oic.FleetInfo
+	if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2, Size: imports, Seed: 5, Trace: true}, &src); st != http.StatusCreated {
+		t.Fatalf("source fleet create: status %d", st)
+	}
+	if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2}, &dst); st != http.StatusCreated {
+		t.Fatalf("target fleet create: status %d", st)
+	}
+	if st := cA.do("POST", "/v1/fleets/"+src.ID+"/tick", oic.FleetTickRequest{Ticks: 30}, nil); st != http.StatusOK {
+		t.Fatalf("source tick: status %d", st)
+	}
+	stop, ticked := make(chan struct{}), make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				ticked <- n
+				return
+			default:
+			}
+			if post("/v1/fleets/"+dst.ID+"/tick", oic.FleetTickRequest{}) != http.StatusOK {
+				ticked <- -1
+				return
+			}
+			n++
+		}
+	}()
+	for mid := 0; mid < imports; mid++ {
+		bin := cA.raw("GET", fmt.Sprintf("/v1/fleets/%s/sessions/%d/trace?format=binary", src.ID, mid))
+		if st := cA.do("POST", "/v1/fleets/"+dst.ID+"/sessions/resume", oic.FleetResumeMemberRequest{Member: mid, TraceBin: bin}, nil); st != http.StatusCreated {
+			t.Fatalf("import member %d: status %d", mid, st)
 		}
 	}
-	return true
+	close(stop)
+	if n := <-ticked; n < 0 {
+		t.Fatal("a tick during the imports failed")
+	}
+	for mid := 0; mid < imports; mid++ {
+		members[src.ID] = append(members[src.ID], mid)
+		members[dst.ID] = append(members[dst.ID], mid)
+	}
+
+	// stepCounts reads every object's step count from a server.
+	stepCounts := func(c *client) map[string]int {
+		out := map[string]int{}
+		for _, id := range sessions {
+			var info oic.SessionInfo
+			if st := c.do("GET", "/v1/sessions/"+id, nil, &info); st != http.StatusOK {
+				t.Fatalf("GET %s: status %d", id, st)
+			}
+			out[id] = info.T
+		}
+		for fid, mids := range members {
+			for _, mid := range mids {
+				path := fmt.Sprintf("/v1/fleets/%s/sessions/%d", fid, mid)
+				var mi oic.FleetMemberInfo
+				if st := c.do("GET", path, nil, &mi); st != http.StatusOK {
+					t.Fatalf("GET %s: status %d", path, st)
+				}
+				out[path] = mi.T
+			}
+		}
+		return out
+	}
+	live := stepCounts(cA)
+	srvA.Close()
+
+	srvB, cB := journalServer(t, dir, Config{MaxFleets: 32}, journal.SyncEveryStep)
+	run, err := srvB.BeginJournalRecovery(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 0 || rep.Orphans != 0 {
+		t.Fatalf("recovery report %+v, want no failed objects and no orphan records", rep)
+	}
+	for obj, n := range stepCounts(cB) {
+		if n != live[obj] {
+			t.Errorf("%s: recovered at step %d, live at %d", obj, n, live[obj])
+		}
+	}
 }

@@ -61,30 +61,6 @@ func (s *Server) handleSessionUnfreeze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// resolveResumeTrace extracts, decodes, and validates the episode of a
-// resume request, enforcing the same cost caps as session creation (the
-// import may build the trace's engine).
-func (s *Server) resolveResumeTrace(tr *oic.Trace, bin []byte) (*oic.Trace, error) {
-	if (tr == nil) == (len(bin) == 0) {
-		return nil, badRequest(`set exactly one of "trace" or "trace_bin"`)
-	}
-	if tr == nil {
-		var err error
-		if tr, err = oic.DecodeTrace(bin); err != nil {
-			return nil, badRequest("invalid binary trace: " + err.Error())
-		}
-	} else if err := tr.Validate(); err != nil {
-		return nil, badRequest(err.Error())
-	}
-	if tr.Len() > s.cfg.TraceLimit {
-		return nil, badRequest(fmt.Sprintf("trace has %d steps, limit %d", tr.Len(), s.cfg.TraceLimit))
-	}
-	if err := validateCreate(oic.ConfigFromTrace(tr)); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // handleSessionResume imports an exported episode as a live session: the
 // landing half of live migration and node failover. The engine comes
 // from the trace's fingerprint through the per-configuration cache, the
@@ -102,7 +78,7 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	tr, err := s.resolveResumeTrace(req.Trace, req.TraceBin)
+	tr, err := resolveTrace(req.Trace, req.TraceBin, s.cfg.TraceLimit)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -118,40 +94,12 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	// Publish frozen: the id is steppable the moment it lands in
-	// s.sessions, but the imported prefix is not journaled yet — a step
-	// acknowledged in that window would be lost by a crash. Frozen, such a
-	// step is refused (409, never executed, never acknowledged) until the
-	// write-ahead records below are in place.
-	if _, err := sess.Freeze(); err != nil {
-		sess.Close()
+	id, err := s.publishSession(eng, sess, tr.X0, tr.Steps)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	se := &session{s: sess}
-	s.touch(se)
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		sess.Close()
-		s.fail(w, errCapacity)
-		return
-	}
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	se.id = id
-	s.sessions[id] = se
-	s.mu.Unlock()
 	s.m.sessionsResumed.Add(1)
-	// Write-ahead: the open record AND the imported prefix land in this
-	// node's journal before the import is acknowledged — the source node's
-	// journal is not reachable from here (it may be dead).
-	s.journalImportSession(id, eng, sess, tr)
-	s.journalSyncRequest()
-	if err := sess.Unfreeze(); err != nil {
-		s.fail(w, err)
-		return
-	}
 
 	info := sess.Info()
 	info.ID = id
@@ -178,24 +126,7 @@ func (s *Server) handleFleetMemberTrace(w http.ResponseWriter, r *http.Request) 
 		s.fail(w, err)
 		return
 	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		s.m.tracesServed.Add(1)
-		writeJSON(w, http.StatusOK, oic.TraceResponse{ID: fmt.Sprintf("%s/%d", fe.id, mid), Trace: tr})
-	case "binary":
-		b, err := oic.EncodeTrace(tr)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		s.m.tracesServed.Add(1)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", fmt.Sprint(len(b)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(b)
-	default:
-		s.fail(w, badRequest(fmt.Sprintf("unknown trace format %q (json|binary)", format)))
-	}
+	s.writeTrace(w, r, fmt.Sprintf("%s/%d", fe.id, mid), tr)
 }
 
 // handleFleetMemberResume imports one exported member episode under its
@@ -222,19 +153,19 @@ func (s *Server) handleFleetMemberResume(w http.ResponseWriter, r *http.Request)
 		s.fail(w, badRequest("member id must be ≥ 0"))
 		return
 	}
-	tr, err := s.resolveResumeTrace(req.Trace, req.TraceBin)
+	tr, err := resolveTrace(req.Trace, req.TraceBin, s.cfg.TraceLimit)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.touch(fe)
-	if err := fe.f.ResumeMember(req.Member, tr); err != nil {
+	err = fe.f.ResumeMember(req.Member, tr, func() { s.journalImportMember(fe.id, req.Member, fe.eng, tr) })
+	if err != nil {
 		s.m.resumeMismatches.Add(1)
 		s.fail(w, err)
 		return
 	}
 	s.m.membersResumed.Add(1)
-	s.journalImportMember(fe.id, req.Member, fe.eng, tr)
 	s.journalSyncRequest()
 	fe.publishStats()
 	info, err := fe.f.Member(req.Member)

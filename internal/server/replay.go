@@ -33,30 +33,26 @@ const (
 	maxReplaySteps = 100_000
 )
 
-// resolveReplayTrace extracts, decodes, and validates the trace and
-// options of a replay request — everything short of touching an engine,
-// so the fuzzer can drive it directly.
-func resolveReplayTrace(req *oic.ReplayRequest) (*oic.Trace, error) {
-	if (req.Trace == nil) == (len(req.TraceBin) == 0) {
+// resolveTrace extracts, decodes, and validates the episode of a replay
+// or resume request — exactly one of an embedded JSON trace or its binary
+// encoding — caps its length at limit steps, and holds its fingerprint to
+// the cost caps of session creation, since the request may build the
+// trace's engine. It touches no engine, so the fuzzer can drive it.
+func resolveTrace(tr *oic.Trace, bin []byte, limit int) (*oic.Trace, error) {
+	if (tr == nil) == (len(bin) == 0) {
 		return nil, badRequest(`set exactly one of "trace" or "trace_bin"`)
 	}
-	tr := req.Trace
 	if tr == nil {
 		var err error
-		if tr, err = oic.DecodeTrace(req.TraceBin); err != nil {
+		if tr, err = oic.DecodeTrace(bin); err != nil {
 			return nil, badRequest("invalid binary trace: " + err.Error())
 		}
 	} else if err := tr.Validate(); err != nil {
 		return nil, badRequest(err.Error())
 	}
-	if req.ComputeBudget < 0 {
-		return nil, badRequest("compute_budget must be ≥ 0")
+	if tr.Len() > limit {
+		return nil, badRequest(fmt.Sprintf("trace has %d steps, limit %d", tr.Len(), limit))
 	}
-	if tr.Len() > maxReplaySteps {
-		return nil, badRequest(fmt.Sprintf("trace has %d steps, limit %d", tr.Len(), maxReplaySteps))
-	}
-	// The replay may build the trace's engine; its fingerprint obeys the
-	// same cost caps as a session-creation request.
 	if err := validateCreate(oic.ConfigFromTrace(tr)); err != nil {
 		return nil, err
 	}
@@ -75,10 +71,16 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	s.writeTrace(w, r, se.id, tr)
+}
+
+// writeTrace serves a recorded episode in the format the request names:
+// JSON by default, the canonical binary encoding for ?format=binary.
+func (s *Server) writeTrace(w http.ResponseWriter, r *http.Request, id string, tr *oic.Trace) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		s.m.tracesServed.Add(1)
-		writeJSON(w, http.StatusOK, oic.TraceResponse{ID: se.id, Trace: tr})
+		writeJSON(w, http.StatusOK, oic.TraceResponse{ID: id, Trace: tr})
 	case "binary":
 		b, err := oic.EncodeTrace(tr)
 		if err != nil {
@@ -101,7 +103,11 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	tr, err := resolveReplayTrace(&req)
+	if req.ComputeBudget < 0 {
+		s.fail(w, badRequest("compute_budget must be ≥ 0"))
+		return
+	}
+	tr, err := resolveTrace(req.Trace, req.TraceBin, maxReplaySteps)
 	if err != nil {
 		s.fail(w, err)
 		return

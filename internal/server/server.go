@@ -592,31 +592,53 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Capacity check and insert share one critical section, so concurrent
-	// creates cannot overshoot the cap between check and insert.
-	se := &session{s: sess}
-	s.touch(se)
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		sess.Close()
-		s.fail(w, errCapacity)
+	id, err := s.publishSession(eng, sess, x0, nil)
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	se.id = id
-	s.sessions[id] = se
-	s.mu.Unlock()
 	s.m.sessionsCreated.Add(1)
-	// Write-ahead: the open record and step hook are in place before the
-	// create response (and so before any step) can be acknowledged.
-	s.journalOpenSession(id, eng, sess, x0)
-	s.journalSyncRequest()
 
 	info := sess.Info()
 	info.ID = id
 	writeJSON(w, http.StatusCreated, info)
+}
+
+// publishSession registers a created or imported session write-ahead: it
+// reserves an ID, journals the open record and any imported prefix with
+// the step hook installed, and only then inserts the session where a
+// client can step it, so every acknowledged step is in the journal. A
+// full server refuses at the reservation and journals nothing; a create
+// that loses the capacity race at the insert journals a close record, so
+// recovery skips it. On error the session is closed.
+func (s *Server) publishSession(eng *oic.Engine, sess *oic.Session, x0 []float64, prefix []oic.StepEvent) (string, error) {
+	s.mu.Lock()
+	if len(s.sessions) >= s.cfg.MaxSessions {
+		s.mu.Unlock()
+		sess.Close()
+		return "", errCapacity
+	}
+	s.nextID++
+	id := fmt.Sprintf("s-%d", s.nextID)
+	s.mu.Unlock()
+
+	s.journalOpenSession(id, eng, sess, x0, prefix)
+	se := &session{id: id, s: sess}
+	s.touch(se)
+	s.mu.Lock()
+	full := len(s.sessions) >= s.cfg.MaxSessions
+	if !full {
+		s.sessions[id] = se
+	}
+	s.mu.Unlock()
+	if full {
+		sess.Close()
+		s.journalCloseSession(id)
+		s.journalSyncRequest()
+		return "", errCapacity
+	}
+	s.journalSyncRequest()
+	return id, nil
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -100,28 +100,9 @@ func NewModel() (*Model, error) {
 	return m, nil
 }
 
-// NewModelWithSets rebuilds the model around precompiled safety sets:
-// the dynamics and the LQR feedback are re-derived (cheap, exact), while
-// the expensive invariant-set fixpoint and safe-set synthesis are skipped
-// and the supplied sets used verbatim — the artifact-load path.
-func NewModelWithSets(sets core.SafetySets) (*Model, error) {
-	if sets.X == nil || sets.XI == nil || sets.XPrime == nil {
-		return nil, fmt.Errorf("thermo: NewModelWithSets: incomplete safety sets")
-	}
-	if sets.XI.Dim() != 2 || sets.XPrime.Dim() != 2 {
-		return nil, fmt.Errorf("thermo: NewModelWithSets: sets have dimension %d, want 2", sets.XI.Dim())
-	}
-	m, err := newModel()
-	if err != nil {
-		return nil, fmt.Errorf("thermo: NewModelWithSets: %w", err)
-	}
-	m.Sets = sets
-	return m, nil
-}
-
-// newModel builds what NewModel and NewModelWithSets share — the
-// dynamics with their constraint polytopes and the LQR feedback κ —
-// leaving Sets to the caller.
+// newModel builds what NewModel and a load with given sets (Plant's
+// Instantiate) share — the dynamics with their constraint polytopes and
+// the LQR feedback κ — leaving Sets to the caller.
 func newModel() (*Model, error) {
 	a := mat.FromRows([][]float64{
 		{0.96, 0.05},
@@ -239,70 +220,30 @@ func lookup(gsc plant.Scenario) (scenario, error) {
 	return scenario{}, fmt.Errorf("thermo: %w %q", plant.ErrUnknownScenario, gsc.ID)
 }
 
-// Instantiate implements plant.Plant.
-func (Plant) Instantiate(gsc plant.Scenario) (plant.Instance, error) {
+// Instantiate implements plant.Plant. Without sets the model is the
+// shared synthesized one; with sets a fresh model is built around them,
+// skipping the invariant-set fixpoint — the artifact-load path. Cost is
+// heater energy in kWh (Σ‖u‖₁·PowerPerUnit·Δ).
+func (Plant) Instantiate(gsc plant.Scenario, sets *core.SafetySets) (*plant.Instance, error) {
 	sc, err := lookup(gsc)
 	if err != nil {
 		return nil, err
 	}
-	m, err := sharedModel()
-	if err != nil {
-		return nil, err
+	var m *Model
+	if sets == nil {
+		m, err = sharedModel()
+	} else if m, err = newModel(); err == nil {
+		m.Sets = *sets
 	}
-	return &Instance{m: m, sc: sc}, nil
-}
-
-// InstantiateWithSets implements plant.Plant: the artifact-load path
-// that skips the invariant-set fixpoint.
-func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plant.Instance, error) {
-	sc, err := lookup(gsc)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("thermo: Instantiate: %w", err)
 	}
-	m, err := NewModelWithSets(sets)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{m: m, sc: sc}, nil
-}
-
-// Instance is the thermostat model bound to one weather scenario.
-type Instance struct {
-	m  *Model
-	sc scenario
-}
-
-// Model exposes the underlying thermostat model.
-func (in *Instance) Model() *Model { return in.m }
-
-// System implements plant.Instance.
-func (in *Instance) System() *lti.System { return in.m.Sys }
-
-// Sets implements plant.Instance.
-func (in *Instance) Sets() core.SafetySets { return in.m.Sets }
-
-// Framework implements plant.Instance.
-func (in *Instance) Framework(policy core.SkipPolicy, memory int) (*core.Framework, error) {
-	return core.NewFramework(in.m.Sys, in.m.Kappa, in.m.Sets, policy, memory)
-}
-
-// SampleInitialStates implements plant.Instance.
-func (in *Instance) SampleInitialStates(n int, rng *rand.Rand) ([]mat.Vec, error) {
-	return in.m.Sets.XPrime.Sample(n, rng.Float64)
-}
-
-// Disturbances implements plant.Instance.
-func (in *Instance) Disturbances(rng *rand.Rand, steps int) []mat.Vec {
-	return in.sc.Weather.Trace(rng, steps)
-}
-
-// RunEpisode implements plant.Instance; Cost is heater energy in kWh
-// (Σ|u|·PowerPerUnit·Δ).
-func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) (*plant.Episode, error) {
-	res, err := plant.RunFramework(in, policy, x0, w)
-	if err != nil {
-		return nil, fmt.Errorf("thermo: RunEpisode: %w", err)
-	}
-	cost := res.Energy * PowerPerUnit * Delta / 3600
-	return &plant.Episode{Result: res, Cost: cost, Energy: res.Energy}, nil
+	return &plant.Instance{
+		Sys:          m.Sys,
+		Kappa:        m.Kappa,
+		Sets:         m.Sets,
+		Disturbances: sc.Weather.Trace,
+		StepCost:     func(_, u mat.Vec) float64 { return u.Norm1() },
+		Cost:         func(sum float64) float64 { return sum * PowerPerUnit * Delta / 3600 },
+	}, nil
 }

@@ -49,7 +49,7 @@ func TestWeatherTraceDeterministic(t *testing.T) {
 
 func TestBangBangSavesEnergyWithoutViolations(t *testing.T) {
 	var p Plant
-	inst, err := p.Instantiate(p.Headline())
+	inst, err := p.Instantiate(p.Headline(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestScenarioLadderWellFormed(t *testing.T) {
 			t.Errorf("bad or duplicate scenario %+v", sc)
 		}
 		seen[sc.ID] = true
-		if _, err := p.Instantiate(sc); err != nil {
+		if _, err := p.Instantiate(sc, nil); err != nil {
 			t.Errorf("Instantiate(%s): %v", sc.ID, err)
 		}
 	}

@@ -103,7 +103,7 @@ func (e *Engine) Artifact() (*Artifact, error) {
 		return nil, err
 	}
 	cfg := e.cfg.Canonical()
-	sets := e.inst.Sets()
+	sets := e.inst.Sets
 	a := &Artifact{
 		Version: artifact.Version,
 		NX:      e.NX(),
@@ -162,13 +162,13 @@ func LoadEngine(a *Artifact) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst, err := p.InstantiateWithSets(sc, core.SafetySets{X: a.Sets.X, XI: a.Sets.XI, XPrime: a.Sets.XPrime})
+	inst, err := p.Instantiate(sc, &core.SafetySets{X: a.Sets.X, XI: a.Sets.XI, XPrime: a.Sets.XPrime})
 	if err != nil {
 		return nil, err
 	}
-	if inst.System().NX() != a.NX || inst.System().NU() != a.NU {
+	if nx, nu := inst.Sys.NX(), inst.Sys.NU(); nx != a.NX || nu != a.NU {
 		return nil, fmt.Errorf("%w: artifact dims %d×%d, plant %s is %d×%d",
-			ErrArtifactMismatch, a.NX, a.NU, cfg.Plant, inst.System().NX(), inst.System().NU())
+			ErrArtifactMismatch, a.NX, a.NU, cfg.Plant, nx, nu)
 	}
 	if len(a.Chain) > 0 {
 		if err := reach.ValidateSkipChain(a.Chain, 1e-9); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"oic/internal/artifact"
+	"oic/internal/poly"
 	"oic/internal/trace"
 )
 
@@ -258,5 +259,19 @@ func TestLoadEngineRejectsMismatch(t *testing.T) {
 	}
 	if _, err := LoadEngine(a); !errors.Is(err, ErrArtifactMismatch) {
 		t.Errorf("policy bounds wider than the plant: got %v, want ErrArtifactMismatch", err)
+	}
+
+	// Three states for the 2-state thermostat, with 3-D sets and no chain:
+	// the codec's own checks pass, so the load must name the wrong
+	// dimension.
+	a = goldenArtifact(t, "thermo-always-run")
+	box := poly.Box([]float64{-1, -1, -1}, []float64{1, 1, 1})
+	a.NX, a.Chain = 3, nil
+	a.Sets = artifact.Sets{X: box, XI: box, XPrime: box}
+	if err := a.Validate(); err != nil {
+		t.Fatalf("3-state artifact should pass the codec's own checks: %v", err)
+	}
+	if _, err := LoadEngine(a); !errors.Is(err, ErrArtifactMismatch) {
+		t.Errorf("wrong state dimension: got %v, want ErrArtifactMismatch", err)
 	}
 }

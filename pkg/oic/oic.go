@@ -81,7 +81,7 @@ type Engine struct {
 	cfg      Config
 	plant    plant.Plant
 	scenario plant.Scenario
-	inst     plant.Instance
+	inst     *plant.Instance
 	policy   core.SkipPolicy
 	train    rl.TrainStats
 	memory   int
@@ -116,7 +116,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst, err := p.Instantiate(sc)
+	inst, err := p.Instantiate(sc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func lookupScenario(cfg Config) (plant.Plant, plant.Scenario, error) {
 // the scenario is instantiated: it binds cfg.Policy — a built-in, or for
 // PolicyDRL the policy drl trains or restores — resolves the disturbance
 // window, and compiles the framework the sessions run.
-func assemble(cfg Config, p plant.Plant, sc plant.Scenario, inst plant.Instance,
+func assemble(cfg Config, p plant.Plant, sc plant.Scenario, inst *plant.Instance,
 	drl func() (core.SkipPolicy, rl.TrainStats, error)) (*Engine, error) {
 	e := &Engine{cfg: cfg, plant: p, scenario: sc, inst: inst}
 	if e.policy = builtinPolicy(cfg.Policy); e.policy == nil {
@@ -179,7 +179,7 @@ func assemble(cfg Config, p plant.Plant, sc plant.Scenario, inst plant.Instance,
 		return nil, err
 	}
 	e.fw = fw
-	e.zeroW = make([]float64, inst.System().NX())
+	e.zeroW = make([]float64, inst.Sys.NX())
 	return e, nil
 }
 
@@ -217,18 +217,18 @@ func (e *Engine) TrainStats() rl.TrainStats { return e.train }
 func (e *Engine) EpisodeSteps() int { return e.plant.EpisodeSteps() }
 
 // NX and NU return the plant's state and input dimensions.
-func (e *Engine) NX() int { return e.inst.System().NX() }
+func (e *Engine) NX() int { return e.inst.Sys.NX() }
 
 // NU returns the plant's input dimension.
-func (e *Engine) NU() int { return e.inst.System().NU() }
+func (e *Engine) NU() int { return e.inst.Sys.NU() }
 
 // System returns the engine's affine LTI model (in-module escape hatch for
 // the experiment pipeline; external clients use the wire API).
-func (e *Engine) System() *lti.System { return e.inst.System() }
+func (e *Engine) System() *lti.System { return e.inst.Sys }
 
 // SafetySets returns the compiled nested safety sets X′ ⊆ XI ⊆ X
 // (in-module escape hatch, shared — do not mutate).
-func (e *Engine) SafetySets() core.SafetySets { return e.inst.Sets() }
+func (e *Engine) SafetySets() core.SafetySets { return e.inst.Sets }
 
 // SampleInitialStates draws n states from the strengthened safe set X′
 // with a deterministic seed — every returned state is a valid NewSession
@@ -343,7 +343,7 @@ func (e *Engine) resolvePolicy(name string) (core.SkipPolicy, error) {
 // immutable, concurrent-safe).
 func (e *Engine) skipBudgetOracle() (*reach.SkipBudget, error) {
 	e.sbOnce.Do(func() {
-		e.sb, e.sbErr = reach.NewSkipBudget(e.inst.Sets().XI, e.inst.System(), maxSkipChain)
+		e.sb, e.sbErr = reach.NewSkipBudget(e.inst.Sets.XI, e.inst.Sys, maxSkipChain)
 		if e.sbErr != nil {
 			e.sbErr = fmt.Errorf("oic: computing skip-budget chain: %w", e.sbErr)
 		}

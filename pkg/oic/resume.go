@@ -12,7 +12,6 @@ package oic
 
 import (
 	"fmt"
-	"math"
 
 	"oic/internal/core"
 	"oic/internal/mat"
@@ -99,8 +98,12 @@ func (e *Engine) ResumeSession(t *Trace, opts ResumeOptions) (*Session, error) {
 // the fleet's ID counter advances past each so post-recovery admissions
 // never collide. Admission control still applies at the capacity in
 // force, elastic as for Admit — but not backpressure: the members existed
-// before the crash.
-func (f *Fleet) ResumeMember(id int, t *Trace) error {
+// before the crash. A non-nil writeAhead runs under the fleet lock once
+// the replay has verified and before the member joins the roster, so a
+// server can journal the member's history before any tick steps it. It
+// must not call back into the fleet. Recovery, replaying a journal that
+// already holds that history, passes nil.
+func (f *Fleet) ResumeMember(id int, t *Trace, writeAhead func()) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -123,6 +126,9 @@ func (f *Fleet) ResumeMember(id int, t *Trace) error {
 	m := &fleetMember{f: f, id: id, cs: cs, w: make(mat.Vec, f.eng.NX())}
 	if f.cfg.Trace {
 		m.rec = f.eng.resumeRecorder(t, f.cfg.TraceLimit)
+	}
+	if writeAhead != nil {
+		writeAhead()
 	}
 	f.byID[id] = len(f.members)
 	f.members = append(f.members, m)
@@ -162,7 +168,7 @@ func (e *Engine) resumeCore(t *Trace) (*core.Session, error) {
 			e.releaseCore(cs)
 			return nil, fmt.Errorf("oic: resume step %d: %w", i, err)
 		}
-		if r.Ran != st.Ran || !bitsEqual(r.U, st.U) || !bitsEqual(r.X, st.X) {
+		if r.Ran != st.Ran || !mat.BitsEqual(r.U, st.U) || !mat.BitsEqual(r.X, st.X) {
 			e.releaseCore(cs)
 			return nil, fmt.Errorf("%w: step %d", ErrResumeMismatch, i)
 		}
@@ -180,18 +186,4 @@ func (e *Engine) resumeRecorder(t *Trace, limit int) *trace.Recorder {
 		_ = rec.Append(t.Steps[i])
 	}
 	return rec
-}
-
-// bitsEqual is exact float equality (IEEE-754 bit patterns): recovery
-// conformance admits no tolerance — the stack is deterministic.
-func bitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
