@@ -250,7 +250,9 @@ func BenchmarkMonitorAndPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkDQNInference isolates the neural-network forward pass.
+// BenchmarkDQNInference isolates the neural-network forward pass as the
+// decide lane runs it: ForwardInto over one reused scratch buffer, so
+// allocs/op reads 0.
 func BenchmarkDQNInference(b *testing.B) {
 	pol := trainACCPolicy(b, plant.TrainConfig{Episodes: 2, Steps: 20})
 	snap, err := pol.(plant.SnapshottablePolicy).PolicySnapshot()
@@ -262,9 +264,11 @@ func BenchmarkDQNInference(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := plant.FixedEncoder(snap.XCenter, snap.XScale, snap.WScale).Encode(mat.Vec{150, 40}, []mat.Vec{{0.5, 0}})
+	scratch := make(mat.Vec, net.ScratchLen())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(s)
+		net.ForwardInto(s, scratch)
 	}
 }
 

@@ -153,15 +153,7 @@ func (m *Mat) MulVec(v Vec) Vec {
 		panic(fmt.Sprintf("mat: MulVec: %d columns vs vector length %d", m.C, len(v)))
 	}
 	out := make(Vec, m.R)
-	for i := 0; i < m.R; i++ {
-		s := 0.0
-		row := m.Data[i*m.C : (i+1)*m.C]
-		v := v[:len(row)] // same length as row: no bounds check in the loop
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
+	mulVecRows(out, m.Data, m.C, v)
 	return out
 }
 
@@ -174,9 +166,42 @@ func (m *Mat) MulVecInto(dst, v Vec) {
 	if len(dst) != m.R {
 		panic(fmt.Sprintf("mat: MulVecInto: dst length %d, want %d rows", len(dst), m.R))
 	}
-	for i := 0; i < m.R; i++ {
+	mulVecRows(dst, m.Data, m.C, v)
+}
+
+// mulVecRows writes dst[i] = Σ_j data[i*c+j]·v[j] for the len(dst) rows of
+// a row-major matrix with c columns. Four rows share each pass over v,
+// each in its own accumulator, so the four independent add chains overlap
+// in the pipeline; a scalar loop takes the last len(dst) mod 4 rows.
+//
+// Every output keeps the plain loop's arithmetic exactly: its accumulator
+// starts at 0.0 and adds a·v[j] in column order j = 0..c−1, written as
+// s += a * x so the compiler fuses (or does not fuse) it the same way on
+// every GOARCH. Never reassociate these sums, split them over j, or call
+// math.FMA: the golden traces, artifacts and DQN training runs depend on
+// every bit.
+func mulVecRows(dst, data []float64, c int, v Vec) {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := data[i*c : (i+1)*c]
+		r1 := data[(i+1)*c : (i+2)*c]
+		r2 := data[(i+2)*c : (i+3)*c]
+		r3 := data[(i+3)*c : (i+4)*c]
+		r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)] // no bounds checks below
+		v := v[:len(r0)]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for j, a := range r0 {
+			x := v[j]
+			s0 += a * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
 		s := 0.0
-		row := m.Data[i*m.C : (i+1)*m.C]
+		row := data[i*c : (i+1)*c]
 		v := v[:len(row)] // same length as row: no bounds check in the loop
 		for j, a := range row {
 			s += a * v[j]

@@ -246,3 +246,73 @@ func randomDense(rng *rand.Rand, n int) *Mat {
 	}
 	return a
 }
+
+// refMulVec is the plain one-row-at-a-time loop MulVec ran before its
+// rows were blocked four to a pass, kept verbatim as the bit-exact oracle.
+func refMulVec(m *Mat, v Vec) Vec {
+	out := make(Vec, m.R)
+	for i := 0; i < m.R; i++ {
+		s := 0.0
+		row := m.Data[i*m.C : (i+1)*m.C]
+		v := v[:len(row)] // same length as row: no bounds check in the loop
+		for j, a := range row {
+			s += a * v[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// kernelFloat draws entries where summation order decides the rounding:
+// signed zeros, infinities, NaN, subnormals, and magnitudes from 1e-300
+// to 1e300 mixed with ordinary values.
+func kernelFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return math.Copysign(0, float64(rng.Intn(2))-0.5)
+	case 1:
+		return math.Inf(2*rng.Intn(2) - 1)
+	case 2:
+		return math.NaN()
+	case 3:
+		return math.Float64frombits(uint64(rng.Int63n(1<<52))) * float64(2*rng.Intn(2)-1) // subnormal
+	case 4:
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(601)-300))
+	case 5:
+		return (rng.Float64() - 0.5) * 1e300
+	case 6:
+		return (rng.Float64() - 0.5) * 1e-300
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// TestMulVecBitIdentical pins the row-blocked kernel to the plain loop bit
+// for bit, over every R mod 4 tail and widths up to 70: each output keeps
+// its own accumulator and its column order, so no input can round
+// differently.
+func TestMulVecBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 3000; trial++ {
+		r, c := rng.Intn(10), rng.Intn(71)
+		m := New(r, c)
+		v := make(Vec, c)
+		for i := range m.Data {
+			m.Data[i] = kernelFloat(rng)
+		}
+		for j := range v {
+			v[j] = kernelFloat(rng)
+		}
+		want := refMulVec(m, v)
+		into := make(Vec, r)
+		m.MulVecInto(into, v)
+		for name, got := range map[string]Vec{"MulVec": m.MulVec(v), "MulVecInto": into} {
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d (%d×%d): %s row %d = %v (%#x), plain loop %v (%#x)",
+						trial, r, c, name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -46,18 +46,53 @@ func (m *MLP) NumLayers() int { return len(m.Weights) }
 
 // Forward evaluates the network on x.
 func (m *MLP) Forward(x mat.Vec) mat.Vec {
+	return m.ForwardInto(x, make(mat.Vec, m.ScratchLen()))
+}
+
+// ScratchLen returns the scratch length ForwardInto needs: two buffers
+// as wide as the widest layer.
+func (m *MLP) ScratchLen() int {
+	w := 0
+	for _, l := range m.Weights {
+		w = max(w, l.R)
+	}
+	return 2 * w
+}
+
+// ForwardInto evaluates the network on x without allocating. Layer
+// outputs ping-pong between the two halves of scratch, each of which must
+// be as wide as the widest layer (len(scratch) ≥ ScratchLen()); x must
+// not alias scratch. The returned output is a view into scratch, valid
+// until scratch is reused.
+func (m *MLP) ForwardInto(x, scratch mat.Vec) mat.Vec {
+	half := len(scratch) / 2
+	if half < m.ScratchLen()/2 {
+		panic(fmt.Sprintf("nn: ForwardInto: scratch length %d, want at least %d", len(scratch), m.ScratchLen()))
+	}
+	bufs := [2]mat.Vec{scratch[:half], scratch[half : 2*half]}
 	h := x
-	for l := 0; l < m.NumLayers(); l++ {
-		h = m.Weights[l].MulVec(h).Add(m.Biases[l])
-		if l < m.NumLayers()-1 {
-			for i, v := range h {
-				if v < 0 {
-					h[i] = 0
-				}
-			}
-		}
+	for l, w := range m.Weights {
+		out := bufs[l&1][:w.R:w.R]
+		m.layerInto(l, out, h)
+		h = out
 	}
 	return h
+}
+
+// layerInto writes layer l's output on input h into out: W·h + b, then
+// ReLU on hidden layers. The bias is added after the product and a
+// negative sum clamps to zero (a NaN passes through), in that order.
+func (m *MLP) layerInto(l int, out, h mat.Vec) {
+	m.Weights[l].MulVecInto(out, h)
+	b := m.Biases[l][:len(out)]
+	relu := l < m.NumLayers()-1
+	for i, v := range out {
+		v += b[i]
+		if relu && v < 0 {
+			v = 0
+		}
+		out[i] = v
+	}
 }
 
 // forwardCache evaluates the network and returns the pre-activation inputs
@@ -65,16 +100,11 @@ func (m *MLP) Forward(x mat.Vec) mat.Vec {
 func (m *MLP) forwardCache(x mat.Vec) (acts []mat.Vec, out mat.Vec) {
 	acts = make([]mat.Vec, m.NumLayers())
 	h := x
-	for l := 0; l < m.NumLayers(); l++ {
+	for l, w := range m.Weights {
 		acts[l] = h
-		h = m.Weights[l].MulVec(h).Add(m.Biases[l])
-		if l < m.NumLayers()-1 {
-			for i, v := range h {
-				if v < 0 {
-					h[i] = 0
-				}
-			}
-		}
+		out := make(mat.Vec, w.R)
+		m.layerInto(l, out, h)
+		h = out
 	}
 	return acts, h
 }

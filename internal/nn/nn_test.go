@@ -169,3 +169,97 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 		t.Error("corrupt shape accepted")
 	}
 }
+
+// refForward is Forward as it ran before ForwardInto, kept as the
+// bit-exact oracle: a fresh product vector per layer summed one row at a
+// time (mat.MulVec's plain loop, inlined), the bias added by Vec.Add, and
+// the ReLU clamp applied in place.
+func refForward(m *MLP, x mat.Vec) mat.Vec {
+	h := x
+	for l := 0; l < m.NumLayers(); l++ {
+		w := m.Weights[l]
+		prod := make(mat.Vec, w.R)
+		for i := 0; i < w.R; i++ {
+			s := 0.0
+			for j, a := range w.Data[i*w.C : (i+1)*w.C] {
+				s += a * h[j]
+			}
+			prod[i] = s
+		}
+		h = prod.Add(m.Biases[l])
+		if l < m.NumLayers()-1 {
+			for i, v := range h {
+				if v < 0 {
+					h[i] = 0
+				}
+			}
+		}
+	}
+	return h
+}
+
+// TestForwardIntoBitIdentical pins ForwardInto (and Forward, which
+// delegates to it) to the old allocating pass bit for bit, on random nets
+// with layer widths 1..130 and inputs that include signed zeros,
+// infinities, NaN and extreme magnitudes.
+func TestForwardIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300, -1e300}
+	var scratch mat.Vec
+	for trial := 0; trial < 300; trial++ {
+		sizes := make([]int, 2+rng.Intn(3))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(130)
+		}
+		m := NewMLP(sizes, rng)
+		for l := range m.Biases {
+			for i := range m.Biases[l] {
+				m.Biases[l][i] = rng.NormFloat64()
+			}
+		}
+		x := make(mat.Vec, sizes[0])
+		for i := range x {
+			x[i] = rng.NormFloat64() * 3
+			if rng.Intn(8) == 0 {
+				x[i] = special[rng.Intn(len(special))]
+			}
+		}
+		if n := m.ScratchLen() + rng.Intn(3); len(scratch) < n {
+			scratch = make(mat.Vec, n) // reused across nets: stale contents must not matter
+		}
+		want := refForward(m, x)
+		for name, got := range map[string]mat.Vec{
+			"ForwardInto": m.ForwardInto(x, scratch),
+			"Forward":     m.Forward(x),
+		} {
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %v: %s has %d outputs, want %d", trial, sizes, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d %v: %s output %d = %v, old pass %v", trial, sizes, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestForwardIntoScratch pins ForwardInto's buffer contract: zero
+// allocations, and a panic (not a silent overrun) on a short buffer.
+func TestForwardIntoScratch(t *testing.T) {
+	m := NewMLP([]int{4, 64, 64, 2}, rand.New(rand.NewSource(1)))
+	if got := m.ScratchLen(); got != 128 {
+		t.Fatalf("ScratchLen = %d, want 128", got)
+	}
+	x := mat.Vec{0.1, -0.2, 0.3, -0.4}
+	scratch := make(mat.Vec, m.ScratchLen())
+	if allocs := testing.AllocsPerRun(100, func() { m.ForwardInto(x, scratch) }); allocs != 0 {
+		t.Errorf("ForwardInto allocates %v times per call, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ForwardInto with a short scratch did not panic")
+		}
+	}()
+	m.ForwardInto(x, scratch[:m.ScratchLen()-1])
+}

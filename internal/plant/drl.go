@@ -112,16 +112,25 @@ func (e *Encoder) StateDim(memory int) int { return len(e.xCenter) + memory*len(
 
 // Encode builds the normalized agent state (most recent disturbance last).
 func (e *Encoder) Encode(x mat.Vec, wRecent []mat.Vec) mat.Vec {
-	out := make(mat.Vec, 0, len(x)+len(wRecent)*len(e.wScale))
+	return e.EncodeInto(make(mat.Vec, e.StateDim(len(wRecent))), x, wRecent)
+}
+
+// EncodeInto is Encode without allocating: it writes the normalized agent
+// state into the front of dst, which must hold StateDim(len(wRecent))
+// entries, and returns that prefix.
+func (e *Encoder) EncodeInto(dst, x mat.Vec, wRecent []mat.Vec) mat.Vec {
+	dst = dst[:len(x)+len(wRecent)*len(e.wScale)]
 	for i, xi := range x {
-		out = append(out, (xi-e.xCenter[i])/e.xScale[i])
+		dst[i] = (xi - e.xCenter[i]) / e.xScale[i]
 	}
+	k := len(x)
 	for _, w := range wRecent {
 		for i, ws := range e.wScale {
-			out = append(out, w[i]/ws)
+			dst[k] = w[i] / ws
+			k++
 		}
 	}
-	return out
+	return dst
 }
 
 // Env adapts any plant instance to rl.Env with the paper's reward
@@ -252,10 +261,26 @@ type trainedPolicy struct {
 	memory int
 }
 
+// decideScratch is the stack scratch of trainedPolicy.Decide, in
+// float64s: the encoded state plus the forward pass's two ping-pong
+// buffers. It fits every net TrainDRL builds (widest layer 64) with 32
+// features; a wider net or a longer state falls back to the heap. Go
+// zeroes the array on every call, so it is no larger than those nets
+// need.
+const decideScratch = 2*64 + 32
+
 // Decide implements core.SkipPolicy: greedy action 1 ("run κ") iff
-// Q(s, run) > Q(s, skip), matching rl.DDQN.Greedy's strict argmax.
+// Q(s, run) > Q(s, skip), matching rl.DDQN.Greedy's strict argmax. It
+// runs in stack scratch, so the shared policy carries no mutable state
+// and fleet workers call it concurrently.
 func (p trainedPolicy) Decide(_ int, x mat.Vec, wRecent []mat.Vec) bool {
-	q := p.net.Forward(p.enc.Encode(x, wRecent))
+	var stack [decideScratch]float64
+	buf := stack[:]
+	n := p.enc.StateDim(len(wRecent))
+	if need := n + p.net.ScratchLen(); need > len(buf) {
+		buf = make([]float64, need)
+	}
+	q := p.net.ForwardInto(p.enc.EncodeInto(buf[:n], x, wRecent), buf[n:])
 	return q[1] > q[0]
 }
 

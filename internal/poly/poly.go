@@ -90,12 +90,15 @@ func (p *Polytope) Contains(x mat.Vec, tol float64) bool {
 	if len(x) != p.Dim() {
 		panic(fmt.Sprintf("poly: Contains: point dim %d vs polytope dim %d", len(x), p.Dim()))
 	}
-	for i := 0; i < p.A.R; i++ {
+	c := p.A.C
+	for i, b := range p.B[:p.A.R] {
+		row := p.A.Data[i*c : (i+1)*c]
+		x := x[:len(row)] // same length as row: no bounds check in the loop
 		s := 0.0
-		for j := 0; j < p.A.C; j++ {
-			s += p.A.At(i, j) * x[j]
+		for j, a := range row {
+			s += a * x[j]
 		}
-		if s > p.B[i]+tol {
+		if s > b+tol {
 			return false
 		}
 	}

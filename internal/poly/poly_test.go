@@ -530,3 +530,66 @@ func mustSameSet(t *testing.T, got, want *Polytope) {
 		t.Fatalf("sets differ:\n got: A=\n%v b=%v\nwant: A=\n%v b=%v", got.A, got.B, want.A, want.B)
 	}
 }
+
+// refContains is Contains as it ran before its rows were sliced, kept
+// verbatim as the bit-exact oracle.
+func refContains(p *Polytope, x mat.Vec, tol float64) bool {
+	for i := 0; i < p.A.R; i++ {
+		s := 0.0
+		for j := 0; j < p.A.C; j++ {
+			s += p.A.At(i, j) * x[j]
+		}
+		if s > p.B[i]+tol {
+			return false
+		}
+	}
+	return true
+}
+
+// TestContainsMatchesReference pins the row-sliced Contains to the
+// At-indexed loop on random polytopes, with points placed exactly on, and
+// one ulp either side of, a row's B[i]+tol boundary — where the sum's
+// rounding decides the answer.
+func TestContainsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	special := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300}
+	for trial := 0; trial < 5000; trial++ {
+		r, c := rng.Intn(13), 1+rng.Intn(6)
+		a := mat.New(r, c)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+			if rng.Intn(40) == 0 {
+				a.Data[i] = special[rng.Intn(len(special))]
+			}
+		}
+		x := make(mat.Vec, c)
+		for j := range x {
+			x[j] = rng.NormFloat64() * 2
+		}
+		tol := []float64{0, 1e-9, 1e-6}[rng.Intn(3)]
+		b := make(mat.Vec, r)
+		for i := range b {
+			b[i] = rng.NormFloat64() * 3
+		}
+		p := New(a, b)
+		if r > 0 {
+			// Put x on row k's boundary: B[k] + tol equals (or straddles by
+			// one ulp) the row's sum in its summation order.
+			k := rng.Intn(r)
+			s := 0.0
+			for j := 0; j < c; j++ {
+				s += a.At(k, j) * x[j]
+			}
+			b[k] = s - tol
+			switch rng.Intn(3) {
+			case 1:
+				b[k] = math.Nextafter(b[k], math.Inf(1))
+			case 2:
+				b[k] = math.Nextafter(b[k], math.Inf(-1))
+			}
+		}
+		if got, want := p.Contains(x, tol), refContains(p, x, tol); got != want {
+			t.Fatalf("trial %d: Contains = %v, reference %v (A=%v B=%v x=%v tol=%g)", trial, got, want, a.Data, b, x, tol)
+		}
+	}
+}

@@ -71,6 +71,7 @@ type metrics struct {
 	stepHist          *obs.Histogram
 	replayHist        *obs.Histogram
 	tickHist          *obs.Histogram
+	tickPhases        *obs.PhaseHistogram // decide and step phases of each fleet tick
 	marginHist        *obs.Histogram
 	journalAppendHist *obs.Histogram
 	journalSyncHist   *obs.Histogram
@@ -83,17 +84,22 @@ func (m *metrics) initHists() {
 	m.stepHist = obs.NewHistogram("oicd_step_seconds", "step request latency (single or batched)", lat)
 	m.replayHist = obs.NewHistogram("oicd_replay_seconds", "replay request latency", lat)
 	m.tickHist = obs.NewHistogram("oicd_fleet_tick_seconds", "fleet tick latency", lat)
+	m.tickPhases = obs.NewPhaseHistogram("oicd_fleet_tick_phase_seconds",
+		"fleet tick phase durations (decide: monitor, policy and S_k; step: skip and compute lanes)", []string{"decide", "step"}, lat)
 	m.marginHist = obs.NewHistogram("oicd_fleet_deadline_margin_seconds", "tick deadline margin (TickDeadline - elapsed; negative = overrun)", obs.MarginBuckets())
 	m.journalAppendHist = obs.NewHistogram("oicd_journal_append_seconds", "write-ahead journal append latency", lat)
 	m.journalSyncHist = obs.NewHistogram("oicd_journal_sync_seconds", "write-ahead journal fsync latency", lat)
 	m.recoveryPhases = obs.NewPhaseHistogram("oicd_recovery_phase_seconds", "boot journal recovery phase durations", []string{"scan", "rebuild", "replay"}, lat)
 }
 
-// observeTick folds one fleet tick into the counters and, when the fleet
-// carries a tick deadline, the margin histogram.
+// observeTick folds one fleet tick into the counters, the tick and phase
+// histograms and, when the fleet carries a tick deadline, the margin
+// histogram.
 func (m *metrics) observeTick(rep oic.TickReport, deadline time.Duration) {
 	m.fleetTicks.Add(1)
 	m.tickHist.Observe(rep.Elapsed.Seconds())
+	m.tickPhases.Observe("decide", rep.DecideTime.Seconds())
+	m.tickPhases.Observe("step", rep.StepTime.Seconds())
 	if deadline > 0 {
 		m.marginHist.Observe((deadline - rep.Elapsed).Seconds())
 	}
@@ -169,6 +175,7 @@ func (m *metrics) render(w io.Writer, liveSessions, cachedEngines int, fleets []
 	counter("oicd_fleet_overrun_total", "forced computes beyond the per-tick budget", m.fleetOverrun.Load())
 	counter("oicd_fleet_degraded_total", "computes shed into certified-safe skips by fault or deadline degradation", m.fleetDegraded.Load())
 	m.tickHist.Write(w)
+	m.tickPhases.Write(w)
 	m.marginHist.Write(w)
 
 	counter("oicd_sessions_frozen_total", "sessions frozen for migration handoff", m.sessionsFrozen.Load())

@@ -91,6 +91,14 @@ func TestMetricsScrapeValid(t *testing.T) {
 	if n := histCount(t, exposition, "oicd_fleet_deadline_margin_seconds"); n < 3 {
 		t.Errorf("oicd_fleet_deadline_margin_seconds count = %d, want ≥ 3", n)
 	}
+	// The tick's two fanned-out phases are exported under the names the
+	// benchmark ledger uses.
+	for _, phase := range []string{"decide", "step"} {
+		series := `oicd_fleet_tick_phase_seconds_count{phase="` + phase + `"}`
+		if n := histCount(t, exposition, series); n < 3 {
+			t.Errorf("%s = %d, want ≥ 3", series, n)
+		}
+	}
 	if n := histCount(t, exposition, "oicd_step_seconds"); n < 1 {
 		t.Errorf("oicd_step_seconds count = %d, want ≥ 1", n)
 	}

@@ -121,11 +121,54 @@ func BenchmarkFleetTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Close()
-	// Pre-draw a ring of per-tick disturbance maps so the measured loop
-	// only schedules and steps.
+	ring := admitRing(b, e, f, sessions, traceLen)
+	tickRing(b, f, ring, nil)
+	st := f.Stats()
+	b.ReportMetric(st.ReclaimedRatio, "reclaimed-ratio")
+	b.ReportMetric(st.Utilization, "budget-utilization")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*sessions), "ns/session-step")
+	if st.Violations != 0 {
+		b.Fatalf("%d violations across %d ticks", st.Violations, st.Ticks)
+	}
+}
+
+// BenchmarkFleetTickDRL is oicbench's fleet-decide shape in process: the
+// golden thermo-drl engine decoded and loaded from its artifact (no
+// training), 2000 members, budget 96. Thermo's κ is an affine law, so the
+// tick is mostly the decide lane (per member the monitor, the S_k oracle
+// and a DQN forward pass) and the skip lane; allocs/op shows that lane
+// allocation-free, leaving the ~3 allocations per affine κ compute.
+func BenchmarkFleetTickDRL(b *testing.B) {
+	a, err := DecodeArtifact(goldenArtifactBytes(b, "thermo-drl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := LoadEngine(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const sessions, budget, traceLen = 2000, 96, 128
+	f, err := e.NewFleet(FleetConfig{ComputeBudget: budget, MaxSessions: sessions})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	ring := admitRing(b, e, f, sessions, traceLen)
+	tickRing(b, f, ring, nil)
+	st := f.Stats()
+	b.ReportMetric(st.ReclaimedRatio, "reclaimed-ratio")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*sessions), "ns/session-step")
+}
+
+// admitRing admits sessions members with initial states from
+// DrawCase(i+1, traceLen) and returns the ring of traceLen per-tick
+// disturbance maps drawn with them, so a measured loop only schedules and
+// steps.
+func admitRing(b *testing.B, e *Engine, f *Fleet, sessions, traceLen int) []map[int][]float64 {
+	b.Helper()
 	ids := make([]int, sessions)
 	traces := make([][][]float64, sessions)
-	for i := 0; i < sessions; i++ {
+	for i := range ids {
 		x0, w, err := e.DrawCase(int64(i+1), traceLen)
 		if err != nil {
 			b.Fatal(err)
@@ -136,33 +179,37 @@ func BenchmarkFleetTick(b *testing.B) {
 		traces[i] = w
 	}
 	ring := make([]map[int][]float64, traceLen)
-	for tk := 0; tk < traceLen; tk++ {
+	for tk := range ring {
 		ws := make(map[int][]float64, sessions)
 		for i, id := range ids {
 			ws[id] = traces[i][tk]
 		}
 		ring[tk] = ws
 	}
+	return ring
+}
+
+// tickRing is the measured loop of the fleet benchmarks: b.N ticks over
+// the ring, each followed by perTick when it is set, failing on any tick
+// error or safety violation.
+func tickRing(b *testing.B, f *Fleet, ring []map[int][]float64, perTick func()) {
+	b.Helper()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := f.Tick(ctx, ring[i%traceLen])
+		rep, err := f.Tick(ctx, ring[i%len(ring)])
 		if err != nil {
 			b.Fatal(err)
 		}
 		if rep.Violations != 0 {
 			b.Fatalf("tick %d: %d safety violations", i, rep.Violations)
 		}
+		if perTick != nil {
+			perTick()
+		}
 	}
 	b.StopTimer()
-	st := f.Stats()
-	b.ReportMetric(st.ReclaimedRatio, "reclaimed-ratio")
-	b.ReportMetric(st.Utilization, "budget-utilization")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*sessions), "ns/session-step")
-	if st.Violations != 0 {
-		b.Fatalf("%d violations across %d ticks", st.Violations, st.Ticks)
-	}
 }
 
 // BenchmarkFleetTickElastic is BenchmarkFleetTick with the elastic-budget
@@ -186,39 +233,8 @@ func BenchmarkFleetTickElastic(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Close()
-	ids := make([]int, sessions)
-	traces := make([][][]float64, sessions)
-	for i := 0; i < sessions; i++ {
-		x0, w, err := e.DrawCase(int64(i+1), traceLen)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ids[i], err = f.Admit(x0); err != nil {
-			b.Fatal(err)
-		}
-		traces[i] = w
-	}
-	ring := make([]map[int][]float64, traceLen)
-	for tk := 0; tk < traceLen; tk++ {
-		ws := make(map[int][]float64, sessions)
-		for i, id := range ids {
-			ws[id] = traces[i][tk]
-		}
-		ring[tk] = ws
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := f.Tick(ctx, ring[i%traceLen])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Violations != 0 {
-			b.Fatalf("tick %d: %d safety violations", i, rep.Violations)
-		}
-	}
-	b.StopTimer()
+	ring := admitRing(b, e, f, sessions, traceLen)
+	tickRing(b, f, ring, nil)
 	st := f.Stats()
 	b.ReportMetric(st.ReclaimedRatio, "reclaimed-ratio")
 	b.ReportMetric(float64(st.Budget), "final-budget")
@@ -256,42 +272,12 @@ func BenchmarkFleetTickJournaled(b *testing.B) {
 			b.Error(err)
 		}
 	})
-	ids := make([]int, sessions)
-	traces := make([][][]float64, sessions)
-	for i := 0; i < sessions; i++ {
-		x0, w, err := e.DrawCase(int64(i+1), traceLen)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ids[i], err = f.Admit(x0); err != nil {
-			b.Fatal(err)
-		}
-		traces[i] = w
-	}
-	ring := make([]map[int][]float64, traceLen)
-	for tk := 0; tk < traceLen; tk++ {
-		ws := make(map[int][]float64, sessions)
-		for i, id := range ids {
-			ws[id] = traces[i][tk]
-		}
-		ring[tk] = ws
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := f.Tick(ctx, ring[i%traceLen])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Violations != 0 {
-			b.Fatalf("tick %d: %d safety violations", i, rep.Violations)
-		}
+	ring := admitRing(b, e, f, sessions, traceLen)
+	tickRing(b, f, ring, func() {
 		if err := jw.Sync(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
+	})
 	st := jw.Stats()
 	b.ReportMetric(float64(st.Appends)/float64(b.N), "journal-appends/tick")
 	b.ReportMetric(float64(st.Bytes)/float64(int64(b.N)*sessions), "journal-bytes/session-step")

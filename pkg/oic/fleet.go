@@ -381,6 +381,12 @@ type TickReport struct {
 	Errors []FleetStepError `json:"errors,omitempty"`
 
 	Elapsed time.Duration `json:"elapsed_ns"` // wall time of the whole tick
+	// DecideTime and StepTime are the wall times of the tick's two
+	// fanned-out phases: decide (every member's monitor, policy and S_k
+	// verdict) and step (the skip and compute lanes). The rest of Elapsed
+	// is staging, planning and bookkeeping.
+	DecideTime time.Duration `json:"decide_ns"`
+	StepTime   time.Duration `json:"step_ns"`
 	// DeadlineMargin is TickDeadline − Elapsed for deadline-bearing fleets
 	// (zero when no deadline is configured). Negative means the tick
 	// overran — the raw signal the elastic-budget controller regulates on.
@@ -445,6 +451,7 @@ func (f *Fleet) Tick(ctx context.Context, ws map[int][]float64) (TickReport, err
 		Skips:    st.Skips, Computes: st.Computes, Forced: st.Forced,
 		Shed: st.Shed, Overrun: st.Overrun, Degraded: st.Degraded,
 		ShedBudgetMin: st.ShedBudgetMin,
+		DecideTime:    st.DecideTime, StepTime: st.StepTime,
 	}
 	if f.budget > 0 {
 		rep.Utilization = float64(st.Computes) / float64(f.budget)

@@ -150,9 +150,16 @@ type FleetInfo struct {
 // omitted members get zero); Ticks > 1 runs that many zero-disturbance
 // ticks and requires WS to be empty.
 type FleetTickRequest struct {
-	Ticks int               `json:"ticks,omitempty"`
-	WS    map[int][]float64 `json:"ws,omitempty"`
+	Ticks int    `json:"ticks,omitempty"`
+	WS    TickWS `json:"ws,omitempty"`
 }
+
+// TickWS is a fleet tick's per-member disturbances: member ID → w, the
+// JSON object {"<id>": [w₀, w₁, …], …}. It is a plain map on the wire
+// and in Go (a map[int][]float64 assigns to it); only its decoder is its
+// own (tickws.go), and it accepts and yields exactly what encoding/json
+// does for a map[int][]float64.
+type TickWS map[int][]float64
 
 // FleetTickResponse carries one TickReport per executed tick. When a
 // multi-tick request fails partway, Reports holds the ticks that ran and
