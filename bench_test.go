@@ -407,7 +407,7 @@ func BenchmarkDQNMemoryAblation(b *testing.B) {
 }
 
 // BenchmarkSkipBudgetChain measures the offline construction of the
-// multi-step strengthened sets S₁…S₈ (the weakly-hard extension).
+// multi-step strengthened sets S₁…S₈ behind the fleet's skip-budget oracle.
 func BenchmarkSkipBudgetChain(b *testing.B) {
 	m := sharedACCModel(b)
 	b.ResetTimer()

@@ -9,7 +9,8 @@
 //	oic table1  — primary-ladder settings with measured savings (Table I)
 //	oic timing  — Section IV-A computation-time analysis
 //	oic sets    — the safety sets X ⊇ XI ⊇ X′ (Fig. 1)
-//	oic budget  — the multi-step strengthened sets S_k (weakly-hard extension)
+//	oic budget  — the multi-step strengthened sets S_k behind the fleet's
+//	              skip-budget oracle
 //	oic fleet   — sweep fleet sizes against a per-tick compute budget and
 //	              report the achievable sessions-per-core curve (DESIGN.md §7);
 //	              with -elastic, run the largest size continuously under the

@@ -65,9 +65,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SetFaults installs (or clears, with nil) a deterministic fault injector
 // on the store's I/O sites (fault.SiteArtifactRead / SiteArtifactWrite).
 // Call before handing the store to concurrent users.

@@ -359,45 +359,8 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster", rt.handleClusterStatus)
 	mux.HandleFunc("POST /v1/cluster/migrate", rt.handleClusterMigrate)
 	mux.HandleFunc("POST /v1/cluster/drain", rt.handleClusterDrain)
-	mux.HandleFunc("GET /v1/debug/ops", rt.handleDebugOps)
-	return rt.withTrace(mux)
-}
-
-// withTrace mints (or adopts) the request's trace ID — the router is the
-// usual minting point for cluster traffic — stamps it on the response,
-// threads it through the context so proxyFwd forwards it to the shard,
-// and logs request completion with it.
-func (rt *Router) withTrace(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(obs.TraceHeader)
-		if id == "" {
-			id = obs.NewTraceID()
-		}
-		w.Header().Set(obs.TraceHeader, id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(obs.WithTraceID(r.Context(), id)))
-		rt.log.Debug("request",
-			"method", r.Method, "path", r.URL.Path,
-			"status", sw.status, "elapsed", time.Since(start), "trace_id", id)
-	})
-}
-
-// statusWriter captures the response status for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// handleDebugOps serves the recent migration/failover spans, newest
-// first.
-func (rt *Router) handleDebugOps(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"spans": rt.ops.Snapshot()})
+	mux.Handle("GET /v1/debug/ops", rt.ops)
+	return obs.WithTrace(rt.log, mux)
 }
 
 // handleHealthz is router liveness: always 200.

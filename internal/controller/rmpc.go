@@ -355,9 +355,6 @@ func (r *RMPC) computeTerminalSet(gain *mat.Mat) (*poly.Polytope, error) {
 // Name implements Controller.
 func (r *RMPC) Name() string { return "rmpc" }
 
-// Horizon returns the prediction horizon N.
-func (r *RMPC) Horizon() int { return r.cfg.Horizon }
-
 // TightenedSets returns X(0)…X(N) (shared slices; do not mutate).
 func (r *RMPC) TightenedSets() []*poly.Polytope { return r.tightened }
 

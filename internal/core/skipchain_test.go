@@ -8,35 +8,6 @@ import (
 	"oic/internal/reach"
 )
 
-func TestWindowMisses(t *testing.T) {
-	mk := func(pattern string) []Step {
-		recs := make([]Step, len(pattern))
-		for i, c := range pattern {
-			recs[i].Ran = c == '1'
-		}
-		return recs
-	}
-	cases := []struct {
-		pattern string
-		k, want int
-	}{
-		{"1111", 2, 0},
-		{"0000", 2, 2},
-		{"1010", 2, 1},
-		{"10010", 3, 2},
-		{"0110", 1, 1},
-		{"01", 5, 0}, // window longer than the record
-	}
-	for _, c := range cases {
-		if got := WindowMisses(mk(c.pattern), c.k); got != c.want {
-			t.Errorf("WindowMisses(%q, %d) = %d, want %d", c.pattern, c.k, got, c.want)
-		}
-	}
-	if !SatisfiesMK(mk("10010"), 2, 3) || SatisfiesMK(mk("10010"), 1, 3) {
-		t.Error("SatisfiesMK misjudged the pattern")
-	}
-}
-
 func TestConsecutiveSkipSetsChain(t *testing.T) {
 	sys, _, sets := testRig(t)
 	chain, err := reach.ConsecutiveSkipSets(sets.XI, sys, 6)
@@ -96,14 +67,17 @@ func TestConsecutiveSkipSetsSemantics(t *testing.T) {
 	}
 }
 
+// TestMaxConsecutiveSkips reads the skip budget of the framework's own
+// safety sets through the S_k oracle the fleet scheduler consults.
 func TestMaxConsecutiveSkips(t *testing.T) {
 	sys, _, sets := testRig(t)
 	chain, err := reach.ConsecutiveSkipSets(sets.XI, sys, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	budget := reach.BudgetFromChain(chain)
 	// The origin sits deep inside every set of this chain.
-	if got := MaxConsecutiveSkips(chain, mat.Vec{0, 0}, 1e-9); got != len(chain) {
+	if got := budget.Remaining(mat.Vec{0, 0}); got != len(chain) {
 		t.Errorf("budget at origin = %d, want %d", got, len(chain))
 	}
 	// A state outside S1 has budget 0.
@@ -111,43 +85,7 @@ func TestMaxConsecutiveSkips(t *testing.T) {
 	if chain[0].Contains(far, 1e-9) {
 		t.Skip("probe state unexpectedly inside S1")
 	}
-	if got := MaxConsecutiveSkips(chain, far, 1e-9); got != 0 {
+	if got := budget.Remaining(far); got != 0 {
 		t.Errorf("budget at %v = %d, want 0", far, got)
-	}
-}
-
-func TestBudgetPolicyRunsAndSaves(t *testing.T) {
-	sys, fb, sets := testRig(t)
-	chain, err := reach.ConsecutiveSkipSets(sets.XI, sys, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := &BudgetPolicy{SkipSets: chain, MinBudget: 2}
-	if pol.Name() == "" {
-		t.Error("empty name")
-	}
-	f, err := NewFramework(sys, fb, sets, pol, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	wVerts, _ := sys.W.Vertices()
-	res, err := f.Run(mat.Vec{0.5, 0}, 150, func(int) mat.Vec {
-		return wVerts[rng.Intn(len(wVerts))].Clone()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ViolationsX != 0 || res.ViolationsXI != 0 {
-		t.Errorf("violations: X=%d XI=%d", res.ViolationsX, res.ViolationsXI)
-	}
-	if res.Skips == 0 {
-		t.Error("budget policy never skipped")
-	}
-	// Against always-run on the same disturbance stream it must not be
-	// more expensive than never skipping... (energy of feedback is state
-	// dependent, so just require meaningful skipping).
-	if res.SkipRate() < 0.2 {
-		t.Errorf("skip rate %.2f suspiciously low", res.SkipRate())
 	}
 }

@@ -12,9 +12,8 @@ var ErrSingular = errors.New("mat: matrix is singular")
 // LU holds an LU factorization with partial pivoting: P·A = L·U, stored
 // compactly in lu (unit lower triangle implicit).
 type LU struct {
-	lu   *Mat
-	piv  []int
-	sign int
+	lu  *Mat
+	piv []int
 }
 
 // Factor computes the LU factorization of the square matrix a.
@@ -28,7 +27,6 @@ func Factor(a *Mat) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivoting: pick the largest magnitude entry in column k.
 		p, max := k, math.Abs(lu.At(k, k))
@@ -45,7 +43,6 @@ func Factor(a *Mat) (*LU, error) {
 				lu.Data[p*n+j], lu.Data[k*n+j] = lu.Data[k*n+j], lu.Data[p*n+j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -59,7 +56,7 @@ func Factor(a *Mat) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve returns x with A·x = b.
@@ -89,15 +86,6 @@ func (f *LU) Solve(b Vec) Vec {
 	return x
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.R; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve returns x with a·x = b, factoring a on the fly.
 func Solve(a *Mat, b Vec) (Vec, error) {
 	f, err := Factor(a)
@@ -125,14 +113,4 @@ func Inverse(a *Mat) (*Mat, error) {
 		e[j] = 0
 	}
 	return inv, nil
-}
-
-// Det returns the determinant of a, or 0 if a is singular to working
-// precision.
-func Det(a *Mat) float64 {
-	f, err := Factor(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }

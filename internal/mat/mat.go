@@ -71,15 +71,6 @@ func (m *Mat) Row(i int) Vec {
 // Mutating the view mutates the matrix; use Row for an owned copy.
 func (m *Mat) RowView(i int) Vec { return Vec(m.Data[i*m.C : (i+1)*m.C]) }
 
-// Col returns a copy of column j as a Vec.
-func (m *Mat) Col(j int) Vec {
-	out := make(Vec, m.R)
-	for i := 0; i < m.R; i++ {
-		out[i] = m.Data[i*m.C+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Mat) Clone() *Mat {
 	out := New(m.R, m.C)

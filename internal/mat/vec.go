@@ -16,9 +16,6 @@ import (
 // Vec is a dense column vector.
 type Vec []float64
 
-// NewVec returns a zero vector of dimension n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Clone returns a deep copy of v.
 func (v Vec) Clone() Vec {
 	out := make(Vec, len(v))
@@ -93,16 +90,6 @@ func (v Vec) NormInf() float64 {
 		}
 	}
 	return s
-}
-
-// AddScaled returns v + a*u.
-func (v Vec) AddScaled(a float64, u Vec) Vec {
-	mustSameLen(len(v), len(u), "Vec.AddScaled")
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + a*u[i]
-	}
-	return out
 }
 
 // Equal reports whether v and u agree entrywise within tol.

@@ -59,9 +59,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{base: lp.NewProblem(n), integer: make([]bool, n)}
 }
 
-// NumVars returns the number of decision variables.
-func (p *Problem) NumVars() int { return p.base.NumVars() }
-
 // SetObjective sets the minimized cost vector.
 func (p *Problem) SetObjective(c []float64) { p.base.SetObjective(c) }
 

@@ -75,7 +75,7 @@ func TestSkippingIsSafeUnderAdversarialPolicy(t *testing.T) {
 	}
 }
 
-// TestConsecutiveSkipChain sanity-checks the weakly-hard extension on the
+// TestConsecutiveSkipChain sanity-checks the skip-budget chain on the
 // orbit plant: the S_k chain must be nested and start inside XI.
 func TestConsecutiveSkipChain(t *testing.T) {
 	m, err := NewModel()

@@ -60,20 +60,6 @@ func Box(lo, hi []float64) *Polytope {
 	return New(a, b)
 }
 
-// Singleton returns the degenerate polytope {p}.
-func Singleton(p mat.Vec) *Polytope {
-	n := len(p)
-	a := mat.New(2*n, n)
-	b := make(mat.Vec, 2*n)
-	for i := 0; i < n; i++ {
-		a.Set(2*i, i, 1)
-		b[2*i] = p[i]
-		a.Set(2*i+1, i, -1)
-		b[2*i+1] = -p[i]
-	}
-	return New(a, b)
-}
-
 // Dim returns the ambient dimension.
 func (p *Polytope) Dim() int { return p.A.C }
 
@@ -196,24 +182,6 @@ func (p *Polytope) Chebyshev() (mat.Vec, float64, error) {
 		return nil, 0, ErrUnbounded
 	}
 	return nil, 0, fmt.Errorf("poly: Chebyshev: solver status %v", sol.Status)
-}
-
-// IsBounded reports whether the polytope is bounded, by checking the
-// support in every signed coordinate direction.
-func (p *Polytope) IsBounded() bool {
-	n := p.Dim()
-	d := make(mat.Vec, n)
-	for j := 0; j < n; j++ {
-		for _, s := range []float64{1, -1} {
-			d[j] = s
-			_, _, err := p.Support(d)
-			d[j] = 0
-			if errors.Is(err, ErrUnbounded) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Intersect returns P ∩ Q by stacking constraint rows.

@@ -126,16 +126,6 @@ func TestChebyshev(t *testing.T) {
 	}
 }
 
-func TestIsBounded(t *testing.T) {
-	if !box2(t, 0, 0, 1, 1).IsBounded() {
-		t.Error("box reported unbounded")
-	}
-	half := New(mat.FromRows([][]float64{{1, 0}}), mat.Vec{1})
-	if half.IsBounded() {
-		t.Error("halfplane reported bounded")
-	}
-}
-
 func TestTranslate(t *testing.T) {
 	p := box2(t, 0, 0, 1, 1)
 	q := p.Translate(mat.Vec{10, -5})
@@ -161,13 +151,6 @@ func TestCovers(t *testing.T) {
 	}
 	if ok, err := inner.Covers(outer, 1e-9); err != nil || ok {
 		t.Errorf("inner ⊉ outer expected: %v %v", ok, err)
-	}
-}
-
-func TestSingleton(t *testing.T) {
-	s := Singleton(mat.Vec{1, 2})
-	if !s.Contains(mat.Vec{1, 2}, 1e-12) || s.Contains(mat.Vec{1.01, 2}, 1e-9) {
-		t.Error("Singleton membership wrong")
 	}
 }
 

@@ -96,7 +96,7 @@ func FromVertices2D(points []mat.Vec) (*Polytope, error) {
 	hull := ConvexHull2D(points)
 	switch len(hull) {
 	case 1:
-		return Singleton(hull[0]), nil
+		return Box(hull[0], hull[0]), nil
 	case 2:
 		// A segment: two halfspaces along the segment normal plus two caps.
 		d := hull[1].Sub(hull[0])

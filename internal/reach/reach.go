@@ -299,28 +299,3 @@ func StrengthenedSafeSet(xi *poly.Polytope, sys *lti.System) (*poly.Polytope, er
 	}
 	return poly.Intersect(b0, xi).ReduceRedundancy(), nil
 }
-
-// ForwardReachAutonomous returns the forward reachable tube of the
-// autonomous affine system x⁺ = acl·x + ccl + w from the initial set x0,
-// i.e. a slice holding Reach_0 = x0 through Reach_steps. acl must be
-// invertible (true for discretizations of continuous dynamics).
-func ForwardReachAutonomous(x0 *poly.Polytope, acl *mat.Mat, ccl mat.Vec, w *poly.Polytope, steps int) ([]*poly.Polytope, error) {
-	out := []*poly.Polytope{x0.Clone()}
-	cur := x0
-	for t := 0; t < steps; t++ {
-		img, err := cur.ImageAffine(acl, ccl)
-		if err != nil {
-			return nil, fmt.Errorf("reach: ForwardReachAutonomous: %w", err)
-		}
-		if w != nil {
-			img, err = poly.MinkowskiSum(img, w)
-			if err != nil {
-				return nil, err
-			}
-		}
-		img = img.ReduceRedundancy()
-		out = append(out, img)
-		cur = img
-	}
-	return out, nil
-}

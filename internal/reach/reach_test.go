@@ -303,27 +303,3 @@ func TestStrengthenedSafeSetSkipProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestForwardReachAutonomous(t *testing.T) {
-	// Stable scalar map contracts toward a fixed point.
-	acl := mat.FromRows([][]float64{{0.5}})
-	x0 := poly.Box([]float64{-4}, []float64{4})
-	w := poly.Box([]float64{-0.1}, []float64{0.1})
-	tube, err := ForwardReachAutonomous(x0, acl, mat.Vec{0}, w, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tube) != 6 {
-		t.Fatalf("tube length %d", len(tube))
-	}
-	// Reach_1 = 0.5·[-4,4] ⊕ [-0.1,0.1] = [-2.1, 2.1].
-	lo, hi, _ := tube[1].BoundingBox()
-	if math.Abs(lo[0]+2.1) > 1e-8 || math.Abs(hi[0]-2.1) > 1e-8 {
-		t.Errorf("Reach_1 = [%v, %v], want [-2.1, 2.1]", lo[0], hi[0])
-	}
-	// The tube must keep shrinking toward the invariant set.
-	loEnd, hiEnd, _ := tube[5].BoundingBox()
-	if hiEnd[0] >= hi[0] || loEnd[0] <= lo[0] {
-		t.Errorf("tube did not contract: step1 [%v,%v], step5 [%v,%v]", lo[0], hi[0], loEnd[0], hiEnd[0])
-	}
-}

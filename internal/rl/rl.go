@@ -83,13 +83,6 @@ type Config struct {
 	TargetSync   int     // online→target sync period in steps; default 250
 	WarmUp       int     // transitions before learning starts; default 500
 	Seed         int64   // RNG seed; default 1
-
-	// Prioritized switches from uniform replay to proportional prioritized
-	// replay (Schaul et al. 2016). The paper's agent samples uniformly;
-	// this is an opt-in extension.
-	Prioritized   bool
-	PriorityAlpha float64 // prioritization exponent; default 0.6
-	PriorityBeta  float64 // initial IS-correction exponent, annealed to 1; default 0.4
 }
 
 func (c Config) withDefaults() Config {
@@ -126,25 +119,18 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.PriorityAlpha == 0 {
-		c.PriorityAlpha = 0.6
-	}
-	if c.PriorityBeta == 0 {
-		c.PriorityBeta = 0.4
-	}
 	return c
 }
 
 // DDQN is a double deep Q-learning agent.
 type DDQN struct {
-	cfg     Config
-	online  *nn.MLP
-	target  *nn.MLP
-	opt     *nn.Adam
-	grads   *nn.Grads
-	replay  *Replay
-	preplay *PrioritizedReplay // non-nil when cfg.Prioritized
-	rng     *rand.Rand
+	cfg    Config
+	online *nn.MLP
+	target *nn.MLP
+	opt    *nn.Adam
+	grads  *nn.Grads
+	replay *Replay
+	rng    *rand.Rand
 
 	steps     int // environment steps observed
 	trainOps  int // gradient updates performed
@@ -161,20 +147,15 @@ func NewDDQN(cfg Config) (*DDQN, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sizes := append(append([]int{cfg.StateDim}, cfg.Hidden...), cfg.NumActions)
 	online := nn.NewMLP(sizes, rng)
-	agent := &DDQN{
+	return &DDQN{
 		cfg:    cfg,
 		online: online,
 		target: online.Clone(),
 		opt:    nn.NewAdam(online, cfg.LearningRate),
 		grads:  nn.NewGrads(online),
+		replay: NewReplay(cfg.ReplayCap),
 		rng:    rng,
-	}
-	if cfg.Prioritized {
-		agent.preplay = NewPrioritizedReplay(cfg.ReplayCap, cfg.PriorityAlpha)
-	} else {
-		agent.replay = NewReplay(cfg.ReplayCap)
-	}
-	return agent, nil
+	}, nil
 }
 
 // Epsilon returns the current exploration rate (linear anneal).
@@ -211,16 +192,9 @@ func (d *DDQN) Act(s mat.Vec) int {
 
 // Observe records a transition and performs a learning step when warmed up.
 func (d *DDQN) Observe(tr Transition) {
-	stored := 0
-	if d.preplay != nil {
-		d.preplay.Add(tr)
-		stored = d.preplay.Len()
-	} else {
-		d.replay.Add(tr)
-		stored = d.replay.Len()
-	}
+	d.replay.Add(tr)
 	d.steps++
-	if stored >= d.cfg.WarmUp {
+	if d.replay.Len() >= d.cfg.WarmUp {
 		d.trainStep()
 	}
 	if d.steps%d.cfg.TargetSync == 0 {
@@ -228,34 +202,18 @@ func (d *DDQN) Observe(tr Transition) {
 	}
 }
 
-// beta returns the annealed importance-sampling exponent (β → 1).
-func (d *DDQN) beta() float64 {
-	f := float64(d.steps) / float64(d.cfg.EpsDecay)
-	if f > 1 {
-		f = 1
-	}
-	return d.cfg.PriorityBeta + f*(1-d.cfg.PriorityBeta)
-}
-
 // trainStep samples a batch and applies one double-DQN TD update:
 //
 //	y = r + γ·Q_target(s', argmax_a Q_online(s', a))   (0 terminal)
 //	L = mean (Q_online(s, a) − y)²,
 //
-// with importance-sampling weights and priority refresh when prioritized
-// replay is enabled.
+// over a batch drawn uniformly from the replay buffer, as the paper's
+// agent samples.
 func (d *DDQN) trainStep() {
-	var batch []Transition
-	var idx []int
-	var ws []float64
-	if d.preplay != nil {
-		batch, idx, ws = d.preplay.Sample(d.cfg.BatchSize, d.beta(), d.rng)
-	} else {
-		batch = d.replay.Sample(d.cfg.BatchSize, d.rng)
-	}
+	batch := d.replay.Sample(d.cfg.BatchSize, d.rng)
 	d.grads.Zero()
 	loss := 0.0
-	for k, tr := range batch {
+	for _, tr := range batch {
 		y := tr.R
 		if !tr.Done {
 			aStar := d.Greedy(tr.S2)
@@ -264,13 +222,8 @@ func (d *DDQN) trainStep() {
 		q := d.online.Forward(tr.S)
 		diff := q[tr.A] - y
 		loss += diff * diff
-		w := 1.0
-		if ws != nil {
-			w = ws[k]
-			d.preplay.UpdatePriority(idx[k], diff)
-		}
 		gradOut := make(mat.Vec, len(q))
-		gradOut[tr.A] = 2 * w * diff / float64(len(batch))
+		gradOut[tr.A] = 2 * diff / float64(len(batch))
 		d.online.Accumulate(d.grads, tr.S, gradOut)
 	}
 	d.opt.Step(d.online, d.grads)
@@ -287,9 +240,6 @@ func (d *DDQN) trainStep() {
 // LossEMA returns an exponential moving average of the TD loss (0 before
 // any training).
 func (d *DDQN) LossEMA() float64 { return d.lossEMA }
-
-// Steps returns how many transitions the agent has observed.
-func (d *DDQN) Steps() int { return d.steps }
 
 // TrainOps returns how many gradient updates have been applied.
 func (d *DDQN) TrainOps() int { return d.trainOps }

@@ -232,9 +232,6 @@ type Scheduler struct {
 // New returns a scheduler with the given configuration.
 func New(cfg Config) *Scheduler { return &Scheduler{cfg: cfg} }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // SetComputeBudget retunes the per-tick compute budget; it takes effect
 // on the next Tick. This is the elastic-budget control input: budget is
 // per-tick state, not frozen configuration.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"oic/pkg/oic"
@@ -38,6 +39,14 @@ type fleetEntry struct {
 	id  string
 	f   *oic.Fleet
 	eng *oic.Engine
+	// ops keeps this fleet's journal records in the order the fleet
+	// applied them: it is held across Admit and its admit record, and
+	// across a Tick and the evict records of the members that tick
+	// evicted. The fleet publishes an admitted member as soon as Admit
+	// returns, so without ops a concurrent tick could journal the member's
+	// first step ahead of its admit record; recovery would count that step
+	// an orphan and fail to resume the member.
+	ops sync.Mutex
 	// published is the stats snapshot of the last *completed* operation
 	// (create, tick, admit, evict). /metrics scrapes read it lock-free:
 	// calling Stats() at scrape time would block on the fleet mutex for
@@ -307,7 +316,17 @@ func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 	s.touch(fe)
 	resp := oic.FleetTickResponse{Reports: make([]oic.TickReport, 0, ticks)}
 	for i := 0; i < ticks; i++ {
+		fe.ops.Lock()
 		rep, err := fe.f.Tick(r.Context(), req.WS)
+		if err == nil {
+			// Members whose step failed terminally were evicted inside
+			// Tick; the journal must agree, or recovery would try to
+			// replay them.
+			for _, fe2 := range rep.Errors {
+				s.journalEvict(fe.id, fe2.ID)
+			}
+		}
+		fe.ops.Unlock()
 		if err != nil {
 			s.countStepError(err)
 			if len(resp.Reports) > 0 {
@@ -322,11 +341,6 @@ func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 			}
 			s.fail(w, err)
 			return
-		}
-		// Members whose step failed terminally were evicted inside Tick;
-		// the journal must agree, or recovery would try to replay them.
-		for _, fe2 := range rep.Errors {
-			s.journalEvict(fe.id, fe2.ID)
 		}
 		s.m.observeTick(rep, fe.f.Config().TickDeadline)
 		resp.Reports = append(resp.Reports, rep)
@@ -363,12 +377,16 @@ func (s *Server) handleFleetAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 		x0 = xs[0]
 	}
+	fe.ops.Lock()
 	id, err := fe.f.Admit(x0)
+	if err == nil {
+		s.journalAdmit(fe.id, id, fe.eng.NX(), x0)
+	}
+	fe.ops.Unlock()
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.journalAdmit(fe.id, id, fe.eng.NX(), x0)
 	s.journalSyncRequest()
 	fe.publishStats()
 	info, err := fe.f.Member(id)

@@ -371,9 +371,10 @@ func itoa(n int) string { return fmt.Sprintf("%d", n) }
 // TestJournalPrecedesPublication races clients against object creation
 // under per-step syncing: a goroutine steps the next session ID and another
 // ticks the next fleet ID until each answers, and ticks run while member
-// episodes are imported into a fleet. Whatever a client saw acknowledged
-// must be in the journal, so recovery on a fresh server resumes every
-// object, with no orphan records, at the step count it had live.
+// episodes are imported into a fleet and while members are admitted to
+// another. Whatever a client saw acknowledged must be in the journal, so
+// recovery on a fresh server resumes every object, with no orphan records,
+// at the step count it had live.
 func TestJournalPrecedesPublication(t *testing.T) {
 	dir := t.TempDir()
 	srvA, cA := journalServer(t, dir, Config{MaxFleets: 32}, journal.SyncEveryStep)
@@ -449,36 +450,72 @@ func TestJournalPrecedesPublication(t *testing.T) {
 	if st := cA.do("POST", "/v1/fleets/"+src.ID+"/tick", oic.FleetTickRequest{Ticks: 30}, nil); st != http.StatusOK {
 		t.Fatalf("source tick: status %d", st)
 	}
-	stop, ticked := make(chan struct{}), make(chan int, 1)
-	go func() {
-		n := 0
-		for {
-			select {
-			case <-stop:
-				ticked <- n
-				return
-			default:
+	// tickWhile ticks a fleet from a goroutine until the returned stop is
+	// called; stop fails the test if any of those ticks failed.
+	tickWhile := func(id string) (stop func()) {
+		quit, failed := make(chan struct{}), make(chan bool, 1)
+		go func() {
+			for {
+				select {
+				case <-quit:
+					failed <- false
+					return
+				default:
+				}
+				if post("/v1/fleets/"+id+"/tick", oic.FleetTickRequest{}) != http.StatusOK {
+					failed <- true
+					return
+				}
 			}
-			if post("/v1/fleets/"+dst.ID+"/tick", oic.FleetTickRequest{}) != http.StatusOK {
-				ticked <- -1
-				return
+		}()
+		return func() {
+			close(quit)
+			if <-failed {
+				t.Fatalf("a tick on %s failed", id)
 			}
-			n++
 		}
-	}()
+	}
+	stop := tickWhile(dst.ID)
 	for mid := 0; mid < imports; mid++ {
 		bin := cA.raw("GET", fmt.Sprintf("/v1/fleets/%s/sessions/%d/trace?format=binary", src.ID, mid))
 		if st := cA.do("POST", "/v1/fleets/"+dst.ID+"/sessions/resume", oic.FleetResumeMemberRequest{Member: mid, TraceBin: bin}, nil); st != http.StatusCreated {
 			t.Fatalf("import member %d: status %d", mid, st)
 		}
 	}
-	close(stop)
-	if n := <-ticked; n < 0 {
-		t.Fatal("a tick during the imports failed")
-	}
+	stop()
 	for mid := 0; mid < imports; mid++ {
 		members[src.ID] = append(members[src.ID], mid)
 		members[dst.ID] = append(members[dst.ID], mid)
+	}
+
+	// Admit members into a bang-bang fleet that ticks throughout, while
+	// three tickers on an always-run fleet keep the journal writer
+	// contended: an admit record must land before any tick can step the
+	// new member, whose first step is a fast skip.
+	const admits = 60
+	var hot, noisy oic.FleetInfo
+	if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", Policy: oic.PolicyBangBang, Size: 4, Seed: 9}, &hot); st != http.StatusCreated {
+		t.Fatalf("admit fleet create: status %d", st)
+	}
+	if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", Size: 16, Seed: 11}, &noisy); st != http.StatusCreated {
+		t.Fatalf("noisy fleet create: status %d", st)
+	}
+	for mid := 0; mid < 16; mid++ {
+		if mid < 4 {
+			members[hot.ID] = append(members[hot.ID], mid)
+		}
+		members[noisy.ID] = append(members[noisy.ID], mid)
+	}
+	stops := []func(){tickWhile(hot.ID), tickWhile(noisy.ID), tickWhile(noisy.ID), tickWhile(noisy.ID)}
+	for i := 0; i < admits; i++ {
+		var mi oic.FleetMemberInfo
+		if st := cA.do("POST", "/v1/fleets/"+hot.ID+"/sessions", oic.FleetAdmitRequest{Seed: int64(100 + i)}, &mi); st != http.StatusCreated {
+			t.Fatalf("admit %d: status %d", i, st)
+		}
+		members[hot.ID] = append(members[hot.ID], mi.ID)
+	}
+	for _, halt := range stops {
+		halt()
 	}
 
 	// stepCounts reads every object's step count from a server.

@@ -201,51 +201,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}", s.handleFleetMemberGet)
 	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}/trace", s.handleFleetMemberTrace)
 	mux.HandleFunc("DELETE /v1/fleets/{id}/sessions/{mid}", s.handleFleetMemberDelete)
-	mux.HandleFunc("GET /v1/debug/ops", s.handleDebugOps)
+	mux.Handle("GET /v1/debug/ops", s.ops)
 	var h http.Handler = mux
 	if s.cfg.RequestTimeout > 0 {
 		h = s.withRequestTimeout(h)
 	}
 	// Trace middleware goes outermost so every handler (and the timeout
 	// wrapper's context) sees the request's trace ID.
-	return s.withTrace(h)
-}
-
-// withTrace adopts the caller's X-Oic-Trace-Id (minted by oicd-router on
-// proxied calls) or mints one for direct hits, attaches it to the request
-// context and the response header, and logs request completion with it so
-// one trace ID correlates router and shard logs.
-func (s *Server) withTrace(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(obs.TraceHeader)
-		if id == "" {
-			id = obs.NewTraceID()
-		}
-		w.Header().Set(obs.TraceHeader, id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(obs.WithTraceID(r.Context(), id)))
-		s.log.Debug("request",
-			"method", r.Method, "path", r.URL.Path,
-			"status", sw.status, "elapsed", time.Since(start), "trace_id", id)
-	})
-}
-
-// statusWriter captures the response status for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// handleDebugOps serves the recent multi-phase operation spans (newest
-// first): migrations landed here, failover landings, boot recovery.
-func (s *Server) handleDebugOps(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"spans": s.ops.Snapshot()})
+	return obs.WithTrace(s.log, h)
 }
 
 // withRequestTimeout bounds each request's context. Handlers that respect

@@ -1,6 +1,5 @@
-// Package stats provides the small descriptive-statistics toolkit used by
-// the experiment harness: summaries, percentiles, and fixed-bin histograms
-// with ASCII rendering for terminal reports.
+// Package stats provides the fixed-bin histograms, with ASCII rendering
+// for terminal reports, that the experiment harness uses.
 package stats
 
 import (
@@ -9,62 +8,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N    int
-	Mean float64
-	Std  float64 // sample standard deviation (n−1)
-	Min  float64
-	Max  float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero value.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		s.Mean += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean /= float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between order statistics. It panics on an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty sample")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
 
 // Histogram counts samples into len(Edges)−1 bins [Edges[i], Edges[i+1]),
 // with explicit underflow and overflow counters.

@@ -1,39 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || math.Abs(s.Mean-5) > 1e-12 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("std = %v", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := map[float64]float64{0: 1, 50: 3, 100: 5, 25: 2, 75: 4}
-	for p, want := range cases {
-		if got := Percentile(xs, p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", p, got, want)
-		}
-	}
-	if got := Percentile([]float64{1, 2}, 50); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("interpolated median = %v", got)
-	}
-}
 
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram([]float64{0, 10, 20, 30})
