@@ -70,9 +70,29 @@ func NewAffineFeedback(k *mat.Mat, xref, uref mat.Vec) *AffineFeedback {
 	return &AffineFeedback{K: k, XRef: xref.Clone(), URef: uref.Clone()}
 }
 
-// Compute implements Controller.
+// Compute implements Controller. It allocates only the returned input:
+// x − XRef goes through a stack buffer when nx is small, and URef is added
+// in place, in the same operations and order as K.MulVec(x.Sub(XRef)).Add(URef).
 func (f *AffineFeedback) Compute(x mat.Vec) (mat.Vec, error) {
-	return f.K.MulVec(x.Sub(f.XRef)).Add(f.URef), nil
+	if len(x) != len(f.XRef) {
+		panic(fmt.Sprintf("controller: AffineFeedback.Compute: state dim %d, want %d", len(x), len(f.XRef)))
+	}
+	var buf [8]float64
+	var dx mat.Vec
+	if len(x) <= len(buf) {
+		dx = buf[:len(x)]
+	} else {
+		dx = make(mat.Vec, len(x))
+	}
+	for i, xi := range x {
+		dx[i] = xi - f.XRef[i]
+	}
+	u := make(mat.Vec, f.K.R)
+	f.K.MulVecInto(u, dx)
+	for i, r := range f.URef {
+		u[i] += r
+	}
+	return u, nil
 }
 
 // Name implements Controller.

@@ -36,6 +36,42 @@ func TestAffineFeedbackNilRefs(t *testing.T) {
 	}
 }
 
+// TestAffineFeedbackComputeOneAlloc pins Compute at one allocation (the
+// returned input) and bit-identical to the allocating vector pipeline it
+// replaced, for state dimensions on both sides of its stack buffer.
+func TestAffineFeedbackComputeOneAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, nx := range []int{1, 2, 7, 8, 9, 13} {
+		for nu := 1; nu <= 5; nu++ {
+			k := mat.New(nu, nx)
+			for i := range k.Data {
+				k.Data[i] = rng.NormFloat64()
+			}
+			xref, uref, x := make(mat.Vec, nx), make(mat.Vec, nu), make(mat.Vec, nx)
+			for i := range xref {
+				xref[i], x[i] = rng.NormFloat64()*50, rng.NormFloat64()*50
+			}
+			for i := range uref {
+				uref[i] = rng.NormFloat64() * 10
+			}
+			f := NewAffineFeedback(k, xref, uref)
+			u, _ := f.Compute(x)
+			want := f.K.MulVec(x.Sub(f.XRef)).Add(f.URef)
+			for i := range want {
+				if math.Float64bits(u[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("nx=%d nu=%d: u[%d] = %v, pipeline %v", nx, nu, i, u[i], want[i])
+				}
+			}
+			if nx > 8 {
+				continue // the heap-buffer path allocates dx too
+			}
+			if allocs := testing.AllocsPerRun(100, func() { f.Compute(x) }); allocs != 1 {
+				t.Fatalf("nx=%d nu=%d: Compute allocates %v times, want 1", nx, nu, allocs)
+			}
+		}
+	}
+}
+
 func TestEquilibriumInputACC(t *testing.T) {
 	sys := accSystem()
 	u, err := EquilibriumInput(sys, mat.Vec{150, 40}, 0)

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // This file implements the compiled parametric solver behind Problem.Solve
 // and the hot resolve paths of the RMPC and MIP layers (DESIGN.md §5.3).
@@ -22,6 +25,17 @@ import "math"
 // primal-infeasible but dual-feasible and a dual-simplex loop repairs it.
 // Any failure (iteration cap, basic artificials, equality rows) falls back
 // to the cold two-phase path, so warm starts never change solvability.
+//
+// Storage: a Solver keeps its tableau at the live width only — structural
+// columns, then slack columns, then the rhs. The m artificial columns that
+// phase 1 may need live in a full-width scratch drawn from a package-level
+// pool for the duration of phase 1; once phase 1 ends nothing reads them
+// (phase-2 pricing and the dual simplex price only the first total
+// columns, and the ratio test, extract and the basic-artificial check read
+// only the entering column, the rhs and the basis), so the live columns
+// are copied out and every later pivot skips the artificials. Artificial
+// basis indices keep their values ≥ total, so tie-breaks and the
+// basic-artificial exit read exactly what they read before.
 
 // upperRow is a compiled "y_col ≤ hi − lo" row for a doubly bounded
 // variable.
@@ -65,7 +79,8 @@ type program struct {
 
 	ncols  int // structural (variable) columns
 	total  int // ncols + slack columns
-	stride int // total + m + 1: flat tableau row stride (max artificials + rhs)
+	width  int // total + 1: live tableau row stride (rhs in column total)
+	stride int // total + m + 1: cold scratch row stride (max artificials + rhs)
 
 	rows     []row     // compiled copy of the original rows (coeffs shared, immutable)
 	sf       []float64 // m × total flat standard-form matrix, slack entries included
@@ -100,19 +115,12 @@ type Solver struct {
 	b     []float64 // standard-form rhs (shift-adjusted, unnormalized)
 	newb  []float64 // candidate warm rhs column
 
-	t     []float64 // m × stride flat tableau
+	t     []float64 // m × width live tableau: structural, slack, rhs
 	basis []int
-	z     []float64 // reduced-cost row (phase 2), kept across warm solves
-
-	colRow  []int // cold-start unit-column scan
-	colOnes []int
-	basisOf []int
-	blocked []bool
+	z     []float64 // reduced-cost row (phase 2, len width), kept across warm solves
 
 	// Warm-start state.
 	warm   bool // tableau/basis/z hold an optimal basis for the compiled cost
-	nart   int  // artificial columns in the stored tableau
-	rhsCol int  // rhs column index in the stored tableau (= total + nart)
 	pivots int  // pivots since the last cold solve (drift guard)
 
 	y   []float64 // standard-form solution
@@ -188,6 +196,7 @@ func NewSolver(p *Problem) *Solver {
 	}
 	slackCols += len(pr.uppers)
 	pr.total = ncols + slackCols
+	pr.width = pr.total + 1
 	pr.stride = pr.total + pr.m + 1
 
 	// Rows are snapshotted; coefficient slices are copied so later
@@ -454,7 +463,7 @@ func (s *Solver) extract() *Solution {
 		}
 		for i, j := range s.basis {
 			if j < p.total {
-				s.y[j] = s.t[i*p.stride+s.rhsCol]
+				s.y[j] = s.t[i*p.width+p.total]
 			}
 		}
 	}
@@ -482,20 +491,12 @@ func (s *Solver) resolveWarm() (Status, bool) {
 	p := s.p
 	// New rhs column in the current basis: the slack block of the tableau
 	// is B⁻¹·D·Σ for the row-sign normalization D and slack signs Σ, so
-	// B⁻¹·D·b = T_slack·Σ·b — the normalization cancels.
-	for i := 0; i < p.m; i++ {
-		acc := 0.0
-		ti := s.t[i*p.stride:]
-		for k := 0; k < p.m; k++ {
-			if bk := s.b[k]; bk != 0 {
-				acc += ti[p.slackCol[k]] * p.slackSgn[k] * bk
-			}
-		}
-		s.newb[i] = acc
-	}
+	// B⁻¹·D·b = T_slack·Σ·b — the normalization cancels. With every row
+	// slacked, row k's slack is column ncols+k, so the block is contiguous.
+	slackTransform(s.newb, s.t, p.width, p.ncols, p.slackSgn, s.b)
 	infeasRows := 0
 	for i := 0; i < p.m; i++ {
-		s.t[i*p.stride+s.rhsCol] = s.newb[i]
+		s.t[i*p.width+p.total] = s.newb[i]
 		if s.newb[i] < -eps {
 			infeasRows++
 		}
@@ -519,11 +520,59 @@ func (s *Solver) resolveWarm() (Status, bool) {
 	// A basic artificial at a nonzero level would mean the "optimum"
 	// violates its row; only the cold phase-1 can decide feasibility then.
 	for i, j := range s.basis {
-		if j >= p.total && s.t[i*p.stride+s.rhsCol] > 1e-7 {
+		if j >= p.total && s.t[i*p.width+p.total] > 1e-7 {
 			return Optimal, false
 		}
 	}
 	return Optimal, true
+}
+
+// slackTransform writes dst[i] = Σ_k T[i][off+k]·sgn[k]·b[k] over the rows
+// of a flat tableau with the given stride, for k = 0..len(dst)−1 and only
+// where b[k] ≠ 0. Four rows share each pass over b, each in its own
+// accumulator, so the four independent add chains overlap in the
+// pipeline; a scalar loop takes the last len(dst) mod 4 rows.
+//
+// Every output keeps the scalar loop's arithmetic exactly (DESIGN.md
+// §5.4): its accumulator starts at 0.0 and adds the same t·sgn·b product
+// in ascending k, with the same b[k] ≠ 0 skip, written as s += t * g * bk.
+// Never reassociate these sums, fold sgn into b, or call math.FMA: every
+// warm κ solve, and with it the golden traces and pinned work digests,
+// depends on these bits.
+func slackTransform(dst, t []float64, stride, off int, sgn, b []float64) {
+	m := len(dst)
+	sgn, b = sgn[:m], b[:m]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		r0 := t[i*stride+off : i*stride+off+m]
+		r1 := t[(i+1)*stride+off : (i+1)*stride+off+m]
+		r2 := t[(i+2)*stride+off : (i+2)*stride+off+m]
+		r3 := t[(i+3)*stride+off : (i+3)*stride+off+m]
+		r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)] // no bounds checks below
+		g := sgn[:len(r0)]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for k, bk := range b[:len(r0)] {
+			if bk != 0 {
+				gk := g[k]
+				s0 += r0[k] * gk * bk
+				s1 += r1[k] * gk * bk
+				s2 += r2[k] * gk * bk
+				s3 += r3[k] * gk * bk
+			}
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m; i++ {
+		row := t[i*stride+off : i*stride+off+m]
+		g := sgn[:len(row)]
+		s := 0.0
+		for k, bk := range b[:len(row)] {
+			if bk != 0 {
+				s += row[k] * g[k] * bk
+			}
+		}
+		dst[i] = s
+	}
 }
 
 // dualSimplex restores primal feasibility of a dual-feasible basis after a
@@ -538,7 +587,7 @@ func (s *Solver) dualSimplex() (Status, bool) {
 		leave := -1
 		worst := -eps
 		for i := 0; i < p.m; i++ {
-			if v := s.t[i*p.stride+s.rhsCol]; v < worst {
+			if v := s.t[i*p.width+p.total]; v < worst {
 				worst = v
 				leave = i
 			}
@@ -547,9 +596,9 @@ func (s *Solver) dualSimplex() (Status, bool) {
 			return Optimal, true
 		}
 		// Entering column: dual ratio test over negative entries of the
-		// leaving row; ties toward the smallest column index. The scan
-		// stops at p.total — artificials must not re-enter.
-		lr := s.t[leave*p.stride : leave*p.stride+p.total]
+		// leaving row; ties toward the smallest column index. The live
+		// tableau holds no artificial columns to re-enter.
+		lr := s.t[leave*p.width : leave*p.width+p.total]
 		enter := -1
 		best := math.Inf(1)
 		for j, a := range lr {
@@ -567,32 +616,119 @@ func (s *Solver) dualSimplex() (Status, bool) {
 			// confirm rather than trusting a drifted tableau.
 			return Infeasible, false
 		}
-		s.pivot(leave, enter)
+		s.pivot(s.live(), leave, enter)
 	}
 	return IterLimit, false
 }
 
+// tab is a view of a flat row-major simplex tableau: rows of the given
+// stride with the rhs in column rhs, and the reduced-cost row z beside
+// them. The live tableau and a cold scratch are both tabs, so one pivot
+// and one pricing loop serve both.
+type tab struct {
+	t, z   []float64
+	stride int
+	rhs    int
+}
+
+// live is the solver's own tableau: structural and slack columns, then
+// the rhs.
+func (s *Solver) live() tab { return tab{t: s.t, z: s.z, stride: s.p.width, rhs: s.p.total} }
+
+// coldScratch is the full-width workspace of one two-phase solve: the
+// tableau with room for m artificial columns, the phase-1 reduced costs,
+// and the unit-column scan. Every cell a solve reads is written first, so
+// a reused scratch carries nothing from one solve into the next.
+type coldScratch struct {
+	t               []float64 // m × stride
+	z               []float64 // stride
+	colRow, colOnes []int     // total
+	basisOf         []int     // m
+}
+
+// coldPool shares cold scratches across every Solver in the process: a
+// solver holds one only while phase 1 runs, so warm workspaces, however
+// many there are, keep no full-width buffer, and one-shot solves reuse
+// the scratch of the previous one.
+var coldPool = sync.Pool{New: func() any { return new(coldScratch) }}
+
+// getColdScratch returns a pooled scratch sized for p.
+func getColdScratch(p *program) *coldScratch {
+	sc := coldPool.Get().(*coldScratch)
+	sc.t = resize(sc.t, p.m*p.stride)
+	sc.z = resize(sc.z, p.stride)
+	sc.colRow = resize(sc.colRow, p.total)
+	sc.colOnes = resize(sc.colOnes, p.total)
+	sc.basisOf = resize(sc.basisOf, p.m)
+	return sc
+}
+
+// resize returns buf resliced to n, or a new slice when buf is too small.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // solveCold runs the two-phase simplex from scratch on the prepared b,
-// replicating the historical from-scratch solve arithmetic on the flat
-// reused tableau. On Optimal it leaves the tableau, basis, and phase-2
-// reduced costs in place as the warm-start state.
+// replicating the historical from-scratch solve arithmetic. Phase 1 runs
+// in a pooled full-width scratch; the live columns are then copied into
+// the solver's own tableau, where phase 2 runs. On Optimal it leaves the
+// tableau, basis, and phase-2 reduced costs in place as the warm-start
+// state.
 func (s *Solver) solveCold() Status {
 	p := s.p
 	if s.t == nil {
-		s.t = make([]float64, p.m*p.stride)
+		s.t = make([]float64, p.m*p.width)
 		s.basis = make([]int, p.m)
-		s.z = make([]float64, p.stride)
-		s.colRow = make([]int, p.total)
-		s.colOnes = make([]int, p.total)
-		s.basisOf = make([]int, p.m)
-		s.blocked = make([]bool, p.stride)
+		s.z = make([]float64, p.width)
 	}
 	s.pivots = 0
 	s.warm = false
 
+	sc := getColdScratch(p)
+	st := s.phase1(sc)
+	coldPool.Put(sc)
+	if st != Optimal {
+		return st
+	}
+
+	// Phase 2: rebuild reduced costs for the real objective.
+	copy(s.z[:p.total], p.cost)
+	s.z[p.total] = 0
+	for i := 0; i < p.m; i++ {
+		j := s.basis[i]
+		if j >= p.total {
+			continue
+		}
+		cj := s.z[j]
+		if cj == 0 {
+			continue
+		}
+		ti := s.t[i*p.width : (i+1)*p.width]
+		for k := range ti {
+			s.z[k] -= cj * ti[k]
+		}
+	}
+	if st := s.iterate(s.live()); st != Optimal {
+		return st
+	}
+	s.stats.ColdPivots += s.pivots
+	s.pivots = 0 // fresh factorization: reset the drift guard
+	return Optimal
+}
+
+// phase1 builds the normalized full-width tableau in sc, seeds the basis
+// (artificials where no unit column fits), minimizes the sum of the
+// artificials, drives the remaining ones out where possible, and copies
+// the structural, slack and rhs columns into the live tableau. Its status
+// is Optimal when phase 2 may start.
+func (s *Solver) phase1(sc *coldScratch) Status {
+	p := s.p
 	// Copy the compiled matrix in, normalizing to b ≥ 0.
 	for i := 0; i < p.m; i++ {
-		ti := s.t[i*p.stride : (i+1)*p.stride]
+		ti := sc.t[i*p.stride : (i+1)*p.stride]
 		copy(ti, p.sf[i*p.total:(i+1)*p.total])
 		for j := p.total; j < len(ti); j++ {
 			ti[j] = 0
@@ -604,53 +740,50 @@ func (s *Solver) solveCold() Status {
 				ti[j] = -ti[j]
 			}
 		}
-		ti[len(ti)-1] = 0 // rhs position assigned below once nart is known
-		s.newb[i] = b     // stash normalized rhs
+		s.newb[i] = b // stash normalized rhs; placed once nart is known
 	}
 
 	// Unit-column scan: a column with a single +1 entry can seed the basis
 	// of its row (slack columns of LE rows with b ≥ 0 have this shape).
 	for j := 0; j < p.total; j++ {
-		s.colRow[j] = -1
-		s.colOnes[j] = 0
+		sc.colRow[j] = -1
+		sc.colOnes[j] = 0
 	}
 	for i := 0; i < p.m; i++ {
-		ti := s.t[i*p.stride:]
+		ti := sc.t[i*p.stride:]
 		for j := 0; j < p.total; j++ {
 			if ti[j] != 0 {
-				s.colOnes[j]++
-				s.colRow[j] = i
+				sc.colOnes[j]++
+				sc.colRow[j] = i
 			}
 		}
 	}
-	for i := range s.basisOf {
-		s.basisOf[i] = -1
+	for i := range sc.basisOf {
+		sc.basisOf[i] = -1
 	}
 	for j := p.total - 1; j >= 0; j-- { // prefer later (slack) columns
-		if s.colOnes[j] == 1 {
-			i := s.colRow[j]
-			if s.basisOf[i] == -1 && s.t[i*p.stride+j] == 1 {
-				s.basisOf[i] = j
+		if sc.colOnes[j] == 1 {
+			i := sc.colRow[j]
+			if sc.basisOf[i] == -1 && sc.t[i*p.stride+j] == 1 {
+				sc.basisOf[i] = j
 			}
 		}
 	}
 	nart := 0
 	for i := 0; i < p.m; i++ {
-		if s.basisOf[i] == -1 {
+		if sc.basisOf[i] == -1 {
 			nart++
 		}
 	}
-	s.nart = nart
-	s.rhsCol = p.total + nart
-	ncols := p.total + nart
+	full := tab{t: sc.t, z: sc.z, stride: p.stride, rhs: p.total + nart}
 
 	// Place artificials and the rhs column.
 	art := p.total
 	for i := 0; i < p.m; i++ {
-		ti := s.t[i*p.stride:]
-		ti[s.rhsCol] = s.newb[i]
-		if s.basisOf[i] >= 0 {
-			s.basis[i] = s.basisOf[i]
+		ti := sc.t[i*p.stride:]
+		ti[full.rhs] = s.newb[i]
+		if sc.basisOf[i] >= 0 {
+			s.basis[i] = sc.basisOf[i]
 		} else {
 			ti[art] = 1
 			s.basis[i] = art
@@ -658,27 +791,28 @@ func (s *Solver) solveCold() Status {
 		}
 	}
 
-	// Phase 1: minimize the sum of artificials (skipped when none exist).
+	// Minimize the sum of artificials (skipped when none exist).
 	if nart > 0 {
-		for j := 0; j <= s.rhsCol; j++ {
-			s.z[j] = 0
+		z := sc.z[:full.rhs+1]
+		for j := range z {
+			z[j] = 0
 		}
 		for i := 0; i < p.m; i++ {
 			if s.basis[i] < p.total {
 				continue
 			}
-			ti := s.t[i*p.stride:]
-			for j := 0; j <= s.rhsCol; j++ {
-				s.z[j] -= ti[j]
+			ti := sc.t[i*p.stride:]
+			for j := range z {
+				z[j] -= ti[j]
 			}
 		}
 		for i := 0; i < p.m; i++ {
-			s.z[s.basis[i]] = 0
+			z[s.basis[i]] = 0
 		}
-		if st := s.iterate(ncols, false); st != Optimal {
+		if st := s.iterate(full); st != Optimal {
 			return st
 		}
-		if -s.z[s.rhsCol] > 1e-7 {
+		if -z[full.rhs] > 1e-7 {
 			return Infeasible
 		}
 		// Drive remaining artificials out of the basis where possible; a
@@ -688,72 +822,45 @@ func (s *Solver) solveCold() Status {
 			if s.basis[i] < p.total {
 				continue
 			}
-			ti := s.t[i*p.stride:]
+			ti := sc.t[i*p.stride:]
 			for j := 0; j < p.total; j++ {
 				if math.Abs(ti[j]) > 1e-7 {
-					s.pivot(i, j)
+					s.pivot(full, i, j)
 					break
 				}
 			}
 		}
 	}
 
-	// Phase 2: rebuild reduced costs for the real objective.
-	copy(s.z[:p.total], p.cost)
-	for j := p.total; j <= s.rhsCol; j++ {
-		s.z[j] = 0
-	}
+	// Copy out the live columns; nothing reads the artificials again.
 	for i := 0; i < p.m; i++ {
-		j := s.basis[i]
-		if j >= p.total {
-			continue
-		}
-		cj := s.z[j]
-		if cj == 0 {
-			continue
-		}
-		ti := s.t[i*p.stride:]
-		for k := 0; k <= s.rhsCol; k++ {
-			s.z[k] -= cj * ti[k]
-		}
+		li := s.t[i*p.width : (i+1)*p.width]
+		copy(li, sc.t[i*p.stride:i*p.stride+p.total])
+		li[p.total] = sc.t[i*p.stride+full.rhs]
 	}
-	useBlocked := nart > 0
-	if useBlocked {
-		for j := 0; j < p.total; j++ {
-			s.blocked[j] = false
-		}
-		for j := p.total; j < ncols; j++ {
-			s.blocked[j] = true
-		}
-	}
-	if st := s.iterate(ncols, useBlocked); st != Optimal {
-		return st
-	}
-	s.stats.ColdPivots += s.pivots
-	s.pivots = 0 // fresh factorization: reset the drift guard
 	return Optimal
 }
 
-// iterate runs primal simplex pivots until optimality, unboundedness, or
-// the iteration cap, replicating the historical pricing exactly (Dantzig,
-// then Bland after blandTrip pivots; ratio ties toward the smallest basis
+// iterate runs primal simplex pivots on v, pricing every column left of
+// its rhs (phase 1: structural, slack and artificial; phase 2 on the live
+// tableau: structural and slack), until optimality, unboundedness, or the
+// iteration cap, replicating the historical pricing exactly (Dantzig, then
+// Bland after blandTrip pivots; ratio ties toward the smallest basis
 // index).
-func (s *Solver) iterate(ncols int, useBlocked bool) Status {
+func (s *Solver) iterate(v tab) Status {
 	p := s.p
+	z := v.z[:v.rhs]
 	for iter := 0; iter < iterCap; iter++ {
 		bland := iter > blandTrip
 		enter := -1
 		best := -eps
-		for j := 0; j < ncols; j++ {
-			if useBlocked && s.blocked[j] {
-				continue
-			}
-			if s.z[j] < best {
+		for j, zj := range z {
+			if zj < best {
 				if bland {
 					enter = j
 					break
 				}
-				best = s.z[j]
+				best = zj
 				enter = j
 			}
 		}
@@ -763,9 +870,9 @@ func (s *Solver) iterate(ncols int, useBlocked bool) Status {
 		leave := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < p.m; i++ {
-			ti := s.t[i*p.stride:]
+			ti := v.t[i*v.stride:]
 			if ti[enter] > eps {
-				ratio := ti[s.rhsCol] / ti[enter]
+				ratio := ti[v.rhs] / ti[enter]
 				if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave == -1 || s.basis[i] < s.basis[leave])) {
 					bestRatio = ratio
 					leave = i
@@ -775,19 +882,20 @@ func (s *Solver) iterate(ncols int, useBlocked bool) Status {
 		if leave == -1 {
 			return Unbounded
 		}
-		s.pivot(leave, enter)
+		s.pivot(v, leave, enter)
 	}
 	return IterLimit
 }
 
-// pivot performs a Gauss-Jordan pivot on tableau row r, column c, updating
-// the reduced-cost row alongside. Only the logical width [0, rhsCol] is
-// touched. The row update is the solver's single hottest loop (>80% of a
-// resolve), hence the manual 4-way unrolling.
-func (s *Solver) pivot(r, c int) {
+// pivot performs a Gauss-Jordan pivot on row r, column c of v, updating
+// its reduced-cost row alongside. Only the logical width [0, v.rhs] is
+// touched: on the live tableau that skips every artificial column. The
+// row update is the solver's single hottest loop (>80% of a resolve),
+// hence the manual 4-way unrolling.
+func (s *Solver) pivot(v tab, r, c int) {
 	p := s.p
-	w := s.rhsCol + 1
-	pr := s.t[r*p.stride : r*p.stride+w]
+	w := v.rhs + 1
+	pr := v.t[r*v.stride : r*v.stride+w]
 	inv := 1 / pr[c]
 	for j := range pr {
 		pr[j] *= inv
@@ -797,7 +905,7 @@ func (s *Solver) pivot(r, c int) {
 		if i == r {
 			continue
 		}
-		ti := s.t[i*p.stride : i*p.stride+w]
+		ti := v.t[i*v.stride : i*v.stride+w]
 		f := ti[c]
 		if f == 0 {
 			continue
@@ -805,10 +913,10 @@ func (s *Solver) pivot(r, c int) {
 		axpyNeg(ti, pr, f)
 		ti[c] = 0
 	}
-	f := s.z[c]
+	f := v.z[c]
 	if f != 0 {
-		axpyNeg(s.z[:w], pr, f)
-		s.z[c] = 0
+		axpyNeg(v.z[:w], pr, f)
+		v.z[c] = 0
 	}
 	s.basis[r] = c
 	s.pivots++

@@ -1,8 +1,14 @@
 package lp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -247,5 +253,292 @@ func TestSolverReusedXBuffer(t *testing.T) {
 	b := p.Solve()
 	if &a.X[0] == &b.X[0] {
 		t.Fatal("Problem.Solve must return an owned X")
+	}
+}
+
+// accFixture is the ACC case study's RMPC horizon LP exactly as
+// controller.NewRMPC compiles it for acc.NewModel(acc.Config{}): 38
+// nonnegative variables (u⁺, u⁻ and the state-deviation epigraph terms of a
+// horizon of 10), 155 LE rows, the affine rhs map rhs(x) = RHSConst +
+// RHSGrad·x, and the H-representation of the model's X′. It is frozen in
+// testdata on purpose: the warm-chain digest below pins this package's
+// arithmetic, not the offline set pipeline that produced the program.
+type accFixture struct {
+	C        []float64   `json:"c"`
+	Rows     [][]float64 `json:"rows"`
+	RHSConst []float64   `json:"rhs_const"`
+	RHSGrad  [][]float64 `json:"rhs_grad"`
+	XPrimeA  [][]float64 `json:"xprime_a"`
+	XPrimeB  []float64   `json:"xprime_b"`
+}
+
+func loadACCFixture(t testing.TB) *accFixture {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "acc_rmpc.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := new(accFixture)
+	if err := json.Unmarshal(raw, f); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func (f *accFixture) problem() *Problem {
+	p := NewProblem(len(f.C))
+	p.SetObjective(f.C)
+	for j := range f.C {
+		p.SetBounds(j, 0, math.Inf(1))
+	}
+	for i, r := range f.Rows {
+		p.AddConstraint(r, LE, f.RHSConst[i])
+	}
+	return p
+}
+
+// rhsAt fills dst with rhs(x), accumulating in the controller's order.
+func (f *accFixture) rhsAt(dst []float64, x [2]float64) {
+	for i := range dst {
+		acc := f.RHSConst[i]
+		for j, g := range f.RHSGrad[i] {
+			acc += g * x[j]
+		}
+		dst[i] = acc
+	}
+}
+
+func (f *accFixture) inXPrime(x [2]float64) bool {
+	for i, a := range f.XPrimeA {
+		if a[0]*x[0]+a[1]*x[1] > f.XPrimeB[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// accChainDigest pins the warm chain below: the SHA-256 of every status,
+// Objective and Solution.X bit and the SolveStats after each call, taken
+// with the dense full-width tableau and the scalar rhs transform. Any
+// change to the solver's storage or kernels must keep it.
+const accChainDigest = "a9b0fb398de052fbe5b041c188b5e5bb12a77ebd396c5993ca334ef2728557d2"
+
+// runACCChain drives one Solver through 5000 seeded SolveRHS calls on the
+// ACC program: a random walk through X′ (small steps, rejected proposals
+// resolve the same state), jumps to a uniform point of X′ at least 20 m
+// away in s, some of which invalidate more than a third of the rows and so
+// force the cold fallback, and a ResetWarm halfway. before, when non-nil,
+// runs ahead of every call with the chain's solver.
+func runACCChain(t testing.TB, f *accFixture, before func(*Solver)) (string, SolveStats) {
+	t.Helper()
+	const calls = 5000
+	s := NewSolver(f.problem())
+	rng := rand.New(rand.NewSource(22))
+	rhs := make([]float64, s.NumRows())
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	x := [2]float64{150, 40}
+	for call := 0; call < calls; call++ {
+		if call == calls/2 {
+			s.ResetWarm()
+		}
+		if rng.Intn(60) == 0 {
+			for {
+				y := [2]float64{120 + 60*rng.Float64(), 25 + 30*rng.Float64()}
+				if f.inXPrime(y) && math.Abs(y[0]-x[0]) > 20 {
+					x = y
+					break
+				}
+			}
+		} else if y := [2]float64{x[0] + 0.6*rng.NormFloat64(), x[1] + 0.3*rng.NormFloat64()}; f.inXPrime(y) {
+			x = y
+		}
+		f.rhsAt(rhs, x)
+		if before != nil {
+			before(s)
+		}
+		sol := s.SolveRHS(rhs)
+		put(uint64(sol.Status))
+		if sol.Status == Optimal {
+			put(math.Float64bits(sol.Objective))
+			for _, v := range sol.X {
+				put(math.Float64bits(v))
+			}
+		}
+		st := s.Stats()
+		put(uint64(st.Cold))
+		put(uint64(st.Warm))
+		put(uint64(st.ColdPivots))
+		put(uint64(st.WarmPivots))
+	}
+	return hex.EncodeToString(h.Sum(nil)), s.Stats()
+}
+
+// TestSolverACCWarmChainDigest runs the ACC warm chain and requires its
+// pinned digest, so every output of the chain is bit-identical to the
+// reference arithmetic. It also checks the chain reaches every path.
+func TestSolverACCWarmChainDigest(t *testing.T) {
+	f := loadACCFixture(t)
+	got, st := runACCChain(t, f, nil)
+	// One cold solve opens each half; the rest are fallbacks from jumps
+	// and refactorizations.
+	if st.Cold <= 2 || st.WarmPivots == 0 {
+		t.Fatalf("chain did not exercise the fallback and repair paths: %+v", st)
+	}
+	if got != accChainDigest {
+		t.Fatalf("warm chain digest %s, want %s", got, accChainDigest)
+	}
+}
+
+// TestSolverPoisonedScratchSameChain reruns the ACC chain with every pooled
+// cold scratch, and the live tableau of a solver about to solve cold,
+// poisoned before each call: NaN interleaved with finite junk (NaN alone
+// hides a stale read from pricing, since no comparison with NaN holds),
+// and the integer scan buffers filled with out-of-range indices. The cold
+// path must rewrite every cell it reads, so the digest must not move.
+func TestSolverPoisonedScratchSameChain(t *testing.T) {
+	f := loadACCFixture(t)
+	prog := NewSolver(f.problem()).p
+	poison := []float64{math.NaN(), -7.5, math.Inf(-1), 1e300}
+	fill := func(buf []float64) {
+		for i := range buf {
+			buf[i] = poison[i%len(poison)]
+		}
+	}
+	junk := func(buf []int) {
+		for i := range buf {
+			buf[i] = 1<<20 + i
+		}
+	}
+	poisoned := 0
+	got, _ := runACCChain(t, f, func(s *Solver) {
+		sc := getColdScratch(prog)
+		fill(sc.t)
+		fill(sc.z)
+		junk(sc.colRow)
+		junk(sc.colOnes)
+		junk(sc.basisOf)
+		coldPool.Put(sc)
+		if !s.warm && s.t != nil {
+			fill(s.t)
+			fill(s.z)
+			junk(s.basis)
+			poisoned++
+		}
+	})
+	if poisoned == 0 {
+		t.Fatal("no cold solve ran on a poisoned live tableau")
+	}
+	if got != accChainDigest {
+		t.Fatalf("poisoned chain digest %s, want %s", got, accChainDigest)
+	}
+}
+
+// TestSolverWarmSolveRHSZeroAllocs pins the warm resolve of the ACC
+// program at zero allocations: after the first cold solve it reuses every
+// buffer and never touches the cold scratch pool.
+func TestSolverWarmSolveRHSZeroAllocs(t *testing.T) {
+	f := loadACCFixture(t)
+	s := NewSolver(f.problem())
+	rhs := make([]float64, s.NumRows())
+	f.rhsAt(rhs, [2]float64{150, 40})
+	if sol := s.SolveRHS(rhs); sol.Status != Optimal {
+		t.Fatalf("cold solve: %v", sol.Status)
+	}
+	// Few enough runs that the drift guard (refactorEvery pivots) does not
+	// trigger a refactorization inside the measurement.
+	states := [][2]float64{{151, 40.2}, {149.5, 39.8}, {150.4, 40.5}, {150, 40}}
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		f.rhsAt(rhs, states[i%len(states)])
+		i++
+		s.SolveRHS(rhs)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm SolveRHS allocates %v times per call", allocs)
+	}
+	if st := s.Stats(); st.Cold != 1 || st.Warm != i || st.WarmPivots == 0 {
+		t.Fatalf("stats %+v after %d resolves: want every resolve warm, some with dual repair", st, i)
+	}
+}
+
+// slackTransformScalar is the warm rhs transform as one scalar loop per
+// row through the slackCol/slackSgn maps: the oracle slackTransform must
+// match bit for bit.
+func slackTransformScalar(dst, t []float64, stride int, slackCol []int, slackSgn, b []float64) {
+	m := len(dst)
+	for i := 0; i < m; i++ {
+		acc := 0.0
+		ti := t[i*stride:]
+		for k := 0; k < m; k++ {
+			if bk := b[k]; bk != 0 {
+				acc += ti[slackCol[k]] * slackSgn[k] * bk
+			}
+		}
+		dst[i] = acc
+	}
+}
+
+// TestSlackTransformBitIdentical checks the four-row rhs transform against
+// the scalar oracle on random tableaux whose entries and rhs values mix
+// zeros of both signs, subnormals, extreme magnitudes, infinities and NaN,
+// with LE and GE slack signs and m covering every residue mod 4.
+func TestSlackTransformBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	special := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		2.5e-310, -1e-308, 1e300, -1e300, 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+	}
+	zero := func() float64 { return special[rng.Intn(2)] }
+	for trial := 0; trial < 400; trial++ {
+		m := rng.Intn(24)
+		off := rng.Intn(6)
+		stride := off + m + 1 + rng.Intn(3)
+		tab := make([]float64, m*stride+1)
+		// Some trials zero the whole tableau or the whole rhs (with both
+		// signs), so the sign of an empty or all-zero sum shows.
+		mode := rng.Intn(8)
+		for i := range tab {
+			if mode == 0 {
+				tab[i] = zero()
+			} else {
+				tab[i] = draw()
+			}
+		}
+		slackCol := make([]int, m)
+		sgn := make([]float64, m)
+		b := make([]float64, m)
+		for k := range b {
+			slackCol[k] = off + k
+			sgn[k] = 1
+			if rng.Intn(2) == 0 {
+				sgn[k] = -1
+			}
+			if mode == 1 {
+				b[k] = zero()
+			} else {
+				b[k] = draw()
+			}
+		}
+		got := make([]float64, m)
+		want := make([]float64, m)
+		slackTransform(got, tab, stride, off, sgn, b)
+		slackTransformScalar(want, tab, stride, slackCol, sgn, b)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (m=%d): row %d = %v (%#x), scalar %v (%#x)",
+					trial, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
 	}
 }

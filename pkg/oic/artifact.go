@@ -3,6 +3,7 @@ package oic
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"oic/internal/artifact"
 	"oic/internal/core"
@@ -110,12 +111,12 @@ func (e *Engine) Artifact() (*Artifact, error) {
 		NU:      e.NU(),
 		Meta:    cfg.meta(),
 		Sets:    artifact.Sets{X: sets.X, XI: sets.XI, XPrime: sets.XPrime},
-		Chain:   sb.Sets(),
+		Chain:   slices.Clone(sb.Sets()),
 		Train: artifact.TrainStats{
 			Episodes:      e.train.Episodes,
 			TotalSteps:    e.train.TotalSteps,
 			MeanReward:    e.train.MeanReward,
-			RewardHistory: e.train.RewardHistory,
+			RewardHistory: slices.Clone(e.train.RewardHistory),
 			FinalEpsilon:  e.train.FinalEpsilon,
 			FinalLossEMA:  e.train.FinalLossEMA,
 		},

@@ -1,6 +1,7 @@
 package oic
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -196,6 +197,38 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	c := Config{Plant: "acc", Memory: -1}.Canonical()
 	if c != c.Canonical() {
 		t.Errorf("Canonical not idempotent: %+v vs %+v", c, c.Canonical())
+	}
+}
+
+// TestArtifactSharesNoEngineState: the artifact Engine.Artifact returns
+// is the caller's to edit. Writing its S_k chain and reward history must
+// leave the engine, and so the next artifact's bytes, unchanged.
+func TestArtifactSharesNoEngineState(t *testing.T) {
+	eng := goldenEngine(t, goldenCases[1].cfg) // acc-drl: a chain and a trained history
+	encoded := func() []byte {
+		a, err := eng.Artifact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := EncodeArtifact(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := encoded()
+	a, err := eng.Artifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Chain) < 2 || len(a.Train.RewardHistory) == 0 {
+		t.Fatalf("acc-drl artifact has %d chain sets and %d history entries; the test needs both",
+			len(a.Chain), len(a.Train.RewardHistory))
+	}
+	a.Chain[1] = a.Chain[0].Scale(10)
+	a.Train.RewardHistory[0]++
+	if got := encoded(); !bytes.Equal(got, want) {
+		t.Fatal("editing a returned artifact changed the engine's next artifact")
 	}
 }
 
