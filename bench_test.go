@@ -422,8 +422,14 @@ func BenchmarkSkipBudgetChain(b *testing.B) {
 // split so the warm-start win is measured directly rather than inferred:
 // "cold" forks a fresh workspace per solve (full two-phase simplex over
 // the compiled form — the pre-parametric per-step cost), "warm" resolves
-// on one workspace from the previous optimal basis (the steady-state
-// per-step cost).
+// on one workspace from the previous optimal basis at the same state (the
+// zero-pivot floor), and "repair" resolves on one workspace along a fixed
+// seeded walk through X′ — the path most fleet computes pay, since a
+// member's basis goes stale over the ticks it skips. The walk's steps are
+// large enough that about two resolves in three need dual-simplex repair,
+// at about five pivots each, and about one in 300 is a drift-guard cold
+// refactorization. It runs forward and back over its 256 states, so
+// consecutive states are always neighbours.
 func BenchmarkLPSolve(b *testing.B) {
 	m := sharedACCModel(b)
 	x := mat.Vec{150, 40}
@@ -445,6 +451,32 @@ func BenchmarkLPSolve(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := h.ComputeSequence(x); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("repair", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(6))
+		walk := []mat.Vec{x}
+		for len(walk) < 256 {
+			last := walk[len(walk)-1]
+			y := mat.Vec{last[0] + 3.6*rng.NormFloat64(), last[1] + 1.8*rng.NormFloat64()}
+			if m.Sets.XPrime.Contains(y, 0) {
+				walk = append(walk, y)
+			}
+		}
+		h := m.RMPC.ForSession().(*controller.RMPC)
+		if _, err := h.ComputeSequence(walk[0]); err != nil {
+			b.Fatal(err) // prime the basis
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := (i + 1) % (2 * len(walk))
+			if k >= len(walk) {
+				k = 2*len(walk) - 1 - k
+			}
+			if _, err := h.ComputeSequence(walk[k]); err != nil {
 				b.Fatal(err)
 			}
 		}

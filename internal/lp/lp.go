@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase simplex solver for linear
+// Package lp implements a two-phase tableau simplex solver for linear
 // programs. It is the optimization kernel used by the polytope algebra
 // (support functions, emptiness, redundancy), the robust MPC controller
 // (1-norm objectives become LPs), and the branch-and-bound MIP solver.
@@ -9,9 +9,12 @@
 // prices with Dantzig's rule, falling back to Bland's rule to guarantee
 // termination on degenerate instances.
 //
-// The solver targets the small dense programs arising in this repository
-// (tens of variables, at most a few hundred rows); it favors clarity and
-// numerical robustness over large-scale performance.
+// The solver targets the small programs arising in this repository (tens
+// of variables, at most a few hundred rows). It stores the tableau
+// densely, but each pivot updates only the columns where the pivot row is
+// nonzero, which keeps every output bit of a dense pivot (DESIGN.md §5.3,
+// §5.4); it favors clarity and numerical robustness over large-scale
+// performance.
 package lp
 
 import (

@@ -44,6 +44,13 @@ type upperRow struct {
 	col int // standard-form column of the shifted variable
 }
 
+// shiftTerm is one coefficient of a row on a shifted or mirrored
+// variable.
+type shiftTerm struct {
+	v    int // original variable index
+	coef float64
+}
+
 // boundClass encodes which bounds of a variable are finite; parametric
 // bound changes must preserve it (the standard-form structure depends on
 // it).
@@ -82,11 +89,17 @@ type program struct {
 	width  int // total + 1: live tableau row stride (rhs in column total)
 	stride int // total + m + 1: cold scratch row stride (max artificials + rhs)
 
-	rows     []row     // compiled copy of the original rows (coeffs shared, immutable)
+	rhs      []float64 // compiled right-hand sides of the original rows
 	sf       []float64 // m × total flat standard-form matrix, slack entries included
 	slackCol []int     // per row: its slack column, or −1 (EQ row)
 	slackSgn []float64 // per row: +1 (LE / upper), −1 (GE), 0 (EQ)
 	allSlack bool      // every row has a slack column: warm starts possible
+
+	// Row i's nonzero coefficients on shifted and mirrored (non-split)
+	// variables, in variable order, are terms[termRow[i]:termRow[i+1]]:
+	// exactly the products prepare subtracts from the rhs.
+	terms   []shiftTerm
+	termRow []int
 
 	cost  []float64 // standard-form objective (len total)
 	c     []float64 // original objective
@@ -118,6 +131,7 @@ type Solver struct {
 	t     []float64 // m × width live tableau: structural, slack, rhs
 	basis []int
 	z     []float64 // reduced-cost row (phase 2, len width), kept across warm solves
+	nz    []int     // pivot-row gather list of the live tableau (len width)
 
 	// Warm-start state.
 	warm   bool // tableau/basis/z hold an optimal basis for the compiled cost
@@ -199,21 +213,18 @@ func NewSolver(p *Problem) *Solver {
 	pr.width = pr.total + 1
 	pr.stride = pr.total + pr.m + 1
 
-	// Rows are snapshotted; coefficient slices are copied so later
-	// Problem mutations cannot reach the compiled form.
-	pr.rows = make([]row, pr.m0)
-	for i, r := range p.rows {
-		cc := append([]float64(nil), r.coeffs...)
-		pr.rows[i] = row{coeffs: cc, sense: r.sense, rhs: r.rhs}
-	}
-
-	// Flat standard-form matrix with the slack entries in place.
+	// Flat standard-form matrix with the slack entries in place, the
+	// compiled right-hand sides, and each row's shift terms. All three are
+	// copies, so later Problem mutations cannot reach the compiled form.
+	pr.rhs = make([]float64, pr.m0)
+	pr.termRow = make([]int, pr.m0+1)
 	pr.sf = make([]float64, pr.m*pr.total)
 	pr.slackCol = make([]int, pr.m)
 	pr.slackSgn = make([]float64, pr.m)
 	pr.allSlack = true
 	slack := ncols
-	for i, r := range pr.rows {
+	for i, r := range p.rows {
+		pr.rhs[i] = r.rhs
 		ro := pr.sf[i*pr.total : (i+1)*pr.total]
 		for j, coef := range r.coeffs {
 			if coef == 0 {
@@ -229,7 +240,11 @@ func NewSolver(p *Problem) *Solver {
 				ro[m.col] += coef
 				ro[m.col2] -= coef
 			}
+			if m.kind != 2 {
+				pr.terms = append(pr.terms, shiftTerm{v: j, coef: coef})
+			}
 		}
+		pr.termRow[i+1] = len(pr.terms)
 		switch r.sense {
 		case LE:
 			ro[slack] = 1
@@ -364,8 +379,11 @@ func (s *Solver) bounds() (lo, hi []float64) {
 }
 
 // prepare derives the per-solve shifts and the standard-form rhs b from
-// the active parameters. The shift-adjustment accumulation order matches
-// the historical Problem.Solve construction exactly.
+// the active parameters. Each row subtracts coef·shift over its compiled
+// shift terms: the nonzero coefficients on non-split variables in variable
+// order, which are the subtractions of the historical Problem.Solve
+// construction in its order, so every b keeps its bits (the sign of a −0
+// rhs included, which a skipped +0 or −0 product could flip).
 func (s *Solver) prepare(rhs []float64) {
 	p := s.p
 	if s.shift == nil {
@@ -386,18 +404,13 @@ func (s *Solver) prepare(rhs []float64) {
 			s.shift[j] = 0
 		}
 	}
-	for i, r := range p.rows {
-		b := r.rhs
+	for i := 0; i < p.m0; i++ {
+		b := p.rhs[i]
 		if rhs != nil {
 			b = rhs[i]
 		}
-		for j, coef := range r.coeffs {
-			if coef == 0 {
-				continue
-			}
-			if p.maps[j].kind != 2 {
-				b -= coef * s.shift[j]
-			}
+		for _, st := range p.terms[p.termRow[i]:p.termRow[i+1]] {
+			b -= st.coef * s.shift[st.v]
 		}
 		s.b[i] = b
 	}
@@ -508,8 +521,12 @@ func (s *Solver) resolveWarm() (Status, bool) {
 		// rows. Dual repair needs roughly one pivot per infeasible row on
 		// a dense warm tableau, while the cold solve's early pivots hit a
 		// still-sparse one; past about a third of the rows the cold path
-		// is cheaper (measured on the RMPC program; trajectory-local
-		// resolves have 0–2 infeasible rows and never take this exit).
+		// was cheaper (measured on the RMPC program with dense pivot
+		// updates; trajectory-local resolves have 0–2 infeasible rows and
+		// never take this exit). Sparse pivots changed both sides' costs,
+		// but the threshold decides which path a solve takes, and with it
+		// the pinned chain digests, the goldens and the oicbench work
+		// records: it can only move together with re-recorded pins.
 		if infeasRows > p.m/3 {
 			return Optimal, false
 		}
@@ -627,13 +644,16 @@ func (s *Solver) dualSimplex() (Status, bool) {
 // and one pricing loop serve both.
 type tab struct {
 	t, z   []float64
+	nz     []int // pivot-row gather list, at least rhs+1 long
 	stride int
 	rhs    int
 }
 
 // live is the solver's own tableau: structural and slack columns, then
 // the rhs.
-func (s *Solver) live() tab { return tab{t: s.t, z: s.z, stride: s.p.width, rhs: s.p.total} }
+func (s *Solver) live() tab {
+	return tab{t: s.t, z: s.z, nz: s.nz, stride: s.p.width, rhs: s.p.total}
+}
 
 // coldScratch is the full-width workspace of one two-phase solve: the
 // tableau with room for m artificial columns, the phase-1 reduced costs,
@@ -642,6 +662,7 @@ func (s *Solver) live() tab { return tab{t: s.t, z: s.z, stride: s.p.width, rhs:
 type coldScratch struct {
 	t               []float64 // m × stride
 	z               []float64 // stride
+	nz              []int     // stride
 	colRow, colOnes []int     // total
 	basisOf         []int     // m
 }
@@ -657,6 +678,7 @@ func getColdScratch(p *program) *coldScratch {
 	sc := coldPool.Get().(*coldScratch)
 	sc.t = resize(sc.t, p.m*p.stride)
 	sc.z = resize(sc.z, p.stride)
+	sc.nz = resize(sc.nz, p.stride)
 	sc.colRow = resize(sc.colRow, p.total)
 	sc.colOnes = resize(sc.colOnes, p.total)
 	sc.basisOf = resize(sc.basisOf, p.m)
@@ -681,8 +703,9 @@ func (s *Solver) solveCold() Status {
 	p := s.p
 	if s.t == nil {
 		s.t = make([]float64, p.m*p.width)
-		s.basis = make([]int, p.m)
 		s.z = make([]float64, p.width)
+		ints := make([]int, p.m+p.width) // one allocation for basis and nz
+		s.basis, s.nz = ints[:p.m:p.m], ints[p.m:]
 	}
 	s.pivots = 0
 	s.warm = false
@@ -775,7 +798,7 @@ func (s *Solver) phase1(sc *coldScratch) Status {
 			nart++
 		}
 	}
-	full := tab{t: sc.t, z: sc.z, stride: p.stride, rhs: p.total + nart}
+	full := tab{t: sc.t, z: sc.z, nz: sc.nz, stride: p.stride, rhs: p.total + nart}
 
 	// Place artificials and the rhs column.
 	art := p.total
@@ -889,18 +912,35 @@ func (s *Solver) iterate(v tab) Status {
 
 // pivot performs a Gauss-Jordan pivot on row r, column c of v, updating
 // its reduced-cost row alongside. Only the logical width [0, v.rhs] is
-// touched: on the live tableau that skips every artificial column. The
-// row update is the solver's single hottest loop (>80% of a resolve),
-// hence the manual 4-way unrolling.
+// touched: on the live tableau that skips every artificial column.
+//
+// The row update is sparse. Scaling the pivot row also gathers its nonzero
+// columns, in ascending order, into v.nz, with the rhs column always last;
+// every other row, and z, is then updated over that list only. Every basic
+// column is an exact unit vector (DESIGN.md §5.3), so the pivot row is zero
+// at every basic column but its own, and on the ACC RMPC it holds ~28
+// nonzeros of 194. A skipped entry is dst −= f·(±0), which for a finite f
+// can change nothing but the sign of a zero, and no zero's sign is read
+// (DESIGN.md §5.4). A non-finite f takes the dense update, so Inf and NaN
+// spread exactly as a dense pivot spreads them.
 func (s *Solver) pivot(v tab, r, c int) {
 	p := s.p
 	w := v.rhs + 1
 	pr := v.t[r*v.stride : r*v.stride+w]
 	inv := 1 / pr[c]
-	for j := range pr {
+	nz := v.nz[:w]
+	k := 0
+	for j := range pr[:v.rhs] {
 		pr[j] *= inv
+		if pr[j] != 0 {
+			nz[k] = j
+			k++
+		}
 	}
+	pr[v.rhs] *= inv
 	pr[c] = 1 // avoid roundoff drift on the pivot itself
+	nz[k] = v.rhs
+	nz = nz[:k+1]
 	for i := 0; i < p.m; i++ {
 		if i == r {
 			continue
@@ -910,33 +950,29 @@ func (s *Solver) pivot(v tab, r, c int) {
 		if f == 0 {
 			continue
 		}
-		axpyNeg(ti, pr, f)
+		rowUpdate(ti, pr, nz, f)
 		ti[c] = 0
 	}
 	f := v.z[c]
 	if f != 0 {
-		axpyNeg(v.z[:w], pr, f)
+		rowUpdate(v.z[:w], pr, nz, f)
 		v.z[c] = 0
 	}
 	s.basis[r] = c
 	s.pivots++
 }
 
-// axpyNeg computes dst[j] -= f·src[j], 4-way unrolled. len(dst) must equal
-// len(src).
-func axpyNeg(dst, src []float64, f float64) {
-	n := len(dst)
-	src = src[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d := dst[j : j+4 : j+4]
-		s := src[j : j+4 : j+4]
-		d[0] -= f * s[0]
-		d[1] -= f * s[1]
-		d[2] -= f * s[2]
-		d[3] -= f * s[3]
+// rowUpdate computes dst[j] −= f·src[j] for every j in nz, or for every j
+// when f is not finite. len(dst) must equal len(src).
+func rowUpdate(dst, src []float64, nz []int, f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		for j, a := range src {
+			dst[j] -= f * a
+		}
+		return
 	}
-	for ; j < n; j++ {
+	src = src[:len(dst)]
+	for _, j := range nz {
 		dst[j] -= f * src[j]
 	}
 }

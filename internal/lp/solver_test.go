@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -540,5 +541,360 @@ func TestSlackTransformBitIdentical(t *testing.T) {
 					trial, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
+	}
+}
+
+// shiftedChainDigest pins the SolveParams chain below the same way
+// accChainDigest pins the ACC chain, recorded before prepare walked
+// compiled coefficient lists.
+const shiftedChainDigest = "38e8a313eaa510ae852afeb3b666ad92bd814794ef132072b8f1921438d573f7"
+
+// shiftedProblem is a small program over every variable kind the
+// standard-form conversion knows: lower-bounded at nonzero and at zero
+// bounds, upper-only, doubly bounded and free. Rows mix LE and GE with
+// negative coefficients, and three rows have a −0 right-hand side: one on
+// the free variable alone (no shift reaches it) and two on the free and the
+// zero-bounded variable, so one keeps the −0 and the other turns it into
+// +0. Every row holds at x* = (0, 0, 0.5, 0, 3, 1, 2).
+func shiftedProblem() (*Problem, []float64) {
+	inf := math.Inf(1)
+	p := NewProblem(7)
+	p.SetObjective([]float64{0.7, -1.1, 0.4, -0.3, 0.9, -0.6, 0.25})
+	bounds := [7][2]float64{{-2.5, inf}, {-inf, 3.25}, {-1.5, 4}, {-inf, inf}, {1.75, inf}, {0, inf}, {0.5, 6}}
+	for j, b := range bounds {
+		p.SetBounds(j, b[0], b[1])
+	}
+	negZero := math.Copysign(0, -1)
+	rows := []struct {
+		a     []float64
+		sense Sense
+		rhs   float64
+	}{
+		{[]float64{0, 0, 0, 1, 0, 0, 0}, LE, 5},
+		{[]float64{0, 0, 0, -1, 0, 0, 0}, LE, 5},
+		{[]float64{1, 0, 0, 0, 0, 0, 0}, LE, 6},
+		{[]float64{0, -1, 0, 0, 0, 0, 0}, LE, 4},
+		{[]float64{0, 0, 0, 0, 1, 0, 0}, LE, 8},
+		{[]float64{0, 0, 0, 0, 0, 1, 0}, LE, 7},
+		{[]float64{0, 0, 0, 1, 0, 0, 0}, LE, negZero},
+		{[]float64{0, 0, 0, 1, 0, -2, 0}, LE, negZero},
+		{[]float64{0, 0, 0, -1, 0, 0.5, 0}, GE, negZero},
+		{[]float64{1.5, -0.8, 0.6, 0.4, -1.2, 0.3, -0.7}, LE, 1.5},
+		{[]float64{-0.9, 1.3, -0.5, 0.7, 0.8, -1.1, 0.4}, GE, -2.5},
+		{[]float64{0.6, 0.6, -1.4, -0.5, 0.3, 0.9, -1.6}, LE, 2.5},
+		{[]float64{-1.2, -0.4, 0.9, 1.1, -0.6, -0.8, 1.3}, GE, -4.5},
+		{[]float64{0.3, -1.5, 0.2, -0.9, 1.4, 0.6, 0.5}, LE, 7},
+	}
+	rhs := make([]float64, len(rows))
+	for i, r := range rows {
+		p.AddConstraint(r.a, r.sense, r.rhs)
+		rhs[i] = r.rhs
+	}
+	return p, rhs
+}
+
+// runShiftedChain drives one Solver through 4000 seeded SolveParams calls
+// on shiftedProblem: right-hand sides perturbed around the compiled ones
+// (the −0 rows alternate −0, +0 and small values; now and then a row is
+// pushed hard enough to make the program infeasible), bounds moved within
+// their class (the zero lower bound alternates +0 and −0), some calls with
+// nil rhs or nil bounds, and a ResetWarm every 1000 calls. It returns the
+// digest in accChainDigest's form, the final stats and how many solves
+// started from a −0 entry of the standard-form rhs.
+func runShiftedChain(t testing.TB) (string, SolveStats, int) {
+	t.Helper()
+	const calls = 4000
+	p, rhs0 := shiftedProblem()
+	s := NewSolver(p)
+	n := p.NumVars()
+	rng := rand.New(rand.NewSource(23))
+	rhs := make([]float64, len(rhs0))
+	lo := make([]float64, n)
+	hi := make([]float64, n)
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	negZeroB := 0
+	for call := 0; call < calls; call++ {
+		if call > 0 && call%1000 == 0 {
+			s.ResetWarm()
+		}
+		for i, b := range rhs0 {
+			switch {
+			case b == 0 && rng.Intn(3) == 0:
+				rhs[i] = 0
+			case b == 0 && rng.Intn(2) == 0:
+				rhs[i] = b
+			default:
+				rhs[i] = b + 0.4*rng.NormFloat64()
+			}
+			if rng.Intn(400) == 0 {
+				rhs[i] -= 30
+			}
+		}
+		for j := 0; j < n; j++ {
+			lo[j], hi[j] = p.Bounds(j)
+			if lo[j] == 0 {
+				if rng.Intn(2) == 0 {
+					lo[j] = math.Copysign(0, -1)
+				}
+			} else if !math.IsInf(lo[j], -1) {
+				lo[j] += 0.3 * rng.NormFloat64()
+			}
+			if !math.IsInf(hi[j], 1) {
+				hi[j] += 0.3 * rng.NormFloat64()
+			}
+			if lo[j] > hi[j] {
+				lo[j], hi[j] = hi[j], lo[j]
+			}
+		}
+		r, l, u := rhs, lo, hi
+		switch rng.Intn(8) {
+		case 0:
+			r = nil
+		case 1:
+			l, u = nil, nil
+		}
+		sol, ok := s.SolveParams(r, l, u)
+		if !ok {
+			t.Fatalf("call %d: bound class changed", call)
+		}
+		for _, b := range s.b {
+			if b == 0 && math.Signbit(b) {
+				negZeroB++
+				break
+			}
+		}
+		put(uint64(sol.Status))
+		if sol.Status == Optimal {
+			put(math.Float64bits(sol.Objective))
+			for _, v := range sol.X {
+				put(math.Float64bits(v))
+			}
+		}
+		st := s.Stats()
+		put(uint64(st.Cold))
+		put(uint64(st.Warm))
+		put(uint64(st.ColdPivots))
+		put(uint64(st.WarmPivots))
+	}
+	return hex.EncodeToString(h.Sum(nil)), s.Stats(), negZeroB
+}
+
+// TestSolverShiftedChainDigest pins the shifted-variable path that the ACC
+// chain never takes (all its shifts are +0): nonzero shifts, mirrored and
+// split variables, upper-bound rows and −0 right-hand sides, through cold,
+// warm and dual-repair solves.
+func TestSolverShiftedChainDigest(t *testing.T) {
+	got, st, negZero := runShiftedChain(t)
+	if st.Cold <= 4 || st.Warm == 0 || st.WarmPivots == 0 {
+		t.Fatalf("chain did not exercise the cold, warm and repair paths: %+v", st)
+	}
+	if negZero == 0 {
+		t.Fatal("no solve started from a −0 standard-form rhs")
+	}
+	if got != shiftedChainDigest {
+		t.Fatalf("shifted chain digest %s, want %s", got, shiftedChainDigest)
+	}
+}
+
+// axpyNeg computes dst[j] −= f·src[j], 4-way unrolled: the dense row
+// update the solver's pivot ran before it went sparse.
+func axpyNeg(dst, src []float64, f float64) {
+	n := len(dst)
+	src = src[:n]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		d := dst[j : j+4 : j+4]
+		s := src[j : j+4 : j+4]
+		d[0] -= f * s[0]
+		d[1] -= f * s[1]
+		d[2] -= f * s[2]
+		d[3] -= f * s[3]
+	}
+	for ; j < n; j++ {
+		dst[j] -= f * src[j]
+	}
+}
+
+// pivotDense is the dense Gauss-Jordan pivot on row r, column c of v over
+// m rows: every other row, and z, takes axpyNeg over the whole logical
+// width. It is the oracle Solver.pivot must match.
+func pivotDense(v tab, m int, basis []int, r, c int) {
+	w := v.rhs + 1
+	pr := v.t[r*v.stride : r*v.stride+w]
+	inv := 1 / pr[c]
+	for j := range pr {
+		pr[j] *= inv
+	}
+	pr[c] = 1
+	for i := 0; i < m; i++ {
+		if i == r {
+			continue
+		}
+		ti := v.t[i*v.stride : i*v.stride+w]
+		f := ti[c]
+		if f == 0 {
+			continue
+		}
+		axpyNeg(ti, pr, f)
+		ti[c] = 0
+	}
+	if f := v.z[c]; f != 0 {
+		axpyNeg(v.z[:w], pr, f)
+		v.z[c] = 0
+	}
+	basis[r] = c
+}
+
+// sameUpToZeroSign reports whether a and b are the same bits, or both
+// zeros of any sign.
+func sameUpToZeroSign(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+// checkPivotAgreement compares a sparse-pivoted tab with a dense-pivoted
+// one over m rows: the rhs column, z[rhs] and every nonzero entry must
+// agree bit for bit and every other entry up to the sign of zero; cells
+// past the logical width must still hold pad. Rows listed in exact took a
+// non-finite multiplier and must agree bit for bit everywhere.
+func checkPivotAgreement(t *testing.T, label string, sp, de tab, m int, pad float64, exact map[int]bool) {
+	t.Helper()
+	w := sp.rhs + 1
+	check := func(row string, i int, a, b []float64, whole bool) {
+		for j := range a {
+			if j == sp.rhs || a[j] != 0 || b[j] != 0 || whole {
+				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+					t.Fatalf("%s: %s %d col %d: sparse %v (%#x), dense %v (%#x)",
+						label, row, i, j, a[j], math.Float64bits(a[j]), b[j], math.Float64bits(b[j]))
+				}
+			} else if !sameUpToZeroSign(a[j], b[j]) {
+				t.Fatalf("%s: %s %d col %d: sparse %v, dense %v", label, row, i, j, a[j], b[j])
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		ri := sp.t[i*sp.stride : (i+1)*sp.stride]
+		check("row", i, ri[:w], de.t[i*de.stride:i*de.stride+w], exact[i])
+		for j, v := range ri[w:] {
+			if math.Float64bits(v) != math.Float64bits(pad) {
+				t.Fatalf("%s: row %d col %d past the logical width was written: %v", label, i, w+j, v)
+			}
+		}
+	}
+	check("z", 0, sp.z[:w], de.z[:w], false)
+}
+
+// TestPivotSparseMatchesDense runs the sparse pivot against the dense
+// oracle on tableaux the solver itself produced: each trial cold-solves a
+// random LP (or the ACC RMPC program at a random point of X′) and then
+// drives two copies of its optimal tableau through the same chain of
+// random pivots, one with Solver.pivot and one with pivotDense, checking
+// them after every pivot. The copies sit in a tab wider than the logical
+// width, as phase 1's scratch is, and the padding must stay untouched.
+// Every fourth pivot is also replayed from one snapshot with a few rows'
+// multipliers set to ±Inf or NaN; those rows take the dense update and
+// must match the oracle bit for bit.
+func TestPivotSparseMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	f := loadACCFixture(t)
+	accRHS := make([]float64, len(f.Rows))
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	const pad = -123.25
+	pivots, sparseRows := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		var s *Solver
+		if trial%10 == 0 {
+			s = NewSolver(f.problem())
+			for {
+				x := [2]float64{120 + 60*rng.Float64(), 25 + 30*rng.Float64()}
+				if f.inXPrime(x) {
+					f.rhsAt(accRHS, x)
+					break
+				}
+			}
+			s.SolveRHS(accRHS)
+		} else {
+			p, _ := randomProblem(rng)
+			s = NewSolver(p)
+			s.Solve()
+		}
+		if !s.warm {
+			continue
+		}
+		p := s.p
+		stride := p.width + rng.Intn(4)
+		widen := func() tab {
+			v := tab{t: make([]float64, p.m*stride), z: make([]float64, stride), nz: make([]int, stride), stride: stride, rhs: p.total}
+			for i := range v.t {
+				v.t[i] = pad
+			}
+			for i := 0; i < p.m; i++ {
+				copy(v.t[i*stride:], s.t[i*p.width:(i+1)*p.width])
+			}
+			copy(v.z, s.z)
+			return v
+		}
+		sp, de := widen(), widen()
+		spBasis := append([]int(nil), s.basis...)
+		deBasis := append([]int(nil), s.basis...)
+		for step := 0; step < 40; step++ {
+			r := rng.Intn(p.m)
+			c := -1
+			for try := 0; try < 50 && c < 0; try++ {
+				if j := rng.Intn(p.total); math.Abs(sp.t[r*stride+j]) > 1e-3 {
+					c = j
+				}
+			}
+			if c < 0 {
+				continue
+			}
+			label := func(kind string) string {
+				return fmt.Sprintf("trial %d step %d (%s pivot %d,%d)", trial, step, kind, r, c)
+			}
+			if step%4 == 0 {
+				// Replay this pivot from one snapshot with non-finite
+				// multipliers planted in a few rows.
+				a, b := widen(), widen()
+				copy(a.t, sp.t)
+				copy(a.z, sp.z)
+				copy(b.t, sp.t)
+				copy(b.z, sp.z)
+				exact := map[int]bool{}
+				for k := 0; k < 3; k++ {
+					if i := rng.Intn(p.m); i != r {
+						v := nonFinite[rng.Intn(len(nonFinite))]
+						a.t[i*stride+c], b.t[i*stride+c] = v, v
+						exact[i] = true
+					}
+				}
+				s.basis = append([]int(nil), spBasis...)
+				s.pivot(a, r, c)
+				pivotDense(b, p.m, append([]int(nil), spBasis...), r, c)
+				checkPivotAgreement(t, label("non-finite"), a, b, p.m, pad, exact)
+			}
+			s.basis = spBasis
+			s.pivot(sp, r, c)
+			pivotDense(de, p.m, deBasis, r, c)
+			checkPivotAgreement(t, label("chain"), sp, de, p.m, pad, nil)
+			for i := range spBasis {
+				if spBasis[i] != deBasis[i] {
+					t.Fatalf("%s: basis[%d] %d vs %d", label("chain"), i, spBasis[i], deBasis[i])
+				}
+			}
+			pivots++
+			for j := 0; j < p.total; j++ {
+				if sp.t[r*stride+j] == 0 {
+					sparseRows++
+					break
+				}
+			}
+		}
+	}
+	if pivots < 1000 || sparseRows < pivots/2 {
+		t.Fatalf("%d chain pivots, %d with a zero in the pivot row: the chains did not exercise the sparse update", pivots, sparseRows)
 	}
 }
