@@ -305,7 +305,7 @@ func BenchmarkRCIMethods(b *testing.B) {
 	})
 	b.Run("maximal-rci-fixpoint", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := reach.MaximalRCI(m.Sys, reach.Options{}); err != nil {
+			if _, err := reach.MaximalRCI(m.Sys); err != nil {
 				b.Fatal(err)
 			}
 		}

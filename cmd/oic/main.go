@@ -591,7 +591,6 @@ func main() {
 			Violations           int        `json:"violations"`
 			BudgetRaises         int64      `json:"budget_raises,omitempty"`
 			BudgetLowers         int64      `json:"budget_lowers,omitempty"`
-			BudgetFloors         int64      `json:"budget_floors,omitempty"`
 			EffectiveMaxSessions int        `json:"effective_max_sessions,omitempty"`
 		}
 		phaseNames := [3]string{"calm", "noise", "calm"}
@@ -699,7 +698,6 @@ func main() {
 			doc.Violations = st.Violations
 			doc.BudgetRaises = st.BudgetRaises
 			doc.BudgetLowers = st.BudgetLowers
-			doc.BudgetFloors = st.BudgetFloors
 			doc.EffectiveMaxSessions = st.EffectiveMaxSessions
 			return doc, nil
 		}
@@ -732,9 +730,9 @@ func main() {
 					ph.MinBudget, ph.MeanBudget, ph.MaxBudget, ph.Shed, ph.Degraded)
 			}
 		}
-		fmt.Fprintf(&b, "elastic: margin ≥ 0 on %.1f%% of ticks, %d violations; raises %d, lowers %d, floors %d; admission cap %d/%d\n",
+		fmt.Fprintf(&b, "elastic: margin ≥ 0 on %.1f%% of ticks, %d violations; raises %d, lowers %d; admission cap %d/%d\n",
 			100*elasticDoc.MarginOK, elasticDoc.Violations,
-			elasticDoc.BudgetRaises, elasticDoc.BudgetLowers, elasticDoc.BudgetFloors,
+			elasticDoc.BudgetRaises, elasticDoc.BudgetLowers,
 			elasticDoc.EffectiveMaxSessions, size)
 		fmt.Fprintf(&b, "static:  margin ≥ 0 on %.1f%% of ticks, %d violations\n",
 			100*staticDoc.MarginOK, staticDoc.Violations)

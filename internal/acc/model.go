@@ -45,32 +45,24 @@ const (
 
 	DefaultHorizon = 10 // RMPC prediction horizon (paper: 10)
 	EpisodeSteps   = 100
+
+	// The RMPC's 1-norm stage weights P (state) and Q (input). The paper
+	// does not report them. A light input weight makes the RMPC an
+	// attentive tracker — the conservative baseline whose pessimism the
+	// skipping framework exploits.
+	stateWeight = 1.0
+	inputWeight = 0.1
 )
 
 // Config parameterizes the case-study model. The zero value selects the
 // paper's settings.
 type Config struct {
 	VfMin, VfMax float64 // front-speed design range for the safety sets
-	Horizon      int     // RMPC horizon
-	StateWeight  float64 // RMPC P (1-norm)
-	InputWeight  float64 // RMPC Q (1-norm)
 }
 
 func (c Config) withDefaults() Config {
 	if c.VfMin == 0 && c.VfMax == 0 {
 		c.VfMin, c.VfMax = VfMin, VfMax
-	}
-	if c.Horizon == 0 {
-		c.Horizon = DefaultHorizon
-	}
-	if c.StateWeight == 0 {
-		c.StateWeight = 1
-	}
-	if c.InputWeight == 0 {
-		// The paper does not report P and Q. A light input weight makes the
-		// RMPC an attentive tracker — the conservative baseline whose
-		// pessimism the skipping framework exploits.
-		c.InputWeight = 0.1
 	}
 	return c
 }
@@ -130,9 +122,9 @@ func newModel(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	rmpc, err := controller.NewRMPC(sys, controller.RMPCConfig{
-		Horizon:     cfg.Horizon,
-		StateWeight: cfg.StateWeight,
-		InputWeight: cfg.InputWeight,
+		Horizon:     DefaultHorizon,
+		StateWeight: stateWeight,
+		InputWeight: inputWeight,
 		XRef:        xref,
 		URef:        uref,
 	})

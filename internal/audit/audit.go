@@ -95,32 +95,22 @@ func (r *Report) String() string {
 		r.Steps, len(r.Findings), r.Findings[0].Step, r.Findings[0].Kind, r.Findings[0].Msg)
 }
 
-// Options tunes audit tolerances. Zero values select defaults.
-type Options struct {
-	DynTol    float64 // dynamics residual tolerance (default 1e-7)
-	SetTol    float64 // set membership tolerance (default 1e-7)
-	EnergyTol float64 // energy accounting tolerance (default 1e-6)
-}
-
-func (o Options) withDefaults() Options {
-	if o.DynTol == 0 {
-		o.DynTol = 1e-7
-	}
-	if o.SetTol == 0 {
-		o.SetTol = 1e-7
-	}
-	if o.EnergyTol == 0 {
-		o.EnergyTol = 1e-6
-	}
-	return o
-}
+// The audit's tolerances: a recorded successor may differ from the
+// re-simulated one by dynTol in each component, a state or disturbance
+// may violate a set's constraints by setTol (poly.Violation), and the
+// recorded energy may differ from the sum of the recorded inputs'
+// 1-norms by energyTol.
+const (
+	dynTol    = 1e-7
+	setTol    = 1e-7
+	energyTol = 1e-6
+)
 
 // Run audits a recorded episode against the declared system and safety
 // sets. Each step's pre-state is the previous step's successor (the
 // trace's x0 for step 0); the recorded energy is checked against the
 // recorded inputs.
-func Run(sys *lti.System, sets core.SafetySets, t *trace.Trace, opt Options) *Report {
-	opt = opt.withDefaults()
+func Run(sys *lti.System, sets core.SafetySets, t *trace.Trace) *Report {
 	rep := &Report{Steps: len(t.Steps)}
 	add := func(step int, kind Kind, format string, args ...interface{}) {
 		rep.Findings = append(rep.Findings, Finding{Step: step, Kind: kind, Msg: fmt.Sprintf(format, args...)})
@@ -134,32 +124,32 @@ func Run(sys *lti.System, sets core.SafetySets, t *trace.Trace, opt Options) *Re
 
 		// Disturbance inside W.
 		if sys.W != nil {
-			if v := sys.W.Violation(st.W); v > opt.SetTol {
+			if v := sys.W.Violation(st.W); v > setTol {
 				add(i, OutOfModelDisturbance, "w=%v violates W by %.3g", st.W, v)
 			}
 		}
 		// Transition consistency.
 		pred := sys.Step(x, st.U, st.W)
-		if !pred.Equal(st.X, opt.DynTol) {
+		if !pred.Equal(st.X, dynTol) {
 			add(i, DynamicsMismatch, "recorded %v vs predicted %v", st.X, pred)
 		}
 		// Safety and invariance of the successor.
-		if v := sets.X.Violation(st.X); v > opt.SetTol {
+		if v := sets.X.Violation(st.X); v > setTol {
 			add(i, SafetyViolation, "x⁺=%v outside X by %.3g", st.X, v)
 		}
-		if v := sets.XI.Violation(st.X); v > opt.SetTol {
+		if v := sets.XI.Violation(st.X); v > setTol {
 			add(i, InvariantViolation, "x⁺=%v outside XI by %.3g", st.X, v)
 		}
 		// Monitor semantics (Algorithm 1): outside X′ ⇒ ran and forced;
 		// a recorded skip must be inside X′ and must not actuate.
-		inXPrime := sets.XPrime.Contains(x, opt.SetTol)
+		inXPrime := sets.XPrime.Contains(x, setTol)
 		if !inXPrime && !st.Ran {
 			add(i, MonitorInconsistency, "skipped outside X' at %v", x)
 		}
 		if st.Forced && inXPrime {
 			// Tolerance asymmetry can misclassify states on the boundary;
 			// flag only clear interior points.
-			if sets.XPrime.Violation(x) < -opt.SetTol {
+			if sets.XPrime.Violation(x) < -setTol {
 				add(i, MonitorInconsistency, "forced inside X' at %v", x)
 			}
 		}
@@ -170,7 +160,7 @@ func Run(sys *lti.System, sets core.SafetySets, t *trace.Trace, opt Options) *Re
 		}
 		x = st.X
 	}
-	if diff := energy - t.Energy; diff > opt.EnergyTol || diff < -opt.EnergyTol {
+	if diff := energy - t.Energy; diff > energyTol || diff < -energyTol {
 		add(len(t.Steps), EnergyMismatch, "steps sum %.9g, recorded %.9g", energy, t.Energy)
 	}
 	return rep

@@ -29,7 +29,7 @@ func rig(t *testing.T) (*lti.System, *core.Framework, core.SafetySets) {
 	fb := controller.NewAffineFeedback(k, nil, nil)
 	acl, ccl := sys.ClosedLoop(k, mat.Vec{0, 0}, mat.Vec{0})
 	adm := poly.New(sys.U.A.Mul(k), sys.U.B.Clone())
-	xi, err := reach.MaximalInvariantSet(poly.Intersect(sys.X, adm).ReduceRedundancy(), acl, ccl, sys.W, reach.Options{})
+	xi, err := reach.MaximalInvariantSet(poly.Intersect(sys.X, adm).ReduceRedundancy(), acl, ccl, sys.W)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func cleanRun(t *testing.T, sys *lti.System, fw *core.Framework) *trace.Trace {
 func TestCleanRunAuditsClean(t *testing.T) {
 	sys, fw, sets := rig(t)
 	res := cleanRun(t, sys, fw)
-	rep := Run(sys, sets, res, Options{})
+	rep := Run(sys, sets, res)
 	if !rep.OK() {
 		t.Fatalf("clean run flagged: %v", rep)
 	}
@@ -87,7 +87,7 @@ func TestDetectsOutOfModelDisturbance(t *testing.T) {
 	sys, fw, sets := rig(t)
 	res := cleanRun(t, sys, fw)
 	res.Steps[10].W = mat.Vec{0.5, 0} // way outside W
-	rep := Run(sys, sets, res, Options{})
+	rep := Run(sys, sets, res)
 	if rep.Count(OutOfModelDisturbance) == 0 {
 		t.Error("tampered disturbance not flagged")
 	}
@@ -97,7 +97,7 @@ func TestDetectsDynamicsMismatch(t *testing.T) {
 	sys, fw, sets := rig(t)
 	res := cleanRun(t, sys, fw)
 	res.Steps[5].X = res.Steps[5].X.Add(mat.Vec{0.1, 0})
-	rep := Run(sys, sets, res, Options{})
+	rep := Run(sys, sets, res)
 	if rep.Count(DynamicsMismatch) == 0 {
 		t.Error("tampered transition not flagged")
 	}
@@ -114,7 +114,7 @@ func TestDetectsSkipActuated(t *testing.T) {
 			break
 		}
 	}
-	rep := Run(sys, sets, res, Options{})
+	rep := Run(sys, sets, res)
 	if rep.Count(SkipActuated) == 0 {
 		t.Error("actuated skip not flagged")
 	}
@@ -124,7 +124,7 @@ func TestDetectsEnergyMismatch(t *testing.T) {
 	sys, fw, sets := rig(t)
 	res := cleanRun(t, sys, fw)
 	res.Energy += 1
-	rep := Run(sys, sets, res, Options{})
+	rep := Run(sys, sets, res)
 	if rep.Count(EnergyMismatch) == 0 {
 		t.Error("energy tampering not flagged")
 	}
@@ -137,7 +137,7 @@ func TestDetectsMonitorInconsistency(t *testing.T) {
 	// is step 2's successor).
 	res.Steps[2].X = mat.Vec{4.9, 2.9}
 	res.Steps[3].Ran = false
-	rep := Run(sys, sets, res, Options{})
+	rep := Run(sys, sets, res)
 	if rep.Count(MonitorInconsistency) == 0 && rep.Count(DynamicsMismatch) == 0 {
 		t.Error("forged monitor state not flagged at all")
 	}

@@ -15,11 +15,10 @@
 // sequence yields one budget trajectory on every machine and worker
 // count — the same determinism contract the scheduler keeps.
 //
-// Safety is not negotiable: Update floors its output at the caller's
-// forced-compute demand, applied after every clamp, so adaptation can
-// never starve a monitor-mandated computation. The scheduler would run
-// forced computes over budget anyway (PlanStats.Overrun), but the floor
-// keeps the controller from manufacturing overruns in the first place.
+// The budget only sizes the optional lane. The scheduler runs every
+// monitor-forced compute whatever the budget (counted in
+// PlanStats.Overrun), so no budget the controller sets can starve a
+// mandated computation, and its output always stays in [Min, Max].
 package budget
 
 import (
@@ -27,34 +26,31 @@ import (
 	"time"
 )
 
-// Config tunes a Controller. Zero-valued gain/band fields take the
-// defaults noted on each field; Min, Max, and Target are the caller's
-// contract and have no defaults (New clamps Min into [1, Max]).
+// The loop's fixed gains and band. Every value is in normalized-error
+// units, e = (margin − target)/target, except the gains, which are budget
+// units per unit of e.
+const (
+	// hysteresis is the dead band: while |e| stays inside it the budget
+	// holds, which keeps a near-target fleet from dithering.
+	hysteresis = 0.25
+	// kp and ki are the proportional and integral gains.
+	kp = 24
+	ki = 6
+	// integralMax clamps the error integral (anti-windup): during a long
+	// saturation at Min or Max the integral cannot wind past it, so the
+	// loop re-tracks within a few updates once the disturbance clears.
+	integralMax = 4
+)
+
+// Config bounds a Controller. Min, Max, and Target are the caller's
+// contract (New clamps Min into [1, Max]).
 type Config struct {
-	// Min and Max bound the budget the controller will set. The forced
-	// floor may exceed Max transiently — safety outranks the budget cap.
+	// Min and Max bound the budget the controller will set.
 	Min int
 	Max int
 	// Target is the deadline margin the loop regulates to. Must be > 0;
 	// New falls back to 1ms so a zero value cannot divide by zero.
 	Target time.Duration
-	// Hysteresis is the dead band as a fraction of Target: while the
-	// normalized error |margin−target|/target stays inside it the budget
-	// holds, which keeps a near-target fleet from dithering. Default 0.25.
-	Hysteresis float64
-	// Kp and Ki are the proportional and integral gains in budget units
-	// per unit of normalized error. Defaults 24 and 6.
-	Kp float64
-	Ki float64
-	// Slew caps the budget change per update (budget units), so one noisy
-	// margin sample cannot halve a fleet's throughput. Default
-	// max(1, (Max−Min)/8).
-	Slew int
-	// IntegralMax clamps the error integral (anti-windup): during a long
-	// saturation at Min or Max the integral cannot wind past it, so the
-	// loop re-tracks within a few updates once the disturbance clears.
-	// Default 4 (normalized-error units).
-	IntegralMax float64
 }
 
 func (c Config) withDefaults() Config {
@@ -70,35 +66,7 @@ func (c Config) withDefaults() Config {
 	if c.Min > c.Max {
 		c.Min = c.Max
 	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.25
-	}
-	if c.Kp <= 0 {
-		c.Kp = 24
-	}
-	if c.Ki <= 0 {
-		c.Ki = 6
-	}
-	if c.Slew <= 0 {
-		c.Slew = (c.Max - c.Min) / 8
-		if c.Slew < 1 {
-			c.Slew = 1
-		}
-	}
-	if c.IntegralMax <= 0 {
-		c.IntegralMax = 4
-	}
 	return c
-}
-
-// Input is one tick's controller evidence.
-type Input struct {
-	// Margin is the tick's measured deadline margin
-	// (TickReport.DeadlineMargin): negative means the tick overran.
-	Margin time.Duration
-	// Forced is the tick's monitor-forced compute count — the safety
-	// floor below which Update never sets the budget.
-	Forced int
 }
 
 // Stats counts controller decisions for observability.
@@ -106,16 +74,15 @@ type Stats struct {
 	Raises int64 `json:"raises"` // updates that grew the budget
 	Lowers int64 `json:"lowers"` // updates that shrank the budget
 	Holds  int64 `json:"holds"`  // updates inside the hysteresis band
-	// Floors counts updates where the forced-compute floor overrode the
-	// control law — the loud signal that demand, not margin, set the
-	// budget.
-	Floors int64 `json:"floors"`
 }
 
 // Controller is the deterministic PI budget loop. Not safe for concurrent
 // use; the owning Fleet serializes calls under its own lock.
 type Controller struct {
-	cfg      Config
+	cfg Config
+	// slew caps the budget change per update, (Max−Min)/8 and at least 1,
+	// so one noisy margin sample cannot halve a fleet's throughput.
+	slew     int
 	budget   int
 	integral float64
 	stats    Stats
@@ -125,11 +92,12 @@ type Controller struct {
 // [Min, Max].
 func New(cfg Config, initial int) *Controller {
 	cfg = cfg.withDefaults()
-	return &Controller{cfg: cfg, budget: clampInt(initial, cfg.Min, cfg.Max)}
+	return &Controller{
+		cfg:    cfg,
+		slew:   max(1, (cfg.Max-cfg.Min)/8),
+		budget: clampInt(initial, cfg.Min, cfg.Max),
+	}
 }
-
-// Config returns the controller's configuration with defaults applied.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Budget returns the current budget (the last Update output, or the
 // initial/Set value before the first Update).
@@ -146,35 +114,31 @@ func (c *Controller) Set(n int) {
 	c.integral = 0
 }
 
-// Update runs one PI step and returns the next budget. The law, in order:
+// Update runs one PI step on the tick's measured deadline margin
+// (TickReport.DeadlineMargin, negative when the tick overran) and returns
+// the next budget. The law, in order:
 //
 //  1. Normalized error e = (margin − target) / target.
-//  2. Hysteresis: |e| ≤ band holds the budget (no integration), modulo
-//     re-entry into [Min, Max] after a floor excursion.
+//  2. Hysteresis: |e| ≤ band holds the budget (no integration).
 //  3. Conditional integration (anti-windup): the clamped integral only
 //     commits when the output did not saturate at Min/Max.
-//  4. Slew limit: |Δbudget| ≤ Slew per update.
-//  5. Forced floor, applied last: output ≥ in.Forced, even above Max.
+//  4. Slew limit: |Δbudget| ≤ slew per update.
 //
 // Every step is pure arithmetic on the inputs, so identical input
 // sequences give byte-identical budget trajectories.
-func (c *Controller) Update(in Input) int {
+func (c *Controller) Update(margin time.Duration) int {
 	prev := c.budget
-	e := (in.Margin - c.cfg.Target).Seconds() / c.cfg.Target.Seconds()
-	next := clampInt(prev, c.cfg.Min, c.cfg.Max)
-	if math.Abs(e) > c.cfg.Hysteresis {
-		i2 := clampF(c.integral+e, -c.cfg.IntegralMax, c.cfg.IntegralMax)
-		d := int(math.Round(c.cfg.Kp*e + c.cfg.Ki*i2))
-		d = clampInt(d, -c.cfg.Slew, c.cfg.Slew)
+	next := prev
+	e := (margin - c.cfg.Target).Seconds() / c.cfg.Target.Seconds()
+	if math.Abs(e) > hysteresis {
+		i2 := clampF(c.integral+e, -integralMax, integralMax)
+		d := int(math.Round(kp*e + ki*i2))
+		d = clampInt(d, -c.slew, c.slew)
 		raw := next + d
 		next = clampInt(raw, c.cfg.Min, c.cfg.Max)
 		if next == raw {
 			c.integral = i2 // unsaturated: commit the integration
 		}
-	}
-	if in.Forced > next {
-		next = in.Forced
-		c.stats.Floors++
 	}
 	switch {
 	case next > prev:

@@ -8,43 +8,29 @@ import (
 
 func msec(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
 
-// randInput draws one controller input from a seeded generator: margins
-// across the whole interesting range (deep overrun to far-ahead) and
-// forced demands from zero to past Max.
-func randInput(rng *rand.Rand, max int) Input {
-	return Input{
-		Margin: msec(rng.Float64()*240 - 120), // [-120ms, +120ms)
-		Forced: rng.Intn(max + max/2 + 1),
-	}
+// randMargin draws one deadline margin from a seeded generator, across
+// the whole interesting range (deep overrun to far-ahead).
+func randMargin(rng *rand.Rand) time.Duration {
+	return msec(rng.Float64()*240 - 120) // [-120ms, +120ms)
 }
 
-// TestForcedFloorProperty is the safety property the elastic loop rides
-// on: for arbitrary input sequences the output never drops below the
-// tick's forced-compute demand, never leaves [Min, Max] except when the
-// floor pushes above Max, and never moves faster than the slew limit
-// except when the floor jumps it.
-func TestForcedFloorProperty(t *testing.T) {
-	cfg := Config{Min: 8, Max: 192, Target: 20 * time.Millisecond}
+// TestBudgetBoundsProperty: for arbitrary margin sequences, from an
+// initial budget anywhere in range, every update stays in [Min, Max] and
+// moves the budget by at most the slew.
+func TestBudgetBoundsProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c := New(cfg, 96)
+		lo := 1 + rng.Intn(16)
+		cfg := Config{Min: lo, Max: lo + rng.Intn(256), Target: 20 * time.Millisecond}
+		c := New(cfg, cfg.Min+rng.Intn(cfg.Max-cfg.Min+1))
 		prev := c.Budget()
 		for i := 0; i < 2000; i++ {
-			in := randInput(rng, cfg.Max)
-			got := c.Update(in)
-			if got < in.Forced {
-				t.Fatalf("seed %d step %d: budget %d below forced floor %d", seed, i, got, in.Forced)
+			got := c.Update(randMargin(rng))
+			if got < cfg.Min || got > cfg.Max {
+				t.Fatalf("seed %d step %d: budget %d outside [%d, %d]", seed, i, got, cfg.Min, cfg.Max)
 			}
-			if got < cfg.Min {
-				t.Fatalf("seed %d step %d: budget %d below Min %d", seed, i, got, cfg.Min)
-			}
-			if got > cfg.Max && got != in.Forced {
-				t.Fatalf("seed %d step %d: budget %d above Max %d without floor (forced %d)",
-					seed, i, got, cfg.Max, in.Forced)
-			}
-			slew := c.Config().Slew
-			if d := got - prev; d > slew && got != in.Forced {
-				t.Fatalf("seed %d step %d: raise %d exceeds slew %d without floor", seed, i, d, slew)
+			if d := got - prev; d > c.slew || d < -c.slew {
+				t.Fatalf("seed %d step %d: budget moved %d, slew %d", seed, i, d, c.slew)
 			}
 			prev = got
 		}
@@ -61,7 +47,7 @@ func TestDeterminism(t *testing.T) {
 		c := New(cfg, 64)
 		out := make([]int, 0, 500)
 		for i := 0; i < 500; i++ {
-			out = append(out, c.Update(randInput(rng, cfg.Max)))
+			out = append(out, c.Update(randMargin(rng)))
 		}
 		return out
 	}
@@ -78,11 +64,11 @@ func TestDeterminism(t *testing.T) {
 func TestHysteresisHolds(t *testing.T) {
 	c := New(Config{Min: 1, Max: 100, Target: 20 * time.Millisecond}, 50)
 	for i := 0; i < 10; i++ {
-		// |e| = 0.2 < default band 0.25.
-		if got := c.Update(Input{Margin: 24 * time.Millisecond}); got != 50 {
+		// |e| = 0.2 < band 0.25.
+		if got := c.Update(24 * time.Millisecond); got != 50 {
 			t.Fatalf("step %d: in-band update moved budget to %d", i, got)
 		}
-		if got := c.Update(Input{Margin: 16 * time.Millisecond}); got != 50 {
+		if got := c.Update(16 * time.Millisecond); got != 50 {
 			t.Fatalf("step %d: in-band update moved budget to %d", i, got)
 		}
 	}
@@ -105,7 +91,7 @@ func TestRegulation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		cost := msec(10 + perUnit*float64(c.Budget()))
 		margin = deadline - cost
-		c.Update(Input{Margin: margin})
+		c.Update(margin)
 	}
 	band := time.Duration(0.25 * float64(cfg.Target))
 	if diff := margin - cfg.Target; diff > band || diff < -band {
@@ -121,14 +107,14 @@ func TestRegulation(t *testing.T) {
 func TestAntiWindup(t *testing.T) {
 	c := New(Config{Min: 8, Max: 192, Target: 20 * time.Millisecond}, 96)
 	for i := 0; i < 500; i++ {
-		c.Update(Input{Margin: -80 * time.Millisecond})
+		c.Update(-80 * time.Millisecond)
 	}
 	if c.Budget() != 8 {
 		t.Fatalf("expected saturation at Min, budget %d", c.Budget())
 	}
 	start := c.Budget()
 	for i := 1; i <= 10; i++ {
-		c.Update(Input{Margin: 60 * time.Millisecond})
+		c.Update(60 * time.Millisecond)
 		if c.Budget() > start {
 			return
 		}
@@ -146,22 +132,6 @@ func TestSet(t *testing.T) {
 	c.Set(-3)
 	if c.Budget() != 10 {
 		t.Fatalf("Set(-3) = %d, want clamp to 10", c.Budget())
-	}
-}
-
-// TestFloorAboveMax: a forced demand past Max wins (safety over cap) and
-// is counted.
-func TestFloorAboveMax(t *testing.T) {
-	c := New(Config{Min: 8, Max: 64, Target: 20 * time.Millisecond}, 64)
-	if got := c.Update(Input{Margin: 40 * time.Millisecond, Forced: 100}); got != 100 {
-		t.Fatalf("floored update = %d, want 100", got)
-	}
-	if st := c.Stats(); st.Floors != 1 {
-		t.Fatalf("want 1 floor, got %+v", st)
-	}
-	// Next tick without the demand: re-clamped toward [Min, Max].
-	if got := c.Update(Input{Margin: 40 * time.Millisecond}); got > 64 {
-		t.Fatalf("post-floor update = %d, want ≤ Max", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -330,52 +329,59 @@ func TestMigrateAtTraceLimit(t *testing.T) {
 	}
 }
 
-// TestMigrateMemberCollision: importing a member episode under an ID the
-// target fleet has already issued (live, evicted, or reserved) fails
-// loudly with ErrMigrateMismatch — identity is never silently renumbered.
-func TestMigrateMemberCollision(t *testing.T) {
-	rt, _ := testCluster(t, 2, server.Config{}, Config{})
+// TestRoutedFleetTracesOnRequest: the router forwards a fleet's create
+// body as the client sent it, so a routed fleet records member episodes
+// exactly when a direct oicd fleet does. Without "trace" the member trace
+// answers 409 not_tracing; with "trace": true the router serves the
+// member's binary episode byte for byte as the owning shard exports it.
+func TestRoutedFleetTracesOnRequest(t *testing.T) {
+	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
 	c := &rc{t: t, h: rt.Handler()}
 
-	mkFleet := func(size int, seed int64) string {
+	mkFleet := func(trace bool) string {
 		var info oic.FleetInfo
 		if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{
-			Plant: "acc", ComputeBudget: 8, Size: size, Seed: seed,
+			Plant: "acc", ComputeBudget: 2, Size: 3, Seed: 4, Trace: trace,
 		}, &info); st != http.StatusCreated {
-			t.Fatalf("fleet create: status %d", st)
+			t.Fatalf("fleet create (trace %v): status %d", trace, st)
+		}
+		if st := c.do("POST", "/v1/fleets/"+info.ID+"/tick", oic.FleetTickRequest{Ticks: 6}, nil); st != http.StatusOK {
+			t.Fatalf("tick (trace %v): status %d", trace, st)
 		}
 		return info.ID
 	}
-	src := mkFleet(3, 1)
-	dstBusy := mkFleet(2, 2)  // has issued member IDs 0 and 1 already
-	dstEmpty := mkFleet(0, 0) // never issued any ID
 
-	var tick oic.FleetTickResponse
-	if st := c.do("POST", "/v1/fleets/"+src+"/tick", oic.FleetTickRequest{Ticks: 5}, &tick); st != http.StatusOK {
-		t.Fatalf("src tick: status %d", st)
+	plain := mkFleet(false)
+	st, b := c.raw("GET", "/v1/fleets/"+plain+"/sessions/1/trace")
+	var er oic.ErrorResponse
+	if st != http.StatusConflict || json.Unmarshal(b, &er) != nil || er.Code != "not_tracing" {
+		t.Fatalf("untraced routed fleet: status %d body %s, want 409 not_tracing", st, b)
 	}
 
-	// Collision with an already-issued ID → typed mismatch.
-	err := rt.MigrateMember(context.Background(), src, 1, dstBusy)
-	if !errors.Is(err, ErrMigrateMismatch) {
-		t.Fatalf("member migrate onto issued ID: %v, want ErrMigrateMismatch", err)
+	traced := mkFleet(true)
+	st, viaRouter := c.raw("GET", "/v1/fleets/"+traced+"/sessions/1/trace?format=binary")
+	if st != http.StatusOK {
+		t.Fatalf("traced routed fleet: status %d body %s", st, viaRouter)
 	}
-	// Eviction doesn't free the ID: delete member 1 from the busy fleet
-	// and the import must still refuse it.
-	if st := c.do("DELETE", "/v1/fleets/"+dstBusy+"/sessions/1", nil, nil); st != http.StatusOK {
-		t.Fatalf("evict member: status %d", st)
+	f, _ := rt.fleet(traced)
+	resp, err := http.Get(nodes[0].ts.URL + "/v1/fleets/" + f.localID + "/sessions/1/trace?format=binary")
+	if err != nil {
+		t.Fatal(err)
 	}
-	err = rt.MigrateMember(context.Background(), src, 1, dstBusy)
-	if !errors.Is(err, ErrMigrateMismatch) {
-		t.Fatalf("member migrate onto evicted ID: %v, want ErrMigrateMismatch", err)
+	direct, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("shard export: status %d, %v", resp.StatusCode, err)
 	}
-	// The same episode lands cleanly where the ID was never issued.
-	if err := rt.MigrateMember(context.Background(), src, 1, dstEmpty); err != nil {
-		t.Fatalf("member migrate onto fresh fleet: %v", err)
+	if !bytes.Equal(viaRouter, direct) {
+		t.Fatalf("routed member trace (%d bytes) differs from the shard's export (%d bytes)", len(viaRouter), len(direct))
 	}
-	var member oic.FleetMemberInfo
-	if st := c.do("GET", "/v1/fleets/"+dstEmpty+"/sessions/1", nil, &member); st != http.StatusOK || member.ID != 1 || member.T != 5 {
-		t.Fatalf("landed member: status %d, %+v", st, member)
+	tr, err := oic.DecodeTrace(viaRouter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 6 {
+		t.Fatalf("member episode holds %d steps, want 6", tr.Len())
 	}
 }
 
@@ -661,6 +667,67 @@ func TestStatusRacesDeletes(t *testing.T) {
 	}
 }
 
+// TestRoutedFleetConcurrentRequests drives one routed fleet from several
+// goroutines at once: ticks, fleet and member reads, and cluster status.
+// The pin is read without a lock, so under -race this checks that it is
+// immutable once published; the shard serializes the ticks, and every
+// one of them lands.
+func TestRoutedFleetConcurrentRequests(t *testing.T) {
+	rt, _ := testCluster(t, 2, server.Config{}, Config{})
+	h := rt.Handler()
+	c := &rc{t: t, h: h}
+	var fi oic.FleetInfo
+	if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2, Size: 4, Seed: 6}, &fi); st != http.StatusCreated {
+		t.Fatalf("fleet create: status %d", st)
+	}
+	const tickers, ticks = 3, 8
+	var wg sync.WaitGroup
+	for g := 0; g < tickers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &rc{t: t, h: h}
+			for i := 0; i < ticks; i++ {
+				if st := c.do("POST", "/v1/fleets/"+fi.ID+"/tick", oic.FleetTickRequest{}, nil); st != http.StatusOK {
+					t.Errorf("tick: status %d", st)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		c := &rc{t: t, h: h}
+		for i := 0; i < 2*ticks; i++ {
+			var info oic.FleetInfo
+			st, b := c.raw("GET", "/v1/fleets/"+fi.ID)
+			if err := json.Unmarshal(b, &info); st != http.StatusOK || err != nil || info.ID != fi.ID {
+				t.Errorf("fleet get: status %d body %s", st, b)
+				return
+			}
+			if st, b := c.raw("GET", "/v1/fleets/"+fi.ID+"/sessions/2"); st != http.StatusOK {
+				t.Errorf("member get: status %d body %s", st, b)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if st := rt.Status(); st.Fleets != 1 {
+				t.Errorf("status counts %d fleets, want 1", st.Fleets)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	var info oic.FleetInfo
+	if st := c.do("DELETE", "/v1/fleets/"+fi.ID, nil, &info); st != http.StatusOK || info.Ticks != tickers*ticks {
+		t.Fatalf("delete: status %d after %d ticks, want %d", st, info.Ticks, tickers*ticks)
+	}
+}
+
 // TestClientCancelIsNotNodeFailure pins the liveness-accounting fix: a
 // client disconnecting mid-request surfaces as a context-canceled proxy
 // error, which must NOT count toward the owner node's death threshold —
@@ -716,55 +783,5 @@ func TestClientCancelIsNotNodeFailure(t *testing.T) {
 	n.mu.Unlock()
 	if fails != 0 {
 		t.Fatalf("successful round trip did not reset consecFails: %d", fails)
-	}
-}
-
-// TestMigrateMemberOppositeDirections pins the fleet-pair lock-order
-// fix: A→B and B→A member migrations used to lock src then dst and
-// could deadlock; with deterministic ordering both complete (here with
-// typed collisions — both fleets have issued ID 0).
-func TestMigrateMemberOppositeDirections(t *testing.T) {
-	rt, _ := testCluster(t, 2, server.Config{}, Config{})
-	c := &rc{t: t, h: rt.Handler()}
-
-	mkFleet := func(seed int64) string {
-		var info oic.FleetInfo
-		if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{
-			Plant: "acc", ComputeBudget: 4, Size: 1, Seed: seed,
-		}, &info); st != http.StatusCreated {
-			t.Fatalf("fleet create: status %d", st)
-		}
-		if st := c.do("POST", "/v1/fleets/"+info.ID+"/tick", oic.FleetTickRequest{Ticks: 2}, nil); st != http.StatusOK {
-			t.Fatalf("tick: status %d", st)
-		}
-		return info.ID
-	}
-	f1, f2 := mkFleet(1), mkFleet(2)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 20; i++ {
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				if err := rt.MigrateMember(context.Background(), f1, 0, f2); !errors.Is(err, ErrMigrateMismatch) {
-					t.Errorf("f1→f2: %v, want ErrMigrateMismatch", err)
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				if err := rt.MigrateMember(context.Background(), f2, 0, f1); !errors.Is(err, ErrMigrateMismatch) {
-					t.Errorf("f2→f1: %v, want ErrMigrateMismatch", err)
-				}
-			}()
-			wg.Wait()
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("opposite-direction member migrations deadlocked")
 	}
 }

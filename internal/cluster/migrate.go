@@ -351,72 +351,12 @@ func (rt *Router) DrainNode(ctx context.Context, name string) (*DrainReport, err
 	}
 	rt.mu.Lock()
 	for _, f := range rt.fleets {
-		if f.nodeName() == name {
+		if f.node.Name == name {
 			rep.FleetsSkipped++
 		}
 	}
 	rt.mu.Unlock()
 	return rep, nil
-}
-
-// MigrateMember ships one fleet member's recorded episode from its fleet
-// to another router-owned fleet, preserving the member's fleet-local ID.
-// The target fleet must never have issued that ID — the node answers a
-// collision with resume_mismatch, surfaced here as ErrMigrateMismatch.
-func (rt *Router) MigrateMember(ctx context.Context, fleetID string, member int, targetFleetID string) error {
-	src, ok := rt.fleet(fleetID)
-	if !ok {
-		return fmt.Errorf("%w: fleet %q", ErrNotFound, fleetID)
-	}
-	dst, ok := rt.fleet(targetFleetID)
-	if !ok {
-		return fmt.Errorf("%w: fleet %q", ErrNotFound, targetFleetID)
-	}
-	// Lock the two pins in deterministic (public-id) order regardless of
-	// src/dst role, so opposite-direction migrations between the same pair
-	// cannot deadlock.
-	first, second := src, dst
-	if second.id < first.id {
-		first, second = second, first
-	}
-	first.mu.Lock()
-	defer first.mu.Unlock()
-	if second != first {
-		second.mu.Lock()
-		defer second.mu.Unlock()
-	}
-	srcNode := src.node.Load()
-	path := fmt.Sprintf("/v1/fleets/%s/sessions/%d/trace?format=binary", src.localID, member)
-	status, _, bin, perr := rt.proxy(ctx, srcNode, http.MethodGet, path, nil)
-	if perr != nil {
-		return fmt.Errorf("%w: %s", ErrShardDown, srcNode.Name)
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("cluster: member trace export: %s", nodeErr(status, bin))
-	}
-	dstNode := dst.node.Load()
-	body, _ := json.Marshal(oic.FleetResumeMemberRequest{Member: member, TraceBin: bin})
-	status, _, b, perr := rt.proxy(ctx, dstNode, http.MethodPost, "/v1/fleets/"+dst.localID+"/sessions/resume", body)
-	if perr != nil {
-		return fmt.Errorf("%w: %s", ErrShardDown, dstNode.Name)
-	}
-	if status != http.StatusCreated {
-		if errCode(b) == "resume_mismatch" {
-			return fmt.Errorf("%w: member %d: %s", ErrMigrateMismatch, member, nodeErr(status, b))
-		}
-		return fmt.Errorf("cluster: member resume: %s", nodeErr(status, b))
-	}
-	var info oic.FleetMemberInfo
-	if err := json.Unmarshal(b, &info); err != nil {
-		return fmt.Errorf("cluster: member resume: malformed response")
-	}
-	if info.ID != member {
-		return fmt.Errorf("%w: member landed as %d, want %d", ErrMigrateMismatch, info.ID, member)
-	}
-	// The source copy stays (frozen fleets are not implemented; the
-	// caller evicts it) — the verification contract is the target's
-	// bit-exact replay, already enforced by the resume endpoint.
-	return nil
 }
 
 // nodeErr renders a node error payload for wrapping.

@@ -83,18 +83,17 @@ type sessEntry struct {
 	lost    bool // owner died without a usable shadow; terminally gone
 }
 
-// fleetPin pins a fleet to its shard. Fleets do not fail over through
-// the router — tick responses carry aggregate reports, not per-member
-// episodes, so the shadow technique does not apply; a dead node's fleets
-// recover when the node replays its own journal. Individual members are
-// still migratable via their recorded episodes (MigrateMember).
+// fleetPin pins a fleet to its shard for the fleet's whole life. Fleets
+// do not fail over or drain through the router — tick responses carry
+// aggregate reports, not per-member episodes, so the shadow technique
+// does not apply; a dead node's fleets recover when the node replays its
+// own journal. A pin is complete before it is published under rt.mu and
+// never changes after, so it needs no lock: concurrent requests to one
+// fleet are serialized by the shard's Fleet, as on a direct oicd.
 type fleetPin struct {
-	id string // public ID ("cf-N")
-
-	mu      sync.Mutex
-	node    atomic.Pointer[nodeState] // written under mu; atomic for lock-free scans
-	localID string                    // "f-N" on the owner
-	fp      string
+	id      string     // public ID ("cf-N")
+	node    *nodeState // the owner
+	localID string     // "f-N" on the owner
 }
 
 // Router is the oicd cluster front end: it speaks the full /v1/* API,
@@ -682,9 +681,10 @@ func (rt *Router) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	rt.relayFrom(w, owner, status, ctype, b)
 }
 
-// handleCreateFleet places a fleet by its canonical config fingerprint,
-// forcing member trace recording on so individual members stay
-// migratable.
+// handleCreateFleet places a fleet by its canonical config fingerprint
+// and forwards the client's create body unchanged, so a routed fleet
+// records member episodes exactly when a direct one does: on
+// "trace": true.
 func (rt *Router) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r)
 	if err != nil {
@@ -707,9 +707,7 @@ func (rt *Router) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "no_shard", err.Error())
 		return
 	}
-	req.Trace = true
-	fwd, _ := json.Marshal(req)
-	status, ctype, b, perr := rt.proxy(r.Context(), n, http.MethodPost, "/v1/fleets", fwd)
+	status, ctype, b, perr := rt.proxy(r.Context(), n, http.MethodPost, "/v1/fleets", body)
 	if perr != nil {
 		rt.shardDown(w, n)
 		return
@@ -723,8 +721,7 @@ func (rt *Router) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadGateway, "bad_gateway", "node returned malformed fleet info")
 		return
 	}
-	f := &fleetPin{localID: info.ID, fp: fp}
-	f.node.Store(n)
+	f := &fleetPin{node: n, localID: info.ID}
 	rt.mu.Lock()
 	rt.nextFleet++
 	f.id = fmt.Sprintf("cf-%d", rt.nextFleet)
@@ -749,8 +746,6 @@ func (rt *Router) handleFleetProxy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	path := "/v1/fleets/" + f.localID
 	if mid := r.PathValue("mid"); mid != "" {
 		path += "/sessions/" + mid
@@ -769,19 +764,18 @@ func (rt *Router) handleFleetProxy(w http.ResponseWriter, r *http.Request) {
 	if len(body) > 0 {
 		fwd = body
 	}
-	owner := f.node.Load()
-	status, ctype, b, perr := rt.proxyFwd(r.Context(), owner, r.Method, path, fwd, r.Header)
+	status, ctype, b, perr := rt.proxyFwd(r.Context(), f.node, r.Method, path, fwd, r.Header)
 	if perr != nil {
-		rt.shardDown(w, owner)
+		rt.shardDown(w, f.node)
 		return
 	}
-	rt.rewriteFleetID(w, f, owner, status, ctype, b)
+	rt.rewriteFleetID(w, f, status, ctype, b)
 }
 
 // rewriteFleetID maps node-local fleet IDs back to the public one in
 // ID-bearing JSON responses; everything else relays unchanged (error
 // payloads gain the shard's name).
-func (rt *Router) rewriteFleetID(w http.ResponseWriter, f *fleetPin, n *nodeState, status int, ctype string, b []byte) {
+func (rt *Router) rewriteFleetID(w http.ResponseWriter, f *fleetPin, status int, ctype string, b []byte) {
 	if status < 300 && strings.Contains(ctype, "json") {
 		var probe map[string]json.RawMessage
 		if json.Unmarshal(b, &probe) == nil {
@@ -797,7 +791,7 @@ func (rt *Router) rewriteFleetID(w http.ResponseWriter, f *fleetPin, n *nodeStat
 			}
 		}
 	}
-	rt.relayFrom(w, n, status, ctype, b)
+	rt.relayFrom(w, f.node, status, ctype, b)
 }
 
 // handleFleetDelete closes the fleet on its shard and unpins it.
@@ -808,18 +802,15 @@ func (rt *Router) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "not_found", "unknown fleet")
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	rt.mu.Lock()
 	delete(rt.fleets, id)
 	rt.mu.Unlock()
-	owner := f.node.Load()
-	status, ctype, b, err := rt.proxyFwd(r.Context(), owner, http.MethodDelete, "/v1/fleets/"+f.localID, nil, r.Header)
+	status, ctype, b, err := rt.proxyFwd(r.Context(), f.node, http.MethodDelete, "/v1/fleets/"+f.localID, nil, r.Header)
 	if err != nil {
-		rt.shardDown(w, owner)
+		rt.shardDown(w, f.node)
 		return
 	}
-	rt.rewriteFleetID(w, f, owner, status, ctype, b)
+	rt.rewriteFleetID(w, f, status, ctype, b)
 }
 
 // Status snapshots the cluster: per-node health and load plus the
@@ -838,7 +829,7 @@ func (rt *Router) Status() ClusterStatus {
 		ownedS[e.nodeName()]++
 	}
 	for _, f := range rt.fleets {
-		ownedF[f.nodeName()]++
+		ownedF[f.node.Name]++
 	}
 	rt.mu.Unlock()
 
@@ -856,8 +847,6 @@ func (rt *Router) Status() ClusterStatus {
 // without the entry lock (a mid-migration read sees one of the two
 // owners, both correct for that instant).
 func (e *sessEntry) nodeName() string { return e.node.Load().Name }
-
-func (f *fleetPin) nodeName() string { return f.node.Load().Name }
 
 func (rt *Router) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, rt.Status())

@@ -345,7 +345,7 @@ func (r *RMPC) computeTerminalSet(gain *mat.Mat) (*poly.Polytope, error) {
 		return nil, errors.New("controller: NewRMPC: no input-admissible terminal region")
 	}
 	acl, ccl := sys.ClosedLoop(gain, r.cfg.XRef, r.cfg.URef)
-	term, err := reach.MaximalInvariantSet(domain, acl, ccl, sys.W, reach.Options{})
+	term, err := reach.MaximalInvariantSet(domain, acl, ccl, sys.W)
 	if err != nil {
 		return nil, fmt.Errorf("controller: NewRMPC: terminal invariant set: %w", err)
 	}

@@ -34,7 +34,7 @@ func testRig(t *testing.T) (*lti.System, *controller.AffineFeedback, SafetySets)
 	// maximal invariant set of the closed loop.
 	ha := sys.U.A.Mul(k)
 	adm := poly.New(ha, sys.U.B.Clone())
-	xi, err := reach.MaximalInvariantSet(poly.Intersect(sys.X, adm).ReduceRedundancy(), acl, ccl, sys.W, reach.Options{})
+	xi, err := reach.MaximalInvariantSet(poly.Intersect(sys.X, adm).ReduceRedundancy(), acl, ccl, sys.W)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func doubleIntegrator(wmax float64) (*lti.System, *controller.AffineFeedback, co
 	acl, ccl := sys.ClosedLoop(k, mat.Vec{0, 0}, mat.Vec{0})
 	admissible := poly.New(sys.U.A.Mul(k), sys.U.B.Clone())
 	xi, err := reach.MaximalInvariantSet(
-		poly.Intersect(sys.X, admissible).ReduceRedundancy(), acl, ccl, sys.W, reach.Options{})
+		poly.Intersect(sys.X, admissible).ReduceRedundancy(), acl, ccl, sys.W)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,6 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -69,9 +68,6 @@ func (s Status) String() string {
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
-
-// ErrNotOptimal is returned by helpers that require an optimal solution.
-var ErrNotOptimal = errors.New("lp: no optimal solution")
 
 type row struct {
 	coeffs []float64
@@ -189,14 +185,4 @@ func (p *Problem) Solve() *Solution {
 		out.X = append([]float64(nil), sol.X...)
 	}
 	return out
-}
-
-// Minimize is a convenience wrapper that returns X and objective for an
-// optimal solve, or an error describing the failure status.
-func (p *Problem) Minimize() ([]float64, float64, error) {
-	sol := p.Solve()
-	if sol.Status != Optimal {
-		return nil, 0, fmt.Errorf("%w: status %v", ErrNotOptimal, sol.Status)
-	}
-	return sol.X, sol.Objective, nil
 }

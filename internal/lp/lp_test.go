@@ -185,21 +185,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestMinimizeHelper(t *testing.T) {
-	p := NewProblem(1)
-	p.SetObjective([]float64{1})
-	p.AddConstraint([]float64{1}, GE, 3)
-	x, obj, err := p.Minimize()
-	if err != nil || math.Abs(obj-3) > 1e-9 || math.Abs(x[0]-3) > 1e-9 {
-		t.Errorf("Minimize = %v %v %v", x, obj, err)
-	}
-	bad := NewProblem(1)
-	bad.SetObjective([]float64{1})
-	if _, _, err := bad.Minimize(); err == nil {
-		t.Error("expected error on unbounded problem")
-	}
-}
-
 // TestRandomAgainstVertexEnumeration cross-checks the simplex against brute
 // force vertex enumeration on random bounded 2-D and 3-D problems.
 func TestRandomAgainstVertexEnumeration(t *testing.T) {

@@ -7,7 +7,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -199,48 +198,6 @@ func (m *MLP) CopyFrom(src *MLP) {
 		copy(m.Weights[l].Data, src.Weights[l].Data)
 		copy(m.Biases[l], src.Biases[l])
 	}
-}
-
-// mlpJSON is the serialized form of an MLP.
-type mlpJSON struct {
-	Sizes   []int       `json:"sizes"`
-	Weights [][]float64 `json:"weights"`
-	Biases  [][]float64 `json:"biases"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (m *MLP) MarshalJSON() ([]byte, error) {
-	j := mlpJSON{Sizes: m.Sizes}
-	for l := range m.Weights {
-		j.Weights = append(j.Weights, append([]float64(nil), m.Weights[l].Data...))
-		j.Biases = append(j.Biases, append([]float64(nil), m.Biases[l]...))
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *MLP) UnmarshalJSON(data []byte) error {
-	var j mlpJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if len(j.Sizes) < 2 || len(j.Weights) != len(j.Sizes)-1 || len(j.Biases) != len(j.Sizes)-1 {
-		return fmt.Errorf("nn: UnmarshalJSON: inconsistent shape")
-	}
-	m.Sizes = j.Sizes
-	m.Weights = nil
-	m.Biases = nil
-	for l := 0; l < len(j.Sizes)-1; l++ {
-		r, c := j.Sizes[l+1], j.Sizes[l]
-		if len(j.Weights[l]) != r*c || len(j.Biases[l]) != r {
-			return fmt.Errorf("nn: UnmarshalJSON: layer %d shape mismatch", l)
-		}
-		w := mat.New(r, c)
-		copy(w.Data, j.Weights[l])
-		m.Weights = append(m.Weights, w)
-		m.Biases = append(m.Biases, append(mat.Vec(nil), j.Biases[l]...))
-	}
-	return nil
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) over an MLP's parameters.

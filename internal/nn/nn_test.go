@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -143,30 +142,6 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	m.CopyFrom(c)
 	if !m.Forward(x).Equal(c.Forward(x), 0) {
 		t.Error("CopyFrom did not synchronize parameters")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := NewMLP([]int{3, 7, 2}, rng)
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back MLP
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	x := mat.Vec{0.1, 0.2, -0.3}
-	if !m.Forward(x).Equal(back.Forward(x), 0) {
-		t.Error("round-tripped network computes differently")
-	}
-}
-
-func TestUnmarshalRejectsCorrupt(t *testing.T) {
-	var m MLP
-	if err := json.Unmarshal([]byte(`{"sizes":[2,3],"weights":[[1,2]],"biases":[[0,0,0]]}`), &m); err == nil {
-		t.Error("corrupt shape accepted")
 	}
 }
 

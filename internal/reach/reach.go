@@ -98,30 +98,22 @@ func PreControlled(target *poly.Polytope, sys *lti.System) (*poly.Polytope, erro
 	return joint.Project(keep), nil
 }
 
-// Options tunes the fixpoint iterations.
-type Options struct {
-	MaxIter int     // default 100
-	Tol     float64 // set-inclusion tolerance, default 1e-7
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-7
-	}
-	return o
-}
+// The fixpoint iterations of MaximalInvariantSet and MaximalRCI stop
+// when an iterate covers its predecessor within fixpointTol (the slack
+// poly.Covers allows on each of the iterate's constraint rows), and give
+// up with ErrNoConvergence after maxFixpointIter iterations.
+const (
+	maxFixpointIter = 100
+	fixpointTol     = 1e-7
+)
 
 // MaximalInvariantSet returns the maximal robust positively invariant set
 // contained in safe for the autonomous affine dynamics x⁺ = acl·x + ccl + w,
 // by iterating S ← S ∩ Pre(S) to convergence. This is the robust invariant
 // set XI of a fixed feedback controller (Definition 1 with κ substituted).
-func MaximalInvariantSet(safe *poly.Polytope, acl *mat.Mat, ccl mat.Vec, w *poly.Polytope, opt Options) (*poly.Polytope, error) {
-	opt = opt.withDefaults()
+func MaximalInvariantSet(safe *poly.Polytope, acl *mat.Mat, ccl mat.Vec, w *poly.Polytope) (*poly.Polytope, error) {
 	s := safe.ReduceRedundancy()
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	for iter := 0; iter < maxFixpointIter; iter++ {
 		pre, err := PreAutonomous(s, acl, ccl, w)
 		if err != nil {
 			return nil, err
@@ -130,7 +122,7 @@ func MaximalInvariantSet(safe *poly.Polytope, acl *mat.Mat, ccl mat.Vec, w *poly
 		if next.IsEmpty() {
 			return nil, ErrEmptyResult
 		}
-		done, err := next.Covers(s, opt.Tol)
+		done, err := next.Covers(s, fixpointTol)
 		if err != nil {
 			return nil, err
 		}
@@ -146,13 +138,12 @@ func MaximalInvariantSet(safe *poly.Polytope, acl *mat.Mat, ccl mat.Vec, w *poly
 // sys.X: the largest set of states from which *some* admissible input keeps
 // the state inside the set for every disturbance. It iterates
 // S ← S ∩ PreControlled(S) to convergence.
-func MaximalRCI(sys *lti.System, opt Options) (*poly.Polytope, error) {
+func MaximalRCI(sys *lti.System) (*poly.Polytope, error) {
 	if sys.X == nil {
 		return nil, errors.New("reach: MaximalRCI: system has no safe set X")
 	}
-	opt = opt.withDefaults()
 	s := sys.X.ReduceRedundancy()
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	for iter := 0; iter < maxFixpointIter; iter++ {
 		pre, err := PreControlled(s, sys)
 		if err != nil {
 			return nil, err
@@ -161,7 +152,7 @@ func MaximalRCI(sys *lti.System, opt Options) (*poly.Polytope, error) {
 		if next.IsEmpty() {
 			return nil, ErrEmptyResult
 		}
-		done, err := next.Covers(s, opt.Tol)
+		done, err := next.Covers(s, fixpointTol)
 		if err != nil {
 			return nil, err
 		}

@@ -73,7 +73,7 @@ func TestMaximalRCIScalar(t *testing.T) {
 	// With U=[-0.5,0.5] ⊃ W=[-0.1,0.1], the whole X=[-1,1] is control
 	// invariant.
 	sys := scalarSystem(0.5, 0.1)
-	xi, err := MaximalRCI(sys, Options{})
+	xi, err := MaximalRCI(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMaximalRCIShrinks(t *testing.T) {
 		poly.Box([]float64{-0.5}, []float64{0.5}),
 		poly.Box([]float64{-0.1}, []float64{0.1}),
 	)
-	xi, err := MaximalRCI(sys, Options{})
+	xi, err := MaximalRCI(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMaximalRCIEmpty(t *testing.T) {
 		poly.Box([]float64{-0.1}, []float64{0.1}),
 		poly.Box([]float64{-0.5}, []float64{0.5}),
 	)
-	if _, err := MaximalRCI(sys, Options{}); err == nil {
+	if _, err := MaximalRCI(sys); err == nil {
 		t.Error("expected empty/no-convergence error")
 	}
 }
@@ -133,7 +133,7 @@ func doubleIntegratorClosedLoop() (*lti.System, *mat.Mat, mat.Vec) {
 
 func TestMaximalInvariantSetIsInvariant(t *testing.T) {
 	sys, acl, ccl := doubleIntegratorClosedLoop()
-	inv, err := MaximalInvariantSet(sys.X, acl, ccl, sys.W, Options{})
+	inv, err := MaximalInvariantSet(sys.X, acl, ccl, sys.W)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestBackwardMatchesInverseFormula(t *testing.T) {
 func TestStrengthenedSafeSetNesting(t *testing.T) {
 	// Scalar system: XI = [-1,1]; X′ = B(XI,0) ∩ XI = [-0.9, 0.9].
 	sys := scalarSystem(0.5, 0.1)
-	xi, err := MaximalRCI(sys, Options{})
+	xi, err := MaximalRCI(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestStrengthenedSafeSetNesting(t *testing.T) {
 // inside XI.
 func TestStrengthenedSafeSetSkipProperty(t *testing.T) {
 	sys, acl, ccl := doubleIntegratorClosedLoop()
-	inv, err := MaximalInvariantSet(sys.X, acl, ccl, sys.W, Options{})
+	inv, err := MaximalInvariantSet(sys.X, acl, ccl, sys.W)
 	if err != nil {
 		t.Fatal(err)
 	}

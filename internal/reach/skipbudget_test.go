@@ -21,7 +21,7 @@ func budgetRig(t *testing.T, wmax float64) (*lti.System, *poly.Polytope) {
 		poly.Box([]float64{-1}, []float64{1}),
 		poly.Box([]float64{-wmax}, []float64{wmax}),
 	)
-	xi, err := MaximalInvariantSet(sys.X, sys.A, sys.C, sys.W, Options{})
+	xi, err := MaximalInvariantSet(sys.X, sys.A, sys.C, sys.W)
 	if err != nil {
 		t.Fatal(err)
 	}

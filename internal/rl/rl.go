@@ -247,13 +247,6 @@ func (d *DDQN) TrainOps() int { return d.trainOps }
 // Policy returns the trained greedy policy network (shared storage).
 func (d *DDQN) Policy() *nn.MLP { return d.online }
 
-// SetPolicy overwrites the online and target networks (e.g. with weights
-// loaded from disk).
-func (d *DDQN) SetPolicy(m *nn.MLP) {
-	d.online.CopyFrom(m)
-	d.target.CopyFrom(m)
-}
-
 // Env is a task for Train: an episodic environment over vector states and
 // discrete actions.
 type Env interface {

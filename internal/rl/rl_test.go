@@ -190,16 +190,3 @@ func TestTrainDeterministicWithSeed(t *testing.T) {
 		}
 	}
 }
-
-func TestSetPolicy(t *testing.T) {
-	a1, _ := NewDDQN(Config{StateDim: 2, NumActions: 2, Seed: 1})
-	a2, _ := NewDDQN(Config{StateDim: 2, NumActions: 2, Seed: 2})
-	s := mat.Vec{0.3, -0.4}
-	if a1.QValues(s).Equal(a2.QValues(s), 1e-12) {
-		t.Fatal("different seeds produced identical networks")
-	}
-	a2.SetPolicy(a1.Policy())
-	if !a1.QValues(s).Equal(a2.QValues(s), 0) {
-		t.Error("SetPolicy did not copy weights")
-	}
-}

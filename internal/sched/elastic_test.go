@@ -117,12 +117,11 @@ func TestTickFromUsesCallerClock(t *testing.T) {
 	}
 }
 
-// The elastic forced-floor property, end to end at the scheduler layer:
-// drive SetComputeBudget every tick from a budget.Controller fed
-// adversarial margins (deep overruns included), and verify that (a) the
-// controller never sets the budget below the previous tick's forced
-// demand and (b) the plan never sheds a forced compute, whatever the
-// budget trajectory does. Runs under -race in CI.
+// The elastic safety property, end to end at the scheduler layer: drive
+// SetComputeBudget every tick from a budget.Controller fed adversarial
+// margins (deep overruns included), with forced demand often above the
+// budget, and verify that the plan never sheds a forced compute, whatever
+// the budget trajectory does. Runs under -race in CI.
 func TestElasticBudgetNeverShedsForced(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(11))
@@ -135,7 +134,7 @@ func TestElasticBudgetNeverShedsForced(t *testing.T) {
 	}
 	ctrl := budget.New(budget.Config{Min: 1, Max: 48, Target: 10 * time.Millisecond}, 24)
 	s := New(Config{ComputeBudget: ctrl.Budget(), Workers: 4})
-	forced := 0
+	overruns := 0
 	for tick := 0; tick < 300; tick++ {
 		for _, m := range fakes {
 			f := rng.Float64() < 0.3
@@ -145,20 +144,22 @@ func TestElasticBudgetNeverShedsForced(t *testing.T) {
 			}
 		}
 		margin := time.Duration(rng.Float64()*80-40) * time.Millisecond
-		next := ctrl.Update(budget.Input{Margin: margin, Forced: forced})
-		if next < forced {
-			t.Fatalf("tick %d: controller set budget %d below forced floor %d", tick, next, forced)
-		}
+		next := ctrl.Update(margin)
 		s.SetComputeBudget(next)
 		st, err := s.Tick(context.Background(), members)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st.Overrun > 0 {
+			overruns++
 		}
 		for i, a := range s.Actions() {
 			if fakes[i].dec.Forced && a != Compute {
 				t.Fatalf("tick %d (budget %d): forced member %d got %v", tick, next, i, a)
 			}
 		}
-		forced = st.Forced
+	}
+	if overruns == 0 {
+		t.Fatal("forced demand never exceeded the budget; the property was not exercised")
 	}
 }

@@ -64,9 +64,6 @@ func (s *Server) JournalStats() journal.WriterStats {
 	return s.jw.Stats()
 }
 
-// Recovering reports whether journal replay-to-head is still running.
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
 // journalAppend appends one record, counting (not failing on) errors.
 func (s *Server) journalAppend(r *journal.Record) {
 	if s.jw == nil {

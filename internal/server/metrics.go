@@ -224,7 +224,5 @@ func (m *metrics) render(w io.Writer, liveSessions, cachedEngines int, fleets []
 			func(st oic.FleetStats) int64 { return st.BudgetRaises })
 		fleetCounterF("oicd_fleet_budget_lowers_total", "elastic controller budget decreases",
 			func(st oic.FleetStats) int64 { return st.BudgetLowers })
-		fleetCounterF("oicd_fleet_budget_floors_total", "elastic updates overridden by the forced-compute floor",
-			func(st oic.FleetStats) int64 { return st.BudgetFloors })
 	}
 }

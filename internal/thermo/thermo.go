@@ -90,7 +90,7 @@ func NewModel() (*Model, error) {
 	acl, ccl := m.Sys.ClosedLoop(m.Gain, mat.Vec{0, 0}, mat.Vec{0})
 	admissible := poly.New(m.Sys.U.A.Mul(m.Gain), m.Sys.U.B.Clone())
 	xi, err := reach.MaximalInvariantSet(
-		poly.Intersect(m.Sys.X, admissible).ReduceRedundancy(), acl, ccl, m.Sys.W, reach.Options{})
+		poly.Intersect(m.Sys.X, admissible).ReduceRedundancy(), acl, ccl, m.Sys.W)
 	if err != nil {
 		return nil, fmt.Errorf("thermo: NewModel: invariant set: %w", err)
 	}

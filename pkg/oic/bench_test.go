@@ -226,9 +226,8 @@ func tickRing(b *testing.B, f *Fleet, ring []map[int][]float64, perTick func()) 
 }
 
 // reportComputes reports the κ computes the timed ticks scheduled per tick
-// and the time per compute. A fleet computes at least its forced members,
-// so an elastic fleet whose forced floor lifts the budget computes more
-// per tick than a static one; ns/compute compares the two on equal work.
+// and the time per compute, which compares two fleets on equal work even
+// where their budgets, and so their computes per tick, differ.
 func reportComputes(b *testing.B, computes int64) {
 	b.ReportMetric(float64(computes)/float64(b.N), "computes/op")
 	if computes > 0 {
@@ -240,13 +239,12 @@ func reportComputes(b *testing.B, computes int64) {
 // controller in the loop: same 1000 ACC sessions, but every tick feeds
 // its measured deadline margin through the internal/budget PI law and
 // retunes the next tick's budget. The bounds are pinned Min = Max =
-// budget, but the forced floor still lifts a tick's budget to the
-// previous tick's forced count, so after a forced wave this fleet
-// computes more members per tick than the static one. The CI gate
-// therefore compares ns/compute, not ns/op: per scheduled κ compute, the
-// regulation tax — Controller.Update plus the admission-coupling
-// recompute, O(1) arithmetic per tick — is held within 1.05× of
-// BenchmarkFleetTick.
+// budget, so the controller runs every tick but the budget never leaves
+// 96, and over the same window this fleet schedules the static fleet's
+// computes (computes/op equal). The CI gate compares ns/compute: per
+// scheduled κ compute, the regulation tax — Controller.Update plus the
+// admission-coupling recompute, O(1) arithmetic per tick — is held within
+// 1.05× of BenchmarkFleetTick.
 func BenchmarkFleetTickElastic(b *testing.B) {
 	e := accEngine(b)
 	const sessions, budget, traceLen = 1000, 96, 128

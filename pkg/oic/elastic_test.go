@@ -124,9 +124,9 @@ func TestFleetBudgetRetuneDeterminism(t *testing.T) {
 
 // TestFleetElasticLoop runs the closed loop for real: a generous deadline
 // so margins sit far above target, which must drive the budget up toward
-// MaxBudget while every invariant holds — budget within bounds (or at the
-// forced floor), effective capacity within the coupling's clamp, zero
-// violations, and controller counters visible in stats.
+// MaxBudget while every invariant holds — budget within bounds, effective
+// capacity within the coupling's clamp, zero violations, and controller
+// counters visible in stats.
 func TestFleetElasticLoop(t *testing.T) {
 	e := accEngine(t)
 	const n, ticks = 32, 40
@@ -161,11 +161,8 @@ func TestFleetElasticLoop(t *testing.T) {
 		if rep.Violations != 0 || len(rep.Errors) != 0 {
 			t.Fatalf("tick %d: violations=%d errors=%v", k, rep.Violations, rep.Errors)
 		}
-		if rep.NextBudget < 2 && rep.NextBudget < rep.Forced {
-			t.Fatalf("tick %d: NextBudget %d below MinBudget and forced floor", k, rep.NextBudget)
-		}
-		if rep.NextBudget > 24 && rep.NextBudget != rep.Forced {
-			t.Fatalf("tick %d: NextBudget %d above MaxBudget without floor", k, rep.NextBudget)
+		if rep.NextBudget < 2 || rep.NextBudget > 24 {
+			t.Fatalf("tick %d: NextBudget %d outside [2, 24]", k, rep.NextBudget)
 		}
 		if rep.EffectiveMaxSessions < 32 || rep.EffectiveMaxSessions > 96 {
 			t.Fatalf("tick %d: EffectiveMaxSessions %d outside [½, 3/2]×64", k, rep.EffectiveMaxSessions)

@@ -56,8 +56,8 @@ type FleetConfig struct {
 type ElasticConfig struct {
 	// MinBudget and MaxBudget bound the per-tick compute budget the
 	// controller may set. MinBudget ≤ 0 defaults to 1; MaxBudget must be
-	// ≥ MinBudget. The forced-compute floor may exceed MaxBudget
-	// transiently — safety outranks the cap.
+	// ≥ MinBudget. The budget sizes only the optional lane: forced
+	// computes always run, over budget if need be (TickReport.Overrun).
 	MinBudget int `json:"min_budget,omitempty"`
 	MaxBudget int `json:"max_budget"`
 	// TargetMargin is the deadline margin the controller regulates to;
@@ -497,11 +497,12 @@ func (f *Fleet) Tick(ctx context.Context, ws map[int][]float64) (TickReport, err
 	}
 	f.tickTime += rep.Elapsed
 
-	// The elastic loop closes here: the tick's measured margin and forced
-	// demand feed the PI controller, whose output becomes the next tick's
-	// budget; the admission side scales capacity from the same evidence.
+	// The elastic loop closes here: the tick's measured margin feeds the
+	// PI controller, whose output becomes the next tick's budget; the
+	// admission side scales capacity from the same tick's reclaimed ratio
+	// and forced demand.
 	if f.ctrl != nil {
-		next := f.ctrl.Update(budget.Input{Margin: rep.DeadlineMargin, Forced: st.Forced})
+		next := f.ctrl.Update(rep.DeadlineMargin)
 		f.budget = next
 		f.sch.SetComputeBudget(next)
 		rep.NextBudget = next
@@ -630,12 +631,10 @@ type FleetStats struct {
 	// (MaxSessions scaled by reclaimed ratio and pressure); omitted on
 	// static fleets.
 	EffectiveMaxSessions int `json:"effective_max_sessions,omitempty"`
-	// BudgetRaises/Lowers/Floors count elastic-controller decisions:
-	// budget increases, decreases, and forced-floor overrides. All zero
-	// on static fleets.
+	// BudgetRaises/Lowers count elastic-controller decisions: budget
+	// increases and decreases. Both zero on static fleets.
 	BudgetRaises int64 `json:"budget_raises,omitempty"`
 	BudgetLowers int64 `json:"budget_lowers,omitempty"`
-	BudgetFloors int64 `json:"budget_floors,omitempty"`
 
 	Ticks    int   `json:"ticks"`
 	Steps    int64 `json:"steps"`
@@ -682,7 +681,7 @@ func (f *Fleet) statsLocked() FleetStats {
 	if f.ctrl != nil {
 		st.EffectiveMaxSessions = f.effMax
 		cs := f.ctrl.Stats()
-		st.BudgetRaises, st.BudgetLowers, st.BudgetFloors = cs.Raises, cs.Lowers, cs.Floors
+		st.BudgetRaises, st.BudgetLowers = cs.Raises, cs.Lowers
 	}
 	st.Violations = f.violationsLocked()
 	if f.budgetTicks > 0 {

@@ -97,7 +97,7 @@ func (e *Engine) AuditTrace(t *Trace) (*AuditReport, error) {
 	if err := e.checkTrace(t); err != nil {
 		return nil, err
 	}
-	rep := audit.Run(e.System(), e.SafetySets(), t, audit.Options{})
+	rep := audit.Run(e.System(), e.SafetySets(), t)
 	out := &AuditReport{Steps: rep.Steps, Clean: rep.OK()}
 	for _, f := range rep.Findings {
 		out.Findings = append(out.Findings, AuditFinding{Step: f.Step, Kind: f.Kind.String(), Msg: f.Msg})

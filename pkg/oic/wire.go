@@ -133,7 +133,11 @@ type CreateFleetRequest struct {
 	// Trace records every member's episode (FleetConfig.Trace, capped at
 	// the server's trace limit), read back via
 	// GET /v1/fleets/{id}/sessions/{mid}/trace — the export side of
-	// fleet-member migration.
+	// fleet-member migration, whose import side is
+	// POST /v1/fleets/{id}/sessions/resume. oicd-router forwards it as
+	// sent, so a fleet records only when asked, routed or not. Like
+	// Elastic it is not journaled: journal recovery re-creates every
+	// fleet recording.
 	Trace bool `json:"trace,omitempty"`
 }
 
