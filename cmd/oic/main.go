@@ -81,7 +81,7 @@ func main() {
 	steps := fs.Int("steps", 0, "control steps per episode (0 = plant default)")
 	seed := fs.Int64("seed", 1, "random seed")
 	train := fs.Int("train", 500, "DRL training episodes per scenario")
-	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS; capped process-wide at GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	csv := fs.String("csv", "", "directory to write raw CSV data into")
 	plantName := fs.String("plant", "acc", "plant to evaluate (see 'oic plants')")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON results on stdout (banners go to stderr)")
@@ -218,7 +218,6 @@ func main() {
 	opt := exp.Options{
 		Cases: *cases, Steps: *steps, Seed: *seed,
 		TrainEpisodes: *train, Workers: *workers,
-		KeepPerCase: *csv != "",
 	}
 
 	// Banners and completion lines go to stderr in -json mode so stdout
@@ -1064,14 +1063,18 @@ func doJournal(dir string, emit func(doc any, text string) error) error {
 		Closed bool   `json:"closed,omitempty"`
 	}
 	type fleetDoc struct {
-		ID      string `json:"id"`
-		Plant   string `json:"plant"`
-		Policy  string `json:"policy"`
-		Budget  int    `json:"compute_budget"`
-		Members int    `json:"members"`
-		Live    int    `json:"live_members"`
-		Steps   int    `json:"steps"`
-		Closed  bool   `json:"closed,omitempty"`
+		ID           string             `json:"id"`
+		Plant        string             `json:"plant"`
+		Policy       string             `json:"policy"`
+		Budget       int                `json:"compute_budget"`
+		Trace        bool               `json:"trace,omitempty"`
+		Degrade      bool               `json:"degrade,omitempty"`
+		TickDeadline time.Duration      `json:"tick_deadline_ns,omitempty"`
+		Elastic      *oic.ElasticConfig `json:"elastic,omitempty"`
+		Members      int                `json:"members"`
+		Live         int                `json:"live_members"`
+		Steps        int                `json:"steps"`
+		Closed       bool               `json:"closed,omitempty"`
 	}
 	sessions := make([]sessionDoc, 0, len(rv.Sessions))
 	for _, st := range rv.Sessions {
@@ -1095,18 +1098,33 @@ func doJournal(dir string, emit func(doc any, text string) error) error {
 			}
 			steps += len(m.Steps)
 		}
-		fleets = append(fleets, fleetDoc{
+		doc := fleetDoc{
 			ID: fs.ID, Plant: fs.Meta.Plant, Policy: fs.Meta.Policy,
-			Budget: fs.Budget, Members: len(fs.Members), Live: live,
-			Steps: steps, Closed: fs.Closed,
-		})
+			Budget: fs.Budget, Trace: fs.Traced, Degrade: fs.Degrade, TickDeadline: fs.TickDeadline,
+			Members: len(fs.Members), Live: live, Steps: steps, Closed: fs.Closed,
+		}
+		var knobs strings.Builder
+		if fs.ElasticMax > 0 {
+			doc.Elastic = &oic.ElasticConfig{MinBudget: fs.ElasticMin, MaxBudget: fs.ElasticMax, TargetMargin: fs.TargetMargin}
+			fmt.Fprintf(&knobs, "  elastic [%d, %d] margin %v", fs.ElasticMin, fs.ElasticMax, fs.TargetMargin)
+		}
+		if fs.TickDeadline > 0 {
+			fmt.Fprintf(&knobs, "  deadline %v", fs.TickDeadline)
+		}
+		if fs.Degrade {
+			knobs.WriteString("  degrade")
+		}
+		if fs.Traced {
+			knobs.WriteString("  trace")
+		}
+		fleets = append(fleets, doc)
 		state := "open"
 		if fs.Closed {
 			state = "closed"
 		}
-		fmt.Fprintf(&text, "  fleet   %-8s %s/%s %s  budget %d  %d member(s) (%d live)  %d step(s)  %s\n",
+		fmt.Fprintf(&text, "  fleet   %-8s %s/%s %s  budget %d%s  %d member(s) (%d live)  %d step(s)  %s\n",
 			fs.ID, fs.Meta.Plant, fs.Meta.Scenario, fs.Meta.Policy,
-			fs.Budget, len(fs.Members), live, steps, state)
+			fs.Budget, knobs.String(), len(fs.Members), live, steps, state)
 	}
 	fmt.Fprintf(&text, "  replay-to-head would resume %d session(s) and %d fleet(s)\n",
 		liveSessions, liveFleets)

@@ -26,9 +26,13 @@
 // Usage:
 //
 //	oicd-router -cluster nodes.json [-addr :8080] [-probe-interval 1s]
-//	            [-vnodes 64] [-pressure-max 1.0] [-death-threshold 3]
-//	            [-failover] [-shadow-limit 100000]
-//	            [-log-level info] [-log-format text]
+//	            [-death-threshold 3] [-failover] [-node-timeout 30s]
+//	            [-shutdown-grace 10s] [-log-level info] [-log-format text]
+//
+// Placement is fixed: 64 virtual nodes per member on the ring, skipping a
+// node whose worst fleet's forced computes reached its budget. A
+// session's shadow episode is capped at 100,000 steps, the node-side
+// trace cap; past it the session can no longer fail over.
 package main
 
 import (
@@ -56,11 +60,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	clusterFile := flag.String("cluster", "", "membership file (required): JSON list of node names and base URLs")
 	probeInterval := flag.Duration("probe-interval", time.Second, "health/load probe period")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per member on the placement ring")
-	pressureMax := flag.Float64("pressure-max", 1.0, "skip nodes whose worst fleet pressure (forced computes / budget) reached this")
 	deathThreshold := flag.Int("death-threshold", 3, "consecutive failed liveness probes before a node is declared dead")
 	failover := flag.Bool("failover", true, "on node death, re-home its sessions onto survivors from shadow episodes")
-	shadowLimit := flag.Int("shadow-limit", 100_000, "per-session shadow episode cap (sessions beyond it cannot fail over)")
 	nodeTimeout := flag.Duration("node-timeout", 30*time.Second, "per-request timeout for node round trips")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown drain window")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error (debug logs every request)")
@@ -86,9 +87,6 @@ func main() {
 		fatal("loading membership", "file", *clusterFile, "error", err)
 	}
 	rt, err := cluster.New(mem, cluster.Config{
-		Vnodes:         *vnodes,
-		PressureMax:    *pressureMax,
-		ShadowLimit:    *shadowLimit,
 		DeathThreshold: *deathThreshold,
 		AutoFailover:   *failover,
 		Client:         &http.Client{Timeout: *nodeTimeout},

@@ -71,7 +71,6 @@ func main() {
 	journalSync := flag.String("journal-sync", "step", "journal fsync policy: step (every append), tick (once per step/tick request), interval, or none")
 	faultSpec := flag.String("fault", "", "deterministic fault injection spec, e.g. \"artifact.read=first:2,journal.append=0.01,sched.compute=after:500\"; empty disables")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the -fault decision streams")
-	elastic := flag.Bool("elastic", false, "default fleets with a tick deadline and a finite compute budget into the elastic-budget controller (bounds budget/4 .. budget*4, target margin deadline/5); explicit per-fleet elastic config always wins")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error (debug logs every request)")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
 	flag.Parse()
@@ -90,9 +89,8 @@ func main() {
 	srv := server.New(server.Config{
 		SessionTTL: *ttl, MaxSessions: *maxSessions,
 		MaxEngines: *maxEngines, MaxFleets: *maxFleets,
-		RequestTimeout:  *requestTimeout,
-		ElasticDefaults: *elastic,
-		Logger:          logger,
+		RequestTimeout: *requestTimeout,
+		Logger:         logger,
 	})
 	srv.StartJanitor()
 

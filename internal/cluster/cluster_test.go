@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -385,6 +386,204 @@ func TestRoutedFleetTracesOnRequest(t *testing.T) {
 	}
 }
 
+// TestForwardRouteTable drives every route that names a session or fleet
+// through a one-node router and, in lockstep, sends the same request
+// straight to the shard for a twin created there from the same body. The
+// routed answer must equal the twin's: the same status, the same decoded
+// JSON with only "id" mapped to the public ID (wall times aside), the same
+// bytes for a binary trace, and the same error code with the shard named
+// in "node". Every route answers 404 not_found for an unknown public ID.
+func TestForwardRouteTable(t *testing.T) {
+	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
+	h := rt.Handler()
+	x0, ws := accCase(t, 3)
+
+	type answer struct {
+		status int
+		ctype  string
+		body   []byte
+	}
+	viaRouter := func(method, path, body string) answer {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return answer{w.Code, w.Header().Get("Content-Type"), w.Body.Bytes()}
+	}
+	direct := func(method, path, body string) answer {
+		req, err := http.NewRequest(method, nodes[0].ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("Content-Type"), b}
+	}
+	mustJSON := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	// create opens the routed object and its twin on the shard, and
+	// returns the public ID and the twin's local one.
+	create := func(path string, routed, twin any) (string, string) {
+		var r, d struct{ ID string }
+		for _, c := range []struct {
+			a   answer
+			out *struct{ ID string }
+		}{{viaRouter("POST", path, mustJSON(routed)), &r}, {direct("POST", path, mustJSON(twin)), &d}} {
+			if c.a.status != http.StatusCreated || json.Unmarshal(c.a.body, c.out) != nil {
+				t.Fatalf("create %s: status %d body %s", path, c.a.status, c.a.body)
+			}
+		}
+		return r.ID, d.ID
+	}
+	// The router forces "trace": true on a session, so the twin asks for it.
+	sess, sessTwin := create("/v1/sessions",
+		oic.CreateSessionRequest{Plant: "acc", X0: x0},
+		oic.CreateSessionRequest{Plant: "acc", X0: x0, Trace: true})
+	fleetReq := oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2, Size: 3, Seed: 4, Trace: true}
+	fleet, fleetTwin := create("/v1/fleets", fleetReq, fleetReq)
+
+	// untimed drops the wall-time fields of fleet stats and tick reports,
+	// the only fields in which two twins' answers may differ.
+	var untimed func(v any)
+	untimed = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for _, k := range []string{"tick_time_ns", "elapsed_ns", "decide_ns", "step_ns"} {
+				delete(v, k)
+			}
+			for _, x := range v {
+				untimed(x)
+			}
+		case []any:
+			for _, x := range v {
+				untimed(x)
+			}
+		}
+	}
+
+	for _, rc := range []struct{ method, path, body string }{
+		{"POST", "/v1/sessions/{s}/step", mustJSON(oic.StepRequest{W: ws[0]})},
+		{"POST", "/v1/sessions/{s}/step", mustJSON(oic.StepRequest{WS: ws[1:]})},
+		{"POST", "/v1/sessions/{s}/step", `{"w":[1]}`},
+		{"GET", "/v1/sessions/{s}", ""},
+		{"GET", "/v1/sessions/{s}/trace", ""},
+		{"GET", "/v1/sessions/{s}/trace?format=binary", ""},
+		{"GET", "/v1/sessions/{s}/trace?format=xml", ""},
+		{"GET", "/v1/fleets/{f}", ""},
+		{"POST", "/v1/fleets/{f}/tick", `{"ticks":3}`},
+		{"POST", "/v1/fleets/{f}/sessions", `{"seed":5}`},
+		{"GET", "/v1/fleets/{f}/sessions/1", ""},
+		{"GET", "/v1/fleets/{f}/sessions/1/trace", ""},
+		{"GET", "/v1/fleets/{f}/sessions/1/trace?format=binary", ""},
+		{"GET", "/v1/fleets/{f}/sessions/99", ""},
+		{"DELETE", "/v1/fleets/{f}/sessions/1", ""},
+		{"DELETE", "/v1/sessions/{s}", ""},
+		{"DELETE", "/v1/fleets/{f}", ""},
+	} {
+		name := rc.method + " " + rc.path
+		pub, local := sess, sessTwin
+		if strings.Contains(rc.path, "{f}") {
+			pub, local = fleet, fleetTwin
+		}
+		unknown := viaRouter(rc.method, strings.NewReplacer("{s}", "c-99", "{f}", "cf-99").Replace(rc.path), rc.body)
+		var er oic.ErrorResponse
+		if unknown.status != http.StatusNotFound || json.Unmarshal(unknown.body, &er) != nil || er.Code != "not_found" {
+			t.Errorf("%s, unknown ID: status %d body %s, want 404 not_found", name, unknown.status, unknown.body)
+		}
+
+		got := viaRouter(rc.method, strings.NewReplacer("{s}", sess, "{f}", fleet).Replace(rc.path), rc.body)
+		want := direct(rc.method, strings.NewReplacer("{s}", sessTwin, "{f}", fleetTwin).Replace(rc.path), rc.body)
+		if got.status != want.status || got.ctype != want.ctype {
+			t.Errorf("%s: routed %d %q, shard %d %q", name, got.status, got.ctype, want.status, want.ctype)
+			continue
+		}
+		switch {
+		case !strings.Contains(want.ctype, "json"):
+			if !bytes.Equal(got.body, want.body) {
+				t.Errorf("%s: routed %d bytes differ from the shard's %d", name, len(got.body), len(want.body))
+			}
+		case want.status >= 400:
+			var g, w oic.ErrorResponse
+			if json.Unmarshal(got.body, &g) != nil || json.Unmarshal(want.body, &w) != nil ||
+				g.Code == "" || g.Code != w.Code || g.Node != "a" {
+				t.Errorf("%s: routed error %s, shard error %s", name, got.body, want.body)
+			}
+		default:
+			var g, w map[string]any
+			if err := json.Unmarshal(got.body, &g); err != nil {
+				t.Fatalf("%s: routed body %s: %v", name, got.body, err)
+			}
+			if err := json.Unmarshal(want.body, &w); err != nil {
+				t.Fatalf("%s: shard body %s: %v", name, want.body, err)
+			}
+			if id, ok := w["id"].(string); ok {
+				if !strings.HasPrefix(id, local) {
+					t.Fatalf("%s: shard id %q, want prefix %q", name, id, local)
+				}
+				w["id"] = pub + strings.TrimPrefix(id, local)
+			}
+			untimed(g)
+			untimed(w)
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("%s:\nrouted %s\nshard  %s", name, got.body, want.body)
+			}
+		}
+	}
+	if st := rt.Status(); st.Sessions != 0 || st.Fleets != 0 {
+		t.Fatalf("after the DELETEs the router owns %d sessions, %d fleets", st.Sessions, st.Fleets)
+	}
+
+	// A lost session answers 410 session_lost on every route, and its
+	// DELETE still drops the ownership row.
+	lost, _ := create("/v1/sessions", oic.CreateSessionRequest{Plant: "acc"}, oic.CreateSessionRequest{Plant: "acc"})
+	e, _ := rt.session(lost)
+	e.mu.Lock()
+	e.lost = true
+	e.mu.Unlock()
+	for _, rc := range []struct{ method, path string }{
+		{"GET", "/v1/sessions/" + lost},
+		{"GET", "/v1/sessions/" + lost + "/trace"},
+		{"POST", "/v1/sessions/" + lost + "/step"},
+		{"DELETE", "/v1/sessions/" + lost},
+	} {
+		a := viaRouter(rc.method, rc.path, "")
+		var er oic.ErrorResponse
+		if a.status != http.StatusGone || json.Unmarshal(a.body, &er) != nil || er.Code != "session_lost" {
+			t.Errorf("%s %s on a lost session: status %d body %s, want 410 session_lost", rc.method, rc.path, a.status, a.body)
+		}
+	}
+	if _, ok := rt.session(lost); ok {
+		t.Fatal("DELETE of a lost session kept its ownership row")
+	}
+
+	// With the owner unreachable a session DELETE answers 503 shard_down
+	// and still drops the row; a fleet DELETE unpins the fleet.
+	gone, _ := create("/v1/sessions", oic.CreateSessionRequest{Plant: "acc"}, oic.CreateSessionRequest{Plant: "acc"})
+	pinned, _ := create("/v1/fleets", fleetReq, fleetReq)
+	nodes[0].ts.Close()
+	for _, path := range []string{"/v1/sessions/" + gone, "/v1/fleets/" + pinned} {
+		a := viaRouter("DELETE", path, "")
+		var er oic.ErrorResponse
+		if a.status != http.StatusServiceUnavailable || json.Unmarshal(a.body, &er) != nil || er.Code != "shard_down" {
+			t.Errorf("DELETE %s on a dead owner: status %d body %s, want 503 shard_down", path, a.status, a.body)
+		}
+	}
+	if st := rt.Status(); st.Sessions != 0 || st.Fleets != 0 {
+		t.Fatalf("DELETEs on a dead owner left %d sessions, %d fleets owned", st.Sessions, st.Fleets)
+	}
+}
+
 // TestFailoverByteIdentical kills the owning node outright and re-homes
 // its session from the router's shadow episode: the survivor continues
 // the episode and the final trace is byte-identical to an uninterrupted
@@ -523,7 +722,7 @@ func TestDrainNode(t *testing.T) {
 // nodes, every fingerprint to some node, and skips not-ready members.
 func TestPlacementDeterministic(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	r := newRing(names, 64)
+	r := newRing(names)
 	counts := map[string]int{}
 	fps := []string{
 		"acc|cruise|bang-bang|m0|e0|s0|seed0",

@@ -124,7 +124,7 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 
 	// 1. Freeze: quiesce the source and capture the reference snapshot.
 	span.Phase("freeze")
-	status, _, b, perr := rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.localID+"/freeze", []byte("{}"))
+	status, _, b, perr := rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.localID+"/freeze", []byte("{}"), nil)
 	if perr != nil {
 		// Source died under us — fall back to the shadow path.
 		span.End(fmt.Errorf("source died mid-freeze; falling over: %v", perr))
@@ -151,7 +151,7 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 
 	fail := func(err error) (*MigrateReport, error) {
 		// Abort path: the source must resume serving.
-		_, _, _, _ = rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.localID+"/unfreeze", []byte("{}"))
+		_, _, _, _ = rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.localID+"/unfreeze", []byte("{}"), nil)
 		rt.m.migrateFailed.Add(1)
 		span.End(err)
 		rt.log.Warn("migration failed", "session", e.id, "from", src.Name, "to", dst.Name,
@@ -161,7 +161,7 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 
 	// 2. Ship: export the frozen episode.
 	span.Phase("export")
-	status, _, bin, perr := rt.proxy(ctx, src, http.MethodGet, "/v1/sessions/"+e.localID+"/trace?format=binary", nil)
+	status, _, bin, perr := rt.proxy(ctx, src, http.MethodGet, "/v1/sessions/"+e.localID+"/trace?format=binary", nil, nil)
 	if perr != nil {
 		rt.m.migrateFailed.Add(1)
 		err := fmt.Errorf("%w: %s died mid-export", ErrShardDown, src.Name)
@@ -182,7 +182,7 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 	// 4. Verify bit-exactly against the frozen source.
 	span.Phase("verify")
 	if err := verifyHandoff(&srcInfo, dstInfo); err != nil {
-		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+dstInfo.ID, nil)
+		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+dstInfo.ID, nil, nil)
 		return fail(err)
 	}
 
@@ -194,9 +194,9 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 	e.node.Store(dst)
 	e.localID = dstInfo.ID
 	if tr, derr := oic.DecodeTrace(bin); derr == nil {
-		e.sh = shadowFromTrace(tr, rt.cfg.ShadowLimit)
+		e.sh = shadowFromTrace(tr)
 	}
-	_, _, _, _ = rt.proxy(ctx, src, http.MethodDelete, "/v1/sessions/"+oldID, nil)
+	_, _, _, _ = rt.proxy(ctx, src, http.MethodDelete, "/v1/sessions/"+oldID, nil, nil)
 
 	span.End(nil)
 	rt.m.migrations.Add(1)
@@ -213,7 +213,7 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 // land imports a binary episode on dst via the resume endpoint.
 func (rt *Router) land(ctx context.Context, dst *nodeState, bin []byte) (*oic.SessionInfo, error) {
 	body, _ := json.Marshal(oic.ResumeSessionRequest{TraceBin: bin})
-	status, _, b, perr := rt.proxy(ctx, dst, http.MethodPost, "/v1/sessions/resume", body)
+	status, _, b, perr := rt.proxy(ctx, dst, http.MethodPost, "/v1/sessions/resume", body, nil)
 	if perr != nil {
 		return nil, fmt.Errorf("%w: target %s unreachable", ErrShardDown, dst.Name)
 	}
@@ -276,7 +276,7 @@ func (rt *Router) failoverEntry(ctx context.Context, e *sessEntry, dst *nodeStat
 	}
 	if info.T != tr.Len() || !mat.BitsEqual(info.X, wantX) ||
 		math.Float64bits(info.Energy) != math.Float64bits(tr.Energy) {
-		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+info.ID, nil)
+		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+info.ID, nil, nil)
 		return fail(fmt.Errorf("%w: failover landing diverged at t=%d", ErrMigrateMismatch, info.T))
 	}
 	span.Phase("repoint")
@@ -320,7 +320,7 @@ func (rt *Router) FailoverNode(ctx context.Context, name string) (moved, failed 
 
 // ownedSessions snapshots the entries currently pointing at a node. The
 // owner reads are atomic loads, not entry-lock acquisitions (which would
-// invert the delete handlers' lock order); candidates are re-checked
+// invert a session DELETE's lock order); candidates are re-checked
 // under the entry lock before any action.
 func (rt *Router) ownedSessions(name string) []*sessEntry {
 	rt.mu.Lock()

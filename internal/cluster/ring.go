@@ -37,11 +37,11 @@ func hashKey(s string) uint64 {
 	return x
 }
 
-// newRing builds a ring with vnodes virtual nodes per member.
-func newRing(names []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+// vnodes is the virtual nodes per member on the ring.
+const vnodes = 64
+
+// newRing builds a ring over names.
+func newRing(names []string) *ring {
 	r := &ring{
 		owner: make(map[uint64]string, len(names)*vnodes),
 		nodes: append([]string(nil), names...),

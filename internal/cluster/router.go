@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,17 +20,6 @@ import (
 
 // Config tunes a Router.
 type Config struct {
-	// Vnodes is the virtual nodes per member on the placement ring
-	// (default 64).
-	Vnodes int
-	// PressureMax is the load-aware placement override: a node whose
-	// worst fleet ran at or above this forced-computes/budget ratio in
-	// its last tick has exhausted its forced-compute headroom and is
-	// skipped in ring order (default 1.0).
-	PressureMax float64
-	// ShadowLimit caps the router's per-session shadow recording
-	// (default 100000, matching the node-side trace cap).
-	ShadowLimit int
 	// DeathThreshold is the consecutive liveness failures after which a
 	// node is declared dead (default 3).
 	DeathThreshold int
@@ -43,15 +33,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = 64
-	}
-	if c.PressureMax <= 0 {
-		c.PressureMax = 1.0
-	}
-	if c.ShadowLimit <= 0 {
-		c.ShadowLimit = 100_000
-	}
 	if c.DeathThreshold <= 0 {
 		c.DeathThreshold = 3
 	}
@@ -64,13 +45,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// pressureMax is the load-aware placement override: a node whose worst
+// fleet ran at or above this forced-computes/budget ratio in its last
+// tick has exhausted its forced-compute headroom and is skipped in ring
+// order.
+const pressureMax = 1.0
+
 // sessEntry is one row of the router's session ownership table. The
 // entry mutex serializes proxied operations against migration: a step
 // that races a drain blocks until ownership is repointed, then lands on
 // the new owner. The owner pointer is additionally atomic so status and
 // candidate scans can read it without the entry lock — taking entry
-// locks while holding rt.mu would invert the lock order of the delete
-// handlers (entry lock, then rt.mu) and deadlock.
+// locks while holding rt.mu would invert the lock order of a session
+// DELETE (entry lock, then rt.mu) and deadlock.
 type sessEntry struct {
 	id string // public ID ("c-N")
 
@@ -147,7 +134,7 @@ func New(m *Membership, cfg Config) (*Router, error) {
 		rt.byName[n.Name] = ns
 		names = append(names, n.Name)
 	}
-	rt.ring = newRing(names, cfg.Vnodes)
+	rt.ring = newRing(names)
 	return rt, nil
 }
 
@@ -163,7 +150,7 @@ func (rt *Router) place(fp string, exclude map[string]bool) (*nodeState, error) 
 		if exclude[name] || !n.isReady() {
 			continue
 		}
-		if n.loadPressure() < rt.cfg.PressureMax {
+		if n.loadPressure() < pressureMax {
 			return n, nil
 		}
 		if fallback == nil {
@@ -194,41 +181,37 @@ func (rt *Router) leastLoaded() (*nodeState, error) {
 	return best, nil
 }
 
-// proxy performs one node round trip. A transport-level failure feeds
-// the node's liveness accounting and returns a non-nil error; HTTP-level
-// failures are returned as (status, body) for the caller to relay. A
-// failure whose request context is already canceled is the CLIENT's
-// exit (disconnect or timeout mid-step), not evidence about the node,
-// so it is excluded from liveness accounting; a successful round trip
-// is positive evidence and clears the failure streak.
-func (rt *Router) proxy(ctx context.Context, n *nodeState, method, pathAndQuery string, body []byte) (int, string, []byte, error) {
-	return rt.proxyFwd(ctx, n, method, pathAndQuery, body, nil)
-}
-
-// proxyFwd is proxy with the inbound client headers attached: the
-// client's Content-Type and Accept are forwarded faithfully (JSON stays
-// the default for protocol-internal calls, which pass nil), and the
+// proxy performs one node round trip. hdr is the client's header on a
+// forwarded request: its Content-Type and Accept reach the shard (a body
+// is JSON unless the client says otherwise); protocol calls pass nil. The
 // context's trace ID rides the X-Oic-Trace-Id header so the shard's logs
 // carry the same ID the router minted.
-func (rt *Router) proxyFwd(ctx context.Context, n *nodeState, method, pathAndQuery string, body []byte, client http.Header) (int, string, []byte, error) {
+//
+// A transport-level failure feeds the node's liveness accounting and
+// returns a non-nil error; HTTP-level failures are returned as (status,
+// body) for the caller to relay. A failure whose request context is
+// already canceled is the CLIENT's exit (disconnect or timeout mid-step),
+// not evidence about the node, so it is excluded from liveness
+// accounting; a successful round trip is positive evidence and clears
+// the failure streak.
+func (rt *Router) proxy(ctx context.Context, n *nodeState, method, pathAndQuery string, body []byte, hdr http.Header) (int, string, []byte, error) {
 	var rd io.Reader
-	if body != nil {
-		rd = strings.NewReader(string(body))
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, n.Addr+pathAndQuery, rd)
 	if err != nil {
 		return 0, "", nil, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if len(body) > 0 {
+		ct := hdr.Get("Content-Type")
+		if ct == "" {
+			ct = "application/json"
+		}
+		req.Header.Set("Content-Type", ct)
 	}
-	if client != nil {
-		if ct := client.Get("Content-Type"); ct != "" && body != nil {
-			req.Header.Set("Content-Type", ct)
-		}
-		if ac := client.Get("Accept"); ac != "" {
-			req.Header.Set("Accept", ac)
-		}
+	if ac := hdr.Get("Accept"); ac != "" {
+		req.Header.Set("Accept", ac)
 	}
 	if id := obs.TraceIDFrom(ctx); id != "" {
 		req.Header.Set(obs.TraceHeader, id)
@@ -259,7 +242,7 @@ func (rt *Router) proxyFwd(ctx context.Context, n *nodeState, method, pathAndQue
 
 // get is the prober's plain GET.
 func (rt *Router) get(ctx context.Context, n *nodeState, path string) ([]byte, error) {
-	status, _, b, err := rt.proxy(ctx, n, http.MethodGet, path, nil)
+	status, _, b, err := rt.proxy(ctx, n, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -341,19 +324,19 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/replay", rt.handleReplay)
 
 	mux.HandleFunc("POST /v1/sessions", rt.handleCreateSession)
-	mux.HandleFunc("GET /v1/sessions/{id}", rt.handleSessionGet)
+	mux.HandleFunc("GET /v1/sessions/{id}", rt.handleSession)
 	mux.HandleFunc("POST /v1/sessions/{id}/step", rt.handleSessionStep)
-	mux.HandleFunc("GET /v1/sessions/{id}/trace", rt.handleSessionTrace)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.handleSessionDelete)
+	mux.HandleFunc("GET /v1/sessions/{id}/trace", rt.handleSession)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.handleSession)
 
 	mux.HandleFunc("POST /v1/fleets", rt.handleCreateFleet)
-	mux.HandleFunc("GET /v1/fleets/{id}", rt.handleFleetProxy)
-	mux.HandleFunc("DELETE /v1/fleets/{id}", rt.handleFleetDelete)
-	mux.HandleFunc("POST /v1/fleets/{id}/tick", rt.handleFleetProxy)
-	mux.HandleFunc("POST /v1/fleets/{id}/sessions", rt.handleFleetProxy)
-	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}", rt.handleFleetProxy)
-	mux.HandleFunc("DELETE /v1/fleets/{id}/sessions/{mid}", rt.handleFleetProxy)
-	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}/trace", rt.handleFleetProxy)
+	mux.HandleFunc("GET /v1/fleets/{id}", rt.handleFleet)
+	mux.HandleFunc("DELETE /v1/fleets/{id}", rt.handleFleet)
+	mux.HandleFunc("POST /v1/fleets/{id}/tick", rt.handleFleet)
+	mux.HandleFunc("POST /v1/fleets/{id}/sessions", rt.handleFleet)
+	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}", rt.handleFleet)
+	mux.HandleFunc("DELETE /v1/fleets/{id}/sessions/{mid}", rt.handleFleet)
+	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}/trace", rt.handleFleet)
 
 	mux.HandleFunc("GET /v1/cluster", rt.handleClusterStatus)
 	mux.HandleFunc("POST /v1/cluster/migrate", rt.handleClusterMigrate)
@@ -389,7 +372,7 @@ func (rt *Router) handlePlants(w http.ResponseWriter, r *http.Request) {
 		if !n.isLive() {
 			continue
 		}
-		status, ctype, b, err := rt.proxyFwd(r.Context(), n, http.MethodGet, "/v1/plants", nil, r.Header)
+		status, ctype, b, err := rt.proxy(r.Context(), n, http.MethodGet, "/v1/plants", nil, r.Header)
 		if err != nil {
 			continue
 		}
@@ -412,7 +395,7 @@ func (rt *Router) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "no_shard", err.Error())
 		return
 	}
-	status, ctype, b, perr := rt.proxyFwd(r.Context(), n, http.MethodPost, "/v1/replay", body, r.Header)
+	status, ctype, b, perr := rt.proxy(r.Context(), n, http.MethodPost, "/v1/replay", body, r.Header)
 	if perr != nil {
 		rt.shardDown(w, n)
 		return
@@ -420,42 +403,62 @@ func (rt *Router) handleReplay(w http.ResponseWriter, r *http.Request) {
 	rt.relayFrom(w, n, status, ctype, b)
 }
 
-// handleCreateSession places a session by its canonical config
-// fingerprint and opens it on the owner with trace recording forced on —
-// the recorded episode is the migration medium, so an untraced session
-// would be unmovable.
-func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+// readJSON reads a request body and decodes it into v unless it is
+// empty, answering 400 and returning false when either fails.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
 	body, err := readBody(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
+		return nil, false
 	}
-	var req oic.CreateSessionRequest
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(body, v); err != nil {
 			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-			return
+			return nil, false
 		}
+	}
+	return body, true
+}
+
+// create opens a session or fleet on the shard that fp, its canonical
+// config fingerprint, places it on: it POSTs body to that owner at the
+// request's path and relays any answer but 201 Created, which it returns
+// with the owner.
+func (rt *Router) create(w http.ResponseWriter, r *http.Request, fp string, body []byte) (*nodeState, []byte, bool) {
+	n, err := rt.place(fp, nil)
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, "no_shard", err.Error())
+		return nil, nil, false
+	}
+	status, ctype, b, err := rt.proxy(r.Context(), n, http.MethodPost, r.URL.Path, body, nil)
+	if err != nil {
+		rt.shardDown(w, n)
+		return nil, nil, false
+	}
+	if status != http.StatusCreated {
+		rt.relayFrom(w, n, status, ctype, b)
+		return nil, nil, false
+	}
+	return n, b, true
+}
+
+// handleCreateSession opens a session with trace recording forced on —
+// the recorded episode is the migration medium, so an untraced session
+// would be unmovable — and starts its shadow from the create response.
+func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+	var req oic.CreateSessionRequest
+	if _, ok := readJSON(w, r, &req); !ok {
+		return
 	}
 	canon := oic.Config{
 		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
 		Memory: req.Memory, Train: req.Train,
 	}.Canonical()
 	fp := canon.Fingerprint()
-	n, err := rt.place(fp, nil)
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "no_shard", err.Error())
-		return
-	}
 	req.Trace = true
 	fwd, _ := json.Marshal(req)
-	status, ctype, b, perr := rt.proxy(r.Context(), n, http.MethodPost, "/v1/sessions", fwd)
-	if perr != nil {
-		rt.shardDown(w, n)
-		return
-	}
-	if status != http.StatusCreated {
-		rt.relayFrom(w, n, status, ctype, b)
+	n, b, ok := rt.create(w, r, fp, fwd)
+	if !ok {
 		return
 	}
 	var info oic.SessionInfo
@@ -463,9 +466,8 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadGateway, "bad_gateway", "node returned malformed session info")
 		return
 	}
-	e := &sessEntry{localID: info.ID, fp: fp, train: canon.Train}
+	e := &sessEntry{localID: info.ID, fp: fp, train: canon.Train, sh: newShadow(&info, canon.Train)}
 	e.node.Store(n)
-	e.sh = newShadow(&info, canon.Train, rt.cfg.ShadowLimit)
 	rt.mu.Lock()
 	rt.nextSess++
 	e.id = fmt.Sprintf("c-%d", rt.nextSess)
@@ -473,6 +475,39 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 	rt.m.sessionsCreated.Add(1)
 	info.ID = e.id
+	writeJSON(w, http.StatusCreated, info)
+}
+
+// handleCreateFleet opens a fleet with the client's create body as sent,
+// so a routed fleet records member episodes exactly when a direct one
+// does: on "trace": true.
+func (rt *Router) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
+	var req oic.CreateFleetRequest
+	body, ok := readJSON(w, r, &req)
+	if !ok {
+		return
+	}
+	fp := oic.Config{
+		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
+		Memory: req.Memory, Train: req.Train,
+	}.Fingerprint()
+	n, b, ok := rt.create(w, r, fp, body)
+	if !ok {
+		return
+	}
+	var info oic.FleetInfo
+	if err := json.Unmarshal(b, &info); err != nil {
+		writeErr(w, http.StatusBadGateway, "bad_gateway", "node returned malformed fleet info")
+		return
+	}
+	f := &fleetPin{node: n, localID: info.ID}
+	rt.mu.Lock()
+	rt.nextFleet++
+	f.id = fmt.Sprintf("cf-%d", rt.nextFleet)
+	rt.fleets[f.id] = f
+	rt.mu.Unlock()
+	rt.m.fleetsCreated.Add(1)
+	info.ID = f.id
 	writeJSON(w, http.StatusCreated, info)
 }
 
@@ -490,9 +525,56 @@ func (rt *Router) fleet(id string) (*fleetPin, bool) {
 	return f, ok
 }
 
-// handleSessionGet proxies the info read, rewriting the node-local ID to
-// the public one.
-func (rt *Router) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+// forward is the one path from a client request that names a session or
+// fleet to the shard that owns it. It swaps the public ID for the
+// owner-local one in the request path (/v1/fleets/cf-2/sessions/5 →
+// /v1/fleets/f-4/sessions/5), sends the method, query, body and the
+// client's negotiation headers through proxy, and relays the answer with
+// the local ID mapped back in a success JSON body's top-level "id";
+// everything else relays as relayFrom relays it. seen, when not nil,
+// reads the shard's answer before the client does.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *nodeState, public, local string, body []byte, seen func(status int, b []byte)) {
+	path := strings.Replace(r.URL.EscapedPath(), "/"+public, "/"+local, 1)
+	if q := r.URL.RawQuery; q != "" {
+		path += "?" + q
+	}
+	status, ctype, b, err := rt.proxy(r.Context(), n, r.Method, path, body, r.Header)
+	if err != nil {
+		rt.shardDown(w, n)
+		return
+	}
+	if seen != nil {
+		seen(status, b)
+	}
+	if status < 300 && strings.Contains(ctype, "json") {
+		b = publicID(b, local, public)
+	}
+	rt.relayFrom(w, n, status, ctype, b)
+}
+
+// publicID maps the owner-local ID back to the public one in the
+// top-level "id" of a shard's JSON body (s-7 → c-3, f-4/5 → cf-2/5).
+// Every wire type with a string ID declares it first (SessionInfo,
+// FleetInfo, TraceResponse), so the shard's encoding opens with it; any
+// other body, a member's numeric ID included, is returned as it is.
+func publicID(b []byte, local, public string) []byte {
+	const head = `{"id":"`
+	rest, ok := bytes.CutPrefix(b, []byte(head+local))
+	if !ok || len(rest) == 0 || (rest[0] != '"' && rest[0] != '/') {
+		return b
+	}
+	out := make([]byte, 0, len(b)+len(public)-len(local))
+	out = append(append(out, head...), public...)
+	return append(out, rest...)
+}
+
+// handleSession forwards a session's GET, trace export and DELETE to its
+// owner under the entry lock, so none of them races a migration's
+// repoint. A DELETE drops the ownership row before it proxies, even when
+// the owner is unreachable: the client asked for the session's end, and
+// a dead owner's copy must not outlive its journal replay only to serve
+// a deleted ID.
+func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	e, ok := rt.session(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "not_found", "unknown session")
@@ -500,47 +582,35 @@ func (rt *Router) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if r.Method == http.MethodDelete {
+		rt.mu.Lock()
+		delete(rt.sessions, e.id)
+		rt.mu.Unlock()
+	}
 	if e.lost {
 		writeErr(w, http.StatusGone, "session_lost", "session lost: owner died with no usable shadow episode")
 		return
 	}
-	owner := e.node.Load()
-	status, ctype, b, err := rt.proxyFwd(r.Context(), owner, http.MethodGet, "/v1/sessions/"+e.localID, nil, r.Header)
-	if err != nil {
-		rt.shardDown(w, owner)
-		return
-	}
-	if status == http.StatusOK {
-		var info oic.SessionInfo
-		if json.Unmarshal(b, &info) == nil {
-			info.ID = e.id
-			writeJSON(w, http.StatusOK, info)
-			return
-		}
-	}
-	rt.relayFrom(w, owner, status, ctype, b)
+	rt.forward(w, r, e.node.Load(), e.id, e.localID, nil, nil)
 }
 
-// handleSessionStep proxies a step and folds every acknowledged result
-// into the session's shadow episode. Holding the entry lock across the
-// round trip serializes steps against migration repointing.
+// handleSessionStep forwards a step and folds every acknowledged result
+// into the session's shadow episode before the client sees it. Holding
+// the entry lock across the round trip serializes steps against
+// migration repointing. A step whose owner fails mid-flight may or may
+// not have executed there, but it was never acknowledged, so it is not in
+// the shadow: a failover landing resumes from the last acknowledged step,
+// and the client's retry lands exactly once.
 func (rt *Router) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	e, ok := rt.session(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "not_found", "unknown session")
 		return
 	}
-	body, err := readBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
 	var req oic.StepRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-			return
-		}
+	body, ok := readJSON(w, r, &req)
+	if !ok {
+		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -548,18 +618,9 @@ func (rt *Router) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, "session_lost", "session lost: owner died with no usable shadow episode")
 		return
 	}
-	owner := e.node.Load()
-	status, ctype, b, perr := rt.proxyFwd(r.Context(), owner, http.MethodPost, "/v1/sessions/"+e.localID+"/step", body, r.Header)
-	if perr != nil {
-		// The step may or may not have executed on the dying node — but it
-		// was never acknowledged, so it is not in the shadow, and a failover
-		// landing resumes from the last acknowledged step. The client's
-		// retry therefore lands exactly once.
-		rt.shardDown(w, owner)
-		return
-	}
-	rt.recordStep(e, &req, status, b)
-	rt.relayFrom(w, owner, status, ctype, b)
+	rt.forward(w, r, e.node.Load(), e.id, e.localID, body, func(status int, b []byte) {
+		rt.recordStep(e, &req, status, b)
+	})
 }
 
 // recordStep folds a step response into the shadow. Batch responses may
@@ -609,133 +670,10 @@ func (rt *Router) shadowAppend(e *sessEntry, w []float64, res *oic.StepResult) b
 	return ok
 }
 
-// handleSessionTrace proxies the episode export (JSON or binary),
-// rewriting the ID in the JSON form.
-func (rt *Router) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
-	e, ok := rt.session(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "not_found", "unknown session")
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.lost {
-		writeErr(w, http.StatusGone, "session_lost", "session lost: owner died with no usable shadow episode")
-		return
-	}
-	path := "/v1/sessions/" + e.localID + "/trace"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	owner := e.node.Load()
-	status, ctype, b, err := rt.proxyFwd(r.Context(), owner, http.MethodGet, path, nil, r.Header)
-	if err != nil {
-		rt.shardDown(w, owner)
-		return
-	}
-	if status == http.StatusOK && strings.Contains(ctype, "json") {
-		var tr oic.TraceResponse
-		if json.Unmarshal(b, &tr) == nil {
-			tr.ID = e.id
-			writeJSON(w, http.StatusOK, tr)
-			return
-		}
-	}
-	rt.relayFrom(w, owner, status, ctype, b)
-}
-
-// handleSessionDelete closes the session on its owner and drops the
-// ownership row. The row goes away even if the owner is unreachable —
-// the client asked for the session's end, and a dead owner's copy
-// cannot outlive its journal replay only to serve a deleted ID.
-func (rt *Router) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := rt.session(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "not_found", "unknown session")
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rt.mu.Lock()
-	delete(rt.sessions, id)
-	rt.mu.Unlock()
-	if e.lost {
-		writeErr(w, http.StatusGone, "session_lost", "session lost: owner died with no usable shadow episode")
-		return
-	}
-	owner := e.node.Load()
-	status, ctype, b, err := rt.proxyFwd(r.Context(), owner, http.MethodDelete, "/v1/sessions/"+e.localID, nil, r.Header)
-	if err != nil {
-		rt.shardDown(w, owner)
-		return
-	}
-	if status == http.StatusOK {
-		var info oic.SessionInfo
-		if json.Unmarshal(b, &info) == nil {
-			info.ID = e.id
-			writeJSON(w, http.StatusOK, info)
-			return
-		}
-	}
-	rt.relayFrom(w, owner, status, ctype, b)
-}
-
-// handleCreateFleet places a fleet by its canonical config fingerprint
-// and forwards the client's create body unchanged, so a routed fleet
-// records member episodes exactly when a direct one does: on
-// "trace": true.
-func (rt *Router) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	var req oic.CreateFleetRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-			return
-		}
-	}
-	fp := oic.Config{
-		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
-		Memory: req.Memory, Train: req.Train,
-	}.Fingerprint()
-	n, err := rt.place(fp, nil)
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "no_shard", err.Error())
-		return
-	}
-	status, ctype, b, perr := rt.proxy(r.Context(), n, http.MethodPost, "/v1/fleets", body)
-	if perr != nil {
-		rt.shardDown(w, n)
-		return
-	}
-	if status != http.StatusCreated {
-		rt.relayFrom(w, n, status, ctype, b)
-		return
-	}
-	var info oic.FleetInfo
-	if err := json.Unmarshal(b, &info); err != nil {
-		writeErr(w, http.StatusBadGateway, "bad_gateway", "node returned malformed fleet info")
-		return
-	}
-	f := &fleetPin{node: n, localID: info.ID}
-	rt.mu.Lock()
-	rt.nextFleet++
-	f.id = fmt.Sprintf("cf-%d", rt.nextFleet)
-	rt.fleets[f.id] = f
-	rt.mu.Unlock()
-	rt.m.fleetsCreated.Add(1)
-	info.ID = f.id
-	writeJSON(w, http.StatusCreated, info)
-}
-
-// handleFleetProxy forwards any fleet-scoped request to the pinned
-// shard, rewriting the public fleet ID into the node-local one on the
-// path and back in ID-bearing responses.
-func (rt *Router) handleFleetProxy(w http.ResponseWriter, r *http.Request) {
+// handleFleet forwards every request that names a fleet to the shard the
+// fleet is pinned to. A fleet DELETE unpins it first; a member DELETE
+// leaves the pin.
+func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	f, ok := rt.fleet(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "not_found", "unknown fleet")
@@ -746,71 +684,12 @@ func (rt *Router) handleFleetProxy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	path := "/v1/fleets/" + f.localID
-	if mid := r.PathValue("mid"); mid != "" {
-		path += "/sessions/" + mid
-		if strings.HasSuffix(r.URL.Path, "/trace") {
-			path += "/trace"
-		}
-	} else if strings.HasSuffix(r.URL.Path, "/tick") {
-		path += "/tick"
-	} else if strings.HasSuffix(r.URL.Path, "/sessions") {
-		path += "/sessions"
+	if r.Method == http.MethodDelete && r.PathValue("mid") == "" {
+		rt.mu.Lock()
+		delete(rt.fleets, f.id)
+		rt.mu.Unlock()
 	}
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	var fwd []byte
-	if len(body) > 0 {
-		fwd = body
-	}
-	status, ctype, b, perr := rt.proxyFwd(r.Context(), f.node, r.Method, path, fwd, r.Header)
-	if perr != nil {
-		rt.shardDown(w, f.node)
-		return
-	}
-	rt.rewriteFleetID(w, f, status, ctype, b)
-}
-
-// rewriteFleetID maps node-local fleet IDs back to the public one in
-// ID-bearing JSON responses; everything else relays unchanged (error
-// payloads gain the shard's name).
-func (rt *Router) rewriteFleetID(w http.ResponseWriter, f *fleetPin, status int, ctype string, b []byte) {
-	if status < 300 && strings.Contains(ctype, "json") {
-		var probe map[string]json.RawMessage
-		if json.Unmarshal(b, &probe) == nil {
-			if raw, ok := probe["id"]; ok {
-				var id string
-				if json.Unmarshal(raw, &id) == nil && strings.HasPrefix(id, f.localID) {
-					pub, _ := json.Marshal(f.id + strings.TrimPrefix(id, f.localID))
-					probe["id"] = pub
-					out, _ := json.Marshal(probe)
-					relay(w, status, ctype, out)
-					return
-				}
-			}
-		}
-	}
-	rt.relayFrom(w, f.node, status, ctype, b)
-}
-
-// handleFleetDelete closes the fleet on its shard and unpins it.
-func (rt *Router) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	f, ok := rt.fleet(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "not_found", "unknown fleet")
-		return
-	}
-	rt.mu.Lock()
-	delete(rt.fleets, id)
-	rt.mu.Unlock()
-	status, ctype, b, err := rt.proxyFwd(r.Context(), f.node, http.MethodDelete, "/v1/fleets/"+f.localID, nil, r.Header)
-	if err != nil {
-		rt.shardDown(w, f.node)
-		return
-	}
-	rt.rewriteFleetID(w, f, status, ctype, b)
+	rt.forward(w, r, f.node, f.id, f.localID, body, nil)
 }
 
 // Status snapshots the cluster: per-node health and load plus the
@@ -825,7 +704,7 @@ func (rt *Router) Status() ClusterStatus {
 		// Peeking e.node without the entry lock is fine for a status count:
 		// repointing is an atomic pointer store, so a snapshot mid-migration
 		// is correct for one of the two moments. Taking the entry lock here
-		// would invert the delete handlers' entry-then-rt.mu lock order.
+		// would invert a session DELETE's entry-then-rt.mu lock order.
 		ownedS[e.nodeName()]++
 	}
 	for _, f := range rt.fleets {

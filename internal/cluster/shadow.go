@@ -26,6 +26,10 @@ func levelCode(s string) (core.Level, bool) {
 	return 0, false
 }
 
+// shadowLimit caps a shadow's recording, matching the node-side trace
+// cap; a session past it can no longer fail over.
+const shadowLimit = 100_000
+
 // shadow is one session's router-side recording. Not safe for concurrent
 // use — the owning sessEntry's mutex serializes it.
 type shadow struct {
@@ -40,7 +44,7 @@ type shadow struct {
 // precisely so this reconstruction fingerprints identically to the node's
 // own recording; train is the canonicalized training budget (zero unless
 // the policy is DRL).
-func newShadow(info *oic.SessionInfo, train oic.TrainConfig, limit int) *shadow {
+func newShadow(info *oic.SessionInfo, train oic.TrainConfig) *shadow {
 	meta := trace.Meta{
 		Plant:         info.Plant,
 		Scenario:      info.Scenario,
@@ -51,7 +55,7 @@ func newShadow(info *oic.SessionInfo, train oic.TrainConfig, limit int) *shadow 
 		TrainSeed:     train.Seed,
 	}
 	return &shadow{
-		rec:   trace.NewRecorder(meta, info.X, info.NU, limit),
+		rec:   trace.NewRecorder(meta, info.X, info.NU, shadowLimit),
 		nx:    len(info.X),
 		zeros: make([]float64, len(info.X)),
 	}
@@ -60,9 +64,9 @@ func newShadow(info *oic.SessionInfo, train oic.TrainConfig, limit int) *shadow 
 // shadowFromTrace rebuilds a shadow positioned at the head of an episode
 // the router just shipped — after a migration the new owner's recording
 // and the shadow must stay in lockstep.
-func shadowFromTrace(t *oic.Trace, limit int) *shadow {
+func shadowFromTrace(t *oic.Trace) *shadow {
 	sh := &shadow{
-		rec:   trace.NewRecorder(t.Meta, t.X0, t.NU, limit),
+		rec:   trace.NewRecorder(t.Meta, t.X0, t.NU, shadowLimit),
 		nx:    t.NX,
 		zeros: make([]float64, t.NX),
 	}

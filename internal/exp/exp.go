@@ -6,12 +6,12 @@
 // paper's numbers; thermo, orbit, and any future plant.Plant get the same
 // pipeline for free.
 //
-// Episodes are evaluated in parallel on a shared bounded worker pool; each
-// case replays the same initial state and disturbance trace against every
-// approach, so comparisons are paired. Per-case aggregation is streaming:
-// memory stays O(workers), not O(cases), and results are independent of
-// the worker count (cases are seeded individually and folded in index
-// order).
+// Episodes are evaluated in parallel across a bounded set of workers
+// (sched.FanOut); each case replays the same initial state and
+// disturbance trace against every approach, so comparisons are paired.
+// Every case is seeded individually and writes its own slot, and the
+// experiments fold the cases in index order, so results are independent
+// of the worker count; memory is O(cases), about 120 B per case.
 //
 // The harness is a client of the public pkg/oic facade — the same engines
 // (compiled safety sets, parametric LP, trained policy) that oicd serves
@@ -26,6 +26,7 @@ import (
 
 	"oic/internal/plant"
 	"oic/internal/rl"
+	"oic/internal/sched"
 	"oic/internal/stats"
 	"oic/pkg/oic"
 )
@@ -37,11 +38,7 @@ type Options struct {
 	Steps         int   // steps per episode (default: plant's EpisodeSteps)
 	Seed          int64 // RNG seed (default 1)
 	TrainEpisodes int   // DRL training episodes per scenario (default 500)
-	Workers       int   // parallel evaluation workers (default GOMAXPROCS; the shared pool caps effective process-wide concurrency at GOMAXPROCS)
-
-	// KeepPerCase retains the per-case savings slices on Fig4Result for
-	// CSV export; off by default so memory stays O(1) in Cases.
-	KeepPerCase bool
+	Workers       int   // parallel evaluation workers (default GOMAXPROCS)
 }
 
 func (o Options) withDefaults(p plant.Plant) Options {
@@ -123,49 +120,60 @@ func engineFor(p plant.Plant, scenarioID string, opt Options, policy string) (*o
 	})
 }
 
-// forEachCase evaluates opt.Cases paired episodes against eng on the
-// shared worker pool and folds each Case into visit in index order. With
-// withPolicy the engine's configured skipping policy (the trained DRL
-// agent in the pipeline) runs as the third arm; otherwise its Case fields
-// stay zero.
-func forEachCase(eng *oic.Engine, withPolicy bool, opt Options, visit func(i int, c *Case) error) error {
-	run := func(i int) (Case, error) {
-		x0, w, err := eng.DrawCase(caseSeed(opt.Seed, i), opt.Steps)
+// runCases evaluates opt.Cases paired episodes against eng across
+// opt.Workers goroutines and returns them in index order. With withPolicy
+// the engine's configured skipping policy (the trained DRL agent in the
+// pipeline) runs as the third arm; otherwise its Case fields stay zero.
+// On failure it returns the lowest-index case's error.
+func runCases(eng *oic.Engine, withPolicy bool, opt Options) ([]Case, error) {
+	n := max(opt.Cases, 0)
+	cases := make([]Case, n)
+	errs := make([]error, n)
+	sched.FanOut(n, opt.Workers, func(i int) { cases[i], errs[i] = runCase(eng, withPolicy, opt, i) })
+	for _, err := range errs {
 		if err != nil {
-			return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
+			return nil, err
 		}
-
-		var c Case
-		epRM, err := eng.RunEpisode(oic.PolicyAlwaysRun, x0, w)
-		if err != nil {
-			return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
-		}
-		epBB, err := eng.RunEpisode(oic.PolicyBangBang, x0, w)
-		if err != nil {
-			return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
-		}
-		c.CostRM, c.EnergyRM = epRM.Cost, epRM.Energy
-		c.CostBB, c.EnergyBB = epBB.Cost, epBB.Energy
-		c.SkipsBB = epBB.Skips
-		c.Violations = epRM.Violations + epBB.Violations
-		c.CtrlTimeRM = epRM.CtrlTime
-		c.CtrlCallsRM = epRM.ControllerCalls
-		if withPolicy {
-			epDR, err := eng.RunEpisode("", x0, w)
-			if err != nil {
-				return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
-			}
-			c.CostDRL, c.EnergyDRL = epDR.Cost, epDR.Energy
-			c.SkipsDRL = epDR.Skips
-			c.ForcedDRL = epDR.Forced
-			c.Violations += epDR.Violations
-			c.CtrlTimeDRL = epDR.CtrlTime
-			c.OverheadDRL = epDR.OverheadTime
-			c.CtrlCallsDRL = epDR.ControllerCalls
-		}
-		return c, nil
 	}
-	return forEachOrdered(opt.Cases, opt.Workers, run, visit)
+	return cases, nil
+}
+
+// runCase evaluates case i.
+func runCase(eng *oic.Engine, withPolicy bool, opt Options, i int) (Case, error) {
+	x0, w, err := eng.DrawCase(caseSeed(opt.Seed, i), opt.Steps)
+	if err != nil {
+		return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
+	}
+
+	var c Case
+	epRM, err := eng.RunEpisode(oic.PolicyAlwaysRun, x0, w)
+	if err != nil {
+		return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
+	}
+	epBB, err := eng.RunEpisode(oic.PolicyBangBang, x0, w)
+	if err != nil {
+		return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
+	}
+	c.CostRM, c.EnergyRM = epRM.Cost, epRM.Energy
+	c.CostBB, c.EnergyBB = epBB.Cost, epBB.Energy
+	c.SkipsBB = epBB.Skips
+	c.Violations = epRM.Violations + epBB.Violations
+	c.CtrlTimeRM = epRM.CtrlTime
+	c.CtrlCallsRM = epRM.ControllerCalls
+	if withPolicy {
+		epDR, err := eng.RunEpisode("", x0, w)
+		if err != nil {
+			return Case{}, fmt.Errorf("exp: case %d: %w", i, err)
+		}
+		c.CostDRL, c.EnergyDRL = epDR.Cost, epDR.Energy
+		c.SkipsDRL = epDR.Skips
+		c.ForcedDRL = epDR.Forced
+		c.Violations += epDR.Violations
+		c.CtrlTimeDRL = epDR.CtrlTime
+		c.OverheadDRL = epDR.OverheadTime
+		c.CtrlCallsDRL = epDR.ControllerCalls
+	}
+	return c, nil
 }
 
 // Fig4Result is the savings-distribution experiment (the paper's Figure 4
@@ -181,7 +189,7 @@ type Fig4Result struct {
 
 	BBHist     *stats.Histogram // savings histogram, 10 %-wide bins
 	DRLHist    *stats.Histogram
-	BBSavings  []float64 // per-case savings (%), only with Options.KeepPerCase
+	BBSavings  []float64 // per-case savings (%)
 	DRLSavings []float64
 	BBMean     float64 // paper (acc): 16.28 %
 	DRLMean    float64 // paper (acc): 23.83 %
@@ -193,7 +201,7 @@ type Fig4Result struct {
 }
 
 // Fig4 trains the DRL agent on the plant's headline scenario and evaluates
-// the three approaches on paired random cases, aggregating streamingly.
+// the three approaches on paired random cases.
 func Fig4(p plant.Plant, opt Options) (*Fig4Result, error) {
 	opt = opt.withDefaults(p)
 	sc := p.Headline()
@@ -217,12 +225,16 @@ func Fig4(p plant.Plant, opt Options) (*Fig4Result, error) {
 		DRLHist:   stats.NewHistogram(edges),
 		Train:     eng.TrainStats(),
 	}
-	err = forEachCase(eng, true, opt, func(_ int, c *Case) error {
+	cases, err := runCases(eng, true, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.BBSavings = make([]float64, len(cases))
+	res.DRLSavings = make([]float64, len(cases))
+	for i := range cases {
+		c := &cases[i]
 		sb, sd := c.SavingBB(), c.SavingDRL()
-		if opt.KeepPerCase {
-			res.BBSavings = append(res.BBSavings, sb)
-			res.DRLSavings = append(res.DRLSavings, sd)
-		}
+		res.BBSavings[i], res.DRLSavings[i] = sb, sd
 		res.Cases++
 		res.BBHist.Add(sb)
 		res.DRLHist.Add(sd)
@@ -232,10 +244,6 @@ func Fig4(p plant.Plant, opt Options) (*Fig4Result, error) {
 		res.DRLEnergy += c.EnergySavingDRL()
 		res.SkipsDRL += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
 		res.Violations += c.Violations
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	if n := float64(res.Cases); n > 0 {
 		res.BBMean /= n
@@ -275,21 +283,20 @@ func Sweep(p plant.Plant, ladder plant.Ladder, opt Options) (*SeriesResult, erro
 		if err != nil {
 			return nil, fmt.Errorf("exp: scenario %s: %w", sc.ID, err)
 		}
+		cases, err := runCases(eng, true, opt)
+		if err != nil {
+			return nil, fmt.Errorf("exp: scenario %s: %w", sc.ID, err)
+		}
 		pt := SeriesPoint{Scenario: sc}
-		n := 0
-		err = forEachCase(eng, true, opt, func(_ int, c *Case) error {
+		for i := range cases {
+			c := &cases[i]
 			pt.DRLSaving += c.SavingDRL()
 			pt.BBSaving += c.SavingBB()
 			pt.DRLEnergy += c.EnergySavingDRL()
 			pt.SkipsDRL += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
 			pt.Violations += c.Violations
-			n++
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: scenario %s: %w", sc.ID, err)
 		}
-		if n > 0 {
+		if n := len(cases); n > 0 {
 			pt.DRLSaving /= float64(n)
 			pt.BBSaving /= float64(n)
 			pt.DRLEnergy /= float64(n)
@@ -341,18 +348,19 @@ func Timing(p plant.Plant, opt Options) (*TimingResult, error) {
 		return nil, fmt.Errorf("exp: Timing(%s): %w", p.Name(), err)
 	}
 	res := &TimingResult{Plant: p.Name(), Opt: opt}
+	cases, err := runCases(eng, true, opt)
+	if err != nil {
+		return nil, err
+	}
 	var ctrlRM, overheadDRL time.Duration
 	var callsRM, steps, skips int
-	err = forEachCase(eng, true, opt, func(_ int, c *Case) error {
+	for i := range cases {
+		c := &cases[i]
 		ctrlRM += c.CtrlTimeRM
 		callsRM += c.CtrlCallsRM
 		overheadDRL += c.OverheadDRL
 		steps += opt.Steps
 		skips += c.SkipsDRL
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	if callsRM == 0 || steps == 0 {
 		return nil, fmt.Errorf("exp: Timing: no data")

@@ -16,7 +16,7 @@ import (
 // smallOpt keeps integration tests fast; full-scale runs live behind the
 // CLI and benchmarks.
 func smallOpt() Options {
-	return Options{Cases: 6, Steps: 40, Seed: 2, TrainEpisodes: 4, KeepPerCase: true}
+	return Options{Cases: 6, Steps: 40, Seed: 2, TrainEpisodes: 4}
 }
 
 func accPlant(t *testing.T) plant.Plant {
@@ -41,14 +41,7 @@ func headlineEngine(t *testing.T, p plant.Plant, policy string, opt Options) *oi
 
 func collectCases(t *testing.T, eng *oic.Engine, withPolicy bool, opt Options) []Case {
 	t.Helper()
-	var out []Case
-	err := forEachCase(eng, withPolicy, opt, func(i int, c *Case) error {
-		if i != len(out) {
-			t.Fatalf("visit out of order: got index %d, want %d", i, len(out))
-		}
-		out = append(out, *c)
-		return nil
-	})
+	out, err := runCases(eng, withPolicy, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,31 +127,6 @@ func TestFig4SmallScale(t *testing.T) {
 	csv := CSVFig4(r)
 	if strings.Count(csv, "\n") != 7 { // header + 6 rows
 		t.Errorf("csv rows:\n%s", csv)
-	}
-}
-
-// TestFig4StreamingMatchesKeepPerCase checks the O(1)-memory path computes
-// the exact same aggregates as the per-case-retaining path.
-func TestFig4StreamingMatchesKeepPerCase(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	p := accPlant(t)
-	kept, err := Fig4(p, smallOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	optStream := smallOpt()
-	optStream.KeepPerCase = false
-	stream, err := Fig4(p, optStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stream.BBSavings) != 0 || len(stream.DRLSavings) != 0 {
-		t.Errorf("streaming run retained %d/%d per-case savings", len(stream.BBSavings), len(stream.DRLSavings))
-	}
-	if stream.BBMean != kept.BBMean || stream.DRLMean != kept.DRLMean || stream.SkipsDRL != kept.SkipsDRL {
-		t.Errorf("streaming aggregates differ: %v/%v vs %v/%v", stream.BBMean, stream.DRLMean, kept.BBMean, kept.DRLMean)
 	}
 }
 

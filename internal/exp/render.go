@@ -103,8 +103,7 @@ func RenderTable1(rows []Table1Row) string {
 	return b.String()
 }
 
-// CSVFig4 renders per-case savings as CSV. It requires a result produced
-// with Options.KeepPerCase; otherwise only the header is emitted.
+// CSVFig4 renders per-case savings as CSV.
 func CSVFig4(r *Fig4Result) string {
 	var b strings.Builder
 	b.WriteString("case,bb_saving_pct,drl_saving_pct\n")

@@ -3,6 +3,7 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"oic/internal/frame"
 	"oic/internal/trace"
@@ -32,7 +33,9 @@ import (
 //	step:        str id, u16 nx, u16 nu, step
 //	close:       str id
 //	fleet-open:  str id, fingerprint, u32 budget, u32 workers,
-//	             u32 max sessions
+//	             u32 max sessions, u8 flags (1 trace, 2 degrade),
+//	             u64 tick deadline ns, u32 elastic min, u32 elastic max,
+//	             u64 target margin ns
 //	fleet-admit: str id, u32 member, u16 nx, f64×nx x0
 //	fleet-step:  str id, u32 member, u16 nx, u16 nu, step
 //	fleet-evict: str id, u32 member
@@ -49,6 +52,10 @@ const (
 	HeaderSize = 8
 	// frameOverhead is a record's framing cost: length, type, CRC.
 	frameOverhead = 4 + 1 + 4
+
+	// Fleet-open flag bits.
+	flagTrace   = 1
+	flagDegrade = 2
 )
 
 // AppendHeader appends a segment header to dst.
@@ -92,6 +99,18 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Budget))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Workers))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.MaxSessions))
+			var flags byte
+			if r.Traced {
+				flags |= flagTrace
+			}
+			if r.Degrade {
+				flags |= flagDegrade
+			}
+			dst = append(dst, flags)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(r.TickDeadline))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.ElasticMin))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.ElasticMax))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(r.TargetMargin))
 		}
 	case TypeStep, TypeFleetStep:
 		if r.Type == TypeFleetStep {
@@ -150,6 +169,15 @@ func DecodeRecord(b []byte) (*Record, int, error) {
 			rec.Budget = int(r.U32())
 			rec.Workers = int(r.U32())
 			rec.MaxSessions = int(r.U32())
+			flags := r.U8()
+			if flags&^(flagTrace|flagDegrade) != 0 {
+				return nil, 0, fmt.Errorf("journal: unknown fleet flags %#x", flags)
+			}
+			rec.Traced, rec.Degrade = flags&flagTrace != 0, flags&flagDegrade != 0
+			rec.TickDeadline = time.Duration(r.U64())
+			rec.ElasticMin = int(r.U32())
+			rec.ElasticMax = int(r.U32())
+			rec.TargetMargin = time.Duration(r.U64())
 		}
 	case TypeStep, TypeFleetStep:
 		if rec.Type == TypeFleetStep {

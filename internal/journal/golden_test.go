@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"oic/internal/trace"
 )
@@ -40,9 +41,11 @@ func goldenCases() map[string][]*Record {
 				W: []float64{0, 0}, U: []float64{0}, X: []float64{24.8, -1.15}}},
 			{Type: TypeClose, ID: "s-7"},
 		},
-		// One fleet's lifecycle, DRL fingerprint.
+		// One fleet's lifecycle, DRL fingerprint, every config field set.
 		"fleet": {
-			{Type: TypeFleetOpen, ID: "f-3", Meta: drl, NX: 1, NU: 1, Budget: 50, Workers: 2, MaxSessions: 100},
+			{Type: TypeFleetOpen, ID: "f-3", Meta: drl, NX: 1, NU: 1, Budget: 50, Workers: 2, MaxSessions: 100,
+				Traced: true, Degrade: true, TickDeadline: 50 * time.Millisecond,
+				ElasticMin: 10, ElasticMax: 80, TargetMargin: 10 * time.Millisecond},
 			{Type: TypeFleetAdmit, ID: "f-3", Member: 0, NX: 1, X0: []float64{21.5}},
 			{Type: TypeFleetStep, ID: "f-3", Member: 0, NX: 1, NU: 1, Step: trace.Step{Ran: true, Forced: true, Level: 2,
 				W: []float64{0.1}, U: []float64{-0.8}, X: []float64{21.3}}},

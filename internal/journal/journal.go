@@ -23,13 +23,14 @@ package journal
 
 import (
 	"fmt"
+	"time"
 
 	"oic/internal/trace"
 )
 
 // Version is the OICJ wire-format version. Readers accept exactly this
 // version; bumping it is a wire-format change.
-const Version = 1
+const Version = 2
 
 // Format limits. Dimension and string bounds mirror the trace format so
 // a journal can hold anything the trace recorder can; MaxPayload bounds
@@ -57,7 +58,8 @@ const (
 	// written on server shutdown, so live sessions survive restarts).
 	TypeClose Type = 3
 	// TypeFleetOpen opens a fleet: id, engine fingerprint, dims, and the
-	// scheduler shape (budget, workers, max sessions).
+	// fleet config (budget, workers, max sessions, trace and degrade
+	// flags, tick deadline, elastic bounds).
 	TypeFleetOpen Type = 4
 	// TypeFleetAdmit admits a member: fleet id, member index, x0.
 	TypeFleetAdmit Type = 5
@@ -117,6 +119,13 @@ type Record struct {
 
 	// Budget, Workers, MaxSessions are the scheduler shape (fleet-open).
 	Budget, Workers, MaxSessions int
+	// Traced, Degrade, TickDeadline and the elastic bounds ElasticMin,
+	// ElasticMax and TargetMargin are the rest of the fleet's config
+	// (fleet-open); ElasticMax 0 means a static budget.
+	Traced, Degrade        bool
+	TickDeadline           time.Duration
+	ElasticMin, ElasticMax int
+	TargetMargin           time.Duration
 
 	// Step is the executed step (step, fleet-step).
 	trace.Step
@@ -185,8 +194,15 @@ func (r *Record) Validate() error {
 		if err := checkMeta(); err != nil {
 			return err
 		}
-		if r.Budget < 0 || r.Workers < 0 || r.MaxSessions < 0 {
-			return fmt.Errorf("journal: negative fleet shape")
+		if r.Budget < 0 || r.Workers < 0 || r.MaxSessions < 0 || r.TickDeadline < 0 ||
+			r.ElasticMin < 0 || r.TargetMargin < 0 {
+			return fmt.Errorf("journal: negative fleet config")
+		}
+		if r.ElasticMax == 0 && (r.ElasticMin != 0 || r.TargetMargin != 0) {
+			return fmt.Errorf("journal: elastic bounds on a static fleet")
+		}
+		if r.ElasticMin > r.ElasticMax {
+			return fmt.Errorf("journal: elastic min %d > max %d", r.ElasticMin, r.ElasticMax)
 		}
 	case TypeFleetAdmit:
 		if r.NX < 1 || r.NX > MaxDim {

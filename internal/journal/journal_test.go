@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"oic/internal/fault"
+	"oic/internal/frame"
 	"oic/internal/trace"
 )
 
@@ -514,6 +515,10 @@ func TestValidateRejects(t *testing.T) {
 		{Type: TypeStep, ID: "s", NX: 2, NU: 1, Step: trace.Step{Level: 4, W: []float64{1, 2}, U: []float64{1}, X: []float64{1, 2}}},
 		{Type: TypeStep, ID: "s", NX: 2, NU: 1, Step: trace.Step{W: []float64{1}, U: []float64{1}, X: []float64{1, 2}}},
 		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, Budget: -1},
+		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, TickDeadline: -1},
+		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, ElasticMin: 2},
+		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, TargetMargin: time.Millisecond},
+		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, ElasticMin: 5, ElasticMax: 3},
 		{Type: TypeFleetAdmit, ID: "f", NX: 2, X0: []float64{1}},
 		{Type: Type(99), ID: "x"},
 	}
@@ -524,6 +529,31 @@ func TestValidateRejects(t *testing.T) {
 		if _, err := AppendRecord(nil, r); err == nil {
 			t.Errorf("case %d (%s): invalid record encoded", i, r.Type)
 		}
+	}
+}
+
+// TestDecodeRejectsUnknownFleetFlags: a fleet-open flags byte with a bit
+// beyond trace and degrade would decode to the same record as without
+// it, so it must be rejected to keep one encoding per record.
+func TestDecodeRejectsUnknownFleetFlags(t *testing.T) {
+	b, err := AppendRecord(nil, &Record{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"},
+		NX: 2, NU: 1, Traced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeRecord(b); err != nil {
+		t.Fatalf("valid fleet-open rejected: %v", err)
+	}
+	// The flags byte sits before the u64 deadline, the two u32 elastic
+	// bounds, the u64 target margin and the CRC.
+	at := len(b) - 4 - 8 - 4 - 4 - 8 - 1
+	if b[at] != flagTrace {
+		t.Fatalf("flags byte %#x at %d, want %#x", b[at], at, flagTrace)
+	}
+	b[at] |= 4
+	b = frame.Seal(b[:len(b)-4], 0)
+	if _, _, err := DecodeRecord(b); err == nil {
+		t.Fatal("fleet-open with an unknown flag bit accepted")
 	}
 }
 

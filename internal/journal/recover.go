@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"oic/internal/trace"
 )
@@ -33,16 +34,22 @@ type MemberState struct {
 	Evicted bool
 }
 
-// FleetState is one fleet reconstructed from the journal.
+// FleetState is one fleet reconstructed from the journal: the config
+// its open record carries (the fields of Record of the same names), its
+// members and whether it was closed.
 type FleetState struct {
-	ID          string
-	Meta        trace.Meta
-	NX, NU      int
-	Budget      int
-	Workers     int
-	MaxSessions int
-	Members     []*MemberState // admission order
-	Closed      bool
+	ID                     string
+	Meta                   trace.Meta
+	NX, NU                 int
+	Budget                 int
+	Workers                int
+	MaxSessions            int
+	Traced, Degrade        bool
+	TickDeadline           time.Duration
+	ElasticMin, ElasticMax int
+	TargetMargin           time.Duration
+	Members                []*MemberState // admission order
+	Closed                 bool
 
 	byMember map[uint32]*MemberState
 }
@@ -169,6 +176,8 @@ func (rv *Recovery) apply(r *Record, sessions map[string]*SessionState, fleets m
 		f := &FleetState{
 			ID: r.ID, Meta: r.Meta, NX: r.NX, NU: r.NU,
 			Budget: r.Budget, Workers: r.Workers, MaxSessions: r.MaxSessions,
+			Traced: r.Traced, Degrade: r.Degrade, TickDeadline: r.TickDeadline,
+			ElasticMin: r.ElasticMin, ElasticMax: r.ElasticMax, TargetMargin: r.TargetMargin,
 			byMember: map[uint32]*MemberState{},
 		}
 		fleets[r.ID] = f

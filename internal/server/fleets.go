@@ -114,26 +114,6 @@ func validateFleetCreate(req *oic.CreateFleetRequest) error {
 	return nil
 }
 
-// defaultElastic derives the -elastic default bounds for a fleet that
-// opted into a tick deadline and a finite budget but no explicit elastic
-// config: the controller may shed down to a quarter of — or grow to 4× —
-// the requested budget, regulating to the NewFleet default target margin
-// (TickDeadline/5).
-func defaultElastic(req *oic.CreateFleetRequest) *oic.ElasticConfig {
-	if req.TickDeadline <= 0 || req.ComputeBudget <= 0 {
-		return nil
-	}
-	min := req.ComputeBudget / 4
-	if min < 1 {
-		min = 1
-	}
-	max := req.ComputeBudget * 4
-	if max > maxFleetSessions {
-		max = maxFleetSessions
-	}
-	return &oic.ElasticConfig{MinBudget: min, MaxBudget: max}
-}
-
 func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 	if s.recovering.Load() {
 		s.fail(w, errRecovering)
@@ -175,17 +155,13 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	elastic := req.Elastic
-	if elastic == nil && s.cfg.ElasticDefaults {
-		elastic = defaultElastic(&req)
-	}
 	fleet, err := eng.NewFleet(oic.FleetConfig{
 		ComputeBudget: req.ComputeBudget,
 		Workers:       req.Workers,
 		MaxSessions:   req.MaxSessions,
 		Degrade:       req.Degrade,
 		TickDeadline:  req.TickDeadline,
-		Elastic:       elastic,
+		Elastic:       req.Elastic,
 		Trace:         req.Trace,
 		TraceLimit:    s.cfg.TraceLimit,
 	})

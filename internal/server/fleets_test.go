@@ -280,40 +280,6 @@ func TestFleetElasticOverHTTP(t *testing.T) {
 	}
 }
 
-func TestFleetElasticDefaults(t *testing.T) {
-	_, c := newTestServer(t, Config{ElasticDefaults: true})
-
-	// Deadline + finite budget, no explicit elastic → server defaults in.
-	var fi oic.FleetInfo
-	if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{
-		Plant: "acc", ComputeBudget: 8, Size: 4, Seed: 1, TickDeadline: time.Second,
-	}, &fi); st != http.StatusCreated {
-		t.Fatalf("create: status %d", st)
-	}
-	var tr oic.FleetTickResponse
-	if st := c.do("POST", "/v1/fleets/"+fi.ID+"/tick", oic.FleetTickRequest{Ticks: 1}, &tr); st != http.StatusOK {
-		t.Fatalf("tick: status %d", st)
-	}
-	if tr.Reports[0].NextBudget == 0 {
-		t.Fatalf("-elastic default did not engage the controller: %+v", tr.Reports[0])
-	}
-
-	// No deadline → stays static even under -elastic.
-	var fi2 oic.FleetInfo
-	if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{
-		Plant: "acc", ComputeBudget: 8, Size: 4, Seed: 1,
-	}, &fi2); st != http.StatusCreated {
-		t.Fatalf("create static: status %d", st)
-	}
-	var tr2 oic.FleetTickResponse
-	if st := c.do("POST", "/v1/fleets/"+fi2.ID+"/tick", oic.FleetTickRequest{Ticks: 1}, &tr2); st != http.StatusOK {
-		t.Fatalf("tick static: status %d", st)
-	}
-	if tr2.Reports[0].NextBudget != 0 {
-		t.Fatalf("deadline-less fleet became elastic: %+v", tr2.Reports[0])
-	}
-}
-
 func TestFleetMetricsExposition(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	var fi oic.FleetInfo

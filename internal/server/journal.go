@@ -157,10 +157,15 @@ func (s *Server) journalOpenFleet(id string, eng *oic.Engine, f *oic.Fleet, x0s 
 	}
 	cfg := f.Config()
 	nx, nu := eng.NX(), eng.NU()
-	s.journalAppend(&journal.Record{
+	rec := &journal.Record{
 		Type: journal.TypeFleetOpen, ID: id, Meta: eng.TraceMeta(), NX: nx, NU: nu,
 		Budget: cfg.ComputeBudget, Workers: cfg.Workers, MaxSessions: cfg.MaxSessions,
-	})
+		Traced: cfg.Trace, Degrade: cfg.Degrade, TickDeadline: cfg.TickDeadline,
+	}
+	if el := cfg.Elastic; el != nil {
+		rec.ElasticMin, rec.ElasticMax, rec.TargetMargin = el.MinBudget, el.MaxBudget, el.TargetMargin
+	}
+	s.journalAppend(rec)
 	for i, x0 := range x0s {
 		s.journalAppend(&journal.Record{
 			Type: journal.TypeFleetAdmit, ID: id, Member: uint32(i), NX: nx, X0: x0,
@@ -364,22 +369,31 @@ func (s *Server) resumeSession(st *journal.SessionState) bool {
 	return true
 }
 
-// resumeFleet rebuilds one journaled fleet: same scheduler shape, every
-// live member replayed to head under its old ID, evicted IDs reserved.
+// resumeFleet rebuilds one journaled fleet: the config it was created
+// with (the trace limit is this server's), the server's fault injector,
+// every live member replayed to head under its old ID, evicted IDs
+// reserved. An elastic fleet's controller restarts from the configured
+// budget: its state is not journaled.
 func (s *Server) resumeFleet(fs *journal.FleetState, rep *RecoveryReport) {
 	eng, err := s.engine(oic.ConfigFromMeta(fs.Meta))
 	if err != nil {
 		rep.Failed++
 		return
 	}
-	f, err := eng.NewFleet(oic.FleetConfig{
+	cfg := oic.FleetConfig{
 		ComputeBudget: fs.Budget, Workers: fs.Workers, MaxSessions: fs.MaxSessions,
-		Trace: true, TraceLimit: s.cfg.TraceLimit,
-	})
+		Trace: fs.Traced, TraceLimit: s.cfg.TraceLimit,
+		Degrade: fs.Degrade, TickDeadline: fs.TickDeadline,
+	}
+	if fs.ElasticMax > 0 {
+		cfg.Elastic = &oic.ElasticConfig{MinBudget: fs.ElasticMin, MaxBudget: fs.ElasticMax, TargetMargin: fs.TargetMargin}
+	}
+	f, err := eng.NewFleet(cfg)
 	if err != nil {
 		rep.Failed++
 		return
 	}
+	f.SetFaults(s.faults)
 	next := 0
 	for _, m := range fs.Members {
 		if int(m.Member)+1 > next {

@@ -8,9 +8,11 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
+	"oic/internal/fault"
 	"oic/internal/journal"
 	"oic/internal/mat"
 	"oic/pkg/oic"
@@ -323,6 +325,89 @@ func TestJournalRecoveryFleet(t *testing.T) {
 		if rep.Violations != 0 || len(rep.Errors) != 0 {
 			t.Fatalf("post-recovery tick report %+v", rep)
 		}
+	}
+	srvB.Close()
+}
+
+// TestJournalRecoveryFleetConfig: a recovered fleet comes back with the
+// config it was created with. An untraced fleet's member trace stays 409
+// not_tracing; a fleet with trace, degrade, a tick deadline and elastic
+// bounds keeps its member's whole episode and its Config, the trace limit
+// aside, which is the recovering server's; and the server's fault
+// injector reaches a recovered fleet as it reaches a created one.
+func TestJournalRecoveryFleetConfig(t *testing.T) {
+	dir := t.TempDir()
+	srvA, cA := journalServer(t, dir, Config{}, journal.SyncEveryTick)
+	var plain, full oic.FleetInfo
+	for _, c := range []struct {
+		req  oic.CreateFleetRequest
+		info *oic.FleetInfo
+	}{
+		{oic.CreateFleetRequest{Plant: "acc", Policy: oic.PolicyAlwaysRun, ComputeBudget: 2, Size: 3, Seed: 11}, &plain},
+		{oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2, Size: 3, Seed: 12,
+			Trace: true, Degrade: true, TickDeadline: 10 * time.Second,
+			Elastic: &oic.ElasticConfig{MaxBudget: 4}}, &full},
+	} {
+		if st := cA.do("POST", "/v1/fleets", c.req, c.info); st != http.StatusCreated {
+			t.Fatalf("fleet create: status %d", st)
+		}
+		if st := cA.do("POST", "/v1/fleets/"+c.info.ID+"/tick", oic.FleetTickRequest{Ticks: 4}, nil); st != http.StatusOK {
+			t.Fatalf("tick: status %d", st)
+		}
+	}
+	configOf := func(srv *Server, id string) oic.FleetConfig {
+		fe, ok := srv.lookupFleet(id)
+		if !ok {
+			t.Fatalf("fleet %s missing", id)
+		}
+		return fe.f.Config()
+	}
+	notTracing := func(c *client, id string) {
+		var e oic.ErrorResponse
+		if st := c.do("GET", "/v1/fleets/"+id+"/sessions/1/trace", nil, &e); st != http.StatusConflict || e.Code != "not_tracing" {
+			t.Fatalf("untraced member trace: status %d code %q, want 409 not_tracing", st, e.Code)
+		}
+	}
+	notTracing(cA, plain.ID)
+	episode := cA.raw("GET", "/v1/fleets/"+full.ID+"/sessions/1/trace?format=binary")
+	want := map[string]oic.FleetConfig{plain.ID: configOf(srvA, plain.ID), full.ID: configOf(srvA, full.ID)}
+	srvA.Close() // crash: no close records
+
+	const limit = 1000
+	srvB, cB := journalServer(t, dir, Config{TraceLimit: limit}, journal.SyncEveryTick)
+	inj := fault.New(1)
+	srvB.SetFaults(inj)
+	run, err := srvB.BeginJournalRecovery(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := run(); err != nil || rep.Fleets != 2 || rep.Failed != 0 {
+		t.Fatalf("recovery: %+v, %v", rep, err)
+	}
+	notTracing(cB, plain.ID)
+	if got := cB.raw("GET", "/v1/fleets/"+full.ID+"/sessions/1/trace?format=binary"); !bytes.Equal(got, episode) {
+		t.Fatalf("recovered member episode (%d bytes) differs from the pre-crash one (%d bytes)", len(got), len(episode))
+	}
+	for id, w := range want {
+		got := configOf(srvB, id)
+		if got.TraceLimit != limit {
+			t.Errorf("fleet %s: trace limit %d, want the server's %d", id, got.TraceLimit, limit)
+		}
+		got.TraceLimit = w.TraceLimit
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("fleet %s: recovered config %+v (elastic %+v), want %+v (elastic %+v)", id, got, got.Elastic, w, w.Elastic)
+		}
+	}
+
+	// The first compute dispatched on the next tick fails; it is optional,
+	// so the scheduler sheds it into a safe skip.
+	inj.FailFirst(fault.SiteSchedCompute, 1)
+	var ticks oic.FleetTickResponse
+	if st := cB.do("POST", "/v1/fleets/"+plain.ID+"/tick", oic.FleetTickRequest{}, &ticks); st != http.StatusOK {
+		t.Fatalf("post-recovery tick: status %d", st)
+	}
+	if r := ticks.Reports[0]; r.Degraded != 1 || len(r.Errors) != 0 {
+		t.Fatalf("post-recovery tick under an injected compute fault: degraded %d, errors %v; want 1 degraded", r.Degraded, r.Errors)
 	}
 	srvB.Close()
 }

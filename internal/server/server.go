@@ -62,12 +62,6 @@ type Config struct {
 	// it, steps fail with 409 trace_limit instead of growing server memory
 	// without bound. ≤ 0 means the default (maxTraceSteps, 100k).
 	TraceLimit int
-	// ElasticDefaults (the oicd -elastic flag) opts every fleet created
-	// with a tick deadline and a finite compute budget — but no explicit
-	// elastic config — into the elastic-budget controller with derived
-	// bounds: [budget/4, budget×4] regulating to TickDeadline/5. An
-	// explicit CreateFleetRequest.Elastic always wins.
-	ElasticDefaults bool
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
 	// Logger receives structured request/operation logs; nil discards.

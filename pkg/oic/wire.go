@@ -115,19 +115,16 @@ type CreateFleetRequest struct {
 
 	// Degrade and TickDeadline map to the FleetConfig fields of the same
 	// names: graceful degradation of optional κ failures into certified
-	// skips, and a per-tick wall-time bound. Runtime knobs — neither is
-	// journaled, so re-request them when recreating a fleet after
-	// recovery.
+	// skips, and a per-tick wall-time bound. Journaled with the fleet, so
+	// journal recovery re-creates the fleet with them.
 	Degrade      bool          `json:"degrade,omitempty"`
 	TickDeadline time.Duration `json:"tick_deadline_ns,omitempty"`
 
 	// Elastic maps to FleetConfig.Elastic: the deadline-margin budget
-	// controller. Requires tick_deadline_ns > 0. Like Degrade/TickDeadline
-	// it is a runtime knob, not journaled — a fleet recreated by journal
-	// recovery comes back static (replay re-executes recorded choices, so
-	// no budget history is needed) and must be re-requested elastic. A
-	// server started with -elastic applies default bounds to any
-	// deadline-bearing, budget-bearing fleet that omits this field.
+	// controller. Requires tick_deadline_ns > 0. The bounds are journaled,
+	// so a recovered fleet stays elastic; the controller's state is not,
+	// and it restarts from compute_budget (replay re-executes recorded
+	// choices, so no budget history is needed).
 	Elastic *ElasticConfig `json:"elastic,omitempty"`
 
 	// Trace records every member's episode (FleetConfig.Trace, capped at
@@ -135,9 +132,8 @@ type CreateFleetRequest struct {
 	// GET /v1/fleets/{id}/sessions/{mid}/trace — the export side of
 	// fleet-member migration, whose import side is
 	// POST /v1/fleets/{id}/sessions/resume. oicd-router forwards it as
-	// sent, so a fleet records only when asked, routed or not. Like
-	// Elastic it is not journaled: journal recovery re-creates every
-	// fleet recording.
+	// sent, and it is journaled, so a fleet records only when asked:
+	// routed or not, and before or after a restart.
 	Trace bool `json:"trace,omitempty"`
 }
 
