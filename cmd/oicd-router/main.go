@@ -4,7 +4,10 @@
 // their canonical config fingerprints, and keeps every session movable —
 // live migration drains a session through freeze → trace export →
 // replay-to-head with bit-exact verification, and node death triggers
-// automatic failover from the router's shadow episodes.
+// automatic failover from the router's shadow episodes. Every object
+// keeps the ID its shard minted; the router forwards paths and bodies
+// verbatim and, after a restart, learns each object from the shards the
+// first time a request names it.
 //
 // The membership file is static JSON:
 //
@@ -14,7 +17,7 @@
 // Cluster operations (also exposed as `oic cluster ...`):
 //
 //	GET  /v1/cluster          status: health, load, ownership per node
-//	POST /v1/cluster/migrate  {"session": "c-1", "target": "b"}
+//	POST /v1/cluster/migrate  {"session": "s-6096a2908535316d-1", "target": "b"}
 //	POST /v1/cluster/drain    {"node": "a"}
 //	GET  /v1/debug/ops        recent migration/failover spans, per phase
 //

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,10 +36,16 @@ import (
 // steps complete all 200 episodes with zero safety violations — each
 // trace byte-identical to the same episode run uninterrupted on the
 // library path.
+//
+// Part 3 — router restart: the router is SIGKILLed and a new one started
+// on the same address. It holds no ownership table, yet every one of the
+// 200 sessions answers through it with its byte-identical trace, and a
+// new create gets an ID none of them had.
 func TestClusterMigrateFailoverSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess cluster test; skipped in -short")
 	}
+	openBuildInputs(t, "../oicd", ".")
 	tmp := t.TempDir()
 	binNode := filepath.Join(tmp, "oicd")
 	binRouter := filepath.Join(tmp, "oicd-router")
@@ -84,18 +91,22 @@ func TestClusterMigrateFailoverSmoke(t *testing.T) {
 	}
 
 	routerAddr := freeAddr(t)
-	router := exec.Command(binRouter, "-addr", routerAddr, "-cluster", memFile,
-		"-probe-interval", "50ms", "-death-threshold", "2")
-	router.Stderr = os.Stderr
-	if err := router.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if router.ProcessState == nil {
-			_ = router.Process.Kill()
-			_ = router.Wait()
+	startRouter := func() *exec.Cmd {
+		router := exec.Command(binRouter, "-addr", routerAddr, "-cluster", memFile,
+			"-probe-interval", "50ms", "-death-threshold", "2")
+		router.Stderr = os.Stderr
+		if err := router.Start(); err != nil {
+			t.Fatal(err)
 		}
-	})
+		t.Cleanup(func() {
+			if router.ProcessState == nil {
+				_ = router.Process.Kill()
+				_ = router.Wait()
+			}
+		})
+		return router
+	}
+	router := startRouter()
 	base := "http://" + routerAddr
 	waitReady(t, base, 30*time.Second)
 
@@ -157,10 +168,11 @@ func TestClusterMigrateFailoverSmoke(t *testing.T) {
 		{Plant: "orbit", Policy: oic.PolicyAlwaysRun},
 	}
 	type episode struct {
-		id  string
-		cfg int
-		x0  []float64
-		ws  [][]float64
+		id   string
+		cfg  int
+		x0   []float64
+		ws   [][]float64
+		want []byte // the uninterrupted library trace
 	}
 	engines := make([]*oic.Engine, len(cfgs))
 	for s, cfg := range cfgs {
@@ -240,10 +252,10 @@ func TestClusterMigrateFailoverSmoke(t *testing.T) {
 			t.Fatalf("session %s after failover: %+v, want t=%d and 0 violations", ep.id, si, fleetSteps)
 		}
 		got := doRaw(t, base, "/v1/sessions/"+ep.id+"/trace?format=binary")
-		want := libraryTrace(t, engines[ep.cfg], ep.x0, ep.ws)
-		if !bytes.Equal(got, want) {
+		ep.want = libraryTrace(t, engines[ep.cfg], ep.x0, ep.ws)
+		if !bytes.Equal(got, ep.want) {
 			t.Fatalf("session %s trace differs from uninterrupted reference (%d vs %d bytes)",
-				ep.id, len(got), len(want))
+				ep.id, len(got), len(ep.want))
 		}
 	}
 
@@ -263,6 +275,54 @@ func TestClusterMigrateFailoverSmoke(t *testing.T) {
 	}
 	if cs.Lost != 0 {
 		t.Fatalf("failover lost %d session(s)", cs.Lost)
+	}
+
+	// --- Part 3: SIGKILL the router and start a new one on the same
+	// address. It learns every session from the survivor on first touch.
+	_ = router.Process.Kill()
+	_ = router.Wait()
+	startRouter()
+	waitReady(t, base, 30*time.Second)
+	issued := map[string]bool{info.ID: true}
+	for _, ep := range eps {
+		issued[ep.id] = true
+		var si oic.SessionInfo
+		doJSON(t, base, "GET", "/v1/sessions/"+ep.id, nil, &si)
+		if si.ID != ep.id || si.T != fleetSteps {
+			t.Fatalf("session %s through the restarted router: %+v", ep.id, si)
+		}
+		if got := doRaw(t, base, "/v1/sessions/"+ep.id+"/trace?format=binary"); !bytes.Equal(got, ep.want) {
+			t.Fatalf("session %s trace through the restarted router differs from the reference", ep.id)
+		}
+	}
+	var fresh oic.SessionInfo
+	doJSON(t, base, "POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc"}, &fresh)
+	if issued[fresh.ID] {
+		t.Fatalf("the restarted router handed out %s again", fresh.ID)
+	}
+}
+
+// openBuildInputs opens every module package directory the named
+// packages compile from. go test keys a cached pass on the files and
+// directories a test opens (a directory by each entry's name, size and
+// modification time), and the builds this test runs happen in
+// subprocesses it cannot see, from packages its own binary does not
+// import; without this, an edit to oicd's sources could leave a stale
+// cached pass.
+func openBuildInputs(t *testing.T, pkgs ...string) {
+	t.Helper()
+	list := exec.Command("go", append([]string{"list", "-deps", "-f",
+		"{{if and .Module .Module.Main}}{{.Dir}}{{end}}"}, pkgs...)...)
+	out, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, dir := range strings.Fields(string(out)) {
+		f, err := os.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 	}
 }
 

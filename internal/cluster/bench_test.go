@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -93,5 +94,67 @@ func BenchmarkRouterStepSingle(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
+	}
+}
+
+// BenchmarkRouterLookup measures what a session GET costs through a
+// router whose table holds the session (hit) and through a fresh router
+// that must learn it (miss): ask every shard at once, then pull the
+// owner's binary trace to rebuild the placement key and shadow. Three
+// shards hold 64 sessions of `steps` recorded steps each; ns/op is per
+// GET, and a miss op restarts the router every 64 GETs so every GET of
+// the miss case learns.
+func BenchmarkRouterLookup(b *testing.B) {
+	for _, steps := range []int{100, 1000} {
+		rt, _ := testCluster(b, 3, server.Config{}, Config{})
+		c := &rc{t: b, h: rt.Handler()}
+		ws := make([][]float64, steps)
+		for i := range ws {
+			ws[i] = []float64{0, 0}
+		}
+		ids := make([]string, 64)
+		for i := range ids {
+			var info oic.SessionInfo
+			if st := c.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Policy: oic.PolicyBangBang, Seed: int64(i)}, &info); st != http.StatusCreated {
+				b.Fatalf("create: status %d", st)
+			}
+			if st := c.do("POST", "/v1/sessions/"+info.ID+"/step", oic.StepRequest{WS: ws}, nil); st != http.StatusOK {
+				b.Fatalf("step: status %d", st)
+			}
+			ids[i] = info.ID
+		}
+		mem := &Membership{}
+		for _, n := range rt.nodes {
+			mem.Nodes = append(mem.Nodes, n.Node)
+		}
+		get := func(b *testing.B, h http.Handler, id string) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/sessions/"+id, nil))
+			if w.Code != http.StatusOK {
+				b.Fatalf("GET %s: status %d", id, w.Code)
+			}
+		}
+		b.Run(fmt.Sprintf("hit/steps=%d", steps), func(b *testing.B) {
+			h := rt.Handler()
+			for i := 0; i < b.N; i++ {
+				get(b, h, ids[i%len(ids)])
+			}
+		})
+		b.Run(fmt.Sprintf("miss/steps=%d", steps), func(b *testing.B) {
+			var h http.Handler
+			for i := 0; i < b.N; i++ {
+				if i%len(ids) == 0 {
+					b.StopTimer()
+					fresh, err := New(mem, Config{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					fresh.ProbeOnce(b.Context())
+					h = fresh.Handler()
+					b.StartTimer()
+				}
+				get(b, h, ids[i%len(ids)])
+			}
+		})
 	}
 }

@@ -86,7 +86,7 @@ var (
 	ErrShardDown = errors.New("cluster: shard down")
 	// ErrUnknownNode: a named node is not in the membership.
 	ErrUnknownNode = errors.New("cluster: unknown node")
-	// ErrNotFound: the router owns no session/fleet under the given ID.
+	// ErrNotFound: no live shard holds a session/fleet under the given ID.
 	ErrNotFound = errors.New("cluster: not found")
 	// ErrNoShadow: the router holds no (or an overflowed) shadow episode
 	// for the session, so it cannot fail over without the source node.
@@ -111,7 +111,8 @@ type NodeStatus struct {
 	Pressure       float64 `json:"pressure"`        // max oicd_fleet_pressure (forced computes / budget)
 	ReclaimedRatio float64 `json:"reclaimed_ratio"` // mean oicd_fleet_reclaimed_ratio
 
-	// Ownership counts from the router's table.
+	// Ownership counts from the router's table, which holds the objects
+	// created or named in a request since the router started.
 	OwnedSessions int `json:"owned_sessions"`
 	OwnedFleets   int `json:"owned_fleets"`
 }
@@ -119,8 +120,8 @@ type NodeStatus struct {
 // ClusterStatus is the GET /v1/cluster payload.
 type ClusterStatus struct {
 	Nodes    []NodeStatus `json:"nodes"`
-	Sessions int          `json:"sessions"`       // router-owned sessions
-	Fleets   int          `json:"fleets"`         // router-owned fleets
+	Sessions int          `json:"sessions"`       // sessions in the router's table
+	Fleets   int          `json:"fleets"`         // fleets in the router's table
 	Lost     int          `json:"lost,omitempty"` // sessions lost (no shadow at failover)
 }
 

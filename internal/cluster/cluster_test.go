@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"oic/internal/journal"
 	"oic/internal/server"
 	"oic/pkg/oic"
 
@@ -74,6 +76,17 @@ func (c *rc) do(method, path string, body, out any) int {
 		}
 	}
 	return w.Code
+}
+
+// shardStatus is the status of a GET sent straight to one node.
+func shardStatus(t testing.TB, n *testNode, path string) int {
+	t.Helper()
+	resp, err := http.Get(n.ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func (c *rc) raw(method, path string) (int, []byte) {
@@ -142,8 +155,8 @@ func TestMigrationByteIdentical(t *testing.T) {
 	if st := c.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", X0: x0}, &info); st != http.StatusCreated {
 		t.Fatalf("create: status %d", st)
 	}
-	if !strings.HasPrefix(info.ID, "c-") {
-		t.Fatalf("router session ID %q, want c- prefix", info.ID)
+	if !strings.HasPrefix(info.ID, "s-") {
+		t.Fatalf("router session ID %q, want the shard's s- ID", info.ID)
 	}
 	for i := 0; i < half; i++ {
 		var res oic.StepResult
@@ -153,7 +166,7 @@ func TestMigrationByteIdentical(t *testing.T) {
 	}
 
 	// Live-migrate to the node that does not own it.
-	e, ok := rt.session(info.ID)
+	e, ok := rt.session(t.Context(), info.ID)
 	if !ok {
 		t.Fatal("router lost the session entry")
 	}
@@ -186,11 +199,21 @@ func TestMigrationByteIdentical(t *testing.T) {
 	}
 
 	var got oic.SessionInfo
-	if st := c.do("GET", "/v1/sessions/"+info.ID, nil, &got); st != http.StatusOK || got.T != 2*half {
+	if st := c.do("GET", "/v1/sessions/"+info.ID, nil, &got); st != http.StatusOK || got.T != 2*half || got.ID != info.ID {
 		t.Fatalf("info after migrate: status %d, %+v", st, got)
 	}
 	if got.Violations != 0 {
 		t.Fatalf("safety violations after migration: %d", got.Violations)
+	}
+	// The landing kept the ID, and the source copy is gone.
+	for _, n := range nodes {
+		want := http.StatusNotFound
+		if n.name == target {
+			want = http.StatusOK
+		}
+		if st := shardStatus(t, n, "/v1/sessions/"+info.ID); st != want {
+			t.Fatalf("GET %s on node %s: status %d, want %d", info.ID, n.name, st, want)
+		}
 	}
 
 	st, bin := c.raw("GET", "/v1/sessions/"+info.ID+"/trace?format=binary")
@@ -257,7 +280,7 @@ func TestMigrateMidSkipChain(t *testing.T) {
 		t.Fatalf("steps to cut: status %d", st)
 	}
 
-	e, _ := rt.session(info.ID)
+	e, _ := rt.session(t.Context(), info.ID)
 	from := e.nodeName()
 	var target string
 	for _, n := range nodes {
@@ -300,7 +323,7 @@ func TestMigrateAtTraceLimit(t *testing.T) {
 		t.Fatalf("steps to limit: status %d", st)
 	}
 
-	e, _ := rt.session(info.ID)
+	e, _ := rt.session(t.Context(), info.ID)
 	from := e.nodeName()
 	var target string
 	for _, n := range nodes {
@@ -364,8 +387,7 @@ func TestRoutedFleetTracesOnRequest(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("traced routed fleet: status %d body %s", st, viaRouter)
 	}
-	f, _ := rt.fleet(traced)
-	resp, err := http.Get(nodes[0].ts.URL + "/v1/fleets/" + f.localID + "/sessions/1/trace?format=binary")
+	resp, err := http.Get(nodes[0].ts.URL + "/v1/fleets/" + traced + "/sessions/1/trace?format=binary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,9 +412,10 @@ func TestRoutedFleetTracesOnRequest(t *testing.T) {
 // through a one-node router and, in lockstep, sends the same request
 // straight to the shard for a twin created there from the same body. The
 // routed answer must equal the twin's: the same status, the same decoded
-// JSON with only "id" mapped to the public ID (wall times aside), the same
-// bytes for a binary trace, and the same error code with the shard named
-// in "node". Every route answers 404 not_found for an unknown public ID.
+// JSON with only "id" set aside (the routed object's ID in place of the
+// twin's; wall times aside), the same bytes for a binary trace, and the
+// same error code with the shard named in "node". Every route answers 404
+// not_found for an ID no shard holds.
 func TestForwardRouteTable(t *testing.T) {
 	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
 	h := rt.Handler()
@@ -433,7 +456,7 @@ func TestForwardRouteTable(t *testing.T) {
 		return string(b)
 	}
 	// create opens the routed object and its twin on the shard, and
-	// returns the public ID and the twin's local one.
+	// returns both IDs.
 	create := func(path string, routed, twin any) (string, string) {
 		var r, d struct{ ID string }
 		for _, c := range []struct {
@@ -492,11 +515,11 @@ func TestForwardRouteTable(t *testing.T) {
 		{"DELETE", "/v1/fleets/{f}", ""},
 	} {
 		name := rc.method + " " + rc.path
-		pub, local := sess, sessTwin
+		routed, twin := sess, sessTwin
 		if strings.Contains(rc.path, "{f}") {
-			pub, local = fleet, fleetTwin
+			routed, twin = fleet, fleetTwin
 		}
-		unknown := viaRouter(rc.method, strings.NewReplacer("{s}", "c-99", "{f}", "cf-99").Replace(rc.path), rc.body)
+		unknown := viaRouter(rc.method, strings.NewReplacer("{s}", "s-99", "{f}", "f-99").Replace(rc.path), rc.body)
 		var er oic.ErrorResponse
 		if unknown.status != http.StatusNotFound || json.Unmarshal(unknown.body, &er) != nil || er.Code != "not_found" {
 			t.Errorf("%s, unknown ID: status %d body %s, want 404 not_found", name, unknown.status, unknown.body)
@@ -528,10 +551,10 @@ func TestForwardRouteTable(t *testing.T) {
 				t.Fatalf("%s: shard body %s: %v", name, want.body, err)
 			}
 			if id, ok := w["id"].(string); ok {
-				if !strings.HasPrefix(id, local) {
-					t.Fatalf("%s: shard id %q, want prefix %q", name, id, local)
+				if !strings.HasPrefix(id, twin) {
+					t.Fatalf("%s: shard id %q, want prefix %q", name, id, twin)
 				}
-				w["id"] = pub + strings.TrimPrefix(id, local)
+				w["id"] = routed + strings.TrimPrefix(id, twin)
 			}
 			untimed(g)
 			untimed(w)
@@ -545,9 +568,10 @@ func TestForwardRouteTable(t *testing.T) {
 	}
 
 	// A lost session answers 410 session_lost on every route, and its
-	// DELETE still drops the ownership row.
+	// DELETE still drops the ownership row. (The shard still holds it, so
+	// a later lookup would learn it again.)
 	lost, _ := create("/v1/sessions", oic.CreateSessionRequest{Plant: "acc"}, oic.CreateSessionRequest{Plant: "acc"})
-	e, _ := rt.session(lost)
+	e, _ := rt.session(t.Context(), lost)
 	e.mu.Lock()
 	e.lost = true
 	e.mu.Unlock()
@@ -563,7 +587,10 @@ func TestForwardRouteTable(t *testing.T) {
 			t.Errorf("%s %s on a lost session: status %d body %s, want 410 session_lost", rc.method, rc.path, a.status, a.body)
 		}
 	}
-	if _, ok := rt.session(lost); ok {
+	rt.mu.Lock()
+	_, kept := rt.sessions[lost]
+	rt.mu.Unlock()
+	if kept {
 		t.Fatal("DELETE of a lost session kept its ownership row")
 	}
 
@@ -605,7 +632,7 @@ func TestFailoverByteIdentical(t *testing.T) {
 	}
 
 	// Kill the owner.
-	e, _ := rt.session(info.ID)
+	e, _ := rt.session(t.Context(), info.ID)
 	owner := e.nodeName()
 	for _, n := range nodes {
 		if n.name == owner {
@@ -646,8 +673,15 @@ func TestFailoverByteIdentical(t *testing.T) {
 		}
 	}
 	var got oic.SessionInfo
-	if st := c.do("GET", "/v1/sessions/"+info.ID, nil, &got); st != http.StatusOK || got.T != 2*half || got.Violations != 0 {
+	if st := c.do("GET", "/v1/sessions/"+info.ID, nil, &got); st != http.StatusOK || got.T != 2*half || got.Violations != 0 || got.ID != info.ID {
 		t.Fatalf("info after failover: status %d, %+v", st, got)
+	}
+	for _, n := range nodes {
+		if n.name == e.nodeName() {
+			if st := shardStatus(t, n, "/v1/sessions/"+info.ID); st != http.StatusOK {
+				t.Fatalf("survivor %s: GET %s status %d, want the landing under the same ID", n.name, info.ID, st)
+			}
+		}
 	}
 	stc, bin := c.raw("GET", "/v1/sessions/"+info.ID+"/trace?format=binary")
 	if stc != http.StatusOK {
@@ -695,7 +729,7 @@ func TestDrainNode(t *testing.T) {
 		t.Fatalf("drain failures: %+v", rep)
 	}
 	for _, id := range ids {
-		e, ok := rt.session(id)
+		e, ok := rt.session(t.Context(), id)
 		if !ok {
 			t.Fatalf("session %s vanished", id)
 		}
@@ -868,9 +902,8 @@ func TestStatusRacesDeletes(t *testing.T) {
 
 // TestRoutedFleetConcurrentRequests drives one routed fleet from several
 // goroutines at once: ticks, fleet and member reads, and cluster status.
-// The pin is read without a lock, so under -race this checks that it is
-// immutable once published; the shard serializes the ticks, and every
-// one of them lands.
+// Under -race this checks the pin's reads against the table; the shard
+// serializes the ticks, and every one of them lands.
 func TestRoutedFleetConcurrentRequests(t *testing.T) {
 	rt, _ := testCluster(t, 2, server.Config{}, Config{})
 	h := rt.Handler()
@@ -982,5 +1015,450 @@ func TestClientCancelIsNotNodeFailure(t *testing.T) {
 	n.mu.Unlock()
 	if fails != 0 {
 		t.Fatalf("successful round trip did not reset consecFails: %d", fails)
+	}
+}
+
+// TestRouterRestartRelearns builds a second router over shards a first
+// router has been serving: sessions stepped, one migrated, a traced fleet
+// ticked. The second router holds no table, yet every ID the first one
+// handed out answers with the shard's own body, its traces byte for byte;
+// sessions keep stepping and the fleet keeps ticking; a failover lands
+// byte-identical to an uninterrupted run from a shadow rebuilt out of the
+// owner's trace export; and new creates get IDs never issued before.
+// Goroutines stepping one session through the fresh router share one
+// table entry, so its shadow holds every acknowledged step.
+func TestRouterRestartRelearns(t *testing.T) {
+	cfg := Config{DeathThreshold: 2}
+	rt1, nodes := testCluster(t, 2, server.Config{}, cfg)
+	c1 := &rc{t: t, h: rt1.Handler()}
+	const steps = 40
+	x0, ws := accCase(t, steps)
+	eng, err := oic.NewEngine(oic.Config{Plant: "acc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0b, wsb, err := eng.DrawCase(11, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	create := func(c *rc, path string, body any) string {
+		var out struct{ ID string }
+		if st := c.do("POST", path, body, &out); st != http.StatusCreated {
+			t.Fatalf("create %s: status %d", path, st)
+		}
+		return out.ID
+	}
+	step := func(c *rc, id string, w [][]float64) {
+		if st := c.do("POST", "/v1/sessions/"+id+"/step", oic.StepRequest{WS: w}, nil); st != http.StatusOK {
+			t.Fatalf("step %s: status %d", id, st)
+		}
+	}
+	moved := create(c1, "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", X0: x0})
+	failed := create(c1, "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", X0: x0b})
+	shared := create(c1, "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Seed: 3})
+	fleet := create(c1, "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2, Size: 3, Seed: 4, Trace: true})
+	step(c1, moved, ws[:steps/2])
+	step(c1, failed, wsb[:steps/2])
+	step(c1, shared, [][]float64{{0, 0}, {0, 0}})
+	if st := c1.do("POST", "/v1/fleets/"+fleet+"/tick", oic.FleetTickRequest{Ticks: 3}, nil); st != http.StatusOK {
+		t.Fatalf("tick: status %d", st)
+	}
+	if _, err := rt1.MigrateSession(t.Context(), moved, ""); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	issued := map[string]bool{moved: true, failed: true, shared: true, fleet: true}
+
+	// The restart: a second router over the same shards, with no table.
+	mem := &Membership{}
+	for _, n := range nodes {
+		mem.Nodes = append(mem.Nodes, Node{Name: n.name, Addr: n.ts.URL})
+	}
+	rt2, err := New(mem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt2.ProbeOnce(t.Context())
+	c2 := &rc{t: t, h: rt2.Handler()}
+
+	// Several goroutines step one session the new router has never seen,
+	// each with zero disturbances, so the episode does not depend on
+	// their order.
+	const stepper, each = 4, 5
+	var wg sync.WaitGroup
+	for g := 0; g < stepper; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				req := httptest.NewRequest("POST", "/v1/sessions/"+shared+"/step", strings.NewReader(`{"w":[0,0]}`))
+				w := httptest.NewRecorder()
+				rt2.Handler().ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					t.Errorf("concurrent step: status %d body %s", w.Code, w.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rt2.mu.Lock()
+	e := rt2.sessions[shared]
+	tableLen := len(rt2.sessions)
+	rt2.mu.Unlock()
+	if e == nil || tableLen != 1 {
+		t.Fatalf("after concurrent first steps the table holds %d entries (entry for %s: %v), want 1", tableLen, shared, e != nil)
+	}
+	if n := e.sh.rec.Len(); n != 2+stepper*each {
+		t.Fatalf("shared entry's shadow holds %d steps, want %d", n, 2+stepper*each)
+	}
+
+	// Every pre-restart ID answers through the new router exactly as its
+	// shard answers, binary traces included.
+	owner := func(path string) *testNode {
+		for _, n := range nodes {
+			if shardStatus(t, n, path) == http.StatusOK {
+				return n
+			}
+		}
+		t.Fatalf("no shard holds %s", path)
+		return nil
+	}
+	for _, path := range []string{
+		"/v1/sessions/" + moved, "/v1/sessions/" + moved + "/trace?format=binary",
+		"/v1/sessions/" + failed, "/v1/sessions/" + failed + "/trace?format=binary",
+		"/v1/sessions/" + shared, "/v1/sessions/" + shared + "/trace?format=binary",
+		"/v1/fleets/" + fleet, "/v1/fleets/" + fleet + "/sessions/1/trace?format=binary",
+	} {
+		st, got := c2.raw("GET", path)
+		resp, err := http.Get(owner(path).ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("GET %s through the new router: status %d, %d bytes; the shard's %d bytes", path, st, len(got), len(want))
+		}
+	}
+	_, episode := c2.raw("GET", "/v1/sessions/"+shared+"/trace?format=binary")
+	if bin, err := oic.EncodeTrace(e.sh.rec.Trace()); err != nil || !bytes.Equal(bin, episode) {
+		t.Fatalf("shared session's shadow differs from its owner's episode (%v)", err)
+	}
+
+	// The migrated session finishes its episode through the new router.
+	step(c2, moved, ws[steps/2:])
+	if st, bin := c2.raw("GET", "/v1/sessions/"+moved+"/trace?format=binary"); st != http.StatusOK || !bytes.Equal(bin, referenceTrace(t, x0, ws)) {
+		t.Fatalf("migrated session after the restart: status %d, trace differs from the uninterrupted reference", st)
+	}
+	var fi oic.FleetInfo
+	if st := c2.do("POST", "/v1/fleets/"+fleet+"/tick", oic.FleetTickRequest{Ticks: 2}, nil); st != http.StatusOK {
+		t.Fatalf("tick through the new router: status %d", st)
+	}
+	if st := c2.do("GET", "/v1/fleets/"+fleet, nil, &fi); st != http.StatusOK || fi.Ticks != 5 || fi.ID != fleet {
+		t.Fatalf("fleet after the restart: status %d, %+v", st, fi)
+	}
+
+	// Kill the owner of the session the new router has only read; its
+	// shadow came from the trace export.
+	dead := rt2.byName[owner("/v1/sessions/"+failed).name]
+	for _, n := range nodes {
+		if n.name == dead.Name {
+			n.ts.Close()
+		}
+	}
+	rt2.ProbeOnce(t.Context())
+	rt2.ProbeOnce(t.Context())
+	if n, fails, err := rt2.FailoverNode(t.Context(), dead.Name); err != nil || n == 0 || fails != 0 {
+		t.Fatalf("failover after the restart: moved %d failed %d err %v", n, fails, err)
+	}
+	step(c2, failed, wsb[steps/2:])
+	if st, bin := c2.raw("GET", "/v1/sessions/"+failed+"/trace?format=binary"); st != http.StatusOK || !bytes.Equal(bin, referenceTrace(t, x0b, wsb)) {
+		t.Fatalf("failed-over session: status %d, trace differs from the uninterrupted reference", st)
+	}
+
+	// New objects get IDs no router issued before.
+	for _, id := range []string{
+		create(c2, "/v1/sessions", oic.CreateSessionRequest{Plant: "acc"}),
+		create(c2, "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", Size: 1}),
+	} {
+		if issued[id] {
+			t.Fatalf("the new router reissued %s", id)
+		}
+	}
+}
+
+// TestRouterBodyLimit: the router reads a body under the same limit oicd
+// decodes under. A 9 MiB body passes through whole, and one past the
+// limit is refused as too large, as the shard refuses it.
+func TestRouterBodyLimit(t *testing.T) {
+	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
+	x0, ws := accCase(t, 4)
+	req, err := json.Marshal(oic.ReplayRequest{TraceBin: referenceTrace(t, x0, ws)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pad puts whitespace after the opening brace, so a cut body is
+	// invalid JSON.
+	pad := func(size int) string {
+		return "{" + strings.Repeat(" ", size-len(req)) + string(req[1:])
+	}
+	for _, c := range []struct {
+		size   int
+		status int
+		code   string
+	}{
+		{9 << 20, http.StatusOK, ""},
+		{oic.MaxRequestBytes + 1, http.StatusRequestEntityTooLarge, "too_large"},
+	} {
+		body := pad(c.size)
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/replay", strings.NewReader(body)))
+		resp, err := http.Post(nodes[0].ts.URL+"/v1/replay", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var er, der oic.ErrorResponse
+		_ = json.Unmarshal(w.Body.Bytes(), &er)
+		_ = json.Unmarshal(direct, &der)
+		if w.Code != c.status || er.Code != c.code || resp.StatusCode != c.status || der.Code != c.code {
+			t.Errorf("%d-byte replay: routed %d %q, shard %d %q; want %d %q",
+				c.size, w.Code, er.Code, resp.StatusCode, der.Code, c.status, c.code)
+		}
+	}
+}
+
+// TestLearnPrefersUnfrozenCopy: when two shards hold a session the router
+// has not seen, the unfrozen copy wins over a frozen one (a migration
+// source whose delete failed), even on a later node in membership order.
+// A session whose only copy is frozen (a router stopped between a
+// migration's freeze and its landing) is unfrozen and steps on.
+func TestLearnPrefersUnfrozenCopy(t *testing.T) {
+	rt, nodes := testCluster(t, 2, server.Config{}, Config{})
+	post := func(n *testNode, path string, body any) []byte {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(n.ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode >= 300 {
+			t.Fatalf("POST %s on %s: status %d body %s", path, n.name, resp.StatusCode, out)
+		}
+		return out
+	}
+	var info oic.SessionInfo
+	if err := json.Unmarshal(post(nodes[0], "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Seed: 2, Trace: true}), &info); err != nil {
+		t.Fatal(err)
+	}
+	post(nodes[0], "/v1/sessions/"+info.ID+"/step", oic.StepRequest{WS: [][]float64{{0, 0}, {0, 0}}})
+	resp, err := http.Get(nodes[0].ts.URL + "/v1/sessions/" + info.ID + "/trace?format=binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	post(nodes[0], "/v1/sessions/"+info.ID+"/freeze", nil)
+	post(nodes[1], "/v1/sessions/resume", oic.ResumeSessionRequest{ID: info.ID, TraceBin: bin})
+
+	c := &rc{t: t, h: rt.Handler()}
+	var res oic.StepResult
+	if st := c.do("POST", "/v1/sessions/"+info.ID+"/step", oic.StepRequest{W: []float64{0, 0}}, &res); st != http.StatusOK || res.T != 2 {
+		t.Fatalf("step through the router: status %d, %+v", st, res)
+	}
+	if e, _ := rt.session(t.Context(), info.ID); e.nodeName() != nodes[1].name {
+		t.Fatalf("router learned the copy on %s, want the unfrozen one on %s", e.nodeName(), nodes[1].name)
+	}
+
+	var only oic.SessionInfo
+	if err := json.Unmarshal(post(nodes[0], "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Seed: 3, Trace: true}), &only); err != nil {
+		t.Fatal(err)
+	}
+	post(nodes[0], "/v1/sessions/"+only.ID+"/freeze", nil)
+	if st := c.do("POST", "/v1/sessions/"+only.ID+"/step", oic.StepRequest{W: []float64{0, 0}}, &res); st != http.StatusOK || res.T != 0 {
+		t.Fatalf("step of a session frozen on its only shard: status %d, %+v", st, res)
+	}
+}
+
+// TestLookupRacingDelete: a lookup that asked the shards before a DELETE
+// of the same ID reached them does not put back the row the DELETE
+// dropped, for sessions and fleets alike.
+func TestLookupRacingDelete(t *testing.T) {
+	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
+	c := &rc{t: t, h: rt.Handler()}
+	for _, path := range []string{"/v1/sessions", "/v1/fleets"} {
+		var out struct{ ID string }
+		resp, err := http.Post(nodes[0].ts.URL+path, "application/json", strings.NewReader(`{"plant":"acc","trace":true,"size":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create on the shard: status %d (%v)", resp.StatusCode, err)
+		}
+		// The DELETE arrives, and completes, while the lookup is asking.
+		deleteMidLookup := func() {
+			if st := c.do("DELETE", path+"/"+out.ID, nil, nil); st != http.StatusOK {
+				t.Fatalf("DELETE %s: status %d", out.ID, st)
+			}
+		}
+		var found bool
+		if path == "/v1/sessions" {
+			_, found = lookup(rt, rt.sessions, out.ID, func() (*sessEntry, bool) {
+				e := rt.learnSession(t.Context(), out.ID)
+				deleteMidLookup()
+				return e, e != nil
+			})
+		} else {
+			_, found = lookup(rt, rt.fleets, out.ID, func() (*nodeState, bool) {
+				deleteMidLookup()
+				return rt.nodes[0], true
+			})
+		}
+		rt.mu.Lock()
+		_, sHeld := rt.sessions[out.ID]
+		_, fHeld := rt.fleets[out.ID]
+		tombstones := len(rt.dropped)
+		rt.mu.Unlock()
+		if found || sHeld || fHeld || tombstones != 0 {
+			t.Fatalf("%s %s: lookup found %v, table holds it %v, %d tombstones left; want none", path, out.ID, found, sHeld || fHeld, tombstones)
+		}
+	}
+}
+
+// TestLandingReplacesStaleCopy: a failover leaves its source's copy in
+// the source's journal, so a source that comes back holds every session
+// it lost, unfrozen, under the same IDs. A migration back to it and a
+// failover back to it both replace that stale copy and land byte-identical
+// to an uninterrupted run.
+func TestLandingReplacesStaleCopy(t *testing.T) {
+	dir := t.TempDir()
+	// startA serves a journaled oicd on addr ("" picks a port), recovering
+	// whatever the journal holds first.
+	startA := func(addr string) (*server.Server, *httptest.Server) {
+		srv := server.New(server.Config{})
+		if err := srv.OpenJournal(journal.Options{Dir: dir, Policy: journal.SyncEveryTick}); err != nil {
+			t.Fatal(err)
+		}
+		run, err := srv.BeginJournalRecovery(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(srv.Handler())
+		if addr != "" {
+			l, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts.Listener.Close()
+			ts.Listener = l
+		}
+		ts.Start()
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		return srv, ts
+	}
+	srvA, tsA := startA("")
+	srvB := server.New(server.Config{})
+	tsB := httptest.NewServer(srvB.Handler())
+	t.Cleanup(func() { tsB.Close(); srvB.Close() })
+	rt, err := New(&Membership{Nodes: []Node{{Name: "a", Addr: tsA.URL}, {Name: "b", Addr: tsB.URL}}}, Config{DeathThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.ProbeOnce(t.Context())
+	c := &rc{t: t, h: rt.Handler()}
+	declareDead := func(name string) {
+		rt.ProbeOnce(t.Context())
+		rt.ProbeOnce(t.Context())
+		if moved, failed, err := rt.FailoverNode(t.Context(), name); err != nil || failed != 0 || moved == 0 {
+			t.Fatalf("failover of %s: moved %d failed %d err %v", name, moved, failed, err)
+		}
+	}
+	step := func(id string, ws [][]float64) {
+		if st := c.do("POST", "/v1/sessions/"+id+"/step", oic.StepRequest{WS: ws}, nil); st != http.StatusOK {
+			t.Fatalf("step %s: status %d", id, st)
+		}
+	}
+	const steps = 30
+	eng, err := oic.NewEngine(oic.Config{Plant: "acc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type episode struct {
+		id string
+		x0 []float64
+		ws [][]float64
+	}
+	eps := make([]episode, 2)
+	for i := range eps {
+		x0, ws, err := eng.DrawCase(int64(20+i), steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info oic.SessionInfo
+		if st := c.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", X0: x0}, &info); st != http.StatusCreated {
+			t.Fatalf("create: status %d", st)
+		}
+		if e, _ := rt.session(t.Context(), info.ID); e.nodeName() != "a" {
+			if _, err := rt.MigrateSession(t.Context(), info.ID, "a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eps[i] = episode{info.ID, x0, ws}
+		step(info.ID, ws[:steps/3])
+	}
+
+	// a crashes; both sessions fail over to b and step on there.
+	tsA.Close()
+	srvA.Close()
+	declareDead("a")
+	for _, ep := range eps {
+		step(ep.id, ep.ws[steps/3:2*steps/3])
+	}
+	// a comes back from its journal on the same address, holding both
+	// sessions where they were when it died.
+	_, tsA = startA(tsA.Listener.Addr().String())
+	rt.ProbeOnce(t.Context())
+	for _, ep := range eps {
+		var info oic.SessionInfo
+		resp, err := http.Get(tsA.URL + "/v1/sessions/" + ep.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil || info.T != steps/3 || info.Frozen {
+			t.Fatalf("recovered a: %s is %+v (%v), want the stale unfrozen copy at t=%d", ep.id, info, err, steps/3)
+		}
+	}
+
+	// Migrating the first session back to a replaces a's copy.
+	if _, err := rt.MigrateSession(t.Context(), eps[0].id, "a"); err != nil {
+		t.Fatalf("migration back to a: %v", err)
+	}
+	// b dies; the second session fails over onto a's stale copy.
+	tsB.Close()
+	declareDead("b")
+	for _, ep := range eps {
+		if e, _ := rt.session(t.Context(), ep.id); e.nodeName() != "a" {
+			t.Fatalf("%s is on %s, want a", ep.id, e.nodeName())
+		}
+		step(ep.id, ep.ws[2*steps/3:])
+		if st, bin := c.raw("GET", "/v1/sessions/"+ep.id+"/trace?format=binary"); st != http.StatusOK || !bytes.Equal(bin, referenceTrace(t, ep.x0, ep.ws)) {
+			t.Fatalf("%s: status %d, trace differs from the uninterrupted reference", ep.id, st)
+		}
 	}
 }

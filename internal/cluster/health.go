@@ -28,7 +28,6 @@ type nodeState struct {
 	fleets         int
 	pressure       float64 // max oicd_fleet_pressure across the node's fleets
 	reclaimedRatio float64 // mean oicd_fleet_reclaimed_ratio
-	lastProbe      time.Time
 }
 
 // snapshot returns a consistent copy of the mutable fields.
@@ -94,65 +93,49 @@ func (rt *Router) probeNode(ctx context.Context, n *nodeState) {
 	var pressure, reclaimed float64
 	haveLoad := false
 	if live {
-		if body, err := rt.get(ctx, n, "/metrics"); err == nil {
+		if status, _, body, err := rt.proxy(ctx, n, http.MethodGet, "/metrics", nil, nil); err == nil && status == http.StatusOK {
 			sessions, fleets, pressure, reclaimed = parseLoadGauges(body)
 			haveLoad = true
 		}
 	}
 
 	n.mu.Lock()
-	n.lastProbe = time.Now()
 	n.live = live
 	n.ready = ready
 	if haveLoad {
 		n.sessions, n.fleets, n.pressure, n.reclaimedRatio = sessions, fleets, pressure, reclaimed
 	}
-	died := false
 	if live {
 		n.consecFails = 0
 		n.dead = false
-	} else {
-		n.consecFails++
-		if n.consecFails >= rt.cfg.DeathThreshold && !n.dead {
-			n.dead = true
-			died = true
-		}
 	}
 	n.mu.Unlock()
-
-	if died {
-		rt.m.nodeDeaths.Add(1)
-		rt.log.Warn("node declared dead", "node", n.Name, "addr", n.Addr,
-			"consecutive_failures", rt.cfg.DeathThreshold, "source", "probe",
-			"auto_failover", rt.cfg.AutoFailover)
-		if rt.cfg.AutoFailover {
-			go rt.FailoverNode(context.Background(), n.Name)
-		}
+	if !live {
+		rt.noteFailure(n, "probe")
 	}
 }
 
-// noteTransportError folds a proxy-path connection failure into the same
-// liveness accounting as the prober, so a hammered dead node is detected
-// at request rate instead of probe rate. Callers must exclude failures
-// caused by the inbound request's own context cancellation (proxy does) —
-// those are client exits, and counting them would let a flurry of client
-// disconnects mark a healthy node dead and fire failover against a node
-// that is still serving.
-func (rt *Router) noteTransportError(n *nodeState) {
+// noteFailure counts one liveness failure against a node: a failed probe,
+// or a connection failure on the proxy path, so a hammered dead node is
+// detected at request rate instead of probe rate. The failure that
+// reaches DeathThreshold declares the node dead, once, and fires failover
+// if enabled. Proxy callers must exclude failures caused by the inbound
+// request's own context cancellation (proxy does) — those are client
+// exits, and counting them would let a flurry of client disconnects mark
+// a healthy node dead and fire failover against a node that is still
+// serving.
+func (rt *Router) noteFailure(n *nodeState, source string) {
 	n.mu.Lock()
 	n.live = false
 	n.ready = false
 	n.consecFails++
-	died := false
-	if n.consecFails >= rt.cfg.DeathThreshold && !n.dead {
-		n.dead = true
-		died = true
-	}
+	died := n.consecFails >= rt.cfg.DeathThreshold && !n.dead
+	n.dead = n.dead || died
 	n.mu.Unlock()
 	if died {
 		rt.m.nodeDeaths.Add(1)
 		rt.log.Warn("node declared dead", "node", n.Name, "addr", n.Addr,
-			"consecutive_failures", rt.cfg.DeathThreshold, "source", "transport",
+			"consecutive_failures", rt.cfg.DeathThreshold, "source", source,
 			"auto_failover", rt.cfg.AutoFailover)
 		if rt.cfg.AutoFailover {
 			go rt.FailoverNode(context.Background(), n.Name)

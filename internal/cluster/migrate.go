@@ -20,9 +20,10 @@ import (
 //     the returned snapshot is the state the target must reproduce.
 //  2. ship    — GET {src}/v1/sessions/{id}/trace?format=binary exports
 //     the recorded episode in the canonical binary form.
-//  3. replay  — POST {dst}/v1/sessions/resume imports it; the target
-//     replays the episode to head with bit-exact conformance checks and
-//     journals the whole imported history before acknowledging.
+//  3. replay  — POST {dst}/v1/sessions/resume imports it under the same
+//     ID; the target replays the episode to head with bit-exact
+//     conformance checks and journals the whole imported history before
+//     acknowledging.
 //  4. verify  — the landed snapshot is compared field-by-field and
 //     bit-by-bit (states and energy via Float64bits) against the frozen
 //     source. Divergence rolls everything back: delete the landing,
@@ -87,11 +88,11 @@ func (rt *Router) resolveTarget(target string, fp string, exclude string) (*node
 	return rt.place(fp, map[string]bool{exclude: true})
 }
 
-// MigrateSession live-migrates one router-owned session. With an empty
-// target the placement ring chooses. The entry lock is held end to end,
-// so concurrent steps stall briefly and then land on the new owner.
+// MigrateSession live-migrates one session. With an empty target the
+// placement ring chooses. The entry lock is held end to end, so
+// concurrent steps stall briefly and then land on the new owner.
 func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*MigrateReport, error) {
-	e, ok := rt.session(id)
+	e, ok := rt.session(ctx, id)
 	if !ok {
 		return nil, fmt.Errorf("%w: session %q", ErrNotFound, id)
 	}
@@ -106,52 +107,24 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 		return nil, err
 	}
 	start := time.Now()
-
-	if !src.isLive() {
-		// The source is gone; this "migration" is a failover from the shadow.
+	// The source is gone, or dies before it freezes: the "migration" is a
+	// failover from the shadow.
+	failover := func() (*MigrateReport, error) {
 		rep, err := rt.failoverEntry(ctx, e, dst)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			rep.Millis = float64(time.Since(start)) / float64(time.Millisecond)
 		}
-		rep.Millis = float64(time.Since(start)) / float64(time.Millisecond)
-		return rep, nil
+		return rep, err
+	}
+	if !src.isLive() {
+		return failover()
 	}
 	// The span times each protocol phase into
 	// oicd_migration_phase_seconds and lands in /v1/debug/ops, carrying
 	// the request's trace ID so the phases correlate with both nodes'
 	// logs.
 	span := obs.StartSpan("migration", e.id, obs.TraceIDFrom(ctx), rt.ops, rt.m.migPhases)
-
-	// 1. Freeze: quiesce the source and capture the reference snapshot.
-	span.Phase("freeze")
-	status, _, b, perr := rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.localID+"/freeze", []byte("{}"), nil)
-	if perr != nil {
-		// Source died under us — fall back to the shadow path.
-		span.End(fmt.Errorf("source died mid-freeze; falling over: %v", perr))
-		rep, err := rt.failoverEntry(ctx, e, dst)
-		if err != nil {
-			return nil, err
-		}
-		rep.Millis = float64(time.Since(start)) / float64(time.Millisecond)
-		return rep, nil
-	}
-	if status != http.StatusOK {
-		rt.m.migrateFailed.Add(1)
-		err := fmt.Errorf("cluster: freeze on %s: %s", src.Name, nodeErr(status, b))
-		span.End(err)
-		return nil, err
-	}
-	var srcInfo oic.SessionInfo
-	if err := json.Unmarshal(b, &srcInfo); err != nil {
-		rt.m.migrateFailed.Add(1)
-		err := fmt.Errorf("cluster: freeze on %s: malformed response", src.Name)
-		span.End(err)
-		return nil, err
-	}
-
-	fail := func(err error) (*MigrateReport, error) {
-		// Abort path: the source must resume serving.
-		_, _, _, _ = rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.localID+"/unfreeze", []byte("{}"), nil)
+	abort := func(err error) (*MigrateReport, error) {
 		rt.m.migrateFailed.Add(1)
 		span.End(err)
 		rt.log.Warn("migration failed", "session", e.id, "from", src.Name, "to", dst.Name,
@@ -159,14 +132,32 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 		return nil, err
 	}
 
+	// 1. Freeze: quiesce the source and capture the reference snapshot.
+	span.Phase("freeze")
+	status, _, b, perr := rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.id+"/freeze", []byte("{}"), nil)
+	if perr != nil {
+		span.End(fmt.Errorf("source died mid-freeze; falling over: %v", perr))
+		return failover()
+	}
+	if status != http.StatusOK {
+		return abort(fmt.Errorf("cluster: freeze on %s: %s", src.Name, nodeErr(status, b)))
+	}
+	var srcInfo oic.SessionInfo
+	if json.Unmarshal(b, &srcInfo) != nil {
+		return abort(fmt.Errorf("cluster: freeze on %s: malformed response", src.Name))
+	}
+	// fail is the abort path once the source is frozen: it must resume
+	// serving.
+	fail := func(err error) (*MigrateReport, error) {
+		_, _, _, _ = rt.proxy(ctx, src, http.MethodPost, "/v1/sessions/"+e.id+"/unfreeze", []byte("{}"), nil)
+		return abort(err)
+	}
+
 	// 2. Ship: export the frozen episode.
 	span.Phase("export")
-	status, _, bin, perr := rt.proxy(ctx, src, http.MethodGet, "/v1/sessions/"+e.localID+"/trace?format=binary", nil, nil)
+	status, _, bin, perr := rt.proxy(ctx, src, http.MethodGet, "/v1/sessions/"+e.id+"/trace?format=binary", nil, nil)
 	if perr != nil {
-		rt.m.migrateFailed.Add(1)
-		err := fmt.Errorf("%w: %s died mid-export", ErrShardDown, src.Name)
-		span.End(err)
-		return nil, err
+		return abort(fmt.Errorf("%w: %s died mid-export", ErrShardDown, src.Name))
 	}
 	if status != http.StatusOK {
 		return fail(fmt.Errorf("cluster: trace export on %s: %s", src.Name, nodeErr(status, bin)))
@@ -174,7 +165,7 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 
 	// 3. Replay: land the episode on the target.
 	span.Phase("replay")
-	dstInfo, err := rt.land(ctx, dst, bin)
+	dstInfo, err := rt.land(ctx, dst, e.id, bin)
 	if err != nil {
 		return fail(err)
 	}
@@ -182,21 +173,20 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 	// 4. Verify bit-exactly against the frozen source.
 	span.Phase("verify")
 	if err := verifyHandoff(&srcInfo, dstInfo); err != nil {
-		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+dstInfo.ID, nil, nil)
+		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+e.id, nil, nil)
 		return fail(err)
 	}
 
 	// 5. Repoint ownership, refresh the shadow to the shipped episode,
-	// delete the source copy (best effort — a dead source's stale copy is
-	// unreachable through the router either way).
+	// delete the source copy (best effort — a copy left behind stays
+	// frozen, a lookup prefers the unfrozen landing, and a later landing
+	// on that node deletes it).
 	span.Phase("repoint")
-	oldID := e.localID
 	e.node.Store(dst)
-	e.localID = dstInfo.ID
 	if tr, derr := oic.DecodeTrace(bin); derr == nil {
 		e.sh = shadowFromTrace(tr)
 	}
-	_, _, _, _ = rt.proxy(ctx, src, http.MethodDelete, "/v1/sessions/"+oldID, nil, nil)
+	_, _, _, _ = rt.proxy(ctx, src, http.MethodDelete, "/v1/sessions/"+e.id, nil, nil)
 
 	span.End(nil)
 	rt.m.migrations.Add(1)
@@ -210,10 +200,20 @@ func (rt *Router) MigrateSession(ctx context.Context, id, target string) (*Migra
 	}, nil
 }
 
-// land imports a binary episode on dst via the resume endpoint.
-func (rt *Router) land(ctx context.Context, dst *nodeState, bin []byte) (*oic.SessionInfo, error) {
-	body, _ := json.Marshal(oic.ResumeSessionRequest{TraceBin: bin})
+// land imports a binary episode on dst via the resume endpoint, under the
+// session's own ID. The caller's entry names another owner, so a copy dst
+// already holds under that ID (409 id_taken) is stale: a failover source
+// that came back from its journal, or a migration source whose delete
+// failed. land deletes it and tries once more.
+func (rt *Router) land(ctx context.Context, dst *nodeState, id string, bin []byte) (*oic.SessionInfo, error) {
+	body, _ := json.Marshal(oic.ResumeSessionRequest{ID: id, TraceBin: bin})
 	status, _, b, perr := rt.proxy(ctx, dst, http.MethodPost, "/v1/sessions/resume", body, nil)
+	if perr == nil && status == http.StatusConflict && errCode(b) == "id_taken" {
+		rt.log.Info("deleting stale copy", "session", id, "node", dst.Name, "trace_id", obs.TraceIDFrom(ctx))
+		// A failed delete shows as a second id_taken, which fails the landing.
+		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+id, nil, nil)
+		status, _, b, perr = rt.proxy(ctx, dst, http.MethodPost, "/v1/sessions/resume", body, nil)
+	}
 	if perr != nil {
 		return nil, fmt.Errorf("%w: target %s unreachable", ErrShardDown, dst.Name)
 	}
@@ -262,7 +262,7 @@ func (rt *Router) failoverEntry(ctx context.Context, e *sessEntry, dst *nodeStat
 		return fail(fmt.Errorf("cluster: encoding shadow episode: %w", err))
 	}
 	span.Phase("replay")
-	info, err := rt.land(ctx, dst, bin)
+	info, err := rt.land(ctx, dst, e.id, bin)
 	if err != nil {
 		return fail(err)
 	}
@@ -276,12 +276,11 @@ func (rt *Router) failoverEntry(ctx context.Context, e *sessEntry, dst *nodeStat
 	}
 	if info.T != tr.Len() || !mat.BitsEqual(info.X, wantX) ||
 		math.Float64bits(info.Energy) != math.Float64bits(tr.Energy) {
-		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+info.ID, nil, nil)
+		_, _, _, _ = rt.proxy(ctx, dst, http.MethodDelete, "/v1/sessions/"+e.id, nil, nil)
 		return fail(fmt.Errorf("%w: failover landing diverged at t=%d", ErrMigrateMismatch, info.T))
 	}
 	span.Phase("repoint")
 	e.node.Store(dst)
-	e.localID = info.ID
 	span.End(nil)
 	rt.m.failovers.Add(1)
 	rt.log.Info("failover landed", "session", e.id, "from", src.Name, "to", dst.Name,
@@ -350,8 +349,8 @@ func (rt *Router) DrainNode(ctx context.Context, name string) (*DrainReport, err
 		}
 	}
 	rt.mu.Lock()
-	for _, f := range rt.fleets {
-		if f.node.Name == name {
+	for _, n := range rt.fleets {
+		if n.Name == name {
 			rep.FleetsSkipped++
 		}
 	}

@@ -122,7 +122,7 @@ func TestClusterObservabilitySmoke(t *testing.T) {
 	if !strings.Contains(rtLog.String(), traceID) {
 		t.Fatalf("router log missing trace ID %s:\n%s", traceID, rtLog.String())
 	}
-	e, ok := rt.session(info.ID)
+	e, ok := rt.session(t.Context(), info.ID)
 	if !ok {
 		t.Fatal("router lost the session entry")
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,33 +60,20 @@ const pressureMax = 1.0
 // locks while holding rt.mu would invert the lock order of a session
 // DELETE (entry lock, then rt.mu) and deadlock.
 type sessEntry struct {
-	id string // public ID ("c-N")
+	id string // the ID the shard minted; migration and failover keep it
 
-	mu      sync.Mutex
-	node    atomic.Pointer[nodeState] // current owner; written under mu
-	localID string                    // the owner's node-local ID ("s-N")
-	fp      string                    // canonical config fingerprint (placement key)
-	train   oic.TrainConfig
-	sh      *shadow
-	lost    bool // owner died without a usable shadow; terminally gone
-}
-
-// fleetPin pins a fleet to its shard for the fleet's whole life. Fleets
-// do not fail over or drain through the router — tick responses carry
-// aggregate reports, not per-member episodes, so the shadow technique
-// does not apply; a dead node's fleets recover when the node replays its
-// own journal. A pin is complete before it is published under rt.mu and
-// never changes after, so it needs no lock: concurrent requests to one
-// fleet are serialized by the shard's Fleet, as on a direct oicd.
-type fleetPin struct {
-	id      string     // public ID ("cf-N")
-	node    *nodeState // the owner
-	localID string     // "f-N" on the owner
+	mu   sync.Mutex
+	node atomic.Pointer[nodeState] // current owner; written under mu
+	fp   string                    // canonical config fingerprint (placement key)
+	sh   *shadow
+	lost bool // owner died without a usable shadow; terminally gone
 }
 
 // Router is the oicd cluster front end: it speaks the full /v1/* API,
-// owns the session→shard table, shadows every session's episode, and
-// runs the drain/migrate/failover protocol.
+// keeps the session→shard table, shadows every session's episode, and
+// runs the drain/migrate/failover protocol. It mints no ID: sessions and
+// fleets keep the IDs their shards minted, and its ownership tables are
+// caches that a lookup refills from the shards (learnSession, fleet).
 type Router struct {
 	cfg    Config
 	client *http.Client
@@ -94,11 +82,20 @@ type Router struct {
 	ring   *ring
 	m      routerMetrics
 
-	mu        sync.Mutex
-	sessions  map[string]*sessEntry
-	fleets    map[string]*fleetPin
-	nextSess  int
-	nextFleet int
+	mu       sync.Mutex
+	sessions map[string]*sessEntry
+	// fleets pins each fleet to its shard for the fleet's whole life.
+	// Fleets do not fail over or drain through the router — tick responses
+	// carry aggregate reports, not per-member episodes, so the shadow
+	// technique does not apply; a dead node's fleets recover when the node
+	// replays its own journal. Concurrent requests to one fleet are
+	// serialized by the shard's Fleet, as on a direct oicd.
+	fleets map[string]*nodeState
+	// learning counts the lookups asking the shards about a table miss;
+	// while any is, dropped holds the IDs a DELETE removed, so that no
+	// lookup puts their rows back (see lookup).
+	learning int
+	dropped  map[string]bool
 
 	stopCh   chan struct{}
 	stopOnce func()
@@ -121,7 +118,8 @@ func New(m *Membership, cfg Config) (*Router, error) {
 		client:   cfg.Client,
 		byName:   make(map[string]*nodeState, len(m.Nodes)),
 		sessions: make(map[string]*sessEntry),
-		fleets:   make(map[string]*fleetPin),
+		fleets:   make(map[string]*nodeState),
+		dropped:  make(map[string]bool),
 		stopCh:   make(chan struct{}),
 		log:      cfg.Logger.With("component", "oicd-router"),
 		ops:      obs.NewSpanRing(64),
@@ -221,7 +219,7 @@ func (rt *Router) proxy(ctx context.Context, n *nodeState, method, pathAndQuery 
 	if err != nil {
 		rt.m.proxyErrors.Add(1)
 		if ctx.Err() == nil {
-			rt.noteTransportError(n)
+			rt.noteFailure(n, "transport")
 		}
 		return 0, "", nil, err
 	}
@@ -230,7 +228,7 @@ func (rt *Router) proxy(ctx context.Context, n *nodeState, method, pathAndQuery 
 	if err != nil {
 		rt.m.proxyErrors.Add(1)
 		if ctx.Err() == nil {
-			rt.noteTransportError(n)
+			rt.noteFailure(n, "transport")
 		}
 		return 0, "", nil, err
 	}
@@ -238,18 +236,6 @@ func (rt *Router) proxy(ctx context.Context, n *nodeState, method, pathAndQuery 
 	rt.m.proxied.Add(1)
 	rt.noteTransportOK(n)
 	return resp.StatusCode, resp.Header.Get("Content-Type"), b, nil
-}
-
-// get is the prober's plain GET.
-func (rt *Router) get(ctx context.Context, n *nodeState, path string) ([]byte, error) {
-	status, _, b, err := rt.proxy(ctx, n, http.MethodGet, path, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("cluster: GET %s%s: status %d", n.Addr, path, status)
-	}
-	return b, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -267,30 +253,24 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	})
 }
 
-// relay copies a node response through unchanged — the nodes already
-// speak the public wire format, including error payloads.
-func relay(w http.ResponseWriter, status int, ctype string, body []byte) {
-	if ctype != "" {
-		w.Header().Set("Content-Type", ctype)
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// relayFrom relays a node response, annotating JSON error payloads with
-// the shard's name so a relayed failure names which node produced it.
+// relayFrom relays a node response unchanged — the nodes already speak
+// the public wire format — except that a JSON error payload gains the
+// shard's name, so a relayed failure names which node produced it.
 func (rt *Router) relayFrom(w http.ResponseWriter, n *nodeState, status int, ctype string, body []byte) {
 	if status >= 400 && strings.Contains(ctype, "json") {
 		var er oic.ErrorResponse
 		if json.Unmarshal(body, &er) == nil && er.Error != "" && er.Node == "" {
 			er.Node = n.Name
 			if out, err := json.Marshal(er); err == nil {
-				relay(w, status, ctype, out)
-				return
+				body = out
 			}
 		}
 	}
-	relay(w, status, ctype, body)
+	if ctype != "" {
+		w.Header().Set("Content-Type", ctype)
+	}
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // shardDown writes the consistent shard-unreachable error, naming the
@@ -307,9 +287,23 @@ func (rt *Router) shardDown(w http.ResponseWriter, n *nodeState) {
 	})
 }
 
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(io.LimitReader(r.Body, 8<<20))
+// readBody reads a request body of at most oic.MaxRequestBytes, the limit
+// oicd decodes under too. It answers 413 too_large for a longer body (and
+// 400 for a failed read) and returns false, so no truncated body is ever
+// forwarded.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, oic.MaxRequestBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body too large (limit %d bytes)", oic.MaxRequestBytes))
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+	default:
+		return b, true
+	}
+	return nil, false
 }
 
 // Handler returns the router's HTTP API: the full /v1/* surface of a
@@ -385,9 +379,8 @@ func (rt *Router) handlePlants(w http.ResponseWriter, r *http.Request) {
 // handleReplay forwards to the least-loaded ready node: replays are
 // stateless, so load balance beats cache affinity.
 func (rt *Router) handleReplay(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	n, err := rt.leastLoaded()
@@ -406,9 +399,8 @@ func (rt *Router) handleReplay(w http.ResponseWriter, r *http.Request) {
 // readJSON reads a request body and decodes it into v unless it is
 // empty, answering 400 and returning false when either fails.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
-	body, err := readBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return nil, false
 	}
 	if len(body) > 0 {
@@ -422,29 +414,32 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
 
 // create opens a session or fleet on the shard that fp, its canonical
 // config fingerprint, places it on: it POSTs body to that owner at the
-// request's path and relays any answer but 201 Created, which it returns
-// with the owner.
-func (rt *Router) create(w http.ResponseWriter, r *http.Request, fp string, body []byte) (*nodeState, []byte, bool) {
+// request's path, hands a 201 Created answer to register, and relays the
+// shard's answer as the shard wrote it.
+func (rt *Router) create(w http.ResponseWriter, r *http.Request, fp string, body []byte, register func(n *nodeState, b []byte) error) {
 	n, err := rt.place(fp, nil)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, "no_shard", err.Error())
-		return nil, nil, false
+		return
 	}
 	status, ctype, b, err := rt.proxy(r.Context(), n, http.MethodPost, r.URL.Path, body, nil)
 	if err != nil {
 		rt.shardDown(w, n)
-		return nil, nil, false
+		return
 	}
-	if status != http.StatusCreated {
-		rt.relayFrom(w, n, status, ctype, b)
-		return nil, nil, false
+	if status == http.StatusCreated {
+		if err := register(n, b); err != nil {
+			writeErr(w, http.StatusBadGateway, "bad_gateway", err.Error())
+			return
+		}
 	}
-	return n, b, true
+	rt.relayFrom(w, n, status, ctype, b)
 }
 
 // handleCreateSession opens a session with trace recording forced on —
-// the recorded episode is the migration medium, so an untraced session
-// would be unmovable — and starts its shadow from the create response.
+// the recorded episode is the migration medium, and what a router
+// rebuilds a shadow from after a restart — and starts its shadow from
+// the create response.
 func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req oic.CreateSessionRequest
 	if _, ok := readJSON(w, r, &req); !ok {
@@ -457,25 +452,19 @@ func (rt *Router) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	fp := canon.Fingerprint()
 	req.Trace = true
 	fwd, _ := json.Marshal(req)
-	n, b, ok := rt.create(w, r, fp, fwd)
-	if !ok {
-		return
-	}
-	var info oic.SessionInfo
-	if err := json.Unmarshal(b, &info); err != nil {
-		writeErr(w, http.StatusBadGateway, "bad_gateway", "node returned malformed session info")
-		return
-	}
-	e := &sessEntry{localID: info.ID, fp: fp, train: canon.Train, sh: newShadow(&info, canon.Train)}
-	e.node.Store(n)
-	rt.mu.Lock()
-	rt.nextSess++
-	e.id = fmt.Sprintf("c-%d", rt.nextSess)
-	rt.sessions[e.id] = e
-	rt.mu.Unlock()
-	rt.m.sessionsCreated.Add(1)
-	info.ID = e.id
-	writeJSON(w, http.StatusCreated, info)
+	rt.create(w, r, fp, fwd, func(n *nodeState, b []byte) error {
+		var info oic.SessionInfo
+		if json.Unmarshal(b, &info) != nil || info.ID == "" {
+			return errors.New("node returned malformed session info")
+		}
+		e := &sessEntry{id: info.ID, fp: fp, sh: newShadow(&info, canon.Train)}
+		e.node.Store(n)
+		rt.mu.Lock()
+		rt.sessions[e.id] = e
+		rt.mu.Unlock()
+		rt.m.sessionsCreated.Add(1)
+		return nil
+	})
 }
 
 // handleCreateFleet opens a fleet with the client's create body as sent,
@@ -491,54 +480,155 @@ func (rt *Router) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		Plant: req.Plant, Scenario: req.Scenario, Policy: req.Policy,
 		Memory: req.Memory, Train: req.Train,
 	}.Fingerprint()
-	n, b, ok := rt.create(w, r, fp, body)
+	rt.create(w, r, fp, body, func(n *nodeState, b []byte) error {
+		var info oic.FleetInfo
+		if json.Unmarshal(b, &info) != nil || info.ID == "" {
+			return errors.New("node returned malformed fleet info")
+		}
+		rt.mu.Lock()
+		rt.fleets[info.ID] = n
+		rt.mu.Unlock()
+		rt.m.fleetsCreated.Add(1)
+		return nil
+	})
+}
+
+// ask GETs path on every live shard at once and returns, in membership
+// order, each shard's body if it answered 200 (nil otherwise).
+func (rt *Router) ask(ctx context.Context, path string) [][]byte {
+	out := make([][]byte, len(rt.nodes))
+	var wg sync.WaitGroup
+	for i, n := range rt.nodes {
+		if !n.isLive() {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, _, b, err := rt.proxy(ctx, n, http.MethodGet, path, nil, nil); err == nil && status == http.StatusOK {
+				out[i] = b
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// lookup returns id's row in tbl, filling a miss (after a router restart,
+// or for an object created on a shard directly) with learn, which asks
+// the shards. Of concurrent lookups of one ID the first to install wins
+// and the rest use its row, so every request to a session shares one lock
+// and one shadow. A row a DELETE dropped while learn was asking stays
+// dropped, and the lookup answers not found.
+func lookup[V any](rt *Router, tbl map[string]V, id string, learn func() (V, bool)) (V, bool) {
+	rt.mu.Lock()
+	v, ok := tbl[id]
 	if !ok {
-		return
+		rt.learning++
 	}
-	var info oic.FleetInfo
-	if err := json.Unmarshal(b, &info); err != nil {
-		writeErr(w, http.StatusBadGateway, "bad_gateway", "node returned malformed fleet info")
-		return
-	}
-	f := &fleetPin{node: n, localID: info.ID}
-	rt.mu.Lock()
-	rt.nextFleet++
-	f.id = fmt.Sprintf("cf-%d", rt.nextFleet)
-	rt.fleets[f.id] = f
 	rt.mu.Unlock()
-	rt.m.fleetsCreated.Add(1)
-	info.ID = f.id
-	writeJSON(w, http.StatusCreated, info)
-}
-
-func (rt *Router) session(id string) (*sessEntry, bool) {
+	if ok {
+		return v, true
+	}
+	v, ok = learn()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	e, ok := rt.sessions[id]
-	return e, ok
+	rt.learning--
+	dropped := rt.dropped[id]
+	if rt.learning == 0 {
+		clear(rt.dropped)
+	}
+	if cur, held := tbl[id]; held {
+		return cur, true
+	}
+	if !ok || dropped {
+		var zero V
+		return zero, false
+	}
+	tbl[id] = v
+	return v, true
 }
 
-func (rt *Router) fleet(id string) (*fleetPin, bool) {
+// forget drops id's row from tbl, and keeps a lookup already asking the
+// shards about id from putting it back.
+func forget[V any](rt *Router, tbl map[string]V, id string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	f, ok := rt.fleets[id]
-	return f, ok
+	delete(tbl, id)
+	if rt.learning > 0 {
+		rt.dropped[id] = true
+	}
+}
+
+// session returns a session's ownership entry, learning it from the
+// shards on a miss.
+func (rt *Router) session(ctx context.Context, id string) (*sessEntry, bool) {
+	return lookup(rt, rt.sessions, id, func() (*sessEntry, bool) {
+		e := rt.learnSession(ctx, id)
+		return e, e != nil
+	})
+}
+
+// learnSession finds the shard that owns a session: the one whose copy
+// answers 200. An unfrozen copy beats a frozen one (a migration source
+// the router failed to delete), then the copy further along, then the
+// first in membership order. A copy that is frozen with no unfrozen one
+// anywhere is a migration a router stopped between freeze and landing,
+// so it is unfrozen. The placement key and the shadow come from the
+// owner's trace export; a session its owner does not trace is adopted
+// without either, as if its shadow had been dropped: it can neither
+// migrate nor fail over, so nothing places it.
+func (rt *Router) learnSession(ctx context.Context, id string) *sessEntry {
+	path := "/v1/sessions/" + url.PathEscape(id)
+	var owner *nodeState
+	var best oic.SessionInfo
+	for i, b := range rt.ask(ctx, path) {
+		var info oic.SessionInfo
+		if b == nil || json.Unmarshal(b, &info) != nil {
+			continue
+		}
+		if owner == nil || best.Frozen && !info.Frozen || best.Frozen == info.Frozen && info.T > best.T {
+			owner, best = rt.nodes[i], info
+		}
+	}
+	if owner == nil {
+		return nil
+	}
+	if best.Frozen {
+		// Best effort: a copy that stays frozen answers steps 409 frozen.
+		_, _, _, _ = rt.proxy(ctx, owner, http.MethodPost, path+"/unfreeze", []byte("{}"), nil)
+	}
+	e := &sessEntry{id: id}
+	e.node.Store(owner)
+	if status, _, bin, err := rt.proxy(ctx, owner, http.MethodGet, path+"/trace?format=binary", nil, nil); err == nil && status == http.StatusOK {
+		if tr, err := oic.DecodeTrace(bin); err == nil {
+			e.fp = oic.ConfigFromTrace(tr).Canonical().Fingerprint()
+			e.sh = shadowFromTrace(tr)
+		}
+	}
+	return e
+}
+
+// fleet returns the shard a fleet is pinned to, pinning it on a miss to
+// the shard whose GET /v1/fleets/{id} answers 200.
+func (rt *Router) fleet(ctx context.Context, id string) (*nodeState, bool) {
+	return lookup(rt, rt.fleets, id, func() (*nodeState, bool) {
+		for i, b := range rt.ask(ctx, "/v1/fleets/"+url.PathEscape(id)) {
+			if b != nil {
+				return rt.nodes[i], true
+			}
+		}
+		return nil, false
+	})
 }
 
 // forward is the one path from a client request that names a session or
-// fleet to the shard that owns it. It swaps the public ID for the
-// owner-local one in the request path (/v1/fleets/cf-2/sessions/5 →
-// /v1/fleets/f-4/sessions/5), sends the method, query, body and the
-// client's negotiation headers through proxy, and relays the answer with
-// the local ID mapped back in a success JSON body's top-level "id";
-// everything else relays as relayFrom relays it. seen, when not nil,
-// reads the shard's answer before the client does.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *nodeState, public, local string, body []byte, seen func(status int, b []byte)) {
-	path := strings.Replace(r.URL.EscapedPath(), "/"+public, "/"+local, 1)
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	status, ctype, b, err := rt.proxy(r.Context(), n, r.Method, path, body, r.Header)
+// fleet to the shard that owns it: it sends the request's path and query,
+// body and negotiation headers through proxy unchanged, and relays the
+// answer as relayFrom relays it. seen, when not nil, reads the shard's
+// answer before the client does.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *nodeState, body []byte, seen func(status int, b []byte)) {
+	status, ctype, b, err := rt.proxy(r.Context(), n, r.Method, r.URL.RequestURI(), body, r.Header)
 	if err != nil {
 		rt.shardDown(w, n)
 		return
@@ -546,36 +636,17 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *nodeState, 
 	if seen != nil {
 		seen(status, b)
 	}
-	if status < 300 && strings.Contains(ctype, "json") {
-		b = publicID(b, local, public)
-	}
 	rt.relayFrom(w, n, status, ctype, b)
-}
-
-// publicID maps the owner-local ID back to the public one in the
-// top-level "id" of a shard's JSON body (s-7 → c-3, f-4/5 → cf-2/5).
-// Every wire type with a string ID declares it first (SessionInfo,
-// FleetInfo, TraceResponse), so the shard's encoding opens with it; any
-// other body, a member's numeric ID included, is returned as it is.
-func publicID(b []byte, local, public string) []byte {
-	const head = `{"id":"`
-	rest, ok := bytes.CutPrefix(b, []byte(head+local))
-	if !ok || len(rest) == 0 || (rest[0] != '"' && rest[0] != '/') {
-		return b
-	}
-	out := make([]byte, 0, len(b)+len(public)-len(local))
-	out = append(append(out, head...), public...)
-	return append(out, rest...)
 }
 
 // handleSession forwards a session's GET, trace export and DELETE to its
 // owner under the entry lock, so none of them races a migration's
 // repoint. A DELETE drops the ownership row before it proxies, even when
-// the owner is unreachable: the client asked for the session's end, and
-// a dead owner's copy must not outlive its journal replay only to serve
-// a deleted ID.
+// the owner is unreachable: the client asked for the session's end. (An
+// owner that comes back from its journal still holding the session is
+// the truth, and a later lookup learns the session again.)
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
-	e, ok := rt.session(r.PathValue("id"))
+	e, ok := rt.session(r.Context(), r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "not_found", "unknown session")
 		return
@@ -583,15 +654,13 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if r.Method == http.MethodDelete {
-		rt.mu.Lock()
-		delete(rt.sessions, e.id)
-		rt.mu.Unlock()
+		forget(rt, rt.sessions, e.id)
 	}
 	if e.lost {
 		writeErr(w, http.StatusGone, "session_lost", "session lost: owner died with no usable shadow episode")
 		return
 	}
-	rt.forward(w, r, e.node.Load(), e.id, e.localID, nil, nil)
+	rt.forward(w, r, e.node.Load(), nil, nil)
 }
 
 // handleSessionStep forwards a step and folds every acknowledged result
@@ -602,7 +671,7 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 // the shadow: a failover landing resumes from the last acknowledged step,
 // and the client's retry lands exactly once.
 func (rt *Router) handleSessionStep(w http.ResponseWriter, r *http.Request) {
-	e, ok := rt.session(r.PathValue("id"))
+	e, ok := rt.session(r.Context(), r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "not_found", "unknown session")
 		return
@@ -618,7 +687,7 @@ func (rt *Router) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, "session_lost", "session lost: owner died with no usable shadow episode")
 		return
 	}
-	rt.forward(w, r, e.node.Load(), e.id, e.localID, body, func(status int, b []byte) {
+	rt.forward(w, r, e.node.Load(), body, func(status int, b []byte) {
 		rt.recordStep(e, &req, status, b)
 	})
 }
@@ -644,9 +713,7 @@ func (rt *Router) recordStep(e *sessEntry, req *oic.StepRequest, status int, bod
 			if i < len(req.WS) {
 				w = req.WS[i]
 			}
-			if rt.shadowAppend(e, w, res) {
-				rt.m.shadowSteps.Add(1)
-			}
+			rt.shadowAppend(e, w, res)
 		}
 		return
 	}
@@ -657,39 +724,38 @@ func (rt *Router) recordStep(e *sessEntry, req *oic.StepRequest, status int, bod
 	if json.Unmarshal(body, &res) != nil {
 		return
 	}
-	if rt.shadowAppend(e, req.W, &res) {
-		rt.m.shadowSteps.Add(1)
-	}
+	rt.shadowAppend(e, req.W, &res)
 }
 
-func (rt *Router) shadowAppend(e *sessEntry, w []float64, res *oic.StepResult) bool {
-	ok := e.sh.append(w, res)
-	if !ok && !e.sh.usable() {
+// shadowAppend records one acknowledged step in e's shadow and counts it,
+// as recorded or as dropped.
+func (rt *Router) shadowAppend(e *sessEntry, w []float64, res *oic.StepResult) {
+	switch {
+	case e.sh.append(w, res):
+		rt.m.shadowSteps.Add(1)
+	case !e.sh.usable():
 		rt.m.shadowDropped.Add(1)
 	}
-	return ok
 }
 
 // handleFleet forwards every request that names a fleet to the shard the
 // fleet is pinned to. A fleet DELETE unpins it first; a member DELETE
 // leaves the pin.
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
-	f, ok := rt.fleet(r.PathValue("id"))
+	id := r.PathValue("id")
+	n, ok := rt.fleet(r.Context(), id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "not_found", "unknown fleet")
 		return
 	}
-	body, err := readBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	if r.Method == http.MethodDelete && r.PathValue("mid") == "" {
-		rt.mu.Lock()
-		delete(rt.fleets, f.id)
-		rt.mu.Unlock()
+		forget(rt, rt.fleets, id)
 	}
-	rt.forward(w, r, f.node, f.id, f.localID, body, nil)
+	rt.forward(w, r, n, body, nil)
 }
 
 // Status snapshots the cluster: per-node health and load plus the
@@ -707,8 +773,8 @@ func (rt *Router) Status() ClusterStatus {
 		// would invert a session DELETE's entry-then-rt.mu lock order.
 		ownedS[e.nodeName()]++
 	}
-	for _, f := range rt.fleets {
-		ownedF[f.node.Name]++
+	for _, n := range rt.fleets {
+		ownedF[n.Name]++
 	}
 	rt.mu.Unlock()
 

@@ -13,7 +13,8 @@ import (
 // journal with it, the router ships the shadow episode to a survivor and
 // replays it to head. Because the shadow records only acknowledged steps,
 // a step that died in flight was never recorded, so a client retry after
-// failover lands exactly once.
+// failover lands exactly once. The owner's recording is also where a
+// restarted router rebuilds a shadow from, when it learns the session.
 
 // levelCode inverts core.Level.String() — wire responses carry the level
 // as its display string, the step value as its code.
@@ -34,7 +35,6 @@ const shadowLimit = 100_000
 // use — the owning sessEntry's mutex serializes it.
 type shadow struct {
 	rec     *trace.Recorder
-	nx      int
 	zeros   []float64 // reusable zero disturbance for w-omitted steps
 	dropped bool      // recording stopped (limit hit or malformed response); failover impossible
 }
@@ -56,18 +56,16 @@ func newShadow(info *oic.SessionInfo, train oic.TrainConfig) *shadow {
 	}
 	return &shadow{
 		rec:   trace.NewRecorder(meta, info.X, info.NU, shadowLimit),
-		nx:    len(info.X),
 		zeros: make([]float64, len(info.X)),
 	}
 }
 
 // shadowFromTrace rebuilds a shadow positioned at the head of an episode
-// the router just shipped — after a migration the new owner's recording
-// and the shadow must stay in lockstep.
+// the router just shipped or read from the session's owner — the owner's
+// recording and the shadow must stay in lockstep.
 func shadowFromTrace(t *oic.Trace) *shadow {
 	sh := &shadow{
 		rec:   trace.NewRecorder(t.Meta, t.X0, t.NU, shadowLimit),
-		nx:    t.NX,
 		zeros: make([]float64, t.NX),
 	}
 	for _, st := range t.Steps {

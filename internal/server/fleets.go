@@ -196,7 +196,7 @@ func (s *Server) handleFleetCreate(w http.ResponseWriter, r *http.Request) {
 	s.touch(fe)
 	s.mu.Lock()
 	s.nextFleetID++
-	fe.id = fmt.Sprintf("f-%d", s.nextFleetID)
+	fe.id = fmt.Sprintf("f-%s-%d", s.tag, s.nextFleetID)
 	s.mu.Unlock()
 	s.journalOpenFleet(fe.id, eng, fleet, x0s)
 	s.mu.Lock()

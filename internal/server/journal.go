@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"oic/internal/journal"
 	"oic/internal/obs"
@@ -119,26 +117,6 @@ func (s *Server) hookSession(id string, eng *oic.Engine, sess *oic.Session) {
 	})
 }
 
-// journalImportMember journals a migrated-in fleet member: the admit
-// record under its preserved ID plus its replayed prefix. It runs under
-// the fleet lock before the member joins the roster (Fleet.ResumeMember's
-// write-ahead callback), so no tick can step the member first; the
-// member step hook is already installed fleet-wide.
-func (s *Server) journalImportMember(fleetID string, member int, eng *oic.Engine, t *oic.Trace) {
-	if s.jw == nil {
-		return
-	}
-	nx, nu := eng.NX(), eng.NU()
-	s.journalAppend(&journal.Record{
-		Type: journal.TypeFleetAdmit, ID: fleetID, Member: uint32(member), NX: nx, X0: t.X0,
-	})
-	for _, st := range t.Steps {
-		s.journalAppend(&journal.Record{
-			Type: journal.TypeFleetStep, ID: fleetID, Member: uint32(member), NX: nx, NU: nu, Step: st,
-		})
-	}
-}
-
 // journalCloseSession records a client delete or TTL eviction (never a
 // shutdown — live sessions must survive restarts).
 func (s *Server) journalCloseSession(id string) {
@@ -231,9 +209,8 @@ type RecoveryReport struct {
 // mirroring BeginPreload — so callers observe 503 from the moment the
 // server is constructed, with no startup race window.
 //
-// Resumed objects keep their pre-crash IDs; the ID counters advance past
-// every journaled ID (including closed ones) so post-recovery creations
-// never collide.
+// Resumed objects keep their pre-crash IDs. New IDs carry this
+// process's tag, so post-recovery creations never collide with them.
 func (s *Server) BeginJournalRecovery(dir string) (run func() (RecoveryReport, error), err error) {
 	if dir == "" {
 		return nil, fmt.Errorf("server: journal recovery requires a journal directory")
@@ -285,11 +262,7 @@ func (s *Server) BeginJournalRecovery(dir string) (run func() (RecoveryReport, e
 		}
 
 		span.Phase("replay")
-		var maxSID, maxFID uint64
 		for _, st := range rv.Sessions {
-			if n, ok := numericID(st.ID, "s-"); ok && n > maxSID {
-				maxSID = n
-			}
 			if st.Closed {
 				rep.Skipped++
 				continue
@@ -302,23 +275,12 @@ func (s *Server) BeginJournalRecovery(dir string) (run func() (RecoveryReport, e
 			}
 		}
 		for _, fs := range rv.Fleets {
-			if n, ok := numericID(fs.ID, "f-"); ok && n > maxFID {
-				maxFID = n
-			}
 			if fs.Closed {
 				rep.Skipped++
 				continue
 			}
 			s.resumeFleet(fs, &rep)
 		}
-		s.mu.Lock()
-		if maxSID > s.nextID {
-			s.nextID = maxSID
-		}
-		if maxFID > s.nextFleetID {
-			s.nextFleetID = maxFID
-		}
-		s.mu.Unlock()
 		s.m.recoveredSessions.Store(int64(rep.Sessions))
 		s.m.recoveredFleets.Store(int64(rep.Fleets))
 		s.m.recoveredMembers.Store(int64(rep.Members))
@@ -403,7 +365,7 @@ func (s *Server) resumeFleet(fs *journal.FleetState, rep *RecoveryReport) {
 			rep.Skipped++
 			continue
 		}
-		if err := f.ResumeMember(int(m.Member), fs.Trace(m), nil); err != nil {
+		if err := f.ResumeMember(int(m.Member), fs.Trace(m)); err != nil {
 			rep.Failed++
 			continue
 		}
@@ -430,13 +392,4 @@ func (s *Server) resumeFleet(fs *journal.FleetState, rep *RecoveryReport) {
 		return
 	}
 	rep.Fleets++
-}
-
-// numericID parses the numeric suffix of a server-issued "s-N"/"f-N" id.
-func numericID(id, prefix string) (uint64, bool) {
-	if !strings.HasPrefix(id, prefix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(id[len(prefix):], 10, 64)
-	return n, err == nil
 }

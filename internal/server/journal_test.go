@@ -455,11 +455,10 @@ func itoa(n int) string { return fmt.Sprintf("%d", n) }
 
 // TestJournalPrecedesPublication races clients against object creation
 // under per-step syncing: a goroutine steps the next session ID and another
-// ticks the next fleet ID until each answers, and ticks run while member
-// episodes are imported into a fleet and while members are admitted to
-// another. Whatever a client saw acknowledged must be in the journal, so
-// recovery on a fresh server resumes every object, with no orphan records,
-// at the step count it had live.
+// ticks the next fleet ID until each answers, and ticks run while members
+// are admitted to a fleet. Whatever a client saw acknowledged must be in
+// the journal, so recovery on a fresh server resumes every object, with no
+// orphan records, at the step count it had live.
 func TestJournalPrecedesPublication(t *testing.T) {
 	dir := t.TempDir()
 	srvA, cA := journalServer(t, dir, Config{MaxFleets: 32}, journal.SyncEveryStep)
@@ -494,7 +493,7 @@ func TestJournalPrecedesPublication(t *testing.T) {
 
 	var sessions []string
 	for i := 1; i <= 40; i++ {
-		id := fmt.Sprintf("s-%d", i)
+		id := fmt.Sprintf("s-%s-%d", srvA.tag, i)
 		st := race("/v1/sessions/"+id+"/step", oic.StepRequest{W: stepW(i)}, func() {
 			var info oic.SessionInfo
 			if st := cA.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Seed: int64(i)}, &info); st != http.StatusCreated || info.ID != id {
@@ -509,7 +508,7 @@ func TestJournalPrecedesPublication(t *testing.T) {
 
 	members := map[string][]int{} // fleet ID → member IDs
 	for i := 1; i <= 20; i++ {
-		id := fmt.Sprintf("f-%d", i)
+		id := fmt.Sprintf("f-%s-%d", srvA.tag, i)
 		st := race("/v1/fleets/"+id+"/tick", oic.FleetTickRequest{}, func() {
 			var fl oic.FleetInfo
 			if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 1, Size: 2, Seed: int64(i)}, &fl); st != http.StatusCreated || fl.ID != id {
@@ -522,19 +521,6 @@ func TestJournalPrecedesPublication(t *testing.T) {
 		members[id] = []int{0, 1}
 	}
 
-	// Import ten member episodes, exported from a traced source fleet,
-	// into an empty fleet that ticks throughout.
-	const imports = 10
-	var src, dst oic.FleetInfo
-	if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2, Size: imports, Seed: 5, Trace: true}, &src); st != http.StatusCreated {
-		t.Fatalf("source fleet create: status %d", st)
-	}
-	if st := cA.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 2}, &dst); st != http.StatusCreated {
-		t.Fatalf("target fleet create: status %d", st)
-	}
-	if st := cA.do("POST", "/v1/fleets/"+src.ID+"/tick", oic.FleetTickRequest{Ticks: 30}, nil); st != http.StatusOK {
-		t.Fatalf("source tick: status %d", st)
-	}
 	// tickWhile ticks a fleet from a goroutine until the returned stop is
 	// called; stop fails the test if any of those ticks failed.
 	tickWhile := func(id string) (stop func()) {
@@ -559,18 +545,6 @@ func TestJournalPrecedesPublication(t *testing.T) {
 				t.Fatalf("a tick on %s failed", id)
 			}
 		}
-	}
-	stop := tickWhile(dst.ID)
-	for mid := 0; mid < imports; mid++ {
-		bin := cA.raw("GET", fmt.Sprintf("/v1/fleets/%s/sessions/%d/trace?format=binary", src.ID, mid))
-		if st := cA.do("POST", "/v1/fleets/"+dst.ID+"/sessions/resume", oic.FleetResumeMemberRequest{Member: mid, TraceBin: bin}, nil); st != http.StatusCreated {
-			t.Fatalf("import member %d: status %d", mid, st)
-		}
-	}
-	stop()
-	for mid := 0; mid < imports; mid++ {
-		members[src.ID] = append(members[src.ID], mid)
-		members[dst.ID] = append(members[dst.ID], mid)
 	}
 
 	// Admit members into a bang-bang fleet that ticks throughout, while

@@ -48,7 +48,6 @@ type metrics struct {
 
 	sessionsFrozen   atomic.Int64 // freeze handoffs requested (migration drains)
 	sessionsResumed  atomic.Int64 // sessions imported via POST /v1/sessions/resume
-	membersResumed   atomic.Int64 // fleet members imported via the member resume endpoint
 	resumeMismatches atomic.Int64 // imports rejected because the episode did not replay bit-exactly
 
 	journalErrors    atomic.Int64 // journal appends/syncs that failed (durability degraded, requests unaffected)
@@ -180,7 +179,6 @@ func (m *metrics) render(w io.Writer, liveSessions, cachedEngines int, fleets []
 
 	counter("oicd_sessions_frozen_total", "sessions frozen for migration handoff", m.sessionsFrozen.Load())
 	counter("oicd_sessions_resumed_total", "sessions imported from exported episodes (migration/failover landings)", m.sessionsResumed.Load())
-	counter("oicd_members_resumed_total", "fleet members imported from exported episodes", m.membersResumed.Load())
 	counter("oicd_resume_mismatch_total", "episode imports rejected by bit-exact replay verification", m.resumeMismatches.Load())
 
 	counter("oicd_journal_appends_total", "write-ahead journal records appended", js.Appends)

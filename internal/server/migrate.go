@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"regexp"
 
 	"oic/pkg/oic"
 )
@@ -12,13 +13,12 @@ import (
 // freezes the source session, exports its recorded episode
 // (GET /v1/sessions/{id}/trace?format=binary), imports it on the target
 // via the resume endpoint below — which replays it to head with the same
-// bit-exact conformance check journal recovery uses — and repoints
-// ownership once the successor state verifies.
+// bit-exact conformance check journal recovery uses, under the session's
+// own ID — and repoints ownership once the successor state verifies.
 //
 //	POST /v1/sessions/{id}/freeze          quiesce for handoff (steps 409 frozen)
 //	POST /v1/sessions/{id}/unfreeze        abort the handoff, resume stepping
 //	POST /v1/sessions/resume               import an exported episode as a live session
-//	POST /v1/fleets/{id}/sessions/resume   import one member episode under its old ID
 //	GET  /v1/fleets/{id}/sessions/{mid}/trace  export one member episode
 
 // handleSessionFreeze quiesces a session for migration. The returned
@@ -67,7 +67,8 @@ func (s *Server) handleSessionUnfreeze(w http.ResponseWriter, r *http.Request) {
 // episode is replayed to head with bit-exact verification (any
 // divergence is 409 resume_mismatch and nothing is registered), and the
 // whole imported history is journaled before the response — so a crash
-// right after a migration lands recovers the migrated session too.
+// right after a migration lands recovers the migrated session too. The
+// session keeps the request's ID when it names one.
 func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 	if s.recovering.Load() {
 		s.fail(w, errRecovering)
@@ -76,6 +77,10 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 	var req oic.ResumeSessionRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
+		return
+	}
+	if req.ID != "" && !sessionID.MatchString(req.ID) {
+		s.fail(w, badRequest(fmt.Sprintf("id %q is not a session ID", req.ID)))
 		return
 	}
 	tr, err := resolveTrace(req.Trace, req.TraceBin, s.cfg.TraceLimit)
@@ -94,7 +99,7 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	id, err := s.publishSession(eng, sess, tr.X0, tr.Steps)
+	id, err := s.publishSession(req.ID, eng, sess, tr.X0, tr.Steps)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -105,6 +110,11 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 	info.ID = id
 	writeJSON(w, http.StatusCreated, info)
 }
+
+// sessionID matches the IDs servers mint ("s-<tag>-<n>", and the "s-<n>"
+// of older journals), so an adopted ID is safe in a URL path and within
+// a journal record's bounds.
+var sessionID = regexp.MustCompile(`^s-[0-9a-z-]{1,62}$`)
 
 // handleFleetMemberTrace exports one member's recorded episode, the
 // fleet-side analogue of GET /v1/sessions/{id}/trace. 409 not_tracing
@@ -127,51 +137,4 @@ func (s *Server) handleFleetMemberTrace(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	s.writeTrace(w, r, fmt.Sprintf("%s/%d", fe.id, mid), tr)
-}
-
-// handleFleetMemberResume imports one exported member episode under its
-// original fleet-local ID. The fleet refuses IDs it has already issued
-// (live, evicted, or reserved) with 409 resume_mismatch — identity
-// preservation is what makes member migration auditable, so a collision
-// is a loud failure, never a silent renumber.
-func (s *Server) handleFleetMemberResume(w http.ResponseWriter, r *http.Request) {
-	if s.recovering.Load() {
-		s.fail(w, errRecovering)
-		return
-	}
-	fe, ok := s.lookupFleet(r.PathValue("id"))
-	if !ok {
-		s.fail(w, errNotFound)
-		return
-	}
-	var req oic.FleetResumeMemberRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	if req.Member < 0 {
-		s.fail(w, badRequest("member id must be ≥ 0"))
-		return
-	}
-	tr, err := resolveTrace(req.Trace, req.TraceBin, s.cfg.TraceLimit)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.touch(fe)
-	err = fe.f.ResumeMember(req.Member, tr, func() { s.journalImportMember(fe.id, req.Member, fe.eng, tr) })
-	if err != nil {
-		s.m.resumeMismatches.Add(1)
-		s.fail(w, err)
-		return
-	}
-	s.m.membersResumed.Add(1)
-	s.journalSyncRequest()
-	fe.publishStats()
-	info, err := fe.f.Member(req.Member)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
 }

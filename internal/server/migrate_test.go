@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
+	"oic/internal/journal"
 	"oic/pkg/oic"
 )
 
@@ -117,8 +122,8 @@ func TestSessionResumeEndpoint(t *testing.T) {
 	}
 }
 
-// TestMemberTraceAndResume covers the fleet-side export/import pair,
-// including the not-tracing guard.
+// TestMemberTraceAndResume covers the fleet-side member export, including
+// the not-tracing guard.
 func TestMemberTraceAndResume(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	var fl oic.FleetInfo
@@ -135,20 +140,6 @@ func TestMemberTraceAndResume(t *testing.T) {
 		t.Fatalf("member trace: status %d", st)
 	}
 
-	// Import into a second, tracing-enabled empty fleet under the same ID.
-	var fl2 oic.FleetInfo
-	if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{
-		Plant: "acc", ComputeBudget: 4, Trace: true,
-	}, &fl2); st != http.StatusCreated {
-		t.Fatalf("fleet2 create: status %d", st)
-	}
-	var member oic.FleetMemberInfo
-	if st := c.do("POST", "/v1/fleets/"+fl2.ID+"/sessions/resume", oic.FleetResumeMemberRequest{
-		Member: 1, Trace: tr.Trace,
-	}, &member); st != http.StatusCreated || member.ID != 1 || member.T != 4 {
-		t.Fatalf("member resume: status %d, %+v", st, member)
-	}
-
 	// An untraced fleet cannot export members — migration needs the
 	// episode, so the error is loud.
 	var fl3 oic.FleetInfo
@@ -160,5 +151,104 @@ func TestMemberTraceAndResume(t *testing.T) {
 	var er oic.ErrorResponse
 	if st := c.do("GET", "/v1/fleets/"+fl3.ID+"/sessions/0/trace", nil, &er); st != http.StatusConflict {
 		t.Fatalf("untraced member trace: status %d, want 409 (%+v)", st, er)
+	}
+}
+
+// TestSessionResumeKeepsID: a landing that names an ID keeps it, through
+// journal recovery too. Of concurrent landings under one ID exactly one
+// registers and the rest answer 409 id_taken, as does a landing under an
+// ID the server holds; an ID that is not a session ID is a 400. A landing
+// under an ID the server has yet to mint holds it: the next create skips
+// it instead of overwriting the landed session.
+func TestSessionResumeKeepsID(t *testing.T) {
+	_, src := newTestServer(t, Config{})
+	var info oic.SessionInfo
+	if st := src.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Seed: 5, Trace: true}, &info); st != http.StatusCreated {
+		t.Fatalf("create: status %d", st)
+	}
+	for range 6 {
+		if st := src.do("POST", "/v1/sessions/"+info.ID+"/step", nil, nil); st != http.StatusOK {
+			t.Fatalf("step: status %d", st)
+		}
+	}
+	bin := src.raw("GET", "/v1/sessions/"+info.ID+"/trace?format=binary")
+	body, err := json.Marshal(oic.ResumeSessionRequest{ID: info.ID, TraceBin: bin})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	dstSrv, dst := journalServer(t, dir, Config{}, journal.SyncEveryTick)
+	const racers = 4
+	type answer struct {
+		status int
+		code   string
+	}
+	answers := make(chan answer, racers)
+	for range racers {
+		go func() {
+			resp, err := dst.hc.Post(dst.base+"/v1/sessions/resume", "application/json", bytes.NewReader(body))
+			if err != nil {
+				answers <- answer{status: -1}
+				return
+			}
+			defer resp.Body.Close()
+			var er oic.ErrorResponse
+			_ = json.NewDecoder(resp.Body).Decode(&er)
+			answers <- answer{resp.StatusCode, er.Code}
+		}()
+	}
+	landed := 0
+	for range racers {
+		switch a := <-answers; {
+		case a.status == http.StatusCreated:
+			landed++
+		case a.status != http.StatusConflict || a.code != "id_taken":
+			t.Fatalf("concurrent landing: status %d code %q, want 201 or 409 id_taken", a.status, a.code)
+		}
+	}
+	if landed != 1 {
+		t.Fatalf("%d concurrent landings under %s registered, want 1", landed, info.ID)
+	}
+	var er oic.ErrorResponse
+	if st := dst.do("POST", "/v1/sessions/resume", oic.ResumeSessionRequest{ID: info.ID, TraceBin: bin}, &er); st != http.StatusConflict || er.Code != "id_taken" {
+		t.Fatalf("landing under a held ID: status %d code %q, want 409 id_taken", st, er.Code)
+	}
+	for _, id := range []string{"c-1", "S-1", "s-", "s-a/b", "s-" + strings.Repeat("0", 63)} {
+		if st := dst.do("POST", "/v1/sessions/resume", oic.ResumeSessionRequest{ID: id, TraceBin: bin}, &er); st != http.StatusBadRequest {
+			t.Errorf("landing under %q: status %d, want 400", id, st)
+		}
+	}
+
+	dstSrv.Close()
+	rec, c := journalServer(t, dir, Config{}, journal.SyncEveryTick)
+	run, err := rec.BeginJournalRecovery(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := run(); err != nil || rep.Sessions != 1 {
+		t.Fatalf("recovery: %+v, %v", rep, err)
+	}
+	var got oic.SessionInfo
+	if st := c.do("GET", "/v1/sessions/"+info.ID, nil, &got); st != http.StatusOK || got.ID != info.ID || got.T != 6 {
+		t.Fatalf("recovered landing: status %d, %+v", st, got)
+	}
+
+	// info.ID is the source's "s-<tag>-1"; land its successor there.
+	cut := strings.LastIndex(info.ID, "-") + 1
+	n, err := strconv.Atoi(info.ID[cut:])
+	if err != nil {
+		t.Fatalf("minted ID %q does not end in a counter", info.ID)
+	}
+	ahead := info.ID[:cut] + strconv.Itoa(n+1)
+	if st := src.do("POST", "/v1/sessions/resume", oic.ResumeSessionRequest{ID: ahead, TraceBin: bin}, nil); st != http.StatusCreated {
+		t.Fatalf("landing under %s: status %d", ahead, st)
+	}
+	var fresh oic.SessionInfo
+	if st := src.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc"}, &fresh); st != http.StatusCreated || fresh.ID == ahead || fresh.ID == info.ID {
+		t.Fatalf("create after a landing under %s: status %d, id %q", ahead, st, fresh.ID)
+	}
+	if st := src.do("GET", "/v1/sessions/"+ahead, nil, &got); st != http.StatusOK || got.T != 6 {
+		t.Fatalf("landed %s after the create: status %d, %+v", ahead, st, got)
 	}
 }

@@ -20,6 +20,8 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,12 +122,20 @@ type session struct {
 type Server struct {
 	cfg Config
 
+	// tag is drawn at random once per process. Every ID the server mints
+	// is "s-<tag>-<n>" or "f-<tag>-<n>", so IDs never repeat across shards
+	// or restarts, and recovery needs no counter past the journaled ones.
+	tag string
+
 	mu          sync.Mutex
 	engines     map[string]*engineSlot
 	sessions    map[string]*session
 	fleets      map[string]*fleetEntry
 	nextID      uint64
 	nextFleetID uint64
+	// landing holds the session IDs reserved by publishSession whose
+	// session is not yet in sessions, so two imports cannot claim one ID.
+	landing map[string]bool
 
 	m metrics
 
@@ -158,11 +168,15 @@ type Server struct {
 // New returns a server; call Handler for its http.Handler and Close on
 // shutdown.
 func New(cfg Config) *Server {
+	var tag [8]byte
+	_, _ = rand.Read(tag[:]) // crypto/rand.Read never fails
 	s := &Server{
 		cfg:      cfg.withDefaults(),
+		tag:      hex.EncodeToString(tag[:]),
 		engines:  map[string]*engineSlot{},
 		sessions: map[string]*session{},
 		fleets:   map[string]*fleetEntry{},
+		landing:  map[string]bool{},
 		ops:      obs.NewSpanRing(64),
 	}
 	s.log = s.cfg.Logger.With("component", "oicd")
@@ -191,7 +205,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/fleets/{id}", s.handleFleetDelete)
 	mux.HandleFunc("POST /v1/fleets/{id}/tick", s.handleFleetTick)
 	mux.HandleFunc("POST /v1/fleets/{id}/sessions", s.handleFleetAdmit)
-	mux.HandleFunc("POST /v1/fleets/{id}/sessions/resume", s.handleFleetMemberResume)
 	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}", s.handleFleetMemberGet)
 	mux.HandleFunc("GET /v1/fleets/{id}/sessions/{mid}/trace", s.handleFleetMemberTrace)
 	mux.HandleFunc("DELETE /v1/fleets/{id}/sessions/{mid}", s.handleFleetMemberDelete)
@@ -549,7 +562,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	id, err := s.publishSession(eng, sess, x0, nil)
+	id, err := s.publishSession("", eng, sess, x0, nil)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -561,28 +574,44 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
-// publishSession registers a created or imported session write-ahead: it
-// reserves an ID, journals the open record and any imported prefix with
-// the step hook installed, and only then inserts the session where a
-// client can step it, so every acknowledged step is in the journal. A
-// full server refuses at the reservation and journals nothing; a create
-// that loses the capacity race at the insert journals a close record, so
-// recovery skips it. On error the session is closed.
-func (s *Server) publishSession(eng *oic.Engine, sess *oic.Session, x0 []float64, prefix []oic.StepEvent) (string, error) {
+// publishSession registers a created or imported session write-ahead:
+// it reserves id (minting one when id is empty), journals the open record
+// and any imported prefix with the step hook installed, and only then
+// inserts the session where a client can step it, so every acknowledged
+// step is in the journal. A full server, or an id the server holds or is
+// already landing, is refused at the reservation and journals nothing; a
+// create that loses the capacity race at the insert journals a close
+// record, so recovery skips it. On error the session is closed.
+func (s *Server) publishSession(id string, eng *oic.Engine, sess *oic.Session, x0 []float64, prefix []oic.StepEvent) (string, error) {
 	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		sess.Close()
-		return "", errCapacity
+	var err error
+	switch {
+	case len(s.sessions) >= s.cfg.MaxSessions:
+		err = errCapacity
+	case id == "":
+		// A landing may hold an ID of this server's own form (a session
+		// migrating back to the shard that minted it), so skip held IDs.
+		for id == "" || s.sessions[id] != nil || s.landing[id] {
+			s.nextID++
+			id = fmt.Sprintf("s-%s-%d", s.tag, s.nextID)
+		}
+	case s.sessions[id] != nil || s.landing[id]:
+		err = errIDTaken
 	}
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
+	if err == nil {
+		s.landing[id] = true
+	}
 	s.mu.Unlock()
+	if err != nil {
+		sess.Close()
+		return "", err
+	}
 
 	s.journalOpenSession(id, eng, sess, x0, prefix)
 	se := &session{id: id, s: sess}
 	s.touch(se)
 	s.mu.Lock()
+	delete(s.landing, id)
 	full := len(s.sessions) >= s.cfg.MaxSessions
 	if !full {
 		s.sessions[id] = se
@@ -718,6 +747,8 @@ var (
 	errNotFound       = errors.New("session not found")
 	errCapacity       = errors.New("session capacity reached")
 	errEngineCapacity = errors.New("engine cache capacity reached (too many distinct configurations)")
+	errIDTaken        = errors.New("session ID already held on this server")
+	errTooLarge       = fmt.Errorf("request body too large (limit %d bytes)", oic.MaxRequestBytes)
 )
 
 type badRequestErr string
@@ -753,6 +784,10 @@ func statusAndCode(err error) (int, string) {
 		return http.StatusServiceUnavailable, "deadline"
 	case errors.Is(err, oic.ErrSessionClosed):
 		return http.StatusGone, "session_closed"
+	case errors.Is(err, errIDTaken):
+		return http.StatusConflict, "id_taken"
+	case errors.Is(err, errTooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, oic.ErrSessionFrozen):
 		// A migration handoff is in flight; the step may be retried — the
 		// router repoints ownership once the target verifies.
@@ -804,8 +839,12 @@ func decodeJSON(r *http.Request, dst any) error {
 	if r.Body == nil || r.ContentLength == 0 {
 		return nil // empty body = zero-value request
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, oic.MaxRequestBytes))
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return errTooLarge
+		}
 		return badRequest("invalid JSON: " + strings.SplitN(err.Error(), "\n", 2)[0])
 	}
 	return nil

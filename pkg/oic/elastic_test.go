@@ -272,7 +272,7 @@ func TestFleetResumeAfterBudgetChanges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.ResumeMember(id, tr, nil); err != nil {
+		if err := rec.ResumeMember(id, tr); err != nil {
 			t.Fatalf("resume member %d: %v", id, err)
 		}
 	}
@@ -335,7 +335,7 @@ func TestFleetResumeMemberElasticCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ResumeMember(5, tr, nil); err != nil {
+	if err := f.ResumeMember(5, tr); err != nil {
 		t.Fatalf("ResumeMember at size 5 under capacity 6: %v", err)
 	}
 
@@ -347,7 +347,7 @@ func TestFleetResumeMemberElasticCapacity(t *testing.T) {
 	f.mu.Lock()
 	f.effMax = 2 // simulate a capacity that shrank below MaxSessions
 	f.mu.Unlock()
-	if err := f.ResumeMember(6, tr, nil); !errors.Is(err, ErrFleetFull) {
+	if err := f.ResumeMember(6, tr); !errors.Is(err, ErrFleetFull) {
 		t.Fatalf("ResumeMember at size 2 under capacity 2: %v, want ErrFleetFull", err)
 	}
 }

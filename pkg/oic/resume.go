@@ -98,12 +98,8 @@ func (e *Engine) ResumeSession(t *Trace, opts ResumeOptions) (*Session, error) {
 // the fleet's ID counter advances past each so post-recovery admissions
 // never collide. Admission control still applies at the capacity in
 // force, elastic as for Admit — but not backpressure: the members existed
-// before the crash. A non-nil writeAhead runs under the fleet lock once
-// the replay has verified and before the member joins the roster, so a
-// server can journal the member's history before any tick steps it. It
-// must not call back into the fleet. Recovery, replaying a journal that
-// already holds that history, passes nil.
-func (f *Fleet) ResumeMember(id int, t *Trace, writeAhead func()) error {
+// before the crash.
+func (f *Fleet) ResumeMember(id int, t *Trace) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -126,9 +122,6 @@ func (f *Fleet) ResumeMember(id int, t *Trace, writeAhead func()) error {
 	m := &fleetMember{f: f, id: id, cs: cs, w: make(mat.Vec, f.eng.NX())}
 	if f.cfg.Trace {
 		m.rec = f.eng.resumeRecorder(t, f.cfg.TraceLimit)
-	}
-	if writeAhead != nil {
-		writeAhead()
 	}
 	f.byID[id] = len(f.members)
 	f.members = append(f.members, m)

@@ -223,7 +223,7 @@ func TestFleetResumeMembers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.ResumeMember(id, tr, nil); err != nil {
+		if err := rec.ResumeMember(id, tr); err != nil {
 			t.Fatalf("resume member %d: %v", id, err)
 		}
 	}
@@ -300,13 +300,13 @@ func TestFleetResumeMemberIDCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ResumeMember(4, tr, nil); err != nil {
+	if err := f.ResumeMember(4, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.ResumeMember(4, tr, nil); !errors.Is(err, ErrResumeMismatch) {
+	if err := f.ResumeMember(4, tr); !errors.Is(err, ErrResumeMismatch) {
 		t.Fatalf("ID reuse: err = %v, want ErrResumeMismatch", err)
 	}
-	if err := f.ResumeMember(2, tr, nil); !errors.Is(err, ErrResumeMismatch) {
+	if err := f.ResumeMember(2, tr); !errors.Is(err, ErrResumeMismatch) {
 		t.Fatalf("stale ID: err = %v, want ErrResumeMismatch", err)
 	}
 }

@@ -6,6 +6,10 @@ package oic
 
 import "time"
 
+// MaxRequestBytes bounds a request body on oicd and oicd-router alike;
+// both answer a larger one with 413 too_large.
+const MaxRequestBytes = 16 << 20
+
 // ScenarioInfo describes one plant scenario.
 type ScenarioInfo struct {
 	ID          string `json:"id"`
@@ -129,10 +133,8 @@ type CreateFleetRequest struct {
 
 	// Trace records every member's episode (FleetConfig.Trace, capped at
 	// the server's trace limit), read back via
-	// GET /v1/fleets/{id}/sessions/{mid}/trace — the export side of
-	// fleet-member migration, whose import side is
-	// POST /v1/fleets/{id}/sessions/resume. oicd-router forwards it as
-	// sent, and it is journaled, so a fleet records only when asked:
+	// GET /v1/fleets/{id}/sessions/{mid}/trace. oicd-router forwards it
+	// as sent, and it is journaled, so a fleet records only when asked:
 	// routed or not, and before or after a restart.
 	Trace bool `json:"trace,omitempty"`
 }
@@ -203,20 +205,13 @@ type ReplayRequest struct {
 // (canonical binary, base64 on the wire) carries the episode; the server
 // rebuilds the engine from the trace's fingerprint, replays the episode
 // to head with bit-exact verification (409 resume_mismatch on any
-// divergence), and registers the session under a fresh ID — the landing
-// half of live migration and node failover.
+// divergence), and registers the session — the landing half of live
+// migration and node failover. ID, when set, is the session ID the
+// landing keeps (an "s-…" ID another server minted); the server refuses
+// an ID it already holds or is landing with 409 id_taken. Empty mints a
+// fresh one.
 type ResumeSessionRequest struct {
-	Trace    *Trace `json:"trace,omitempty"`
-	TraceBin []byte `json:"trace_bin,omitempty"`
-}
-
-// FleetResumeMemberRequest imports a recorded member episode into a
-// fleet: POST /v1/fleets/{id}/sessions/resume. Member is the fleet-local
-// ID the member must keep (migration preserves identity); the fleet
-// rejects IDs it has already issued with 409 resume_mismatch. The trace
-// fields mirror ResumeSessionRequest.
-type FleetResumeMemberRequest struct {
-	Member   int    `json:"member"`
+	ID       string `json:"id,omitempty"`
 	Trace    *Trace `json:"trace,omitempty"`
 	TraceBin []byte `json:"trace_bin,omitempty"`
 }
