@@ -13,6 +13,7 @@ package main_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"oic/internal/acc"
@@ -429,10 +430,34 @@ func BenchmarkSkipBudgetChain(b *testing.B) {
 // large enough that about two resolves in three need dual-simplex repair,
 // at about five pivots each, and about one in 300 is a drift-guard cold
 // refactorization. It runs forward and back over its 256 states, so
-// consecutive states are always neighbours.
+// consecutive states are always neighbours. "repair" keeps one workspace
+// in cache; "fleet" resolves 1000 handles round-robin, each on its own
+// seeded walk of the same shape, so each solve finds its workspace out of
+// cache as a fleet member does, and reports the live heap each primed
+// handle holds (B/handle).
 func BenchmarkLPSolve(b *testing.B) {
 	m := sharedACCModel(b)
 	x := mat.Vec{150, 40}
+	walk := func(seed int64, n int) []mat.Vec {
+		rng := rand.New(rand.NewSource(seed))
+		w := []mat.Vec{x}
+		for len(w) < n {
+			last := w[len(w)-1]
+			y := mat.Vec{last[0] + 3.6*rng.NormFloat64(), last[1] + 1.8*rng.NormFloat64()}
+			if m.Sets.XPrime.Contains(y, 0) {
+				w = append(w, y)
+			}
+		}
+		return w
+	}
+	// at returns the k-th state of a walk run forward and back.
+	at := func(w []mat.Vec, k int) mat.Vec {
+		k %= 2 * len(w)
+		if k >= len(w) {
+			k = 2*len(w) - 1 - k
+		}
+		return w[k]
+	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -456,30 +481,47 @@ func BenchmarkLPSolve(b *testing.B) {
 		}
 	})
 	b.Run("repair", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(6))
-		walk := []mat.Vec{x}
-		for len(walk) < 256 {
-			last := walk[len(walk)-1]
-			y := mat.Vec{last[0] + 3.6*rng.NormFloat64(), last[1] + 1.8*rng.NormFloat64()}
-			if m.Sets.XPrime.Contains(y, 0) {
-				walk = append(walk, y)
-			}
-		}
+		w := walk(6, 256)
 		h := m.RMPC.ForSession().(*controller.RMPC)
-		if _, err := h.ComputeSequence(walk[0]); err != nil {
+		if _, err := h.ComputeSequence(w[0]); err != nil {
 			b.Fatal(err) // prime the basis
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k := (i + 1) % (2 * len(walk))
-			if k >= len(walk) {
-				k = 2*len(walk) - 1 - k
-			}
-			if _, err := h.ComputeSequence(walk[k]); err != nil {
+			if _, err := h.ComputeSequence(at(w, i+1)); err != nil {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("fleet", func(b *testing.B) {
+		const handles = 1000
+		walks := make([][]mat.Vec, handles)
+		for k := range walks {
+			walks[k] = walk(int64(k)+7, 32)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		hs := make([]*controller.RMPC, handles)
+		for k := range hs {
+			hs[k] = m.RMPC.ForSession().(*controller.RMPC)
+			if _, err := hs[k].ComputeSequence(walks[k][0]); err != nil {
+				b.Fatal(err) // prime the basis
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perHandle := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / handles
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % handles
+			if _, err := hs[k].ComputeSequence(at(walks[k], i/handles+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(perHandle, "B/handle") // after the loop: ResetTimer drops reported metrics
 	})
 }
 

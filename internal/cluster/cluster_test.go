@@ -1336,6 +1336,71 @@ func TestLookupRacingDelete(t *testing.T) {
 	}
 }
 
+// TestRouterForgetsGoneSession: a session its shard no longer holds (here
+// deleted straight on the shard, as a TTL eviction would drop it) answers
+// 404 not_found through the router, on a step, on a GET, and on eight
+// steps and GETs sent at once, and the router drops its row and shadow,
+// so /v1/cluster counts it no more.
+func TestRouterForgetsGoneSession(t *testing.T) {
+	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
+	c := &rc{t: t, h: rt.Handler()}
+	for _, route := range []string{"step", "get", "concurrent"} {
+		var info oic.SessionInfo
+		if st := c.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Seed: 4, Trace: true}, &info); st != http.StatusCreated {
+			t.Fatalf("create: status %d", st)
+		}
+		if st := c.do("POST", "/v1/sessions/"+info.ID+"/step", oic.StepRequest{W: []float64{0, 0}}, nil); st != http.StatusOK {
+			t.Fatalf("step: status %d", st)
+		}
+		if st := rt.Status(); st.Sessions != 1 || st.Nodes[0].OwnedSessions != 1 {
+			t.Fatalf("before the shard forgets: sessions %d, owned %d; want 1, 1", st.Sessions, st.Nodes[0].OwnedSessions)
+		}
+		req, err := http.NewRequest(http.MethodDelete, nodes[0].ts.URL+"/v1/sessions/"+info.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		send := func(step bool) (int, []byte) {
+			if !step {
+				req := httptest.NewRequest("GET", "/v1/sessions/"+info.ID, nil)
+				w := httptest.NewRecorder()
+				c.h.ServeHTTP(w, req)
+				return w.Code, w.Body.Bytes()
+			}
+			req := httptest.NewRequest("POST", "/v1/sessions/"+info.ID+"/step", strings.NewReader(`{"w":[0,0]}`))
+			w := httptest.NewRecorder()
+			c.h.ServeHTTP(w, req)
+			return w.Code, w.Body.Bytes()
+		}
+		notFound := func(status int, body []byte) bool {
+			var er oic.ErrorResponse
+			return status == http.StatusNotFound && json.Unmarshal(body, &er) == nil && er.Code == "not_found"
+		}
+		if route == "concurrent" {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if status, body := send(g%2 == 0); !notFound(status, body) {
+						t.Errorf("concurrent request %d: status %d body %s, want 404 not_found", g, status, body)
+					}
+				}()
+			}
+			wg.Wait()
+		} else if status, body := send(route == "step"); !notFound(status, body) {
+			t.Fatalf("%s of a session the shard deleted: status %d body %s, want 404 not_found", route, status, body)
+		}
+		if st := rt.Status(); st.Sessions != 0 || st.Nodes[0].OwnedSessions != 0 {
+			t.Fatalf("after a %s answered 404: sessions %d, owned %d; want 0, 0", route, st.Sessions, st.Nodes[0].OwnedSessions)
+		}
+	}
+}
+
 // TestLandingReplacesStaleCopy: a failover leaves its source's copy in
 // the source's journal, so a source that comes back holds every session
 // it lost, unfrozen, under the same IDs. A migration back to it and a

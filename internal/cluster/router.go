@@ -639,12 +639,28 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, n *nodeState, 
 	rt.relayFrom(w, n, status, ctype, b)
 }
 
+// forgetIfGone drops a session's row, with its shadow, when the owner
+// answered 404 not_found: the shard no longer holds the session (it
+// TTL-evicted it, or a DELETE reached it directly), and the table is a
+// cache of what the shards hold. It runs under the entry lock. Fleet pins
+// are not dropped this way, because a member 404 carries the same code.
+func (rt *Router) forgetIfGone(e *sessEntry, status int, body []byte) {
+	if status != http.StatusNotFound {
+		return
+	}
+	var er oic.ErrorResponse
+	if json.Unmarshal(body, &er) == nil && er.Code == "not_found" {
+		forget(rt, rt.sessions, e.id)
+	}
+}
+
 // handleSession forwards a session's GET, trace export and DELETE to its
 // owner under the entry lock, so none of them races a migration's
 // repoint. A DELETE drops the ownership row before it proxies, even when
 // the owner is unreachable: the client asked for the session's end. (An
 // owner that comes back from its journal still holding the session is
-// the truth, and a later lookup learns the session again.)
+// the truth, and a later lookup learns the session again.) An owner that
+// answers 404 not_found drops the row too (forgetIfGone).
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	e, ok := rt.session(r.Context(), r.PathValue("id"))
 	if !ok {
@@ -660,7 +676,9 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGone, "session_lost", "session lost: owner died with no usable shadow episode")
 		return
 	}
-	rt.forward(w, r, e.node.Load(), nil, nil)
+	rt.forward(w, r, e.node.Load(), nil, func(status int, b []byte) {
+		rt.forgetIfGone(e, status, b)
+	})
 }
 
 // handleSessionStep forwards a step and folds every acknowledged result
@@ -669,7 +687,8 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 // migration repointing. A step whose owner fails mid-flight may or may
 // not have executed there, but it was never acknowledged, so it is not in
 // the shadow: a failover landing resumes from the last acknowledged step,
-// and the client's retry lands exactly once.
+// and the client's retry lands exactly once. An owner that answers 404
+// not_found drops the row (forgetIfGone).
 func (rt *Router) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	e, ok := rt.session(r.Context(), r.PathValue("id"))
 	if !ok {
@@ -689,6 +708,7 @@ func (rt *Router) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.forward(w, r, e.node.Load(), body, func(status int, b []byte) {
 		rt.recordStep(e, &req, status, b)
+		rt.forgetIfGone(e, status, b)
 	})
 }
 

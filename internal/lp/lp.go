@@ -10,11 +10,11 @@
 // termination on degenerate instances.
 //
 // The solver targets the small programs arising in this repository (tens
-// of variables, at most a few hundred rows). It stores the tableau
-// densely, but each pivot updates only the columns where the pivot row is
-// nonzero, which keeps every output bit of a dense pivot (DESIGN.md §5.3,
-// §5.4); it favors clarity and numerical robustness over large-scale
-// performance.
+// of variables, at most a few hundred rows). Between solves it keeps the
+// tableau as a dictionary of its nonbasic columns only, every basic column
+// being a unit vector, and its pivots and warm rhs transform keep every
+// output bit of the dense tableau's (DESIGN.md §5.3, §5.4); it favors
+// clarity and numerical robustness over large-scale performance.
 package lp
 
 import (

@@ -26,16 +26,21 @@ import (
 // Any failure (iteration cap, basic artificials, equality rows) falls back
 // to the cold two-phase path, so warm starts never change solvability.
 //
-// Storage: a Solver keeps its tableau at the live width only — structural
-// columns, then slack columns, then the rhs. The m artificial columns that
-// phase 1 may need live in a full-width scratch drawn from a package-level
-// pool for the duration of phase 1; once phase 1 ends nothing reads them
-// (phase-2 pricing and the dual simplex price only the first total
-// columns, and the ratio test, extract and the basic-artificial check read
-// only the entering column, the rhs and the basis), so the live columns
-// are copied out and every later pivot skips the artificials. Artificial
-// basis indices keep their values ≥ total, so tie-breaks and the
-// basic-artificial exit read exactly what they read before.
+// Storage: a Solver keeps its tableau as a dictionary — only the nonbasic
+// columns, then the rhs, with each stored column's original index and the
+// basis beside them. Every basic column is an exact unit vector, so the
+// stored columns and the basis determine the whole tableau. A pivot hands
+// the entering column's slot to the leaving variable. The m artificial
+// columns that phase 1 may need live in a full-width scratch drawn from a
+// package-level pool for the duration of phase 1; once phase 1 ends
+// nothing reads them (phase-2 pricing and the dual simplex price only
+// structural and slack columns, and the ratio test, extract and the
+// basic-artificial check read only the entering column, the rhs and the
+// basis), so the nonbasic live columns are copied out and every later
+// pivot skips the artificials. Artificial basis indices keep their values
+// ≥ total, so tie-breaks and the basic-artificial exit read exactly what
+// they read before. Every scan whose result depends on column order walks
+// the stored columns in ascending original index (DESIGN.md §5.4).
 
 // upperRow is a compiled "y_col ≤ hi − lo" row for a doubly bounded
 // variable.
@@ -86,7 +91,6 @@ type program struct {
 
 	ncols  int // structural (variable) columns
 	total  int // ncols + slack columns
-	width  int // total + 1: live tableau row stride (rhs in column total)
 	stride int // total + m + 1: cold scratch row stride (max artificials + rhs)
 
 	rhs      []float64 // compiled right-hand sides of the original rows
@@ -128,10 +132,10 @@ type Solver struct {
 	b     []float64 // standard-form rhs (shift-adjusted, unnormalized)
 	newb  []float64 // candidate warm rhs column
 
-	t     []float64 // m × width live tableau: structural, slack, rhs
-	basis []int
-	z     []float64 // reduced-cost row (phase 2, len width), kept across warm solves
-	nz    []int     // pivot-row gather list of the live tableau (len width)
+	d     tab         // the dictionary: nonbasic columns, then the rhs; z kept across warm solves
+	basis []int       // per row: the original index of its basic column (≥ total: an artificial)
+	terms []slackTerm // warm rhs transform scratch
+	rank  []int
 
 	// Warm-start state.
 	warm   bool // tableau/basis/z hold an optimal basis for the compiled cost
@@ -150,6 +154,7 @@ type Solver struct {
 type SolveStats struct {
 	Cold       int // cold two-phase solves (first call, fallbacks, refactorizations)
 	Warm       int // warm resolves from the previous basis (incl. zero-pivot hits)
+	Repairs    int // warm resolves that took at least one dual pivot
 	ColdPivots int // pivots spent in successful cold solves
 	WarmPivots int // dual-simplex pivots spent in warm resolves
 }
@@ -210,7 +215,6 @@ func NewSolver(p *Problem) *Solver {
 	}
 	slackCols += len(pr.uppers)
 	pr.total = ncols + slackCols
-	pr.width = pr.total + 1
 	pr.stride = pr.total + pr.m + 1
 
 	// Flat standard-form matrix with the slack entries in place, the
@@ -445,6 +449,9 @@ func (s *Solver) solve(rhs []float64) *Solution {
 		if st, ok := s.resolveWarm(); ok {
 			s.stats.Warm++
 			s.stats.WarmPivots += s.pivots - p0
+			if s.pivots > p0 {
+				s.stats.Repairs++
+			}
 			if st != Optimal {
 				s.warm = false
 				s.sol = Solution{Status: st}
@@ -474,9 +481,10 @@ func (s *Solver) extract() *Solution {
 		for i := range s.y {
 			s.y[i] = 0
 		}
+		d := &s.d
 		for i, j := range s.basis {
 			if j < p.total {
-				s.y[j] = s.t[i*p.width+p.total]
+				s.y[j] = d.t[i*d.stride+d.rhs]
 			}
 		}
 	}
@@ -501,15 +509,17 @@ func (s *Solver) extract() *Solution {
 // current b. ok is false when the warm path cannot certify an answer and
 // the caller must run the cold path.
 func (s *Solver) resolveWarm() (Status, bool) {
-	p := s.p
+	p, d := s.p, &s.d
 	// New rhs column in the current basis: the slack block of the tableau
 	// is B⁻¹·D·Σ for the row-sign normalization D and slack signs Σ, so
-	// B⁻¹·D·b = T_slack·Σ·b — the normalization cancels. With every row
-	// slacked, row k's slack is column ncols+k, so the block is contiguous.
-	slackTransform(s.newb, s.t, p.width, p.ncols, p.slackSgn, s.b)
+	// B⁻¹·D·b = T_slack·Σ·b — the normalization cancels.
+	if cap(s.terms) < d.rhs {
+		s.terms = make([]slackTerm, 0, d.rhs) // once: one-shot solves never get here
+	}
+	s.terms = slackTransform(s.newb, d, s.basis, p.ncols, p.slackSgn, s.b, s.terms, s.rank)
 	infeasRows := 0
 	for i := 0; i < p.m; i++ {
-		s.t[i*p.width+p.total] = s.newb[i]
+		d.t[i*d.stride+d.rhs] = s.newb[i]
 		if s.newb[i] < -eps {
 			infeasRows++
 		}
@@ -537,59 +547,129 @@ func (s *Solver) resolveWarm() (Status, bool) {
 	// A basic artificial at a nonzero level would mean the "optimum"
 	// violates its row; only the cold phase-1 can decide feasibility then.
 	for i, j := range s.basis {
-		if j >= p.total && s.t[i*p.width+p.total] > 1e-7 {
+		if j >= p.total && d.t[i*d.stride+d.rhs] > 1e-7 {
 			return Optimal, false
 		}
 	}
 	return Optimal, true
 }
 
-// slackTransform writes dst[i] = Σ_k T[i][off+k]·sgn[k]·b[k] over the rows
-// of a flat tableau with the given stride, for k = 0..len(dst)−1 and only
-// where b[k] ≠ 0. Four rows share each pass over b, each in its own
-// accumulator, so the four independent add chains overlap in the
-// pipeline; a scalar loop takes the last len(dst) mod 4 rows.
+// slackTerm is one nonbasic slack column of the warm rhs transform: its
+// dictionary column, its slack index k, and sgn[k] and b[k].
+type slackTerm struct {
+	col, k int
+	g, b   float64
+}
+
+// slackTransform writes dst[i] = Σ_k T[i][ncols+k]·sgn[k]·b[k] for the
+// dictionary d of an all-slack program (row k's slack is column ncols+k),
+// k ascending and only where b[k] ≠ 0. terms is scratch that append
+// reuses and rank scratch of capacity at least len(dst); it returns
+// terms, holding the nonbasic slack terms it summed.
 //
-// Every output keeps the scalar loop's arithmetic exactly (DESIGN.md
-// §5.4): its accumulator starts at 0.0 and adds the same t·sgn·b product
-// in ascending k, with the same b[k] ≠ 0 skip, written as s += t * g * bk.
-// Never reassociate these sums, fold sgn into b, or call math.FMA: every
-// warm κ solve, and with it the golden traces and pinned work digests,
-// depends on these bits.
-func slackTransform(dst, t []float64, stride, off int, sgn, b []float64) {
+// The dense sum's basic slack columns are unit vectors: the one basic in
+// row i adds 1·sgn[k]·b[k] at its k, and every other adds a ±0 product,
+// which leaves an accumulator started at +0.0 unchanged (DESIGN.md §5.4).
+// So each row sums only the nonbasic slack columns and its own basic
+// slack, in ascending k: the nonbasic terms as s += t * g * bk, the own
+// term as s += g * bk, the same bits since 1·g is exact. Four rows share
+// each pass over the terms, each in its own accumulator, so the four
+// independent add chains overlap in the pipeline; a scalar loop takes the
+// last len(dst) mod 4 rows. Never reassociate these sums, fold sgn into b,
+// or call math.FMA: every warm κ solve, and with it the golden traces and
+// pinned work digests, depends on these bits.
+func slackTransform(dst []float64, d *tab, basis []int, ncols int, sgn, b []float64, terms []slackTerm, rank []int) []slackTerm {
 	m := len(dst)
-	sgn, b = sgn[:m], b[:m]
+	terms = terms[:0]
+	for _, c := range d.cols { // ascending original index: structural, then slack k ascending
+		k := d.idx[c] - ncols
+		if k < 0 {
+			continue
+		}
+		if bk := b[k]; bk != 0 {
+			terms = append(terms, slackTerm{col: c, k: k, g: sgn[k], b: bk})
+		}
+	}
+	// rank[k] is the number of terms below slack k: where row k's slack,
+	// basic in some row, adds its own term to that row's sum.
+	rank = rank[:m]
+	t := 0
+	for k := range rank {
+		for t < len(terms) && terms[t].k < k {
+			t++
+		}
+		rank[k] = t
+	}
+	own := func(i int) (at int, g, bk float64) {
+		if k := basis[i] - ncols; k >= 0 && k < m && b[k] != 0 {
+			return rank[k], sgn[k], b[k]
+		}
+		return -1, 0, 0 // a structural or artificial basic column, or b[k] = 0
+	}
 	i := 0
 	for ; i+4 <= m; i += 4 {
-		r0 := t[i*stride+off : i*stride+off+m]
-		r1 := t[(i+1)*stride+off : (i+1)*stride+off+m]
-		r2 := t[(i+2)*stride+off : (i+2)*stride+off+m]
-		r3 := t[(i+3)*stride+off : (i+3)*stride+off+m]
-		r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)] // no bounds checks below
-		g := sgn[:len(r0)]
+		r0 := d.t[i*d.stride : (i+1)*d.stride]
+		r1 := d.t[(i+1)*d.stride : (i+2)*d.stride]
+		r2 := d.t[(i+2)*d.stride : (i+3)*d.stride]
+		r3 := d.t[(i+3)*d.stride : (i+4)*d.stride]
+		r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+		o0, g0, b0 := own(i)
+		o1, g1, b1 := own(i + 1)
+		o2, g2, b2 := own(i + 2)
+		o3, g3, b3 := own(i + 3)
 		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-		for k, bk := range b[:len(r0)] {
-			if bk != 0 {
-				gk := g[k]
-				s0 += r0[k] * gk * bk
-				s1 += r1[k] * gk * bk
-				s2 += r2[k] * gk * bk
-				s3 += r3[k] * gk * bk
+		for t := range terms {
+			if t == o0 {
+				s0 += g0 * b0
 			}
+			if t == o1 {
+				s1 += g1 * b1
+			}
+			if t == o2 {
+				s2 += g2 * b2
+			}
+			if t == o3 {
+				s3 += g3 * b3
+			}
+			tm := &terms[t]
+			c, g, bk := tm.col, tm.g, tm.b
+			s0 += r0[c] * g * bk
+			s1 += r1[c] * g * bk
+			s2 += r2[c] * g * bk
+			s3 += r3[c] * g * bk
+		}
+		q := len(terms)
+		if o0 == q {
+			s0 += g0 * b0
+		}
+		if o1 == q {
+			s1 += g1 * b1
+		}
+		if o2 == q {
+			s2 += g2 * b2
+		}
+		if o3 == q {
+			s3 += g3 * b3
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
 	for ; i < m; i++ {
-		row := t[i*stride+off : i*stride+off+m]
-		g := sgn[:len(row)]
+		row := d.t[i*d.stride : (i+1)*d.stride]
+		o, og, ob := own(i)
 		s := 0.0
-		for k, bk := range b[:len(row)] {
-			if bk != 0 {
-				s += row[k] * g[k] * bk
+		for t := range terms {
+			if t == o {
+				s += og * ob
 			}
+			tm := &terms[t]
+			s += row[tm.col] * tm.g * tm.b
+		}
+		if o == len(terms) {
+			s += og * ob
 		}
 		dst[i] = s
 	}
+	return terms
 }
 
 // dualSimplex restores primal feasibility of a dual-feasible basis after a
@@ -598,13 +678,13 @@ func slackTransform(dst, t []float64, stride, off int, sgn, b []float64) {
 // status is trusted only after the cold path confirms it, so it is also
 // reported with ok false.
 func (s *Solver) dualSimplex() (Status, bool) {
-	p := s.p
+	p, d := s.p, &s.d
 	for iter := 0; iter < iterCap; iter++ {
 		// Leaving row: most negative rhs.
 		leave := -1
 		worst := -eps
 		for i := 0; i < p.m; i++ {
-			if v := s.t[i*p.width+p.total]; v < worst {
+			if v := d.t[i*d.stride+d.rhs]; v < worst {
 				worst = v
 				leave = i
 			}
@@ -613,19 +693,20 @@ func (s *Solver) dualSimplex() (Status, bool) {
 			return Optimal, true
 		}
 		// Entering column: dual ratio test over negative entries of the
-		// leaving row; ties toward the smallest column index. The live
-		// tableau holds no artificial columns to re-enter.
-		lr := s.t[leave*p.width : leave*p.width+p.total]
+		// leaving row. The walk is in ascending original index, so a ratio
+		// within eps of the best never replaces it: ties go to the smallest
+		// index. The dictionary holds no artificial column to re-enter.
+		lr := d.t[leave*d.stride : leave*d.stride+d.rhs]
 		enter := -1
 		best := math.Inf(1)
-		for j, a := range lr {
+		for _, c := range d.cols {
+			a := lr[c]
 			if a >= -eps {
 				continue
 			}
-			r := s.z[j] / -a
-			if r < best-eps || (r < best+eps && (enter == -1 || j < enter)) {
+			if r := d.z[c] / -a; r < best-eps {
 				best = r
-				enter = j
+				enter = c
 			}
 		}
 		if enter == -1 {
@@ -633,26 +714,24 @@ func (s *Solver) dualSimplex() (Status, bool) {
 			// confirm rather than trusting a drifted tableau.
 			return Infeasible, false
 		}
-		s.pivot(s.live(), leave, enter)
+		s.pivotDict(d, leave, enter)
 	}
 	return IterLimit, false
 }
 
 // tab is a view of a flat row-major simplex tableau: rows of the given
-// stride with the rhs in column rhs, and the reduced-cost row z beside
-// them. The live tableau and a cold scratch are both tabs, so one pivot
-// and one pricing loop serve both.
+// stride with the stored columns first and the rhs in column rhs, and the
+// reduced-cost row z beside them. Phase 1's full-width scratch stores
+// every column at its own index (idx nil); the solver's dictionary stores
+// only the nonbasic ones, column c holding original column idx[c]. cols
+// lists the columns pricing may enter, in ascending original index.
 type tab struct {
 	t, z   []float64
-	nz     []int // pivot-row gather list, at least rhs+1 long
+	nz     []int // full tableau: pivot-row gather list, at least rhs+1 long
+	cols   []int
+	idx    []int
 	stride int
 	rhs    int
-}
-
-// live is the solver's own tableau: structural and slack columns, then
-// the rhs.
-func (s *Solver) live() tab {
-	return tab{t: s.t, z: s.z, nz: s.nz, stride: s.p.width, rhs: s.p.total}
 }
 
 // coldScratch is the full-width workspace of one two-phase solve: the
@@ -662,7 +741,7 @@ func (s *Solver) live() tab {
 type coldScratch struct {
 	t               []float64 // m × stride
 	z               []float64 // stride
-	nz              []int     // stride
+	nz, cols        []int     // stride
 	colRow, colOnes []int     // total
 	basisOf         []int     // m
 }
@@ -679,6 +758,7 @@ func getColdScratch(p *program) *coldScratch {
 	sc.t = resize(sc.t, p.m*p.stride)
 	sc.z = resize(sc.z, p.stride)
 	sc.nz = resize(sc.nz, p.stride)
+	sc.cols = resize(sc.cols, p.stride)
 	sc.colRow = resize(sc.colRow, p.total)
 	sc.colOnes = resize(sc.colOnes, p.total)
 	sc.basisOf = resize(sc.basisOf, p.m)
@@ -695,17 +775,15 @@ func resize[T any](buf []T, n int) []T {
 
 // solveCold runs the two-phase simplex from scratch on the prepared b,
 // replicating the historical from-scratch solve arithmetic. Phase 1 runs
-// in a pooled full-width scratch; the live columns are then copied into
-// the solver's own tableau, where phase 2 runs. On Optimal it leaves the
-// tableau, basis, and phase-2 reduced costs in place as the warm-start
-// state.
+// in a pooled full-width scratch; its nonbasic live columns are then
+// copied into the solver's dictionary, where phase 2 runs. On Optimal it
+// leaves the dictionary, basis, and phase-2 reduced costs in place as the
+// warm-start state.
 func (s *Solver) solveCold() Status {
 	p := s.p
-	if s.t == nil {
-		s.t = make([]float64, p.m*p.width)
-		s.z = make([]float64, p.width)
-		ints := make([]int, p.m+p.width) // one allocation for basis and nz
-		s.basis, s.nz = ints[:p.m:p.m], ints[p.m:]
+	if s.basis == nil {
+		ints := make([]int, 2*p.m) // one allocation for basis and rank
+		s.basis, s.rank = ints[:p.m:p.m], ints[p.m:]
 	}
 	s.pivots = 0
 	s.warm = false
@@ -717,24 +795,29 @@ func (s *Solver) solveCold() Status {
 		return st
 	}
 
-	// Phase 2: rebuild reduced costs for the real objective.
-	copy(s.z[:p.total], p.cost)
-	s.z[p.total] = 0
+	// Phase 2: rebuild reduced costs for the real objective. A basic
+	// column's reduced cost is its cost until its own row clears it, as
+	// every other row holds a zero there.
+	d := &s.d
+	for c, j := range d.idx {
+		d.z[c] = p.cost[j]
+	}
+	d.z[d.rhs] = 0
 	for i := 0; i < p.m; i++ {
 		j := s.basis[i]
 		if j >= p.total {
 			continue
 		}
-		cj := s.z[j]
+		cj := p.cost[j]
 		if cj == 0 {
 			continue
 		}
-		ti := s.t[i*p.width : (i+1)*p.width]
-		for k := range ti {
-			s.z[k] -= cj * ti[k]
+		ti := d.t[i*d.stride : (i+1)*d.stride]
+		for c := range ti {
+			d.z[c] -= cj * ti[c]
 		}
 	}
-	if st := s.iterate(s.live()); st != Optimal {
+	if st := s.iterate(d); st != Optimal {
 		return st
 	}
 	s.stats.ColdPivots += s.pivots
@@ -798,7 +881,10 @@ func (s *Solver) phase1(sc *coldScratch) Status {
 			nart++
 		}
 	}
-	full := tab{t: sc.t, z: sc.z, nz: sc.nz, stride: p.stride, rhs: p.total + nart}
+	full := tab{t: sc.t, z: sc.z, nz: sc.nz, cols: sc.cols[:p.total+nart], stride: p.stride, rhs: p.total + nart}
+	for j := range full.cols {
+		full.cols[j] = j
+	}
 
 	// Place artificials and the rhs column.
 	art := p.total
@@ -832,7 +918,7 @@ func (s *Solver) phase1(sc *coldScratch) Status {
 		for i := 0; i < p.m; i++ {
 			z[s.basis[i]] = 0
 		}
-		if st := s.iterate(full); st != Optimal {
+		if st := s.iterate(&full); st != Optimal {
 			return st
 		}
 		if -z[full.rhs] > 1e-7 {
@@ -848,37 +934,82 @@ func (s *Solver) phase1(sc *coldScratch) Status {
 			ti := sc.t[i*p.stride:]
 			for j := 0; j < p.total; j++ {
 				if math.Abs(ti[j]) > 1e-7 {
-					s.pivot(full, i, j)
+					s.pivot(&full, i, j)
 					break
 				}
 			}
 		}
 	}
 
-	// Copy out the live columns; nothing reads the artificials again.
+	// Copy out the dictionary: the nonbasic live columns in ascending
+	// index, then the rhs. Nothing reads the artificials again. A row whose
+	// artificial stayed basic leaves one more live column nonbasic.
+	basic := sc.colOnes
+	for j := range basic {
+		basic[j] = 0
+	}
+	nn := p.total
+	for _, j := range s.basis {
+		if j < p.total {
+			basic[j] = 1
+			nn--
+		}
+	}
+	d := s.dict(nn)
+	c := 0
+	for j, isBasic := range basic {
+		if isBasic == 0 {
+			d.idx[c], d.cols[c] = j, c
+			c++
+		}
+	}
 	for i := 0; i < p.m; i++ {
-		li := s.t[i*p.width : (i+1)*p.width]
-		copy(li, sc.t[i*p.stride:i*p.stride+p.total])
-		li[p.total] = sc.t[i*p.stride+full.rhs]
+		ti := sc.t[i*p.stride:]
+		di := d.t[i*d.stride : (i+1)*d.stride]
+		for c, j := range d.idx {
+			di[c] = ti[j]
+		}
+		di[d.rhs] = ti[full.rhs]
 	}
 	return Optimal
 }
 
-// iterate runs primal simplex pivots on v, pricing every column left of
-// its rhs (phase 1: structural, slack and artificial; phase 2 on the live
-// tableau: structural and slack), until optimality, unboundedness, or the
+// dict sizes the solver's dictionary for nn nonbasic columns and returns
+// it, reusing its buffers when they are large enough. Otherwise the cells
+// and the reduced costs take one allocation, and the column indices and
+// the priced list another: set synthesis solves thousands of one-shot
+// programs.
+func (s *Solver) dict(nn int) *tab {
+	d := &s.d
+	m, w := s.p.m, nn+1
+	if cap(d.t) < m*w || cap(d.z) < w {
+		buf := make([]float64, (m+1)*w)
+		d.t, d.z = buf[:m*w:m*w], buf[m*w:]
+	}
+	if cap(d.idx) < nn || cap(d.cols) < nn {
+		ints := make([]int, 2*nn)
+		d.idx, d.cols = ints[:nn:nn], ints[nn:]
+	}
+	d.t, d.z, d.idx, d.cols = d.t[:m*w], d.z[:w], d.idx[:nn], d.cols[:nn]
+	d.stride, d.rhs = w, nn
+	return d
+}
+
+// iterate runs primal simplex pivots on v, pricing its cols (phase 1:
+// structural, slack and artificial; phase 2 on the dictionary: nonbasic
+// structural and slack), until optimality, unboundedness, or the
 // iteration cap, replicating the historical pricing exactly (Dantzig, then
 // Bland after blandTrip pivots; ratio ties toward the smallest basis
-// index).
-func (s *Solver) iterate(v tab) Status {
+// index). cols runs in ascending original index, so Dantzig's first
+// minimum and Bland's first negative are the historical ones.
+func (s *Solver) iterate(v *tab) Status {
 	p := s.p
-	z := v.z[:v.rhs]
 	for iter := 0; iter < iterCap; iter++ {
 		bland := iter > blandTrip
 		enter := -1
 		best := -eps
-		for j, zj := range z {
-			if zj < best {
+		for _, j := range v.cols {
+			if zj := v.z[j]; zj < best {
 				if bland {
 					enter = j
 					break
@@ -911,19 +1042,23 @@ func (s *Solver) iterate(v tab) Status {
 }
 
 // pivot performs a Gauss-Jordan pivot on row r, column c of v, updating
-// its reduced-cost row alongside. Only the logical width [0, v.rhs] is
-// touched: on the live tableau that skips every artificial column.
+// its reduced-cost row alongside; a dictionary takes pivotDict. Only the
+// logical width [0, v.rhs] is touched.
 //
 // The row update is sparse. Scaling the pivot row also gathers its nonzero
 // columns, in ascending order, into v.nz, with the rhs column always last;
 // every other row, and z, is then updated over that list only. Every basic
 // column is an exact unit vector (DESIGN.md §5.3), so the pivot row is zero
-// at every basic column but its own, and on the ACC RMPC it holds ~28
-// nonzeros of 194. A skipped entry is dst −= f·(±0), which for a finite f
-// can change nothing but the sign of a zero, and no zero's sign is read
-// (DESIGN.md §5.4). A non-finite f takes the dense update, so Inf and NaN
-// spread exactly as a dense pivot spreads them.
-func (s *Solver) pivot(v tab, r, c int) {
+// at every basic column but its own: most of a full scratch row, m of
+// whose columns are basic, is skipped. A skipped entry is dst −= f·(±0),
+// which for a finite f can change nothing but the sign of a zero, and no
+// zero's sign is read (DESIGN.md §5.4). A non-finite f takes the dense
+// update, so Inf and NaN spread exactly as a dense pivot spreads them.
+func (s *Solver) pivot(v *tab, r, c int) {
+	if v.idx != nil {
+		s.pivotDict(v, r, c)
+		return
+	}
 	p := s.p
 	w := v.rhs + 1
 	pr := v.t[r*v.stride : r*v.stride+w]
@@ -960,6 +1095,90 @@ func (s *Solver) pivot(v tab, r, c int) {
 	}
 	s.basis[r] = c
 	s.pivots++
+}
+
+// pivotDict pivots the dictionary d on row r, column c. Column c's slot
+// passes to the leaving variable, whose column is the unit vector e_r
+// before the pivot: the slot is set so first, and the update then turns
+// it into the leaving variable's column, entry for entry the one a full
+// tableau computes (its ±0 entries aside, as below). The update is dense
+// over the stored columns: a dictionary row is narrow (39 cells on the
+// ACC RMPC) and its pivot rows are mostly nonzero, so a gather list costs
+// more in index loads than it skips. Where the pivot row holds a ±0 the
+// entry becomes dst − f·(±0), which the full tableau's sparse pivot skips:
+// for a finite f only the sign of a zero can differ, and for a non-finite
+// f both run the dense update.
+func (s *Solver) pivotDict(d *tab, r, c int) {
+	p := s.p
+	w := d.rhs + 1
+	pr := d.t[r*d.stride : r*d.stride+w]
+	inv := 1 / pr[c]
+	pr[c] = 1
+	for j := range pr {
+		pr[j] *= inv
+	}
+	for i := 0; i < p.m; i++ {
+		if i == r {
+			continue
+		}
+		ti := d.t[i*d.stride : i*d.stride+w]
+		f := ti[c]
+		if f == 0 {
+			continue
+		}
+		ti[c] = 0
+		subScaled(ti, pr, f)
+	}
+	if f := d.z[c]; f != 0 {
+		d.z[c] = 0
+		subScaled(d.z[:w], pr, f)
+	}
+	d.idx[c], s.basis[r] = s.basis[r], d.idx[c]
+	d.cols = reslot(d.cols, d.idx, c, p.total)
+	s.pivots++
+}
+
+// reslot moves dictionary column c, which now holds original column
+// idx[c], to its place in the ascending cols list, or drops it when it
+// holds an artificial (index ≥ total): nothing prices an artificial
+// again.
+func reslot(cols, idx []int, c, total int) []int {
+	at := 0
+	for cols[at] != c {
+		at++
+	}
+	cols = append(cols[:at], cols[at+1:]...)
+	j := idx[c]
+	if j >= total {
+		return cols
+	}
+	at = 0
+	for at < len(cols) && idx[cols[at]] < j {
+		at++
+	}
+	cols = cols[:len(cols)+1]
+	copy(cols[at+1:], cols[at:])
+	cols[at] = c
+	return cols
+}
+
+// subScaled computes dst[j] −= f·src[j] for every j, four entries per
+// pass. len(dst) must equal len(src).
+func subScaled(dst, src []float64, f float64) {
+	n := len(src)
+	dst = dst[:n]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		d := dst[j : j+4 : j+4]
+		s := src[j : j+4 : j+4]
+		d[0] -= f * s[0]
+		d[1] -= f * s[1]
+		d[2] -= f * s[2]
+		d[3] -= f * s[3]
+	}
+	for ; j < n; j++ {
+		dst[j] -= f * src[j]
+	}
 }
 
 // rowUpdate computes dst[j] −= f·src[j] for every j in nz, or for every j

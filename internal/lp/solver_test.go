@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -396,11 +397,13 @@ func TestSolverACCWarmChainDigest(t *testing.T) {
 }
 
 // TestSolverPoisonedScratchSameChain reruns the ACC chain with every pooled
-// cold scratch, and the live tableau of a solver about to solve cold,
+// cold scratch, and the dictionary of a solver about to solve cold,
 // poisoned before each call: NaN interleaved with finite junk (NaN alone
 // hides a stale read from pricing, since no comparison with NaN holds),
-// and the integer scan buffers filled with out-of-range indices. The cold
-// path must rewrite every cell it reads, so the digest must not move.
+// and the integer buffers (scans, basis, the dictionary's column indices
+// and priced columns, the transform's terms) filled with
+// out-of-range indices. The cold path must rewrite every cell it reads, so
+// the digest must not move.
 func TestSolverPoisonedScratchSameChain(t *testing.T) {
 	f := loadACCFixture(t)
 	prog := NewSolver(f.problem()).p
@@ -420,14 +423,22 @@ func TestSolverPoisonedScratchSameChain(t *testing.T) {
 		sc := getColdScratch(prog)
 		fill(sc.t)
 		fill(sc.z)
+		junk(sc.nz)
+		junk(sc.cols)
 		junk(sc.colRow)
 		junk(sc.colOnes)
 		junk(sc.basisOf)
 		coldPool.Put(sc)
-		if !s.warm && s.t != nil {
-			fill(s.t)
-			fill(s.z)
+		if d := &s.d; !s.warm && d.t != nil {
+			fill(d.t[:cap(d.t)])
+			fill(d.z[:cap(d.z)])
 			junk(s.basis)
+			junk(s.rank)
+			junk(d.idx[:cap(d.idx)])
+			junk(d.cols[:cap(d.cols)])
+			for i := range s.terms[:cap(s.terms)] {
+				s.terms[:cap(s.terms)][i] = slackTerm{col: 1 << 20, k: 1<<20 + i, g: math.NaN(), b: -7.5}
+			}
 			poisoned++
 		}
 	})
@@ -440,8 +451,9 @@ func TestSolverPoisonedScratchSameChain(t *testing.T) {
 }
 
 // TestSolverWarmSolveRHSZeroAllocs pins the warm resolve of the ACC
-// program at zero allocations: after the first cold solve it reuses every
-// buffer and never touches the cold scratch pool.
+// program at zero allocations: after the first cold solve, and the first
+// warm resolve that sizes the transform's scratch, it reuses every buffer
+// and never touches the cold scratch pool.
 func TestSolverWarmSolveRHSZeroAllocs(t *testing.T) {
 	f := loadACCFixture(t)
 	s := NewSolver(f.problem())
@@ -462,21 +474,69 @@ func TestSolverWarmSolveRHSZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm SolveRHS allocates %v times per call", allocs)
 	}
-	if st := s.Stats(); st.Cold != 1 || st.Warm != i || st.WarmPivots == 0 {
-		t.Fatalf("stats %+v after %d resolves: want every resolve warm, some with dual repair", st, i)
+	if st := s.Stats(); st.Cold != 1 || st.Warm != i || st.WarmPivots == 0 || st.Repairs == 0 || st.Repairs == st.Warm {
+		t.Fatalf("stats %+v after %d resolves: want every resolve warm, some with dual repair and some without", st, i)
+	}
+}
+
+// TestSolverDictionaryFootprint pins the warm state's size: after a cold
+// solve of the ACC program the solver's tableau is its dictionary, m ×
+// (nonbasic + 1) float64s, 155 × 39, and 200 warm resolves along a walk
+// through X′, with dual repairs, keep those buffers and never draw a
+// full-width scratch from the cold pool.
+func TestSolverDictionaryFootprint(t *testing.T) {
+	f := loadACCFixture(t)
+	s := NewSolver(f.problem())
+	rhs := make([]float64, s.NumRows())
+	x := [2]float64{150, 40}
+	f.rhsAt(rhs, x)
+	if sol := s.SolveRHS(rhs); sol.Status != Optimal {
+		t.Fatalf("cold solve: %v", sol.Status)
+	}
+	p, d := s.p, &s.d
+	nn := p.total - p.m
+	if p.m != 155 || nn != 38 || d.rhs != nn || d.stride != nn+1 {
+		t.Fatalf("m %d, %d nonbasic columns, dictionary width %d: want 155 rows of 38 and the rhs", p.m, nn, d.stride)
+	}
+	if len(d.t) != p.m*(nn+1) || cap(d.t) != len(d.t) || cap(d.z) != nn+1 || cap(d.idx) != nn || cap(d.cols) != nn {
+		t.Fatalf("dictionary buffers hold %d/%d cells, z %d, idx %d, cols %d: want %d, %d, %d, %d",
+			len(d.t), cap(d.t), cap(d.z), cap(d.idx), cap(d.cols), p.m*(nn+1), nn+1, nn, nn)
+	}
+	saved := coldPool.New
+	draws := 0
+	coldPool = sync.Pool{New: func() any { draws++; return new(coldScratch) }}
+	defer func() { coldPool = sync.Pool{New: saved} }()
+	first := &d.t[0]
+	rng := rand.New(rand.NewSource(3))
+	for call := 0; call < 200; call++ {
+		if y := [2]float64{x[0] + 1.5*rng.NormFloat64(), x[1] + 0.8*rng.NormFloat64()}; f.inXPrime(y) {
+			x = y
+		}
+		f.rhsAt(rhs, x)
+		if sol := s.SolveRHS(rhs); sol.Status != Optimal {
+			t.Fatalf("call %d: %v", call, sol.Status)
+		}
+	}
+	if st := s.Stats(); st.Cold != 1 || st.Repairs == 0 {
+		t.Fatalf("stats %+v: want 200 warm resolves, some repaired", st)
+	}
+	if &d.t[0] != first || cap(d.t) != p.m*(nn+1) || draws != 0 {
+		t.Fatalf("warm resolves moved the dictionary or drew %d full-width scratches", draws)
 	}
 }
 
 // slackTransformScalar is the warm rhs transform as one scalar loop per
-// row through the slackCol/slackSgn maps: the oracle slackTransform must
-// match bit for bit.
-func slackTransformScalar(dst, t []float64, stride int, slackCol []int, slackSgn, b []float64) {
+// row through the slackCol/slackSgn maps over a dense tableau: the oracle
+// slackTransform must match bit for bit. A nil basicIn sums every k; else
+// row i leaves out the term of every slack k basic in another row
+// (basicIn[k] ≥ 0, ≠ i).
+func slackTransformScalar(dst, t []float64, stride int, slackCol []int, slackSgn, b []float64, basicIn []int) {
 	m := len(dst)
 	for i := 0; i < m; i++ {
 		acc := 0.0
 		ti := t[i*stride:]
 		for k := 0; k < m; k++ {
-			if bk := b[k]; bk != 0 {
+			if bk := b[k]; bk != 0 && (basicIn == nil || basicIn[k] < 0 || basicIn[k] == i) {
 				acc += ti[slackCol[k]] * slackSgn[k] * bk
 			}
 		}
@@ -484,10 +544,56 @@ func slackTransformScalar(dst, t []float64, stride int, slackCol []int, slackSgn
 	}
 }
 
-// TestSlackTransformBitIdentical checks the four-row rhs transform against
-// the scalar oracle on random tableaux whose entries and rhs values mix
+// denseOf expands a dictionary into the full tableau it stands for, m ×
+// (total+1) with the rhs last, and its reduced-cost row: every stored
+// live column at its original index, every basic column the unit vector
+// of its row, and a zero reduced cost at every basic column.
+func denseOf(d *tab, basis []int, total int) (t, z []float64) {
+	m, w := len(basis), total+1
+	t = make([]float64, m*w)
+	z = make([]float64, w)
+	for i, j := range basis {
+		if j < total {
+			t[i*w+j] = 1
+		}
+		for c, jc := range d.idx {
+			if jc < total {
+				t[i*w+jc] = d.t[i*d.stride+c]
+			}
+		}
+		t[i*w+total] = d.t[i*d.stride+d.rhs]
+	}
+	for c, jc := range d.idx {
+		if jc < total {
+			z[jc] = d.z[c]
+		}
+	}
+	z[total] = d.z[d.rhs]
+	return t, z
+}
+
+// sameBitsOrNaN reports whether a and b are the same bits, or both NaN.
+// Which payload survives when two NaNs meet in one add follows the operand
+// order the compiler gives that add: IEEE 754 leaves it open, and a -race
+// build of the scalar oracle orders it differently from a plain one. So a
+// NaN's payload is no output's contract, and no digest, golden or pin
+// holds a NaN.
+func sameBitsOrNaN(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestSlackTransformBitIdentical checks the dictionary's rhs transform
+// against the scalar oracle on the dense tableau the dictionary stands
+// for. The dictionaries are random: m covers 0..23, each row's basic
+// column is a slack, a structural column or an artificial, a few stored
+// columns are dropped artificials, the stored entries and rhs values mix
 // zeros of both signs, subnormals, extreme magnitudes, infinities and NaN,
-// with LE and GE slack signs and m covering every residue mod 4.
+// and the slack signs mix LE and GE. Wherever every b_k is finite the two
+// agree bit for bit on every row (a NaN as a NaN: sameBitsOrNaN). A
+// non-finite b_k at a slack basic in row r turns every other row's dense
+// sum into NaN, through the zero its unit column holds there (0·Inf is
+// NaN); the dictionary never multiplies a basic column's zeros, so it must
+// equal the oracle with those products left out (DESIGN.md §5.4).
 func TestSlackTransformBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	special := []float64{
@@ -501,26 +607,56 @@ func TestSlackTransformBitIdentical(t *testing.T) {
 		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
 	}
 	zero := func() float64 { return special[rng.Intn(2)] }
+	nonFiniteRows := 0
 	for trial := 0; trial < 400; trial++ {
 		m := rng.Intn(24)
-		off := rng.Intn(6)
-		stride := off + m + 1 + rng.Intn(3)
-		tab := make([]float64, m*stride+1)
-		// Some trials zero the whole tableau or the whole rhs (with both
+		ncols := rng.Intn(6)
+		total := ncols + m
+		basis := rng.Perm(total)[:m]
+		for i := range basis {
+			if rng.Intn(6) == 0 {
+				basis[i] = total + i // a redundant row's artificial
+			}
+		}
+		isBasic := make([]bool, total)
+		for _, j := range basis {
+			if j < total {
+				isBasic[j] = true
+			}
+		}
+		var idx []int
+		for j := 0; j < total; j++ {
+			if !isBasic[j] {
+				idx = append(idx, j)
+			}
+			if rng.Intn(12) == 0 {
+				idx = append(idx, total+m+j) // a dropped artificial
+			}
+		}
+		d := &tab{z: make([]float64, len(idx)+1), idx: idx, stride: len(idx) + 1, rhs: len(idx)}
+		for c, j := range idx {
+			if j < total {
+				d.cols = append(d.cols, c)
+			}
+		}
+		d.t = make([]float64, m*d.stride)
+		// Some trials zero the whole dictionary or the whole rhs (with both
 		// signs), so the sign of an empty or all-zero sum shows.
 		mode := rng.Intn(8)
-		for i := range tab {
+		for i := range d.t {
 			if mode == 0 {
-				tab[i] = zero()
+				d.t[i] = zero()
 			} else {
-				tab[i] = draw()
+				d.t[i] = draw()
 			}
 		}
 		slackCol := make([]int, m)
 		sgn := make([]float64, m)
 		b := make([]float64, m)
+		rowOf := make([]int, m) // row where slack k is basic, or −1
 		for k := range b {
-			slackCol[k] = off + k
+			slackCol[k] = ncols + k
+			rowOf[k] = -1
 			sgn[k] = 1
 			if rng.Intn(2) == 0 {
 				sgn[k] = -1
@@ -531,16 +667,109 @@ func TestSlackTransformBitIdentical(t *testing.T) {
 				b[k] = draw()
 			}
 		}
-		got := make([]float64, m)
-		want := make([]float64, m)
-		slackTransform(got, tab, stride, off, sgn, b)
-		slackTransformScalar(want, tab, stride, slackCol, sgn, b)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d (m=%d): row %d = %v (%#x), scalar %v (%#x)",
-					trial, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		for i, j := range basis {
+			if j >= ncols && j < total {
+				rowOf[j-ncols] = i
 			}
 		}
+		dense, _ := denseOf(d, basis, total)
+		got := make([]float64, m)
+		want := make([]float64, m)
+		masked := make([]float64, m)
+		slackTransform(got, d, basis, ncols, sgn, b, nil, make([]int, m))
+		slackTransformScalar(want, dense, total+1, slackCol, sgn, b, nil)
+		slackTransformScalar(masked, dense, total+1, slackCol, sgn, b, rowOf)
+		for i := range got {
+			if !sameBitsOrNaN(got[i], masked[i]) {
+				t.Fatalf("trial %d (m=%d): row %d = %v (%#x), oracle without basic zeros %v (%#x)",
+					trial, m, i, got[i], math.Float64bits(got[i]), masked[i], math.Float64bits(masked[i]))
+			}
+			nonFinite := false
+			for k, r := range rowOf {
+				if r >= 0 && r != i && (math.IsInf(b[k], 0) || math.IsNaN(b[k])) {
+					nonFinite = true
+				}
+			}
+			switch {
+			case !nonFinite && !sameBitsOrNaN(got[i], want[i]):
+				t.Fatalf("trial %d (m=%d): row %d = %v (%#x), dense oracle %v (%#x)",
+					trial, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			case nonFinite && !math.IsNaN(want[i]):
+				t.Fatalf("trial %d (m=%d): row %d: dense oracle %v, want NaN from a basic column's zero", trial, m, i, want[i])
+			case nonFinite:
+				nonFiniteRows++
+			}
+		}
+	}
+	if nonFiniteRows == 0 {
+		t.Fatal("no row met a non-finite b_k at another row's basic slack")
+	}
+}
+
+// TestSlackTransformMatchesSolverTableaux checks the transform on
+// dictionaries the solver made: after each of 200 warm-chained solves of
+// the ACC program at points of X′, and of 40 random programs under moved
+// bounds, the transform of another point's rhs must equal the scalar
+// oracle on the dense tableau the dictionary came from, bit for bit.
+func TestSlackTransformMatchesSolverTableaux(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	f := loadACCFixture(t)
+	acc := NewSolver(f.problem())
+	rhs := make([]float64, acc.NumRows())
+	point := func() [2]float64 {
+		for {
+			x := [2]float64{120 + 60*rng.Float64(), 25 + 30*rng.Float64()}
+			if f.inXPrime(x) {
+				return x
+			}
+		}
+	}
+	check := func(label string, s *Solver) {
+		p := s.p
+		slackCol := make([]int, p.m)
+		for k := range slackCol {
+			slackCol[k] = p.ncols + k
+		}
+		dense, _ := denseOf(&s.d, s.basis, p.total)
+		got := make([]float64, p.m)
+		want := make([]float64, p.m)
+		s.terms = slackTransform(got, &s.d, s.basis, p.ncols, p.slackSgn, s.b, s.terms, s.rank)
+		slackTransformScalar(want, dense, p.total+1, slackCol, p.slackSgn, s.b, nil)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: row %d = %v, dense oracle %v", label, i, got[i], want[i])
+			}
+		}
+	}
+	for call := 0; call < 200; call++ {
+		f.rhsAt(rhs, point())
+		if acc.SolveRHS(rhs).Status != Optimal {
+			t.Fatalf("ACC call %d: not optimal", call)
+		}
+		f.rhsAt(rhs, point())
+		acc.prepare(rhs)
+		check(fmt.Sprintf("ACC call %d", call), acc)
+	}
+	for trial := 0; trial < 40; trial++ {
+		p, rhs0 := randomProblem(rng)
+		s := NewSolver(p)
+		n := p.NumVars()
+		lo, hi := make([]float64, n), make([]float64, n)
+		for j := 0; j < n; j++ {
+			lo[j], hi[j] = p.Bounds(j)
+			if !math.IsInf(lo[j], -1) {
+				lo[j] -= rng.Float64()
+			}
+		}
+		if sol, _ := s.SolveParams(nil, lo, hi); sol.Status != Optimal {
+			continue
+		}
+		r := make([]float64, len(rhs0))
+		for i, b := range rhs0 {
+			r[i] = b + rng.NormFloat64()
+		}
+		s.prepare(r)
+		check(fmt.Sprintf("random trial %d", trial), s)
 	}
 }
 
@@ -701,6 +930,203 @@ func TestSolverShiftedChainDigest(t *testing.T) {
 	}
 }
 
+// randomChainDigest pins runRandomChain the same way accChainDigest pins
+// the ACC chain, recorded with the live-width dense tableau before the
+// solver stored only its nonbasic columns.
+const randomChainDigest = "622f7b05d3c7066b039394ee95dd068c33b1d861748b16adaa2fa3c97924d508"
+
+// bealeProblem is Beale's example, which cycles under Dantzig's rule with
+// smallest-index ties: with a zero rhs on its first two rows phase 2 runs
+// blandTrip degenerate pivots before Bland's rule takes over.
+func bealeProblem() (*Problem, []float64) {
+	p := NewProblem(4)
+	p.SetObjective([]float64{-0.75, 20, -0.5, 6})
+	for j := 0; j < 4; j++ {
+		p.SetBounds(j, 0, math.Inf(1))
+	}
+	rhs := []float64{0, 0, 1}
+	p.AddConstraint([]float64{0.25, -8, -1, 9}, LE, rhs[0])
+	p.AddConstraint([]float64{0.5, -12, -0.5, 3}, LE, rhs[1])
+	p.AddConstraint([]float64{0, 0, 1, 0}, LE, rhs[2])
+	return p, rhs
+}
+
+// redundantProblem is randomProblem plus equality rows through the origin:
+// a·x = 0, an exact multiple of it, and sometimes a near-copy that differs
+// from it by less than phase 1's drive-out tolerance. The multiple leaves
+// an artificial basic at zero after phase 1, and the near-copy one that
+// phase 2 can pivot out. It also returns the equality rows' indices.
+func redundantProblem(rng *rand.Rand) (*Problem, []float64, []int) {
+	p, rhs := randomProblem(rng)
+	n := p.NumVars()
+	a := make([]float64, n)
+	for j := range a {
+		a[j] = rng.NormFloat64()
+	}
+	eq := []int{len(rhs)}
+	p.AddConstraint(a, EQ, 0)
+	a2 := make([]float64, n)
+	for j := range a {
+		a2[j] = -2 * a[j]
+	}
+	p.AddConstraint(a2, EQ, 0)
+	eq = append(eq, len(rhs)+1)
+	rhs = append(rhs, 0, 0)
+	if rng.Intn(2) == 0 {
+		a3 := append([]float64(nil), a...)
+		a3[rng.Intn(n)] += 5e-8
+		p.AddConstraint(a3, EQ, 0)
+		eq = append(eq, len(rhs))
+		rhs = append(rhs, 0)
+	}
+	return p, rhs, eq
+}
+
+// randomChainShapes counts what runRandomChain reached.
+type randomChainShapes struct {
+	geRows, bland, basicArtificial, eqSolves, repairs, infeasible int
+}
+
+// runRandomChain drives 48 programs through 60 seeded SolveRHS and
+// SolveParams calls each: randomProblem programs (GE rows, every bound
+// class), redundantProblem programs (equality rows, which always solve
+// cold, some leaving an artificial basic at zero) and Beale's cycling
+// program (Dantzig past blandTrip, then Bland). Right-hand sides move
+// around the compiled ones, now and then hard enough to make the program
+// infeasible; equality rows move together so they stay consistent;
+// bounds move within their class; ResetWarm forces cold solves. It
+// returns the digest in accChainDigest's form and the shapes it reached.
+func runRandomChain(t testing.TB) (string, randomChainShapes) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(37))
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	var sh randomChainShapes
+	for prog := 0; prog < 48; prog++ {
+		var (
+			p    *Problem
+			rhs0 []float64
+			eq   []int
+		)
+		switch prog % 4 {
+		case 0, 1:
+			p, rhs0 = randomProblem(rng)
+		case 2:
+			p, rhs0, eq = redundantProblem(rng)
+		default:
+			p, rhs0 = bealeProblem()
+		}
+		beale := prog%4 == 3
+		for _, r := range p.rows {
+			if r.sense == GE {
+				sh.geRows++
+			}
+		}
+		s := NewSolver(p)
+		n := p.NumVars()
+		rhs := make([]float64, len(rhs0))
+		lo := make([]float64, n)
+		hi := make([]float64, n)
+		for call := 0; call < 60; call++ {
+			if rng.Intn(15) == 0 || (beale && call%10 == 0) {
+				s.ResetWarm()
+			}
+			for i, b := range rhs0 {
+				rhs[i] = b + 0.5*rng.NormFloat64()
+				if rng.Intn(60) == 0 {
+					rhs[i] -= 20
+				}
+			}
+			if beale {
+				rhs[0], rhs[1] = 0, 0
+			}
+			if len(eq) > 0 {
+				r := 0.0
+				if rng.Intn(3) == 0 {
+					r = 0.3 * rng.NormFloat64()
+				}
+				rhs[eq[0]], rhs[eq[1]] = r, -2*r
+				if len(eq) > 2 {
+					rhs[eq[2]] = r
+				}
+			}
+			before := s.Stats()
+			var sol *Solution
+			if !beale && rng.Intn(3) == 0 {
+				for j := 0; j < n; j++ {
+					lo[j], hi[j] = p.Bounds(j)
+					if !math.IsInf(lo[j], -1) {
+						lo[j] += 0.5 * rng.Float64()
+					}
+					if !math.IsInf(hi[j], 1) {
+						hi[j] -= 0.5 * rng.Float64()
+					}
+					if lo[j] > hi[j] {
+						lo[j], hi[j] = hi[j], lo[j]
+					}
+				}
+				var ok bool
+				if sol, ok = s.SolveParams(rhs, lo, hi); !ok {
+					t.Fatalf("program %d call %d: bound class changed", prog, call)
+				}
+			} else {
+				sol = s.SolveRHS(rhs)
+			}
+			st := s.Stats()
+			if st.ColdPivots-before.ColdPivots > blandTrip {
+				sh.bland++
+			}
+			if st.WarmPivots > before.WarmPivots {
+				sh.repairs++
+			}
+			if len(eq) > 0 {
+				sh.eqSolves++
+			}
+			if sol.Status == Infeasible {
+				sh.infeasible++
+			}
+			if sol.Status == Optimal {
+				for _, j := range s.basis {
+					if j >= s.p.total {
+						sh.basicArtificial++
+						break
+					}
+				}
+			}
+			put(uint64(sol.Status))
+			if sol.Status == Optimal {
+				put(math.Float64bits(sol.Objective))
+				for _, v := range sol.X {
+					put(math.Float64bits(v))
+				}
+			}
+			put(uint64(st.Cold))
+			put(uint64(st.Warm))
+			put(uint64(st.ColdPivots))
+			put(uint64(st.WarmPivots))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), sh
+}
+
+// TestSolverRandomChainDigest pins the shapes the ACC and shifted chains
+// never reach: GE rows, degenerate ties past blandTrip, redundant rows
+// that leave an artificial basic at zero, and equality rows, which always
+// solve cold.
+func TestSolverRandomChainDigest(t *testing.T) {
+	got, sh := runRandomChain(t)
+	if sh.geRows == 0 || sh.bland == 0 || sh.basicArtificial == 0 || sh.eqSolves == 0 || sh.repairs == 0 || sh.infeasible == 0 {
+		t.Fatalf("chain did not reach every shape: %+v", sh)
+	}
+	if got != randomChainDigest {
+		t.Fatalf("random chain digest %s, want %s", got, randomChainDigest)
+	}
+}
+
 // axpyNeg computes dst[j] −= f·src[j], 4-way unrolled: the dense row
 // update the solver's pivot ran before it went sparse.
 func axpyNeg(dst, src []float64, f float64) {
@@ -788,10 +1214,11 @@ func checkPivotAgreement(t *testing.T, label string, sp, de tab, m int, pad floa
 	check("z", 0, sp.z[:w], de.z[:w], false)
 }
 
-// TestPivotSparseMatchesDense runs the sparse pivot against the dense
-// oracle on tableaux the solver itself produced: each trial cold-solves a
-// random LP (or the ACC RMPC program at a random point of X′) and then
-// drives two copies of its optimal tableau through the same chain of
+// TestPivotSparseMatchesDense runs the sparse pivot of a full tableau, the
+// one phase 1 runs in its scratch, against the dense oracle on tableaux
+// the solver itself produced: each trial cold-solves a random LP (or the
+// ACC RMPC program at a random point of X′), expands its dictionary into
+// the full tableau and then drives two copies of it through the same chain of
 // random pivots, one with Solver.pivot and one with pivotDense, checking
 // them after every pivot. The copies sit in a tab wider than the logical
 // width, as phase 1's scratch is, and the padding must stay untouched.
@@ -826,16 +1253,18 @@ func TestPivotSparseMatchesDense(t *testing.T) {
 			continue
 		}
 		p := s.p
-		stride := p.width + rng.Intn(4)
+		w := p.total + 1
+		stride := w + rng.Intn(4)
+		full, fullZ := denseOf(&s.d, s.basis, p.total)
 		widen := func() tab {
 			v := tab{t: make([]float64, p.m*stride), z: make([]float64, stride), nz: make([]int, stride), stride: stride, rhs: p.total}
 			for i := range v.t {
 				v.t[i] = pad
 			}
 			for i := 0; i < p.m; i++ {
-				copy(v.t[i*stride:], s.t[i*p.width:(i+1)*p.width])
+				copy(v.t[i*stride:], full[i*w:(i+1)*w])
 			}
-			copy(v.z, s.z)
+			copy(v.z, fullZ)
 			return v
 		}
 		sp, de := widen(), widen()
@@ -872,12 +1301,12 @@ func TestPivotSparseMatchesDense(t *testing.T) {
 					}
 				}
 				s.basis = append([]int(nil), spBasis...)
-				s.pivot(a, r, c)
+				s.pivot(&a, r, c)
 				pivotDense(b, p.m, append([]int(nil), spBasis...), r, c)
 				checkPivotAgreement(t, label("non-finite"), a, b, p.m, pad, exact)
 			}
 			s.basis = spBasis
-			s.pivot(sp, r, c)
+			s.pivot(&sp, r, c)
 			pivotDense(de, p.m, deBasis, r, c)
 			checkPivotAgreement(t, label("chain"), sp, de, p.m, pad, nil)
 			for i := range spBasis {
@@ -896,5 +1325,186 @@ func TestPivotSparseMatchesDense(t *testing.T) {
 	}
 	if pivots < 1000 || sparseRows < pivots/2 {
 		t.Fatalf("%d chain pivots, %d with a zero in the pivot row: the chains did not exercise the sparse update", pivots, sparseRows)
+	}
+}
+
+// cloneTab deep-copies a tab's slices.
+func cloneTab(v tab) tab {
+	v.t = append([]float64(nil), v.t...)
+	v.z = append([]float64(nil), v.z...)
+	v.nz = append([]int(nil), v.nz...)
+	v.cols = append([]int(nil), v.cols...)
+	v.idx = append([]int(nil), v.idx...)
+	return v
+}
+
+// checkDictAgreement compares a dictionary with the full live-width
+// tableau it tracks. Every stored live column must match the full column
+// of its original index: bit for bit on the rhs column and z[rhs], and in
+// the rows listed in exact (they took a non-finite multiplier), up to the
+// sign of zero elsewhere. Every basic column of the full tableau must be
+// its row's unit vector up to the sign of zero, except in exact rows,
+// whose basic columns the dense update fills with NaN, and cols must list
+// the live columns in ascending original index.
+func checkDictAgreement(t *testing.T, label string, d tab, basis []int, full tab, total int, exact map[int]bool) {
+	t.Helper()
+	m := len(basis)
+	same := func(what string, i, j int, a, b float64, bitwise bool) {
+		if bitwise || a != 0 || b != 0 {
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: %s %d col %d: dictionary %v (%#x), dense %v (%#x)",
+					label, what, i, j, a, math.Float64bits(a), b, math.Float64bits(b))
+			}
+		} else if !sameUpToZeroSign(a, b) {
+			t.Fatalf("%s: %s %d col %d: dictionary %v, dense %v", label, what, i, j, a, b)
+		}
+	}
+	for i := 0; i < m; i++ {
+		di := d.t[i*d.stride : (i+1)*d.stride]
+		fi := full.t[i*full.stride : i*full.stride+total+1]
+		for c, j := range d.idx {
+			if j < total {
+				same("row", i, j, di[c], fi[j], exact[i])
+			}
+		}
+		same("row", i, total, di[d.rhs], fi[total], true)
+		if exact[i] {
+			continue
+		}
+		for r, j := range basis {
+			if j >= total {
+				continue
+			}
+			want := 0.0
+			if r == i {
+				want = 1
+			}
+			if !sameUpToZeroSign(fi[j], want) {
+				t.Fatalf("%s: basic column %d (row %d) holds %v in row %d", label, j, r, fi[j], i)
+			}
+		}
+	}
+	for c, j := range d.idx {
+		if j < total {
+			same("z", 0, j, d.z[c], full.z[j], false)
+		}
+	}
+	same("z", 0, total, d.z[d.rhs], full.z[total], true)
+	live := 0
+	for _, j := range d.idx {
+		if j < total {
+			live++
+		}
+	}
+	if len(d.cols) != live {
+		t.Fatalf("%s: cols lists %d columns, %d are live", label, len(d.cols), live)
+	}
+	for k, c := range d.cols {
+		if d.idx[c] >= total || (k > 0 && d.idx[d.cols[k-1]] >= d.idx[c]) {
+			t.Fatalf("%s: cols %v not the live columns in ascending index (idx %v)", label, d.cols, d.idx)
+		}
+	}
+}
+
+// TestPivotDictMatchesDense runs the dictionary pivot against the dense
+// oracle: each trial cold-solves a random LP, a redundantProblem (an
+// artificial stays basic, and pivoting its row out drops a column) or the
+// ACC RMPC program at a random point of X′, expands its dictionary into
+// the full live-width tableau and drives both through the same chain of
+// random pivots, one with Solver.pivot on a copy of the dictionary and one
+// with pivotDense on the full tableau, checking them after every pivot
+// with checkDictAgreement. Every fourth pivot is also replayed from one
+// snapshot with ±Inf or NaN multipliers planted in a few rows.
+func TestPivotDictMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	f := loadACCFixture(t)
+	accRHS := make([]float64, len(f.Rows))
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	pivots, drops := 0, 0
+	for trial := 0; trial < 90; trial++ {
+		var s *Solver
+		switch {
+		case trial%10 == 0:
+			s = NewSolver(f.problem())
+			for {
+				x := [2]float64{120 + 60*rng.Float64(), 25 + 30*rng.Float64()}
+				if f.inXPrime(x) {
+					f.rhsAt(accRHS, x)
+					break
+				}
+			}
+			s.SolveRHS(accRHS)
+		case trial%3 == 0:
+			p, _, _ := redundantProblem(rng)
+			s = NewSolver(p)
+			s.Solve()
+		default:
+			p, _ := randomProblem(rng)
+			s = NewSolver(p)
+			s.Solve()
+		}
+		if !s.warm {
+			continue
+		}
+		p := s.p
+		w := p.total + 1
+		ft, fz := denseOf(&s.d, s.basis, p.total)
+		de := tab{t: ft, z: fz, stride: w, rhs: p.total}
+		dc := cloneTab(s.d)
+		dcBasis := append([]int(nil), s.basis...)
+		deBasis := append([]int(nil), s.basis...)
+		for step := 0; step < 40; step++ {
+			r := rng.Intn(p.m)
+			// A basic artificial's row holds only tiny entries: accept
+			// any pivot the ratio test could take there.
+			tol := 1e-3
+			if dcBasis[r] >= p.total {
+				tol = eps
+			}
+			c := -1
+			for try := 0; try < 50 && c < 0 && len(dc.cols) > 0; try++ {
+				if cc := dc.cols[rng.Intn(len(dc.cols))]; math.Abs(dc.t[r*dc.stride+cc]) > tol {
+					c = cc
+				}
+			}
+			if c < 0 {
+				continue
+			}
+			j := dc.idx[c]
+			label := func(kind string) string {
+				return fmt.Sprintf("trial %d step %d (%s pivot %d, column %d)", trial, step, kind, r, j)
+			}
+			if step%4 == 0 {
+				a, b := cloneTab(dc), cloneTab(de)
+				exact := map[int]bool{}
+				for k := 0; k < 3; k++ {
+					if i := rng.Intn(p.m); i != r {
+						v := nonFinite[rng.Intn(len(nonFinite))]
+						a.t[i*a.stride+c], b.t[i*w+j] = v, v
+						exact[i] = true
+					}
+				}
+				s.basis = append([]int(nil), dcBasis...)
+				s.pivot(&a, r, c)
+				pivotDense(b, p.m, append([]int(nil), dcBasis...), r, j)
+				checkDictAgreement(t, label("non-finite"), a, s.basis, b, p.total, exact)
+			}
+			if dcBasis[r] >= p.total {
+				drops++
+			}
+			s.basis = dcBasis
+			s.pivot(&dc, r, c)
+			pivotDense(de, p.m, deBasis, r, j)
+			for i := range dcBasis {
+				if dcBasis[i] != deBasis[i] {
+					t.Fatalf("%s: basis[%d] %d vs %d", label("chain"), i, dcBasis[i], deBasis[i])
+				}
+			}
+			checkDictAgreement(t, label("chain"), dc, dcBasis, de, p.total, nil)
+			pivots++
+		}
+	}
+	if pivots < 1500 || drops == 0 {
+		t.Fatalf("%d chain pivots, %d dropping an artificial's column: the chains did not exercise the dictionary", pivots, drops)
 	}
 }
