@@ -1401,12 +1401,25 @@ func TestRouterForgetsGoneSession(t *testing.T) {
 	}
 }
 
-// TestLandingReplacesStaleCopy: a failover leaves its source's copy in
-// the source's journal, so a source that comes back holds every session
-// it lost, unfrozen, under the same IDs. A migration back to it and a
-// failover back to it both replace that stale copy and land byte-identical
-// to an uninterrupted run.
-func TestLandingReplacesStaleCopy(t *testing.T) {
+// staleEpisode is one session of failoverLeavesCopies and the case it
+// runs.
+type staleEpisode struct {
+	id string
+	x0 []float64
+	ws [][]float64
+}
+
+// staleSteps is the length of each failoverLeavesCopies episode.
+const staleSteps = 30
+
+// failoverLeavesCopies builds a journaled shard a and a plain shard b
+// behind a router with death threshold 2, opens two ACC sessions on a and
+// steps each a third of the way; then a crashes, both sessions fail over
+// to b and step on to two thirds. It returns the router, its membership,
+// both episodes, b's server, and restartA, which brings a back from its
+// journal on its old address, holding both sessions where they were when
+// it died: the copies nothing routes to.
+func failoverLeavesCopies(t *testing.T) (rt *Router, m *Membership, eps []staleEpisode, tsB *httptest.Server, restartA func() *httptest.Server) {
 	dir := t.TempDir()
 	// startA serves a journaled oicd on addr ("" picks a port), recovering
 	// whatever the journal holds first.
@@ -1437,39 +1450,22 @@ func TestLandingReplacesStaleCopy(t *testing.T) {
 	}
 	srvA, tsA := startA("")
 	srvB := server.New(server.Config{})
-	tsB := httptest.NewServer(srvB.Handler())
+	tsB = httptest.NewServer(srvB.Handler())
 	t.Cleanup(func() { tsB.Close(); srvB.Close() })
-	rt, err := New(&Membership{Nodes: []Node{{Name: "a", Addr: tsA.URL}, {Name: "b", Addr: tsB.URL}}}, Config{DeathThreshold: 2})
+	m = &Membership{Nodes: []Node{{Name: "a", Addr: tsA.URL}, {Name: "b", Addr: tsB.URL}}}
+	rt, err := New(m, Config{DeathThreshold: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.ProbeOnce(t.Context())
 	c := &rc{t: t, h: rt.Handler()}
-	declareDead := func(name string) {
-		rt.ProbeOnce(t.Context())
-		rt.ProbeOnce(t.Context())
-		if moved, failed, err := rt.FailoverNode(t.Context(), name); err != nil || failed != 0 || moved == 0 {
-			t.Fatalf("failover of %s: moved %d failed %d err %v", name, moved, failed, err)
-		}
-	}
-	step := func(id string, ws [][]float64) {
-		if st := c.do("POST", "/v1/sessions/"+id+"/step", oic.StepRequest{WS: ws}, nil); st != http.StatusOK {
-			t.Fatalf("step %s: status %d", id, st)
-		}
-	}
-	const steps = 30
 	eng, err := oic.NewEngine(oic.Config{Plant: "acc"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type episode struct {
-		id string
-		x0 []float64
-		ws [][]float64
-	}
-	eps := make([]episode, 2)
+	eps = make([]staleEpisode, 2)
 	for i := range eps {
-		x0, ws, err := eng.DrawCase(int64(20+i), steps)
+		x0, ws, err := eng.DrawCase(int64(20+i), staleSteps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1482,31 +1478,117 @@ func TestLandingReplacesStaleCopy(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		eps[i] = episode{info.ID, x0, ws}
-		step(info.ID, ws[:steps/3])
+		eps[i] = staleEpisode{info.ID, x0, ws}
+		stepVia(c, info.ID, ws[:staleSteps/3])
 	}
 
 	// a crashes; both sessions fail over to b and step on there.
 	tsA.Close()
 	srvA.Close()
-	declareDead("a")
+	declareDead(t, rt, "a")
 	for _, ep := range eps {
-		step(ep.id, ep.ws[steps/3:2*steps/3])
+		stepVia(c, ep.id, ep.ws[staleSteps/3:2*staleSteps/3])
 	}
-	// a comes back from its journal on the same address, holding both
-	// sessions where they were when it died.
-	_, tsA = startA(tsA.Listener.Addr().String())
+	addr := tsA.Listener.Addr().String()
+	restartA = func() *httptest.Server {
+		_, ts := startA(addr)
+		return ts
+	}
+	return rt, m, eps, tsB, restartA
+}
+
+// declareDead probes the cluster until rt declares node name dead and
+// fails its sessions over, at least one of them.
+func declareDead(t *testing.T, rt *Router, name string) {
+	t.Helper()
 	rt.ProbeOnce(t.Context())
-	for _, ep := range eps {
-		var info oic.SessionInfo
-		resp, err := http.Get(tsA.URL + "/v1/sessions/" + ep.id)
-		if err != nil {
+	rt.ProbeOnce(t.Context())
+	if moved, failed, err := rt.FailoverNode(t.Context(), name); err != nil || failed != 0 || moved == 0 {
+		t.Fatalf("failover of %s: moved %d failed %d err %v", name, moved, failed, err)
+	}
+}
+
+// stepVia steps session id through c over ws as one batch.
+func stepVia(c *rc, id string, ws [][]float64) {
+	c.t.Helper()
+	if st := c.do("POST", "/v1/sessions/"+id+"/step", oic.StepRequest{WS: ws}, nil); st != http.StatusOK {
+		c.t.Fatalf("step %s: status %d", id, st)
+	}
+}
+
+// shardCopy GETs session id straight from a shard.
+func shardCopy(t *testing.T, ts *httptest.Server, id string) (int, oic.SessionInfo) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/sessions/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info oic.SessionInfo
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 			t.Fatal(err)
 		}
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil || info.T != steps/3 || info.Frozen {
-			t.Fatalf("recovered a: %s is %+v (%v), want the stale unfrozen copy at t=%d", ep.id, info, err, steps/3)
+	}
+	return resp.StatusCode, info
+}
+
+// finishOn steps each episode to its end through c, requires that rt
+// routes it to node, and requires its trace byte-identical to an
+// uninterrupted run.
+func finishOn(t *testing.T, rt *Router, c *rc, node string, eps []staleEpisode) {
+	t.Helper()
+	for _, ep := range eps {
+		if e, _ := rt.session(t.Context(), ep.id); e.nodeName() != node {
+			t.Fatalf("%s is on %s, want %s", ep.id, e.nodeName(), node)
+		}
+		stepVia(c, ep.id, ep.ws[2*staleSteps/3:])
+		if st, bin := c.raw("GET", "/v1/sessions/"+ep.id+"/trace?format=binary"); st != http.StatusOK || !bytes.Equal(bin, referenceTrace(t, ep.x0, ep.ws)) {
+			t.Fatalf("%s: status %d, trace differs from the uninterrupted reference", ep.id, st)
+		}
+	}
+}
+
+// TestFailoverDeletesStaleCopy: the router that failed two sessions over
+// queued them on their source, so the source's first probe after it comes
+// back from its journal deletes both stale copies, and the router goes on
+// serving both sessions from the survivor, byte-identical to an
+// uninterrupted run.
+func TestFailoverDeletesStaleCopy(t *testing.T) {
+	rt, _, eps, _, restartA := failoverLeavesCopies(t)
+	tsA := restartA()
+	rt.ProbeOnce(t.Context())
+	for _, ep := range eps {
+		if st, info := shardCopy(t, tsA, ep.id); st != http.StatusNotFound {
+			t.Fatalf("recovered a: %s answers %d (%+v) after the probe, want 404", ep.id, st, info)
+		}
+	}
+	finishOn(t, rt, &rc{t: t, h: rt.Handler()}, "b", eps)
+}
+
+// TestLandingReplacesStaleCopy: a router restarted between a failover and
+// its source's return holds no queue of the sessions failed over, so the
+// source keeps its stale copies, unfrozen, under the same IDs. A migration
+// back to it and a failover back to it both replace such a copy (land's
+// 409 id_taken path) and land byte-identical to an uninterrupted run.
+func TestLandingReplacesStaleCopy(t *testing.T) {
+	_, m, eps, tsB, restartA := failoverLeavesCopies(t)
+	rt, err := New(m, Config{DeathThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := restartA()
+	rt.ProbeOnce(t.Context())
+	c := &rc{t: t, h: rt.Handler()}
+	for _, ep := range eps {
+		if st, info := shardCopy(t, tsA, ep.id); st != http.StatusOK || info.T != staleSteps/3 || info.Frozen {
+			t.Fatalf("recovered a: %s answers %d with %+v, want the stale unfrozen copy at t=%d", ep.id, st, info, staleSteps/3)
+		}
+		// The restarted router learns each session from the copy further
+		// along, b's.
+		var info oic.SessionInfo
+		if st := c.do("GET", "/v1/sessions/"+ep.id, nil, &info); st != http.StatusOK || info.T != 2*staleSteps/3 {
+			t.Fatalf("%s through the restarted router: %d at t=%d, want b's copy at t=%d", ep.id, st, info.T, 2*staleSteps/3)
 		}
 	}
 
@@ -1516,14 +1598,59 @@ func TestLandingReplacesStaleCopy(t *testing.T) {
 	}
 	// b dies; the second session fails over onto a's stale copy.
 	tsB.Close()
-	declareDead("b")
-	for _, ep := range eps {
-		if e, _ := rt.session(t.Context(), ep.id); e.nodeName() != "a" {
-			t.Fatalf("%s is on %s, want a", ep.id, e.nodeName())
+	declareDead(t, rt, "b")
+	finishOn(t, rt, c, "a", eps)
+}
+
+// TestDropStaleRetriesAndKeepsOwned: a queued stale copy whose DELETE
+// fails stays queued for the next ready probe, a 404 settles it, and a
+// session the node owns again is dropped from the queue undeleted.
+func TestDropStaleRetriesAndKeepsOwned(t *testing.T) {
+	var mu sync.Mutex
+	deletes := map[string]int{}
+	shard := http.NewServeMux()
+	shard.HandleFunc("GET /healthz", func(http.ResponseWriter, *http.Request) {})
+	shard.HandleFunc("GET /readyz", func(http.ResponseWriter, *http.Request) {})
+	shard.HandleFunc("DELETE /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		id := r.PathValue("id")
+		deletes[id]++
+		if deletes[id] == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
 		}
-		step(ep.id, ep.ws[2*steps/3:])
-		if st, bin := c.raw("GET", "/v1/sessions/"+ep.id+"/trace?format=binary"); st != http.StatusOK || !bytes.Equal(bin, referenceTrace(t, ep.x0, ep.ws)) {
-			t.Fatalf("%s: status %d, trace differs from the uninterrupted reference", ep.id, st)
-		}
+		w.WriteHeader(http.StatusNotFound)
+	})
+	ts := httptest.NewServer(shard)
+	defer ts.Close()
+	rt, err := New(&Membership{Nodes: []Node{{Name: "a", Addr: ts.URL}}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := rt.byName["a"]
+	owned := &sessEntry{id: "s-owned"}
+	owned.node.Store(a)
+	rt.sessions[owned.id] = owned
+	a.queueStale("s-gone")
+	a.queueStale(owned.id)
+	queued := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.stale)
+	}
+	sent := func(id string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return deletes[id]
+	}
+	rt.ProbeOnce(t.Context())
+	if n := queued(); n != 1 || sent("s-gone") != 1 || sent(owned.id) != 0 {
+		t.Fatalf("after one probe: %d queued, %d and %d deletes; want s-gone still queued after a failed DELETE, s-owned dropped undeleted",
+			n, sent("s-gone"), sent(owned.id))
+	}
+	rt.ProbeOnce(t.Context())
+	if n := queued(); n != 0 || sent("s-gone") != 2 {
+		t.Fatalf("after two probes: %d queued, %d deletes of s-gone; want the 404 to settle it", n, sent("s-gone"))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,6 +29,10 @@ type nodeState struct {
 	fleets         int
 	pressure       float64 // max oicd_fleet_pressure across the node's fleets
 	reclaimedRatio float64 // mean oicd_fleet_reclaimed_ratio
+
+	// stale holds the sessions failed over off this node: copies it still
+	// holds, or recovers from its journal, that nothing routes to.
+	stale map[string]bool
 }
 
 // snapshot returns a consistent copy of the mutable fields.
@@ -113,6 +118,65 @@ func (rt *Router) probeNode(ctx context.Context, n *nodeState) {
 	if !live {
 		rt.noteFailure(n, "probe")
 	}
+	if ready {
+		rt.dropStale(ctx, n)
+	}
+}
+
+// queueStale records that session id was failed over off n: n's copy, if
+// n comes back, must go (dropStale).
+func (n *nodeState) queueStale(id string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stale == nil {
+		n.stale = make(map[string]bool)
+	}
+	n.stale[id] = true
+}
+
+// dropStale deletes, on a node whose probe found it ready, each session
+// failed over off it: a node that comes back from its journal recovers
+// those sessions unfrozen, so two shards would serve one session. It
+// waits for readiness because a node still replaying its journal would
+// answer 404 for a copy it has yet to restore. Each session is settled
+// under its entry lock, so no migration or failover lands on the node
+// meanwhile; a session whose row points at the node again (it landed
+// back) keeps its copy. A DELETE that fails stays queued for the next
+// probe; 404 means the copy is gone already.
+func (rt *Router) dropStale(ctx context.Context, n *nodeState) {
+	n.mu.Lock()
+	ids := make([]string, 0, len(n.stale))
+	for id := range n.stale {
+		ids = append(ids, id)
+	}
+	n.mu.Unlock()
+	for _, id := range ids {
+		if rt.settleStale(ctx, n, id) {
+			n.mu.Lock()
+			delete(n.stale, id)
+			n.mu.Unlock()
+		}
+	}
+}
+
+// settleStale deletes n's copy of session id unless n owns the session
+// again, and reports whether the copy is settled.
+func (rt *Router) settleStale(ctx context.Context, n *nodeState, id string) bool {
+	rt.mu.Lock()
+	e := rt.sessions[id]
+	rt.mu.Unlock()
+	if e != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.node.Load() == n {
+			return true
+		}
+	}
+	status, _, _, err := rt.proxy(ctx, n, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), nil, nil)
+	if err == nil && status == http.StatusOK {
+		rt.log.Info("deleted stale copy", "session", id, "node", n.Name)
+	}
+	return err == nil && (status == http.StatusOK || status == http.StatusNotFound)
 }
 
 // noteFailure counts one liveness failure against a node: a failed probe,

@@ -281,6 +281,7 @@ func (rt *Router) failoverEntry(ctx context.Context, e *sessEntry, dst *nodeStat
 	}
 	span.Phase("repoint")
 	e.node.Store(dst)
+	src.queueStale(e.id)
 	span.End(nil)
 	rt.m.failovers.Add(1)
 	rt.log.Info("failover landed", "session", e.id, "from", src.Name, "to", dst.Name,

@@ -10,11 +10,12 @@
 // termination on degenerate instances.
 //
 // The solver targets the small programs arising in this repository (tens
-// of variables, at most a few hundred rows). Between solves it keeps the
-// tableau as a dictionary of its nonbasic columns only, every basic column
-// being a unit vector, and its pivots and warm rhs transform keep every
-// output bit of the dense tableau's (DESIGN.md §5.3, §5.4); it favors
-// clarity and numerical robustness over large-scale performance.
+// of variables, at most a few hundred rows). It keeps every tableau,
+// phase 1's included, as a dictionary of its nonbasic columns only, every
+// basic column being a unit vector, and its one pivot and warm rhs
+// transform keep every output bit of the full dense tableau's (DESIGN.md
+// §5.3, §5.4); it favors clarity and numerical robustness over
+// large-scale performance.
 package lp
 
 import (

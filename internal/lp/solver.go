@@ -30,17 +30,20 @@ import (
 // columns, then the rhs, with each stored column's original index and the
 // basis beside them. Every basic column is an exact unit vector, so the
 // stored columns and the basis determine the whole tableau. A pivot hands
-// the entering column's slot to the leaving variable. The m artificial
-// columns that phase 1 may need live in a full-width scratch drawn from a
-// package-level pool for the duration of phase 1; once phase 1 ends
-// nothing reads them (phase-2 pricing and the dual simplex price only
+// the entering column's slot to the leaving variable. Phase 1 runs on a
+// dictionary too, drawn from a package-level pool for its duration: it
+// starts with every column no row seeded, each artificial that leaves the
+// basis takes the entering column's slot, and phase-1 pricing reads those
+// slots as a full tableau reads the artificial columns. Once phase 1 ends nothing reads
+// an artificial column (phase-2 pricing and the dual simplex price only
 // structural and slack columns, and the ratio test, extract and the
 // basic-artificial check read only the entering column, the rhs and the
-// basis), so the nonbasic live columns are copied out and every later
-// pivot skips the artificials. Artificial basis indices keep their values
-// ≥ total, so tie-breaks and the basic-artificial exit read exactly what
-// they read before. Every scan whose result depends on column order walks
-// the stored columns in ascending original index (DESIGN.md §5.4).
+// basis), so the live slots are compacted into the solver's dictionary
+// and every later pivot drops a leaving artificial's slot from pricing.
+// Artificial basis indices keep their values ≥ total, so tie-breaks and
+// the basic-artificial exit read exactly what they read before. Every
+// scan whose result depends on column order walks the stored columns in
+// ascending original index (DESIGN.md §5.4).
 
 // upperRow is a compiled "y_col ≤ hi − lo" row for a doubly bounded
 // variable.
@@ -89,13 +92,12 @@ type program struct {
 	class  []boundClass
 	uppers []upperRow
 
-	ncols  int // structural (variable) columns
-	total  int // ncols + slack columns
-	stride int // total + m + 1: cold scratch row stride (max artificials + rhs)
+	ncols int // structural (variable) columns
+	total int // ncols + slack columns
 
 	rhs      []float64 // compiled right-hand sides of the original rows
 	sf       []float64 // m × total flat standard-form matrix, slack entries included
-	slackCol []int     // per row: its slack column, or −1 (EQ row)
+	unitRow  []int     // per column: the row of its only nonzero in sf; < 0 when it has none or several
 	slackSgn []float64 // per row: +1 (LE / upper), −1 (GE), 0 (EQ)
 	allSlack bool      // every row has a slack column: warm starts possible
 
@@ -215,7 +217,6 @@ func NewSolver(p *Problem) *Solver {
 	}
 	slackCols += len(pr.uppers)
 	pr.total = ncols + slackCols
-	pr.stride = pr.total + pr.m + 1
 
 	// Flat standard-form matrix with the slack entries in place, the
 	// compiled right-hand sides, and each row's shift terms. All three are
@@ -223,7 +224,6 @@ func NewSolver(p *Problem) *Solver {
 	pr.rhs = make([]float64, pr.m0)
 	pr.termRow = make([]int, pr.m0+1)
 	pr.sf = make([]float64, pr.m*pr.total)
-	pr.slackCol = make([]int, pr.m)
 	pr.slackSgn = make([]float64, pr.m)
 	pr.allSlack = true
 	slack := ncols
@@ -252,14 +252,13 @@ func NewSolver(p *Problem) *Solver {
 		switch r.sense {
 		case LE:
 			ro[slack] = 1
-			pr.slackCol[i], pr.slackSgn[i] = slack, 1
+			pr.slackSgn[i] = 1
 			slack++
 		case GE:
 			ro[slack] = -1
-			pr.slackCol[i], pr.slackSgn[i] = slack, -1
+			pr.slackSgn[i] = -1
 			slack++
 		default:
-			pr.slackCol[i] = -1
 			pr.allSlack = false
 		}
 	}
@@ -268,8 +267,28 @@ func NewSolver(p *Problem) *Solver {
 		ro := pr.sf[i*pr.total : (i+1)*pr.total]
 		ro[ur.col] = 1
 		ro[slack] = 1
-		pr.slackCol[i], pr.slackSgn[i] = slack, 1
+		pr.slackSgn[i] = 1
 		slack++
+	}
+
+	// The columns that may seed phase 1's basis are those with exactly one
+	// nonzero. That pattern is the program's, whatever the signs of the
+	// right-hand sides, so phase 1 only checks that the entry normalizes to
+	// +1.
+	pr.unitRow = make([]int, pr.total)
+	for j := range pr.unitRow {
+		pr.unitRow[j] = -1
+	}
+	for i := 0; i < pr.m; i++ {
+		for j, a := range pr.sf[i*pr.total : (i+1)*pr.total] {
+			switch {
+			case a == 0:
+			case pr.unitRow[j] == -1:
+				pr.unitRow[j] = i
+			default:
+				pr.unitRow[j] = -2 // a second nonzero
+			}
+		}
 	}
 
 	// Standard-form objective.
@@ -714,71 +733,57 @@ func (s *Solver) dualSimplex() (Status, bool) {
 			// confirm rather than trusting a drifted tableau.
 			return Infeasible, false
 		}
-		s.pivotDict(d, leave, enter)
+		s.pivot(d, leave, enter)
 	}
 	return IterLimit, false
 }
 
-// tab is a view of a flat row-major simplex tableau: rows of the given
-// stride with the stored columns first and the rhs in column rhs, and the
-// reduced-cost row z beside them. Phase 1's full-width scratch stores
-// every column at its own index (idx nil); the solver's dictionary stores
-// only the nonbasic ones, column c holding original column idx[c]. cols
-// lists the columns pricing may enter, in ascending original index.
+// tab is a simplex tableau stored as a dictionary: flat row-major rows of
+// the given stride holding the nonbasic columns, slot c holding original
+// column idx[c], then the rhs in column rhs, and the reduced-cost row z
+// beside them. No basic column is stored: each is a unit vector. cols
+// lists the slots pricing may enter, those whose original index is below
+// priced, in ascending original index; nz is the pivot's gather list.
 type tab struct {
 	t, z   []float64
-	nz     []int // full tableau: pivot-row gather list, at least rhs+1 long
-	cols   []int
 	idx    []int
+	cols   []int
+	nz     []int
 	stride int
 	rhs    int
+	priced int
 }
 
-// coldScratch is the full-width workspace of one two-phase solve: the
-// tableau with room for m artificial columns, the phase-1 reduced costs,
-// and the unit-column scan. Every cell a solve reads is written first, so
-// a reused scratch carries nothing from one solve into the next.
-type coldScratch struct {
-	t               []float64 // m × stride
-	z               []float64 // stride
-	nz, cols        []int     // stride
-	colRow, colOnes []int     // total
-	basisOf         []int     // m
-}
-
-// coldPool shares cold scratches across every Solver in the process: a
-// solver holds one only while phase 1 runs, so warm workspaces, however
-// many there are, keep no full-width buffer, and one-shot solves reuse
-// the scratch of the previous one.
-var coldPool = sync.Pool{New: func() any { return new(coldScratch) }}
-
-// getColdScratch returns a pooled scratch sized for p.
-func getColdScratch(p *program) *coldScratch {
-	sc := coldPool.Get().(*coldScratch)
-	sc.t = resize(sc.t, p.m*p.stride)
-	sc.z = resize(sc.z, p.stride)
-	sc.nz = resize(sc.nz, p.stride)
-	sc.cols = resize(sc.cols, p.stride)
-	sc.colRow = resize(sc.colRow, p.total)
-	sc.colOnes = resize(sc.colOnes, p.total)
-	sc.basisOf = resize(sc.basisOf, p.m)
-	return sc
-}
-
-// resize returns buf resliced to n, or a new slice when buf is too small.
-func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
+// reshape sizes d for m rows of nn stored columns and the rhs, reusing its
+// buffers when they are large enough. Otherwise the cells and the reduced
+// costs take one allocation, and the column indices, the priced list and
+// the gather list another: set synthesis solves thousands of one-shot
+// programs.
+func (d *tab) reshape(m, nn int) {
+	w := nn + 1
+	if cap(d.t) < m*w || cap(d.z) < w {
+		buf := make([]float64, (m+1)*w)
+		d.t, d.z = buf[:m*w:m*w], buf[m*w:]
 	}
-	return buf[:n]
+	if cap(d.idx) < nn || cap(d.cols) < nn || cap(d.nz) < w {
+		ints := make([]int, 3*nn+1)
+		d.idx, d.cols, d.nz = ints[:nn:nn], ints[nn:2*nn:2*nn], ints[2*nn:]
+	}
+	d.t, d.z, d.idx, d.cols, d.nz = d.t[:m*w], d.z[:w], d.idx[:nn], d.cols[:nn], d.nz[:w]
+	d.stride, d.rhs = w, nn
 }
+
+// coldPool shares phase 1's dictionaries across every Solver in the
+// process: a solver holds one only while phase 1 runs, so warm workspaces,
+// however many there are, keep only their own dictionary, and one-shot
+// solves reuse the scratch of the previous one.
+var coldPool = sync.Pool{New: func() any { return new(tab) }}
 
 // solveCold runs the two-phase simplex from scratch on the prepared b,
 // replicating the historical from-scratch solve arithmetic. Phase 1 runs
-// in a pooled full-width scratch; its nonbasic live columns are then
-// copied into the solver's dictionary, where phase 2 runs. On Optimal it
-// leaves the dictionary, basis, and phase-2 reduced costs in place as the
-// warm-start state.
+// on a pooled dictionary whose live slots are then compacted into the
+// solver's, where phase 2 runs. On Optimal it leaves the dictionary,
+// basis, and phase-2 reduced costs in place as the warm-start state.
 func (s *Solver) solveCold() Status {
 	p := s.p
 	if s.basis == nil {
@@ -788,7 +793,7 @@ func (s *Solver) solveCold() Status {
 	s.pivots = 0
 	s.warm = false
 
-	sc := getColdScratch(p)
+	sc := coldPool.Get().(*tab)
 	st := s.phase1(sc)
 	coldPool.Put(sc)
 	if st != Optimal {
@@ -825,183 +830,147 @@ func (s *Solver) solveCold() Status {
 	return Optimal
 }
 
-// phase1 builds the normalized full-width tableau in sc, seeds the basis
-// (artificials where no unit column fits), minimizes the sum of the
-// artificials, drives the remaining ones out where possible, and copies
-// the structural, slack and rhs columns into the live tableau. Its status
-// is Optimal when phase 2 may start.
-func (s *Solver) phase1(sc *coldScratch) Status {
+// phase1 seeds the basis (artificials where no unit column fits), builds
+// the dictionary of every other column in sc, normalized to b ≥ 0,
+// minimizes the sum of the artificials, drives the remaining ones out
+// where possible, and compacts the live slots and the rhs into the
+// solver's dictionary. Its status is Optimal when phase 2 may start.
+func (s *Solver) phase1(sc *tab) Status {
 	p := s.p
-	// Copy the compiled matrix in, normalizing to b ≥ 0.
-	for i := 0; i < p.m; i++ {
-		ti := sc.t[i*p.stride : (i+1)*p.stride]
-		copy(ti, p.sf[i*p.total:(i+1)*p.total])
-		for j := p.total; j < len(ti); j++ {
-			ti[j] = 0
-		}
-		b := s.b[i]
-		if b < 0 {
-			b = -b
-			for j := 0; j < p.total; j++ {
-				ti[j] = -ti[j]
-			}
-		}
-		s.newb[i] = b // stash normalized rhs; placed once nart is known
+	// A column whose only nonzero is +1 once its row is negated for b < 0
+	// can seed that row's basis; later (slack) columns first. Every other
+	// row takes an artificial, numbered total, total+1, … in row order.
+	for i := range s.basis {
+		s.basis[i] = -1
 	}
-
-	// Unit-column scan: a column with a single +1 entry can seed the basis
-	// of its row (slack columns of LE rows with b ≥ 0 have this shape).
-	for j := 0; j < p.total; j++ {
-		sc.colRow[j] = -1
-		sc.colOnes[j] = 0
-	}
-	for i := 0; i < p.m; i++ {
-		ti := sc.t[i*p.stride:]
-		for j := 0; j < p.total; j++ {
-			if ti[j] != 0 {
-				sc.colOnes[j]++
-				sc.colRow[j] = i
-			}
+	for j := p.total - 1; j >= 0; j-- {
+		i := p.unitRow[j]
+		if i < 0 || s.basis[i] != -1 {
+			continue
+		}
+		a := p.sf[i*p.total+j]
+		if s.b[i] < 0 {
+			a = -a
+		}
+		if a == 1 {
+			s.basis[i] = j
 		}
 	}
-	for i := range sc.basisOf {
-		sc.basisOf[i] = -1
-	}
-	for j := p.total - 1; j >= 0; j-- { // prefer later (slack) columns
-		if sc.colOnes[j] == 1 {
-			i := sc.colRow[j]
-			if sc.basisOf[i] == -1 && sc.t[i*p.stride+j] == 1 {
-				sc.basisOf[i] = j
-			}
-		}
-	}
-	nart := 0
-	for i := 0; i < p.m; i++ {
-		if sc.basisOf[i] == -1 {
-			nart++
-		}
-	}
-	full := tab{t: sc.t, z: sc.z, nz: sc.nz, cols: sc.cols[:p.total+nart], stride: p.stride, rhs: p.total + nart}
-	for j := range full.cols {
-		full.cols[j] = j
-	}
-
-	// Place artificials and the rhs column.
 	art := p.total
-	for i := 0; i < p.m; i++ {
-		ti := sc.t[i*p.stride:]
-		ti[full.rhs] = s.newb[i]
-		if sc.basisOf[i] >= 0 {
-			s.basis[i] = sc.basisOf[i]
-		} else {
-			ti[art] = 1
+	for i, j := range s.basis {
+		if j < 0 {
 			s.basis[i] = art
 			art++
 		}
 	}
 
-	// Minimize the sum of artificials (skipped when none exist).
-	if nart > 0 {
-		z := sc.z[:full.rhs+1]
-		for j := range z {
-			z[j] = 0
+	// The dictionary stores every column no row seeded, in ascending index,
+	// then the rhs. An artificial that leaves the basis takes the entering
+	// column's slot, and phase 1 prices it there as the full tableau priced
+	// its column, so priced spans the artificials.
+	sc.reshape(p.m, art-p.m)
+	sc.priced = art
+	n := 0
+	for j := 0; j < p.total; j++ {
+		if i := p.unitRow[j]; i < 0 || s.basis[i] != j {
+			sc.idx[n], sc.cols[n] = j, n
+			n++
 		}
-		for i := 0; i < p.m; i++ {
-			if s.basis[i] < p.total {
+	}
+	for i := 0; i < p.m; i++ {
+		src := p.sf[i*p.total : (i+1)*p.total]
+		ti := sc.t[i*sc.stride : (i+1)*sc.stride]
+		b := s.b[i]
+		if b < 0 {
+			b = -b
+			for c, j := range sc.idx {
+				ti[c] = -src[j]
+			}
+		} else {
+			for c, j := range sc.idx {
+				ti[c] = src[j]
+			}
+		}
+		ti[sc.rhs] = b
+	}
+
+	// Minimize the sum of artificials (skipped when none exist).
+	if art > p.total {
+		z := sc.z
+		for c := range z {
+			z[c] = 0
+		}
+		for i, j := range s.basis {
+			if j < p.total {
 				continue
 			}
-			ti := sc.t[i*p.stride:]
-			for j := range z {
-				z[j] -= ti[j]
+			ti := sc.t[i*sc.stride : (i+1)*sc.stride]
+			for c := range z {
+				z[c] -= ti[c]
 			}
 		}
-		for i := 0; i < p.m; i++ {
-			z[s.basis[i]] = 0
-		}
-		if st := s.iterate(&full); st != Optimal {
+		if st := s.iterate(sc); st != Optimal {
 			return st
 		}
-		if -z[full.rhs] > 1e-7 {
+		if -z[sc.rhs] > 1e-7 {
 			return Infeasible
 		}
-		// Drive remaining artificials out of the basis where possible; a
-		// row with no pivot is redundant and its artificial stays basic at
-		// zero, excluded from phase-2 pricing.
+		// Drive remaining artificials out of the basis where possible, on
+		// the first live column in ascending index; a row with no pivot is
+		// redundant and its artificial stays basic at zero, excluded from
+		// phase-2 pricing.
 		for i := 0; i < p.m; i++ {
 			if s.basis[i] < p.total {
 				continue
 			}
-			ti := sc.t[i*p.stride:]
-			for j := 0; j < p.total; j++ {
-				if math.Abs(ti[j]) > 1e-7 {
-					s.pivot(&full, i, j)
+			ti := sc.t[i*sc.stride : (i+1)*sc.stride]
+			for _, c := range sc.cols {
+				if sc.idx[c] >= p.total {
+					break
+				}
+				if math.Abs(ti[c]) > 1e-7 {
+					s.pivot(sc, i, c)
 					break
 				}
 			}
 		}
 	}
 
-	// Copy out the dictionary: the nonbasic live columns in ascending
-	// index, then the rhs. Nothing reads the artificials again. A row whose
-	// artificial stayed basic leaves one more live column nonbasic.
-	basic := sc.colOnes
-	for j := range basic {
-		basic[j] = 0
-	}
-	nn := p.total
-	for _, j := range s.basis {
-		if j < p.total {
-			basic[j] = 1
-			nn--
+	// Compact: the live slots lead sc.cols. Nothing reads an artificial
+	// again. A row whose artificial stayed basic leaves one more live
+	// column nonbasic.
+	live := sc.cols
+	for k, c := range live {
+		if sc.idx[c] >= p.total {
+			live = live[:k]
+			break
 		}
 	}
-	d := s.dict(nn)
-	c := 0
-	for j, isBasic := range basic {
-		if isBasic == 0 {
-			d.idx[c], d.cols[c] = j, c
-			c++
-		}
+	d := &s.d
+	d.reshape(p.m, len(live))
+	d.priced = p.total
+	for k, c := range live {
+		d.idx[k], d.cols[k] = sc.idx[c], k
 	}
 	for i := 0; i < p.m; i++ {
-		ti := sc.t[i*p.stride:]
+		ti := sc.t[i*sc.stride : (i+1)*sc.stride]
 		di := d.t[i*d.stride : (i+1)*d.stride]
-		for c, j := range d.idx {
-			di[c] = ti[j]
+		for k, c := range live {
+			di[k] = ti[c]
 		}
-		di[d.rhs] = ti[full.rhs]
+		di[d.rhs] = ti[sc.rhs]
 	}
 	return Optimal
 }
 
-// dict sizes the solver's dictionary for nn nonbasic columns and returns
-// it, reusing its buffers when they are large enough. Otherwise the cells
-// and the reduced costs take one allocation, and the column indices and
-// the priced list another: set synthesis solves thousands of one-shot
-// programs.
-func (s *Solver) dict(nn int) *tab {
-	d := &s.d
-	m, w := s.p.m, nn+1
-	if cap(d.t) < m*w || cap(d.z) < w {
-		buf := make([]float64, (m+1)*w)
-		d.t, d.z = buf[:m*w:m*w], buf[m*w:]
-	}
-	if cap(d.idx) < nn || cap(d.cols) < nn {
-		ints := make([]int, 2*nn)
-		d.idx, d.cols = ints[:nn:nn], ints[nn:]
-	}
-	d.t, d.z, d.idx, d.cols = d.t[:m*w], d.z[:w], d.idx[:nn], d.cols[:nn]
-	d.stride, d.rhs = w, nn
-	return d
-}
-
 // iterate runs primal simplex pivots on v, pricing its cols (phase 1:
-// structural, slack and artificial; phase 2 on the dictionary: nonbasic
-// structural and slack), until optimality, unboundedness, or the
-// iteration cap, replicating the historical pricing exactly (Dantzig, then
-// Bland after blandTrip pivots; ratio ties toward the smallest basis
-// index). cols runs in ascending original index, so Dantzig's first
-// minimum and Bland's first negative are the historical ones.
+// every stored column, departed artificials included; phase 2: the
+// nonbasic structural and slack columns), until optimality,
+// unboundedness, or the iteration cap, replicating the historical pricing
+// exactly (Dantzig, then Bland after blandTrip pivots; ratio ties toward
+// the smallest basis index). cols runs in ascending original index, so
+// Dantzig's first minimum and Bland's first negative are the historical
+// ones.
 func (s *Solver) iterate(v *tab) Status {
 	p := s.p
 	for iter := 0; iter < iterCap; iter++ {
@@ -1041,81 +1010,50 @@ func (s *Solver) iterate(v *tab) Status {
 	return IterLimit
 }
 
-// pivot performs a Gauss-Jordan pivot on row r, column c of v, updating
-// its reduced-cost row alongside; a dictionary takes pivotDict. Only the
-// logical width [0, v.rhs] is touched.
-//
-// The row update is sparse. Scaling the pivot row also gathers its nonzero
-// columns, in ascending order, into v.nz, with the rhs column always last;
-// every other row, and z, is then updated over that list only. Every basic
-// column is an exact unit vector (DESIGN.md §5.3), so the pivot row is zero
-// at every basic column but its own: most of a full scratch row, m of
-// whose columns are basic, is skipped. A skipped entry is dst −= f·(±0),
-// which for a finite f can change nothing but the sign of a zero, and no
-// zero's sign is read (DESIGN.md §5.4). A non-finite f takes the dense
-// update, so Inf and NaN spread exactly as a dense pivot spreads them.
-func (s *Solver) pivot(v *tab, r, c int) {
-	if v.idx != nil {
-		s.pivotDict(v, r, c)
-		return
-	}
-	p := s.p
-	w := v.rhs + 1
-	pr := v.t[r*v.stride : r*v.stride+w]
-	inv := 1 / pr[c]
-	nz := v.nz[:w]
-	k := 0
-	for j := range pr[:v.rhs] {
-		pr[j] *= inv
-		if pr[j] != 0 {
-			nz[k] = j
-			k++
-		}
-	}
-	pr[v.rhs] *= inv
-	pr[c] = 1 // avoid roundoff drift on the pivot itself
-	nz[k] = v.rhs
-	nz = nz[:k+1]
-	for i := 0; i < p.m; i++ {
-		if i == r {
-			continue
-		}
-		ti := v.t[i*v.stride : i*v.stride+w]
-		f := ti[c]
-		if f == 0 {
-			continue
-		}
-		rowUpdate(ti, pr, nz, f)
-		ti[c] = 0
-	}
-	f := v.z[c]
-	if f != 0 {
-		rowUpdate(v.z[:w], pr, nz, f)
-		v.z[c] = 0
-	}
-	s.basis[r] = c
-	s.pivots++
-}
+// gatherBelow picks the pivot's row update. A pivot row whose gathered
+// nonzeros, the rhs included, fill fewer than 1/gatherBelow of its cells
+// is applied over that list; any other runs dense, four cells per pass.
+// Both kernels stay because each wins where the other loses: phase 1's
+// set-synthesis rows are mostly zero, and a dense-only pivot read 99–115
+// ms per BenchmarkEngineLoad against 81–88 ms, while the warm ACC RMPC
+// rows are mostly nonzero, and gathering every row read a median 34 µs
+// per BenchmarkLPSolve/repair resolve against 30 µs (EXPERIMENTS.md, "One
+// tableau in internal/lp").
+const gatherBelow = 2
 
-// pivotDict pivots the dictionary d on row r, column c. Column c's slot
-// passes to the leaving variable, whose column is the unit vector e_r
-// before the pivot: the slot is set so first, and the update then turns
-// it into the leaving variable's column, entry for entry the one a full
-// tableau computes (its ±0 entries aside, as below). The update is dense
-// over the stored columns: a dictionary row is narrow (39 cells on the
-// ACC RMPC) and its pivot rows are mostly nonzero, so a gather list costs
-// more in index loads than it skips. Where the pivot row holds a ±0 the
-// entry becomes dst − f·(±0), which the full tableau's sparse pivot skips:
-// for a finite f only the sign of a zero can differ, and for a non-finite
-// f both run the dense update.
-func (s *Solver) pivotDict(d *tab, r, c int) {
+// pivot performs a Gauss-Jordan pivot of the dictionary d on row r and
+// stored column c, updating its reduced-cost row alongside. Column c's
+// slot passes to the leaving variable, whose column is the unit vector
+// e_r before the pivot: the slot is set so first, and the update then
+// turns it into the leaving variable's column, entry for entry the one a
+// full tableau computes (its ±0 entries aside, as below).
+//
+// Scaling the pivot row also gathers its nonzero columns, in ascending
+// order, into d.nz, with the rhs column always last, and the update runs
+// over that list or dense (gatherBelow). A gathered update skips the
+// entries where the pivot row holds a ±0, which a dense one turns into
+// dst − f·(±0): for a finite f only the sign of a zero can differ, and a
+// non-finite f takes the dense update in either case, so Inf and NaN
+// spread as a dense pivot spreads them (DESIGN.md §5.4).
+func (s *Solver) pivot(d *tab, r, c int) {
 	p := s.p
 	w := d.rhs + 1
 	pr := d.t[r*d.stride : r*d.stride+w]
 	inv := 1 / pr[c]
 	pr[c] = 1
-	for j := range pr {
+	nz := d.nz[:w]
+	k := 0
+	for j := range pr[:d.rhs] {
 		pr[j] *= inv
+		nz[k] = j // stored always, kept only if nonzero: no branch to mispredict
+		if pr[j] != 0 {
+			k++
+		}
+	}
+	pr[d.rhs] *= inv
+	nz[k] = d.rhs
+	if nz = nz[:k+1]; gatherBelow*len(nz) >= w {
+		nz = nil
 	}
 	for i := 0; i < p.m; i++ {
 		if i == r {
@@ -1127,29 +1065,37 @@ func (s *Solver) pivotDict(d *tab, r, c int) {
 			continue
 		}
 		ti[c] = 0
-		subScaled(ti, pr, f)
+		if dense(nz, f) {
+			subScaled(ti, pr, f)
+		} else {
+			subGathered(ti, pr, nz, f)
+		}
 	}
 	if f := d.z[c]; f != 0 {
 		d.z[c] = 0
-		subScaled(d.z[:w], pr, f)
+		if dense(nz, f) {
+			subScaled(d.z[:w], pr, f)
+		} else {
+			subGathered(d.z[:w], pr, nz, f)
+		}
 	}
 	d.idx[c], s.basis[r] = s.basis[r], d.idx[c]
-	d.cols = reslot(d.cols, d.idx, c, p.total)
+	d.cols = reslot(d.cols, d.idx, c, d.priced)
 	s.pivots++
 }
 
 // reslot moves dictionary column c, which now holds original column
-// idx[c], to its place in the ascending cols list, or drops it when it
-// holds an artificial (index ≥ total): nothing prices an artificial
+// idx[c], to its place in the ascending cols list, or drops it when that
+// index is not priced (an artificial after phase 1): nothing prices it
 // again.
-func reslot(cols, idx []int, c, total int) []int {
+func reslot(cols, idx []int, c, priced int) []int {
 	at := 0
 	for cols[at] != c {
 		at++
 	}
 	cols = append(cols[:at], cols[at+1:]...)
 	j := idx[c]
-	if j >= total {
+	if j >= priced {
 		return cols
 	}
 	at = 0
@@ -1160,6 +1106,19 @@ func reslot(cols, idx []int, c, total int) []int {
 	copy(cols[at+1:], cols[at:])
 	cols[at] = c
 	return cols
+}
+
+// dense reports whether a row update with multiplier f runs over every
+// cell: when the pivot row gathered no list (nz is nil), or when f is ±Inf
+// or NaN (f − f is 0 exactly when f is finite).
+func dense(nz []int, f float64) bool { return nz == nil || f-f != 0 }
+
+// subGathered computes dst[j] −= f·src[j] for every j in nz.
+func subGathered(dst, src []float64, nz []int, f float64) {
+	src = src[:len(dst)]
+	for _, j := range nz {
+		dst[j] -= f * src[j]
+	}
 }
 
 // subScaled computes dst[j] −= f·src[j] for every j, four entries per
@@ -1177,21 +1136,6 @@ func subScaled(dst, src []float64, f float64) {
 		d[3] -= f * s[3]
 	}
 	for ; j < n; j++ {
-		dst[j] -= f * src[j]
-	}
-}
-
-// rowUpdate computes dst[j] −= f·src[j] for every j in nz, or for every j
-// when f is not finite. len(dst) must equal len(src).
-func rowUpdate(dst, src []float64, nz []int, f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		for j, a := range src {
-			dst[j] -= f * a
-		}
-		return
-	}
-	src = src[:len(dst)]
-	for _, j := range nz {
 		dst[j] -= f * src[j]
 	}
 }

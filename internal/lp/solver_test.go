@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -397,13 +398,14 @@ func TestSolverACCWarmChainDigest(t *testing.T) {
 }
 
 // TestSolverPoisonedScratchSameChain reruns the ACC chain with every pooled
-// cold scratch, and the dictionary of a solver about to solve cold,
+// phase-1 dictionary, and the dictionary of a solver about to solve cold,
 // poisoned before each call: NaN interleaved with finite junk (NaN alone
 // hides a stale read from pricing, since no comparison with NaN holds),
-// and the integer buffers (scans, basis, the dictionary's column indices
-// and priced columns, the transform's terms) filled with
-// out-of-range indices. The cold path must rewrite every cell it reads, so
-// the digest must not move.
+// and the integer buffers (basis, the dictionaries' column indices,
+// priced columns and gather lists, the transform's terms) filled with
+// out-of-range indices. The pooled dictionary is poisoned at its largest
+// phase-1 width, every column stored (each row an artificial). The cold
+// path must rewrite every cell it reads, so the digest must not move.
 func TestSolverPoisonedScratchSameChain(t *testing.T) {
 	f := loadACCFixture(t)
 	prog := NewSolver(f.problem()).p
@@ -418,24 +420,24 @@ func TestSolverPoisonedScratchSameChain(t *testing.T) {
 			buf[i] = 1<<20 + i
 		}
 	}
+	poisonTab := func(d *tab) {
+		fill(d.t[:cap(d.t)])
+		fill(d.z[:cap(d.z)])
+		junk(d.idx[:cap(d.idx)])
+		junk(d.cols[:cap(d.cols)])
+		junk(d.nz[:cap(d.nz)])
+		d.stride, d.rhs, d.priced = 1<<20, 1<<20, -1
+	}
 	poisoned := 0
 	got, _ := runACCChain(t, f, func(s *Solver) {
-		sc := getColdScratch(prog)
-		fill(sc.t)
-		fill(sc.z)
-		junk(sc.nz)
-		junk(sc.cols)
-		junk(sc.colRow)
-		junk(sc.colOnes)
-		junk(sc.basisOf)
+		sc := coldPool.Get().(*tab)
+		sc.reshape(prog.m, prog.total)
+		poisonTab(sc)
 		coldPool.Put(sc)
 		if d := &s.d; !s.warm && d.t != nil {
-			fill(d.t[:cap(d.t)])
-			fill(d.z[:cap(d.z)])
+			poisonTab(d)
 			junk(s.basis)
 			junk(s.rank)
-			junk(d.idx[:cap(d.idx)])
-			junk(d.cols[:cap(d.cols)])
 			for i := range s.terms[:cap(s.terms)] {
 				s.terms[:cap(s.terms)][i] = slackTerm{col: 1 << 20, k: 1<<20 + i, g: math.NaN(), b: -7.5}
 			}
@@ -483,7 +485,7 @@ func TestSolverWarmSolveRHSZeroAllocs(t *testing.T) {
 // solve of the ACC program the solver's tableau is its dictionary, m ×
 // (nonbasic + 1) float64s, 155 × 39, and 200 warm resolves along a walk
 // through X′, with dual repairs, keep those buffers and never draw a
-// full-width scratch from the cold pool.
+// phase-1 dictionary from the cold pool.
 func TestSolverDictionaryFootprint(t *testing.T) {
 	f := loadACCFixture(t)
 	s := NewSolver(f.problem())
@@ -504,7 +506,7 @@ func TestSolverDictionaryFootprint(t *testing.T) {
 	}
 	saved := coldPool.New
 	draws := 0
-	coldPool = sync.Pool{New: func() any { draws++; return new(coldScratch) }}
+	coldPool = sync.Pool{New: func() any { draws++; return new(tab) }}
 	defer func() { coldPool = sync.Pool{New: saved} }()
 	first := &d.t[0]
 	rng := rand.New(rand.NewSource(3))
@@ -521,7 +523,7 @@ func TestSolverDictionaryFootprint(t *testing.T) {
 		t.Fatalf("stats %+v: want 200 warm resolves, some repaired", st)
 	}
 	if &d.t[0] != first || cap(d.t) != p.m*(nn+1) || draws != 0 {
-		t.Fatalf("warm resolves moved the dictionary or drew %d full-width scratches", draws)
+		t.Fatalf("warm resolves moved the dictionary or drew %d phase-1 dictionaries", draws)
 	}
 }
 
@@ -1176,156 +1178,360 @@ func pivotDense(v tab, m int, basis []int, r, c int) {
 	basis[r] = c
 }
 
+// fullResult is what fullTableauSolve found.
+type fullResult struct {
+	status    Status
+	basis     []int
+	x         []float64
+	obj       float64
+	pivots    int
+	total     int  // live columns: a basis entry at or above it is an artificial
+	nart      int  // artificials phase 1 started with
+	nonFinite bool // some tableau cell or reduced cost went ±Inf or NaN
+}
+
+// fullTableauSolve is the cold two-phase simplex on the full tableau, the
+// reference the solver's dictionaries must reproduce. It reads s's
+// compiled program and prepared b and shifts and builds m × (total +
+// nart + 1) cells: every column at its own index, the nart artificials
+// after the live columns in row order, the rhs last. It pivots with
+// pivotDense and follows the solver's rules: each row negated when its
+// b < 0; a column with one nonzero, a +1, seeds its row, later columns
+// first, and an artificial seeds every other row; Dantzig pricing, then
+// Bland after blandTrip pivots of one loop; ratio ties to the smallest
+// basis index; phase 1 prices every column, departed artificials
+// included, and drives each artificial left basic out on its row's first
+// live entry above 1e-7; phase-2 pricing leaves the artificials out.
+func fullTableauSolve(s *Solver) fullResult {
+	p := s.p
+	m, total := p.m, p.total
+	res := fullResult{basis: make([]int, m), total: total}
+	ones := make([]int, total)
+	rowOf := make([]int, total)
+	for i := 0; i < m; i++ {
+		for j := 0; j < total; j++ {
+			if p.sf[i*total+j] != 0 {
+				ones[j]++
+				rowOf[j] = i
+			}
+		}
+		res.basis[i] = -1
+	}
+	norm := func(i, j int) float64 {
+		if s.b[i] < 0 {
+			return -p.sf[i*total+j]
+		}
+		return p.sf[i*total+j]
+	}
+	for j := total - 1; j >= 0; j-- {
+		if i := rowOf[j]; ones[j] == 1 && res.basis[i] == -1 && norm(i, j) == 1 {
+			res.basis[i] = j
+		}
+	}
+	art := total
+	for i, j := range res.basis {
+		if j < 0 {
+			res.basis[i] = art
+			art++
+		}
+	}
+	res.nart = art - total
+	w := art + 1
+	v := tab{t: make([]float64, m*w), z: make([]float64, w), stride: w, rhs: art}
+	for i := 0; i < m; i++ {
+		ti := v.t[i*w : (i+1)*w]
+		for j := 0; j < total; j++ {
+			ti[j] = norm(i, j)
+		}
+		if j := res.basis[i]; j >= total {
+			ti[j] = 1
+		}
+		if ti[art] = s.b[i]; s.b[i] < 0 {
+			ti[art] = -s.b[i] // a −0 rhs stays −0
+		}
+	}
+	finite := func() bool {
+		for _, buf := range [][]float64{v.t, v.z} {
+			for _, x := range buf {
+				if math.IsInf(x, 0) || math.IsNaN(x) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	pivot := func(r, c int) {
+		pivotDense(v, m, res.basis, r, c)
+		res.pivots++
+		res.nonFinite = res.nonFinite || !finite()
+	}
+	iterate := func(priced int) Status {
+		for iter := 0; iter < iterCap; iter++ {
+			enter := -1
+			best := -eps
+			for j := 0; j < priced; j++ {
+				if v.z[j] < best {
+					best, enter = v.z[j], j
+					if iter > blandTrip {
+						break
+					}
+				}
+			}
+			if enter == -1 {
+				return Optimal
+			}
+			leave := -1
+			bestRatio := math.Inf(1)
+			for i := 0; i < m; i++ {
+				ti := v.t[i*w:]
+				if ti[enter] > eps {
+					ratio := ti[art] / ti[enter]
+					if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave == -1 || res.basis[i] < res.basis[leave])) {
+						bestRatio, leave = ratio, i
+					}
+				}
+			}
+			if leave == -1 {
+				return Unbounded
+			}
+			pivot(leave, enter)
+		}
+		return IterLimit
+	}
+
+	if art > total {
+		for i, j := range res.basis {
+			if j >= total {
+				for k := range v.z {
+					v.z[k] -= v.t[i*w+k]
+				}
+			}
+		}
+		for _, j := range res.basis {
+			v.z[j] = 0
+		}
+		if res.status = iterate(art); res.status != Optimal {
+			return res
+		}
+		if -v.z[art] > 1e-7 {
+			res.status = Infeasible
+			return res
+		}
+		for i := 0; i < m; i++ {
+			if res.basis[i] < total {
+				continue
+			}
+			for j := 0; j < total; j++ {
+				if math.Abs(v.t[i*w+j]) > 1e-7 {
+					pivot(i, j)
+					break
+				}
+			}
+		}
+	}
+
+	for k := range v.z {
+		v.z[k] = 0
+	}
+	copy(v.z, p.cost)
+	for i, j := range res.basis {
+		if j >= total || p.cost[j] == 0 {
+			continue
+		}
+		for k := range v.z {
+			v.z[k] -= p.cost[j] * v.t[i*w+k]
+		}
+	}
+	if res.status = iterate(total); res.status != Optimal {
+		return res
+	}
+	y := make([]float64, total)
+	for i, j := range res.basis {
+		if j < total {
+			y[j] = v.t[i*w+art]
+		}
+	}
+	res.x = make([]float64, p.n)
+	for j, mp := range p.maps {
+		switch mp.kind {
+		case 0:
+			res.x[j] = s.shift[j] + y[mp.col]
+		case 1:
+			res.x[j] = s.shift[j] - y[mp.col]
+		case 2:
+			res.x[j] = y[mp.col] - y[mp.col2]
+		}
+		res.obj += p.c[j] * res.x[j]
+	}
+	return res
+}
+
+// coldCoefs are the values the cold-path comparisons draw coefficients,
+// bounds and right-hand sides from: zeros and ±1 make unit columns, and
+// small fractions make ties and degenerate vertices common.
+var coldCoefs = []float64{0, 0, 1, -1, 1, 0.5, -0.5, 2, -3, 0.25, 1.5, -0.75}
+
+// drawColdProgram builds a program from the choices pick returns, each in
+// [0, n): 1–5 variables, each free, bounded below, bounded above or
+// doubly bounded, and 1–8 rows, half LE and a quarter each GE and EQ,
+// with right-hand sides of
+// either sign, a quarter of them (after the first) an earlier row times
+// 1, −1 or 2, which makes a redundant row (or an inconsistent one when
+// its rhs does not follow).
+func drawColdProgram(pick func(n int) int) *Problem {
+	draw := func() float64 { return coldCoefs[pick(len(coldCoefs))] }
+	n := 1 + pick(5)
+	p := NewProblem(n)
+	c := make([]float64, n)
+	for j := range c {
+		c[j] = draw()
+	}
+	p.SetObjective(c)
+	for j := 0; j < n; j++ {
+		switch b := draw(); pick(4) {
+		case 1:
+			p.SetBounds(j, b, math.Inf(1))
+		case 2:
+			p.SetBounds(j, math.Inf(-1), b)
+		case 3:
+			p.SetBounds(j, b, b+float64(pick(4)))
+		}
+	}
+	rows := 1 + pick(8)
+	for i := 0; i < rows; i++ {
+		a := make([]float64, n)
+		sense := []Sense{LE, LE, GE, EQ}[pick(4)]
+		rhs := draw() * float64(1+pick(4))
+		if i > 0 && pick(4) == 0 {
+			r := p.rows[pick(i)]
+			f := []float64{1, -1, 2}[pick(3)]
+			for j := range a {
+				a[j] = f * r.coeffs[j]
+			}
+			sense = r.sense
+			if f < 0 && sense != EQ {
+				sense = 1 - sense // LE ↔ GE
+			}
+			if pick(3) > 0 {
+				rhs = f * r.rhs
+			}
+		} else {
+			for j := range a {
+				a[j] = draw()
+			}
+		}
+		p.AddConstraint(a, sense, rhs)
+	}
+	return p
+}
+
+// coldMatchesFull cold-solves p on a fresh Solver and on the full tableau
+// and requires the same status, final basis and pivot count and, when
+// optimal, the same bits in every X and the objective. It checks nothing
+// and returns ok false when the full tableau went non-finite, where a
+// dictionary may differ (DESIGN.md §5.4).
+func coldMatchesFull(t *testing.T, label string, p *Problem) (ref fullResult, ok bool) {
+	t.Helper()
+	s := NewSolver(p)
+	sol := s.Solve()
+	r := s.Fork()
+	r.prepare(nil)
+	ref = fullTableauSolve(r)
+	if ref.nonFinite {
+		return ref, false
+	}
+	if sol.Status != ref.status {
+		t.Fatalf("%s: status %v, full tableau %v", label, sol.Status, ref.status)
+	}
+	for i, j := range s.basis {
+		if j != ref.basis[i] {
+			t.Fatalf("%s (%v): basis %v, full tableau %v", label, sol.Status, s.basis, ref.basis)
+		}
+	}
+	if sol.Status != Optimal {
+		return ref, true
+	}
+	if st := s.Stats(); st.ColdPivots != ref.pivots {
+		t.Fatalf("%s: %d pivots, full tableau %d", label, st.ColdPivots, ref.pivots)
+	}
+	for j, x := range sol.X {
+		if math.Float64bits(x) != math.Float64bits(ref.x[j]) {
+			t.Fatalf("%s: x[%d] = %v (%#x), full tableau %v (%#x)", label, j, x, math.Float64bits(x), ref.x[j], math.Float64bits(ref.x[j]))
+		}
+	}
+	if math.Float64bits(sol.Objective) != math.Float64bits(ref.obj) {
+		t.Fatalf("%s: objective %v, full tableau %v", label, sol.Objective, ref.obj)
+	}
+	return ref, true
+}
+
+// TestColdSolveMatchesFullTableau holds the cold path, phase 1 on a pooled
+// dictionary and phase 2 on the solver's, to the full-tableau reference
+// over 4000 seeded random programs (drawColdProgram). It also requires
+// that the programs reached the outcomes and shapes the comparison is
+// about: optimal, infeasible and unbounded programs, negative right-hand
+// sides, optimal programs that needed artificials, and optimal programs
+// with a redundant row whose artificial stayed basic.
+func TestColdSolveMatchesFullTableau(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	var statuses [IterLimit + 1]int
+	negRHS, withArt, basicArt, skipped := 0, 0, 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		p := drawColdProgram(rng.Intn)
+		ref, ok := coldMatchesFull(t, fmt.Sprintf("trial %d", trial), p)
+		if !ok {
+			skipped++
+			continue
+		}
+		statuses[ref.status]++
+		for _, r := range p.rows {
+			if r.rhs < 0 {
+				negRHS++
+				break
+			}
+		}
+		if ref.status != Optimal || ref.nart == 0 {
+			continue
+		}
+		withArt++
+		if slices.Max(ref.basis) >= ref.total {
+			basicArt++
+		}
+	}
+	t.Logf("statuses %v, %d with a negative rhs, %d optimal with artificials, %d of them kept one basic, %d skipped",
+		statuses, negRHS, withArt, basicArt, skipped)
+	if statuses[Optimal] == 0 || statuses[Infeasible] == 0 || statuses[Unbounded] == 0 || negRHS == 0 || withArt == 0 || basicArt == 0 {
+		t.Fatalf("statuses %v, %d with a negative rhs, %d optimal with artificials, %d kept one basic: the programs missed a shape",
+			statuses, negRHS, withArt, basicArt)
+	}
+}
+
+// FuzzColdSolveMatchesFullTableau runs coldMatchesFull on programs
+// decoded from the input, one byte per choice of drawColdProgram (a
+// missing byte reads as 0): at most 5 variables and 8 rows, every
+// coefficient, bound and rhs from coldCoefs. An input whose full tableau
+// goes non-finite is skipped.
+func FuzzColdSolveMatchesFullTableau(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 2, 3, 5, 9, 1, 0, 2, 6, 3, 7, 1, 11, 2, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{2, 1, 3, 0, 0, 7, 1, 2, 4, 2, 0, 3, 1, 0, 3, 0, 0, 1, 2, 1, 0, 2, 2, 8, 3, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v
+		}
+		coldMatchesFull(t, "fuzz input", drawColdProgram(pick))
+	})
+}
+
 // sameUpToZeroSign reports whether a and b are the same bits, or both
 // zeros of any sign.
 func sameUpToZeroSign(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
-}
-
-// checkPivotAgreement compares a sparse-pivoted tab with a dense-pivoted
-// one over m rows: the rhs column, z[rhs] and every nonzero entry must
-// agree bit for bit and every other entry up to the sign of zero; cells
-// past the logical width must still hold pad. Rows listed in exact took a
-// non-finite multiplier and must agree bit for bit everywhere.
-func checkPivotAgreement(t *testing.T, label string, sp, de tab, m int, pad float64, exact map[int]bool) {
-	t.Helper()
-	w := sp.rhs + 1
-	check := func(row string, i int, a, b []float64, whole bool) {
-		for j := range a {
-			if j == sp.rhs || a[j] != 0 || b[j] != 0 || whole {
-				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
-					t.Fatalf("%s: %s %d col %d: sparse %v (%#x), dense %v (%#x)",
-						label, row, i, j, a[j], math.Float64bits(a[j]), b[j], math.Float64bits(b[j]))
-				}
-			} else if !sameUpToZeroSign(a[j], b[j]) {
-				t.Fatalf("%s: %s %d col %d: sparse %v, dense %v", label, row, i, j, a[j], b[j])
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		ri := sp.t[i*sp.stride : (i+1)*sp.stride]
-		check("row", i, ri[:w], de.t[i*de.stride:i*de.stride+w], exact[i])
-		for j, v := range ri[w:] {
-			if math.Float64bits(v) != math.Float64bits(pad) {
-				t.Fatalf("%s: row %d col %d past the logical width was written: %v", label, i, w+j, v)
-			}
-		}
-	}
-	check("z", 0, sp.z[:w], de.z[:w], false)
-}
-
-// TestPivotSparseMatchesDense runs the sparse pivot of a full tableau, the
-// one phase 1 runs in its scratch, against the dense oracle on tableaux
-// the solver itself produced: each trial cold-solves a random LP (or the
-// ACC RMPC program at a random point of X′), expands its dictionary into
-// the full tableau and then drives two copies of it through the same chain of
-// random pivots, one with Solver.pivot and one with pivotDense, checking
-// them after every pivot. The copies sit in a tab wider than the logical
-// width, as phase 1's scratch is, and the padding must stay untouched.
-// Every fourth pivot is also replayed from one snapshot with a few rows'
-// multipliers set to ±Inf or NaN; those rows take the dense update and
-// must match the oracle bit for bit.
-func TestPivotSparseMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	f := loadACCFixture(t)
-	accRHS := make([]float64, len(f.Rows))
-	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
-	const pad = -123.25
-	pivots, sparseRows := 0, 0
-	for trial := 0; trial < 60; trial++ {
-		var s *Solver
-		if trial%10 == 0 {
-			s = NewSolver(f.problem())
-			for {
-				x := [2]float64{120 + 60*rng.Float64(), 25 + 30*rng.Float64()}
-				if f.inXPrime(x) {
-					f.rhsAt(accRHS, x)
-					break
-				}
-			}
-			s.SolveRHS(accRHS)
-		} else {
-			p, _ := randomProblem(rng)
-			s = NewSolver(p)
-			s.Solve()
-		}
-		if !s.warm {
-			continue
-		}
-		p := s.p
-		w := p.total + 1
-		stride := w + rng.Intn(4)
-		full, fullZ := denseOf(&s.d, s.basis, p.total)
-		widen := func() tab {
-			v := tab{t: make([]float64, p.m*stride), z: make([]float64, stride), nz: make([]int, stride), stride: stride, rhs: p.total}
-			for i := range v.t {
-				v.t[i] = pad
-			}
-			for i := 0; i < p.m; i++ {
-				copy(v.t[i*stride:], full[i*w:(i+1)*w])
-			}
-			copy(v.z, fullZ)
-			return v
-		}
-		sp, de := widen(), widen()
-		spBasis := append([]int(nil), s.basis...)
-		deBasis := append([]int(nil), s.basis...)
-		for step := 0; step < 40; step++ {
-			r := rng.Intn(p.m)
-			c := -1
-			for try := 0; try < 50 && c < 0; try++ {
-				if j := rng.Intn(p.total); math.Abs(sp.t[r*stride+j]) > 1e-3 {
-					c = j
-				}
-			}
-			if c < 0 {
-				continue
-			}
-			label := func(kind string) string {
-				return fmt.Sprintf("trial %d step %d (%s pivot %d,%d)", trial, step, kind, r, c)
-			}
-			if step%4 == 0 {
-				// Replay this pivot from one snapshot with non-finite
-				// multipliers planted in a few rows.
-				a, b := widen(), widen()
-				copy(a.t, sp.t)
-				copy(a.z, sp.z)
-				copy(b.t, sp.t)
-				copy(b.z, sp.z)
-				exact := map[int]bool{}
-				for k := 0; k < 3; k++ {
-					if i := rng.Intn(p.m); i != r {
-						v := nonFinite[rng.Intn(len(nonFinite))]
-						a.t[i*stride+c], b.t[i*stride+c] = v, v
-						exact[i] = true
-					}
-				}
-				s.basis = append([]int(nil), spBasis...)
-				s.pivot(&a, r, c)
-				pivotDense(b, p.m, append([]int(nil), spBasis...), r, c)
-				checkPivotAgreement(t, label("non-finite"), a, b, p.m, pad, exact)
-			}
-			s.basis = spBasis
-			s.pivot(&sp, r, c)
-			pivotDense(de, p.m, deBasis, r, c)
-			checkPivotAgreement(t, label("chain"), sp, de, p.m, pad, nil)
-			for i := range spBasis {
-				if spBasis[i] != deBasis[i] {
-					t.Fatalf("%s: basis[%d] %d vs %d", label("chain"), i, spBasis[i], deBasis[i])
-				}
-			}
-			pivots++
-			for j := 0; j < p.total; j++ {
-				if sp.t[r*stride+j] == 0 {
-					sparseRows++
-					break
-				}
-			}
-		}
-	}
-	if pivots < 1000 || sparseRows < pivots/2 {
-		t.Fatalf("%d chain pivots, %d with a zero in the pivot row: the chains did not exercise the sparse update", pivots, sparseRows)
-	}
 }
 
 // cloneTab deep-copies a tab's slices.
@@ -1414,13 +1620,23 @@ func checkDictAgreement(t *testing.T, label string, d tab, basis []int, full tab
 // random pivots, one with Solver.pivot on a copy of the dictionary and one
 // with pivotDense on the full tableau, checking them after every pivot
 // with checkDictAgreement. Every fourth pivot is also replayed from one
-// snapshot with ±Inf or NaN multipliers planted in a few rows.
+// snapshot with ±Inf or NaN multipliers planted in a few rows. It counts
+// the pivots, replays included, that took each row update (gatherBelow)
+// and fails unless both kernels ran.
 func TestPivotDictMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	f := loadACCFixture(t)
 	accRHS := make([]float64, len(f.Rows))
 	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
 	pivots, drops := 0, 0
+	dense, sparse := 0, 0 // pivots whose row update ran dense, gathered
+	count := func(d *tab, r int) {
+		if gathered(d, r) {
+			sparse++
+		} else {
+			dense++
+		}
+	}
 	for trial := 0; trial < 90; trial++ {
 		var s *Solver
 		switch {
@@ -1486,6 +1702,7 @@ func TestPivotDictMatchesDense(t *testing.T) {
 				}
 				s.basis = append([]int(nil), dcBasis...)
 				s.pivot(&a, r, c)
+				count(&a, r)
 				pivotDense(b, p.m, append([]int(nil), dcBasis...), r, j)
 				checkDictAgreement(t, label("non-finite"), a, s.basis, b, p.total, exact)
 			}
@@ -1494,6 +1711,7 @@ func TestPivotDictMatchesDense(t *testing.T) {
 			}
 			s.basis = dcBasis
 			s.pivot(&dc, r, c)
+			count(&dc, r)
 			pivotDense(de, p.m, deBasis, r, j)
 			for i := range dcBasis {
 				if dcBasis[i] != deBasis[i] {
@@ -1507,4 +1725,20 @@ func TestPivotDictMatchesDense(t *testing.T) {
 	if pivots < 1500 || drops == 0 {
 		t.Fatalf("%d chain pivots, %d dropping an artificial's column: the chains did not exercise the dictionary", pivots, drops)
 	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("%d pivots ran the dense update and %d the gathered one: want both", dense, sparse)
+	}
+	t.Logf("%d pivots dense, %d gathered", dense, sparse)
+}
+
+// gathered reports whether the pivot just applied on row r of d took the
+// gathered row update: row r holds the scaled pivot row the gather read.
+func gathered(d *tab, r int) bool {
+	n := 1 // the rhs is always in the list
+	for _, v := range d.t[r*d.stride : r*d.stride+d.rhs] {
+		if v != 0 {
+			n++
+		}
+	}
+	return gatherBelow*n < d.rhs+1
 }
