@@ -257,6 +257,8 @@ type Session struct {
 	zeroU   mat.Vec // the skip input; never written
 	t       int
 	wHist   []mat.Vec // ring of owned buffers, most recent last
+	level   Level     // the monitor's verdict on x, valid while leveled
+	leveled bool      // cleared by every write of x
 	degrade bool
 	closed  bool
 	Result  *Result
@@ -309,6 +311,19 @@ func (s *Session) State() mat.Vec { return s.x.Clone() }
 // callers that retain the value take State instead.
 func (s *Session) StateView() mat.Vec { return s.x }
 
+// Level returns the monitor's classification of the current state. It is
+// computed at most once per state: every write of the state (a step, a
+// Reset) drops it, so it is always Monitor().Level(StateView()). It
+// stores the verdict, so calls must be serialized with each other and
+// with Step and Reset, as a session's steps already are.
+func (s *Session) Level() Level {
+	if !s.leveled {
+		s.level = s.f.monitor.Level(s.x)
+		s.leveled = true
+	}
+	return s.level
+}
+
 // Time returns the number of completed steps.
 func (s *Session) Time() int { return s.t }
 
@@ -357,6 +372,7 @@ func (s *Session) Reset(x0 mat.Vec) error {
 		s.kappa = sc.ForSession()
 	}
 	copy(s.x, x0)
+	s.leveled = false
 	for _, w := range s.wHist {
 		for i := range w {
 			w[i] = 0
@@ -402,7 +418,10 @@ func (s *Session) step(w mat.Vec, choice *bool) (Step, error) {
 	res := s.Result
 
 	tMon := time.Now()
-	level := f.monitor.Level(s.x)
+	// The step classifies the state it steps (Theorem 1's backstop),
+	// reusing a verdict already taken on this state, e.g. by a fleet's
+	// decide phase.
+	level := s.Level()
 	var run, forced bool
 	if level == InXPrime {
 		if choice != nil {
@@ -465,6 +484,7 @@ func (s *Session) step(w mat.Vec, choice *bool) (Step, error) {
 	copy(oldest, w)
 
 	s.x, s.xNext = s.xNext, s.x
+	s.leveled = false
 	s.t++
 	// Views, valid until the next Step: the state buffers are recycled, u
 	// is either the shared zero input or the controller's per-call output,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -340,5 +341,105 @@ func TestModelBasedStatsAndFallback(t *testing.T) {
 	}
 	if bad.Stats().Fallbacks != 1 {
 		t.Errorf("fallbacks = %d", bad.Stats().Fallbacks)
+	}
+}
+
+// TestSessionLevelMemo pins the session's level memo: after NewSession,
+// Step, StepWithChoice and Reset, whether or not Level was read before
+// the write, Level is the monitor's verdict on the current state, and a
+// step reports the level of the state it stepped.
+func TestSessionLevelMemo(t *testing.T) {
+	sys, fb, sets := testRig(t)
+	rng := rand.New(rand.NewSource(7))
+	policy := PolicyFunc{Fn: func(int, mat.Vec, []mat.Vec) bool { return rng.Intn(2) == 0 }, Label: "coin"}
+	f, err := NewFramework(sys, fb, sets, policy, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := f.Monitor()
+	check := func(what string, s *Session) {
+		t.Helper()
+		if got, want := s.Level(), mon.Level(s.StateView()); got != want {
+			t.Fatalf("%s: Level() = %v, monitor says %v at %v", what, got, want, s.StateView())
+		}
+	}
+	// Starts on both sides of X′'s boundary, so the walk visits both
+	// levels and a Reset crosses it.
+	pool, err := sets.XI.Sample(400, rng.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []mat.Vec
+	in, out := 0, 0
+	for _, x := range pool {
+		if mon.Level(x) == InXPrime && in < 3 {
+			starts, in = append(starts, x), in+1
+		} else if mon.Level(x) == InXI && out < 3 {
+			starts, out = append(starts, x), out+1
+		}
+	}
+	if in == 0 || out == 0 {
+		t.Fatalf("sampled %d starts in X′ and %d in XI \\ X′", in, out)
+	}
+	wVerts, err := sys.W.Vertices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.NewSession(starts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("NewSession", s)
+	levels := map[Level]int{}
+	for k, x0 := range starts {
+		if k > 0 {
+			if rng.Intn(2) == 0 {
+				s.Level() // a memo taken on the old state must not survive Reset
+			}
+			if err := s.Reset(x0); err != nil {
+				t.Fatal(err)
+			}
+			check("Reset", s)
+		}
+		for i := 0; i < 60; i++ {
+			pre := mon.Level(s.StateView())
+			if rng.Intn(2) == 0 {
+				s.Level()
+			}
+			w := wVerts[rng.Intn(len(wVerts))]
+			var st Step
+			if rng.Intn(2) == 0 {
+				st, err = s.Step(w)
+			} else {
+				st, err = s.StepWithChoice(w, rng.Intn(2) == 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Level != pre {
+				t.Fatalf("step %d: reported level %v, the pre-step state's is %v", i, st.Level, pre)
+			}
+			check("step", s)
+			levels[st.Level]++
+		}
+	}
+	if levels[InXPrime] == 0 || levels[InXI] == 0 {
+		t.Fatalf("levels visited %v: the walk never left X′", levels)
+	}
+}
+
+// TestNonFiniteStartRefused: a NaN state is outside every set, so a
+// session cannot start at one.
+func TestNonFiniteStartRefused(t *testing.T) {
+	sys, fb, sets := testRig(t)
+	f, err := NewFramework(sys, fb, sets, BangBang{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.NewSession(mat.Vec{math.NaN(), 0}); !errors.Is(err, ErrUnsafe) {
+		t.Fatalf("NewSession(NaN, 0): %v, want ErrUnsafe", err)
+	}
+	if got := f.Monitor().Level(mat.Vec{0, math.NaN()}); got != Unsafe {
+		t.Fatalf("Level(0, NaN) = %v, want unsafe", got)
 	}
 }

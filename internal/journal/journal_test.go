@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -530,6 +531,24 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("case %d (%s): invalid record encoded", i, r.Type)
 		}
 	}
+
+	// A writer refuses an invalid record, writes nothing, and keeps
+	// refusing: an encode failure is sticky like any append failure.
+	w, err := OpenWriter(Options{Dir: t.TempDir(), Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	errBad := w.Append(bad[0])
+	if errBad == nil {
+		t.Fatal("Writer.Append accepted an invalid record")
+	}
+	if err := w.Append(sampleRecords()[0]); err != errBad {
+		t.Fatalf("append after a refused record: %v, want the sticky %v", err, errBad)
+	}
+	if st := w.Stats(); st.Appends != 0 || st.Bytes != 0 {
+		t.Fatalf("stats after refused records: %+v", st)
+	}
 }
 
 // TestDecodeRejectsUnknownFleetFlags: a fleet-open flags byte with a bit
@@ -576,5 +595,110 @@ func TestAppendRecordZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("AppendRecord(%s) allocates %v times per record, want 0", r.Type, allocs)
 		}
+	}
+}
+
+// TestConcurrentAppendsEncodeOutsideLock appends from many goroutines at
+// once, each encoding before it takes the writer's lock, across segment
+// rotations: the segments must decode to exactly the appended records,
+// each byte-identical to a serial encode of its record.
+func TestConcurrentAppendsEncodeOutsideLock(t *testing.T) {
+	const writers, each = 8, 300
+	dir := t.TempDir()
+	w, err := OpenWriter(Options{Dir: dir, SegmentBytes: 4096, Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	recs := make([][]*Record, writers)
+	for g := range recs {
+		for i := 0; i < each; i++ {
+			r := &Record{Type: TypeFleetStep, ID: "f-1", Member: uint32(g*each + i), NX: 2, NU: 1,
+				Step: trace.Step{Ran: i%3 == 0, Forced: i%5 == 0, Level: 1,
+					W: []float64{float64(g), -float64(i)}, U: []float64{float64(i) / 7}, X: []float64{float64(g * i), 0.5}}}
+			if i%50 == 0 {
+				r = &Record{Type: TypeFleetEvict, ID: "f-1", Member: uint32(g*each + i)}
+			}
+			b, err := AppendRecord(nil, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[string(b)]++
+			recs[g] = append(recs[g], r)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range recs {
+		wg.Add(1)
+		go func(rs []*Record) {
+			defer wg.Done()
+			for _, r := range rs {
+				if err := w.Append(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(recs[g])
+	}
+	wg.Wait()
+	st := w.Stats()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Appends != writers*each || st.Rotations < 2 {
+		t.Fatalf("stats %+v: want %d appends over several segments", st, writers*each)
+	}
+	segs, err := Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for _, path := range segs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, torn, err := ReadSegment(b)
+		if err != nil || torn {
+			t.Fatalf("%s: torn=%v err=%v", path, torn, err)
+		}
+		for _, r := range rs {
+			enc, err := AppendRecord(nil, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[string(enc)] == 0 {
+				t.Fatalf("%s: record %s member %d is not one that was appended (or came twice)", path, r.Type, r.Member)
+			}
+			want[string(enc)]--
+			got++
+		}
+	}
+	if got != writers*each {
+		t.Fatalf("segments hold %d records, want %d", got, writers*each)
+	}
+}
+
+// TestWriterAppendZeroAllocs pins Append, encode included, at zero
+// allocations per record once its encode buffers are warm.
+func TestWriterAppendZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers on purpose")
+	}
+	w, err := OpenWriter(Options{Dir: t.TempDir(), SegmentBytes: 1 << 30, Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r := benchStep()
+	if err := w.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Writer.Append allocates %v times per record, want 0", allocs)
 	}
 }

@@ -113,11 +113,10 @@ type Writer struct {
 	mu    sync.Mutex
 	f     *os.File
 	bw    *bufio.Writer
-	size  int    // bytes in the active segment
-	seq   int    // next segment sequence number
-	buf   []byte // encode scratch, reused across appends
-	dirty bool   // unsynced bytes outstanding
-	err   error  // sticky failure
+	size  int   // bytes in the active segment
+	seq   int   // next segment sequence number
+	dirty bool  // unsynced bytes outstanding
+	err   error // sticky failure
 	stats WriterStats
 
 	stop chan struct{} // interval ticker shutdown
@@ -219,8 +218,6 @@ func (w *Writer) rotateLocked() error {
 	} else {
 		w.bw.Reset(f)
 	}
-	// The encode scratch (w.buf) still holds the record being appended;
-	// the header gets its own stack buffer.
 	var hdr [HeaderSize]byte
 	if _, err := w.bw.Write(AppendHeader(hdr[:0])); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -256,43 +253,67 @@ func (w *Writer) flushLocked(sync bool) error {
 	return nil
 }
 
+// encodeBufs recycles Append's encode buffers, so an append allocates
+// nothing once the pool is warm.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Append validates, frames, and writes one record, then applies the
 // sync policy. The error, once non-nil, repeats on every later call.
+//
+// The record is encoded before the writer's lock is taken, so concurrent
+// appenders encode in parallel; the lock covers only the sticky error,
+// the journal.append fault site, rotation, the buffered write and the
+// counters. AppendHist times the whole call, lock wait included.
 func (w *Writer) Append(r *Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
 	start := time.Now()
-	if err := w.appendLocked(r); err != nil {
-		w.err = err
+	bp := encodeBufs.Get().(*[]byte)
+	buf, encErr := AppendRecord((*bp)[:0], r)
+	if encErr == nil {
+		*bp = buf
+	}
+	err := w.write(buf, encErr)
+	encodeBufs.Put(bp)
+	if err != nil {
 		return err
 	}
 	w.opts.AppendHist.Observe(time.Since(start).Seconds())
 	return nil
 }
 
-func (w *Writer) appendLocked(r *Record) error {
+// write is Append's locked half: buf is the framed record, or encErr why
+// the encode failed. encErr fails the writer like any append failure,
+// after the sticky error and the fault site are checked.
+func (w *Writer) write(buf []byte, encErr error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	if err := w.writeLocked(buf, encErr); err != nil {
+		w.err = err
+		return err
+	}
+	return nil
+}
+
+func (w *Writer) writeLocked(buf []byte, encErr error) error {
 	if err := w.opts.Faults.Hit(fault.SiteJournalAppend); err != nil {
 		return err
 	}
-	buf, err := AppendRecord(w.buf[:0], r)
-	if err != nil {
-		return err
+	if encErr != nil {
+		return encErr
 	}
-	w.buf = buf
 	if w.f == nil || w.size+len(buf) > w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := w.bw.Write(w.buf); err != nil {
+	if _, err := w.bw.Write(buf); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	w.size += len(w.buf)
+	w.size += len(buf)
 	w.stats.Appends++
-	w.stats.Bytes += int64(len(w.buf))
+	w.stats.Bytes += int64(len(buf))
 	w.dirty = true
 	if w.opts.Policy == SyncEveryStep {
 		return w.flushLocked(true)

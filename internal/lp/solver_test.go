@@ -1742,3 +1742,33 @@ func gathered(d *tab, r int) bool {
 	}
 	return gatherBelow*n < d.rhs+1
 }
+
+// TestPhase1DrivesOutNearRedundantRow pins phase 1's drive-out tolerance
+// (|entry| > 1e-7). The two equality rows x1 + x2 = 1 and
+// x1 + (1+δ)·x2 = 1 are near-redundant: phase 1 ends with an artificial
+// basic at zero on the first, whose entry in the nonbasic x2 is
+// δ/(1+δ), just under δ. For δ from 1e-6 to 1e-4 that lies between the
+// solver's 1e-7 and a tolerance of 1e-3, so the solver must drive the
+// artificial out, as the full-tableau reference does; under a tolerance
+// of δ or more the artificial stays basic and the bases differ.
+func TestPhase1DrivesOutNearRedundantRow(t *testing.T) {
+	for _, delta := range []float64{1e-6, 1e-5, 1e-4} {
+		p := NewProblem(2)
+		p.SetObjective([]float64{1, 1})
+		p.SetBounds(0, 0, math.Inf(1))
+		p.SetBounds(1, 0, math.Inf(1))
+		p.AddConstraint([]float64{1, 1}, EQ, 1)
+		p.AddConstraint([]float64{1, 1 + delta}, EQ, 1)
+		label := fmt.Sprintf("δ=%g", delta)
+		ref, ok := coldMatchesFull(t, label, p)
+		if !ok || ref.status != Optimal {
+			t.Fatalf("%s: reference status %v (finite %v)", label, ref.status, ok)
+		}
+		if ref.nart != 2 {
+			t.Fatalf("%s: phase 1 started with %d artificials, want 2", label, ref.nart)
+		}
+		if slices.Max(ref.basis) >= ref.total {
+			t.Fatalf("%s: final basis %v keeps an artificial: the drive-out did not pivot", label, ref.basis)
+		}
+	}
+}

@@ -71,11 +71,23 @@ func (p *Polytope) Clone() *Polytope {
 	return &Polytope{A: p.A.Clone(), B: p.B.Clone()}
 }
 
-// Contains reports whether A·x ≤ B + tol holds row-wise.
+// Contains reports whether A·x ≤ B + tol holds row-wise. A row holds
+// only when its sum compares ≤: a NaN sum (a NaN or infinite coordinate
+// meeting a coefficient that makes it so) fails the row, so a non-finite
+// state is never inside a set.
 func (p *Polytope) Contains(x mat.Vec, tol float64) bool {
 	if len(x) != p.Dim() {
 		panic(fmt.Sprintf("poly: Contains: point dim %d vs polytope dim %d", len(x), p.Dim()))
 	}
+	if p.A.C == 2 {
+		return p.contains2(x[0], x[1], tol)
+	}
+	return p.containsRows(x, tol)
+}
+
+// containsRows is Contains for any dimension: each row's sum runs over
+// its columns in order.
+func (p *Polytope) containsRows(x mat.Vec, tol float64) bool {
 	c := p.A.C
 	for i, b := range p.B[:p.A.R] {
 		row := p.A.Data[i*c : (i+1)*c]
@@ -84,15 +96,32 @@ func (p *Polytope) Contains(x mat.Vec, tol float64) bool {
 		for j, a := range row {
 			s += a * x[j]
 		}
-		if s > b+tol {
+		if !(s <= b+tol) {
 			return false
 		}
 	}
 	return true
 }
 
+// contains2 is containsRows unrolled for a 2-D polytope: the same
+// operations in the same order, so every verdict is the generic loop's.
+func (p *Polytope) contains2(x0, x1, tol float64) bool {
+	a := p.A.Data[:2*p.A.R]
+	for _, b := range p.B[:p.A.R] {
+		s := 0.0
+		s += a[0] * x0
+		s += a[1] * x1
+		if !(s <= b+tol) {
+			return false
+		}
+		a = a[2:]
+	}
+	return true
+}
+
 // Violation returns the largest constraint violation A_i·x − B_i (negative
-// when x is strictly inside every halfspace).
+// when x is strictly inside every halfspace), and +Inf when a row's
+// violation is NaN, so a non-finite state never reads as inside.
 func (p *Polytope) Violation(x mat.Vec) float64 {
 	worst := math.Inf(-1)
 	for i := 0; i < p.A.R; i++ {
@@ -100,7 +129,11 @@ func (p *Polytope) Violation(x mat.Vec) float64 {
 		for j := 0; j < p.A.C; j++ {
 			s += p.A.At(i, j) * x[j]
 		}
-		if v := s - p.B[i]; v > worst {
+		v := s - p.B[i]
+		if v != v {
+			return math.Inf(1)
+		}
+		if v > worst {
 			worst = v
 		}
 	}

@@ -514,15 +514,16 @@ func mustSameSet(t *testing.T, got, want *Polytope) {
 	}
 }
 
-// refContains is Contains as it ran before its rows were sliced, kept
-// verbatim as the bit-exact oracle.
+// refContains is Contains as it ran before its rows were sliced, kept as
+// the bit-exact oracle, under the NaN rule: a row holds only when its sum
+// compares ≤ (the test draws NaN coefficients).
 func refContains(p *Polytope, x mat.Vec, tol float64) bool {
 	for i := 0; i < p.A.R; i++ {
 		s := 0.0
 		for j := 0; j < p.A.C; j++ {
 			s += p.A.At(i, j) * x[j]
 		}
-		if s > p.B[i]+tol {
+		if !(s <= p.B[i]+tol) {
 			return false
 		}
 	}
@@ -573,6 +574,85 @@ func TestContainsMatchesReference(t *testing.T) {
 		}
 		if got, want := p.Contains(x, tol), refContains(p, x, tol); got != want {
 			t.Fatalf("trial %d: Contains = %v, reference %v (A=%v B=%v x=%v tol=%g)", trial, got, want, a.Data, b, x, tol)
+		}
+	}
+}
+
+// TestContains2MatchesRows pins the 2-D kernel to the generic row loop on
+// random 2-D polytopes, with points placed exactly on, and one ulp either
+// side of, a row's B[i]+tol boundary, and with non-finite coordinates and
+// coefficients.
+func TestContains2MatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	special := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300, 1e308}
+	draw := func(scale float64) float64 {
+		if rng.Intn(30) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * scale
+	}
+	hits := 0
+	for trial := 0; trial < 20000; trial++ {
+		r := 1 + rng.Intn(70)
+		a := mat.New(r, 2)
+		for i := range a.Data {
+			a.Data[i] = draw(1)
+		}
+		x := mat.Vec{draw(2), draw(2)}
+		tol := []float64{0, 1e-9, 1e-7}[rng.Intn(3)]
+		b := make(mat.Vec, r)
+		for i := range b {
+			b[i] = 3 + rng.NormFloat64()
+		}
+		// Put x on one row's boundary, or one ulp either side of it.
+		k := rng.Intn(r)
+		s := 0.0
+		s += a.At(k, 0) * x[0]
+		s += a.At(k, 1) * x[1]
+		b[k] = s - tol
+		switch rng.Intn(3) {
+		case 1:
+			b[k] = math.Nextafter(b[k], math.Inf(1))
+		case 2:
+			b[k] = math.Nextafter(b[k], math.Inf(-1))
+		}
+		p := New(a, b)
+		got, want := p.contains2(x[0], x[1], tol), p.containsRows(x, tol)
+		if got != want {
+			t.Fatalf("trial %d: contains2 = %v, row loop %v (A=%v B=%v x=%v tol=%g)", trial, got, want, a.Data, b, x, tol)
+		}
+		if got != refContains(p, x, tol) {
+			t.Fatalf("trial %d: contains2 = %v, reference %v", trial, got, !got)
+		}
+		if got {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no trial landed inside its polytope: the boundary placement is not exercised")
+	}
+}
+
+// TestNonFiniteStateOutside pins the NaN rule: a NaN coordinate fails
+// every row it reaches, in 2-D and in the generic loop, and Violation
+// reads +Inf for it instead of skipping the row.
+func TestNonFiniteStateOutside(t *testing.T) {
+	nan := math.NaN()
+	for _, p := range []*Polytope{box2(t, -1, -1, 1, 1), Box([]float64{-1, -1, -1}, []float64{1, 1, 1})} {
+		x := make(mat.Vec, p.Dim())
+		if !p.Contains(x, 0) {
+			t.Fatalf("%d-D box does not contain the origin", p.Dim())
+		}
+		x[0] = nan
+		if p.Contains(x, 1e-9) {
+			t.Errorf("%d-D box contains %v", p.Dim(), x)
+		}
+		if v := p.Violation(x); !math.IsInf(v, 1) {
+			t.Errorf("%d-D box: Violation(%v) = %v, want +Inf", p.Dim(), x, v)
+		}
+		x[0] = math.Inf(1)
+		if p.Contains(x, 1e-9) {
+			t.Errorf("%d-D box contains %v", p.Dim(), x)
 		}
 	}
 }

@@ -52,6 +52,11 @@ type Decision struct {
 	Forced bool
 	// Budget is the remaining consecutive-skip budget: the largest k with
 	// x ∈ S_k (0 when x ∉ S₁ = X′). Lower budgets schedule first.
+	//
+	// The scheduler reads Budget only for an optional compute (Compute
+	// and not Forced): in the plan's priority order and shed, and in the
+	// fault and deadline passes. A Skip or Forced decision's Budget is
+	// never read, so a member may leave it unset and skip the S_k oracle.
 	Budget int
 }
 

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"oic/internal/fault"
 )
 
 func TestPlanAllSkip(t *testing.T) {
@@ -267,5 +271,79 @@ func TestSchedulerReuseNoGrowth(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%p %p", &s.dec[0], &s.acts[0]); got != first {
 		t.Fatalf("buffers reallocated across same-size ticks: %s → %s", first, got)
+	}
+}
+
+// TestBudgetReadOnlyForOptionalComputes pins Decision.Budget's contract:
+// the scheduler reads it only for optional computes. The same members tick
+// twice under a seeded fault injector and an armed tick deadline, once
+// with every Skip and Forced decision's Budget poisoned (-1 or
+// math.MaxInt) and once with it 0; the actions, the plan and tick
+// aggregates (ShedBudgetMin included), the errors and each member's steps
+// must agree.
+func TestBudgetReadOnlyForOptionalComputes(t *testing.T) {
+	build := func(poison bool) []Member {
+		rng := rand.New(rand.NewSource(31))
+		ms := make([]Member, 300)
+		for i := range ms {
+			c := rng.Intn(3)
+			d := Decision{Compute: c > 0, Forced: c == 2, Budget: rng.Intn(5)}
+			bad := []int{-1, math.MaxInt}[rng.Intn(2)]
+			if !d.Compute || d.Forced {
+				d.Budget = 0
+				if poison {
+					d.Budget = bad
+				}
+			}
+			ms[i] = &fakeMember{dec: d}
+		}
+		return ms
+	}
+	type outcome struct {
+		acts    []Action
+		st      TickStats
+		errs    []string
+		history [][]Action
+	}
+	run := func(poison bool, deadline time.Duration, start time.Time) outcome {
+		inj := fault.New(5)
+		inj.Enable(fault.SiteSchedCompute, 0.3)
+		ms := build(poison)
+		s := New(Config{ComputeBudget: 140, Workers: 3, Faults: inj, TickDeadline: deadline})
+		st, err := s.TickFrom(context.Background(), ms, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.DecideTime, st.StepTime = 0, 0
+		o := outcome{acts: append([]Action(nil), s.Actions()...), st: st}
+		for i, e := range s.Errs() {
+			msg := ""
+			if e != nil {
+				msg = e.Error()
+			}
+			o.errs = append(o.errs, msg)
+			o.history = append(o.history, ms[i].(*fakeMember).history)
+		}
+		return o
+	}
+	for _, c := range []struct {
+		name     string
+		deadline time.Duration
+		start    time.Time
+	}{
+		// Long past: every optional compute that reaches the step phase
+		// with budget left sheds at the deadline check.
+		{"deadline passed", time.Millisecond, time.Now().Add(-time.Hour)},
+		// Far off: only the fault pass and the plan shed.
+		{"deadline ahead", time.Hour, time.Now()},
+	} {
+		poisoned, clean := run(true, c.deadline, c.start), run(false, c.deadline, c.start)
+		if !reflect.DeepEqual(poisoned, clean) {
+			t.Fatalf("%s: a Skip or Forced decision's Budget changed the tick:\npoisoned %+v\nclean    %+v", c.name, poisoned.st, clean.st)
+		}
+		st := clean.st
+		if st.Shed == 0 || st.Degraded == 0 || st.Errors == 0 || st.Forced == 0 || st.Skips == 0 {
+			t.Fatalf("%s: the tick does not reach every Budget read: %+v", c.name, st)
+		}
 	}
 }

@@ -273,7 +273,7 @@ func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req oic.FleetTickRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeFleetTick(r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -312,6 +314,104 @@ func TestFleetMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestFleetTickBodyAnswers pins the fleet tick's one-read body decode to
+// decodeJSON, the decoder every other route uses: each malformed body
+// answers with its status and message, and odd but valid bodies (a
+// case-folded key, a duplicate ws, trailing bytes) still tick. The one
+// intended difference: a body over the limit answers 413 too_large even
+// when its first JSON value ends inside the limit.
+func TestFleetTickBodyAnswers(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	var fi oic.FleetInfo
+	if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", Size: 2, Seed: 1}, &fi); st != http.StatusCreated {
+		t.Fatalf("create: status %d", st)
+	}
+	pad := strings.Repeat(" ", oic.MaxRequestBytes)
+	cases := []struct {
+		name    string
+		body    string
+		chunked bool // no Content-Length
+		status  int  // 0: decodeJSON's answer
+	}{
+		{name: "empty", body: "", status: http.StatusOK},
+		{name: "empty chunked", body: "", chunked: true},
+		{name: "malformed ws", body: `{"ws": {"0": [1,]}}`},
+		{name: "malformed object", body: `{"ws": {"0": [0.5, 0]}, }`},
+		{name: "truncated", body: `{"ws": {"0": [0.5`},
+		{name: "not an object", body: `[1]`},
+		{name: "ticks fraction", body: `{"ticks": 1.5}`},
+		{name: "ticks overflow", body: `{"ticks": 9223372036854775808}`},
+		{name: "ws out of range", body: `{"ws": {"0": [1e400, 0]}}`},
+		{name: "ws key", body: `{"ws": {"x": [0, 0]}}`},
+		{name: "one pass", body: `{"ws": {"0": [0.5, 0], "1": null}, "ticks": 1}`, status: http.StatusOK},
+		{name: "case-folded key", body: `{"WS": {"0": [0.5, 0]}}`, status: http.StatusOK},
+		{name: "duplicate ws", body: `{"ws": {"0": [0.5, 0]}, "ws": {"1": [0, 0]}}`, status: http.StatusOK},
+		{name: "trailing bytes", body: `{"ticks": 1} trailing`, status: http.StatusOK},
+		{name: "chunked", body: `{"ws": {"0": [0.5, 0]}}`, chunked: true, status: http.StatusOK},
+		{name: "over limit, value inside", body: `{"ticks": 1}` + pad, status: http.StatusRequestEntityTooLarge},
+		{name: "over limit, value open", body: `{"ws": {"0": [` + pad},
+	}
+	for _, tc := range cases {
+		var rd io.Reader = strings.NewReader(tc.body)
+		if tc.chunked {
+			rd = io.MultiReader(rd) // hides the length: sent chunked
+		}
+		req, err := http.NewRequest("POST", c.base+"/v1/fleets/"+fi.ID+"/tick", rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// decodeJSON's answer on the same request.
+		ref := httptest.NewRequest("POST", "/", strings.NewReader(tc.body))
+		if tc.chunked {
+			ref.ContentLength = -1
+		}
+		var refReq oic.FleetTickRequest
+		refErr := decodeJSON(ref, &refReq)
+		wantStatus, wantCode, wantMsg := http.StatusOK, "", ""
+		if refErr != nil {
+			wantStatus, wantCode = statusAndCode(refErr)
+			wantMsg = refErr.Error()
+		}
+		if tc.status != 0 {
+			if tc.status == http.StatusRequestEntityTooLarge && refErr != nil {
+				t.Fatalf("%s: decodeJSON no longer accepts the body (%v): the case tests nothing", tc.name, refErr)
+			}
+			if tc.status == http.StatusRequestEntityTooLarge {
+				wantCode, wantMsg = "too_large", errTooLarge.Error()
+			}
+			wantStatus = tc.status
+		}
+		if resp.StatusCode != wantStatus {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, wantStatus, raw)
+			continue
+		}
+		if wantStatus == http.StatusOK {
+			var tr oic.FleetTickResponse
+			if err := json.Unmarshal(raw, &tr); err != nil || len(tr.Reports) != 1 {
+				t.Errorf("%s: answer %s, want one tick report", tc.name, raw)
+			}
+			continue
+		}
+		var er oic.ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil {
+			t.Fatalf("%s: %v in %s", tc.name, err, raw)
+		}
+		if er.Code != wantCode || er.Error != wantMsg {
+			t.Errorf("%s: answer %q (%s), want %q (%s)", tc.name, er.Error, er.Code, wantMsg, wantCode)
 		}
 	}
 }

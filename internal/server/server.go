@@ -19,6 +19,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -841,13 +842,48 @@ func decodeJSON(r *http.Request, dst any) error {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, oic.MaxRequestBytes))
 	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return errTooLarge
-		}
-		return badRequest("invalid JSON: " + strings.SplitN(err.Error(), "\n", 2)[0])
+		return decodeError(err)
 	}
 	return nil
+}
+
+// decodeFleetTick is decodeJSON for a fleet tick body, which is read once,
+// whole, under the same limit, and decoded by oic.DecodeFleetTickRequest.
+// A body over the limit answers 413 even when its first JSON value ends
+// inside it, as oicd-router answers it.
+func decodeFleetTick(r *http.Request, req *oic.FleetTickRequest) error {
+	if r.Body == nil || r.ContentLength == 0 {
+		return nil // empty body = zero-value request
+	}
+	body, err := readBody(r)
+	if err != nil {
+		return decodeError(err)
+	}
+	if *req, err = oic.DecodeFleetTickRequest(body); err != nil {
+		return decodeError(err)
+	}
+	return nil
+}
+
+// readBody reads the whole body under oic.MaxRequestBytes, into one
+// buffer when the request declares its Content-Length.
+func readBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= oic.MaxRequestBytes {
+		buf.Grow(int(n) + bytes.MinRead) // room for the read that sees io.EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, oic.MaxRequestBytes))
+	return buf.Bytes(), err
+}
+
+// decodeError maps a body read or decode failure to its answer: 413
+// too_large past the limit, 400 with the decoder's first line otherwise.
+func decodeError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return errTooLarge
+	}
+	return badRequest("invalid JSON: " + strings.SplitN(err.Error(), "\n", 2)[0])
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

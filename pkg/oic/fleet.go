@@ -121,15 +121,21 @@ type fleetMember struct {
 	rec *trace.Recorder // per-member episode recording; nil unless FleetConfig.Trace
 }
 
-// Decide implements sched.Member: the monitor level, the policy verdict
-// (consulted exactly as often as the plain session path would), and the
-// remaining S_k budget.
+// Decide implements sched.Member: the monitor level (the session's
+// verdict on its state, which the step then reuses), the policy verdict
+// (consulted exactly as often as the plain session path would), and, for
+// an optional compute only, the remaining S_k budget: the scheduler reads
+// no other decision's Budget (sched.Decision).
 func (m *fleetMember) Decide() sched.Decision {
-	e := m.f.eng
-	x := m.cs.StateView()
-	forced := e.fw.Monitor().Level(x) != core.InXPrime
-	compute := forced || e.fw.Policy.Decide(m.cs.Time(), x, m.cs.RecentWView())
-	return sched.Decision{Compute: compute, Forced: forced, Budget: m.f.sb.Remaining(x)}
+	cs := m.cs
+	x := cs.StateView()
+	forced := cs.Level() != core.InXPrime
+	compute := forced || m.f.eng.fw.Policy.Decide(cs.Time(), x, cs.RecentWView())
+	d := sched.Decision{Compute: compute, Forced: forced}
+	if compute && !forced {
+		d.Budget = m.f.sb.Remaining(x)
+	}
+	return d
 }
 
 // Step implements sched.Member. The monitor inside the core session still
@@ -607,7 +613,7 @@ func (f *Fleet) Member(id int) (FleetMemberInfo, error) {
 	return FleetMemberInfo{
 		ID: id, T: m.cs.Time(),
 		X:          append([]float64(nil), x...),
-		Level:      f.eng.fw.Monitor().Level(x).String(),
+		Level:      m.cs.Level().String(),
 		SkipBudget: f.sb.Remaining(x),
 		Skips:      res.Skips, Runs: res.Runs, Forced: res.Forced,
 		Violations: res.ViolationsX,

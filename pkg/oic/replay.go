@@ -135,12 +135,11 @@ func (e *Engine) Replay(t *Trace, opts ReplayOptions) (*ReplayReport, error) {
 	meta := e.traceMeta()
 	meta.Policy = pol.Name()
 	rec := trace.NewRecorder(meta, t.X0, e.NU(), 0)
-	mon := e.fw.Monitor()
 	computes, shed := 0, 0
 	for i := range t.Steps {
 		x := cs.StateView()
 		run := true
-		if mon.Level(x) == core.InXPrime {
+		if cs.Level() == core.InXPrime {
 			// Consult Ω exactly as the recorded path did (same t, state
 			// view, and disturbance window), then apply the what-if
 			// budget: once spent, optional computes shed into safe skips.

@@ -153,7 +153,7 @@ func (s *Session) infoLocked() SessionInfo {
 		NU:         s.eng.NU(),
 		T:          s.cs.Time(),
 		X:          append([]float64(nil), x...),
-		Level:      s.eng.fw.Monitor().Level(x).String(),
+		Level:      s.cs.Level().String(),
 		Skips:      res.Skips,
 		Runs:       res.Runs,
 		Forced:     res.Forced,

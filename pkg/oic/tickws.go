@@ -2,6 +2,7 @@ package oic
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -36,26 +37,138 @@ func (w *TickWS) UnmarshalJSON(data []byte) error {
 		*w = nil
 		return nil
 	}
-	if !p.eat('{') {
-		return p.errorf("want an object of member ID → w")
+	m, err := p.object(*w)
+	if err != nil {
+		return err
 	}
-	m := *w
+	if err := p.end(); err != nil {
+		return err
+	}
+	*w = m
+	return nil
+}
+
+// DecodeFleetTickRequest decodes a fleet tick body. A body of the shape
+// clients send is decoded in one pass (decodeTickOnePass); every other
+// body goes to encoding/json's Decoder, as it would without this
+// function, so each answer, error or odd but valid body alike, is
+// encoding/json's. A function rather than an UnmarshalJSON method: the
+// method's fallback would call the method again.
+func DecodeFleetTickRequest(body []byte) (FleetTickRequest, error) {
+	if req, ok := decodeTickOnePass(body); ok {
+		return req, nil
+	}
+	var req FleetTickRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
+}
+
+// decodeTickOnePass decodes body, reporting false unless all of these
+// hold, which make its result encoding/json's:
+//   - it is one object whose keys are exactly "ws" and "ticks" (no
+//     escape, no case folding), each at most once;
+//   - ws is null or an object the TickWS parser takes;
+//   - ticks is null or an integer literal in int range;
+//   - only whitespace follows the object.
+func decodeTickOnePass(body []byte) (req FleetTickRequest, ok bool) {
+	p := wsParser{b: body}
+	p.space()
+	if !p.eat('{') {
+		return req, false
+	}
+	p.space()
+	if p.eat('}') {
+		return req, p.end() == nil
+	}
+	var seenWS, seenTicks bool
+	for {
+		p.space()
+		switch {
+		case p.literal(`"ws"`):
+			if seenWS || !p.colon() {
+				return req, false
+			}
+			seenWS = true
+			if !p.literal("null") {
+				ws, err := p.object(nil)
+				if err != nil {
+					return req, false
+				}
+				req.WS = ws
+			}
+		case p.literal(`"ticks"`):
+			if seenTicks || !p.colon() {
+				return req, false
+			}
+			seenTicks = true
+			if !p.literal("null") {
+				n, ok := p.integer()
+				if !ok {
+					return req, false
+				}
+				req.Ticks = n
+			}
+		default:
+			return req, false
+		}
+		p.space()
+		if p.eat('}') {
+			return req, p.end() == nil
+		}
+		if !p.eat(',') {
+			return req, false
+		}
+	}
+}
+
+// colon consumes a key's ':' and the whitespace around it.
+func (p *wsParser) colon() bool {
+	p.space()
+	ok := p.eat(':')
+	p.space()
+	return ok
+}
+
+// integer scans an integer literal, -?(0|[1-9][0-9]*), that fits an int.
+// A fraction or exponent after it is left for the caller to reject.
+func (p *wsParser) integer() (int, bool) {
+	start := p.i
+	p.eat('-')
+	if !p.eat('0') && !p.digits() {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(p.b[start:p.i]), 10, 64)
+	if err != nil || int64(int(n)) != n {
+		return 0, false
+	}
+	return int(n), true
+}
+
+// object parses a ws object at the cursor, through its closing '}',
+// adding its entries to m (a new map when m is nil). The map and the
+// backing array are sized by counting separator bytes from the cursor
+// to the end of input: an upper bound for this object's entries, whatever
+// follows it.
+func (p *wsParser) object(m TickWS) (TickWS, error) {
+	if !p.eat('{') {
+		return nil, p.errorf("want an object of member ID → w")
+	}
+	rest := p.b[p.i:]
 	if m == nil {
 		// Each entry has one ':' outside strings. The cap keeps a body of
 		// duplicate keys from presizing a map far larger than its result.
-		m = make(TickWS, min(bytes.Count(data, []byte{':'}), maxPresize))
+		m = make(TickWS, min(bytes.Count(rest, []byte{':'}), maxPresize))
 	}
 	// Each element opens its array or follows a ',', and takes at least
 	// two bytes with its separator, so both bounds hold and back never
 	// overflows. make never returns nil, so an empty entry sliced from an
 	// empty backing array is still non-nil.
 	p.m = m
-	p.back = make([]float64, min(bytes.Count(data, []byte{','})+bytes.Count(data, []byte{'['}), len(data)/2))
+	p.back = make([]float64, min(bytes.Count(rest, []byte{','})+bytes.Count(rest, []byte{'['}), len(rest)/2))
 	if err := p.members(); err != nil {
-		return err
+		return nil, err
 	}
-	*w = m
-	return nil
+	return m, nil
 }
 
 // maxPresize caps the map size TickWS.UnmarshalJSON allocates up front;
@@ -125,12 +238,12 @@ func (p *wsParser) end() error {
 	return nil
 }
 
-// members parses the object's entries, its '{' already consumed, and
-// the end of input.
+// members parses the object's entries, its '{' already consumed, through
+// its closing '}'.
 func (p *wsParser) members() error {
 	p.space()
 	if p.eat('}') {
-		return p.end()
+		return nil
 	}
 	for {
 		p.space()
@@ -148,7 +261,7 @@ func (p *wsParser) members() error {
 		}
 		p.space()
 		if p.eat('}') {
-			return p.end()
+			return nil
 		}
 		if !p.eat(',') {
 			return p.syntax("',' or '}'")

@@ -1,6 +1,7 @@
 package oic
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -172,5 +173,127 @@ func FuzzTickWS(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkTickWS(t, data)
+	})
+}
+
+// tickBodySeeds are whole tick bodies for FuzzFleetTickRequest, beyond
+// tickWSSeeds wrapped in {"ws":…}: ticks values and null, keys the one-pass
+// decoder leaves to encoding/json (unknown, case-folded, escaped,
+// duplicate), trailing bytes and leading whitespace.
+var tickBodySeeds = []string{
+	`{}`,
+	` {} `,
+	`{"ticks": 1}`,
+	`{"ticks": 0}`,
+	`{"ticks": -0}`,
+	`{"ticks": -3}`,
+	`{"ticks": 9223372036854775807}`,
+	`{"ticks": 9223372036854775808}`,
+	`{"ticks": -9223372036854775808}`,
+	`{"ticks": 01}`,
+	`{"ticks": 1.0}`,
+	`{"ticks": 1e2}`,
+	`{"ticks": -}`,
+	`{"ticks": "1"}`,
+	`{"ticks": null}`,
+	`{"ticks": 2, "ws": null}`,
+	`{"ws": {"1": [0.5, 0]}, "ticks": 1}`,
+	`{"ws": null}`,
+	`{"ws": {}}`,
+	`{"ws": {"1": [0.5, 0]}, "unknown": 1}`,
+	`{"unknown": [true], "ticks": 1}`,
+	`{"WS": {"1": [1]}}`,
+	`{"Ticks": 2}`,
+	`{"\u0077s": {"1": [1]}}`,
+	`{"ws": {"1": [1]}, "ws": {"2": [2]}}`,
+	`{"ws": {"1": [1]}, "ws": {"1": [2]}}`,
+	`{"ticks": 1, "ticks": 2}`,
+	`{"ws": {"1": [1]}} x`,
+	`{"ws": {"1": [1]}}}`,
+	`{"ticks": 1}{"ticks": 2}`,
+	" \t\n\r{\"ws\" \t\n\r: \t\n\r{\"1\":[1]} \t\n\r, \t\n\r\"ticks\"\t:\t1\n} \t\n\r",
+	`{"ws": {"1": [1]},}`,
+	`{"ws" {"1": [1]}}`,
+	`{"ws": {"1": [1]}`,
+	`{"ws": {"1": [1],}}`,
+	`{"ws"::{}}`,
+	`{,"ticks": 1}`,
+	`{"ws": nul}`,
+	`{"ticks": nul}`,
+	`null`,
+	`[]`,
+	``,
+}
+
+// checkTickBody decodes data as a whole tick body with
+// DecodeFleetTickRequest and with encoding/json's Decoder: both must
+// answer alike (the same error text, or the same request). On every body
+// the one-pass decoder takes, the Decoder must accept it too and agree on
+// ticks, the ws keys, nil-vs-empty entries and every float bit.
+func checkTickBody(t *testing.T, data []byte) {
+	t.Helper()
+	var want FleetTickRequest
+	errWant := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
+	if got, ok := decodeTickOnePass(data); ok {
+		if errWant != nil {
+			t.Fatalf("one pass %q: took %+v; encoding/json rejects it: %v", data, got, errWant)
+		}
+		compareTickWS(t, "one pass", data, got.WS, want.WS, nil, nil)
+		if got.Ticks != want.Ticks {
+			t.Fatalf("one pass %q: ticks %d, encoding/json %d", data, got.Ticks, want.Ticks)
+		}
+	}
+	got, errGot := DecodeFleetTickRequest(data)
+	if (errGot == nil) != (errWant == nil) || (errGot != nil && errGot.Error() != errWant.Error()) {
+		t.Fatalf("body %q: DecodeFleetTickRequest error %v, encoding/json %v", data, errGot, errWant)
+	}
+	if errGot == nil {
+		compareTickWS(t, "body", data, got.WS, want.WS, nil, nil)
+		if got.Ticks != want.Ticks {
+			t.Fatalf("body %q: ticks %d, encoding/json %d", data, got.Ticks, want.Ticks)
+		}
+	}
+}
+
+func TestFleetTickRequestMatchesEncodingJSON(t *testing.T) {
+	for _, s := range tickWSSeeds {
+		checkTickBody(t, []byte(`{"ws":`+s+`}`))
+	}
+	for _, s := range tickBodySeeds {
+		checkTickBody(t, []byte(s))
+	}
+}
+
+// TestTickOnePassTakesClientBodies pins that the bodies clients send take
+// the one pass: a fallback here would cost the second scan it removes.
+func TestTickOnePassTakesClientBodies(t *testing.T) {
+	ws := TickWS{}
+	for id := 0; id < 50; id++ {
+		ws[id] = []float64{float64(id) / 3, -1e-300}
+	}
+	ws[50] = nil
+	for _, req := range []FleetTickRequest{{}, {Ticks: 4}, {WS: ws}, {Ticks: 1, WS: ws}} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := decodeTickOnePass(body); !ok {
+			t.Errorf("%s: not taken by the one-pass decoder", body)
+		}
+		checkTickBody(t, body)
+	}
+}
+
+// FuzzFleetTickRequest is the differential fuzzer of the tick body
+// decoder against encoding/json's Decoder.
+func FuzzFleetTickRequest(f *testing.F) {
+	for _, s := range tickWSSeeds {
+		f.Add([]byte(`{"ws":` + s + `}`))
+	}
+	for _, s := range tickBodySeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkTickBody(t, data)
 	})
 }
