@@ -12,7 +12,12 @@
 package main_test
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -24,6 +29,7 @@ import (
 	"oic/internal/nn"
 	"oic/internal/plant"
 	"oic/internal/reach"
+	"oic/pkg/oic"
 
 	_ "oic/internal/orbit"
 	_ "oic/internal/thermo"
@@ -251,26 +257,166 @@ func BenchmarkMonitorAndPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkDQNInference isolates the neural-network forward pass as the
-// decide lane runs it: ForwardInto over one reused scratch buffer, so
-// allocs/op reads 0.
+// BenchmarkDQNInference isolates the served DQN forward pass: the golden
+// thermo-drl policy's frozen net, as oicd restores it, over the encoded
+// states its fleet members were consulted on (dqnFleetStates), in one
+// reused scratch, so allocs/op reads 0. The frozen pass skips the zeros
+// its ReLUs leave, so its speed depends on how many there are: each
+// sub-benchmark reports every hidden layer's share of exactly-zero
+// outputs (h1-zero-share, h2-zero-share). "no-zeros" runs the same net
+// with its hidden biases raised until no activation over these states is
+// zero: the pass's worst case.
 func BenchmarkDQNInference(b *testing.B) {
-	pol := trainACCPolicy(b, plant.TrainConfig{Episodes: 2, Steps: 20})
-	snap, err := pol.(plant.SnapshottablePolicy).PolicySnapshot()
+	a := goldenArtifact(b, "thermo-drl")
+	p := a.Policy
+	states := dqnFleetStates(b, a)
+	served, err := nn.FromSnapshot(&nn.Snapshot{Sizes: p.Sizes, Weights: p.Weights, Biases: p.Biases})
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := nn.FromSnapshot(snap.Net)
+	positive := served.Clone()
+	// Layer by layer, lift each unit's bias 1 above its lowest
+	// pre-activation over the states, on the lifted layers before it.
+	hs := states
+	for l := 0; l < positive.NumLayers()-1; l++ {
+		pre := make([]mat.Vec, len(hs))
+		for k, h := range hs {
+			pre[k] = positive.Weights[l].MulVec(h).Add(positive.Biases[l])
+		}
+		for i := range positive.Biases[l] {
+			low := math.Inf(1)
+			for _, v := range pre {
+				low = min(low, v[i])
+			}
+			if low <= 0 {
+				positive.Biases[l][i] += 1 - low
+				for _, v := range pre {
+					v[i] += 1 - low
+				}
+			}
+		}
+		hs = pre
+	}
+	for _, bc := range []struct {
+		name string
+		net  *nn.MLP
+	}{{"served", served}, {"no-zeros", positive}} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := bc.net.Freeze()
+			floats, inputs := f.ScratchLen()
+			scratch, keep := make(mat.Vec, floats), make([]int32, inputs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.ForwardInto(states[i%len(states)], scratch, keep)
+			}
+			b.StopTimer()
+			for l, share := range hiddenZeroShares(bc.net, states) {
+				b.ReportMetric(share, fmt.Sprintf("h%d-zero-share", l+1))
+			}
+		})
+	}
+}
+
+// goldenArtifact decodes the committed golden artifact of a golden case.
+func goldenArtifact(b *testing.B, name string) *oic.Artifact {
+	b.Helper()
+	raw, err := os.ReadFile(filepath.Join("internal", "artifact", "testdata", "golden", name+".oica"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := plant.FixedEncoder(snap.XCenter, snap.XScale, snap.WScale).Encode(mat.Vec{150, 40}, []mat.Vec{{0.5, 0}})
-	scratch := make(mat.Vec, net.ScratchLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardInto(s, scratch)
+	a, err := oic.DecodeArtifact(raw)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return a
+}
+
+// dqnFleetStates runs a fleet-decide-shaped fleet on a's engine (2000
+// members, budget 96, disturbances from DrawCase) for 60 ticks and
+// returns the encoded agent state of every member at every tick where
+// the policy is consulted: the member's state inside X′, with the
+// disturbances that state's decide reads.
+func dqnFleetStates(b *testing.B, a *oic.Artifact) []mat.Vec {
+	b.Helper()
+	const sessions, budget, ticks = 2000, 96, 60
+	e, err := oic.LoadEngine(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := e.NewFleet(oic.FleetConfig{ComputeBudget: budget, MaxSessions: sessions})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	p := a.Policy
+	enc := plant.FixedEncoder(p.XCenter, p.XScale, p.WScale)
+	ids := make([]int, sessions)
+	cases := make([][][]float64, sessions)
+	for i := range ids {
+		x0, w, err := e.DrawCase(int64(i+1), ticks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ids[i], err = f.Admit(x0); err != nil {
+			b.Fatal(err)
+		}
+		cases[i] = w
+	}
+	var states []mat.Vec
+	for t := 0; t < ticks; t++ {
+		ws := make(map[int][]float64, sessions)
+		for i, id := range ids {
+			ws[id] = cases[i][t]
+		}
+		if _, err := f.Tick(context.Background(), ws); err != nil {
+			b.Fatal(err)
+		}
+		if t+1 < p.Memory {
+			continue
+		}
+		for i, id := range ids {
+			info, err := f.Member(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if info.Level != core.InXPrime.String() {
+				continue
+			}
+			recent := make([]mat.Vec, p.Memory)
+			for k := range recent {
+				recent[k] = cases[i][t+1-p.Memory+k]
+			}
+			states = append(states, enc.Encode(info.X, recent))
+		}
+	}
+	if len(states) == 0 {
+		b.Fatal("no member state inside X'")
+	}
+	return states
+}
+
+// hiddenZeroShares returns, per hidden layer, the share of its ReLU
+// outputs over states that are exactly zero, from the dense pass.
+func hiddenZeroShares(net *nn.MLP, states []mat.Vec) []float64 {
+	hidden := net.NumLayers() - 1
+	shares := make([]float64, hidden)
+	for _, s := range states {
+		h := s
+		for l := 0; l < hidden; l++ {
+			h = net.Weights[l].MulVec(h).Add(net.Biases[l])
+			for i, v := range h {
+				if v <= 0 {
+					h[i] = 0
+					shares[l]++
+				}
+			}
+		}
+	}
+	for l := range shares {
+		shares[l] /= float64(len(states) * net.Sizes[l+1])
+	}
+	return shares
 }
 
 // BenchmarkSafetySetConstruction measures the offline cost of building XI

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"oic/internal/controller"
@@ -439,6 +440,11 @@ func (s *Session) step(w mat.Vec, choice *bool) (Step, error) {
 		tCtl := time.Now()
 		uc, err := s.kappa.Compute(s.x)
 		res.CtrlTime += time.Since(tCtl)
+		if err == nil && !allFinite(uc) {
+			// A non-finite input is no admissible input: applied, it
+			// would make the state and the energy count non-finite.
+			err = fmt.Errorf("%w: κ returned the non-finite input %v", controller.ErrInfeasible, uc)
+		}
 		switch {
 		case err == nil:
 			u = uc
@@ -490,6 +496,16 @@ func (s *Session) step(w mat.Vec, choice *bool) (Step, error) {
 	// is either the shared zero input or the controller's per-call output,
 	// and w is the caller's own slice.
 	return Step{Ran: run, Forced: forced, Level: level, W: w, U: u, X: s.x}, nil
+}
+
+// allFinite reports whether every entry of v is finite.
+func allFinite(v mat.Vec) bool {
+	for _, a := range v {
+		if math.IsInf(a, 0) || math.IsNaN(a) {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes steps iterations of Algorithm 1 from x0 with disturbances

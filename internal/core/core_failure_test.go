@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"oic/internal/controller"
 	"oic/internal/mat"
 )
 
@@ -144,20 +147,11 @@ func TestDegradeForcedComputeStaysTerminal(t *testing.T) {
 	// A κ failure on a monitor-forced compute has no safe fallback: even
 	// in degraded mode the session must close loudly.
 	sys, _, sets := testRig(t)
-	m := NewMonitor(sets)
-	_, hi, err := sets.XPrime.BoundingBox()
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := mat.Vec{hi[0] + 1e-6, 0}
-	if m.Level(probe) != InXI {
-		t.Skip("probe not in XI \\ X'; forced-state construction inconclusive")
-	}
 	f, err := NewFramework(sys, failingController{}, sets, BangBang{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := f.NewSession(probe)
+	sess, err := f.NewSession(forcedState(t, sets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,4 +189,68 @@ func TestResetClearsDegrade(t *testing.T) {
 	if _, err := sess.Step(mat.Vec{0, 0}); err == nil {
 		t.Fatal("degrade survived Reset")
 	}
+}
+
+// nonFiniteController returns u for every state, without an error.
+type nonFiniteController struct{ u mat.Vec }
+
+func (c nonFiniteController) Compute(mat.Vec) (mat.Vec, error) { return c.u, nil }
+func (nonFiniteController) Name() string                       { return "non-finite" }
+
+// TestNonFiniteKappaOutputFails: a κ output with a NaN or ±Inf entry is a
+// κ failure, wrapping controller.ErrInfeasible. A forced compute with it
+// closes the session without applying the input, degraded or not; an
+// optional one under Degrade falls back to the certified skip.
+func TestNonFiniteKappaOutputFails(t *testing.T) {
+	sys, _, sets := testRig(t)
+	forced := forcedState(t, sets)
+	for _, u := range []mat.Vec{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}} {
+		f, err := NewFramework(sys, nonFiniteController{u}, sets, AlwaysRun{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, degrade := range []bool{false, true} {
+			sess, err := f.NewSession(forced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.SetDegrade(degrade)
+			if _, err := sess.Step(mat.Vec{0, 0}); !errors.Is(err, controller.ErrInfeasible) {
+				t.Fatalf("u = %v, degrade %v: forced step returned %v, want ErrInfeasible", u, degrade, err)
+			}
+			if !sess.Closed() || sess.Time() != 0 || !mat.BitsEqual(sess.StateView(), forced) || sess.Result.Energy != 0 {
+				t.Fatalf("u = %v, degrade %v: after the failed step: closed %v, t %d, x %v, energy %v", u, degrade,
+					sess.Closed(), sess.Time(), sess.StateView(), sess.Result.Energy)
+			}
+		}
+
+		sess, err := f.NewSession(mat.Vec{0, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.SetDegrade(true)
+		rec, err := sess.Step(mat.Vec{0, 0})
+		if err != nil || rec.Ran || sess.Result.Degraded != 1 || sess.Result.Energy != 0 {
+			t.Fatalf("u = %v: optional degraded step: ran %v, err %v, degraded %d, energy %v; want the certified skip",
+				u, rec.Ran, err, sess.Result.Degraded, sess.Result.Energy)
+		}
+	}
+}
+
+// forcedState returns a state of the test rig in XI \ X′, where the
+// monitor forces κ: the first of a seeded sample of XI at that level.
+func forcedState(t *testing.T, sets SafetySets) mat.Vec {
+	t.Helper()
+	pts, err := sets.XI.Sample(400, rand.New(rand.NewSource(1)).Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor(sets)
+	for _, p := range pts {
+		if m.Level(p) == InXI {
+			return p
+		}
+	}
+	t.Fatal("no sampled state in XI \\ X'")
+	return nil
 }

@@ -1,13 +1,13 @@
 // Package nn implements the small dense neural networks used by the deep
 // reinforcement learning skipping policy: multi-layer perceptrons with ReLU
 // hidden activations and linear outputs, trained with backpropagation and
-// the Adam optimizer. Everything is float64 and single-threaded; the
-// Q-networks in this repository are tiny (a few thousand parameters), so
-// clarity and determinism win over throughput.
+// the Adam optimizer. Everything is float64. Training runs the dense,
+// row-major pass, whose weights change every Adam step; a trained policy
+// answers with Frozen, a read-only column-major copy whose pass skips the
+// zeros the ReLUs leave, bit for bit as the dense pass (DESIGN.md §5.4).
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -43,39 +43,12 @@ func NewMLP(sizes []int, rng *rand.Rand) *MLP {
 // NumLayers returns the number of weight layers.
 func (m *MLP) NumLayers() int { return len(m.Weights) }
 
-// Forward evaluates the network on x.
+// Forward evaluates the network on x, allocating each layer's output.
+// It is the dense pass training runs, and the reference Frozen is held
+// to bit for bit.
 func (m *MLP) Forward(x mat.Vec) mat.Vec {
-	return m.ForwardInto(x, make(mat.Vec, m.ScratchLen()))
-}
-
-// ScratchLen returns the scratch length ForwardInto needs: two buffers
-// as wide as the widest layer.
-func (m *MLP) ScratchLen() int {
-	w := 0
-	for _, l := range m.Weights {
-		w = max(w, l.R)
-	}
-	return 2 * w
-}
-
-// ForwardInto evaluates the network on x without allocating. Layer
-// outputs ping-pong between the two halves of scratch, each of which must
-// be as wide as the widest layer (len(scratch) ≥ ScratchLen()); x must
-// not alias scratch. The returned output is a view into scratch, valid
-// until scratch is reused.
-func (m *MLP) ForwardInto(x, scratch mat.Vec) mat.Vec {
-	half := len(scratch) / 2
-	if half < m.ScratchLen()/2 {
-		panic(fmt.Sprintf("nn: ForwardInto: scratch length %d, want at least %d", len(scratch), m.ScratchLen()))
-	}
-	bufs := [2]mat.Vec{scratch[:half], scratch[half : 2*half]}
-	h := x
-	for l, w := range m.Weights {
-		out := bufs[l&1][:w.R:w.R]
-		m.layerInto(l, out, h)
-		h = out
-	}
-	return h
+	_, out := m.forwardCache(x)
+	return out
 }
 
 // layerInto writes layer l's output on input h into out: W·h + b, then

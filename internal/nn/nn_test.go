@@ -145,10 +145,10 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	}
 }
 
-// refForward is Forward as it ran before ForwardInto, kept as the
-// bit-exact oracle: a fresh product vector per layer summed one row at a
-// time (mat.MulVec's plain loop, inlined), the bias added by Vec.Add, and
-// the ReLU clamp applied in place.
+// refForward is the forward pass as it first ran, kept as the bit-exact
+// oracle: a fresh product vector per layer summed one row at a time
+// (mat.MulVec's plain loop, inlined), the bias added by Vec.Add, and the
+// ReLU clamp applied in place.
 func refForward(m *MLP, x mat.Vec) mat.Vec {
 	h := x
 	for l := 0; l < m.NumLayers(); l++ {
@@ -173,14 +173,16 @@ func refForward(m *MLP, x mat.Vec) mat.Vec {
 	return h
 }
 
-// TestForwardIntoBitIdentical pins ForwardInto (and Forward, which
-// delegates to it) to the old allocating pass bit for bit, on random nets
-// with layer widths 1..130 and inputs that include signed zeros,
-// infinities, NaN and extreme magnitudes.
+// TestForwardIntoBitIdentical pins the frozen pass (Frozen.ForwardInto)
+// and the dense pass (MLP.Forward) to the old allocating pass bit for
+// bit, on random nets with layer widths 1..130 and inputs that include
+// signed zeros, infinities, NaN and extreme magnitudes; a NaN output
+// matches as a NaN (sameOutputs).
 func TestForwardIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300, -1e300}
 	var scratch mat.Vec
+	var keep []int32
 	for trial := 0; trial < 300; trial++ {
 		sizes := make([]int, 2+rng.Intn(3))
 		for i := range sizes {
@@ -199,42 +201,52 @@ func TestForwardIntoBitIdentical(t *testing.T) {
 				x[i] = special[rng.Intn(len(special))]
 			}
 		}
-		if n := m.ScratchLen() + rng.Intn(3); len(scratch) < n {
+		f := m.Freeze()
+		floats, inputs := f.ScratchLen()
+		if n := floats + rng.Intn(3); len(scratch) < n {
 			scratch = make(mat.Vec, n) // reused across nets: stale contents must not matter
+		}
+		if len(keep) < inputs {
+			keep = make([]int32, inputs)
 		}
 		want := refForward(m, x)
 		for name, got := range map[string]mat.Vec{
-			"ForwardInto": m.ForwardInto(x, scratch),
-			"Forward":     m.Forward(x),
+			"Frozen.ForwardInto": f.ForwardInto(x, scratch, keep),
+			"Forward":            m.Forward(x),
 		} {
-			if len(got) != len(want) {
-				t.Fatalf("trial %d %v: %s has %d outputs, want %d", trial, sizes, name, len(got), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("trial %d %v: %s output %d = %v, old pass %v", trial, sizes, name, i, got[i], want[i])
-				}
+			if !sameOutputs(got, want) {
+				t.Fatalf("trial %d %v: %s = %v, old pass %v", trial, sizes, name, got, want)
 			}
 		}
 	}
 }
 
-// TestForwardIntoScratch pins ForwardInto's buffer contract: zero
-// allocations, and a panic (not a silent overrun) on a short buffer.
+// TestForwardIntoScratch pins the frozen pass's buffer contract: zero
+// allocations, and a panic (not a silent overrun) on a short buffer or a
+// wrong-length input.
 func TestForwardIntoScratch(t *testing.T) {
-	m := NewMLP([]int{4, 64, 64, 2}, rand.New(rand.NewSource(1)))
-	if got := m.ScratchLen(); got != 128 {
-		t.Fatalf("ScratchLen = %d, want 128", got)
+	f := NewMLP([]int{4, 64, 64, 2}, rand.New(rand.NewSource(1))).Freeze()
+	floats, inputs := f.ScratchLen()
+	if floats != 128 || inputs != 64 {
+		t.Fatalf("ScratchLen = %d, %d, want 128, 64", floats, inputs)
 	}
 	x := mat.Vec{0.1, -0.2, 0.3, -0.4}
-	scratch := make(mat.Vec, m.ScratchLen())
-	if allocs := testing.AllocsPerRun(100, func() { m.ForwardInto(x, scratch) }); allocs != 0 {
+	scratch, keep := make(mat.Vec, floats), make([]int32, inputs)
+	if allocs := testing.AllocsPerRun(100, func() { f.ForwardInto(x, scratch, keep) }); allocs != 0 {
 		t.Errorf("ForwardInto allocates %v times per call, want 0", allocs)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ForwardInto with a short scratch did not panic")
-		}
-	}()
-	m.ForwardInto(x, scratch[:m.ScratchLen()-1])
+	for name, call := range map[string]func(){
+		"short scratch": func() { f.ForwardInto(x, scratch[:floats-1], keep) },
+		"short keep":    func() { f.ForwardInto(x, scratch, keep[:inputs-1]) },
+		"short input":   func() { f.ForwardInto(x[:3], scratch, keep) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ForwardInto with a %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }

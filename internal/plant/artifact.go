@@ -78,5 +78,5 @@ func RestoreDRLPolicy(inst *Instance, snap *PolicySnapshot) (core.SkipPolicy, er
 	if net.Sizes[len(net.Sizes)-1] != 2 {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: network has %d outputs, want 2", net.Sizes[len(net.Sizes)-1])
 	}
-	return trainedPolicy{net: net, enc: enc, memory: snap.Memory}, nil
+	return newTrainedPolicy(net, enc, snap.Memory), nil
 }

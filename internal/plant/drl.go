@@ -243,8 +243,7 @@ func TrainDRL(inst *Instance, cfg TrainConfig, defaultSteps int) (core.SkipPolic
 	if err != nil {
 		return nil, stats, fmt.Errorf("plant: TrainDRL: %w", err)
 	}
-	policy := trainedPolicy{net: agent.Policy(), enc: env.enc, memory: cfg.Memory}
-	return policy, stats, nil
+	return newTrainedPolicy(agent.Policy(), env.enc, cfg.Memory), stats, nil
 }
 
 // trainedPolicy is a trained DRL skipping policy: the greedy argmax over
@@ -252,22 +251,32 @@ func TrainDRL(inst *Instance, cfg TrainConfig, defaultSteps int) (core.SkipPolic
 // the network and encoder directly (rather than a closure over the agent)
 // so the policy can be snapshotted into an artifact and restored
 // bit-identically — the restored Decide runs the exact same float64
-// pipeline as the freshly trained one. It also carries the
+// pipeline as the freshly trained one. Decide runs the network's frozen
+// form, built once, which skips the zeros the ReLUs leave and computes
+// the network's own outputs bit for bit. It also carries the
 // disturbance-memory length the encoder expects, so episode runners size
 // the session window to match (MemoryPolicy).
 type trainedPolicy struct {
 	net    *nn.MLP
+	frozen *nn.Frozen
 	enc    *Encoder
 	memory int
 }
 
-// decideScratch is the stack scratch of trainedPolicy.Decide, in
-// float64s: the encoded state plus the forward pass's two ping-pong
-// buffers. It fits every net TrainDRL builds (widest layer 64) with 32
-// features; a wider net or a longer state falls back to the heap. Go
-// zeroes the array on every call, so it is no larger than those nets
-// need.
-const decideScratch = 2*64 + 32
+func newTrainedPolicy(net *nn.MLP, enc *Encoder, memory int) trainedPolicy {
+	return trainedPolicy{net: net, frozen: net.Freeze(), enc: enc, memory: memory}
+}
+
+// decideScratch and decideKeep size the stack scratch of
+// trainedPolicy.Decide: the encoded state plus the frozen pass's two
+// buffers, in float64s, and its keep list, in int32s. They fit every net
+// TrainDRL builds (widest layer 64) with 32 features; a wider net or a
+// longer state falls back to the heap. Go zeroes the arrays on every
+// call, so they are no larger than those nets need.
+const (
+	decideScratch = 2*64 + 32
+	decideKeep    = 64
+)
 
 // Decide implements core.SkipPolicy: greedy action 1 ("run κ") iff
 // Q(s, run) > Q(s, skip), matching rl.DDQN.Greedy's strict argmax. It
@@ -275,12 +284,17 @@ const decideScratch = 2*64 + 32
 // and fleet workers call it concurrently.
 func (p trainedPolicy) Decide(_ int, x mat.Vec, wRecent []mat.Vec) bool {
 	var stack [decideScratch]float64
-	buf := stack[:]
+	var keepStack [decideKeep]int32
+	buf, keep := stack[:], keepStack[:]
 	n := p.enc.StateDim(len(wRecent))
-	if need := n + p.net.ScratchLen(); need > len(buf) {
+	floats, inputs := p.frozen.ScratchLen()
+	if need := n + floats; need > len(buf) {
 		buf = make([]float64, need)
 	}
-	q := p.net.ForwardInto(p.enc.EncodeInto(buf[:n], x, wRecent), buf[n:])
+	if inputs > len(keep) {
+		keep = make([]int32, inputs)
+	}
+	q := p.frozen.ForwardInto(p.enc.EncodeInto(buf[:n], x, wRecent), buf[n:], keep)
 	return q[1] > q[0]
 }
 

@@ -23,11 +23,11 @@ func refEncode(e *Encoder, x mat.Vec, wRecent []mat.Vec) mat.Vec {
 	return out
 }
 
-// TestDecideMatchesAllocatingPipeline pins the stack-scratch Decide to
-// the pipeline it replaced, Forward(Encode(x, w)), on random nets with
-// layer widths 1..130: narrow nets run in the stack array, wide ones (and
-// long disturbance memories) take the heap fallback. EncodeInto is held
-// to the old Encode bit for bit on the way.
+// TestDecideMatchesAllocatingPipeline pins the stack-scratch Decide,
+// which runs the frozen pass, to the dense pipeline Forward(Encode(x, w)),
+// on random nets with layer widths 1..130: narrow nets run in the stack
+// arrays, wide ones (and long disturbance memories) take the heap
+// fallback. EncodeInto is held to the old Encode bit for bit on the way.
 func TestDecideMatchesAllocatingPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	var stack, heap int
@@ -46,7 +46,7 @@ func TestDecideMatchesAllocatingPipeline(t *testing.T) {
 		}
 		sizes = append(sizes, 2)
 		net := nn.NewMLP(sizes, rng)
-		p := trainedPolicy{net: net, enc: enc, memory: memory}
+		p := newTrainedPolicy(net, enc, memory)
 
 		x := make(mat.Vec, nx)
 		for i := range x {
@@ -71,7 +71,7 @@ func TestDecideMatchesAllocatingPipeline(t *testing.T) {
 		if got, want := p.Decide(0, x, ws), q[1] > q[0]; got != want {
 			t.Fatalf("trial %d %v: Decide = %v, Forward(Encode) says %v (q=%v)", trial, sizes, got, want, q)
 		}
-		if len(s)+net.ScratchLen() > decideScratch {
+		if floats, inputs := p.frozen.ScratchLen(); len(s)+floats > decideScratch || inputs > decideKeep {
 			heap++
 		} else {
 			stack++

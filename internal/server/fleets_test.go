@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -318,12 +319,66 @@ func TestFleetMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestFleetTickBodyAnswers pins the fleet tick's one-read body decode to
+// TestJSONRoutesBodyAnswers sends three bodies to every route that
+// decodes a JSON body: one over the limit whose JSON value ends inside
+// it answers 413 too_large, as oicd-router answers it; an empty one is
+// the zero-value request, answering as "{}" does; and a malformed one
+// answers 400 with the decoder's message.
+func TestJSONRoutesBodyAnswers(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	var si oic.SessionInfo
+	if st := c.do("POST", "/v1/sessions", oic.CreateSessionRequest{Plant: "acc", Policy: oic.PolicyBangBang, Seed: 1}, &si); st != http.StatusCreated {
+		t.Fatalf("create session: status %d", st)
+	}
+	var fi oic.FleetInfo
+	if st := c.do("POST", "/v1/fleets", oic.CreateFleetRequest{Plant: "acc", Size: 2, Seed: 1}, &fi); st != http.StatusCreated {
+		t.Fatalf("create fleet: status %d", st)
+	}
+	send := func(path, body string) (int, oic.ErrorResponse) {
+		t.Helper()
+		resp, err := c.hc.Post(c.base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er oic.ErrorResponse
+		if resp.StatusCode >= 400 {
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+		}
+		return resp.StatusCode, er
+	}
+	over := `{}` + strings.Repeat(" ", oic.MaxRequestBytes)
+	for _, path := range []string{
+		"/v1/sessions",
+		"/v1/sessions/resume",
+		"/v1/sessions/" + si.ID + "/step",
+		"/v1/replay",
+		"/v1/fleets",
+		"/v1/fleets/" + fi.ID + "/tick",
+		"/v1/fleets/" + fi.ID + "/sessions",
+	} {
+		if st, er := send(path, over); st != http.StatusRequestEntityTooLarge || er.Code != "too_large" {
+			t.Errorf("POST %s, over the limit: %d %q (%s), want 413 too_large", path, st, er.Code, er.Error)
+		}
+		stEmpty, erEmpty := send(path, "")
+		stZero, erZero := send(path, "{}")
+		if stEmpty != stZero || erEmpty.Code != erZero.Code || strings.HasPrefix(erEmpty.Error, "invalid JSON") {
+			t.Errorf("POST %s, empty body: %d %q (%s); {} answers %d %q", path, stEmpty, erEmpty.Code, erEmpty.Error, stZero, erZero.Code)
+		}
+		if st, er := send(path, `{"`); st != http.StatusBadRequest || er.Code != "bad_request" || er.Error != "invalid JSON: unexpected EOF" {
+			t.Errorf("POST %s, malformed: %d %q (%s), want 400 bad_request (invalid JSON: unexpected EOF)", path, st, er.Code, er.Error)
+		}
+	}
+}
+
+// TestFleetTickBodyAnswers pins the fleet tick's one-pass body decode to
 // decodeJSON, the decoder every other route uses: each malformed body
-// answers with its status and message, and odd but valid bodies (a
-// case-folded key, a duplicate ws, trailing bytes) still tick. The one
-// intended difference: a body over the limit answers 413 too_large even
-// when its first JSON value ends inside the limit.
+// answers with its status and message, odd but valid bodies (a
+// case-folded key, a duplicate ws, trailing bytes) still tick, and a
+// body over the limit answers 413 too_large on both, even when its first
+// JSON value ends inside the limit.
 func TestFleetTickBodyAnswers(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	var fi oic.FleetInfo
@@ -352,7 +407,7 @@ func TestFleetTickBodyAnswers(t *testing.T) {
 		{name: "duplicate ws", body: `{"ws": {"0": [0.5, 0]}, "ws": {"1": [0, 0]}}`, status: http.StatusOK},
 		{name: "trailing bytes", body: `{"ticks": 1} trailing`, status: http.StatusOK},
 		{name: "chunked", body: `{"ws": {"0": [0.5, 0]}}`, chunked: true, status: http.StatusOK},
-		{name: "over limit, value inside", body: `{"ticks": 1}` + pad, status: http.StatusRequestEntityTooLarge},
+		{name: "over limit, value inside", body: `{"ticks": 1}` + pad},
 		{name: "over limit, value open", body: `{"ws": {"0": [` + pad},
 	}
 	for _, tc := range cases {
@@ -386,13 +441,10 @@ func TestFleetTickBodyAnswers(t *testing.T) {
 			wantStatus, wantCode = statusAndCode(refErr)
 			wantMsg = refErr.Error()
 		}
+		if strings.HasPrefix(tc.name, "over limit") && !errors.Is(refErr, errTooLarge) {
+			t.Fatalf("%s: decodeJSON answers %v, want errTooLarge", tc.name, refErr)
+		}
 		if tc.status != 0 {
-			if tc.status == http.StatusRequestEntityTooLarge && refErr != nil {
-				t.Fatalf("%s: decodeJSON no longer accepts the body (%v): the case tests nothing", tc.name, refErr)
-			}
-			if tc.status == http.StatusRequestEntityTooLarge {
-				wantCode, wantMsg = "too_large", errTooLarge.Error()
-			}
 			wantStatus = tc.status
 		}
 		if resp.StatusCode != wantStatus {

@@ -836,30 +836,37 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	})
 }
 
+// decodeJSON decodes a request body into dst with encoding/json's
+// Decoder, which decodes the first JSON value and ignores what follows.
 func decodeJSON(r *http.Request, dst any) error {
-	if r.Body == nil || r.ContentLength == 0 {
-		return nil // empty body = zero-value request
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, oic.MaxRequestBytes))
-	if err := dec.Decode(dst); err != nil {
-		return decodeError(err)
-	}
-	return nil
+	return decodeBody(r, func(body []byte) error {
+		return json.NewDecoder(bytes.NewReader(body)).Decode(dst)
+	})
 }
 
-// decodeFleetTick is decodeJSON for a fleet tick body, which is read once,
-// whole, under the same limit, and decoded by oic.DecodeFleetTickRequest.
-// A body over the limit answers 413 even when its first JSON value ends
-// inside it, as oicd-router answers it.
+// decodeFleetTick decodes a fleet tick body in one pass
+// (oic.DecodeFleetTickRequest).
 func decodeFleetTick(r *http.Request, req *oic.FleetTickRequest) error {
+	return decodeBody(r, func(body []byte) (err error) {
+		*req, err = oic.DecodeFleetTickRequest(body)
+		return err
+	})
+}
+
+// decodeBody is every route's one body path: it reads the body whole
+// under oic.MaxRequestBytes (readBody) and hands it to decode. So a body
+// over the limit answers 413 too_large even when its first JSON value
+// ends inside it, as oicd-router answers it. A request that declares an
+// empty body is the zero-value request.
+func decodeBody(r *http.Request, decode func(body []byte) error) error {
 	if r.Body == nil || r.ContentLength == 0 {
 		return nil // empty body = zero-value request
 	}
 	body, err := readBody(r)
-	if err != nil {
-		return decodeError(err)
+	if err == nil {
+		err = decode(body)
 	}
-	if *req, err = oic.DecodeFleetTickRequest(body); err != nil {
+	if err != nil {
 		return decodeError(err)
 	}
 	return nil

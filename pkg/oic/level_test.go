@@ -10,11 +10,13 @@ import (
 
 // TestNonFiniteStateIsUnsafe steps a thermo-drl session from the golden
 // artifact with a finite but huge disturbance, w = (1e308, −1e308): its
-// state overflows to (+Inf, −Inf) and then turns (NaN, NaN). A
-// non-finite state is outside every set, so from the second step on the
-// monitor reads unsafe and forces κ, and every successor counts as a
-// violation. A NaN start is refused, and the engine's level and skip
-// budget read it as unsafe.
+// state overflows to (1e308, −1e308) and then (+Inf, −Inf). A non-finite
+// state is outside every set, so from the second step on the monitor
+// reads unsafe and forces κ, and every successor counts as a violation.
+// At (+Inf, −Inf) thermo's affine κ returns NaN, which is a κ failure
+// (ErrInfeasible): that forced step closes the session, and the episode
+// before it exports and audits with its violations. A NaN start is
+// refused, and the engine's level and skip budget read it as unsafe.
 func TestNonFiniteStateIsUnsafe(t *testing.T) {
 	eng, err := LoadEngine(goldenArtifact(t, "thermo-drl"))
 	if err != nil {
@@ -40,25 +42,67 @@ func TestNonFiniteStateIsUnsafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	const steps = 6
-	reachedNaN := false
-	for i := 0; i < steps; i++ {
-		r, err := s.Step(context.Background(), []float64{1e308, -1e308})
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if i >= 1 && (r.Level != "unsafe" || !r.Ran || !r.Forced) {
-			t.Fatalf("step %d from a state outside X: level %s ran %v forced %v, want a forced compute at unsafe", i, r.Level, r.Ran, r.Forced)
-		}
-		reachedNaN = reachedNaN || (math.IsNaN(r.X[0]) && math.IsNaN(r.X[1]))
+	if err := s.StartTrace(0); err != nil {
+		t.Fatal(err)
 	}
-	if !reachedNaN {
-		t.Fatalf("the state never reached (NaN, NaN): the case tests nothing")
+	ctx, w := context.Background(), []float64{1e308, -1e308}
+	steps := 0
+	for ; ; steps++ {
+		r, err := s.Step(ctx, w)
+		if err != nil {
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("step %d: %v, want ErrInfeasible for κ's non-finite output", steps, err)
+			}
+			break
+		}
+		if steps >= 1 && (r.Level != "unsafe" || !r.Ran || !r.Forced) {
+			t.Fatalf("step %d from a state outside X: level %s ran %v forced %v, want a forced compute at unsafe", steps, r.Level, r.Ran, r.Forced)
+		}
+		if steps == 6 {
+			t.Fatal("no step failed in 7: the case tests nothing")
+		}
+	}
+	if x := s.State(); !math.IsInf(x[0], 1) || !math.IsInf(x[1], -1) {
+		t.Fatalf("the failed step was at %v, want (+Inf, -Inf)", x)
+	}
+	if _, err := s.Step(ctx, w); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("a step after the failed one: %v, want ErrSessionClosed", err)
 	}
 	info := s.Info()
-	if info.Level != "unsafe" || info.Violations != steps {
-		t.Fatalf("after %d steps: level %s, %d violations; want unsafe and one per step", steps, info.Level, info.Violations)
+	if info.Level != "unsafe" || info.T != steps || info.Violations != steps {
+		t.Fatalf("after the failed step: level %s, t %d, %d violations; want unsafe, %d and one per step", info.Level, info.T, info.Violations, steps)
 	}
+
+	tr, err := s.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := EncodeTrace(tr)
+	if err != nil {
+		t.Fatalf("the episode before the failed step does not export: %v", err)
+	}
+	back, err := DecodeTrace(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.AuditTrace(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Steps) != steps || rep.Clean || countKind(rep, "safety-violation") != steps {
+		t.Fatalf("audit of %d exported steps: clean %v, findings %+v; want %d steps, each a safety violation", len(back.Steps), rep.Clean, rep.Findings, steps)
+	}
+}
+
+// countKind counts an audit's findings of one kind.
+func countKind(rep *AuditReport, kind string) int {
+	n := 0
+	for _, f := range rep.Findings {
+		if f.Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 // TestAuditFlagsNonFiniteTrace audits the episode a thermo-drl session
