@@ -148,12 +148,12 @@ func main() {
 		// Serve (503 on /readyz) while the catalogue materializes, so a
 		// rolling restart holds traffic instead of rebuilding engines.
 		go func() {
-			n, err := run()
+			n, skipped, err := run()
 			if err != nil {
 				log.Error("preload failed", "error", err)
 				return
 			}
-			log.Info("preload done", "engines", n, "dir", *artifactDir)
+			log.Info("preload done", "engines", n, "skipped", skipped, "dir", *artifactDir)
 		}()
 	}
 

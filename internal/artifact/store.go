@@ -136,9 +136,13 @@ func (s *Store) backoff(attempt int) {
 // MarkCorrupt drops an entry the caller found inconsistent after a
 // successful decode (e.g. its embedded fingerprint does not match the
 // lookup key) and counts it.
-func (s *Store) MarkCorrupt(fingerprint string) {
+func (s *Store) MarkCorrupt(fingerprint string) { s.MarkCorruptFile(s.Path(fingerprint)) }
+
+// MarkCorruptFile drops the store file at path, which failed to decode or
+// to load, and counts it as MarkCorrupt does.
+func (s *Store) MarkCorruptFile(path string) {
 	s.corrupt.Add(1)
-	os.Remove(s.Path(fingerprint))
+	os.Remove(path)
 }
 
 // Put encodes and persists the artifact under the fingerprint. The write

@@ -10,12 +10,14 @@
 // termination on degenerate instances.
 //
 // The solver targets the small programs arising in this repository (tens
-// of variables, at most a few hundred rows). It keeps every tableau,
-// phase 1's included, as a dictionary of its nonbasic columns only, every
-// basic column being a unit vector, and its one pivot and warm rhs
-// transform keep every output bit of the full dense tableau's (DESIGN.md
-// §5.3, §5.4); it favors clarity and numerical robustness over
-// large-scale performance.
+// of variables, at most a few hundred rows). It compiles only the
+// structural block of the constraint matrix (a slack column is a signed
+// unit vector), keeps every tableau, phase 1's included, as a dictionary
+// of its nonbasic columns only, every basic column being a unit vector,
+// and its one pivot and warm rhs transform keep every output bit of the
+// full dense tableau's (DESIGN.md §5.3, §5.4). Objectives answers many
+// objectives over one program from one phase 1. The solver favors
+// clarity and numerical robustness over large-scale performance.
 package lp
 
 import (
@@ -178,7 +180,8 @@ type varMap struct {
 // Solve is a thin wrapper over a one-shot compiled Solver; callers that
 // resolve the same structure with changing right-hand sides or bounds
 // (MPC steps, branch-and-bound nodes) should compile once with NewSolver
-// and reuse it.
+// and reuse it, and callers that ask the same program several objectives
+// (support queries) should use NewObjectives.
 func (p *Problem) Solve() *Solution {
 	sol := NewSolver(p).Solve()
 	out := &Solution{Status: sol.Status, Objective: sol.Objective}

@@ -26,7 +26,9 @@ import (
 // Any failure (iteration cap, basic artificials, equality rows) falls back
 // to the cold two-phase path, so warm starts never change solvability.
 //
-// Storage: a Solver keeps its tableau as a dictionary — only the nonbasic
+// Storage: the compiled program holds only the structural block of the
+// standard-form matrix; each slack column is ±e_i, known from its row.
+// A Solver keeps its tableau as a dictionary — only the nonbasic
 // columns, then the rhs, with each stored column's original index and the
 // basis beside them. Every basic column is an exact unit vector, so the
 // stored columns and the basis determine the whole tableau. A pivot hands
@@ -82,7 +84,14 @@ func classOf(lo, hi float64) boundClass {
 
 // program is the immutable compiled form of a Problem: everything about
 // the standard-form conversion that does not depend on the right-hand
-// sides or the bound values. Solvers forked from one compile share it.
+// sides or the bound values. Solvers forked from one compile share it;
+// only an Objectives, which shares its program with no Solver, rewrites
+// its cost and c.
+//
+// The standard-form matrix is [S | Σ]: the m × ncols structural block S,
+// stored in sf, then one slack column per LE, GE and upper-bound row, in
+// row order. A slack column is ±e_i, known from its row (unitRow) and
+// that row's slackSgn, so the m × m slack block is never stored.
 type program struct {
 	n  int // original variables
 	m0 int // original constraint rows
@@ -96,8 +105,8 @@ type program struct {
 	total int // ncols + slack columns
 
 	rhs      []float64 // compiled right-hand sides of the original rows
-	sf       []float64 // m × total flat standard-form matrix, slack entries included
-	unitRow  []int     // per column: the row of its only nonzero in sf; < 0 when it has none or several
+	sf       []float64 // m × ncols flat structural block of the standard-form matrix
+	unitRow  []int     // per column: the row of its only nonzero; < 0 when it has none or several
 	slackSgn []float64 // per row: +1 (LE / upper), −1 (GE), 0 (EQ)
 	allSlack bool      // every row has a slack column: warm starts possible
 
@@ -173,13 +182,16 @@ const refactorEvery = 1024
 // NewSolver compiles p into a parametric solver. The problem's rows,
 // objective, and bounds are snapshotted; solve-time parameters override
 // the right-hand sides and bound values but not the structure.
-func NewSolver(p *Problem) *Solver {
+func NewSolver(p *Problem) *Solver { return &Solver{p: compile(p)} }
+
+// compile converts p to standard form: the variable maps, the structural
+// block, the slack layout, the compiled rows and bounds, and the cost.
+func compile(p *Problem) *program {
 	pr := &program{
 		n:     p.n,
 		m0:    len(p.rows),
 		maps:  make([]varMap, p.n),
 		class: make([]boundClass, p.n),
-		c:     append([]float64(nil), p.c...),
 		lower: append([]float64(nil), p.lower...),
 		upper: append([]float64(nil), p.upper...),
 	}
@@ -218,18 +230,19 @@ func NewSolver(p *Problem) *Solver {
 	slackCols += len(pr.uppers)
 	pr.total = ncols + slackCols
 
-	// Flat standard-form matrix with the slack entries in place, the
-	// compiled right-hand sides, and each row's shift terms. All three are
-	// copies, so later Problem mutations cannot reach the compiled form.
+	// The structural block, the compiled right-hand sides, and each row's
+	// shift terms. All three are copies, so later Problem mutations cannot
+	// reach the compiled form. A slack column's only nonzero is its row's.
 	pr.rhs = make([]float64, pr.m0)
 	pr.termRow = make([]int, pr.m0+1)
-	pr.sf = make([]float64, pr.m*pr.total)
+	pr.sf = make([]float64, pr.m*ncols)
 	pr.slackSgn = make([]float64, pr.m)
+	pr.unitRow = make([]int, pr.total)
 	pr.allSlack = true
 	slack := ncols
 	for i, r := range p.rows {
 		pr.rhs[i] = r.rhs
-		ro := pr.sf[i*pr.total : (i+1)*pr.total]
+		ro := pr.sf[i*ncols : (i+1)*ncols]
 		for j, coef := range r.coeffs {
 			if coef == 0 {
 				continue
@@ -251,36 +264,34 @@ func NewSolver(p *Problem) *Solver {
 		pr.termRow[i+1] = len(pr.terms)
 		switch r.sense {
 		case LE:
-			ro[slack] = 1
 			pr.slackSgn[i] = 1
-			slack++
 		case GE:
-			ro[slack] = -1
 			pr.slackSgn[i] = -1
-			slack++
 		default:
 			pr.allSlack = false
+			continue
 		}
+		pr.unitRow[slack] = i
+		slack++
 	}
 	for k, ur := range pr.uppers {
 		i := pr.m0 + k
-		ro := pr.sf[i*pr.total : (i+1)*pr.total]
-		ro[ur.col] = 1
-		ro[slack] = 1
+		pr.sf[i*ncols+ur.col] = 1
 		pr.slackSgn[i] = 1
+		pr.unitRow[slack] = i
 		slack++
 	}
 
 	// The columns that may seed phase 1's basis are those with exactly one
-	// nonzero. That pattern is the program's, whatever the signs of the
-	// right-hand sides, so phase 1 only checks that the entry normalizes to
-	// +1.
-	pr.unitRow = make([]int, pr.total)
-	for j := range pr.unitRow {
+	// nonzero: every slack column, and each structural column whose block
+	// column has one. That pattern is the program's, whatever the signs of
+	// the right-hand sides, so phase 1 only checks that the entry
+	// normalizes to +1.
+	for j := range ncols {
 		pr.unitRow[j] = -1
 	}
 	for i := 0; i < pr.m; i++ {
-		for j, a := range pr.sf[i*pr.total : (i+1)*pr.total] {
+		for j, a := range pr.sf[i*ncols : (i+1)*ncols] {
 			switch {
 			case a == 0:
 			case pr.unitRow[j] == -1:
@@ -291,25 +302,33 @@ func NewSolver(p *Problem) *Solver {
 		}
 	}
 
-	// Standard-form objective.
+	pr.c = make([]float64, pr.n)
 	pr.cost = make([]float64, pr.total)
-	for j, coef := range p.c {
+	pr.setCost(p.c)
+	return pr
+}
+
+// setCost compiles the objective c into the standard-form cost, from a
+// zeroed vector, skipping zero coefficients, each added or subtracted at
+// its variable's columns, and keeps c for extract.
+func (p *program) setCost(c []float64) {
+	copy(p.c, c)
+	clear(p.cost)
+	for j, coef := range c {
 		if coef == 0 {
 			continue
 		}
-		m := pr.maps[j]
+		m := p.maps[j]
 		switch m.kind {
 		case 0:
-			pr.cost[m.col] += coef
+			p.cost[m.col] += coef
 		case 1:
-			pr.cost[m.col] -= coef
+			p.cost[m.col] -= coef
 		case 2:
-			pr.cost[m.col] += coef
-			pr.cost[m.col2] -= coef
+			p.cost[m.col] += coef
+			p.cost[m.col2] -= coef
 		}
 	}
-
-	return &Solver{p: pr}
 }
 
 // Fork returns a new Solver over the same compiled program with its own
@@ -785,24 +804,19 @@ var coldPool = sync.Pool{New: func() any { return new(tab) }}
 // solver's, where phase 2 runs. On Optimal it leaves the dictionary,
 // basis, and phase-2 reduced costs in place as the warm-start state.
 func (s *Solver) solveCold() Status {
-	p := s.p
-	if s.basis == nil {
-		ints := make([]int, 2*p.m) // one allocation for basis and rank
-		s.basis, s.rank = ints[:p.m:p.m], ints[p.m:]
-	}
-	s.pivots = 0
-	s.warm = false
-
-	sc := coldPool.Get().(*tab)
-	st := s.phase1(sc)
-	coldPool.Put(sc)
-	if st != Optimal {
+	if st := s.phase1(); st != Optimal {
 		return st
 	}
+	return s.phase2()
+}
 
-	// Phase 2: rebuild reduced costs for the real objective. A basic
-	// column's reduced cost is its cost until its own row clears it, as
-	// every other row holds a zero there.
+// phase2 minimizes the compiled cost from the dictionary and basis phase 1
+// left in the solver.
+func (s *Solver) phase2() Status {
+	p := s.p
+	// Rebuild reduced costs for the real objective. A basic column's
+	// reduced cost is its cost until its own row clears it, as every other
+	// row holds a zero there.
 	d := &s.d
 	for c, j := range d.idx {
 		d.z[c] = p.cost[j]
@@ -831,12 +845,24 @@ func (s *Solver) solveCold() Status {
 }
 
 // phase1 seeds the basis (artificials where no unit column fits), builds
-// the dictionary of every other column in sc, normalized to b ≥ 0,
-// minimizes the sum of the artificials, drives the remaining ones out
-// where possible, and compacts the live slots and the rhs into the
-// solver's dictionary. Its status is Optimal when phase 2 may start.
-func (s *Solver) phase1(sc *tab) Status {
+// the dictionary of every other column in one drawn from coldPool,
+// normalized to b ≥ 0, minimizes the sum of the artificials, drives the
+// remaining ones out where possible, and compacts the live slots and the
+// rhs into the solver's dictionary. Its status is Optimal when phase 2
+// may start. Phase 1 never reads the objective: its status, and the
+// dictionary and basis it leaves, depend only on the rows, b and the
+// bounds (Objectives).
+func (s *Solver) phase1() Status {
 	p := s.p
+	if s.basis == nil {
+		ints := make([]int, 2*p.m) // one allocation for basis and rank
+		s.basis, s.rank = ints[:p.m:p.m], ints[p.m:]
+	}
+	s.pivots = 0
+	s.warm = false
+	sc := coldPool.Get().(*tab)
+	defer coldPool.Put(sc)
+
 	// A column whose only nonzero is +1 once its row is negated for b < 0
 	// can seed that row's basis; later (slack) columns first. Every other
 	// row takes an artificial, numbered total, total+1, … in row order.
@@ -848,7 +874,10 @@ func (s *Solver) phase1(sc *tab) Status {
 		if i < 0 || s.basis[i] != -1 {
 			continue
 		}
-		a := p.sf[i*p.total+j]
+		a := p.slackSgn[i]
+		if j < p.ncols {
+			a = p.sf[i*p.ncols+j]
+		}
 		if s.b[i] < 0 {
 			a = -a
 		}
@@ -870,28 +899,47 @@ func (s *Solver) phase1(sc *tab) Status {
 	// its column, so priced spans the artificials.
 	sc.reshape(p.m, art-p.m)
 	sc.priced = art
-	n := 0
+	n, ns := 0, 0 // the stored structural columns lead: slots [0, ns)
 	for j := 0; j < p.total; j++ {
 		if i := p.unitRow[j]; i < 0 || s.basis[i] != j {
 			sc.idx[n], sc.cols[n] = j, n
 			n++
+			if j < p.ncols {
+				ns = n
+			}
 		}
 	}
+	// Each row's structural cells come from sf, negated when b < 0; its
+	// stored slack slots hold the zero a read of ±e_k gives there, −0 in a
+	// negated row; then each stored slack column's one nonzero is written
+	// at its row. These are the cells a full-width [S | Σ] read writes,
+	// −0s included, with no per-cell branch.
 	for i := 0; i < p.m; i++ {
-		src := p.sf[i*p.total : (i+1)*p.total]
+		src := p.sf[i*p.ncols : (i+1)*p.ncols]
 		ti := sc.t[i*sc.stride : (i+1)*sc.stride]
-		b := s.b[i]
+		b, zero := s.b[i], 0.0
 		if b < 0 {
-			b = -b
-			for c, j := range sc.idx {
+			b, zero = -b, math.Copysign(0, -1)
+			for c, j := range sc.idx[:ns] {
 				ti[c] = -src[j]
 			}
 		} else {
-			for c, j := range sc.idx {
+			for c, j := range sc.idx[:ns] {
 				ti[c] = src[j]
 			}
 		}
+		for c := ns; c < n; c++ {
+			ti[c] = zero
+		}
 		ti[sc.rhs] = b
+	}
+	for c := ns; c < n; c++ {
+		i := p.unitRow[sc.idx[c]]
+		a := p.slackSgn[i]
+		if s.b[i] < 0 {
+			a = -a
+		}
+		sc.t[i*sc.stride+c] = a
 	}
 
 	// Minimize the sum of artificials (skipped when none exist).

@@ -1192,7 +1192,8 @@ type fullResult struct {
 
 // fullTableauSolve is the cold two-phase simplex on the full tableau, the
 // reference the solver's dictionaries must reproduce. It reads s's
-// compiled program and prepared b and shifts and builds m × (total +
+// compiled program, its full matrix expanded from the structural block
+// by fullMatrix, and its prepared b and shifts, and builds m × (total +
 // nart + 1) cells: every column at its own index, the nart artificials
 // after the live columns in row order, the rhs last. It pivots with
 // pivotDense and follows the solver's rules: each row negated when its
@@ -1205,12 +1206,13 @@ type fullResult struct {
 func fullTableauSolve(s *Solver) fullResult {
 	p := s.p
 	m, total := p.m, p.total
+	sf := fullMatrix(p)
 	res := fullResult{basis: make([]int, m), total: total}
 	ones := make([]int, total)
 	rowOf := make([]int, total)
 	for i := 0; i < m; i++ {
 		for j := 0; j < total; j++ {
-			if p.sf[i*total+j] != 0 {
+			if sf[i*total+j] != 0 {
 				ones[j]++
 				rowOf[j] = i
 			}
@@ -1219,9 +1221,9 @@ func fullTableauSolve(s *Solver) fullResult {
 	}
 	norm := func(i, j int) float64 {
 		if s.b[i] < 0 {
-			return -p.sf[i*total+j]
+			return -sf[i*total+j]
 		}
-		return p.sf[i*total+j]
+		return sf[i*total+j]
 	}
 	for j := total - 1; j >= 0; j-- {
 		if i := rowOf[j]; ones[j] == 1 && res.basis[i] == -1 && norm(i, j) == 1 {
@@ -1364,6 +1366,78 @@ func fullTableauSolve(s *Solver) fullResult {
 		res.obj += p.c[j] * res.x[j]
 	}
 	return res
+}
+
+// fullMatrix expands p's compiled structural block into the m × total
+// standard-form matrix with the slack entries in place: every row whose
+// slackSgn is nonzero takes the next slack column, in row order, with
+// that sign.
+func fullMatrix(p *program) []float64 {
+	full := make([]float64, p.m*p.total)
+	slack := p.ncols
+	for i := 0; i < p.m; i++ {
+		copy(full[i*p.total:], p.sf[i*p.ncols:(i+1)*p.ncols])
+		if g := p.slackSgn[i]; g != 0 {
+			full[i*p.total+slack] = g
+			slack++
+		}
+	}
+	return full
+}
+
+// TestPhase1FillMatchesFullRead holds phase 1's fill from the compact
+// structural block to a full-width read of [S | Σ], negated for b < 0,
+// bit for bit: zero signs included, the −0 a negated row holds at every
+// other row's slack among them. Its programs give each row a private
+// variable with coefficient ±1, so a row negated for b < 0 can be seeded
+// by that column; where phase 1 then needs no artificial it pivots
+// nothing, and the dictionary it leaves is the fill itself.
+func TestPhase1FillMatchesFullRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	checked, negated := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		m, shared := 1+rng.Intn(6), rng.Intn(3)
+		p := NewProblem(shared + m)
+		for j := 0; j < shared+m; j++ {
+			p.SetBounds(j, 0, math.Inf(1))
+		}
+		for i := 0; i < m; i++ {
+			a := make([]float64, shared+m)
+			for j := 0; j < shared; j++ {
+				a[j] = coldCoefs[rng.Intn(len(coldCoefs))]
+			}
+			a[shared+i] = []float64{1, -1}[rng.Intn(2)]
+			p.AddConstraint(a, []Sense{LE, GE}[rng.Intn(2)], coldCoefs[rng.Intn(len(coldCoefs))])
+		}
+		o := NewObjectives(p)
+		s := &o.s
+		if o.st != Optimal || s.pivots != 0 {
+			continue
+		}
+		pr, k := s.p, &o.kept
+		full := fullMatrix(pr)
+		neg := false
+		for i := 0; i < pr.m; i++ {
+			for c, j := range k.idx {
+				want := full[i*pr.total+j]
+				if s.b[i] < 0 {
+					want = -want
+				}
+				if got := k.t[i*k.stride+c]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: row %d column %d = %v, full read %v", trial, i, j, got, want)
+				}
+			}
+			neg = neg || s.b[i] < 0
+		}
+		checked++
+		if neg {
+			negated++
+		}
+	}
+	t.Logf("%d fills checked, %d with a negated row", checked, negated)
+	if negated == 0 {
+		t.Fatal("no checked fill had a negated row")
+	}
 }
 
 // coldCoefs are the values the cold-path comparisons draw coefficients,

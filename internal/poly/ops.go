@@ -19,8 +19,9 @@ func Erode(p, q *Polytope) (*Polytope, error) {
 		panic(fmt.Sprintf("poly: Erode: dims %d vs %d", p.Dim(), q.Dim()))
 	}
 	b := make(mat.Vec, p.A.R)
+	sq := q.supports()
 	for i := 0; i < p.A.R; i++ {
-		h, _, err := q.Support(p.A.Row(i))
+		h, _, err := sq.at(p.A.RowView(i))
 		if err != nil {
 			return nil, fmt.Errorf("poly: Erode: row %d: %w", i, err)
 		}
@@ -38,8 +39,9 @@ func ErodeMapped(p *Polytope, m *mat.Mat, q *Polytope) (*Polytope, error) {
 	}
 	mt := m.T()
 	b := make(mat.Vec, p.A.R)
+	sq := q.supports()
 	for i := 0; i < p.A.R; i++ {
-		h, _, err := q.Support(mt.MulVec(p.A.Row(i)))
+		h, _, err := sq.at(mt.MulVec(p.A.RowView(i)))
 		if err != nil {
 			return nil, fmt.Errorf("poly: ErodeMapped: row %d: %w", i, err)
 		}
@@ -101,19 +103,21 @@ func MinkowskiSum(p, q *Polytope) (*Polytope, error) {
 }
 
 func minkowskiSum1D(p, q *Polytope) (*Polytope, error) {
-	hiP, _, err := p.Support(mat.Vec{1})
+	sp := p.supports()
+	hiP, _, err := sp.at(mat.Vec{1})
 	if err != nil {
 		return nil, err
 	}
-	loP, _, err := p.Support(mat.Vec{-1})
+	loP, _, err := sp.at(mat.Vec{-1})
 	if err != nil {
 		return nil, err
 	}
-	hiQ, _, err := q.Support(mat.Vec{1})
+	sq := q.supports()
+	hiQ, _, err := sq.at(mat.Vec{1})
 	if err != nil {
 		return nil, err
 	}
-	loQ, _, err := q.Support(mat.Vec{-1})
+	loQ, _, err := sq.at(mat.Vec{-1})
 	if err != nil {
 		return nil, err
 	}
@@ -161,12 +165,13 @@ func minkowskiSumTemplate(p, q *Polytope) (*Polytope, error) {
 	}
 	a := mat.New(len(dirs), n)
 	b := make(mat.Vec, len(dirs))
+	sp, sq := p.supports(), q.supports()
 	for i, d := range dirs {
-		hp, _, err := p.Support(d)
+		hp, _, err := sp.at(d)
 		if err != nil {
 			return nil, err
 		}
-		hq, _, err := q.Support(d)
+		hq, _, err := sq.at(d)
 		if err != nil {
 			return nil, err
 		}
@@ -179,9 +184,16 @@ func minkowskiSumTemplate(p, q *Polytope) (*Polytope, error) {
 }
 
 // ReduceRedundancy returns an equivalent polytope with redundant rows
-// removed: row i is dropped when maximizing A_i·x subject to all remaining
-// rows cannot exceed B_i. Duplicate and trivially slack rows are removed
-// first. The polytope itself is not modified.
+// removed: row i is dropped only when its LP, maximizing A_i·x subject to
+// all remaining rows inside a ±1e9 box, returns Optimal and proves it
+// redundant (the maximum does not exceed B_i). A row whose LP ends in any
+// other status is kept, so the result can keep redundant rows: the box
+// shifts every variable by 1e9, which puts about half of each LP's rows
+// below zero, and phase 1's 1e-7 infeasibility test then meets rounding
+// at the 1e9 scale and reports many of these LPs Infeasible. A kept
+// redundant row cuts nothing, so the set is still exact. Duplicate and
+// trivially slack rows are removed first. The polytope itself is not
+// modified.
 func (p *Polytope) ReduceRedundancy() *Polytope {
 	type rowT struct {
 		a   mat.Vec
@@ -276,15 +288,16 @@ func (p *Polytope) BoundingBox() (lo, hi []float64, err error) {
 	lo = make([]float64, n)
 	hi = make([]float64, n)
 	d := make(mat.Vec, n)
+	sp := p.supports()
 	for j := 0; j < n; j++ {
 		d[j] = 1
-		h, _, err := p.Support(d)
+		h, _, err := sp.at(d)
 		if err != nil {
 			return nil, nil, err
 		}
 		hi[j] = h
 		d[j] = -1
-		h, _, err = p.Support(d)
+		h, _, err = sp.at(d)
 		if err != nil {
 			return nil, nil, err
 		}

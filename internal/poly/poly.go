@@ -162,19 +162,36 @@ func (p *Polytope) IsEmpty() bool {
 // maximizing point. It returns ErrUnbounded when the maximum is +∞ and
 // ErrEmpty when P is empty.
 func (p *Polytope) Support(d mat.Vec) (float64, mat.Vec, error) {
-	if len(d) != p.Dim() {
-		panic(fmt.Sprintf("poly: Support: direction dim %d vs polytope dim %d", len(d), p.Dim()))
+	h, x, err := p.supports().at(d)
+	return h, append(mat.Vec(nil), x...), err
+}
+
+// supports answers support queries over one polytope: its feasibility LP
+// is compiled and its phase 1 run once (lp.Objectives), and each
+// direction runs only its own phase 2, with the bits of a fresh solve.
+// Every support query in this package goes through one.
+type supports struct {
+	o   *lp.Objectives
+	neg []float64
+}
+
+func (p *Polytope) supports() *supports {
+	return &supports{o: lp.NewObjectives(p.feasibilityLP()), neg: make([]float64, p.Dim())}
+}
+
+// at returns h(d) and a maximizing point, which aliases the solver's
+// buffer until the next query, as Support does.
+func (s *supports) at(d mat.Vec) (float64, []float64, error) {
+	if len(d) != len(s.neg) {
+		panic(fmt.Sprintf("poly: Support: direction dim %d vs polytope dim %d", len(d), len(s.neg)))
 	}
-	prob := p.feasibilityLP()
-	neg := make([]float64, len(d))
 	for i, v := range d {
-		neg[i] = -v
+		s.neg[i] = -v
 	}
-	prob.SetObjective(neg)
-	sol := prob.Solve()
+	sol := s.o.Solve(s.neg)
 	switch sol.Status {
 	case lp.Optimal:
-		return -sol.Objective, mat.Vec(sol.X), nil
+		return -sol.Objective, sol.X, nil
 	case lp.Unbounded:
 		return math.Inf(1), nil, ErrUnbounded
 	case lp.Infeasible:
@@ -262,8 +279,9 @@ func (p *Polytope) Covers(q *Polytope, tol float64) (bool, error) {
 	if p.Dim() != q.Dim() {
 		panic("poly: Covers: dimension mismatch")
 	}
+	sq := q.supports()
 	for i := 0; i < p.A.R; i++ {
-		h, _, err := q.Support(p.A.Row(i))
+		h, _, err := sq.at(p.A.RowView(i))
 		if err != nil {
 			return false, err
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"oic/pkg/oic"
 )
@@ -53,13 +54,22 @@ func (s *Server) loadFromStore(key string) (*oic.Engine, bool) {
 		s.store.MarkCorrupt(key)
 		return nil, false
 	}
-	eng, err := oic.LoadEngine(a)
+	eng, err := s.loadEngine(a)
 	if err != nil {
 		s.store.MarkCorrupt(key)
 		return nil, false
 	}
 	s.m.enginesLoaded.Add(1)
 	return eng, true
+}
+
+// loadEngine runs oic.LoadEngine and observes its wall time, failed loads
+// included, in oicd_engine_load_seconds.
+func (s *Server) loadEngine(a *oic.Artifact) (*oic.Engine, error) {
+	start := time.Now()
+	eng, err := oic.LoadEngine(a)
+	s.m.engineLoadHist.Observe(time.Since(start).Seconds())
+	return eng, err
 }
 
 // writeBack persists a freshly built engine so the next process (or the
@@ -82,30 +92,45 @@ func (s *Server) writeBack(key string, eng *oic.Engine) {
 // engine cache; run it on a background goroutine and let it flip
 // readiness back when done. Split this way so callers observe 503 from
 // the moment the server is constructed, with no startup race window.
-func (s *Server) BeginPreload() (run func() (int, error), err error) {
+//
+// The closure returns the engines it loaded and the store files it
+// skipped. A file that fails to decode or to load is handled as a lookup
+// handles it: counted in oicd_artifact_corrupt_total and removed, so the
+// first request for its config rebuilds and writes back a healed entry.
+// A file that fails to read is left in place. Every skip is logged with
+// its path and error.
+func (s *Server) BeginPreload() (run func() (loaded, skipped int, err error), err error) {
 	if s.store == nil {
 		return nil, fmt.Errorf("server: preload requested without an artifact store")
 	}
 	s.preloading.Store(true)
-	return func() (int, error) {
+	return func() (loaded, skipped int, err error) {
 		defer s.preloading.Store(false)
 		files, err := s.store.Files()
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		loaded := 0
+		skip := func(path string, err error) {
+			skipped++
+			s.log.Warn("preload skipped artifact", "path", path, "error", err)
+		}
 		for _, path := range files {
 			b, err := os.ReadFile(path)
 			if err != nil {
+				skip(path, err)
 				continue
 			}
 			a, err := oic.DecodeArtifact(b)
 			if err != nil {
+				s.store.MarkCorruptFile(path)
+				skip(path, err)
 				continue
 			}
 			key := oic.ConfigFromArtifact(a).Fingerprint()
-			eng, err := oic.LoadEngine(a)
+			eng, err := s.loadEngine(a)
 			if err != nil {
+				s.store.MarkCorruptFile(path)
+				skip(path, err)
 				continue
 			}
 			s.mu.Lock()
@@ -123,6 +148,6 @@ func (s *Server) BeginPreload() (run func() (int, error), err error) {
 			s.m.artifactPreloaded.Add(1)
 			loaded++
 		}
-		return loaded, nil
+		return loaded, skipped, nil
 	}, nil
 }

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"oic/internal/artifact"
 	"oic/pkg/oic"
 )
 
@@ -46,8 +51,8 @@ func TestReadyzPreloading(t *testing.T) {
 		t.Fatalf("healthz during preload: %d %v, want 200 ok with preloading marker", st, hz)
 	}
 
-	if n, err := run(); err != nil || n != 0 {
-		t.Fatalf("preload of empty store = (%d, %v), want (0, nil)", n, err)
+	if n, skipped, err := run(); err != nil || n != 0 || skipped != 0 {
+		t.Fatalf("preload of empty store = (%d, %d, %v), want (0, 0, nil)", n, skipped, err)
 	}
 	hz = nil
 	if st := c.do("GET", "/readyz", nil, &hz); st != http.StatusOK || hz["ok"] != true {
@@ -64,6 +69,108 @@ func TestReadyzPreloadWithoutStore(t *testing.T) {
 	}
 	if st := c.do("GET", "/readyz", nil, nil); st != http.StatusOK {
 		t.Fatalf("readyz after failed BeginPreload: status %d", st)
+	}
+}
+
+// goldenBytes reads a committed golden artifact.
+func goldenBytes(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", "golden", name+artifact.Ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// putGolden stores the committed golden artifact name in the artifact
+// store at dir, under its fingerprint.
+func putGolden(t *testing.T, dir, name string) {
+	t.Helper()
+	a, err := oic.DecodeArtifact(goldenBytes(t, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := oic.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(oic.ConfigFromArtifact(a).Fingerprint(), a); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// syncBuffer is a bytes.Buffer a logger may write from another goroutine.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *syncBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *syncBuffer) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
+}
+
+// TestPreloadSkipsBadArtifacts: preload handles a bad store file the way
+// a lookup does. A store holding one golden artifact, one truncated file
+// and one that cannot be read preloads the one engine; the truncated file
+// is counted corrupt and removed, the unreadable one is left in place,
+// both skips are logged with their paths, /readyz reads ready, and the
+// load is timed in oicd_engine_load_seconds.
+func TestPreloadSkipsBadArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	putGolden(t, dir, "thermo-drl")
+	acc := goldenBytes(t, "acc-always-run")
+	truncated := filepath.Join(dir, "0000000000000000"+artifact.Ext)
+	if err := os.WriteFile(truncated, acc[:len(acc)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unreadable := filepath.Join(dir, "ffffffffffffffff"+artifact.Ext)
+	if err := os.Symlink(filepath.Join(dir, "missing"), unreadable); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs syncBuffer
+	srv, c := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err := srv.OpenArtifactStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	run, err := srv.BeginPreload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, skipped, err := run(); err != nil || n != 1 || skipped != 2 {
+		t.Fatalf("preload = (%d, %d, %v), want (1, 2, nil)", n, skipped, err)
+	}
+	if got := srv.ArtifactStats().Corrupt; got != 1 {
+		t.Errorf("corrupt count %d, want 1", got)
+	}
+	if _, err := os.Stat(truncated); !os.IsNotExist(err) {
+		t.Errorf("truncated file still in the store (stat: %v)", err)
+	}
+	if _, err := os.Lstat(unreadable); err != nil {
+		t.Errorf("unreadable file removed: %v", err)
+	}
+	for _, path := range []string{truncated, unreadable} {
+		if !strings.Contains(logs.String(), path) {
+			t.Errorf("no skip logged for %s:\n%s", path, logs.String())
+		}
+	}
+	if st := c.do("GET", "/readyz", nil, nil); st != http.StatusOK {
+		t.Fatalf("readyz after preload: status %d", st)
+	}
+	exposition := scrape(t, c)
+	if !strings.Contains(exposition, "oicd_artifact_corrupt_total 1\n") {
+		t.Errorf("oicd_artifact_corrupt_total is not 1")
+	}
+	if n := histCount(t, exposition, "oicd_engine_load_seconds"); n != 1 {
+		t.Errorf("oicd_engine_load_seconds count = %d, want 1", n)
 	}
 }
 
@@ -137,8 +244,8 @@ func TestServerArtifactStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := run(); err != nil || n != 1 {
-		t.Fatalf("preload = (%d, %v), want (1, nil)", n, err)
+	if n, skipped, err := run(); err != nil || n != 1 || skipped != 0 {
+		t.Fatalf("preload = (%d, %d, %v), want (1, 0, nil)", n, skipped, err)
 	}
 	createSession(t, cC, req)
 	if got := srvC.m.enginesBuilt.Load(); got != 0 {

@@ -75,6 +75,7 @@ type metrics struct {
 	journalAppendHist *obs.Histogram
 	journalSyncHist   *obs.Histogram
 	recoveryPhases    *obs.PhaseHistogram
+	engineLoadHist    *obs.Histogram // LoadEngine wall time: preload and artifact-store hits
 }
 
 // initHists builds the histogram set; New calls it once per server.
@@ -89,6 +90,7 @@ func (m *metrics) initHists() {
 	m.journalAppendHist = obs.NewHistogram("oicd_journal_append_seconds", "write-ahead journal append latency", lat)
 	m.journalSyncHist = obs.NewHistogram("oicd_journal_sync_seconds", "write-ahead journal fsync latency", lat)
 	m.recoveryPhases = obs.NewPhaseHistogram("oicd_recovery_phase_seconds", "boot journal recovery phase durations", []string{"scan", "rebuild", "replay"}, lat)
+	m.engineLoadHist = obs.NewHistogram("oicd_engine_load_seconds", "engine loads from artifacts (preload and artifact-store hits)", lat)
 }
 
 // observeTick folds one fleet tick into the counters, the tick and phase
@@ -148,6 +150,7 @@ func (m *metrics) render(w io.Writer, liveSessions, cachedEngines int, fleets []
 	counter("oicd_artifact_writes_total", "artifacts written back after engine builds", store.Writes)
 	counter("oicd_artifact_retries_total", "transient artifact read failures absorbed by the bounded retry loop", store.Retries)
 	counter("oicd_artifact_preloaded_total", "engines materialized from artifacts at boot", m.artifactPreloaded.Load())
+	m.engineLoadHist.Write(w)
 	counter("oicd_steps_total", "control steps executed", m.steps.Load())
 	counter("oicd_skips_total", "steps that skipped the controller (z=0)", m.skips.Load())
 	counter("oicd_forced_total", "runs forced by the safety monitor", m.forced.Load())

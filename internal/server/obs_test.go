@@ -56,7 +56,21 @@ func histCount(t *testing.T, exposition, prefix string) uint64 {
 // parser: declared types, cumulative buckets ending at +Inf, and
 // _count == +Inf for every histogram series.
 func TestMetricsScrapeValid(t *testing.T) {
-	_, c := newTestServer(t, Config{})
+	srv, c := newTestServer(t, Config{})
+
+	// A preloaded golden artifact feeds oicd_engine_load_seconds.
+	dir := t.TempDir()
+	putGolden(t, dir, "thermo-drl")
+	if err := srv.OpenArtifactStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	run, err := srv.BeginPreload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, skipped, err := run(); err != nil || n != 1 || skipped != 0 {
+		t.Fatalf("preload = (%d, %d, %v), want (1, 0, nil)", n, skipped, err)
+	}
 
 	// Sessions: create + step feed oicd_step_seconds.
 	var info oic.SessionInfo
@@ -101,6 +115,9 @@ func TestMetricsScrapeValid(t *testing.T) {
 	}
 	if n := histCount(t, exposition, "oicd_step_seconds"); n < 1 {
 		t.Errorf("oicd_step_seconds count = %d, want ≥ 1", n)
+	}
+	if n := histCount(t, exposition, "oicd_engine_load_seconds"); n != 1 {
+		t.Errorf("oicd_engine_load_seconds count = %d, want 1", n)
 	}
 	for _, name := range []string{"go_goroutines", "go_heap_inuse_bytes", "go_gc_pause_seconds_total"} {
 		if !strings.Contains(exposition, name+" ") {

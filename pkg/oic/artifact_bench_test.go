@@ -23,30 +23,28 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineLoad measures the warm-boot path: decoding a persisted
+// BenchmarkEngineLoad measures the warm-boot path on the two committed
+// golden artifacts the oicbench workloads serve: decoding a persisted
 // artifact and reconstructing a serving engine from it (precompiled
-// sets, restored skip chain, no set synthesis, no training) — what oicd
-// pays per engine when -artifact-dir hits or -preload materializes the
-// catalogue.
+// sets, restored skip chain, no training) — what oicd pays per engine
+// when -artifact-dir hits or -preload materializes the catalogue. An
+// ACC load still synthesizes the RMPC's terminal set; both validate the
+// stored skip chain.
 func BenchmarkEngineLoad(b *testing.B) {
-	eng := accEngine(b)
-	a, err := eng.Artifact()
-	if err != nil {
-		b.Fatal(err)
-	}
-	raw, err := EncodeArtifact(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a2, err := DecodeArtifact(raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := LoadEngine(a2); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"acc-always-run", "thermo-drl"} {
+		b.Run(name, func(b *testing.B) {
+			raw := goldenArtifactBytes(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, err := DecodeArtifact(raw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := LoadEngine(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
