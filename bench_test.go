@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"oic/internal/acc"
 	"oic/internal/controller"
@@ -66,9 +67,9 @@ func BenchmarkFig4(b *testing.B) {
 		if r.Violations != 0 {
 			b.Fatalf("safety violations: %d", r.Violations)
 		}
-		b.ReportMetric(r.BBMean, "bb-fuel-saving-%")
-		b.ReportMetric(r.DRLMean, "drl-fuel-saving-%")
-		b.ReportMetric(r.SkipsDRL, "drl-skips/100")
+		b.ReportMetric(r.BBMeanPct, "bb-fuel-saving-%")
+		b.ReportMetric(r.DRLMeanPct, "drl-fuel-saving-%")
+		b.ReportMetric(r.SkipsPer100, "drl-skips/100")
 	}
 }
 
@@ -87,8 +88,8 @@ func BenchmarkTable1Fig5(b *testing.B) {
 		}
 		first := r.Points[0]
 		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(first.DRLSaving, "ex1-drl-saving-%")
-		b.ReportMetric(last.DRLSaving, "ex5-drl-saving-%")
+		b.ReportMetric(first.DRLSavingPct, "ex1-drl-saving-%")
+		b.ReportMetric(last.DRLSavingPct, "ex5-drl-saving-%")
 	}
 }
 
@@ -104,8 +105,8 @@ func BenchmarkFig6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Points[0].DRLSaving, "ex6-drl-saving-%")
-		b.ReportMetric(r.Points[4].DRLSaving, "ex10-drl-saving-%")
+		b.ReportMetric(r.Points[0].DRLSavingPct, "ex6-drl-saving-%")
+		b.ReportMetric(r.Points[4].DRLSavingPct, "ex10-drl-saving-%")
 	}
 }
 
@@ -119,9 +120,9 @@ func BenchmarkTimingAnalysis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.ComputeSaving, "compute-saving-%")
-		b.ReportMetric(float64(r.CtrlPerStep.Microseconds()), "rmpc-µs/step")
-		b.ReportMetric(float64(r.MonitorPerStep.Microseconds()), "monitor-µs/step")
+		b.ReportMetric(r.ComputeSavingPct, "compute-saving-%")
+		b.ReportMetric(float64(time.Duration(r.CtrlPerStepNS).Microseconds()), "rmpc-µs/step")
+		b.ReportMetric(float64(time.Duration(r.MonitorPerStepNS).Microseconds()), "monitor-µs/step")
 	}
 }
 

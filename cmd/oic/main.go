@@ -57,7 +57,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -251,7 +251,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if err := emit(exp.JSONFig4(r), exp.RenderFig4(r)); err != nil {
+		if err := emit(r.Fig4Report, exp.RenderFig4(r)); err != nil {
 			return err
 		}
 		return writeCSV("fig4.csv", exp.CSVFig4(r))
@@ -273,12 +273,12 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := emit(exp.JSONSeries(r), exp.RenderSeries(r)); err != nil {
+			if err := emit(r.SeriesReport, exp.RenderSeries(r)); err != nil {
 				return err
 			}
 			if withTable {
-				rows := exp.Table1FromSeries(r)
-				if err := emit(exp.JSONTable1(p.Name(), rows), "\n"+exp.RenderTable1(rows)); err != nil {
+				table := exp.Table1FromSeries(r)
+				if err := emit(table, "\n"+exp.RenderTable1(table)); err != nil {
 					return err
 				}
 			}
@@ -286,18 +286,18 @@ func main() {
 		}
 	}
 	doTable1 := func() error {
-		rows, err := exp.Table1(p, opt)
+		table, err := exp.Table1(p, opt)
 		if err != nil {
 			return err
 		}
-		return emit(exp.JSONTable1(p.Name(), rows), exp.RenderTable1(rows))
+		return emit(table, exp.RenderTable1(table))
 	}
 	doTiming := func() error {
 		r, err := exp.Timing(p, opt)
 		if err != nil {
 			return err
 		}
-		return emit(exp.JSONTiming(r), exp.RenderTiming(r))
+		return emit(r, exp.RenderTiming(r))
 	}
 
 	// headlineEngine builds the facade engine the set inspections read
@@ -390,13 +390,9 @@ func main() {
 		if err != nil {
 			return err
 		}
-		var sizes []int
-		for _, tok := range strings.Split(*fleetSizes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("bad -fleet-sizes entry %q", tok)
-			}
-			sizes = append(sizes, n)
+		sizes, err := parseFleetSizes(*fleetSizes)
+		if err != nil {
+			return err
 		}
 		type point struct {
 			Sessions       int     `json:"sessions"`
@@ -417,56 +413,20 @@ func main() {
 			"sessions", "mean tick", "max tick", "utilization", "reclaimed", "shed", "viol", "real-time")
 		achievable := 0
 		for _, size := range sizes {
-			f, err := eng.NewFleet(oic.FleetConfig{ComputeBudget: *fleetBudget, MaxSessions: size})
+			// Real-time means the *worst* steady-state tick fits the
+			// control period — a tick over the deadline is a missed control
+			// deadline, however good the mean.
+			var meanNS, maxNS float64
+			steady := max(*fleetTicks-1, 1)
+			st, err := runFleet(eng, oic.FleetConfig{ComputeBudget: *fleetBudget, MaxSessions: size},
+				size, *fleetTicks, *seed, nil, func(_ int, rep oic.TickReport) {
+					ns := float64(rep.Elapsed.Nanoseconds())
+					meanNS += ns / float64(steady)
+					maxNS = max(maxNS, ns)
+				})
 			if err != nil {
 				return err
 			}
-			ids := make([]int, size)
-			traces := make([][][]float64, size)
-			for i := 0; i < size; i++ {
-				x0, w, err := eng.DrawCase(*seed+int64(i), *fleetTicks)
-				if err != nil {
-					f.Close()
-					return err
-				}
-				if ids[i], err = f.Admit(x0); err != nil {
-					f.Close()
-					return err
-				}
-				traces[i] = w
-			}
-			ctx := context.Background()
-			// Tick 0 pays every member's one-time cold κ solve and is
-			// excluded from the latency statistics; steady state is what
-			// the deadline question is about. Real-time means the *worst*
-			// steady-state tick fits the control period — a tick over the
-			// deadline is a missed control deadline, however good the mean.
-			var meanNS, maxNS float64
-			steady := *fleetTicks - 1
-			if steady < 1 {
-				steady = 1
-			}
-			for tk := 0; tk < *fleetTicks; tk++ {
-				ws := make(map[int][]float64, size)
-				for i, id := range ids {
-					ws[id] = traces[i][tk]
-				}
-				rep, err := f.Tick(ctx, ws)
-				if err != nil {
-					f.Close()
-					return err
-				}
-				if tk == 0 && *fleetTicks > 1 {
-					continue
-				}
-				ns := float64(rep.Elapsed.Nanoseconds())
-				meanNS += ns / float64(steady)
-				if ns > maxNS {
-					maxNS = ns
-				}
-			}
-			st := f.Stats()
-			f.Close()
 			pt := point{
 				Sessions:       size,
 				MeanTickMS:     meanNS / 1e6,
@@ -514,21 +474,14 @@ func main() {
 		if err != nil {
 			return err
 		}
-		size := 0
-		for _, tok := range strings.Split(*fleetSizes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("bad -fleet-sizes entry %q", tok)
-			}
-			if n > size {
-				size = n
-			}
+		sizes, err := parseFleetSizes(*fleetSizes)
+		if err != nil {
+			return err
 		}
-		ticks := *fleetTicks
-		if ticks < 6 {
-			ticks = 6
-		}
+		size := slices.Max(sizes)
+		ticks := max(*fleetTicks, 6)
 		noiseFrom, noiseTo := ticks/3, 2*ticks/3
+		loBudget := max(*fleetBudget/4, 1)
 
 		// The shared disturbance schedule: both runs burn CPU on exactly
 		// the same ticks, decided once up front by the seeded injector.
@@ -543,16 +496,17 @@ func main() {
 			}
 		}
 
-		// burnStart spins half the cores until stop closes — the co-tenant
-		// stealing CPU from the scheduler's worker pool during a noisy tick.
-		spinners := runtime.NumCPU() / 2
-		if spinners < 1 {
-			spinners = 1
-		}
-		burnStart := func() (chan struct{}, *sync.WaitGroup) {
+		// burn spins half the cores through a noisy tick — the co-tenant
+		// stealing CPU from the scheduler's worker pool — and returns the
+		// function that stops them.
+		spinners := max(runtime.NumCPU()/2, 1)
+		burn := func(tk int) func() {
+			if !noisy[tk] {
+				return func() {}
+			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
-			for g := 0; g < spinners; g++ {
+			for range spinners {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -570,7 +524,10 @@ func main() {
 					}
 				}()
 			}
-			return stop, &wg
+			return func() {
+				close(stop)
+				wg.Wait()
+			}
 		}
 
 		type phaseDoc struct {
@@ -608,29 +565,8 @@ func main() {
 			cfg := oic.FleetConfig{ComputeBudget: *fleetBudget, MaxSessions: size, TickDeadline: *deadline}
 			doc := runDoc{Mode: "static"}
 			if elastic {
-				min := *fleetBudget / 4
-				if min < 1 {
-					min = 1
-				}
-				cfg.Elastic = &oic.ElasticConfig{MinBudget: min, MaxBudget: *fleetBudget * 2}
+				cfg.Elastic = &oic.ElasticConfig{MinBudget: loBudget, MaxBudget: *fleetBudget * 2}
 				doc.Mode = "elastic"
-			}
-			f, err := eng.NewFleet(cfg)
-			if err != nil {
-				return doc, err
-			}
-			defer f.Close()
-			ids := make([]int, size)
-			traces := make([][][]float64, size)
-			for i := 0; i < size; i++ {
-				x0, w, err := eng.DrawCase(*seed+int64(i), ticks)
-				if err != nil {
-					return doc, err
-				}
-				if ids[i], err = f.Admit(x0); err != nil {
-					return doc, err
-				}
-				traces[i] = w
 			}
 			var phases [3]phaseDoc
 			marginOK := make([]int, 3)
@@ -639,31 +575,7 @@ func main() {
 				phases[ph].MinBudget = int(^uint(0) >> 1)
 			}
 			okTotal, counted := 0, 0
-			ctx := context.Background()
-			for tk := 0; tk < ticks; tk++ {
-				ws := make(map[int][]float64, size)
-				for i, id := range ids {
-					ws[id] = traces[i][tk]
-				}
-				var stop chan struct{}
-				var wg *sync.WaitGroup
-				if noisy[tk] {
-					stop, wg = burnStart()
-				}
-				rep, err := f.Tick(ctx, ws)
-				if noisy[tk] {
-					close(stop)
-					wg.Wait()
-				}
-				if err != nil {
-					return doc, err
-				}
-				// Tick 0 pays every member's one-time cold κ solve; like the
-				// sweep, it is excluded from the statistics — the controller
-				// question is about steady state.
-				if tk == 0 && ticks > 1 {
-					continue
-				}
+			st, err := runFleet(eng, cfg, size, ticks, *seed, burn, func(tk int, rep oic.TickReport) {
 				ph := &phases[phaseOf(tk)]
 				ph.Ticks++
 				counted++
@@ -671,15 +583,14 @@ func main() {
 					marginOK[phaseOf(tk)]++
 					okTotal++
 				}
-				if rep.Budget < ph.MinBudget {
-					ph.MinBudget = rep.Budget
-				}
-				if rep.Budget > ph.MaxBudget {
-					ph.MaxBudget = rep.Budget
-				}
+				ph.MinBudget = min(ph.MinBudget, rep.Budget)
+				ph.MaxBudget = max(ph.MaxBudget, rep.Budget)
 				ph.MeanBudget += float64(rep.Budget)
 				ph.Shed += rep.Shed
 				ph.Degraded += rep.Degraded
+			})
+			if err != nil {
+				return doc, err
 			}
 			for ph := range phases {
 				if phases[ph].Ticks > 0 {
@@ -693,7 +604,6 @@ func main() {
 			if counted > 0 {
 				doc.MarginOK = float64(okTotal) / float64(counted)
 			}
-			st := f.Stats()
 			doc.Violations = st.Violations
 			doc.BudgetRaises = st.BudgetRaises
 			doc.BudgetLowers = st.BudgetLowers
@@ -711,10 +621,6 @@ func main() {
 		}
 
 		var b strings.Builder
-		loBudget := *fleetBudget / 4
-		if loBudget < 1 {
-			loBudget = 1
-		}
 		fmt.Fprintf(&b, "fleet elastic run on plant %q: %d sessions, %d ticks, deadline %v, budget %d (elastic %d..%d)\n",
 			p.Name(), size, ticks, *deadline, *fleetBudget, loBudget, *fleetBudget*2)
 		fmt.Fprintf(&b, "CPU noise: ticks %d..%d at rate %.2f → %d noisy ticks, %d spinner cores (fault site %s, seed %d)\n",

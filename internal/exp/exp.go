@@ -16,18 +16,19 @@
 // The harness is a client of the public pkg/oic facade — the same engines
 // (compiled safety sets, parametric LP, trained policy) that oicd serves
 // over HTTP regenerate the paper's figures here, so the served runtime and
-// the published numbers can never drift apart.
+// the published numbers can never drift apart. Each experiment fills the
+// pkg/oic report `oic -json` emits, and the text and CSV renderers read
+// that same value.
 package exp
 
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"time"
 
 	"oic/internal/plant"
-	"oic/internal/rl"
 	"oic/internal/sched"
-	"oic/internal/stats"
 	"oic/pkg/oic"
 )
 
@@ -176,32 +177,51 @@ func runCase(eng *oic.Engine, withPolicy bool, opt Options, i int) (Case, error)
 	return c, nil
 }
 
+// savingEdges are Fig. 4's 10 %-wide bins over the full attainable range:
+// a saving vs. a non-negative baseline cost cannot exceed 100 %, but
+// plants differ in where their mass lands (acc ~10–40 %, thermo's
+// bang-bang ~80–90 %). Negative savings (e.g. under-trained agents) land
+// in Underflow and are rendered explicitly; exactly 100 % (zero-cost run)
+// in Overflow.
+var savingEdges = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+
+func newSavingHist() oic.Histogram {
+	return oic.Histogram{
+		Edges:  append([]float64(nil), savingEdges...),
+		Counts: make([]int, len(savingEdges)-1),
+	}
+}
+
+// addSample counts x into h: a value below the first edge is underflow,
+// one at or above the last edge overflow, and one equal to an inner edge
+// falls in the bin that edge opens.
+func addSample(h *oic.Histogram, x float64) {
+	switch {
+	case x < h.Edges[0]:
+		h.Underflow++
+	case x >= h.Edges[len(h.Edges)-1]:
+		h.Overflow++
+	default:
+		h.Counts[sort.Search(len(h.Counts), func(i int) bool { return x < h.Edges[i+1] })]++
+	}
+}
+
 // Fig4Result is the savings-distribution experiment (the paper's Figure 4
 // on the ACC plant): the distribution of cost savings of bang-bang and
 // DRL-based opportunistic intermittent control over the always-run
-// baseline, across randomly generated cases.
+// baseline, across randomly generated cases. Its report is what
+// `oic -json` emits; the text and CSV reports also read the rest.
 type Fig4Result struct {
-	Plant     string // plant name
-	CostLabel string // unit of the cost metric
-	Scenario  plant.Scenario
-	Opt       Options
-	Cases     int
-
-	BBHist     *stats.Histogram // savings histogram, 10 %-wide bins
-	DRLHist    *stats.Histogram
-	BBSavings  []float64 // per-case savings (%)
-	DRLSavings []float64
-	BBMean     float64 // paper (acc): 16.28 %
-	DRLMean    float64 // paper (acc): 23.83 %
-	BBEnergy   float64 // mean energy saving (%) — Problem 1's objective
-	DRLEnergy  float64
-	SkipsDRL   float64 // mean skipped steps per 100 (paper, acc: 79.4)
-	Violations int     // total safety violations (Theorem 1: 0)
-	Train      rl.TrainStats
+	oic.Fig4Report
+	Description string    // the headline scenario's description
+	BBSavings   []float64 // per-case savings (%), in case order
+	DRLSavings  []float64
 }
 
 // Fig4 trains the DRL agent on the plant's headline scenario and evaluates
-// the three approaches on paired random cases.
+// the three approaches on paired random cases. On acc the paper reports
+// mean savings of 16.28 % (bang-bang) and 23.83 % (DRL) and 79.4 skipped
+// steps per 100; Theorem 1 requires 0 violations.
 func Fig4(p plant.Plant, opt Options) (*Fig4Result, error) {
 	opt = opt.withDefaults(p)
 	sc := p.Headline()
@@ -209,75 +229,65 @@ func Fig4(p plant.Plant, opt Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: Fig4(%s): %w", p.Name(), err)
 	}
-
-	// 10 %-wide bins over the full attainable range: a saving vs. a
-	// non-negative baseline cost cannot exceed 100 %, but plants differ in
-	// where their mass lands (acc ~10–40 %, thermo's bang-bang ~80–90 %).
-	// Negative savings (e.g. under-trained agents) land in Underflow and
-	// are rendered explicitly; exactly 100 % (zero-cost run) in Overflow.
-	edges := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	res := &Fig4Result{
-		Plant:     p.Name(),
-		CostLabel: p.CostLabel(),
-		Scenario:  sc,
-		Opt:       opt,
-		BBHist:    stats.NewHistogram(edges),
-		DRLHist:   stats.NewHistogram(edges),
-		Train:     eng.TrainStats(),
-	}
 	cases, err := runCases(eng, true, opt)
 	if err != nil {
 		return nil, err
 	}
-	res.BBSavings = make([]float64, len(cases))
-	res.DRLSavings = make([]float64, len(cases))
+	res := &Fig4Result{
+		Fig4Report: oic.Fig4Report{
+			Kind: "fig4", Plant: p.Name(), CostLabel: p.CostLabel(), Scenario: sc.ID,
+			Cases: len(cases), Steps: opt.Steps, Seed: opt.Seed,
+			BBHist: newSavingHist(), DRLHist: newSavingHist(),
+			TrainEpisodes: eng.TrainStats().Episodes,
+		},
+		Description: sc.Description,
+		BBSavings:   make([]float64, len(cases)),
+		DRLSavings:  make([]float64, len(cases)),
+	}
+	r := &res.Fig4Report
 	for i := range cases {
 		c := &cases[i]
 		sb, sd := c.SavingBB(), c.SavingDRL()
 		res.BBSavings[i], res.DRLSavings[i] = sb, sd
-		res.Cases++
-		res.BBHist.Add(sb)
-		res.DRLHist.Add(sd)
-		res.BBMean += sb
-		res.DRLMean += sd
-		res.BBEnergy += c.EnergySavingBB()
-		res.DRLEnergy += c.EnergySavingDRL()
-		res.SkipsDRL += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
-		res.Violations += c.Violations
+		addSample(&r.BBHist, sb)
+		addSample(&r.DRLHist, sd)
+		r.BBMeanPct += sb
+		r.DRLMeanPct += sd
+		r.BBEnergyPct += c.EnergySavingBB()
+		r.DRLEnergyPct += c.EnergySavingDRL()
+		r.SkipsPer100 += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
+		r.Violations += c.Violations
 	}
-	if n := float64(res.Cases); n > 0 {
-		res.BBMean /= n
-		res.DRLMean /= n
-		res.BBEnergy /= n
-		res.DRLEnergy /= n
-		res.SkipsDRL /= n
+	if n := float64(r.Cases); n > 0 {
+		r.BBMeanPct /= n
+		r.DRLMeanPct /= n
+		r.BBEnergyPct /= n
+		r.DRLEnergyPct /= n
+		r.SkipsPer100 /= n
 	}
 	return res, nil
 }
 
-// SeriesPoint is one scenario's aggregate in a ladder sweep.
-type SeriesPoint struct {
-	Scenario   plant.Scenario
-	DRLSaving  float64 // mean cost saving vs always-run (%)
-	BBSaving   float64
-	DRLEnergy  float64 // mean energy saving (%)
-	SkipsDRL   float64
-	Violations int
-}
-
-// SeriesResult is a scenario-ladder sweep (the paper's Fig. 5 / Fig. 6).
+// SeriesResult is a scenario-ladder sweep (the paper's Fig. 5 / Fig. 6):
+// the report `oic -json` emits plus the ladder's title and paper note,
+// which head the text report.
 type SeriesResult struct {
-	Plant     string
-	CostLabel string
-	Ladder    plant.Ladder
-	Opt       Options
-	Points    []SeriesPoint
+	oic.SeriesReport
+	Title     string
+	PaperNote string
 }
 
 // Sweep trains and evaluates one scenario per ladder rung.
 func Sweep(p plant.Plant, ladder plant.Ladder, opt Options) (*SeriesResult, error) {
 	opt = opt.withDefaults(p)
-	res := &SeriesResult{Plant: p.Name(), CostLabel: p.CostLabel(), Ladder: ladder, Opt: opt}
+	res := &SeriesResult{
+		SeriesReport: oic.SeriesReport{
+			Kind: "series", Plant: p.Name(), CostLabel: p.CostLabel(), Ladder: ladder.Name,
+			Cases: opt.Cases, Steps: opt.Steps, Seed: opt.Seed,
+		},
+		Title:     ladder.Title,
+		PaperNote: ladder.PaperNote,
+	}
 	for _, sc := range ladder.Scenarios {
 		eng, err := engineFor(p, sc.ID, opt, oic.PolicyDRL)
 		if err != nil {
@@ -287,20 +297,20 @@ func Sweep(p plant.Plant, ladder plant.Ladder, opt Options) (*SeriesResult, erro
 		if err != nil {
 			return nil, fmt.Errorf("exp: scenario %s: %w", sc.ID, err)
 		}
-		pt := SeriesPoint{Scenario: sc}
+		pt := oic.SeriesPointReport{ID: sc.ID, Detail: sc.Detail}
 		for i := range cases {
 			c := &cases[i]
-			pt.DRLSaving += c.SavingDRL()
-			pt.BBSaving += c.SavingBB()
-			pt.DRLEnergy += c.EnergySavingDRL()
-			pt.SkipsDRL += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
+			pt.DRLSavingPct += c.SavingDRL()
+			pt.BBSavingPct += c.SavingBB()
+			pt.DRLEnergyPct += c.EnergySavingDRL()
+			pt.SkipsPer100 += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
 			pt.Violations += c.Violations
 		}
 		if n := len(cases); n > 0 {
-			pt.DRLSaving /= float64(n)
-			pt.BBSaving /= float64(n)
-			pt.DRLEnergy /= float64(n)
-			pt.SkipsDRL /= float64(n)
+			pt.DRLSavingPct /= float64(n)
+			pt.BBSavingPct /= float64(n)
+			pt.DRLEnergyPct /= float64(n)
+			pt.SkipsPer100 /= float64(n)
 		}
 		res.Points = append(res.Points, pt)
 	}
@@ -325,29 +335,21 @@ func SweepLadder(p plant.Plant, name string, opt Options) (*SeriesResult, error)
 	return nil, fmt.Errorf("exp: plant %s has no ladder %q", p.Name(), name)
 }
 
-// TimingResult is the Section IV-A computation-time analysis, generalized:
-// the per-step cost of κ against the monitor+policy overhead, and the
-// compute saving the skip rate buys.
-type TimingResult struct {
-	Plant          string
-	Opt            Options
-	CtrlPerStep    time.Duration // paper (acc RMPC): 0.12 s on their i7
-	MonitorPerStep time.Duration // monitor + DQN inference; paper (acc): 0.02 s
-	SkipsPer100    float64       // paper (acc): 79.4
-	ComputeSaving  float64       // paper (acc): ≈ 60 %
-}
-
-// Timing measures the per-step cost of κ against the monitor+policy
-// overhead on the headline scenario and applies the paper's accounting:
+// Timing is the Section IV-A computation-time analysis, generalized: it
+// measures the per-step cost of κ against the monitor+policy overhead on
+// the headline scenario and applies the paper's accounting
 //
 //	saving = (T_κ·n − (T_mon·n + T_κ·(n − skips))) / (T_κ·n).
-func Timing(p plant.Plant, opt Options) (*TimingResult, error) {
+//
+// On acc the paper reports T_κ = 0.12 s (RMPC on their i7), T_mon =
+// 0.02 s (monitor + DQN inference), 79.4 skipped steps per 100 and a
+// saving of ≈ 60 %.
+func Timing(p plant.Plant, opt Options) (*oic.TimingReport, error) {
 	opt = opt.withDefaults(p)
 	eng, err := engineFor(p, p.Headline().ID, opt, oic.PolicyDRL)
 	if err != nil {
 		return nil, fmt.Errorf("exp: Timing(%s): %w", p.Name(), err)
 	}
-	res := &TimingResult{Plant: p.Name(), Opt: opt}
 	cases, err := runCases(eng, true, opt)
 	if err != nil {
 		return nil, err
@@ -365,27 +367,27 @@ func Timing(p plant.Plant, opt Options) (*TimingResult, error) {
 	if callsRM == 0 || steps == 0 {
 		return nil, fmt.Errorf("exp: Timing: no data")
 	}
-	res.CtrlPerStep = ctrlRM / time.Duration(callsRM)
-	res.MonitorPerStep = overheadDRL / time.Duration(steps)
-	res.SkipsPer100 = float64(skips) * 100 / float64(steps)
-	tk := res.CtrlPerStep.Seconds()
-	tm := res.MonitorPerStep.Seconds()
+	ctrl := ctrlRM / time.Duration(callsRM)
+	monitor := overheadDRL / time.Duration(steps)
+	skipsPer100 := float64(skips) * 100 / float64(steps)
+	tk := ctrl.Seconds()
+	tm := monitor.Seconds()
 	n := 100.0
-	run := n - res.SkipsPer100
-	res.ComputeSaving = 100 * (tk*n - (tm*n + tk*run)) / (tk * n)
-	return res, nil
-}
-
-// Table1Row is one ladder rung plus the measured savings for it.
-type Table1Row struct {
-	Scenario  plant.Scenario
-	DRLSaving float64
-	BBSaving  float64
+	run := n - skipsPer100
+	return &oic.TimingReport{
+		Kind:             "timing",
+		Plant:            p.Name(),
+		Cases:            opt.Cases,
+		CtrlPerStepNS:    ctrl.Nanoseconds(),
+		MonitorPerStepNS: monitor.Nanoseconds(),
+		SkipsPer100:      skipsPer100,
+		ComputeSavingPct: 100 * (tk*n - (tm*n + tk*run)) / (tk * n),
+	}, nil
 }
 
 // Table1 reproduces Table I — the plant's primary scenario ladder
 // annotated with measured savings from its sweep.
-func Table1(p plant.Plant, opt Options) ([]Table1Row, error) {
+func Table1(p plant.Plant, opt Options) (*oic.Table1Report, error) {
 	series, err := SweepLadder(p, "", opt)
 	if err != nil {
 		return nil, err
@@ -393,12 +395,14 @@ func Table1(p plant.Plant, opt Options) ([]Table1Row, error) {
 	return Table1FromSeries(series), nil
 }
 
-// Table1FromSeries derives the Table I rows from an existing sweep,
-// avoiding a second training/evaluation pass.
-func Table1FromSeries(series *SeriesResult) []Table1Row {
-	rows := make([]Table1Row, len(series.Points))
-	for i, pt := range series.Points {
-		rows[i] = Table1Row{Scenario: pt.Scenario, DRLSaving: pt.DRLSaving, BBSaving: pt.BBSaving}
+// Table1FromSeries derives Table I from an existing sweep, avoiding a
+// second training/evaluation pass.
+func Table1FromSeries(series *SeriesResult) *oic.Table1Report {
+	out := &oic.Table1Report{Kind: "table1", Plant: series.Plant}
+	for _, pt := range series.Points {
+		out.Rows = append(out.Rows, oic.Table1RowReport{
+			ID: pt.ID, Detail: pt.Detail, DRLSavingPct: pt.DRLSavingPct, BBSavingPct: pt.BBSavingPct,
+		})
 	}
-	return rows
+	return out
 }

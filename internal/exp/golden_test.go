@@ -71,7 +71,7 @@ func TestGoldenFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "fig4-"+name+".json", goldenJSON(t, JSONFig4(fig4)))
+			checkGolden(t, "fig4-"+name+".json", goldenJSON(t, fig4.Fig4Report))
 			if name == "acc" {
 				checkGolden(t, "fig4-acc.txt", []byte(RenderFig4(fig4)))
 				checkGolden(t, "fig4-acc.csv", []byte(CSVFig4(fig4)))
@@ -83,18 +83,18 @@ func TestGoldenFigures(t *testing.T) {
 					t.Fatal(err)
 				}
 				base := "series-" + name + "-" + l.Name
-				checkGolden(t, base+".json", goldenJSON(t, JSONSeries(series)))
+				checkGolden(t, base+".json", goldenJSON(t, series.SeriesReport))
 				if name == "thermo" {
 					checkGolden(t, base+".txt", []byte(RenderSeries(series)))
 					checkGolden(t, base+".csv", []byte(CSVSeries(series)))
 				}
 			}
 
-			rows, err := Table1(p, opt)
+			table, err := Table1(p, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "table1-"+name+".json", goldenJSON(t, JSONTable1(name, rows)))
+			checkGolden(t, "table1-"+name+".json", goldenJSON(t, table))
 
 			timing, err := Timing(p, opt)
 			if err != nil {
@@ -102,9 +102,8 @@ func TestGoldenFigures(t *testing.T) {
 			}
 			// The per-step durations and the saving derived from them are
 			// wall times; only the rest of the report is deterministic.
-			rep := JSONTiming(timing)
-			rep.CtrlPerStepNS, rep.MonitorPerStepNS, rep.ComputeSavingPct = 0, 0, 0
-			checkGolden(t, "timing-"+name+".json", goldenJSON(t, rep))
+			timing.CtrlPerStepNS, timing.MonitorPerStepNS, timing.ComputeSavingPct = 0, 0, 0
+			checkGolden(t, "timing-"+name+".json", goldenJSON(t, timing))
 		})
 	}
 }

@@ -3,10 +3,62 @@ package exp
 import (
 	"encoding/csv"
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
-	"oic/internal/stats"
+	"oic/pkg/oic"
 )
+
+// barWidth is the length in cells of a chart's longest bar.
+const barWidth = 40
+
+// renderGrouped draws histograms that share their edges as a grouped
+// ASCII bar chart: one row per bin, labelled "lo–hi", with one bar per
+// series under it, and an underflow row first when any series has one.
+func renderGrouped(names []string, hists []*oic.Histogram) string {
+	edges := hists[0].Edges
+	maxCount := 1
+	anyUnder := false
+	for _, h := range hists {
+		for _, c := range h.Counts {
+			maxCount = max(maxCount, c)
+		}
+		maxCount = max(maxCount, h.Underflow)
+		anyUnder = anyUnder || h.Underflow > 0
+	}
+	var b strings.Builder
+	bars := func(count func(h *oic.Histogram) int) {
+		for s, h := range hists {
+			c := count(h)
+			fmt.Fprintf(&b, "  %-18s %4d %s\n", names[s], c, strings.Repeat("█", c*barWidth/maxCount))
+		}
+	}
+	if anyUnder {
+		fmt.Fprintf(&b, "%12s\n", "< "+fmt.Sprint(edges[0]))
+		bars(func(h *oic.Histogram) int { return h.Underflow })
+	}
+	for i := range len(edges) - 1 {
+		fmt.Fprintf(&b, "%12s\n", fmt.Sprintf("%g–%g", edges[i], edges[i+1]))
+		bars(func(h *oic.Histogram) int { return h.Counts[i] })
+	}
+	return b.String()
+}
+
+// renderSeries draws labelled percentages as an ASCII bar chart, scaling
+// the bars to the largest absolute value.
+func renderSeries(labels []string, values []float64) string {
+	maxAbs := 1e-12
+	for _, v := range values {
+		maxAbs = max(maxAbs, math.Abs(v))
+	}
+	var b strings.Builder
+	for i, v := range values {
+		n := int(math.Abs(v) / maxAbs * float64(barWidth))
+		fmt.Fprintf(&b, "%-14s %8.2f%% %s\n", labels[i], v, strings.Repeat("█", n))
+	}
+	return b.String()
+}
 
 // paperNoteFig4 returns the ACC paper's reference numbers; other plants
 // have no published baseline to annotate.
@@ -27,11 +79,11 @@ func paperNoteFig4(plantName string, kind string) string {
 func RenderFig4(r *Fig4Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 4 — %s-cost savings vs always-run κ on plant %q (%d cases, %d steps)\n",
-		r.CostLabel, r.Plant, r.Cases, r.Opt.Steps)
-	fmt.Fprintf(&b, "scenario %s: %s\n\n", r.Scenario.ID, r.Scenario.Description)
-	b.WriteString(stats.RenderGrouped(
+		r.CostLabel, r.Plant, r.Cases, r.Steps)
+	fmt.Fprintf(&b, "scenario %s: %s\n\n", r.Scenario, r.Description)
+	b.WriteString(renderGrouped(
 		[]string{"bang-bang", "opportunistic-DRL"},
-		[]*stats.Histogram{r.BBHist, r.DRLHist}, 40))
+		[]*oic.Histogram{&r.BBHist, &r.DRLHist}))
 	if n := r.BBHist.Underflow + r.DRLHist.Underflow; n > 0 {
 		fmt.Fprintf(&b, "saving < 0%%:   bang-bang %d, DRL %d cases\n", r.BBHist.Underflow, r.DRLHist.Underflow)
 	}
@@ -39,10 +91,10 @@ func RenderFig4(r *Fig4Result) string {
 		fmt.Fprintf(&b, "saving = 100%% (zero-cost run): bang-bang %d, DRL %d cases\n", r.BBHist.Overflow, r.DRLHist.Overflow)
 	}
 	fmt.Fprintf(&b, "\nmean %s saving:   bang-bang %6.2f%%   DRL %6.2f%%%s\n",
-		r.CostLabel, r.BBMean, r.DRLMean, paperNoteFig4(r.Plant, "mean"))
+		r.CostLabel, r.BBMeanPct, r.DRLMeanPct, paperNoteFig4(r.Plant, "mean"))
 	fmt.Fprintf(&b, "mean energy saving: bang-bang %6.2f%%   DRL %6.2f%%   (Σ‖u‖₁, Problem 1)\n",
-		r.BBEnergy, r.DRLEnergy)
-	fmt.Fprintf(&b, "mean skipped steps per 100 (DRL): %.1f%s\n", r.SkipsDRL, paperNoteFig4(r.Plant, "skips"))
+		r.BBEnergyPct, r.DRLEnergyPct)
+	fmt.Fprintf(&b, "mean skipped steps per 100 (DRL): %.1f%s\n", r.SkipsPer100, paperNoteFig4(r.Plant, "skips"))
 	fmt.Fprintf(&b, "safety violations: %d (Theorem 1 requires 0)\n", r.Violations)
 	return b.String()
 }
@@ -51,54 +103,52 @@ func RenderFig4(r *Fig4Result) string {
 func RenderSeries(r *SeriesResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — plant %q (%d cases per scenario, %d steps)\n",
-		r.Ladder.Title, r.Plant, r.Opt.Cases, r.Opt.Steps)
-	if r.Ladder.PaperNote != "" {
-		fmt.Fprintf(&b, "%s\n", r.Ladder.PaperNote)
+		r.Title, r.Plant, r.Cases, r.Steps)
+	if r.PaperNote != "" {
+		fmt.Fprintf(&b, "%s\n", r.PaperNote)
 	}
 	b.WriteString("\n")
 	labels := make([]string, len(r.Points))
 	values := make([]float64, len(r.Points))
 	for i, pt := range r.Points {
-		labels[i] = pt.Scenario.ID
-		values[i] = pt.DRLSaving
+		labels[i] = pt.ID
+		values[i] = pt.DRLSavingPct
 	}
-	b.WriteString(stats.RenderSeries(labels, values, "%", 40))
+	b.WriteString(renderSeries(labels, values))
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "%-8s %-26s %12s %12s %10s %6s\n",
 		"ID", "setting", "DRL "+r.CostLabel+" %", "BB "+r.CostLabel+" %", "skips/100", "viol")
 	for _, pt := range r.Points {
 		fmt.Fprintf(&b, "%-8s %-26s %12.2f %12.2f %10.1f %6d\n",
-			pt.Scenario.ID, pt.Scenario.Detail,
-			pt.DRLSaving, pt.BBSaving, pt.SkipsDRL, pt.Violations)
+			pt.ID, pt.Detail, pt.DRLSavingPct, pt.BBSavingPct, pt.SkipsPer100, pt.Violations)
 	}
 	return b.String()
 }
 
 // RenderTiming formats the computation-time analysis.
-func RenderTiming(r *TimingResult) string {
+func RenderTiming(r *oic.TimingReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Section IV-A — computation-time analysis on plant %q (%d cases)\n\n", r.Plant, r.Opt.Cases)
+	fmt.Fprintf(&b, "Section IV-A — computation-time analysis on plant %q (%d cases)\n\n", r.Plant, r.Cases)
 	note := func(s string) string {
 		if r.Plant != "acc" {
 			return ""
 		}
 		return s
 	}
-	fmt.Fprintf(&b, "κ compute per step:           %12v%s\n", r.CtrlPerStep, note("   (paper: 0.12 s on their i7)"))
-	fmt.Fprintf(&b, "monitor + policy per step:    %12v%s\n", r.MonitorPerStep, note("   (paper: 0.02 s)"))
+	fmt.Fprintf(&b, "κ compute per step:           %12v%s\n", time.Duration(r.CtrlPerStepNS), note("   (paper: 0.12 s on their i7)"))
+	fmt.Fprintf(&b, "monitor + policy per step:    %12v%s\n", time.Duration(r.MonitorPerStepNS), note("   (paper: 0.02 s)"))
 	fmt.Fprintf(&b, "skipped steps per 100 (DRL):  %12.1f%s\n", r.SkipsPer100, note("   (paper: 79.4)"))
-	fmt.Fprintf(&b, "computation-time saving:      %11.1f%%%s\n", r.ComputeSaving, note("   (paper: ≈60%)"))
+	fmt.Fprintf(&b, "computation-time saving:      %11.1f%%%s\n", r.ComputeSavingPct, note("   (paper: ≈60%)"))
 	return b.String()
 }
 
 // RenderTable1 formats a scenario ladder with measured savings.
-func RenderTable1(rows []Table1Row) string {
+func RenderTable1(r *oic.Table1Report) string {
 	var b strings.Builder
 	b.WriteString("Table I — scenario settings with measured savings\n\n")
 	fmt.Fprintf(&b, "%-8s %-26s %14s %14s\n", "ID", "setting", "DRL saving %", "BB saving %")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-8s %-26s %14.2f %14.2f\n",
-			row.Scenario.ID, row.Scenario.Detail, row.DRLSaving, row.BBSaving)
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-8s %-26s %14.2f %14.2f\n", row.ID, row.Detail, row.DRLSavingPct, row.BBSavingPct)
 	}
 	return b.String()
 }
@@ -121,9 +171,9 @@ func CSVSeries(r *SeriesResult) string {
 	w.Write([]string{"id", "setting", "drl_saving_pct", "bb_saving_pct", "drl_energy_saving_pct", "skips_per_100", "violations"})
 	for _, pt := range r.Points {
 		w.Write([]string{
-			pt.Scenario.ID, pt.Scenario.Detail,
-			fmt.Sprintf("%.4f", pt.DRLSaving), fmt.Sprintf("%.4f", pt.BBSaving),
-			fmt.Sprintf("%.4f", pt.DRLEnergy), fmt.Sprintf("%.2f", pt.SkipsDRL),
+			pt.ID, pt.Detail,
+			fmt.Sprintf("%.4f", pt.DRLSavingPct), fmt.Sprintf("%.4f", pt.BBSavingPct),
+			fmt.Sprintf("%.4f", pt.DRLEnergyPct), fmt.Sprintf("%.2f", pt.SkipsPer100),
 			fmt.Sprintf("%d", pt.Violations),
 		})
 	}

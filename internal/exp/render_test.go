@@ -1,14 +1,16 @@
-package stats
+package exp
 
 import (
 	"strings"
 	"testing"
+
+	"oic/pkg/oic"
 )
 
 func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram([]float64{0, 10, 20, 30})
+	h := oic.Histogram{Edges: []float64{0, 10, 20, 30}, Counts: make([]int, 3)}
 	for _, x := range []float64{-5, 0, 5, 9.999, 10, 25, 30, 99} {
-		h.Add(x)
+		addSample(&h, x)
 	}
 	if h.Underflow != 1 {
 		t.Errorf("underflow = %d", h.Underflow)
@@ -22,27 +24,15 @@ func TestHistogramBinning(t *testing.T) {
 			t.Errorf("bin %d = %d, want %d", i, c, want[i])
 		}
 	}
-	if h.Total() != 5 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramEdgeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for nonincreasing edges")
-		}
-	}()
-	NewHistogram([]float64{0, 0})
 }
 
 func TestRenderGrouped(t *testing.T) {
-	a := NewHistogram([]float64{0, 10, 20})
-	b := NewHistogram([]float64{0, 10, 20})
-	a.Add(5)
-	a.Add(15)
-	b.Add(-1)
-	out := RenderGrouped([]string{"alpha", "beta"}, []*Histogram{a, b}, 20)
+	a := oic.Histogram{Edges: []float64{0, 10, 20}, Counts: make([]int, 2)}
+	b := oic.Histogram{Edges: []float64{0, 10, 20}, Counts: make([]int, 2)}
+	addSample(&a, 5)
+	addSample(&a, 15)
+	addSample(&b, -1)
+	out := renderGrouped([]string{"alpha", "beta"}, []*oic.Histogram{&a, &b})
 	for _, want := range []string{"alpha", "beta", "0–10", "10–20", "< 0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
@@ -51,7 +41,7 @@ func TestRenderGrouped(t *testing.T) {
 }
 
 func TestRenderSeries(t *testing.T) {
-	out := RenderSeries([]string{"Ex.1", "Ex.2"}, []float64{5, 10}, "%", 10)
+	out := renderSeries([]string{"Ex.1", "Ex.2"}, []float64{5, 10})
 	if !strings.Contains(out, "Ex.1") || !strings.Contains(out, "10.00%") {
 		t.Errorf("render output:\n%s", out)
 	}
@@ -59,12 +49,5 @@ func TestRenderSeries(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if strings.Count(lines[1], "█") <= strings.Count(lines[0], "█") {
 		t.Error("bar lengths not proportional")
-	}
-}
-
-func TestBinLabel(t *testing.T) {
-	h := NewHistogram([]float64{0, 10, 20})
-	if h.BinLabel(0) != "0–10" {
-		t.Errorf("label = %q", h.BinLabel(0))
 	}
 }
