@@ -234,29 +234,6 @@ func TestScenarioDefinitions(t *testing.T) {
 	}
 }
 
-func TestStopAndGoScenarioSafe(t *testing.T) {
-	inst := instance(t, StopAndGoScenario().Profile)
-	rng := rand.New(rand.NewSource(91))
-	w := inst.Disturbances(rng, EpisodeSteps)
-	for _, wt := range w {
-		// w = δ·(v_f − VE), so a speed 1e-9 outside the design range is
-		// 1e-10 outside W.
-		if !inst.Sys.W.Contains(wt, 1e-10) {
-			t.Fatalf("stop-and-go speed %v outside design range", VE+wt[0]/Delta)
-		}
-	}
-	x0s, _ := inst.SampleInitialStates(2, rng)
-	for _, x0 := range x0s {
-		ep, err := inst.RunEpisode(core.BangBang{}, x0, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ep.Result.ViolationsX != 0 {
-			t.Errorf("stop-and-go episode violated X")
-		}
-	}
-}
-
 func TestModelForNarrowRange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model construction is slow")

@@ -72,7 +72,7 @@ func (Plant) Ladders() []plant.Ladder {
 
 // scenarioByID resolves a generic scenario back to the full ACC scenario.
 func scenarioByID(id string) (Scenario, error) {
-	all := []Scenario{Fig4Scenario(), StopAndGoScenario()}
+	all := []Scenario{Fig4Scenario()}
 	all = append(all, Table1Scenarios()...)
 	all = append(all, RegularityScenarios()...)
 	for _, sc := range all {

@@ -93,28 +93,6 @@ func RegularityScenarios() []Scenario {
 	}
 }
 
-// StopAndGoScenario models the introduction's "stop-and-go in a traffic
-// jam" motivation (beyond the paper's evaluated set): the front vehicle is
-// the tail of a Krauß car-following platoon whose head drives a congestion
-// square wave. The emergent wave is clamped to the paper's [30, 50] design
-// range so the safety sets remain valid.
-func StopAndGoScenario() Scenario {
-	return Scenario{
-		ID:          "Ex.SG",
-		Description: "stop-and-go congestion wave via a Krauß platoon",
-		VfMin:       VfMin,
-		VfMax:       VfMax,
-		Profile: traffic.Platoon{
-			Model:     traffic.DefaultKrauss(),
-			N:         4,
-			Head:      traffic.SquareWave{VHigh: 48, VLow: 32, HighSteps: 60, LowSteps: 40, Ramp: 1},
-			InitSpeed: 40,
-			Min:       VfMin,
-			Max:       VfMax,
-		},
-	}
-}
-
 // ModelFor returns the case-study model whose safety sets are designed
 // for the scenario's v_f range, memoized per range (SharedModel).
 func ModelFor(sc Scenario) (*Model, error) {
