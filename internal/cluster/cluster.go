@@ -101,11 +101,12 @@ var (
 type NodeStatus struct {
 	Name  string `json:"name"`
 	Addr  string `json:"addr"`
-	Live  bool   `json:"live"`           // /healthz answers 200
+	Live  bool   `json:"live"`           // /readyz answers 200 or 503
 	Ready bool   `json:"ready"`          // /readyz answers 200
 	Dead  bool   `json:"dead,omitempty"` // liveness failed DeathThreshold consecutive probes
 
-	// Load signals scraped from the node's Prometheus gauges.
+	// Load signals from the node's /readyz body (oic.ReadyzResponse),
+	// the values of the gauges named here.
 	Sessions       int     `json:"sessions"`        // oicd_sessions_active
 	Fleets         int     `json:"fleets"`          // oicd_fleets_active
 	Pressure       float64 `json:"pressure"`        // max oicd_fleet_pressure (forced computes / budget)

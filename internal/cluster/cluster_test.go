@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -836,22 +837,132 @@ func TestMembershipValidation(t *testing.T) {
 	}
 }
 
-// TestParseLoadGauges pins the scrape parser against a realistic
-// exposition fragment.
-func TestParseLoadGauges(t *testing.T) {
-	body := []byte(`# HELP oicd_sessions_active live sessions
-# TYPE oicd_sessions_active gauge
-oicd_sessions_active 42
-oicd_fleets_active 2
-oicd_fleet_pressure{fleet="f-1"} 0.25
-oicd_fleet_pressure{fleet="f-2"} 1.5
-oicd_fleet_reclaimed_ratio{fleet="f-1"} 0.5
-oicd_fleet_reclaimed_ratio{fleet="f-2"} 0.7
-`)
-	s, f, p, rec := parseLoadGauges(body)
-	if s != 42 || f != 2 || p != 1.5 || rec != 0.6000000000000001 && rec != 0.6 {
-		t.Fatalf("parseLoadGauges = %d %d %g %g", s, f, p, rec)
+// TestProbeReadyzLoad pins the one-request probe against a fake shard:
+// 200 is live and ready, 503 live and not ready, both refresh the load
+// from the body, a body that does not decode keeps the last load, and any
+// other answer is a failed probe.
+func TestProbeReadyzLoad(t *testing.T) {
+	var mu sync.Mutex
+	status, body := http.StatusOK, `{"ok":true,"sessions":42,"fleets":2,"pressure":1.5,"reclaimed_ratio":0.6}`
+	shard := http.NewServeMux()
+	shard.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		w.WriteHeader(status)
+		io.WriteString(w, body)
+	})
+	ts := httptest.NewServer(shard)
+	defer ts.Close()
+	rt, err := New(&Membership{Nodes: []Node{{Name: "a", Addr: ts.URL}}}, Config{DeathThreshold: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
+	probe := func(st int, b string) NodeStatus {
+		t.Helper()
+		mu.Lock()
+		status, body = st, b
+		mu.Unlock()
+		rt.ProbeOnce(t.Context())
+		return rt.byName["a"].snapshot()
+	}
+	want := func(got NodeStatus, live, ready bool, sessions, fleets int, pressure, reclaimed float64) {
+		t.Helper()
+		if got.Live != live || got.Ready != ready || got.Sessions != sessions || got.Fleets != fleets ||
+			got.Pressure != pressure || got.ReclaimedRatio != reclaimed {
+			t.Errorf("node %+v, want live %v ready %v load %d %d %g %g", got, live, ready, sessions, fleets, pressure, reclaimed)
+		}
+	}
+	want(probe(http.StatusOK, body), true, true, 42, 2, 1.5, 0.6)
+	want(probe(http.StatusServiceUnavailable, `{"ok":false,"preloading":true,"sessions":7,"fleets":1,"pressure":0.25,"reclaimed_ratio":0.5}`),
+		true, false, 7, 1, 0.25, 0.5)
+	want(probe(http.StatusOK, ""), true, true, 7, 1, 0.25, 0.5)
+	want(probe(http.StatusOK, "oicd_sessions_active 3\n"), true, true, 7, 1, 0.25, 0.5)
+	want(probe(http.StatusInternalServerError, `{"sessions":1}`), false, false, 7, 1, 0.25, 0.5)
+}
+
+// TestRouterLoadMatchesShardGauges: over a real oicd with ticking fleets,
+// the router's probe reports the pressure and reclaimed ratio the shard's
+// /metrics gauges show, and the router's proxy histogram counts the
+// forwarded requests only, never a probe.
+func TestRouterLoadMatchesShardGauges(t *testing.T) {
+	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
+	c := &rc{t: t, h: rt.Handler()}
+	proxied := func() float64 {
+		t.Helper()
+		_, body := c.raw("GET", "/metrics")
+		return scrapeValue(t, body, "oicd_router_proxy_seconds_count ")
+	}
+	before := proxied()
+	forwarded := 0
+	// Seven ticks leave the bang-bang fleet's last tick with forced
+	// computes, so its pressure reads nonzero.
+	for i, req := range []oic.CreateFleetRequest{
+		{Plant: "acc", Policy: oic.PolicyBangBang, ComputeBudget: 2, Size: 16, Seed: 3},
+		{Plant: "thermo", ComputeBudget: 4, Size: 6, Seed: 4},
+	} {
+		var fl oic.FleetInfo
+		if st := c.do("POST", "/v1/fleets", req, &fl); st != http.StatusCreated {
+			t.Fatalf("fleet %d create: status %d", i, st)
+		}
+		if st := c.do("POST", "/v1/fleets/"+fl.ID+"/tick", oic.FleetTickRequest{Ticks: 7}, nil); st != http.StatusOK {
+			t.Fatalf("fleet %d tick: status %d", i, st)
+		}
+		forwarded += 2
+	}
+	for range 3 {
+		rt.ProbeOnce(t.Context())
+	}
+	if got := proxied() - before; got != float64(forwarded) {
+		t.Errorf("oicd_router_proxy_seconds_count grew by %v over %d forwarded requests and 3 probes", got, forwarded)
+	}
+
+	resp, err := http.Get(nodes[0].ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauges, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pressures := scrapeValues(gauges, "oicd_fleet_pressure{")
+	ratios := scrapeValues(gauges, "oicd_fleet_reclaimed_ratio{")
+	if len(pressures) != 2 || len(ratios) != 2 {
+		t.Fatalf("shard gauges: %d pressures, %d ratios", len(pressures), len(ratios))
+	}
+	pressure := max(pressures[0], pressures[1])
+	reclaimed := (ratios[0] + ratios[1]) / 2
+	got := rt.Status().Nodes[0]
+	if pressure == 0 || got.Pressure != pressure || got.ReclaimedRatio != reclaimed || got.Fleets != 2 {
+		t.Errorf("router reads pressure %g, reclaimed %g, %d fleets; the shard's gauges show %g and %g over 2",
+			got.Pressure, got.ReclaimedRatio, got.Fleets, pressure, reclaimed)
+	}
+}
+
+// scrapeValues returns the value of each exposition line that starts with
+// prefix, in order.
+func scrapeValues(body []byte, prefix string) []float64 {
+	var vs []float64
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err == nil {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// scrapeValue returns the one value scrapeValues finds for prefix.
+func scrapeValue(t *testing.T, body []byte, prefix string) float64 {
+	t.Helper()
+	vs := scrapeValues(body, prefix)
+	if len(vs) != 1 {
+		t.Fatalf("%d samples for %q", len(vs), prefix)
+	}
+	return vs[0]
 }
 
 // TestStatusRacesDeletes pins the Status()/delete lock-order fix: Status

@@ -1,21 +1,21 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/url"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"oic/pkg/oic"
 )
 
-// nodeState is the router's view of one member: liveness (/healthz),
-// readiness (/readyz), and the load signals scraped from the node's
-// Prometheus gauges. Written by the prober and by inline transport
-// failures on the proxy path; read by placement.
+// nodeState is the router's view of one member: liveness, readiness and
+// the load signals, all read from the node's /readyz. Written by the
+// prober and by inline transport failures on the proxy path; read by
+// placement.
 type nodeState struct {
 	Node
 
@@ -71,9 +71,11 @@ func (n *nodeState) loadSessions() int {
 	return n.sessions
 }
 
-// ProbeOnce probes every node once, in parallel: GET /healthz decides
-// liveness, GET /readyz readiness, and a /metrics scrape refreshes the
-// load signals. A node whose liveness has failed DeathThreshold
+// ProbeOnce probes every node once, in parallel, with one GET /readyz:
+// an answer of 200 or 503 means the node is live, 200 that it is ready,
+// and the body (oic.ReadyzResponse) refreshes the load signals. A body
+// that does not decode keeps the last load. A node whose liveness has
+// failed DeathThreshold
 // consecutive probes transitions to dead exactly once, firing the
 // router's failover hook; a later successful probe (the process was
 // restarted and replayed its journal) clears the death mark and the node
@@ -91,24 +93,15 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 }
 
 func (rt *Router) probeNode(ctx context.Context, n *nodeState) {
-	live := rt.probeOK(ctx, n, "/healthz")
-	ready := live && rt.probeOK(ctx, n, "/readyz")
-
-	var sessions, fleets int
-	var pressure, reclaimed float64
-	haveLoad := false
-	if live {
-		if status, _, body, err := rt.proxy(ctx, n, http.MethodGet, "/metrics", nil, nil); err == nil && status == http.StatusOK {
-			sessions, fleets, pressure, reclaimed = parseLoadGauges(body)
-			haveLoad = true
-		}
-	}
+	status, load, haveLoad := rt.probeReadyz(ctx, n)
+	live := status == http.StatusOK || status == http.StatusServiceUnavailable
+	ready := status == http.StatusOK
 
 	n.mu.Lock()
 	n.live = live
 	n.ready = ready
-	if haveLoad {
-		n.sessions, n.fleets, n.pressure, n.reclaimedRatio = sessions, fleets, pressure, reclaimed
+	if live && haveLoad {
+		n.sessions, n.fleets, n.pressure, n.reclaimedRatio = load.Sessions, load.Fleets, load.Pressure, load.ReclaimedRatio
 	}
 	if live {
 		n.consecFails = 0
@@ -121,6 +114,24 @@ func (rt *Router) probeNode(ctx context.Context, n *nodeState) {
 	if ready {
 		rt.dropStale(ctx, n)
 	}
+}
+
+// probeReadyz sends n one GET /readyz and returns its status (0 when the
+// round trip fails) and the load its body carries, if the body decodes.
+func (rt *Router) probeReadyz(ctx context.Context, n *nodeState) (status int, load oic.ReadyzResponse, ok bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Addr+"/readyz", nil)
+	if err != nil {
+		return 0, load, false
+	}
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return 0, load, false
+	}
+	defer resp.Body.Close()
+	ok = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&load) == nil
+	// Drain so the connection is reusable.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+	return resp.StatusCode, load, ok
 }
 
 // queueStale records that session id was failed over off n: n's copy, if
@@ -218,21 +229,6 @@ func (rt *Router) noteTransportOK(n *nodeState) {
 	n.mu.Unlock()
 }
 
-func (rt *Router) probeOK(ctx context.Context, n *nodeState, path string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Addr+path, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	// Drain so the connection is reusable.
-	_, _ = bufio.NewReader(resp.Body).Discard(1 << 16)
-	return resp.StatusCode == http.StatusOK
-}
-
 // Start runs the probe loop until Stop (or ctx cancellation).
 func (rt *Router) Start(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
@@ -264,53 +260,4 @@ func (rt *Router) Stop() {
 		rt.stopOnce()
 		rt.probeWG.Wait()
 	}
-}
-
-// parseLoadGauges extracts the placement-relevant load signals from a
-// node's Prometheus text exposition: oicd_sessions_active,
-// oicd_fleets_active, the max oicd_fleet_pressure across fleets (forced
-// computes / budget — the "forced-compute headroom exhausted" signal),
-// and the mean oicd_fleet_reclaimed_ratio.
-func parseLoadGauges(body []byte) (sessions, fleets int, maxPressure, meanReclaimed float64) {
-	var reclaimedSum float64
-	var reclaimedN int
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(line, "oicd_sessions_active "):
-			sessions = int(parseGaugeValue(line))
-		case strings.HasPrefix(line, "oicd_fleets_active "):
-			fleets = int(parseGaugeValue(line))
-		case strings.HasPrefix(line, "oicd_fleet_pressure{"):
-			if v := parseGaugeValue(line); v > maxPressure {
-				maxPressure = v
-			}
-		case strings.HasPrefix(line, "oicd_fleet_reclaimed_ratio{"):
-			reclaimedSum += parseGaugeValue(line)
-			reclaimedN++
-		}
-	}
-	if reclaimedN > 0 {
-		meanReclaimed = reclaimedSum / float64(reclaimedN)
-	}
-	return sessions, fleets, maxPressure, meanReclaimed
-}
-
-// parseGaugeValue returns the value field of one exposition line
-// ("name 3" or `name{label="x"} 0.5`), or 0 if malformed.
-func parseGaugeValue(line string) float64 {
-	i := strings.LastIndexByte(line, ' ')
-	if i < 0 {
-		return 0
-	}
-	v, err := strconv.ParseFloat(line[i+1:], 64)
-	if err != nil {
-		return 0
-	}
-	return v
 }

@@ -9,7 +9,7 @@
 //	DELETE /v1/sessions/{id}      close the session, recycle its workspace
 //	GET    /v1/plants             plant + scenario catalogue
 //	GET    /healthz               liveness + basic stats (always 200 while serving)
-//	GET    /readyz                readiness (503 while preloading or recovering)
+//	GET    /readyz                readiness (503 while preloading or recovering) + load
 //	GET    /metrics               Prometheus text format
 //
 // Artifact sharing: engines (safety sets, compiled LP, trained policy)
@@ -452,56 +452,60 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // materializing) and during journal recovery (the server must not serve
 // until it again holds exactly the state it had acknowledged before the
 // crash). Load balancers and the oicd-router hold traffic on 503 here
-// without concluding the node is dead.
+// without concluding the node is dead. The body also carries the load
+// oicd-router places by (oic.ReadyzResponse), so its probe is this one
+// request.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	live := len(s.sessions)
-	engines := len(s.engines)
-	fleets := len(s.fleets)
-	s.mu.Unlock()
-	body := map[string]any{
-		"ok":       true,
-		"sessions": live,
-		"engines":  engines,
-		"fleets":   fleets,
+	live, engines, fleets := s.load()
+	body := oic.ReadyzResponse{OK: true, Sessions: live, Engines: engines, Fleets: len(fleets)}
+	var reclaimed float64
+	for _, fg := range fleets {
+		body.Pressure = max(body.Pressure, fg.stats.Pressure)
+		reclaimed += fg.stats.ReclaimedRatio
 	}
+	if len(fleets) > 0 {
+		body.ReclaimedRatio = reclaimed / float64(len(fleets))
+	}
+	status := http.StatusOK
 	switch {
 	case s.preloading.Load():
-		body["ok"] = false
-		body["preloading"] = true
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		body.OK, body.Preloading = false, true
+		status = http.StatusServiceUnavailable
 	case s.recovering.Load():
-		body["ok"] = false
-		body["recovering"] = true
-		writeJSON(w, http.StatusServiceUnavailable, body)
-	default:
-		writeJSON(w, http.StatusOK, body)
+		body.OK, body.Recovering = false, true
+		status = http.StatusServiceUnavailable
 	}
+	writeJSON(w, status, body)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+// load returns the live session and cached engine counts and each live
+// fleet's last *published* stats snapshot (stored by the operation that
+// completed it), in fleet ID order. It never calls Stats(): that would
+// block on a fleet mutex held for the whole of an in-flight tick, and
+// two concurrently ticking fleets would interleave mid-tick cuts into one
+// read. The published snapshots are lock-free to read and each is
+// internally consistent; the stable order keeps a scrape diffable.
+func (s *Server) load() (sessions, engines int, fleets []fleetGauge) {
 	s.mu.Lock()
-	live := len(s.sessions)
-	engines := len(s.engines)
+	sessions = len(s.sessions)
+	engines = len(s.engines)
 	entries := make([]*fleetEntry, 0, len(s.fleets))
 	for _, fe := range s.fleets {
 		entries = append(entries, fe)
 	}
 	s.mu.Unlock()
-	// Serve each fleet's last *published* stats snapshot (stored by the
-	// operation that completed it) rather than calling Stats() here: a
-	// scrape-time Stats() would block on a fleet mutex held for the whole
-	// duration of an in-flight tick, and two concurrently ticking fleets
-	// would interleave mid-tick cuts into one scrape. The published
-	// snapshots are lock-free to read and each is internally consistent.
-	// Stable ID order keeps the scrape diffable.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	gauges := make([]fleetGauge, len(entries))
+	fleets = make([]fleetGauge, len(entries))
 	for i, fe := range entries {
-		gauges[i] = fleetGauge{id: fe.id, stats: fe.snapshotStats()}
+		fleets[i] = fleetGauge{id: fe.id, stats: fe.snapshotStats()}
 	}
+	return sessions, engines, fleets
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	live, engines, fleets := s.load()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.m.render(w, live, engines, gauges, s.ArtifactStats(), s.JournalStats())
+	s.m.render(w, live, engines, fleets, s.ArtifactStats(), s.JournalStats())
 }
 
 func (s *Server) handlePlants(w http.ResponseWriter, _ *http.Request) {

@@ -216,6 +216,24 @@ type ResumeSessionRequest struct {
 	TraceBin []byte `json:"trace_bin,omitempty"`
 }
 
+// ReadyzResponse is oicd's GET /readyz body: 200 when the server is
+// ready, 503 while it preloads its artifact store (Preloading) or
+// recovers its journal (Recovering). It also carries the load oicd-router
+// places work by, so one probe request reads both: Pressure is the
+// largest oicd_fleet_pressure and ReclaimedRatio the mean
+// oicd_fleet_reclaimed_ratio over the live fleets, each read from the
+// fleets' published stats as the gauges are.
+type ReadyzResponse struct {
+	OK             bool    `json:"ok"`
+	Preloading     bool    `json:"preloading,omitempty"`
+	Recovering     bool    `json:"recovering,omitempty"`
+	Sessions       int     `json:"sessions"`
+	Engines        int     `json:"engines"`
+	Fleets         int     `json:"fleets"`
+	Pressure       float64 `json:"pressure"`
+	ReclaimedRatio float64 `json:"reclaimed_ratio"`
+}
+
 // ErrorResponse is the uniform error payload of the oicd server.
 type ErrorResponse struct {
 	Error string `json:"error"`
