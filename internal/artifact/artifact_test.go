@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -202,9 +203,18 @@ func TestValidateRejects(t *testing.T) {
 
 func nan() float64 { z := 0.0; return z / z }
 
+// metaFingerprint is the store's fingerprint function in these tests:
+// oic.Config.Fingerprint's format over the artifact's meta, which the
+// samples hold in canonical form.
+func metaFingerprint(a *Artifact) string {
+	m := a.Meta
+	return fmt.Sprintf("%s|%s|%s|m%d|e%d|s%d|seed%d",
+		m.Plant, m.Scenario, m.Policy, m.Memory, m.TrainEpisodes, m.TrainSteps, m.TrainSeed)
+}
+
 func TestStore(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
+	st, err := OpenStore(dir, metaFingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // no-op sleep so retry tests don't pay real backoff.
 func storeWithFaults(t *testing.T, inj *fault.Injector) *Store {
 	t.Helper()
-	st, err := OpenStore(t.TempDir())
+	st, err := OpenStore(t.TempDir(), metaFingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +29,11 @@ func TestStoreGetRetriesTransientFailures(t *testing.T) {
 	inj.FailFirst(fault.SiteArtifactRead, 2)
 	st := storeWithFaults(t, inj)
 	a := sample(false)
-	if err := st.Put("fp", a); err != nil {
+	fp := metaFingerprint(a)
+	if err := st.Put(fp, a); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Get("fp")
+	got, err := st.Get(fp)
 	if err != nil || got == nil {
 		t.Fatalf("Get = (%v, %v), want artifact", got, err)
 	}
@@ -42,21 +44,26 @@ func TestStoreGetRetriesTransientFailures(t *testing.T) {
 }
 
 // A persistent read failure exhausts the bounded budget and surfaces the
-// underlying error — the loop never spins unbounded.
+// underlying error — the loop never spins unbounded. The entry was never
+// read, so it is kept and not counted corrupt.
 func TestStoreGetRetryBudgetExhausted(t *testing.T) {
 	inj := fault.New(1)
 	inj.Enable(fault.SiteArtifactRead, 1)
 	st := storeWithFaults(t, inj)
-	if err := st.Put("fp", sample(false)); err != nil {
+	fp := metaFingerprint(sample(false))
+	if err := st.Put(fp, sample(false)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := st.Get("fp")
+	_, err := st.Get(fp)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 	s := st.Stats()
-	if s.Retries != MaxReadRetries {
-		t.Fatalf("retries = %d, want %d", s.Retries, MaxReadRetries)
+	if s.Retries != MaxReadRetries || s.Corrupt != 0 {
+		t.Fatalf("retries = %d, corrupt = %d; want %d and 0", s.Retries, s.Corrupt, MaxReadRetries)
+	}
+	if _, err := os.Stat(st.Path(fp)); err != nil {
+		t.Fatalf("entry removed after read failures: %v", err)
 	}
 	if got := inj.Calls(fault.SiteArtifactRead); got != MaxReadRetries+1 {
 		t.Fatalf("read attempts = %d, want %d", got, MaxReadRetries+1)
@@ -81,16 +88,17 @@ func TestStorePutFaultIsLoud(t *testing.T) {
 	inj := fault.New(1)
 	inj.FailFirst(fault.SiteArtifactWrite, 1)
 	st := storeWithFaults(t, inj)
-	if err := st.Put("fp", sample(false)); !errors.Is(err, fault.ErrInjected) {
+	fp := metaFingerprint(sample(false))
+	if err := st.Put(fp, sample(false)); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Put err = %v, want injected failure", err)
 	}
-	if got, err := st.Get("fp"); got != nil || err != nil {
+	if got, err := st.Get(fp); got != nil || err != nil {
 		t.Fatalf("entry exists after failed Put: (%v, %v)", got, err)
 	}
-	if err := st.Put("fp", sample(false)); err != nil {
+	if err := st.Put(fp, sample(false)); err != nil {
 		t.Fatalf("second Put: %v", err)
 	}
-	if got, err := st.Get("fp"); got == nil || err != nil {
+	if got, err := st.Get(fp); got == nil || err != nil {
 		t.Fatalf("Get after recovery = (%v, %v)", got, err)
 	}
 }

@@ -3,7 +3,9 @@ package artifact
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,7 +20,7 @@ import (
 // Ext is the on-disk artifact file extension.
 const Ext = ".oica"
 
-// Retry policy for transient read failures: a Get re-reads up to
+// Retry policy for transient read failures: a Read re-reads up to
 // MaxReadRetries times with exponential backoff plus full jitter before
 // giving up. Missing entries and decode failures are terminal outcomes,
 // never retried.
@@ -34,9 +36,10 @@ const (
 // writes go through a temp-file rename so readers never observe a
 // partial artifact.
 type Store struct {
-	dir    string
-	faults *fault.Injector       // nil-safe deterministic fault injection
-	sleep  func(d time.Duration) // test seam; nil means time.Sleep
+	dir         string
+	fingerprint func(*Artifact) string // the config fingerprint an artifact is stored under
+	faults      *fault.Injector        // nil-safe deterministic fault injection
+	sleep       func(d time.Duration)  // test seam; nil means time.Sleep
 
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -49,20 +52,22 @@ type Store struct {
 type StoreStats struct {
 	Hits    int64 // Get found and decoded an entry
 	Misses  int64 // Get found no entry
-	Corrupt int64 // entries that failed decode/validation and were dropped
+	Corrupt int64 // entries that failed decode/validation or were misnamed, and were dropped
 	Writes  int64 // successful Puts
 	Retries int64 // transient read failures absorbed by the retry loop
 }
 
 // OpenStore opens (creating if needed) the artifact store rooted at dir.
-func OpenStore(dir string) (*Store, error) {
+// fingerprint derives the config fingerprint an artifact is stored
+// under, so Read can tell a file whose name does not match its content.
+func OpenStore(dir string, fingerprint func(*Artifact) string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: OpenStore: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: OpenStore: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, fingerprint: fingerprint}, nil
 }
 
 // SetFaults installs (or clears, with nil) a deterministic fault injector
@@ -77,14 +82,31 @@ func (s *Store) Path(fingerprint string) string {
 	return filepath.Join(s.dir, hex.EncodeToString(sum[:16])+Ext)
 }
 
-// Get looks the fingerprint up. A missing entry returns (nil, nil) and
-// counts a miss; a transient read failure is retried up to MaxReadRetries
-// times with jittered exponential backoff (each absorbed failure counts a
-// retry) before surfacing; a present entry that fails to decode or
-// validate counts as corrupt, is removed so it cannot poison future
-// lookups, and returns the decode error; a healthy entry counts a hit.
+// Get looks the fingerprint up through Read. A missing entry returns
+// (nil, nil) and counts a miss; a healthy entry counts a hit; any other
+// failure is Read's.
 func (s *Store) Get(fingerprint string) (*Artifact, error) {
-	path := s.Path(fingerprint)
+	a, err := s.Read(s.Path(fingerprint))
+	if errors.Is(err, fs.ErrNotExist) {
+		s.misses.Add(1)
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.hits.Add(1)
+	return a, nil
+}
+
+// Read is the one read path for store files, used by Get and by oicd's
+// preload. It reads path through the artifact.read fault site, retrying a
+// failed read up to MaxReadRetries times with jittered exponential
+// backoff (each absorbed failure counts a retry); a read that still
+// fails, or finds no file, returns its error and leaves the file alone.
+// A file that fails to decode or validate, or whose name is not the Path
+// of its content's fingerprint, counts as corrupt and is removed, so it
+// cannot poison later lookups.
+func (s *Store) Read(path string) (*Artifact, error) {
 	var b []byte
 	for attempt := 0; ; attempt++ {
 		var err error
@@ -92,24 +114,25 @@ func (s *Store) Get(fingerprint string) (*Artifact, error) {
 		if err == nil {
 			break
 		}
-		if os.IsNotExist(err) {
-			s.misses.Add(1)
-			return nil, nil
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, err
 		}
 		if attempt >= MaxReadRetries {
-			s.corrupt.Add(1)
-			return nil, fmt.Errorf("artifact: store get (after %d retries): %w", attempt, err)
+			return nil, fmt.Errorf("artifact: store read (after %d retries): %w", attempt, err)
 		}
 		s.retries.Add(1)
 		s.backoff(attempt)
 	}
 	a, err := Decode(b)
+	if err == nil {
+		if fp := s.fingerprint(a); s.Path(fp) != path {
+			err = fmt.Errorf("content fingerprint %q belongs in %s", fp, filepath.Base(s.Path(fp)))
+		}
+	}
 	if err != nil {
-		s.corrupt.Add(1)
-		os.Remove(path)
+		s.markCorrupt(path)
 		return nil, fmt.Errorf("artifact: store entry %s: %w", filepath.Base(path), err)
 	}
-	s.hits.Add(1)
 	return a, nil
 }
 
@@ -133,14 +156,11 @@ func (s *Store) backoff(attempt int) {
 	time.Sleep(d)
 }
 
-// MarkCorrupt drops an entry the caller found inconsistent after a
-// successful decode (e.g. its embedded fingerprint does not match the
-// lookup key) and counts it.
-func (s *Store) MarkCorrupt(fingerprint string) { s.MarkCorruptFile(s.Path(fingerprint)) }
+// MarkCorrupt drops the fingerprint's entry, which decoded but failed to
+// load, and counts it as corrupt.
+func (s *Store) MarkCorrupt(fingerprint string) { s.markCorrupt(s.Path(fingerprint)) }
 
-// MarkCorruptFile drops the store file at path, which failed to decode or
-// to load, and counts it as MarkCorrupt does.
-func (s *Store) MarkCorruptFile(path string) {
+func (s *Store) markCorrupt(path string) {
 	s.corrupt.Add(1)
 	os.Remove(path)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"oic/pkg/oic"
@@ -37,9 +36,9 @@ func (s *Server) ArtifactStats() oic.ArtifactStoreStats {
 }
 
 // loadFromStore tries to materialize cfg's engine from the artifact
-// store. A decoded artifact whose fingerprint disagrees with the lookup
-// key is dropped as corrupt (content addressing means the file was
-// tampered with or collided); any failure falls back to an in-process
+// store. The store drops an entry that fails to decode or whose content's
+// fingerprint is not the one it is filed under, and an artifact that
+// fails to load is dropped here; any failure falls back to an in-process
 // build, so a damaged store degrades to cold-start behavior instead of
 // erroring requests.
 func (s *Server) loadFromStore(key string) (*oic.Engine, bool) {
@@ -48,10 +47,6 @@ func (s *Server) loadFromStore(key string) (*oic.Engine, bool) {
 	}
 	a, err := s.store.Get(key)
 	if a == nil || err != nil {
-		return nil, false
-	}
-	if oic.ConfigFromArtifact(a).Fingerprint() != key {
-		s.store.MarkCorrupt(key)
 		return nil, false
 	}
 	eng, err := s.loadEngine(a)
@@ -94,11 +89,13 @@ func (s *Server) writeBack(key string, eng *oic.Engine) {
 // the moment the server is constructed, with no startup race window.
 //
 // The closure returns the engines it loaded and the store files it
-// skipped. A file that fails to decode or to load is handled as a lookup
-// handles it: counted in oicd_artifact_corrupt_total and removed, so the
-// first request for its config rebuilds and writes back a healed entry.
-// A file that fails to read is left in place. Every skip is logged with
-// its path and error.
+// skipped. Each file is read as a lookup reads it (ArtifactStore.Read,
+// with its fault site and retries): a file that fails to decode, is filed
+// under another fingerprint than its content's, or fails to load is
+// counted in oicd_artifact_corrupt_total and removed, so the first
+// request for its config rebuilds and writes back a healed entry. A file
+// that fails to read is left in place. Every skip is logged with its path
+// and error.
 func (s *Server) BeginPreload() (run func() (loaded, skipped int, err error), err error) {
 	if s.store == nil {
 		return nil, fmt.Errorf("server: preload requested without an artifact store")
@@ -115,21 +112,15 @@ func (s *Server) BeginPreload() (run func() (loaded, skipped int, err error), er
 			s.log.Warn("preload skipped artifact", "path", path, "error", err)
 		}
 		for _, path := range files {
-			b, err := os.ReadFile(path)
+			a, err := s.store.Read(path)
 			if err != nil {
-				skip(path, err)
-				continue
-			}
-			a, err := oic.DecodeArtifact(b)
-			if err != nil {
-				s.store.MarkCorruptFile(path)
 				skip(path, err)
 				continue
 			}
 			key := oic.ConfigFromArtifact(a).Fingerprint()
 			eng, err := s.loadEngine(a)
 			if err != nil {
-				s.store.MarkCorruptFile(path)
+				s.store.MarkCorrupt(key)
 				skip(path, err)
 				continue
 			}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"oic/internal/artifact"
+	"oic/internal/fault"
 	"oic/pkg/oic"
 )
 
@@ -171,6 +172,63 @@ func TestPreloadSkipsBadArtifacts(t *testing.T) {
 	}
 	if n := histCount(t, exposition, "oicd_engine_load_seconds"); n != 1 {
 		t.Errorf("oicd_engine_load_seconds count = %d, want 1", n)
+	}
+}
+
+// TestPreloadDropsMisnamedArtifact: a golden artifact copied into the
+// store under a name that is not its fingerprint's path is read the way a
+// lookup reads it: preload skips it, counts it corrupt and removes it,
+// and still loads the correctly named entry beside it.
+func TestPreloadDropsMisnamedArtifact(t *testing.T) {
+	dir := t.TempDir()
+	putGolden(t, dir, "thermo-drl")
+	misnamed := filepath.Join(dir, "0123456789abcdef0123456789abcdef"+artifact.Ext)
+	if err := os.WriteFile(misnamed, goldenBytes(t, "acc-always-run"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, Config{})
+	if err := srv.OpenArtifactStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	run, err := srv.BeginPreload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, skipped, err := run(); err != nil || n != 1 || skipped != 1 {
+		t.Fatalf("preload = (%d, %d, %v), want (1, 1, nil)", n, skipped, err)
+	}
+	if got := srv.ArtifactStats().Corrupt; got != 1 {
+		t.Errorf("corrupt count %d, want 1", got)
+	}
+	if _, err := os.Stat(misnamed); !os.IsNotExist(err) {
+		t.Errorf("misnamed file still in the store (stat: %v)", err)
+	}
+}
+
+// TestPreloadRetriesReadFaults: preload reads through the store's
+// artifact.read fault site and its retry loop, so two injected read
+// failures are absorbed and the artifact still loads.
+func TestPreloadRetriesReadFaults(t *testing.T) {
+	dir := t.TempDir()
+	putGolden(t, dir, "thermo-drl")
+	inj, err := fault.Parse(1, "artifact.read=first:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, Config{})
+	if err := srv.OpenArtifactStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetFaults(inj)
+	run, err := srv.BeginPreload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, skipped, err := run(); err != nil || n != 1 || skipped != 0 {
+		t.Fatalf("preload = (%d, %d, %v), want (1, 0, nil)", n, skipped, err)
+	}
+	if st := srv.ArtifactStats(); st.Retries != 2 || st.Corrupt != 0 {
+		t.Errorf("store stats %+v, want 2 retries and nothing corrupt", st)
 	}
 }
 

@@ -37,7 +37,9 @@ var ErrArtifactMismatch = errors.New("oic: artifact does not match its configura
 
 // OpenArtifactStore opens (creating if needed) the artifact store rooted
 // at dir.
-func OpenArtifactStore(dir string) (*ArtifactStore, error) { return artifact.OpenStore(dir) }
+func OpenArtifactStore(dir string) (*ArtifactStore, error) {
+	return artifact.OpenStore(dir, func(a *Artifact) string { return ConfigFromArtifact(a).Fingerprint() })
+}
 
 // EncodeArtifact serializes an artifact into the canonical binary form
 // (Encode(DecodeArtifact(b)) == b for every valid b).
