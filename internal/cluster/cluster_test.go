@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -834,6 +835,86 @@ func TestMembershipValidation(t *testing.T) {
 	m, err := ParseMembership([]byte(`{"nodes":[{"name":"a","addr":"http://x"},{"name":"b","addr":"http://y"}]}`))
 	if err != nil || len(m.Nodes) != 2 {
 		t.Fatalf("valid membership rejected: %v", err)
+	}
+}
+
+// TestBodyDecodingMatchesShard: oicd-router decodes a request body the
+// way oicd does — a body that reads empty is the zero-value request, and
+// any other is decoded as its first JSON value, whatever follows it — so
+// each body gets the same status and error code directly and through the
+// router, on session create, fleet create and session step.
+func TestBodyDecodingMatchesShard(t *testing.T) {
+	rt, nodes := testCluster(t, 1, server.Config{}, Config{})
+	direct, routed := nodes[0].srv.Handler(), rt.Handler()
+	send := func(h http.Handler, path, body string, chunked bool) (int, string) {
+		t.Helper()
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		if chunked {
+			req.ContentLength = -1
+			req.TransferEncoding = []string{"chunked"}
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var er oic.ErrorResponse
+		if w.Code >= 400 {
+			if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
+				t.Fatalf("POST %s: %v in %s", path, err, w.Body.Bytes())
+			}
+		}
+		return w.Code, er.Code
+	}
+	sessionOn := func(h http.Handler) string {
+		t.Helper()
+		req := httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(`{"plant":"acc","seed":7}`))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var info oic.SessionInfo
+		if w.Code != http.StatusCreated || json.Unmarshal(w.Body.Bytes(), &info) != nil {
+			t.Fatalf("create: %d %s", w.Code, w.Body.Bytes())
+		}
+		return info.ID
+	}
+	directID, routedID := sessionOn(direct), sessionOn(routed)
+
+	routes := []struct {
+		name, path, value string
+		ok                int
+	}{
+		{"session create", "/v1/sessions", `{"plant":"acc","seed":7}`, http.StatusCreated},
+		{"fleet create", "/v1/fleets", `{"plant":"acc","compute_budget":2,"size":2,"seed":7}`, http.StatusCreated},
+		{"session step", "/v1/sessions/%s/step", `{"w":[0.5,0]}`, http.StatusOK},
+	}
+	bodies := []struct {
+		name    string
+		body    func(value string) string
+		chunked bool
+		ok      bool // answers the route's success status; otherwise 400 bad_request
+	}{
+		{"trailing bytes", func(v string) string { return v + " x" }, false, true},
+		{"trailing whitespace", func(v string) string { return v + " \n\t" }, false, true},
+		{"empty, Content-Length 0", func(string) string { return "" }, false, false},
+		{"empty, chunked", func(string) string { return "" }, true, false},
+		{"malformed", func(v string) string { return v[:len(v)-1] }, false, false},
+	}
+	for _, route := range routes {
+		for _, b := range bodies {
+			body := b.body(route.value)
+			dPath, rPath := route.path, route.path
+			if strings.Contains(route.path, "%s") {
+				dPath, rPath = fmt.Sprintf(route.path, directID), fmt.Sprintf(route.path, routedID)
+			}
+			dStatus, dCode := send(direct, dPath, body, b.chunked)
+			rStatus, rCode := send(routed, rPath, body, b.chunked)
+			if dStatus != rStatus || dCode != rCode {
+				t.Errorf("%s, %s: direct %d %q, routed %d %q", route.name, b.name, dStatus, dCode, rStatus, rCode)
+			}
+			// An empty step is the zero-value step, which is served; an
+			// empty create lacks its plant.
+			wantOK := b.ok || route.ok == http.StatusOK && strings.HasPrefix(b.name, "empty")
+			if want := route.ok; wantOK && dStatus != want || !wantOK && (dStatus != http.StatusBadRequest || dCode != "bad_request") {
+				t.Errorf("%s, %s: direct answers %d %q", route.name, b.name, dStatus, dCode)
+			}
+		}
 	}
 }
 

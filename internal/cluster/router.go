@@ -396,15 +396,17 @@ func (rt *Router) handleReplay(w http.ResponseWriter, r *http.Request) {
 	rt.relayFrom(w, n, status, ctype, b)
 }
 
-// readJSON reads a request body and decodes it into v unless it is
-// empty, answering 400 and returning false when either fails.
+// readJSON reads a request body and decodes it into v as oicd does: a
+// body that reads empty is the zero-value request, and any other is
+// decoded as its first JSON value, whatever follows it. It answers 400
+// and returns false when either step fails.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return nil, false
 	}
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, v); err != nil {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
 			return nil, false
 		}

@@ -860,14 +860,15 @@ func decodeFleetTick(r *http.Request, req *oic.FleetTickRequest) error {
 // decodeBody is every route's one body path: it reads the body whole
 // under oic.MaxRequestBytes (readBody) and hands it to decode. So a body
 // over the limit answers 413 too_large even when its first JSON value
-// ends inside it, as oicd-router answers it. A request that declares an
-// empty body is the zero-value request.
+// ends inside it, as oicd-router answers it. A body that reads empty,
+// declared so or chunked, is the zero-value request, as oicd-router
+// forwards it.
 func decodeBody(r *http.Request, decode func(body []byte) error) error {
 	if r.Body == nil || r.ContentLength == 0 {
 		return nil // empty body = zero-value request
 	}
 	body, err := readBody(r)
-	if err == nil {
+	if err == nil && len(body) > 0 {
 		err = decode(body)
 	}
 	if err != nil {
