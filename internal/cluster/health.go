@@ -73,13 +73,13 @@ func (n *nodeState) loadSessions() int {
 
 // ProbeOnce probes every node once, in parallel, with one GET /readyz:
 // an answer of 200 or 503 means the node is live, 200 that it is ready,
-// and the body (oic.ReadyzResponse) refreshes the load signals. A body
-// that does not decode keeps the last load. A node whose liveness has
-// failed DeathThreshold
-// consecutive probes transitions to dead exactly once, firing the
-// router's failover hook; a later successful probe (the process was
-// restarted and replayed its journal) clears the death mark and the node
-// rejoins placement.
+// and the body (oic.ReadyzResponse) refreshes the load signals; a body
+// that does not decode keeps the last load. The probe bypasses proxy, so
+// the router's proxy metrics count forwarded requests only. A node whose
+// liveness has failed DeathThreshold consecutive probes transitions to
+// dead exactly once, firing the router's failover hook; a later
+// successful probe (the process was restarted and replayed its journal)
+// clears the death mark and the node rejoins placement.
 func (rt *Router) ProbeOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, n := range rt.nodes {
