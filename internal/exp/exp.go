@@ -244,26 +244,25 @@ func Fig4(p plant.Plant, opt Options) (*Fig4Result, error) {
 		BBSavings:   make([]float64, len(cases)),
 		DRLSavings:  make([]float64, len(cases)),
 	}
-	r := &res.Fig4Report
 	for i := range cases {
 		c := &cases[i]
 		sb, sd := c.SavingBB(), c.SavingDRL()
 		res.BBSavings[i], res.DRLSavings[i] = sb, sd
-		addSample(&r.BBHist, sb)
-		addSample(&r.DRLHist, sd)
-		r.BBMeanPct += sb
-		r.DRLMeanPct += sd
-		r.BBEnergyPct += c.EnergySavingBB()
-		r.DRLEnergyPct += c.EnergySavingDRL()
-		r.SkipsPer100 += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
-		r.Violations += c.Violations
+		addSample(&res.BBHist, sb)
+		addSample(&res.DRLHist, sd)
+		res.BBMeanPct += sb
+		res.DRLMeanPct += sd
+		res.BBEnergyPct += c.EnergySavingBB()
+		res.DRLEnergyPct += c.EnergySavingDRL()
+		res.SkipsPer100 += float64(c.SkipsDRL) * 100 / float64(opt.Steps)
+		res.Violations += c.Violations
 	}
-	if n := float64(r.Cases); n > 0 {
-		r.BBMeanPct /= n
-		r.DRLMeanPct /= n
-		r.BBEnergyPct /= n
-		r.DRLEnergyPct /= n
-		r.SkipsPer100 /= n
+	if n := float64(res.Cases); n > 0 {
+		res.BBMeanPct /= n
+		res.DRLMeanPct /= n
+		res.BBEnergyPct /= n
+		res.DRLEnergyPct /= n
+		res.SkipsPer100 /= n
 	}
 	return res, nil
 }
